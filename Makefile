@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race race-policy race-exp race-fault race-obs race-router race-plan race-hot race-super race-tracez alloc-guard fuzz-fault smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-all bench-diff profile
+.PHONY: build test vet fmt race alloc-guard fuzz-fault smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-all profile loc
 
 build:
 	$(GO) build ./...
@@ -30,67 +30,6 @@ fmt:
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/exp$$')
 	$(GO) test -race -short ./internal/exp/
-
-# The policy plane (checkpoint store, federation syncer, gateway wiring) is
-# the most concurrency-heavy subsystem; give it a dedicated race pass.
-race-policy:
-	$(GO) test -race ./internal/policy/ ./internal/serve/ .
-
-# The execution-context plane: the deterministic RNG/clock substrate and
-# the parallel experiment harness built on it. The dedicated pass certifies
-# concurrent World.ExecuteCtx and the worker pool race-free (exp in -short
-# mode, see the race target note).
-race-exp:
-	$(GO) test -race ./internal/sim/ ./internal/exec/
-	$(GO) test -race -short ./internal/exp/
-
-# The fault plane: the scripted injector and the gateway's resilient offload
-# path (breakers, retries, hedging) — the storm acceptance test must hold
-# under race instrumentation.
-race-fault:
-	$(GO) test -race ./internal/fault/ ./internal/serve/ ./internal/sim/
-
-# The telemetry plane: lock-free histograms, the seqlock metrics registry and
-# the admin endpoint serving scrapes concurrently with the request path.
-race-obs:
-	$(GO) test -race ./internal/obs/ ./internal/serve/... ./internal/core/ ./internal/trace/
-
-# The routing tier: cross-shard admission, DRR fairness and shard lifecycle
-# run concurrently with pipe goroutines and the dispatcher — the shard-kill
-# storm and the concurrent-kill accounting test must hold under race
-# instrumentation, together with the serving layer they drive.
-race-router:
-	$(GO) test -race ./internal/router/ ./internal/serve/...
-
-# The capacity-planning plane: the planner's actuation loop touches the
-# router's setters, the gateways' active-lane masks and the admin endpoint
-# concurrently with the request path — the surge acceptance drill must hold
-# under race instrumentation.
-race-plan:
-	$(GO) test -race ./internal/plan/ ./internal/router/ ./internal/serve/
-
-# The hot decide path: the dense RCU Q-table, the engine's lock-free agent
-# pointer and the gateway's batched telemetry run lock-free readers against
-# single-writer updates — the torn-read hunt and the serving suite must hold
-# under race instrumentation.
-race-hot:
-	$(GO) test -race ./internal/rl/ ./internal/core/ ./internal/serve/
-
-# The supervision tier: health scoring, the cordon/drain/restart ladder and
-# the crash-loop budget run against the router's lifecycle concurrently with
-# the request path. The soak is excluded here (it runs un-instrumented in
-# chaos-short; race instrumentation slows the full matrix past the point of
-# usefulness) — the gray-failure, crash-loop and status tests are the
-# race-sensitive surface.
-race-super:
-	$(GO) test -race -run 'TestGrayFailureCordon|TestCrashLoopConvergesToDead|TestSupervisorStatusJSONAndProm' ./internal/super/
-
-# The tracing plane: the tracer's ring and pool run against concurrent
-# request goroutines, and the flight recorder takes notes from the breaker,
-# supervisor and planner paths while admin scrapes read it — the tracez
-# suite plus the traced serving paths must hold under race instrumentation.
-race-tracez:
-	$(GO) test -race ./internal/tracez/ ./internal/serve/
 
 # Seeded chaos soak, small matrix (~seconds): 2 seeds at high intensity with
 # the invariant auditor, byte-identical replay and the goroutine-leak check.
@@ -199,41 +138,22 @@ smoke-traces:
 	ls $$tmp/fr/incident-*.json > /dev/null 2>&1 || { echo "smoke-traces: no incident bundle"; cat $$tmp/out; exit 1; }; \
 	echo "smoke-traces: ok"
 
-# The full gate: tier-1 (build + test) plus formatting, vet, the race
-# detector (which includes the dedicated policy-plane, exec-plane, fault-plane,
-# telemetry-plane, planning-plane, supervision-plane and tracing-plane
-# passes), the schedule-parser fuzz smoke, the short chaos soak and the
-# admin, planner, chaos and tracing scrape smokes.
-verify: build fmt vet race race-policy race-exp race-fault race-obs race-router race-plan race-hot race-super race-tracez chaos-short alloc-guard fuzz-fault smoke-admin smoke-plan smoke-chaos smoke-traces
+# The full gate: tier-1 build plus formatting, vet, one race-detector pass
+# over every package (it covers the policy, exec, fault, telemetry, routing,
+# planning, hot-path, supervision and tracing planes — each used to be re-run
+# by a race-* target of its own), the short chaos soak, the allocation
+# guards, the schedule-parser fuzz smoke and the admin, planner, chaos and
+# tracing scrape smokes.
+verify: build fmt vet race chaos-short alloc-guard fuzz-fault smoke-admin smoke-plan smoke-chaos smoke-traces
 
-# Archive the representative benchmarks (end-to-end Fig 9, gateway and
-# routing-tier throughput, the telemetry hot path, the router dispatch path
-# and the planner recompute) as BENCH_exp.json: per-benchmark name, ns/op and allocs/op averaged
-# over three repetitions.
+# The repo benchmark (BENCHMARK.json): six workloads plus the layer ladder,
+# results in bench/out/result.json. bench/README.md documents -append
+# (history) and -compare (old-vs-new with noise bands).
 bench:
-	$(GO) test -run '^$$' -bench '^(BenchmarkFig9|BenchmarkDecide|BenchmarkGatewayThroughput|BenchmarkRouterThroughput)$$' \
-		-benchmem -count=3 . > BENCH_exp.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkHistogramObserve' \
-		-benchmem -count=3 ./internal/obs/ >> BENCH_exp.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkRouterDispatch$$' \
-		-benchmem -count=3 ./internal/router/ >> BENCH_exp.txt
-	$(GO) test -run '^$$' -bench '^BenchmarkPlannerRecompute$$' \
-		-benchmem -count=3 ./internal/plan/ >> BENCH_exp.txt
-	$(GO) run ./cmd/benchjson -in BENCH_exp.txt -out BENCH_exp.json
-	@cat BENCH_exp.json
+	bash bench/run.sh
 
 bench-all:
 	$(GO) test -bench=. -benchmem
-
-# Benchstat-style old-vs-new comparison of the archived benchmark snapshot.
-# The previous snapshot defaults to the last committed BENCH_exp.json; run
-# `make bench` first to refresh the current one.
-bench-diff:
-	@if [ ! -f BENCH_exp.prev.json ]; then \
-		git show HEAD:BENCH_exp.json > BENCH_exp.prev.json 2>/dev/null || \
-		{ echo "bench-diff: no BENCH_exp.prev.json and no committed BENCH_exp.json"; exit 1; }; \
-	fi
-	$(GO) run ./cmd/benchdiff -old BENCH_exp.prev.json -new BENCH_exp.json
 
 # CPU and heap profiles of the serving hot path, from the closed-loop
 # gateway bench. Inspect with `go tool pprof cpu.pprof` / `mem.pprof`.
@@ -241,3 +161,10 @@ profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkGatewayThroughput/clients=1$$' -benchtime=3s \
 		-cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "profiles written: cpu.pprof mem.pprof (go tool pprof <file>)"
+
+# The two line counts simplicity PRs quote: non-test Go outside bench/, and
+# the same restricted to the serving stack plus the paper's core.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './bench/*' | xargs cat | wc -l
+	@find internal/serve internal/router internal/plan internal/super internal/core internal/rl \
+		-name '*.go' -not -name '*_test.go' | xargs cat | wc -l

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"io"
 	"net/http"
 	"os"
@@ -246,5 +247,28 @@ func TestRunRejectsBadInput(t *testing.T) {
 	c.envID = "S9"
 	if err := run(c, os.Stdout); err == nil {
 		t.Error("unknown environment accepted")
+	}
+}
+
+// TestExpectedFailure: a chaos storm can leave no shard to route to for a
+// moment (one dead, the other cordoned); that request's error is an outcome
+// the router counted, and must not abort the flood before the audit. Outside
+// chaos mode the same error is a real failure.
+func TestExpectedFailure(t *testing.T) {
+	for _, tc := range []struct {
+		err   error
+		chaos bool
+		want  bool
+	}{
+		{autoscale.ErrQueueFull, false, true},
+		{autoscale.ErrDeadlineExpired, false, true},
+		{autoscale.ErrNoHealthyShard, false, false},
+		{autoscale.ErrNoHealthyShard, true, true},
+		{fmt.Errorf("wrapped: %w", autoscale.ErrShardDown), true, true},
+		{autoscale.ErrUnknownTenant, true, false},
+	} {
+		if got := expectedFailure(tc.err, tc.chaos); got != tc.want {
+			t.Errorf("expectedFailure(%v, chaos=%v) = %v, want %v", tc.err, tc.chaos, got, tc.want)
+		}
 	}
 }

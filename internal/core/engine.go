@@ -238,37 +238,19 @@ func (e *Engine) Predict(m *dnn.Model, c sim.Conditions) (sim.Target, error) {
 	return e.Actions.Target(idx), nil
 }
 
-// RunInference performs one full engine step: observe the state (completing
-// the previous step's deferred Q update with it, per Algorithm 1), select an
-// action epsilon-greedily, execute the inference on the simulated world,
-// estimate Renergy, compute the reward and stage the update.
-//
-// It derives a per-step execution context from the engine's root, so the
-// world's noise and the Renergy estimation error are a pure function of the
-// engine seed and the step index.
+// RunInference is Step with an engine-derived context, no target filter and
+// no provenance capture: the world's noise and the Renergy estimation error
+// are a pure function of the engine seed and the step index.
 func (e *Engine) RunInference(m *dnn.Model, c sim.Conditions) (Decision, error) {
-	return e.RunInferenceCtx(nil, m, c)
+	return e.Step(nil, m, c, nil, nil)
 }
 
 // RunInferenceCtx is RunInference with an explicit request context: the
 // simulator's stochastic draws and the Renergy estimation error come from
 // ctx's named streams, tying them to the request's identity rather than
-// the engine's call history. A nil ctx derives one from the engine's
-// internal step counter.
+// the engine's call history.
 func (e *Engine) RunInferenceCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (Decision, error) {
-	return e.RunInferenceFiltered(ctx, m, c, nil)
-}
-
-// RunInferenceFiltered is RunInferenceCtx with an additional allow
-// predicate over targets: actions the predicate rejects are masked out of
-// selection for this step only (falling back to the unfiltered mask if the
-// predicate would reject everything) — the entry point circuit breakers
-// use to steer requests away from unhealthy remote sites. The observed
-// Q-state uses the conditions as the world actually degrades them
-// (scripted RSSI ramps applied), so the agent learns against what
-// execution will see.
-func (e *Engine) RunInferenceFiltered(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow func(sim.Target) bool) (Decision, error) {
-	return e.runInference(ctx, m, c, allow, nil)
+	return e.Step(ctx, m, c, nil, nil)
 }
 
 // DecisionProv captures one decide step's provenance for the tracing plane:
@@ -283,17 +265,22 @@ type DecisionProv struct {
 	Sel       rl.SelectProv
 }
 
-// RunInferenceProv is RunInferenceFiltered with decision-provenance
-// capture into prov (which must be non-nil). The selection mirrors the
-// plain path draw for draw, so traced and untraced runs of the same seed
-// take identical decisions.
-func (e *Engine) RunInferenceProv(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow func(sim.Target) bool, prov *DecisionProv) (Decision, error) {
-	return e.runInference(ctx, m, c, allow, prov)
-}
-
-// runInference is the shared step body; prov nil is the untraced hot path
-// (one pointer test of overhead, no allocations).
-func (e *Engine) runInference(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow func(sim.Target) bool, prov *DecisionProv) (Decision, error) {
+// Step performs one full engine step: observe the state (completing the
+// previous step's deferred Q update with it, per Algorithm 1), select an
+// action epsilon-greedily, execute the inference on the simulated world,
+// estimate Renergy, compute the reward and stage the update.
+//
+// The three optional arguments may each be nil. A nil ctx derives a per-step
+// execution context from the engine's root and step counter. allow is a
+// predicate over targets: actions it rejects are masked out of selection for
+// this step only (falling back to the unfiltered mask if it would reject
+// everything) — how circuit breakers steer requests away from unhealthy
+// remote sites. prov receives the step's decision provenance; capture draws
+// nothing, so traced and untraced runs of the same seed take identical
+// decisions. The observed Q-state uses the conditions as the world actually
+// degrades them (scripted RSSI ramps applied), so the agent learns against
+// what execution will see.
+func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow func(sim.Target) bool, prov *DecisionProv) (Decision, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ctx == nil {
@@ -315,11 +302,8 @@ func (e *Engine) runInference(ctx *exec.Context, m *dnn.Model, c sim.Conditions,
 		e.hasPending = false
 	}
 
-	var idx int
-	var err error
-	if prov == nil {
-		idx, err = ag.SelectActionIdx(sIdx, mask)
-	} else {
+	var sel *rl.SelectProv
+	if prov != nil {
 		prov.StateIdx = sIdx
 		prov.Mask = append(prov.Mask[:0], mask...)
 		prov.MaskedOut = 0
@@ -328,8 +312,9 @@ func (e *Engine) runInference(ctx *exec.Context, m *dnn.Model, c sim.Conditions,
 				prov.MaskedOut++
 			}
 		}
-		idx, err = ag.SelectActionProvIdx(sIdx, mask, &prov.Sel)
+		sel = &prov.Sel
 	}
+	idx, err := ag.SelectIdx(sIdx, mask, sel)
 	if err != nil {
 		return Decision{}, fmt.Errorf("core: select for %s: %w", m.Name, err)
 	}
@@ -403,8 +388,9 @@ func (e *Engine) AdvanceTo(t float64) {
 // Reset discards the engine's in-memory learning state — fresh agent,
 // no staged update — while keeping the world, action space, estimator and
 // virtual clock. This models a worker crash: everything not checkpointed is
-// gone, but simulated time keeps flowing. Callers typically follow with a
-// warm-start from the last durable checkpoint.
+// gone — the Freeze mode included, lost with the table — but simulated time
+// keeps flowing. Callers typically follow with a warm-start from the last
+// durable checkpoint.
 func (e *Engine) Reset() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -465,9 +451,6 @@ func (e *Engine) TransferFrom(donor *Engine) error {
 	for i := range mapping {
 		mapping[i] = donorActionFor(e.Actions.Target(i), e, donor)
 	}
-	// Snapshot both agent fields under their engines' locks (a concurrent
-	// RestoreQTable may swap either); ImportMapped then locks the agents
-	// themselves, one at a time, so a live donor keeps serving.
 	return e.Agent().ImportMapped(donor.Agent(), mapping)
 }
 
@@ -505,9 +488,10 @@ func donorActionFor(t sim.Target, dst, donor *Engine) int {
 func (e *Engine) SnapshotQTable() ([]byte, error) { return e.Agent().Snapshot() }
 
 // RestoreQTable replaces the engine's agent with one restored from a
-// snapshot; the action-space size must match. The engine keeps its
-// configured update rule: a SARSA engine re-wraps the restored table instead
-// of silently falling back to Q-learning.
+// snapshot; the action-space size must match. A restore replaces the table,
+// not the mode: a Freeze()d engine stays frozen, and the engine keeps its
+// configured update rule (a SARSA engine re-wraps the restored table instead
+// of silently falling back to Q-learning).
 func (e *Engine) RestoreQTable(data []byte) error {
 	// Re-home the snapshot onto this engine's state grid: keys the grid can
 	// render land on their dense indices (keeping the zero-alloc decide
@@ -522,6 +506,9 @@ func (e *Engine) RestoreQTable(data []byte) error {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
+	if e.agent.Load().Frozen() {
+		ag.Freeze()
+	}
 	e.agent.Store(ag)
 	e.sarsa = nil
 	if e.cfg.Algorithm == AlgorithmSARSA {

@@ -263,6 +263,24 @@ func TestEngineFreeze(t *testing.T) {
 	}
 }
 
+// TestRestoreKeepsFrozen: a restore replaces the table, not the mode — a
+// frozen deployment that takes a federated merge or checkpoint warm-start
+// must not resume exploring and learning.
+func TestRestoreKeepsFrozen(t *testing.T) {
+	e := newTestEngine(t)
+	e.Freeze()
+	data, err := e.SnapshotQTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RestoreQTable(data); err != nil {
+		t.Fatal(err)
+	}
+	if !e.Agent().Frozen() {
+		t.Fatal("RestoreQTable un-froze a frozen engine")
+	}
+}
+
 func TestEngineSnapshotRestore(t *testing.T) {
 	e := newTestEngine(t)
 	m := dnn.MustByName("MobileNet v1")

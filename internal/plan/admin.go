@@ -3,44 +3,23 @@ package plan
 import (
 	"encoding/json"
 
-	"autoscale/internal/core"
 	"autoscale/internal/obs"
 	"autoscale/internal/serve"
-	"autoscale/internal/serve/metrics"
 )
 
-// The planner fronts its router for the admin endpoint: point
-// serve.ServeAdminSource at the planner and every router view works
-// unchanged, plus /plan lights up and /metrics gains the autoscale_plan_*
-// series. All views are read-side only.
-
-// Snapshot merges the shard registries (router view, unchanged).
-func (p *Planner) Snapshot() metrics.Snapshot { return p.rt.Snapshot() }
-
-// Health merges per-device learning health (router view, unchanged).
-func (p *Planner) Health() map[string]core.Health { return p.rt.Health() }
-
-// Closed reports whether the routing tier has shut down.
-func (p *Planner) Closed() bool { return p.rt.Closed() }
-
-// ShardStatuses delegates the /shards shard rows to the router.
-func (p *Planner) ShardStatuses() []serve.ShardStatus { return p.rt.ShardStatuses() }
-
-// TenantQueues delegates the /shards tenant rows to the router.
-func (p *Planner) TenantQueues() []serve.TenantQueueStatus { return p.rt.TenantQueues() }
-
-// PlanJSON renders the /plan document.
-func (p *Planner) PlanJSON() ([]byte, error) {
-	return json.MarshalIndent(p.Status(), "", "  ")
+// AdminView is the planner's admin contribution: the /plan document (latest
+// decision plus per-class SLO attainment) and the autoscale_plan_* series.
+// Read-side only.
+func (p *Planner) AdminView() serve.View {
+	return serve.View{Path: "/plan", Prom: p.AppendProm, JSON: func() ([]byte, error) {
+		return json.MarshalIndent(p.Status(), "", "  ")
+	}}
 }
 
-// PromText renders the router's merged metrics body plus the planner's own
-// series.
-func (p *Planner) PromText() []byte {
-	body := p.rt.PromText()
+// AppendProm appends the planner's own series.
+func (p *Planner) AppendProm(pr *obs.Prom) {
 	st := p.Status()
 	d := st.Decision
-	var pr obs.Prom
 	pr.Counter("autoscale_plan_generation", "Plan recomputes since the planner was built.", float64(d.Generation))
 	pr.Gauge("autoscale_plan_active_lanes", "Active worker lanes the plan applied.", float64(d.ActiveLanes))
 	pr.Gauge("autoscale_plan_total_lanes", "Worker lanes available across healthy shards.", float64(d.TotalLanes))
@@ -60,7 +39,6 @@ func (p *Planner) PromText() []byte {
 		pr.Gauge("autoscale_plan_class_max_queue_seconds", "Admission-gate backlog bound per class.", c.MaxQueueS, "class", c.Name)
 		pr.Gauge("autoscale_plan_class_queue_depth", "Router queue bound the plan applied per class.", float64(c.Depth), "class", c.Name)
 	}
-	return append(body, pr.Bytes()...)
 }
 
 func boolGauge(b bool) float64 {

@@ -7,7 +7,6 @@ import (
 
 	"autoscale/internal/fault"
 	"autoscale/internal/router"
-	"autoscale/internal/tracez"
 )
 
 // Config tunes a Planner.
@@ -431,10 +430,6 @@ func (p *Planner) noteWindow(now, latencySum float64, lanes int, pred float64) {
 
 // Status assembles the /plan document: latest decision plus per-class SLO
 // attainment measured from the per-tenant response histograms.
-// Tracer exposes the routing tier's causal tracer so a planner-fronted
-// admin endpoint serves the /traces surface; nil when tracing is off.
-func (p *Planner) Tracer() *tracez.Tracer { return p.rt.Tracer() }
-
 func (p *Planner) Status() Status {
 	p.mu.Lock()
 	last := p.last

@@ -6,8 +6,8 @@ import (
 )
 
 // TestSelectActionProvMirrorsPlain: two agents with identical seeds must
-// take identical action sequences whether or not provenance is captured —
-// the provenance variant consumes exactly the same RNG draws — and the
+// take identical action sequences whether or not the one selection routine
+// is handed a provenance pointer — capture consumes no RNG draws — and the
 // captured provenance must be internally consistent with the choice.
 func TestSelectActionProvMirrorsPlain(t *testing.T) {
 	cfg := DefaultConfig()
@@ -44,7 +44,7 @@ func TestSelectActionProvMirrorsPlain(t *testing.T) {
 			t.Fatalf("state index mismatch: %v/%v %d/%d", ok1, ok2, i1, i2)
 		}
 		a1, err1 := plain.SelectActionIdx(i1, mask)
-		a2, err2 := traced.SelectActionProvIdx(i2, mask, &p)
+		a2, err2 := traced.SelectIdx(i2, mask, &p)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("step %d: errors %v / %v", step, err1, err2)
 		}
@@ -90,7 +90,7 @@ func TestSelectActionProvMirrorsPlain(t *testing.T) {
 		t.Fatalf("want both branches exercised: explored=%d exploited=%d", explored, exploited)
 	}
 
-	if _, err := traced.SelectActionProvIdx(0, []bool{false, false, false, false}, &p); err == nil {
+	if _, err := traced.SelectIdx(0, []bool{false, false, false, false}, &p); err == nil {
 		t.Fatal("fully masked selection should fail")
 	}
 }

@@ -375,36 +375,14 @@ var errNoEnabled = errors.New("rl: no enabled action")
 func (a *Agent) SelectAction(s State, mask []bool) (int, error) {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
-	return a.selectLocked(a.internLocked(s), mask)
+	return a.selectLocked(a.internLocked(s), mask, nil)
 }
 
 // SelectActionIdx is SelectAction over a dense state index — the engine's
 // hot path. It allocates nothing; the epsilon-greedy draw serializes on the
 // writer lock because it advances the agent's RNG.
 func (a *Agent) SelectActionIdx(i int32, mask []bool) (int, error) {
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
-	if _, err := a.tableForLocked(i); err != nil {
-		return 0, err
-	}
-	return a.selectLocked(i, mask)
-}
-
-func (a *Agent) selectLocked(i int32, mask []bool) (int, error) {
-	n := countEnabled(mask, a.actions)
-	if n == 0 {
-		return 0, errNoEnabled
-	}
-	t := a.tab.Load()
-	t.visits[i].Add(1)
-	t.flags[i].Or(flagVisit)
-	a.selections.Add(1)
-	a.ensureRowLocked(t, i) // materialize so a visited state exists even when exploring
-	if !a.frozen.Load() && a.rng.Float64() < math.Float64frombits(a.epsBits.Load()) {
-		a.explores.Add(1)
-		return nthEnabled(mask, a.actions, a.rng.Intn(n)), nil
-	}
-	return argmaxRow(t, i, mask), nil
+	return a.SelectIdx(i, mask, nil)
 }
 
 // SelectProv captures why one epsilon-greedy selection chose its action:
@@ -419,17 +397,20 @@ type SelectProv struct {
 	Q        []float64
 }
 
-// SelectActionProvIdx is SelectActionIdx with decision-provenance capture.
-// It mirrors selectLocked draw for draw — the same ensureRowLocked init
-// draws, the same epsilon comparison, the same exploration Intn — so a run
-// that swaps it in for SelectActionIdx replays byte-identically. p must be
-// non-nil.
-func (a *Agent) SelectActionProvIdx(i int32, mask []bool, p *SelectProv) (int, error) {
+// SelectIdx is SelectActionIdx with optional decision-provenance capture
+// into p; nil p is the untraced hot path. Provenance only records what the
+// selection read — it consumes no draws — so a traced run replays an
+// untraced one byte for byte.
+func (a *Agent) SelectIdx(i int32, mask []bool, p *SelectProv) (int, error) {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
 	if _, err := a.tableForLocked(i); err != nil {
 		return 0, err
 	}
+	return a.selectLocked(i, mask, p)
+}
+
+func (a *Agent) selectLocked(i int32, mask []bool, p *SelectProv) (int, error) {
 	n := countEnabled(mask, a.actions)
 	if n == 0 {
 		return 0, errNoEnabled
@@ -438,21 +419,22 @@ func (a *Agent) SelectActionProvIdx(i int32, mask []bool, p *SelectProv) (int, e
 	t.visits[i].Add(1)
 	t.flags[i].Or(flagVisit)
 	a.selections.Add(1)
-	a.ensureRowLocked(t, i)
-	p.Epsilon = math.Float64frombits(a.epsBits.Load())
-	p.Frozen = a.frozen.Load()
-	p.Explored = false
+	a.ensureRowLocked(t, i) // materialize so a visited state exists even when exploring
+	eps, frozen := math.Float64frombits(a.epsBits.Load()), a.frozen.Load()
+	explored := !frozen && a.rng.Float64() < eps
 	var idx int
-	if !p.Frozen && a.rng.Float64() < p.Epsilon {
+	if explored {
 		a.explores.Add(1)
-		p.Explored = true
 		idx = nthEnabled(mask, a.actions, a.rng.Intn(n))
 	} else {
 		idx = argmaxRow(t, i, mask)
 	}
-	p.Q = p.Q[:0]
-	for j := 0; j < a.actions; j++ {
-		p.Q = append(p.Q, loadQ(t, i, j))
+	if p != nil {
+		p.Epsilon, p.Frozen, p.Explored = eps, frozen, explored
+		p.Q = p.Q[:0]
+		for j := 0; j < a.actions; j++ {
+			p.Q = append(p.Q, loadQ(t, i, j))
+		}
 	}
 	return idx, nil
 }

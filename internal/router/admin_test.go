@@ -47,7 +47,7 @@ func TestRouterAdmin(t *testing.T) {
 		}
 	}
 
-	adm, err := serve.ServeAdminSource(rt, "127.0.0.1:0")
+	adm, err := serve.ServeAdmin(rt, "127.0.0.1:0", rt.AdminView())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,8 +60,8 @@ func TestRouterAdmin(t *testing.T) {
 		t.Fatalf("/shards status %d: %s", code, body)
 	}
 	var doc struct {
-		Shards  []serve.ShardStatus       `json:"shards"`
-		Tenants []serve.TenantQueueStatus `json:"tenants"`
+		Shards  []ShardStatus       `json:"shards"`
+		Tenants []TenantQueueStatus `json:"tenants"`
 	}
 	if err := json.Unmarshal(body, &doc); err != nil {
 		t.Fatalf("/shards not JSON: %v\n%s", err, body)
@@ -82,7 +82,7 @@ func TestRouterAdmin(t *testing.T) {
 	if servedTotal != 8 {
 		t.Errorf("/shards served total %d, want 8", servedTotal)
 	}
-	tenants := map[string]serve.TenantQueueStatus{}
+	tenants := map[string]TenantQueueStatus{}
 	for _, tq := range doc.Tenants {
 		tenants[tq.Tenant] = tq
 	}

@@ -3,7 +3,6 @@ package router
 import (
 	"context"
 	"errors"
-	"strings"
 	"testing"
 
 	"autoscale/internal/dnn"
@@ -215,76 +214,5 @@ func TestAdmissionGateReconfiguration(t *testing.T) {
 	}
 	if err := rt.SetTenantWeight("nope", 1); !errors.Is(err, ErrUnknownTenant) {
 		t.Fatalf("SetTenantWeight(unknown) = %v, want ErrUnknownTenant", err)
-	}
-}
-
-// TestRouterPromHeadersOnce asserts every autoscale_router_* series in the
-// merged Prometheus body renders its HELP and TYPE comment lines exactly
-// once, with no sampled series missing its headers.
-func TestRouterPromHeadersOnce(t *testing.T) {
-	gwA := testShard(t, "shard-a", []string{"lane-a"}, 1, serve.Config{})
-	gwB := testShard(t, "shard-b", []string{"lane-b"}, 2, serve.Config{})
-	rt, err := New([]ShardGateway{{"shard-a", gwA}, {"shard-b", gwB}}, Config{
-		Tenants: []Tenant{{"gold", 4}, {"best", 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown(context.Background())
-	m := dnn.MustByName("MobileNet v3")
-	for i, tenant := range []string{"gold", "best", "gold", ""} {
-		if _, err := rt.Do(serve.Request{Model: m, Conditions: conds(), Tenant: tenant, ArrivalS: 0.01 * float64(i+1)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	body := string(rt.PromText())
-	help, typ := map[string]int{}, map[string]int{}
-	sampled := map[string]bool{}
-	for _, line := range strings.Split(body, "\n") {
-		switch {
-		case strings.HasPrefix(line, "# HELP "):
-			help[strings.Fields(line[len("# HELP "):])[0]]++
-		case strings.HasPrefix(line, "# TYPE "):
-			typ[strings.Fields(line[len("# TYPE "):])[0]]++
-		case strings.HasPrefix(line, "autoscale_"):
-			name := line
-			if i := strings.IndexAny(line, "{ "); i > 0 {
-				name = line[:i]
-			}
-			for _, suf := range []string{"_bucket", "_sum", "_count"} {
-				if base := strings.TrimSuffix(name, suf); base != name && help[base] > 0 {
-					name = base
-					break
-				}
-			}
-			sampled[name] = true
-		}
-	}
-	routerSeries := 0
-	for name := range sampled {
-		if help[name] != 1 {
-			t.Errorf("metric %s: %d HELP lines, want exactly 1", name, help[name])
-		}
-		if typ[name] != 1 {
-			t.Errorf("metric %s: %d TYPE lines, want exactly 1", name, typ[name])
-		}
-		if strings.HasPrefix(name, "autoscale_router_") {
-			routerSeries++
-		}
-	}
-	// The router contributes its full inventory, not just a token series.
-	for _, name := range []string{
-		"autoscale_router_submitted_total", "autoscale_router_dispatched_total",
-		"autoscale_router_shed_total", "autoscale_router_inflight",
-		"autoscale_router_shard_state", "autoscale_router_shards_alive",
-		"autoscale_router_tenant_weight", "autoscale_router_tenant_admitted_total",
-	} {
-		if !sampled[name] {
-			t.Errorf("merged body missing %s", name)
-		}
-	}
-	if routerSeries < 10 {
-		t.Errorf("only %d autoscale_router_* series sampled; inventory shrank?", routerSeries)
 	}
 }

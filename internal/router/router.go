@@ -19,6 +19,7 @@ package router
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -895,7 +896,7 @@ func (rt *Router) Closed() bool { return rt.closed.Load() }
 func (rt *Router) RouterMetrics() RouterSnapshot { return rt.met.snapshot() }
 
 // Tracer exposes the routing tier's causal tracer — nil when tracing is off.
-// It lights up the admin server's /traces endpoints (serve.TraceSource).
+// It lights up the admin server's /traces endpoints.
 func (rt *Router) Tracer() *tracez.Tracer { return rt.cfg.Tracer }
 
 // Recorder exposes the incident flight recorder (nil when not configured),
@@ -954,12 +955,55 @@ func (rt *Router) Health() map[string]core.Health {
 	return out
 }
 
+// ShardStatus is one shard's row in the /shards document.
+type ShardStatus struct {
+	// Name is the shard label (Config.Name).
+	Name string `json:"name"`
+	// State is the lifecycle state: "healthy", "cordoned", "draining",
+	// "drained" or "dead".
+	State string `json:"state"`
+	// Incarnation counts gateway rebuilds (supervisor revives); 0 for the
+	// original gateway.
+	Incarnation int `json:"incarnation,omitempty"`
+	// Devices are the device lanes currently homed on the shard, sorted.
+	Devices []string `json:"devices"`
+	// QueueDepth is the shard's aggregate queued-request gauge.
+	QueueDepth int64 `json:"queue_depth"`
+	// Served / Shed / Failed are the shard's terminal-outcome counters.
+	Served int64 `json:"served"`
+	Shed   int64 `json:"shed"`
+	Failed int64 `json:"failed"`
+	// VirtualS is the shard's virtual clock (max over its engines).
+	VirtualS float64 `json:"virtual_s"`
+}
+
+// TenantQueueStatus is one tenant's row in the /shards document: the
+// routing-tier fairness queue for that tenant.
+type TenantQueueStatus struct {
+	// Tenant is the fairness class name.
+	Tenant string `json:"tenant"`
+	// Weight is the tenant's configured DRR weight.
+	Weight int `json:"weight"`
+	// Queued is the number of requests waiting in the tenant's queue.
+	Queued int `json:"queued"`
+	// Admitted / Shed count the tenant's requests past admission and
+	// sacrificed at admission.
+	Admitted uint64 `json:"admitted"`
+	Shed     uint64 `json:"shed"`
+	// Depth is the queue's effective bound (the router default until a
+	// planner overrides it per tenant).
+	Depth int `json:"depth,omitempty"`
+	// MaxVWaitS, when positive, is the admission gate: arrival-stamped
+	// requests are shed while the estimated backlog exceeds it.
+	MaxVWaitS float64 `json:"max_vwait_s,omitempty"`
+}
+
 // ShardStatuses reports each shard's lifecycle row for the admin /shards
 // document, in shard-name order.
-func (rt *Router) ShardStatuses() []serve.ShardStatus {
+func (rt *Router) ShardStatuses() []ShardStatus {
 	rt.mu.RLock()
 	defer rt.mu.RUnlock()
-	out := make([]serve.ShardStatus, 0, len(rt.order))
+	out := make([]ShardStatus, 0, len(rt.order))
 	for _, name := range rt.order {
 		sh := rt.shards[name]
 		var devices []string
@@ -970,7 +1014,7 @@ func (rt *Router) ShardStatuses() []serve.ShardStatus {
 		}
 		sort.Strings(devices)
 		snap := sh.gw.Snapshot()
-		out = append(out, serve.ShardStatus{
+		out = append(out, ShardStatus{
 			Name:        name,
 			State:       sh.state.String(),
 			Incarnation: sh.incarnation,
@@ -1035,12 +1079,12 @@ func (rt *Router) ShardSignals() []ShardSignal {
 
 // TenantQueues reports each tenant's fairness-queue row, in tenant-name
 // order.
-func (rt *Router) TenantQueues() []serve.TenantQueueStatus {
+func (rt *Router) TenantQueues() []TenantQueueStatus {
 	rt.qmu.Lock()
 	defer rt.qmu.Unlock()
-	out := make([]serve.TenantQueueStatus, 0, len(rt.drr.order))
+	out := make([]TenantQueueStatus, 0, len(rt.drr.order))
 	for _, tq := range rt.drr.order {
-		out = append(out, serve.TenantQueueStatus{
+		out = append(out, TenantQueueStatus{
 			Tenant:    tq.name,
 			Weight:    tq.weight,
 			Queued:    tq.size(),
@@ -1267,11 +1311,27 @@ func (rt *Router) SetActiveLanes(total int) int {
 	return applied
 }
 
-// PromText renders the merged shard metrics plus the router's own series —
-// the admin endpoint's /metrics body for a sharded deployment.
-func (rt *Router) PromText() []byte {
-	body := serve.PromText(rt.Snapshot(), rt.Health())
-	var p obs.Prom
+// shardsDoc is the /shards document: the routing tier's lifecycle and
+// fairness view.
+type shardsDoc struct {
+	Shards  []ShardStatus       `json:"shards"`
+	Tenants []TenantQueueStatus `json:"tenants"`
+}
+
+func (rt *Router) shardsJSON() ([]byte, error) {
+	b, err := json.MarshalIndent(shardsDoc{rt.ShardStatuses(), rt.TenantQueues()}, "", "  ")
+	return append(b, '\n'), err
+}
+
+// AdminView is the routing tier's admin contribution: the /shards document
+// and the autoscale_router_* series.
+func (rt *Router) AdminView() serve.View {
+	return serve.View{Path: "/shards", JSON: rt.shardsJSON, Prom: rt.AppendProm}
+}
+
+// AppendProm appends the router's own series; the merged shard metrics come
+// from Snapshot and Health like any other admin source's.
+func (rt *Router) AppendProm(p *obs.Prom) {
 	rs := rt.met.snapshot()
 	p.Counter("autoscale_router_submitted_total", "Requests entering cross-shard admission.", float64(rs.Submitted))
 	p.Counter("autoscale_router_dispatched_total", "Requests dispatched to a shard.", float64(rs.Dispatched))
@@ -1303,7 +1363,6 @@ func (rt *Router) PromText() []byte {
 		p.Counter("autoscale_router_tenant_admitted_total", "Requests admitted per tenant.", float64(t.Admitted), "tenant", t.Tenant)
 		p.Counter("autoscale_router_tenant_shed_total", "Requests shed per tenant.", float64(t.Shed), "tenant", t.Tenant)
 	}
-	return append(body, p.Bytes()...)
 }
 
 func shardStateValue(state string) float64 {

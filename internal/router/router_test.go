@@ -278,7 +278,7 @@ func TestSubmitShedNewest(t *testing.T) {
 		}
 	}
 	tqs := rt.TenantQueues()
-	var def serve.TenantQueueStatus
+	var def TenantQueueStatus
 	for _, tq := range tqs {
 		if tq.Tenant == DefaultTenant {
 			def = tq

@@ -19,95 +19,27 @@ import (
 )
 
 // Source is what the admin endpoint observes: anything that can produce a
-// metrics snapshot, per-device learning health, and a liveness bit. A single
-// Gateway satisfies it directly; the routing tier satisfies it by merging its
-// shards, which is why the admin server no longer assumes one registry.
+// metrics snapshot, per-device learning health, a liveness bit and its causal
+// tracer (nil when tracing is off). A single Gateway satisfies it directly;
+// the routing tier satisfies it by merging its shards.
 type Source interface {
 	Snapshot() metrics.Snapshot
 	Health() map[string]core.Health
 	Closed() bool
-}
-
-// ShardStatus is one shard's row in the /shards document.
-type ShardStatus struct {
-	// Name is the shard label (Config.Name).
-	Name string `json:"name"`
-	// State is the lifecycle state: "healthy", "cordoned", "draining",
-	// "drained" or "dead".
-	State string `json:"state"`
-	// Incarnation counts gateway rebuilds (supervisor revives); 0 for the
-	// original gateway.
-	Incarnation int `json:"incarnation,omitempty"`
-	// Devices are the device lanes currently homed on the shard, sorted.
-	Devices []string `json:"devices"`
-	// QueueDepth is the shard's aggregate queued-request gauge.
-	QueueDepth int64 `json:"queue_depth"`
-	// Served / Shed / Failed are the shard's terminal-outcome counters.
-	Served int64 `json:"served"`
-	Shed   int64 `json:"shed"`
-	Failed int64 `json:"failed"`
-	// VirtualS is the shard's virtual clock (max over its engines).
-	VirtualS float64 `json:"virtual_s"`
-}
-
-// TenantQueueStatus is one tenant's row in the /shards document: the
-// routing-tier fairness queue for that tenant.
-type TenantQueueStatus struct {
-	// Tenant is the fairness class name.
-	Tenant string `json:"tenant"`
-	// Weight is the tenant's configured DRR weight.
-	Weight int `json:"weight"`
-	// Queued is the number of requests waiting in the tenant's queue.
-	Queued int `json:"queued"`
-	// Admitted / Shed count the tenant's requests past admission and
-	// sacrificed at admission.
-	Admitted uint64 `json:"admitted"`
-	Shed     uint64 `json:"shed"`
-	// Depth is the queue's effective bound (the router default until a
-	// planner overrides it per tenant).
-	Depth int `json:"depth,omitempty"`
-	// MaxVWaitS, when positive, is the admission gate: arrival-stamped
-	// requests are shed while the estimated backlog exceeds it.
-	MaxVWaitS float64 `json:"max_vwait_s,omitempty"`
-}
-
-// ShardSource is the optional Source extension that lights up the /shards
-// handler: per-shard lifecycle plus per-tenant fairness queues. The routing
-// tier implements it; a standalone gateway does not, and /shards answers 404.
-type ShardSource interface {
-	ShardStatuses() []ShardStatus
-	TenantQueues() []TenantQueueStatus
-}
-
-// PromSource is the optional Source extension that overrides the default
-// Prometheus rendering — the routing tier appends its own router series
-// after the merged gateway body.
-type PromSource interface {
-	PromText() []byte
-}
-
-// PlanSource is the optional Source extension that lights up the /plan
-// handler: the capacity planner's current decision and per-class SLO
-// attainment, already rendered to JSON. Bytes rather than a struct keep the
-// serving layer free of a dependency on the planning layer above it.
-type PlanSource interface {
-	PlanJSON() ([]byte, error)
-}
-
-// SuperSource is the optional Source extension that lights up the
-// /supervisor handler: the supervision tier's per-shard health scores,
-// remediation state and budgets, already rendered to JSON (bytes for the
-// same layering reason as PlanSource).
-type SuperSource interface {
-	SupervisorJSON() ([]byte, error)
-}
-
-// TraceSource is the optional Source extension that lights up the /traces
-// handlers: the causal tracer holding the kept span trees. A gateway or
-// routing tier with tracing configured implements it (returning nil when the
-// tracer is off answers 404, same as not implementing it).
-type TraceSource interface {
 	Tracer() *tracez.Tracer
+}
+
+// View is one extra admin document plus its /metrics series: what a tier
+// above the gateway (router, planner, supervisor) contributes to the
+// endpoint. The admin server knows only the path and the two renderers, so
+// it depends on none of the tiers it shows.
+type View struct {
+	// Path is the document's URL path, e.g. "/shards".
+	Path string
+	// JSON renders the document served at Path.
+	JSON func() ([]byte, error)
+	// Prom appends the view's series to the /metrics body.
+	Prom func(*obs.Prom)
 }
 
 // HealthzSyncFailThreshold is the consecutive policy-sync failure count at
@@ -119,30 +51,23 @@ const HealthzSyncFailThreshold = 3
 // Admin is the serving layer's opt-in observability endpoint: a small HTTP
 // server exposing the source's metrics as Prometheus text (/metrics), the
 // full snapshot plus per-device learning health as JSON (/snapshot.json), a
-// liveness probe (/healthz), breaker states (/breakers), per-shard routing
-// state when the source is a routing tier (/shards) and the standard
-// net/http/pprof handlers (/debug/pprof/). Everything it serves is read-side
+// liveness probe (/healthz), breaker states (/breakers), kept traces
+// (/traces), one document per listed view (/shards, /plan, /supervisor when
+// those tiers are attached; 404 otherwise) and the standard net/http/pprof
+// handlers (/debug/pprof/). Everything it serves is read-side
 // observation — handlers never draw random numbers, advance virtual clocks,
 // or mutate the source — so scraping a deterministic run cannot perturb it.
 type Admin struct {
-	src Source
-	ln  net.Listener
-	srv *http.Server
+	src   Source
+	views []View
+	ln    net.Listener
+	srv   *http.Server
 }
 
-// ServeAdmin binds the admin server for one gateway — the pre-routing-tier
-// entry point, kept for callers that serve a single shard.
-func ServeAdmin(g *Gateway, addr string) (*Admin, error) {
-	if g == nil {
-		return nil, fmt.Errorf("serve: admin needs a gateway")
-	}
-	return ServeAdminSource(g, addr)
-}
-
-// ServeAdminSource binds the admin server on addr (e.g. ":9090" or
-// "127.0.0.1:0") for any Source and serves it on a background goroutine until
-// Close.
-func ServeAdminSource(src Source, addr string) (*Admin, error) {
+// ServeAdmin binds the admin server on addr (e.g. ":9090" or "127.0.0.1:0")
+// for src plus the listed views and serves it on a background goroutine
+// until Close.
+func ServeAdmin(src Source, addr string, views ...View) (*Admin, error) {
 	if src == nil {
 		return nil, fmt.Errorf("serve: admin needs a source")
 	}
@@ -150,17 +75,17 @@ func ServeAdminSource(src Source, addr string) (*Admin, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: admin listen %s: %w", addr, err)
 	}
-	a := &Admin{src: src, ln: ln}
+	a := &Admin{src: src, views: views, ln: ln}
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", a.handleMetrics)
 	mux.HandleFunc("/snapshot.json", a.handleSnapshot)
 	mux.HandleFunc("/healthz", a.handleHealthz)
 	mux.HandleFunc("/breakers", a.handleBreakers)
-	mux.HandleFunc("/shards", a.handleShards)
-	mux.HandleFunc("/plan", a.handlePlan)
-	mux.HandleFunc("/supervisor", a.handleSupervisor)
 	mux.HandleFunc("/traces", a.handleTraces)
 	mux.HandleFunc("/traces/", a.handleTrace)
+	for _, v := range views {
+		mux.HandleFunc(v.Path, viewHandler(v))
+	}
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -169,6 +94,19 @@ func ServeAdminSource(src Source, addr string) (*Admin, error) {
 	a.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
 	go a.srv.Serve(ln) //nolint:errcheck // ErrServerClosed on Close
 	return a, nil
+}
+
+// viewHandler serves one view's JSON document.
+func viewHandler(v View) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		b, err := v.JSON()
+		if err != nil {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(b) //nolint:errcheck
+	}
 }
 
 // Addr returns the bound address (resolving ":0" to the chosen port).
@@ -193,33 +131,18 @@ func (a *Admin) Close() error {
 	return err
 }
 
+// handleMetrics renders the whole scrape body through one encoder — source
+// series, then each view's, then the tracer's — so every metric's HELP/TYPE
+// header is emitted exactly once whatever tiers are attached.
 func (a *Admin) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var body []byte
-	if ps, ok := a.src.(PromSource); ok {
-		body = ps.PromText()
-	} else {
-		body = PromText(a.src.Snapshot(), a.src.Health())
+	var p obs.Prom
+	AppendProm(&p, a.src.Snapshot(), a.src.Health())
+	for _, v := range a.views {
+		v.Prom(&p)
 	}
-	// Trace-plane series ride after the source body; they live in their own
-	// autoscale_trace_* namespace, so the HELP/TYPE-once invariant holds for
-	// the concatenation. Appending here (not in each PromText) keeps every
-	// source's renderer ignorant of the tracer.
-	if tr := a.tracer(); tr != nil {
-		var p obs.Prom
-		tr.AppendProm(&p)
-		body = append(append([]byte(nil), body...), p.Bytes()...)
-	}
+	a.src.Tracer().AppendProm(&p)
 	w.Header().Set("Content-Type", obs.PromContentType)
-	w.Write(body) //nolint:errcheck
-}
-
-// tracer resolves the source's causal tracer, nil when the source has none
-// (or tracing is off).
-func (a *Admin) tracer() *tracez.Tracer {
-	if ts, ok := a.src.(TraceSource); ok {
-		return ts.Tracer()
-	}
-	return nil
+	p.WriteTo(w) //nolint:errcheck
 }
 
 // handleTraces serves the /traces index (sampling counters plus one row per
@@ -227,7 +150,7 @@ func (a *Admin) tracer() *tracez.Tracer {
 // trace-event document for chrome://tracing; ?format=bin as the compact
 // binary dump.
 func (a *Admin) handleTraces(w http.ResponseWriter, r *http.Request) {
-	tr := a.tracer()
+	tr := a.src.Tracer()
 	if tr == nil {
 		http.Error(w, "tracing not enabled", http.StatusNotFound)
 		return
@@ -239,7 +162,7 @@ func (a *Admin) handleTraces(w http.ResponseWriter, r *http.Request) {
 // with decision provenance as JSON by default, ?format=chrome / ?format=bin
 // for the other codecs.
 func (a *Admin) handleTrace(w http.ResponseWriter, r *http.Request) {
-	tr := a.tracer()
+	tr := a.src.Tracer()
 	if tr == nil {
 		http.Error(w, "tracing not enabled", http.StatusNotFound)
 		return
@@ -260,13 +183,7 @@ func (a *Admin) writeTraceDoc(w http.ResponseWriter, tr *tracez.Tracer, id uint6
 	var err error
 	ct := "application/json"
 	switch format {
-	case "":
-		if id == 0 {
-			b, err = tr.IndexJSON()
-		} else {
-			b, err = tr.TraceJSON(id)
-		}
-	case "json":
+	case "", "json":
 		if id == 0 {
 			b, err = tr.IndexJSON()
 		} else {
@@ -322,55 +239,6 @@ func (a *Admin) handleBreakers(w http.ResponseWriter, r *http.Request) {
 	enc.Encode(a.src.Snapshot().ByBreaker) //nolint:errcheck
 }
 
-// shardsDoc is the /shards document: the routing tier's lifecycle and
-// fairness view.
-type shardsDoc struct {
-	Shards  []ShardStatus       `json:"shards"`
-	Tenants []TenantQueueStatus `json:"tenants"`
-}
-
-func (a *Admin) handleShards(w http.ResponseWriter, r *http.Request) {
-	ss, ok := a.src.(ShardSource)
-	if !ok {
-		http.Error(w, "not a sharded source", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(shardsDoc{Shards: ss.ShardStatuses(), Tenants: ss.TenantQueues()}) //nolint:errcheck
-}
-
-func (a *Admin) handleSupervisor(w http.ResponseWriter, r *http.Request) {
-	ss, ok := a.src.(SuperSource)
-	if !ok {
-		http.Error(w, "not a supervised source", http.StatusNotFound)
-		return
-	}
-	b, err := ss.SupervisorJSON()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b) //nolint:errcheck
-}
-
-func (a *Admin) handlePlan(w http.ResponseWriter, r *http.Request) {
-	ps, ok := a.src.(PlanSource)
-	if !ok {
-		http.Error(w, "not a planned source", http.StatusNotFound)
-		return
-	}
-	b, err := ps.PlanJSON()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(b) //nolint:errcheck
-}
-
 // breakerStateValue encodes a breaker state for the gauge: closed is healthy
 // (0), half-open probing (1), open tripped (2).
 func breakerStateValue(state string) float64 {
@@ -383,13 +251,11 @@ func breakerStateValue(state string) float64 {
 	return 0
 }
 
-// PromText renders a metrics snapshot and per-device learning health as one
+// AppendProm appends a metrics snapshot and per-device learning health to a
 // Prometheus text-exposition body. The output is deterministic for a given
 // input: map-keyed series are emitted in sorted key order, phase histograms
 // in the obs package's canonical phase order.
-func PromText(s metrics.Snapshot, health map[string]core.Health) []byte {
-	var p obs.Prom
-
+func AppendProm(p *obs.Prom, s metrics.Snapshot, health map[string]core.Health) {
 	// Request flow.
 	p.Counter("autoscale_requests_submitted_total", "Requests entering admission control.", float64(s.Submitted))
 	p.Counter("autoscale_requests_total", "Requests by terminal outcome.", float64(s.Served), "outcome", "served")
@@ -471,8 +337,6 @@ func PromText(s metrics.Snapshot, health map[string]core.Health) []byte {
 		p.Gauge("autoscale_rl_mean_reward", "Mean reward over the recent window.", h.MeanReward, "device", dev)
 		p.Gauge("autoscale_rl_virtual_seconds", "Engine virtual-clock reading.", h.VirtualS, "device", dev)
 	}
-
-	return p.Bytes()
 }
 
 // sortedKeys returns a map's keys in sorted order for deterministic output.

@@ -238,7 +238,7 @@ func (g *Gateway) Devices() []string {
 func (g *Gateway) Metrics() *metrics.Registry { return g.met }
 
 // Tracer exposes the gateway's causal tracer — nil when tracing is off. It
-// lights up the admin server's /traces endpoints (TraceSource).
+// lights up the admin server's /traces endpoints.
 func (g *Gateway) Tracer() *tracez.Tracer { return g.cfg.Tracer }
 
 // Snapshot copies the current metrics.
@@ -647,18 +647,16 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	// decision cost (the simulated inference itself costs no wall time).
 	decideStart := time.Now()
 	execStart := w.engine.Now()
-	var d core.Decision
-	var err error
+	// Traced decide: the engine fills the worker's reusable provenance
+	// scratch with the exact Q-row, mask and exploration verdict behind this
+	// selection. Capture draws nothing, so enabling tracing never changes
+	// what the policy chooses.
 	pr := act.Prov()
+	var prov *core.DecisionProv
 	if pr != nil {
-		// Traced decide: the engine fills the worker's reusable provenance
-		// scratch with the exact Q-row, mask and exploration verdict behind
-		// this selection — same RNG draws as the plain path, so enabling
-		// tracing never changes what the policy chooses.
-		d, err = w.engine.RunInferenceProv(nil, p.req.Model, p.req.Conditions, allow, &w.prov)
-	} else {
-		d, err = w.engine.RunInferenceFiltered(nil, p.req.Model, p.req.Conditions, allow)
+		prov = &w.prov
 	}
+	d, err := w.engine.Step(nil, p.req.Model, p.req.Conditions, allow, prov)
 	pt.Add(obs.PhaseExecuteIdx, w.engine.Now()-execStart)
 	decideWallS := time.Since(decideStart).Seconds()
 	g.met.ObservePhase(obs.PhaseDecide, decideWallS)

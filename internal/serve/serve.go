@@ -10,7 +10,7 @@
 // shutdown that drains queues and persists what each engine learned.
 //
 // The gateway deliberately preserves the paper's per-decision semantics:
-// every executed request goes through Engine.RunInference — observe, select
+// every executed request goes through Engine.Step — observe, select
 // epsilon-greedily, execute, reward, stage the Q update — so engines keep
 // learning online under production traffic exactly as they do in the
 // single-stream experiments.

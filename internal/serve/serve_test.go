@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"autoscale/internal/dnn"
 	"autoscale/internal/exec"
 	"autoscale/internal/fault"
+	"autoscale/internal/obs"
 	"autoscale/internal/policy"
 	"autoscale/internal/serve/metrics"
 	"autoscale/internal/sim"
@@ -493,6 +495,42 @@ func TestWarmStartFromStore(t *testing.T) {
 	}
 }
 
+// TestFrozenGatewayStaysFrozenAcrossSync: a federation pass warm-starts the
+// lane that has not decided yet from the merged fleet policy; on a frozen
+// gateway that restore must leave autoscale_rl_frozen at 1.
+func TestFrozenGatewayStaysFrozenAcrossSync(t *testing.T) {
+	trained := testEngine(t, soc.Mi8Pro(), 1, core.DefaultConfig())
+	cold := testEngine(t, soc.Mi8Pro(), 2, core.DefaultConfig())
+	m := dnn.MustByName("MobileNet v3")
+	for i := 0; i < 30; i++ {
+		if _, err := trained.RunInference(m, conds()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	trained.Freeze()
+	cold.Freeze()
+	g, err := New([]Backend{{Device: "trained", Engine: trained}, {Device: "cold", Engine: cold}},
+		Config{Checkpoints: testStore(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer g.Shutdown(context.Background()) //nolint:errcheck
+	rep, err := g.SyncPolicies()
+	if err != nil || rep.Err() != nil {
+		t.Fatalf("sync: %v / %v", err, rep.Err())
+	}
+	if len(rep.WarmStarted) != 1 || rep.WarmStarted[0] != "cold" {
+		t.Fatalf("warm-started %v, want [cold]", rep.WarmStarted)
+	}
+	var p obs.Prom
+	AppendProm(&p, g.Snapshot(), g.Health())
+	for _, dev := range []string{"trained", "cold"} {
+		if want := `autoscale_rl_frozen{device="` + dev + `"} 1`; !strings.Contains(string(p.Bytes()), want) {
+			t.Errorf("/metrics missing %s after the sync pass", want)
+		}
+	}
+}
+
 // TestRouting covers pinned-device routing and the unknown-device failure.
 func TestRouting(t *testing.T) {
 	g := testGateway(t, Config{})
@@ -600,7 +638,7 @@ func TestRetryRecoversWhenOutageClears(t *testing.T) {
 	m := dnn.MustByName("MobileNet v3")
 
 	w.seq = 1
-	d, err := e.RunInferenceFiltered(nil, m, conds(), cloudOnly)
+	d, err := e.Step(nil, m, conds(), cloudOnly, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -639,7 +677,7 @@ func TestRetryExhaustsGracefully(t *testing.T) {
 	m := dnn.MustByName("MobileNet v3")
 
 	w.seq = 1
-	d, err := e.RunInferenceFiltered(nil, m, conds(), cloudOnly)
+	d, err := e.Step(nil, m, conds(), cloudOnly, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +713,7 @@ func TestRetryAbandonedOnTightDeadline(t *testing.T) {
 	m := dnn.MustByName("MobileNet v3")
 
 	w.seq = 1
-	d, err := e.RunInferenceFiltered(nil, m, conds(), cloudOnly)
+	d, err := e.Step(nil, m, conds(), cloudOnly, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

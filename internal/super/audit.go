@@ -59,12 +59,13 @@ func (a *Auditor) violate(format string, args ...any) {
 }
 
 // Observe samples the mid-storm invariants; call it from the driving loop as
-// often as desired (each supervision tick is the natural cadence).
+// often as desired (each supervision tick is the natural cadence). The
+// signals are sampled under the auditor's lock, so concurrent callers
+// compare and record marks in the order they sampled them.
 func (a *Auditor) Observe() {
-	sigs := a.rt.ShardSignals()
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, sig := range sigs {
+	for _, sig := range a.rt.ShardSignals() {
 		mark, ok := a.clocks[sig.Name]
 		if ok && mark.incarnation == sig.Incarnation && sig.VirtualS < mark.virtualS {
 			a.violate("shard %s incarnation %d: virtual clock moved backwards (%.6f -> %.6f)",

@@ -26,8 +26,8 @@ import (
 
 	"autoscale/internal/obs"
 	"autoscale/internal/router"
+	"autoscale/internal/serve"
 	"autoscale/internal/serve/metrics"
-	"autoscale/internal/tracez"
 )
 
 // Config tunes a Supervisor. Zero values select the defaults.
@@ -253,10 +253,6 @@ func (s *Supervisor) note(now float64, shard, action, detail string) {
 		rec.Trigger(now, "super "+action+" "+shard)
 	}
 }
-
-// Tracer exposes the router's causal tracer, so a supervised deployment's
-// admin endpoint (ServeAdminSource over the Supervisor) lights up /traces.
-func (s *Supervisor) Tracer() *tracez.Tracer { return s.rt.Tracer() }
 
 func (s *Supervisor) tickLocked(now float64) {
 	for _, sig := range s.rt.ShardSignals() {
@@ -554,12 +550,16 @@ func phaseValue(p string) float64 {
 	return 0
 }
 
-// PromText renders the router's merged metrics body plus the supervisor's
-// autoscale_super_* series, so a supervised deployment scrapes one endpoint.
-func (s *Supervisor) PromText() []byte {
-	body := s.rt.PromText()
+// AdminView is the supervisor's admin contribution: the /supervisor document
+// (per-shard health scores, remediation state, the action log) and the
+// autoscale_super_* series. Read-side only.
+func (s *Supervisor) AdminView() serve.View {
+	return serve.View{Path: "/supervisor", JSON: s.StatusJSON, Prom: s.AppendProm}
+}
+
+// AppendProm appends the supervisor's own series.
+func (s *Supervisor) AppendProm(p *obs.Prom) {
 	st := s.Status()
-	var p obs.Prom
 	p.Counter("autoscale_super_ticks_total", "Supervision passes run.", float64(st.Ticks))
 	p.Gauge("autoscale_super_last_tick_seconds", "Virtual time of the last supervision pass.", st.LastTickS)
 	for _, sh := range st.Shards {
@@ -569,5 +569,4 @@ func (s *Supervisor) PromText() []byte {
 		p.Counter("autoscale_super_restarts_total", "Revive attempts consumed.", float64(sh.Restarts), "shard", sh.Name)
 		p.Gauge("autoscale_super_incarnation", "Gateway rebuilds observed.", float64(sh.Incarnation), "shard", sh.Name)
 	}
-	return append(body, p.Bytes()...)
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -11,6 +12,7 @@ import (
 	"autoscale/internal/dnn"
 	"autoscale/internal/exec"
 	"autoscale/internal/fault"
+	"autoscale/internal/obs"
 	"autoscale/internal/policy"
 	"autoscale/internal/router"
 	"autoscale/internal/serve"
@@ -333,10 +335,44 @@ func TestSupervisorStatusJSONAndProm(t *testing.T) {
 	if err != nil || len(js) == 0 {
 		t.Fatalf("StatusJSON: %v (%d bytes)", err, len(js))
 	}
-	prom := string(sup.PromText())
+	var p obs.Prom
+	sup.AppendProm(&p)
+	prom := string(p.Bytes())
 	for _, want := range []string{"autoscale_super_ticks_total", "autoscale_super_score", "autoscale_super_phase"} {
 		if !strings.Contains(prom, want) {
-			t.Errorf("PromText missing %s:\n%s", want, prom)
+			t.Errorf("AppendProm missing %s:\n%s", want, prom)
 		}
+	}
+}
+
+// TestAuditorObserveConcurrent: several load-generator clients call Observe
+// while the lane clock advances (autoscale-serve -chaos -clients 4). Each
+// call must compare the marks in the order it sampled them, or a slow caller
+// reports the clock it sampled earlier as having moved backwards.
+func TestAuditorObserveConcurrent(t *testing.T) {
+	fl := buildFleet(t, 9, nil, map[string][]string{"shard-a": {"lane-a0"}}, nil)
+	defer fl.rt.Shutdown(context.Background())
+	aud, err := NewAuditor(fl.rt, fl.store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := dnn.MustByName("MobileNet v3")
+	var wg sync.WaitGroup
+	for c := 0; c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 300; i++ {
+				if _, err := fl.rt.Do(serve.Request{Model: m, Conditions: conds(), Tenant: "gold"}); err != nil {
+					t.Error(err)
+					return
+				}
+				aud.Observe()
+			}
+		}()
+	}
+	wg.Wait()
+	if v := aud.Violations(); len(v) > 0 {
+		t.Fatalf("%d violations under concurrent Observe, first: %s", len(v), v[0])
 	}
 }

@@ -1,9 +1,6 @@
 package autoscale
 
-import (
-	"autoscale/internal/plan"
-	"autoscale/internal/serve"
-)
+import "autoscale/internal/plan"
 
 // Model-driven capacity planning above the routing tier: deterministic
 // arrival-rate/service-time estimation fed from the metrics plane, an
@@ -46,10 +43,3 @@ func SLOTenants(classes []SLOClass) []RouterTenant { return plan.Tenants(classes
 // applies each class's fairness weight and admission gate immediately, then
 // recomputes capacity on every MaybeTick interval boundary.
 func NewPlanner(rt *Router, cfg PlannerConfig) (*Planner, error) { return plan.New(rt, cfg) }
-
-// ServePlannerAdmin binds the admin endpoint for a planned deployment: the
-// router surface (merged metrics, /shards) plus /plan (latest decision and
-// per-class SLO attainment) and autoscale_plan_* series on /metrics.
-func ServePlannerAdmin(p *Planner, addr string) (*GatewayAdmin, error) {
-	return serve.ServeAdminSource(p, addr)
-}

@@ -24,9 +24,9 @@ type (
 	// RouterMetrics is a point-in-time copy of the routing tier's counters.
 	RouterMetrics = router.RouterSnapshot
 	// ShardStatus is one shard's row in the admin /shards document.
-	ShardStatus = serve.ShardStatus
+	ShardStatus = router.ShardStatus
 	// TenantQueueStatus is one tenant's fairness-queue row in /shards.
-	TenantQueueStatus = serve.TenantQueueStatus
+	TenantQueueStatus = router.TenantQueueStatus
 )
 
 // Routing-tier sentinel errors.
@@ -47,12 +47,4 @@ const DefaultTenant = router.DefaultTenant
 // Fleet.ProvisionRouter builds the shards too.
 func NewRouter(shards []RouterShard, cfg RouterConfig) (*Router, error) {
 	return router.New(shards, cfg)
-}
-
-// ServeRouterAdmin binds the admin/observability endpoint for a sharded
-// deployment: the usual gateway surface served from the merged view, plus
-// /shards (per-shard lifecycle and tenant queues) and router series appended
-// to /metrics.
-func ServeRouterAdmin(rt *Router, addr string) (*GatewayAdmin, error) {
-	return serve.ServeAdminSource(rt, addr)
 }

@@ -30,10 +30,17 @@ type (
 	// GatewayMetrics is a point-in-time copy of the gateway's counters and
 	// histograms.
 	GatewayMetrics = metrics.Snapshot
-	// GatewayAdmin is the gateway's opt-in observability HTTP server:
-	// /metrics (Prometheus text), /snapshot.json, /healthz, /breakers and
-	// net/http/pprof.
+	// GatewayAdmin is the opt-in observability HTTP server: /metrics
+	// (Prometheus text), /snapshot.json, /healthz, /breakers, /traces,
+	// net/http/pprof and one document per attached AdminView.
 	GatewayAdmin = serve.Admin
+	// AdminSource is what the admin server observes; a Gateway and a Router
+	// both satisfy it.
+	AdminSource = serve.Source
+	// AdminView is one tier's admin contribution — a JSON document and its
+	// /metrics series — as returned by Router.AdminView (/shards),
+	// Planner.AdminView (/plan) and Supervisor.AdminView (/supervisor).
+	AdminView = serve.View
 	// ResilienceConfig tunes the gateway's fault-handling path: per-remote
 	// circuit breakers with half-open recovery probes, deadline-budgeted
 	// retries with exponential backoff, and optional hedged offloads.
@@ -68,14 +75,11 @@ func NewGateway(backends []GatewayBackend, cfg GatewayConfig) (*Gateway, error) 
 	return serve.New(backends, cfg)
 }
 
-// ServeGatewayAdmin binds the gateway's admin/observability endpoint on addr
-// (e.g. ":9090") and serves it in the background until Close.
-func ServeGatewayAdmin(g *Gateway, addr string) (*GatewayAdmin, error) {
-	return serve.ServeAdmin(g, addr)
-}
-
-// GatewayPromText renders a metrics snapshot and per-device learning health
-// in the Prometheus text exposition format.
-func GatewayPromText(s GatewayMetrics, health map[string]EngineHealth) []byte {
-	return serve.PromText(s, health)
+// ServeAdmin binds the admin/observability endpoint for src on addr (e.g.
+// ":9090") and serves it in the background until Close. List the view of
+// every tier attached above src — rt.AdminView(), pl.AdminView(),
+// sup.AdminView() — to serve its document and append its series to the one
+// /metrics body.
+func ServeAdmin(src AdminSource, addr string, views ...AdminView) (*GatewayAdmin, error) {
+	return serve.ServeAdmin(src, addr, views...)
 }

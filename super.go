@@ -2,7 +2,6 @@ package autoscale
 
 import (
 	"autoscale/internal/router"
-	"autoscale/internal/serve"
 	"autoscale/internal/super"
 )
 
@@ -33,14 +32,6 @@ type (
 // NewSupervisor builds the self-healing loop over a router.
 func NewSupervisor(rt *Router, cfg SupervisorConfig) (*Supervisor, error) {
 	return super.New(rt, cfg)
-}
-
-// ServeSupervisorAdmin binds the admin/observability endpoint for a
-// supervised deployment: the full router surface (merged metrics, /shards)
-// plus /supervisor (per-shard health scores, remediation phases, the action
-// log) and autoscale_super_* series appended to /metrics.
-func ServeSupervisorAdmin(s *Supervisor, addr string) (*GatewayAdmin, error) {
-	return serve.ServeAdminSource(s, addr)
 }
 
 // NewChaosAuditor builds an invariant auditor over a router and (optionally)

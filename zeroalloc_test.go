@@ -44,19 +44,19 @@ func TestTracedDecideAllocBudget(t *testing.T) {
 	e.Agent().Freeze()
 	var prov core.DecisionProv
 	// Warm both paths so every row and scratch buffer is materialized.
-	if _, err := e.RunInferenceFiltered(nil, m, c, nil); err != nil {
+	if _, err := e.Step(nil, m, c, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.RunInferenceProv(nil, m, c, nil, &prov); err != nil {
+	if _, err := e.Step(nil, m, c, nil, &prov); err != nil {
 		t.Fatal(err)
 	}
 	plain := testing.AllocsPerRun(500, func() {
-		if _, err := e.RunInferenceFiltered(nil, m, c, nil); err != nil {
+		if _, err := e.Step(nil, m, c, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	traced := testing.AllocsPerRun(500, func() {
-		if _, err := e.RunInferenceProv(nil, m, c, nil, &prov); err != nil {
+		if _, err := e.Step(nil, m, c, nil, &prov); err != nil {
 			t.Fatal(err)
 		}
 	})
