@@ -47,10 +47,10 @@ chaos:
 # Allocs-per-op regression guards: the frozen decide fast path (observe,
 # dense state index, RCU argmax) must stay at zero allocations with tracing
 # disabled; provenance capture and the sampled trace lifecycle each get a
-# 2 allocs/op budget. Runs un-instrumented (the race detector's shadow
-# memory allocates).
+# 2 allocs/op budget, Router.Do on a warmed router 1. Runs un-instrumented
+# (the race detector's shadow memory allocates).
 alloc-guard:
-	$(GO) test -run '^(TestDecideZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget)$$' .
+	$(GO) test -run '^(TestDecideZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget|TestRouterDoAllocBudget)$$' .
 
 # Fuzz smoke over the fault-schedule parser: any input that parses must also
 # compile and answer injector queries without panicking.

@@ -461,7 +461,7 @@ func BenchmarkGatewaySubmit(b *testing.B) {
 
 // benchRouter builds a four-shard router, one lightly warmed lane per shard,
 // with three weighted tenants — the multi-shard counterpart of benchGateway.
-func benchRouter(b *testing.B) *Router {
+func benchRouter(b testing.TB) *Router {
 	b.Helper()
 	m := dnn.MustByName("MobileNet v3")
 	c := sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
@@ -496,10 +496,10 @@ func benchRouter(b *testing.B) *Router {
 }
 
 // BenchmarkRouterThroughput measures closed-loop requests/sec through the
-// full routing tier — tenant admission, DRR, least-loaded shard dispatch and
-// the pipe hop — over four gateway shards; the delta against
-// BenchmarkGatewayThroughput at the same client count is the routing tier's
-// per-request overhead.
+// full routing tier — tenant admission, DRR, least-loaded shard dispatch on
+// the submitting goroutine and the completion on the shard's worker — over
+// four gateway shards; the delta against BenchmarkGatewayThroughput at the
+// same client count is the routing tier's per-request overhead.
 func BenchmarkRouterThroughput(b *testing.B) {
 	tenants := []string{"gold", "silver", "best"}
 	for _, clients := range []int{4, 16} {

@@ -1,6 +1,9 @@
 package router
 
-import "sort"
+import (
+	"sort"
+	"sync/atomic"
+)
 
 // Deficit round-robin over per-tenant queues: each tenant earns `weight`
 // credits per rotation and spends one per dispatched request (every request
@@ -72,7 +75,10 @@ type drr struct {
 	byName map[string]*tenantQueue
 	order  []*tenantQueue // rotation order: sorted by name, fixed at build
 	cur    int            // rotation cursor
-	queued int            // total requests across queues
+
+	// queued totals the requests across queues. Written under the router's
+	// queue lock; completions and Shutdown read it without.
+	queued atomic.Int64
 }
 
 // newDRR builds the scheduler. Weights below 1 are raised to 1 so every
@@ -102,7 +108,7 @@ func (d *drr) queue(tenant string) *tenantQueue { return d.byName[tenant] }
 // depth and shed policy).
 func (d *drr) push(tq *tenantQueue, r *rreq) {
 	tq.push(r)
-	d.queued++
+	d.queued.Add(1)
 }
 
 // pick dequeues the next request under DRR, or nil when everything is empty.
@@ -110,7 +116,7 @@ func (d *drr) push(tq *tenantQueue, r *rreq) {
 // a queue that empties (or is visited empty) forfeits its remaining deficit,
 // so credit never accrues across idle periods.
 func (d *drr) pick() *rreq {
-	if d.queued == 0 {
+	if d.queued.Load() == 0 {
 		return nil
 	}
 	for {
@@ -118,7 +124,7 @@ func (d *drr) pick() *rreq {
 		if tq.size() > 0 && tq.deficit >= 1 {
 			tq.deficit--
 			r := tq.pop()
-			d.queued--
+			d.queued.Add(-1)
 			if tq.size() == 0 {
 				tq.deficit = 0
 			}

@@ -216,12 +216,26 @@ type shard struct {
 	nextEvent int
 }
 
-// rreq is one request in the routing tier.
+// rreq is one request in the routing tier, and the sink its shard delivers
+// the terminal response to.
 type rreq struct {
+	rt          *Router
 	req         serve.Request
 	resp        chan serve.Response
 	submittedAt time.Time
-	attempts    int // failover re-dispatches consumed
+	attempts    int    // failover re-dispatches consumed
+	sh          *shard // where the current dispatch went
+}
+
+// Deliver runs the router's completion on whichever goroutine terminated the
+// request inside the shard — a lane worker, or the dispatching goroutine for
+// a shard-admission rejection.
+func (r *rreq) Deliver(resp serve.Response) { r.rt.complete(r, resp) }
+
+// rreqPool recycles envelopes (and their one-shot response channels) for the
+// synchronous Do path, where the caller never sees the channel.
+var rreqPool = sync.Pool{
+	New: func() any { return &rreq{resp: make(chan serve.Response, 1)} },
 }
 
 // Router fronts a fleet of gateway shards. It is safe for concurrent use.
@@ -246,6 +260,12 @@ type Router struct {
 	qmu sync.Mutex
 	drr *drr
 
+	// dmu is the dispatch mutex: whoever holds it is the one goroutine
+	// pumping the scheduler, so DRR order is exactly dispatch order. A
+	// submitter that can take it dispatches its own request; everyone else
+	// leaves a wake token for the dispatcher goroutine.
+	dmu sync.Mutex
+
 	inflight atomic.Int64 // global in-flight dispatches
 	rr       atomic.Uint64
 	met      routerMetrics
@@ -254,7 +274,6 @@ type Router struct {
 	wake   chan struct{}
 	stopc  chan struct{}
 	dispWG sync.WaitGroup // dispatcher goroutine
-	pipeWG sync.WaitGroup // per-dispatch pipe goroutines
 
 	syncMu sync.Mutex
 	syncer *policy.Syncer
@@ -346,17 +365,31 @@ func (rt *Router) wakeUp() {
 // carries the terminal Response. The error return is reserved for misuse
 // (nil model) and a closed router.
 func (rt *Router) Submit(req serve.Request) (<-chan serve.Response, error) {
-	if req.Model == nil {
-		return nil, errors.New("router: request needs a model")
+	r := &rreq{rt: rt, req: req, resp: make(chan serve.Response, 1)}
+	if err := rt.submit(r); err != nil {
+		return nil, err
+	}
+	return r.resp, nil
+}
+
+// submit admits one envelope. On a nil error r.resp is guaranteed exactly one
+// delivery; on an error nothing was queued and nothing will be delivered.
+func (rt *Router) submit(r *rreq) error {
+	if r.req.Model == nil {
+		return errors.New("router: request needs a model")
 	}
 	if rt.closed.Load() {
-		return nil, serve.ErrClosed
+		return serve.ErrClosed
 	}
+	// Scripted crash drills fire here and nowhere else: on the submitter's
+	// goroutine, before its request is queued, so a sequential driver never
+	// runs concurrently with a kill.
+	rt.fireDrills()
 	rt.met.submitted.Add(1)
 	now := rt.now()
-	r := &rreq{req: req, resp: make(chan serve.Response, 1), submittedAt: now}
+	r.submittedAt = now
 
-	name := req.Tenant
+	name := r.req.Tenant
 	if name == "" {
 		name = DefaultTenant
 	}
@@ -367,29 +400,23 @@ func (rt *Router) Submit(req serve.Request) (<-chan serve.Response, error) {
 	// Causal tracing starts at cross-shard admission: every later hop
 	// (dispatch, shard queue, decide, recovery legs) annotates this handle.
 	if rt.cfg.Tracer != nil && r.req.Trace == nil {
-		r.req.Trace = rt.cfg.Tracer.Start(req.Model.Name, name, req.ArrivalS)
+		r.req.Trace = rt.cfg.Tracer.Start(r.req.Model.Name, name, r.req.ArrivalS)
 	}
 
 	// The backlog estimate reads shard state under rt.mu, so it is computed
 	// before qmu (the lock order never nests qmu inside mu or vice versa).
 	// Negative means "no gate applies to this request".
 	backlog := -1.0
-	if rt.gated.Load() && req.ArrivalS > 0 {
-		backlog = rt.MinBacklogS(req.ArrivalS)
+	if rt.gated.Load() && r.req.ArrivalS > 0 {
+		backlog = rt.MinBacklogS(r.req.ArrivalS)
 	}
 
 	rt.qmu.Lock()
 	tq := rt.drr.queue(name)
 	if tq == nil {
 		rt.qmu.Unlock()
-		rt.met.failed.Add(1)
-		r.req.Trace.Flag(tracez.FlagFailed)
-		r.req.Trace.Finish("failed")
-		r.resp <- serve.Response{
-			Status: serve.StatusFailed, Err: fmt.Errorf("%w: %q", ErrUnknownTenant, name),
-			SubmittedAt: now, DoneAt: now,
-		}
-		return r.resp, nil
+		rt.fail(r, fmt.Errorf("%w: %q", ErrUnknownTenant, name))
+		return nil
 	}
 	// Per-class admission gate: shed while the estimated backlog exceeds the
 	// tenant's virtual-wait bound. Bounds ordered by class make overload
@@ -399,12 +426,12 @@ func (rt *Router) Submit(req serve.Request) (<-chan serve.Response, error) {
 		rt.met.shed.Add(1)
 		rt.qmu.Unlock()
 		r.resp <- rt.shedResponse(r)
-		return r.resp, nil
+		return nil
 	}
 	if tq.size() >= rt.queueDepthLocked(tq) {
 		if rt.cfg.Shed == serve.ShedOldest && tq.size() > 0 {
 			old := tq.popOldest()
-			rt.drr.queued--
+			rt.drr.queued.Add(-1)
 			tq.shed++
 			rt.met.shed.Add(1)
 			old.resp <- rt.shedResponse(old)
@@ -413,14 +440,14 @@ func (rt *Router) Submit(req serve.Request) (<-chan serve.Response, error) {
 			rt.met.shed.Add(1)
 			rt.qmu.Unlock()
 			r.resp <- rt.shedResponse(r)
-			return r.resp, nil
+			return nil
 		}
 	}
 	tq.admitted++
 	rt.drr.push(tq, r)
 	rt.qmu.Unlock()
-	rt.wakeUp()
-	return r.resp, nil
+	rt.dispatch()
+	return nil
 }
 
 // queueDepthLocked returns a tenant queue's effective bound: its own depth
@@ -445,21 +472,32 @@ func (rt *Router) shedResponse(r *rreq) serve.Response {
 }
 
 // Do submits one request and waits for its response — the synchronous
-// convenience mirroring Gateway.Do.
+// convenience mirroring Gateway.Do, envelope recycling included.
 func (rt *Router) Do(req serve.Request) (serve.Response, error) {
-	ch, err := rt.Submit(req)
+	r := rreqPool.Get().(*rreq)
+	r.rt, r.req = rt, req
+	err := rt.submit(r)
+	var resp serve.Response
+	if err == nil {
+		resp = <-r.resp
+	}
+	// Everything but the drained channel is cleared, the router included: a
+	// second delivery to a pooled envelope has nothing to complete on.
+	*r = rreq{resp: r.resp}
+	rreqPool.Put(r)
 	if err != nil {
 		return serve.Response{}, err
 	}
-	r := <-ch
-	if r.Status != serve.StatusServed {
-		return r, r.Err
+	if resp.Status != serve.StatusServed {
+		return resp, resp.Err
 	}
-	return r, nil
+	return resp, nil
 }
 
-// run is the dispatcher loop: a single goroutine that owns the
-// queue-to-shard handoff, so DRR order is exactly dispatch order.
+// run is the dispatcher goroutine: it pumps for every submitter that found
+// the dispatch mutex taken, for completions that free budget a queued request
+// was waiting on, and for lifecycle and planner calls that change what can
+// be dispatched.
 func (rt *Router) run() {
 	defer rt.dispWG.Done()
 	for {
@@ -468,18 +506,29 @@ func (rt *Router) run() {
 			return
 		case <-rt.wake:
 		}
+		rt.dmu.Lock()
 		rt.pump()
+		rt.dmu.Unlock()
 	}
 }
 
+// dispatch pumps on the calling goroutine when the dispatch mutex is free.
+// When it is not, the holder may already be past its last pick, so the
+// request is left to the dispatcher goroutine: the wake token outlives the
+// holder's critical section.
+func (rt *Router) dispatch() {
+	if !rt.dmu.TryLock() {
+		rt.wakeUp()
+		return
+	}
+	rt.pump()
+	rt.dmu.Unlock()
+}
+
 // pump drains the scheduler until the global budget is saturated or the
-// queues are empty. Completions wake the dispatcher again.
+// queues are empty. Caller holds dmu.
 func (rt *Router) pump() {
-	for {
-		rt.fireDrills()
-		if rt.inflight.Load() >= rt.budget.Load() {
-			return
-		}
+	for rt.inflight.Load() < rt.budget.Load() {
 		rt.qmu.Lock()
 		r := rt.drr.pick()
 		rt.qmu.Unlock()
@@ -491,9 +540,9 @@ func (rt *Router) pump() {
 }
 
 // fireDrills kills any healthy shard whose next scripted shard_crash event
-// has come due on the shard's virtual clock. Checked on every dispatch, so
-// under deterministic (sequential) driving the kill lands at the same
-// request index every run.
+// has come due on the shard's virtual clock. Checked at every submission, so
+// under deterministic (sequential) driving the kill lands at the same request
+// index every run, with nothing else moving while it does.
 func (rt *Router) fireDrills() {
 	if rt.cfg.Faults == nil {
 		return
@@ -528,10 +577,10 @@ func (rt *Router) fireDrills() {
 	}
 }
 
-// dispatchOne routes a picked request to its shard and hands the wait to a
-// pipe goroutine. Pinned requests go to the device's home shard; unpinned
-// requests go to the least-loaded healthy shard (fewest router-dispatched
-// requests in flight, shard-name tiebreak).
+// dispatchOne routes a picked request to its shard, with the request itself
+// as the sink for the shard's response. Pinned requests go to the device's
+// home shard; unpinned requests go to the least-loaded healthy shard (fewest
+// router-dispatched requests in flight, shard-name tiebreak).
 func (rt *Router) dispatchOne(r *rreq) {
 	rt.mu.RLock()
 	var sh *shard
@@ -570,8 +619,21 @@ func (rt *Router) dispatchOne(r *rreq) {
 	sh.inflight.Add(1)
 	rt.inflight.Add(1)
 	rt.met.dispatched.Add(1)
-	rt.pipeWG.Add(1)
-	go rt.pipe(r, sh)
+	r.sh = sh
+	// The dispatch span records the router-side delay (admission to shard
+	// handoff) and the chosen shard; a failed-over request accumulates one
+	// dispatch span per hop. Span is nil-safe; the test spares an untraced
+	// request the clock read.
+	if r.req.Trace != nil {
+		r.req.Trace.Span("dispatch", rt.now().Sub(r.submittedAt).Seconds(), sh.name)
+	}
+	if err := sh.gw.SubmitTo(r.req, r); err != nil {
+		// Admission refused: the shard closed between routing and submit.
+		rt.complete(r, serve.Response{
+			Status: serve.StatusFailed, Err: err,
+			SubmittedAt: r.submittedAt, DoneAt: rt.now(),
+		})
+	}
 }
 
 // fail terminates one request at the router.
@@ -585,31 +647,23 @@ func (rt *Router) fail(r *rreq, err error) {
 	}
 }
 
-// pipe submits one dispatched request to its shard and relays the terminal
-// response — unless the shard bounced it (killed or draining), in which case
-// the request re-enters the scheduler for failover, up to MaxFailovers. The
-// requeue happens before the in-flight gauge drops so Shutdown's quiet check
-// (queues empty AND nothing in flight) can never miss a failover in motion.
-func (rt *Router) pipe(r *rreq, sh *shard) {
-	defer rt.pipeWG.Done()
-	var resp serve.Response
-	bounced := false
-	// The dispatch span records the router-side delay (admission to shard
-	// handoff) and the chosen shard; a failed-over request accumulates one
-	// dispatch span per hop.
-	r.req.Trace.Span("dispatch", rt.now().Sub(r.submittedAt).Seconds(), sh.name)
-	ch, err := sh.gw.Submit(r.req)
-	if err != nil {
-		// Admission refused: the shard closed between routing and submit.
-		bounced = errors.Is(err, serve.ErrClosed)
-		resp = serve.Response{
-			Status: serve.StatusFailed, Err: err,
-			SubmittedAt: r.submittedAt, DoneAt: rt.now(),
-		}
-	} else {
-		resp = <-ch
-		bounced = resp.Status == serve.StatusFailed && errors.Is(resp.Err, serve.ErrShardDown)
-	}
+// complete takes the shard's terminal response for one dispatched request
+// and relays it — unless the shard bounced it (killed or draining), in which
+// case the request re-enters the scheduler for failover, up to MaxFailovers.
+// The requeue happens before the in-flight gauges drop so Shutdown's quiet
+// check (queues empty AND nothing in flight) can never miss a failover in
+// motion.
+//
+// It runs on the goroutine that produced the response, usually a lane worker
+// of the shard, so it may not dispatch (it would serve other shards' traffic
+// from this lane, or block on dmu under the goroutine that holds it) and may
+// not take a shard down (Kill and Shutdown wait for the very worker it runs
+// on). It leaves both to a wake token. Once the response is sent or the
+// request requeued, r belongs to someone else.
+func (rt *Router) complete(r *rreq, resp serve.Response) {
+	sh := r.sh
+	bounced := resp.Status == serve.StatusFailed &&
+		(errors.Is(resp.Err, serve.ErrShardDown) || errors.Is(resp.Err, serve.ErrClosed))
 
 	if bounced && r.attempts < rt.maxFailovers {
 		r.attempts++
@@ -632,8 +686,6 @@ func (rt *Router) pipe(r *rreq, sh *shard) {
 		return
 	}
 
-	sh.inflight.Add(-1)
-	rt.inflight.Add(-1)
 	if bounced {
 		rt.met.failed.Add(1)
 	} else {
@@ -646,8 +698,14 @@ func (rt *Router) pipe(r *rreq, sh *shard) {
 		r.req.Trace.Flag(tracez.FlagFailed)
 		r.req.Trace.Finish("failed")
 	}
+	sh.inflight.Add(-1)
+	rt.inflight.Add(-1)
 	r.resp <- resp
-	rt.wakeUp()
+	// The freed budget matters only to a request already queued behind it; a
+	// later one reads the lowered gauge itself.
+	if rt.drr.queued.Load() > 0 {
+		rt.wakeUp()
+	}
 }
 
 // KillShard crashes one healthy shard: its device lanes re-home onto
@@ -1167,7 +1225,7 @@ func (rt *Router) SetTenantQueueDepth(tenant string, depth int) (int, error) {
 		} else {
 			victim = tq.popNewest()
 		}
-		rt.drr.queued--
+		rt.drr.queued.Add(-1)
 		tq.shed++
 		rt.met.shed.Add(1)
 		evicted = append(evicted, victim)
@@ -1479,25 +1537,20 @@ func (rt *Router) StopPolicySync() {
 
 // Shutdown stops admission, lets the dispatcher drain the tenant queues
 // (queued requests still route and execute; shard admission and deadline
-// rules still apply), waits for every in-flight pipe, stops the dispatcher
-// and the federation loop, then gracefully shuts down every still-healthy
-// shard — which drains shard queues and persists final checkpoints. The
-// context bounds the whole drain.
+// rules still apply) until nothing is queued or in flight, stops the
+// dispatcher and the federation loop, then gracefully shuts down every
+// still-healthy shard — which drains shard queues, waits out the completions
+// still running on their workers and persists final checkpoints. The context
+// bounds the whole drain.
 func (rt *Router) Shutdown(ctx context.Context) error {
 	if !rt.closed.CompareAndSwap(false, true) {
 		return serve.ErrClosed
 	}
 
-	// Quiet means: tenant queues empty and nothing in flight. Pipes requeue
-	// failovers before dropping the in-flight gauge, so this check cannot
-	// miss work in motion.
-	for {
-		rt.qmu.Lock()
-		queued := rt.drr.queued
-		rt.qmu.Unlock()
-		if queued == 0 && rt.inflight.Load() == 0 {
-			break
-		}
+	// Quiet means: tenant queues empty and nothing in flight. Completions
+	// requeue failovers before dropping the in-flight gauge, so this check
+	// cannot miss work in motion.
+	for rt.drr.queued.Load() != 0 || rt.inflight.Load() != 0 {
 		rt.wakeUp()
 		select {
 		case <-ctx.Done():
@@ -1505,7 +1558,6 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 		case <-time.After(time.Millisecond):
 		}
 	}
-	rt.pipeWG.Wait()
 	close(rt.stopc)
 	rt.dispWG.Wait()
 	rt.StopPolicySync()

@@ -167,7 +167,7 @@ func TestDRRProportions(t *testing.T) {
 	for i := 0; i < 7*10; i++ { // ten full rotations
 		r := d.pick()
 		if r == nil {
-			t.Fatalf("pick %d returned nil with %d queued", i, d.queued)
+			t.Fatalf("pick %d returned nil with %d queued", i, d.queued.Load())
 		}
 		counts[r.req.Tenant]++
 	}
@@ -222,10 +222,22 @@ func TestDRREmpty(t *testing.T) {
 	}
 }
 
-// --- admission (white-box: no dispatcher, so queues hold still) ------------
+// --- admission (white-box: dispatch held, so queues hold still) ------------
 
-// pausedRouter builds a Router whose dispatcher never runs, so admission
-// decisions can be observed deterministically.
+// holdDispatch takes the dispatch mutex, so neither submitters nor the
+// dispatcher goroutine can pump until the returned release: a test builds its
+// exact backlog in between.
+func holdDispatch(rt *Router) (release func()) {
+	rt.dmu.Lock()
+	return func() {
+		rt.dmu.Unlock()
+		rt.wakeUp()
+	}
+}
+
+// pausedRouter builds a Router that never dispatches — no dispatcher
+// goroutine and the dispatch mutex held for good — so admission decisions can
+// be observed deterministically.
 func pausedRouter(cfg Config) *Router {
 	tenants := append([]Tenant(nil), cfg.Tenants...)
 	hasDefault := false
@@ -248,6 +260,7 @@ func pausedRouter(cfg Config) *Router {
 		stopc:        make(chan struct{}),
 	}
 	rt.budget.Store(int64(cfg.globalBudget()))
+	holdDispatch(rt)
 	return rt
 }
 
@@ -569,9 +582,10 @@ func TestRouterKillLastShard(t *testing.T) {
 
 // TestRouterFairness is the acceptance criterion: under saturating load the
 // per-tenant service split stays within 10% (relative) of the configured
-// weights. The single shard's decision trace is the dispatch record: a
-// mid-run window — after the backlog forms, before any tenant drains — must
-// split 4:2:1.
+// weights. The backlog is built with dispatch held (a submitter that
+// dispatches its own request never forms one by outrunning the dispatcher),
+// and the single shard's decision trace is the dispatch record: a mid-run
+// window — before any tenant drains — must split 4:2:1.
 func TestRouterFairness(t *testing.T) {
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
@@ -589,6 +603,7 @@ func TestRouterFairness(t *testing.T) {
 	const perTenant = 600
 	tenants := []string{"gold", "silver", "best"}
 	var chans []<-chan serve.Response
+	release := holdDispatch(rt)
 	for i := 0; i < perTenant; i++ {
 		for _, tn := range tenants {
 			ch, err := rt.Submit(serve.Request{Model: m, Conditions: conds(), Tenant: tn})
@@ -598,6 +613,7 @@ func TestRouterFairness(t *testing.T) {
 			chans = append(chans, ch)
 		}
 	}
+	release()
 	for i, ch := range chans {
 		if r := <-ch; r.Status != serve.StatusServed {
 			t.Fatalf("request %d: %+v", i, r)
@@ -617,8 +633,8 @@ func TestRouterFairness(t *testing.T) {
 		t.Fatalf("trace carries %d records for %d requests", len(records), 3*perTenant)
 	}
 
-	// Window [400, 1000): past the submission ramp, before gold (share 4/7
-	// of 1800 -> exhausted near record 1050) runs dry.
+	// Window [400, 1000): well inside the backlog, before gold (share 4/7 of
+	// 1800 -> exhausted near record 1050) runs dry.
 	counts := map[string]int{}
 	for _, rec := range records[400:1000] {
 		counts[rec.Tenant]++

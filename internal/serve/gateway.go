@@ -104,11 +104,36 @@ func (w *worker) anyBreakerNotClosed() bool {
 	return false
 }
 
-// pending is one admitted request awaiting execution.
+// Sink takes a request's one terminal response in place of a channel. The
+// gateway calls Deliver exactly once, on whichever goroutine terminates the
+// request: the submitter for admission rejections, a worker otherwise. A
+// Deliver on a worker holds up that lane, and must not wait for the gateway
+// to stop (Shutdown and Kill wait for the workers).
+type Sink interface {
+	Deliver(Response)
+}
+
+// pending is one admitted request awaiting execution. Its terminal response
+// goes to sink when one was supplied and onto resp otherwise.
 type pending struct {
 	req         Request
 	resp        chan Response
+	sink        Sink
 	submittedAt time.Time
+}
+
+// deliver hands over the request's one terminal response. A sink-bound
+// envelope belongs to the gateway alone, so it goes back to the pool here;
+// no caller may touch p afterwards.
+func (p *pending) deliver(r Response) {
+	s := p.sink
+	if s == nil {
+		p.resp <- r
+		return
+	}
+	p.req, p.sink = Request{}, nil
+	pendingPool.Put(p)
+	s.Deliver(r)
 }
 
 // New builds a gateway over the given backends and starts one worker per
@@ -305,9 +330,10 @@ func (g *Gateway) Submit(req Request) (<-chan Response, error) {
 }
 
 // submit runs admission control on one pending request. On a nil error the
-// request's resp channel is guaranteed exactly one delivery; on an error
-// (misuse, closed gateway) nothing was enqueued and nothing will be
-// delivered, so a pooled pending can be recycled immediately.
+// request is guaranteed exactly one deliver — possibly before submit returns,
+// so a sink-bound p is no longer the caller's; on an error (misuse, closed
+// gateway) nothing was enqueued and nothing will be delivered, so a pooled
+// pending can be recycled immediately.
 func (g *Gateway) submit(p *pending) error {
 	if p.req.Model == nil {
 		return errors.New("serve: request needs a model")
@@ -340,10 +366,10 @@ func (g *Gateway) submit(p *pending) error {
 		g.met.IncExpired()
 		p.req.Trace.Flag(tracez.FlagExpired)
 		p.req.Trace.Finish("expired")
-		p.resp <- Response{
+		p.deliver(Response{
 			Status: StatusExpired, Err: ErrDeadlineExpired,
 			SubmittedAt: now, DoneAt: now,
-		}
+		})
 		return nil
 	}
 
@@ -352,7 +378,7 @@ func (g *Gateway) submit(p *pending) error {
 		g.met.IncFailed()
 		p.req.Trace.Flag(tracez.FlagFailed)
 		p.req.Trace.Finish("failed")
-		p.resp <- Response{Status: StatusFailed, Err: err, SubmittedAt: now, DoneAt: now}
+		p.deliver(Response{Status: StatusFailed, Err: err, SubmittedAt: now, DoneAt: now})
 		return nil
 	}
 
@@ -392,10 +418,10 @@ func (g *Gateway) reject(p *pending, device string) {
 	g.met.IncShed()
 	p.req.Trace.Flag(tracez.FlagShed)
 	p.req.Trace.Finish("shed")
-	p.resp <- Response{
+	p.deliver(Response{
 		Status: StatusShed, Device: device, Err: ErrQueueFull,
 		SubmittedAt: p.submittedAt, DoneAt: g.now(),
-	}
+	})
 }
 
 // pick routes a request: a named device directly, otherwise the least-loaded
@@ -493,10 +519,24 @@ func (g *Gateway) MinLaneClock() float64 {
 	return min
 }
 
+// SubmitTo is Submit with the terminal response handed to sink instead of a
+// channel: no per-request channel, no goroutine parked on one, and the
+// envelope is recycled. On an error sink is never called.
+func (g *Gateway) SubmitTo(req Request, sink Sink) error {
+	p := pendingPool.Get().(*pending)
+	p.req, p.sink = req, sink
+	if err := g.submit(p); err != nil {
+		p.req, p.sink = Request{}, nil
+		pendingPool.Put(p)
+		return err
+	}
+	return nil
+}
+
 // pendingPool recycles pending envelopes (and their one-shot response
-// channels) for the synchronous Do path. A pending's resp channel always
-// receives exactly one delivery, so after Do drains it the channel is empty
-// and the envelope is safe to reuse.
+// channels) for the Do and SubmitTo paths. A pending receives exactly one
+// deliver: after Do drains resp the channel is empty, and a sink-bound
+// envelope never uses it, so either way the envelope is safe to reuse.
 var pendingPool = sync.Pool{
 	New: func() any { return &pending{resp: make(chan Response, 1)} },
 }
@@ -535,10 +575,10 @@ func (g *Gateway) runWorker(w *worker) {
 			// rejection bounces back to the routing tier, which either fails
 			// the request over (the same trace keeps accumulating spans on the
 			// surviving shard) or terminates it with a final status.
-			p.resp <- Response{
+			p.deliver(Response{
 				Status: StatusFailed, Device: w.device, Err: ErrShardDown,
 				SubmittedAt: p.submittedAt, DoneAt: g.now(),
-			}
+			})
 			continue
 		}
 		g.serveOne(w, p)
@@ -614,7 +654,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		base.Status, base.Err, base.DoneAt = StatusExpired, ErrDeadlineExpired, start
 		act.Flag(tracez.FlagExpired)
 		act.Finish("expired")
-		p.resp <- base
+		p.deliver(base)
 		return
 	}
 
@@ -666,7 +706,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		act.Span("decide", decideWallS, "")
 		act.Flag(tracez.FlagFailed)
 		act.Finish("failed")
-		p.resp <- base
+		p.deliver(base)
 		return
 	}
 	if pr != nil {
@@ -811,7 +851,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	base.Hedged, base.HedgeWon = hedged, hedgeWon
 	base.Degraded = degraded
 	act.Finish("served")
-	p.resp <- base
+	p.deliver(base)
 }
 
 // applyFaultEvents fires the worker's scripted one-shot drills whose

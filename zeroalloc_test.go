@@ -1,9 +1,12 @@
 package autoscale
 
 import (
+	"context"
 	"testing"
 
 	"autoscale/internal/core"
+	"autoscale/internal/dnn"
+	"autoscale/internal/sim"
 	"autoscale/internal/tracez"
 )
 
@@ -94,5 +97,34 @@ func TestTraceLifecycleAllocBudget(t *testing.T) {
 	avg := testing.AllocsPerRun(1000, lifecycle)
 	if avg > 2 {
 		t.Fatalf("sampled trace lifecycle allocates %.2f allocs/op, budget 2", avg)
+	}
+}
+
+// TestRouterDoAllocBudget bounds the routing tier's per-request allocations
+// on a warmed four-shard router: Router.Do recycles its envelope and the
+// shard's, dispatches on the caller and completes on the lane's worker, so
+// nothing on the path allocates per request. The budget of 1 leaves room for
+// a pool refill after a garbage collection, not for a per-request object.
+func TestRouterDoAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates on otherwise alloc-free paths")
+	}
+	rt := benchRouter(t)
+	req := Request{Model: dnn.MustByName("MobileNet v3"), Conditions: sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}, Tenant: "gold"}
+	do := func() {
+		if _, err := rt.Do(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm: every lane has served, the pools hold their envelopes and the
+	// tenant queue's backing array has grown.
+	for i := 0; i < 256; i++ {
+		do()
+	}
+	if avg := testing.AllocsPerRun(2000, do); avg > 1 {
+		t.Fatalf("Router.Do allocates %.2f allocs/op, budget 1", avg)
+	}
+	if err := rt.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
 	}
 }
