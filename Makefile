@@ -45,12 +45,13 @@ chaos:
 	$(GO) test -run '^TestChaosSoak$$' -count=1 -timeout 1800s -v ./internal/super/
 
 # Allocs-per-op regression guards: the frozen decide fast path (observe,
-# dense state index, RCU argmax) must stay at zero allocations with tracing
-# disabled; provenance capture and the sampled trace lifecycle each get a
-# 2 allocs/op budget, Router.Do on a warmed router 1. Runs un-instrumented
-# (the race detector's shadow memory allocates).
+# dense state index, RCU argmax) and a loaded local execution on a warmed
+# world must stay at zero allocations with tracing disabled; provenance
+# capture and the sampled trace lifecycle each get a 2 allocs/op budget,
+# Router.Do on a warmed router 1. Runs un-instrumented (the race detector's
+# shadow memory allocates).
 alloc-guard:
-	$(GO) test -run '^(TestDecideZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget|TestRouterDoAllocBudget)$$' .
+	$(GO) test -run '^(TestDecideZeroAlloc|TestExecuteLoadedZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget|TestRouterDoAllocBudget)$$' .
 
 # Fuzz smoke over the fault-schedule parser: any input that parses must also
 # compile and answer injector queries without panicking.

@@ -36,6 +36,38 @@ func TestModelsAndLookup(t *testing.T) {
 	}
 }
 
+// A custom model is outside input: a layer type outside Conv…Dropout must be
+// refused at the constructor, before any per-type latency table can be
+// indexed with it, and every defined type must be accepted and schedulable.
+func TestNewModelChecksLayerTypes(t *testing.T) {
+	acc := map[Precision]float64{FP32: 70}
+	for _, bad := range []LayerType{42, Dropout + 1, -1} {
+		layers := []Layer{{Name: "c0", Type: Conv, MACs: 1e8}, {Name: "x", Type: bad, MACs: 1e6}}
+		if m, err := NewModel("odd", ImageClassification, layers, 1000, 10, acc); err == nil {
+			t.Errorf("NewModel accepted layer type %d: %v", int(bad), m)
+		}
+	}
+	var layers []Layer
+	for ty := Conv; ty <= Dropout; ty++ {
+		if ty != RC {
+			layers = append(layers, Layer{Name: ty.String(), Type: ty, MACs: 1e7, ActivationBytes: 1e5})
+		}
+	}
+	m, err := NewModel("every-type", ImageClassification, layers, 1000, 10, acc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorld(Mi8Pro, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := Conditions{RSSIWLAN: -55, RSSIP2P: -55}
+	c.Load.CPUUtil, c.Load.MemUtil = 0.6, 0.5
+	if _, meas, err := w.BestTarget(m, c, 0.05, 0); err != nil || meas.LatencyS <= 0 {
+		t.Fatalf("BestTarget on a model of every layer type: %+v, %v", meas, err)
+	}
+}
+
 func TestEngineLifecycle(t *testing.T) {
 	w, err := NewWorld(Mi8Pro, 1)
 	if err != nil {

@@ -18,6 +18,7 @@ import (
 	"autoscale/internal/core"
 	"autoscale/internal/dnn"
 	"autoscale/internal/exp"
+	"autoscale/internal/interfere"
 	"autoscale/internal/rl"
 	"autoscale/internal/sched"
 	"autoscale/internal/sim"
@@ -177,17 +178,33 @@ func BenchmarkQTableUpdate(b *testing.B) {
 	}
 }
 
+// benchLoads are the two co-runner cases the simulator benchmarks price: an
+// idle device, whose latency is a memoised scalar, and a D2-like browser
+// load, which evaluates the compiled roofline on every request — the case
+// every dynamic environment and the repo benchmark's request streams are in.
+var benchLoads = []struct {
+	name string
+	load interfere.Load
+}{
+	{"idle", interfere.Load{}},
+	{"loaded", interfere.Load{CPUUtil: 0.6, MemUtil: 0.5}},
+}
+
 // BenchmarkWorldExecute measures one simulated inference execution.
 func BenchmarkWorldExecute(b *testing.B) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	m := dnn.MustByName("ResNet 50")
 	t := sim.Target{Location: sim.Local, Kind: soc.DSP, Prec: dnn.INT8}
-	c := sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := w.Execute(m, t, c); err != nil {
-			b.Fatal(err)
-		}
+	for _, bl := range benchLoads {
+		b.Run(bl.name, func(b *testing.B) {
+			c := sim.Conditions{Load: bl.load, RSSIWLAN: -55, RSSIP2P: -55}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := w.Execute(m, t, c); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -196,12 +213,16 @@ func BenchmarkWorldExecute(b *testing.B) {
 func BenchmarkOptSearch(b *testing.B) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	m := dnn.MustByName("Inception v1")
-	c := sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := w.BestTarget(m, c, sim.QoSNonStreamingS, 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, bl := range benchLoads {
+		b.Run(bl.name, func(b *testing.B) {
+			c := sim.Conditions{Load: bl.load, RSSIWLAN: -55, RSSIP2P: -55}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := w.BestTarget(m, c, sim.QoSNonStreamingS, 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

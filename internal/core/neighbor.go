@@ -81,12 +81,12 @@ func (e *Engine) seedIfUnseenIdx(ag *rl.Agent, i int32) {
 	}
 	bestDist := int64(-1)
 	var best int32
-	ag.ForEachMaterialized(func(j int32, key rl.State) {
+	ag.ForEachMaterialized(func(j int32) {
 		var cb [NumFeatures]int
 		if !e.States.BinsOf(j, &cb) {
 			// Overflow index: a state restored from a foreign grid.
 			// Fall back to parsing its key.
-			pb, ok := parseKey(key)
+			pb, ok := parseKey(ag.KeyOf(j))
 			if !ok {
 				return
 			}

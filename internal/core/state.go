@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 
@@ -122,10 +123,15 @@ type internCache struct {
 	size  int
 	radix [NumFeatures]int32 // 1 for disabled features
 	keys  []rl.State         // nil when size > maxPrecomputedKeys
+	// bins[i] is BinsOf(i) (-1 for disabled features), so the neighbour
+	// scan reads a row per candidate instead of dividing its index down;
+	// nil when keys is, or when a feature has more bins than an int8 holds.
+	bins [][NumFeatures]int8
 }
 
-// maxPrecomputedKeys bounds the pre-rendered key table (the paper's space is
-// 3,072 states; pathological fitted spaces fall back to on-demand rendering).
+// maxPrecomputedKeys bounds the pre-rendered key and bins tables (the paper's
+// space is 3,072 states; pathological fitted spaces fall back to on-demand
+// rendering and decoding).
 const maxPrecomputedKeys = 1 << 16
 
 // NewStateSpace returns the paper's Table I discretization, which its
@@ -238,6 +244,7 @@ func (s *StateSpace) cacheLoad() *internCache {
 
 func (s *StateSpace) buildCache() *internCache {
 	c := &internCache{size: 1}
+	fitsInt8 := true
 	for f := Feature(0); f < numFeatures; f++ {
 		r := 1
 		if s.enabled[f] {
@@ -245,16 +252,36 @@ func (s *StateSpace) buildCache() *internCache {
 		}
 		c.radix[f] = int32(r)
 		c.size *= r
+		fitsInt8 = fitsInt8 && r <= math.MaxInt8
 	}
 	if c.size <= maxPrecomputedKeys {
 		c.keys = make([]rl.State, c.size)
+		if fitsInt8 {
+			c.bins = make([][NumFeatures]int8, c.size)
+		}
 		var bins [NumFeatures]int
 		for i := range c.keys {
-			decodeBins(c, int32(i), &bins)
-			c.keys[i] = s.renderEnabled(c, &bins)
+			s.decodeEnabled(c, int32(i), &bins)
+			c.keys[i] = renderBins(&bins)
+			if fitsInt8 {
+				for f, b := range bins {
+					c.bins[i][f] = int8(b)
+				}
+			}
 		}
 	}
 	return c
+}
+
+// decodeEnabled is decodeBins with disabled features decoded as -1, the form
+// keys render from and BinsOf returns.
+func (s *StateSpace) decodeEnabled(c *internCache, i int32, bins *[NumFeatures]int) {
+	decodeBins(c, i, bins)
+	for f := Feature(0); f < numFeatures; f++ {
+		if !s.enabled[f] {
+			bins[f] = -1
+		}
+	}
 }
 
 // decodeBins splits a dense index into per-feature bins (0 for radix-1
@@ -294,8 +321,8 @@ func (s *StateSpace) KeyOf(i int32) rl.State {
 		return c.keys[i]
 	}
 	var bins [NumFeatures]int
-	decodeBins(c, i, &bins)
-	return s.renderEnabled(c, &bins)
+	s.decodeEnabled(c, i, &bins)
+	return renderBins(&bins)
 }
 
 // BinsOf decodes a dense index into per-feature bins; disabled features
@@ -305,11 +332,12 @@ func (s *StateSpace) BinsOf(i int32, bins *[NumFeatures]int) bool {
 	if i < 0 || int(i) >= c.size {
 		return false
 	}
-	decodeBins(c, i, bins)
-	for f := Feature(0); f < numFeatures; f++ {
-		if !s.enabled[f] {
-			bins[f] = -1
-		}
+	if c.bins == nil {
+		s.decodeEnabled(c, i, bins)
+		return true
+	}
+	for f, b := range c.bins[i] {
+		bins[f] = int(b)
 	}
 	return true
 }
@@ -398,24 +426,12 @@ func (s *StateSpace) Key(o Observation) rl.State {
 	}
 	var bins [NumFeatures]int
 	for f := Feature(0); f < numFeatures; f++ {
+		bins[f] = -1
 		if s.enabled[f] {
 			bins[f] = s.disc[f].Bin(o.value(f))
 		}
 	}
-	return s.renderEnabled(c, &bins)
-}
-
-// renderEnabled renders bins as a key, writing '*' for disabled features.
-func (s *StateSpace) renderEnabled(c *internCache, bins *[NumFeatures]int) rl.State {
-	var b [NumFeatures]int
-	for f := Feature(0); f < numFeatures; f++ {
-		if s.enabled[f] {
-			b[f] = bins[f]
-		} else {
-			b[f] = -1
-		}
-	}
-	return renderBins(&b)
+	return renderBins(&bins)
 }
 
 // renderBins renders per-feature bins into the canonical key string; -1

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"autoscale/internal/cluster"
 	"autoscale/internal/rl"
 )
 
@@ -98,22 +99,57 @@ func TestLookupRejectsAlienKeys(t *testing.T) {
 	}
 }
 
-// BinsOf must decode indices consistently with KeyOf.
+// BinsOf must decode indices consistently with KeyOf and Lookup: from the
+// per-index bins table, from the divide-down fallback a feature too wide for
+// the table's int8 cells takes, and in a space too large for any table.
 func TestBinsOfDecodes(t *testing.T) {
-	ss := NewStateSpace().Disable(FeatRC)
-	var bins [NumFeatures]int
-	if ss.BinsOf(int32(ss.Size()), &bins) {
-		t.Fatal("BinsOf accepted out-of-range index")
+	cuts := make([]float64, 200)
+	for i := range cuts {
+		cuts[i] = float64(i+1) * 1e7
 	}
-	for i := int32(0); int(i) < ss.Size(); i += 7 {
-		if !ss.BinsOf(i, &bins) {
-			t.Fatalf("BinsOf(%d) failed", i)
+	wideMAC := func(disable ...Feature) *StateSpace {
+		ss := NewStateSpace()
+		ss.disc[FeatMAC] = cluster.NewDiscretizer(cuts)
+		for _, f := range append(disable, FeatRC) {
+			ss.Disable(f)
 		}
-		if bins[FeatRC] != -1 {
-			t.Fatalf("BinsOf(%d): disabled feature decoded %d, want -1", i, bins[FeatRC])
+		return ss
+	}
+	spaces := []struct {
+		name         string
+		ss           *StateSpace
+		keys, tabled bool
+	}{
+		{"table", NewStateSpace().Disable(FeatRC), true, true},
+		{"wide", wideMAC(FeatConv, FeatFC, FeatCoCPU, FeatCoMem, FeatRSSIP), true, false},
+		{"oversize", wideMAC(), false, false},
+	}
+	for _, sp := range spaces {
+		name, ss := sp.name, sp.ss
+		if c := ss.cacheLoad(); (c.keys != nil) != sp.keys || (c.bins != nil) != sp.tabled {
+			t.Fatalf("%s: key table %v, bins table %v", name, c.keys != nil, c.bins != nil)
 		}
-		if got := renderBins(&bins); got != ss.KeyOf(i) {
-			t.Fatalf("BinsOf(%d) renders %q, KeyOf %q", i, got, ss.KeyOf(i))
+		o := Observation{NumConv: 35, NumFC: 5, NumRC: 12, MACs: 1.5e9, CoCPU: 10, CoMem: 50, RSSIW: -60, RSSIP: -90}
+		if got, want := ss.Key(o), ss.KeyOf(ss.Index(o)); got != want {
+			t.Fatalf("%s: Key = %q, KeyOf(Index) = %q", name, got, want)
+		}
+		var bins [NumFeatures]int
+		if ss.BinsOf(int32(ss.Size()), &bins) {
+			t.Fatalf("%s: BinsOf accepted out-of-range index", name)
+		}
+		for i := int32(0); int(i) < ss.Size(); i += 7 {
+			if !ss.BinsOf(i, &bins) {
+				t.Fatalf("%s: BinsOf(%d) failed", name, i)
+			}
+			if bins[FeatRC] != -1 {
+				t.Fatalf("%s: BinsOf(%d): disabled feature decoded %d, want -1", name, i, bins[FeatRC])
+			}
+			if got := renderBins(&bins); got != ss.KeyOf(i) {
+				t.Fatalf("%s: BinsOf(%d) renders %q, KeyOf %q", name, i, got, ss.KeyOf(i))
+			}
+			if j, ok := ss.Lookup(ss.KeyOf(i)); !ok || j != i {
+				t.Fatalf("%s: Lookup(KeyOf(%d)) = %d, %v", name, i, j, ok)
+			}
 		}
 	}
 }

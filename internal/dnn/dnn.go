@@ -11,6 +11,7 @@ package dnn
 
 import (
 	"fmt"
+	"sync/atomic"
 )
 
 // LayerType classifies a network layer (Section II-A of the paper).
@@ -30,7 +31,11 @@ const (
 	Dropout
 )
 
-var layerTypeNames = [...]string{"CONV", "FC", "RC", "POOL", "NORM", "SOFTMAX", "ARGMAX", "DROPOUT"}
+// NumLayerTypes is the number of defined layer types; per-type tables are
+// indexed by LayerType over [0, NumLayerTypes).
+const NumLayerTypes = int(Dropout) + 1
+
+var layerTypeNames = [NumLayerTypes]string{"CONV", "FC", "RC", "POOL", "NORM", "SOFTMAX", "ARGMAX", "DROPOUT"}
 
 // String returns the conventional upper-case layer-type name.
 func (t LayerType) String() string {
@@ -115,7 +120,9 @@ type Layer struct {
 
 // Model is an inference workload: an ordered layer list plus the I/O sizes
 // that matter for offloading (what must cross the network) and the
-// per-precision accuracy table.
+// per-precision accuracy table. A model is immutable once it is in use:
+// its layer summary here and the latency plans the simulator compiles from
+// its layers are derived once.
 type Model struct {
 	Name string
 	Task Task
@@ -128,16 +135,41 @@ type Model struct {
 	OutputBytes float64
 	// accuracy[p] is the inference accuracy (0..100) at precision p.
 	accuracy map[Precision]float64
+
+	sum atomic.Pointer[summary]
+}
+
+// summary is what the per-inference paths read from the layer list: the
+// Table I layer counts and the MAC total. A model's layers never change once
+// it is in use, so it is derived once, on first use (which also covers
+// struct-literal models).
+type summary struct {
+	numConv, numFC, numRC int
+	macs                  float64
+}
+
+func (m *Model) summarize() *summary {
+	if s := m.sum.Load(); s != nil {
+		return s
+	}
+	s := &summary{}
+	for _, l := range m.Layers {
+		switch l.Type {
+		case Conv:
+			s.numConv++
+		case FC:
+			s.numFC++
+		case RC:
+			s.numRC++
+		}
+		s.macs += l.MACs
+	}
+	m.sum.Store(s) // racing first uses store equal summaries
+	return s
 }
 
 // MACs returns the total multiply-accumulate count of the model.
-func (m *Model) MACs() float64 {
-	var s float64
-	for _, l := range m.Layers {
-		s += l.MACs
-	}
-	return s
-}
+func (m *Model) MACs() float64 { return m.summarize().macs }
 
 // WeightBytes returns the total FP32 parameter footprint.
 func (m *Model) WeightBytes() float64 {
@@ -157,39 +189,20 @@ func (m *Model) CountByType() map[LayerType]int {
 	return c
 }
 
-// countOf counts layers of one type without allocating (these sit on the
-// per-inference hot path of the scheduler).
-func (m *Model) countOf(t LayerType) int {
-	n := 0
-	for i := range m.Layers {
-		if m.Layers[i].Type == t {
-			n++
-		}
-	}
-	return n
-}
-
 // NumConv, NumFC and NumRC are the SCONV, SFC and SRC state features of
 // Table I.
-func (m *Model) NumConv() int { return m.countOf(Conv) }
+func (m *Model) NumConv() int { return m.summarize().numConv }
 
 // NumFC returns the number of fully-connected layers.
-func (m *Model) NumFC() int { return m.countOf(FC) }
+func (m *Model) NumFC() int { return m.summarize().numFC }
 
 // NumRC returns the number of recurrent layers.
-func (m *Model) NumRC() int { return m.countOf(RC) }
+func (m *Model) NumRC() int { return m.summarize().numRC }
 
 // HasRC reports whether the model contains recurrent layers; the mobile
 // middleware of the paper (footnote 3) cannot run such models on mobile
 // co-processors.
-func (m *Model) HasRC() bool {
-	for i := range m.Layers {
-		if m.Layers[i].Type == RC {
-			return true
-		}
-	}
-	return false
-}
+func (m *Model) HasRC() bool { return m.summarize().numRC > 0 }
 
 // Accuracy returns the inference accuracy (percent) at precision p. Unknown
 // precisions fall back to the FP32 value.
@@ -200,8 +213,8 @@ func (m *Model) Accuracy(p Precision) float64 {
 	return m.accuracy[FP32]
 }
 
-// Validate checks structural invariants: a non-empty name and layer list and
-// non-negative footprints.
+// Validate checks structural invariants: a non-empty name and layer list,
+// defined layer types and non-negative footprints.
 func (m *Model) Validate() error {
 	if m.Name == "" {
 		return fmt.Errorf("dnn: model has no name")
@@ -210,6 +223,9 @@ func (m *Model) Validate() error {
 		return fmt.Errorf("dnn: model %s has no layers", m.Name)
 	}
 	for i, l := range m.Layers {
+		if l.Type < 0 || int(l.Type) >= NumLayerTypes {
+			return fmt.Errorf("dnn: model %s layer %d (%s) has unknown type %d", m.Name, i, l.Name, int(l.Type))
+		}
 		if l.MACs < 0 || l.WeightBytes < 0 || l.ActivationBytes < 0 {
 			return fmt.Errorf("dnn: model %s layer %d (%s) has negative footprint", m.Name, i, l.Name)
 		}

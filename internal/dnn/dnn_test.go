@@ -216,6 +216,33 @@ func TestValidateRejectsBadModels(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("negative MACs should fail")
 	}
+	for _, ty := range []LayerType{-1, LayerType(NumLayerTypes), 42} {
+		bad = &Model{Name: "x", Layers: []Layer{{Name: "l", Type: ty}}, InputBytes: 1, OutputBytes: 1,
+			accuracy: map[Precision]float64{FP32: 1}}
+		if bad.Validate() == nil {
+			t.Errorf("layer type %d should fail", int(ty))
+		}
+	}
+}
+
+// The per-model summary is derived once; it must say what a walk over the
+// layers says, for zoo models and for struct literals alike.
+func TestSummaryMatchesLayers(t *testing.T) {
+	models := append(Zoo(), &Model{Name: "literal", Layers: []Layer{
+		{Type: RC, MACs: 3}, {Type: FC, MACs: 0.25}, {Type: Pool, MACs: 1e9}, {Type: RC, MACs: 7},
+	}})
+	for _, m := range models {
+		counts := m.CountByType()
+		var macs float64
+		for _, l := range m.Layers {
+			macs += l.MACs
+		}
+		if m.NumConv() != counts[Conv] || m.NumFC() != counts[FC] || m.NumRC() != counts[RC] ||
+			m.HasRC() != (counts[RC] > 0) || m.MACs() != macs {
+			t.Errorf("%s: summary %d/%d/%d rc=%v macs=%v, layers say %v macs=%v",
+				m.Name, m.NumConv(), m.NumFC(), m.NumRC(), m.HasRC(), m.MACs(), counts, macs)
+		}
+	}
 }
 
 func TestConvRampsProperty(t *testing.T) {

@@ -99,6 +99,78 @@ func ModelLatency(e Exec, m *dnn.Model, pen interfere.Penalties) float64 {
 	return t
 }
 
+// Plan is the roofline of one model on one engine at one precision with
+// every term that depends on neither the DVFS step nor the interference
+// penalties folded in at Compile time. Latency evaluates it with the same
+// floating-point operations in the same order as summing LayerLatency over
+// the layers, so the two agree bit for bit; LayerLatency and ModelLatency
+// stay as the reference the tests compare against and as the per-layer
+// primitive of the partitioning and slicing modes.
+type Plan struct {
+	proc     *soc.Processor
+	speedup  float64
+	eff      [dnn.NumLayerTypes]float64
+	overhead [dnn.NumLayerTypes]float64
+	// layers is the model's own layer list; memS, the one per-plan column,
+	// is bytes/(MemBWGBs*1e9) per layer at the plan's precision.
+	layers []dnn.Layer
+	memS   []float64
+}
+
+// Compile builds the plan of m on e.Proc at e.Prec for every DVFS step
+// (e.Step is ignored). m must have passed Validate: the per-type tables are
+// indexed by layer type.
+func Compile(e Exec, m *dnn.Model) *Plan {
+	p := &Plan{
+		proc: e.Proc, speedup: e.Proc.PrecisionSpeedup(e.Prec),
+		layers: m.Layers, memS: make([]float64, len(m.Layers)),
+	}
+	for t := range p.eff {
+		p.eff[t] = e.Proc.Eff(dnn.LayerType(t))
+		p.overhead[t] = e.Proc.Overhead(dnn.LayerType(t))
+	}
+	for i, l := range m.Layers {
+		bytes := (l.WeightBytes + l.ActivationBytes) * e.Prec.BytesPerValue() / 4
+		p.memS[i] = bytes / (e.Proc.MemBWGBs * 1e9)
+	}
+	return p
+}
+
+// Latency returns ModelLatency of the compiled configuration at the given
+// DVFS step under the given penalties: one compute rate per layer type,
+// associated exactly as LayerLatency associates it, then per layer one
+// divide, one multiply, one max and two adds.
+func (p *Plan) Latency(step int, pen interfere.Penalties) float64 {
+	proc := p.proc
+	cpu := proc.Kind == soc.CPU
+	throttle := 1.0
+	if cpu {
+		throttle = soc.ThrottleFactor(soc.CPU, pen.SustainedCPUUtil)
+	}
+	base := proc.PeakGMACs * 1e9 * proc.FreqRatio(step) * throttle
+	var rate [dnn.NumLayerTypes]float64
+	for t := range rate {
+		r := base * p.eff[t] * p.speedup
+		if cpu {
+			r *= pen.CPUShare
+			r /= pen.CPUComputeSlowdown
+		} else {
+			r /= pen.CoprocSlowdown
+		}
+		rate[t] = r
+	}
+	var sum float64
+	for i := range p.layers {
+		l := &p.layers[i]
+		t := l.MACs / rate[l.Type]
+		if tMem := p.memS[i] * pen.MemSlowdown; tMem > t {
+			t = tMem
+		}
+		sum += t + p.overhead[l.Type]
+	}
+	return sum
+}
+
 // LatencyByType aggregates per-layer latency by layer type — the quantity
 // Fig 3 of the paper plots.
 func LatencyByType(e Exec, m *dnn.Model, pen interfere.Penalties) map[dnn.LayerType]float64 {

@@ -2,6 +2,7 @@ package perf
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"autoscale/internal/dnn"
@@ -166,4 +167,82 @@ func TestRooflineMemoryBound(t *testing.T) {
 	if lat < wantMem {
 		t.Errorf("latency %v below memory time %v", lat, wantMem)
 	}
+}
+
+// The compiled plan must reproduce the per-layer walk bit for bit — == on
+// the float64, not a tolerance — so no simulated joule or millisecond can
+// move when a plan replaces the walk. A change that reassociates a product
+// or hoists a divide fails here.
+func TestPlanMatchesLayerWalk(t *testing.T) {
+	custom, err := dnn.NewModel("custom", dnn.ImageClassification, []dnn.Layer{
+		{Name: "c0", Type: dnn.Conv, MACs: 3.1e8, WeightBytes: 1.7e6, ActivationBytes: 9.3e5},
+		{Name: "d0", Type: dnn.Dropout, MACs: 1e3, ActivationBytes: 4e5},
+		{Name: "n0", Type: dnn.Norm, ActivationBytes: 4e5},
+		{Name: "p0", Type: dnn.Pool, MACs: 2e5, ActivationBytes: 1e5},
+		{Name: "f0", Type: dnn.FC, MACs: 4.1e6, WeightBytes: 1.6e7, ActivationBytes: 4e3},
+		{Name: "s0", Type: dnn.Softmax, MACs: 1e3, ActivationBytes: 4e3},
+		{Name: "a0", Type: dnn.Argmax, MACs: 1e3, ActivationBytes: 4},
+	}, 150528, 4000, map[dnn.Precision]float64{dnn.FP32: 70})
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := append(dnn.Zoo(), custom)
+
+	rng := rand.New(rand.NewSource(19))
+	loads := []interfere.Load{{}, {CPUUtil: 1}, {MemUtil: 1}, {CPUUtil: 1.7, MemUtil: 2.5}, {CPUUtil: -0.3, MemUtil: 0.6}}
+	for len(loads) < 25 {
+		loads = append(loads, interfere.Load{CPUUtil: 1.2 * rng.Float64(), MemUtil: 1.2 * rng.Float64()})
+	}
+
+	devices := []*soc.Device{
+		soc.Mi8Pro(), soc.GalaxyS10e(), soc.MotoXForce(), soc.GalaxyTabS6(),
+		soc.CloudServer(), soc.Mi8ProNPU(), soc.CloudServerTPU(),
+	}
+	compared := 0
+	for _, d := range devices {
+		for _, proc := range d.Processors {
+			for _, prec := range proc.Precisions {
+				for _, m := range models {
+					e := Exec{Proc: proc, Prec: prec}
+					plan := Compile(e, m)
+					for e.Step = 0; e.Step < proc.Steps; e.Step++ {
+						for _, load := range loads {
+							pen := interfere.PenaltiesFor(load)
+							got, want := plan.Latency(e.Step, pen), ModelLatency(e, m, pen)
+							if got != want {
+								t.Fatalf("%s/%s %s %s step %d load %+v: plan %v, layer walk %v",
+									d.Name, proc.Name, prec, m.Name, e.Step, load, got, want)
+							}
+							compared++
+						}
+					}
+				}
+			}
+		}
+	}
+	if compared < 40000 {
+		t.Fatalf("only %d comparisons ran", compared)
+	}
+}
+
+// BenchmarkLatency prices one loaded ResNet 50 evaluation on the Mi8Pro CPU
+// by the reference layer walk and by the compiled plan.
+func BenchmarkLatency(b *testing.B) {
+	m := dnn.MustByName("ResNet 50")
+	e := mi8CPU()
+	pen := interfere.PenaltiesFor(interfere.Load{CPUUtil: 0.6, MemUtil: 0.5})
+	var sink float64
+	b.Run("walk", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sink += ModelLatency(e, m, pen)
+		}
+	})
+	b.Run("plan", func(b *testing.B) {
+		plan := Compile(e, m)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sink += plan.Latency(e.Step, pen)
+		}
+	})
+	_ = sink
 }

@@ -333,38 +333,25 @@ func loadQ(t *table, i int32, j int) float64 {
 	return math.Float64frombits(t.q[int(i)*t.actions+j].Load())
 }
 
-// argmaxRow returns the first-enabled argmax of row i (strict > keeps the
-// historical first-wins tie-break). Returns -1 when mask disables everything.
-func argmaxRow(t *table, i int32, mask []bool) int {
-	best := -1
-	var bestQ float64
-	for j := 0; j < t.actions; j++ {
-		if !actionEnabled(mask, j) {
+// argmaxRow returns the first-enabled argmax of row i and its Q value
+// (strict > keeps the historical first-wins tie-break); -1 when mask
+// disables everything. The row is sliced once and the mask's presence
+// decided once, so each cell costs one atomic load and one compare.
+func argmaxRow(t *table, i int32, mask []bool) (best int, bestQ float64) {
+	row := t.q[int(i)*t.actions : (int(i)+1)*t.actions]
+	if mask != nil && len(mask) < len(row) {
+		row = row[:len(mask)] // actions past the mask's end are disabled
+	}
+	best = -1
+	for j := range row {
+		if mask != nil && !mask[j] {
 			continue
 		}
-		q := loadQ(t, i, j)
-		if best < 0 || q > bestQ {
+		if q := math.Float64frombits(row[j].Load()); best < 0 || q > bestQ {
 			best, bestQ = j, q
 		}
 	}
-	return best
-}
-
-// maxRowQ returns the max Q of row i over enabled actions. Caller guarantees
-// at least one enabled action.
-func maxRowQ(t *table, i int32, mask []bool) float64 {
-	first := true
-	var best float64
-	for j := 0; j < t.actions; j++ {
-		if !actionEnabled(mask, j) {
-			continue
-		}
-		q := loadQ(t, i, j)
-		if first || q > best {
-			best, first = q, false
-		}
-	}
-	return best
+	return best, bestQ
 }
 
 var errNoEnabled = errors.New("rl: no enabled action")
@@ -427,7 +414,7 @@ func (a *Agent) selectLocked(i int32, mask []bool, p *SelectProv) (int, error) {
 		a.explores.Add(1)
 		idx = nthEnabled(mask, a.actions, a.rng.Intn(n))
 	} else {
-		idx = argmaxRow(t, i, mask)
+		idx, _ = argmaxRow(t, i, mask)
 	}
 	if p != nil {
 		p.Epsilon, p.Frozen, p.Explored = eps, frozen, explored
@@ -443,7 +430,7 @@ func (a *Agent) selectLocked(i int32, mask []bool, p *SelectProv) (int, error) {
 func (a *Agent) BestAction(s State, mask []bool) (int, error) {
 	if i, ok := a.intern.lookup(s); ok {
 		if t := a.tab.Load(); int(i) < t.states && t.flags[i].Load()&flagRow != 0 {
-			if best := argmaxRow(t, i, mask); best >= 0 {
+			if best, _ := argmaxRow(t, i, mask); best >= 0 {
 				return best, nil
 			}
 			return 0, errNoEnabled
@@ -460,7 +447,7 @@ func (a *Agent) BestAction(s State, mask []bool) (int, error) {
 // the row (consuming the same init draws the map-backed table did).
 func (a *Agent) BestActionIdx(i int32, mask []bool) (int, error) {
 	if t := a.tab.Load(); i >= 0 && int(i) < t.states && t.flags[i].Load()&flagRow != 0 {
-		if best := argmaxRow(t, i, mask); best >= 0 {
+		if best, _ := argmaxRow(t, i, mask); best >= 0 {
 			return best, nil
 		}
 		return 0, errNoEnabled
@@ -479,7 +466,8 @@ func (a *Agent) bestLocked(i int32, mask []bool) (int, error) {
 	}
 	t := a.tab.Load()
 	a.ensureRowLocked(t, i)
-	return argmaxRow(t, i, mask), nil
+	best, _ := argmaxRow(t, i, mask)
+	return best, nil
 }
 
 // Update applies the one-step Q-learning rule of Algorithm 1:
@@ -522,7 +510,7 @@ func (a *Agent) updateLocked(si int32, action int, reward float64, ni int32, nex
 	var nextBest float64
 	if countEnabled(nextMask, a.actions) > 0 {
 		a.ensureRowLocked(t, ni)
-		nextBest = maxRowQ(t, ni, nextMask)
+		_, nextBest = argmaxRow(t, ni, nextMask)
 	}
 	a.ensureRowLocked(t, si)
 	cell := &t.q[int(si)*t.actions+action]
@@ -579,14 +567,15 @@ func (a *Agent) HasStateIdx(i int32) bool {
 	return i >= 0 && int(i) < t.states && t.flags[i].Load()&flagRow != 0
 }
 
-// ForEachMaterialized calls fn for every materialized state in ascending
-// dense-index order (for a grid-interned agent that is also ascending
-// lexicographic key order). fn must not mutate the agent.
-func (a *Agent) ForEachMaterialized(fn func(i int32, key State)) {
+// ForEachMaterialized calls fn with the dense index of every materialized
+// state in ascending order (for a grid-interned agent that is also ascending
+// lexicographic key order); callers that want the key ask KeyOf. fn must not
+// mutate the agent.
+func (a *Agent) ForEachMaterialized(fn func(i int32)) {
 	t := a.tab.Load()
-	for i := 0; i < t.states; i++ {
+	for i := range t.flags {
 		if t.flags[i].Load()&flagRow != 0 {
-			fn(int32(i), a.intern.keyOf(int32(i)))
+			fn(int32(i))
 		}
 	}
 }
@@ -655,7 +644,7 @@ func (a *Agent) Q(s State, action int) float64 {
 // States returns the visited/materialized states in sorted order.
 func (a *Agent) States() []State {
 	out := make([]State, 0, a.materialized.Load())
-	a.ForEachMaterialized(func(_ int32, key State) { out = append(out, key) })
+	a.ForEachMaterialized(func(i int32) { out = append(out, a.KeyOf(i)) })
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
@@ -722,7 +711,7 @@ func (a *Agent) Rows() map[State][]float64 {
 // unmapped; this reports the touched working set, as the map did.)
 func (a *Agent) MemoryBytes() int {
 	total := 0
-	a.ForEachMaterialized(func(_ int32, key State) { total += len(key) + 8*a.actions })
+	a.ForEachMaterialized(func(i int32) { total += len(a.KeyOf(i)) + 8*a.actions })
 	return total
 }
 

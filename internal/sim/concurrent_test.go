@@ -6,6 +6,7 @@ import (
 
 	"autoscale/internal/dnn"
 	"autoscale/internal/exec"
+	"autoscale/internal/interfere"
 	"autoscale/internal/soc"
 )
 
@@ -95,5 +96,65 @@ func TestExecuteCtxIndependentOfSequence(t *testing.T) {
 	}
 	if a != b {
 		t.Errorf("context-driven request shifted by counter traffic: %+v vs %+v", a, b)
+	}
+}
+
+// TestColdWorldConcurrentFirstUse races the plan table's first inserts:
+// eight goroutines meet a world that has compiled nothing, each sweeping the
+// zoo in its own order through BestTarget and a loaded and an idle
+// ExecuteCtx, so copy-on-write inserts, lost insert races and first fills of
+// the idle memo all overlap. Every result must equal what a serial world
+// computes. Run with -race.
+func TestColdWorldConcurrentFirstUse(t *testing.T) {
+	const workers = 8
+	zoo := dnn.Zoo()
+	loaded := Conditions{Load: interfere.Load{CPUUtil: 0.6, MemUtil: 0.5}, RSSIWLAN: -55, RSSIP2P: -55}
+	type result struct {
+		best         Target
+		bestMeas     Measurement
+		loaded, idle Measurement
+	}
+	sweep := func(w *World, worker int) []result {
+		out := make([]result, len(zoo))
+		root := exec.NewRoot(5)
+		for k := range zoo {
+			i := (k + worker) % len(zoo)
+			m := zoo[i]
+			var err error
+			if out[i].best, out[i].bestMeas, err = w.BestTarget(m, loaded, QoSNonStreamingS, 0); err != nil {
+				t.Error(err)
+			}
+			tgt := Target{Location: Local, Kind: soc.CPU, Step: i, Prec: dnn.FP32}
+			if out[i].loaded, err = w.ExecuteCtx(root.Child("loaded", uint64(i)), m, tgt, loaded); err != nil {
+				t.Error(err)
+			}
+			if out[i].idle, err = w.ExecuteCtx(root.Child("idle", uint64(i)), m, tgt, strongCond()); err != nil {
+				t.Error(err)
+			}
+		}
+		return out
+	}
+
+	want := sweep(NewWorld(soc.Mi8Pro(), 1), 0)
+	cold := NewWorld(soc.Mi8Pro(), 1)
+	got := make([][]result, workers)
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			got[g] = sweep(cold, g)
+		}(g)
+	}
+	wg.Wait()
+	for g := range got {
+		for i := range want {
+			if got[g][i] != want[i] {
+				t.Fatalf("worker %d, %s: cold concurrent world gave %+v, serial world %+v", g, zoo[i].Name, got[g][i], want[i])
+			}
+		}
+	}
+	if n := len(cold.plans.Load().models); n != len(zoo) {
+		t.Errorf("plan table holds %d models after the race, want %d", n, len(zoo))
 	}
 }

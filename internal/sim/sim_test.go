@@ -262,3 +262,56 @@ func TestTargetString(t *testing.T) {
 		t.Errorf("cloud target string = %q", cloud.String())
 	}
 }
+
+// The plan table is derived from the world's three systems; replacing one
+// after the world has been used must not leave it answering from plans and
+// target lists built for the old hardware.
+func TestPlanTableFollowsReplacedSystem(t *testing.T) {
+	m := dnn.MustByName("ResNet 50")
+	c := strongCond()
+	w := NewWorld(soc.Mi8Pro(), 1)
+	if _, _, err := w.BestTarget(m, c, QoSNonStreamingS, 0); err != nil {
+		t.Fatal(err)
+	}
+	w.Server = soc.CloudServerTPU()
+	fresh := NewWorld(soc.Mi8Pro(), 1)
+	fresh.Server = w.Server
+
+	tpu := Target{Location: Cloud, Kind: soc.TPU, Prec: dnn.FP32}
+	got, err := w.Expected(m, tpu, c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := fresh.Expected(m, tpu, c); got != want {
+		t.Errorf("TPU after replacing the server: %+v, fresh world %+v", got, want)
+	}
+	gotT, gotM, err := w.BestTarget(m, c, QoSNonStreamingS, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wantT, wantM, _ := fresh.BestTarget(m, c, QoSNonStreamingS, 0); gotT != wantT || gotM != wantM {
+		t.Errorf("BestTarget after replacing the server: %v, fresh world %v", gotT, wantT)
+	}
+}
+
+// The slicing and partitioning modes price per-call throwaway models (one
+// per layer in the MOSAIC comparator); they walk layers with
+// perf.LayerLatency and must never insert into the plan table, which keeps
+// every model it has met for the world's lifetime.
+func TestLayerModesBypassPlanTable(t *testing.T) {
+	w := NewWorld(soc.Mi8Pro(), 1)
+	m := dnn.MustByName("MobileNet v1")
+	cpu := Target{Location: Local, Kind: soc.CPU, Step: 5, Prec: dnn.FP32}
+	for _, l := range m.Layers {
+		one := &dnn.Model{Name: "layer", Layers: []dnn.Layer{l}, InputBytes: 1, OutputBytes: 1}
+		if _, err := w.ExpectedSliced(one, []Slice{{From: 0, To: 1, Target: cpu}}, strongCond()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.Partitioned(m, len(m.Layers)/2, cpu, Cloud, strongCond()); err != nil {
+		t.Fatal(err)
+	}
+	if tab := w.plans.Load(); tab != nil {
+		t.Errorf("layer-granularity modes inserted %d models into the plan table", len(tab.models))
+	}
+}

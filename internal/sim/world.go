@@ -8,6 +8,8 @@ package sim
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -143,45 +145,139 @@ type World struct {
 	root *exec.Context
 	seq  atomic.Uint64
 
-	// latMu/latMemo cache interference-free model latencies. ModelLatency
-	// walks every layer of the network; for remote targets (always top
-	// step, no interference) and unloaded local targets the result depends
-	// only on (model, processor, step, precision), so the per-request walk
-	// on the serving hot path collapses to one map read. Loaded local
-	// executions bypass the cache — their penalties vary per request.
-	latMu   sync.RWMutex
-	latMemo map[latKey]float64
+	// plans is the world's per-model derived state (see planTable): a
+	// copy-on-write table read lock-free on every Expected; plansMu
+	// serialises inserts only.
+	plans   atomic.Pointer[planTable]
+	plansMu sync.Mutex
 }
 
-// latKey identifies one interference-free (model, engine placement) pair.
-type latKey struct {
-	m    *dnn.Model
+// planTable maps each model the world has executed to its modelPlans. A
+// published table is never modified: inserting a model republishes a copy.
+// The three systems record which hardware the entries were built for, so a
+// world whose Device, Tablet or Server was replaced after use starts over
+// instead of answering from stale plans.
+type planTable struct {
+	device, tablet, server *soc.Device
+	models                 map[*dnn.Model]*modelPlans
+}
+
+// modelPlans is what the world derives once per model: the feasible target
+// list BestTarget sweeps and one enginePlan per (location, engine, supported
+// precision) that can run the model.
+type modelPlans struct {
+	targets []Target
+	engines []enginePlan
+}
+
+// enginePlan is the latency model of one placement of one model. A local
+// placement holds the compiled roofline (perf.Plan) and memoises its
+// co-runner-free result per DVFS step. A remote engine always runs at its
+// top step with no co-runner, so it keeps only that one scalar, computed by
+// the reference layer walk, and never compiles a plan. Memo slots hold
+// float64 bits, 0 meaning "not computed yet"; racing first uses store the
+// same bits.
+type enginePlan struct {
+	loc  Location
 	proc *soc.Processor
-	step int
 	prec dnn.Precision
+	plan *perf.Plan
+	idle []atomic.Uint64
 }
 
-// modelLatency computes perf.ModelLatency, memoizing interference-free
-// results (see latMemo).
-func (w *World) modelLatency(e perf.Exec, m *dnn.Model, pen interfere.Penalties) float64 {
-	if pen != perf.NoInterference() {
-		return perf.ModelLatency(e, m, pen)
+// idlePen is the penalty set of a device with no co-runner.
+var idlePen = perf.NoInterference()
+
+// modelLatency returns perf.ModelLatency of m on e at location loc, which
+// must be feasible. Only local placements are ever loaded; remote callers
+// pass their top step and idlePen.
+func (w *World) modelLatency(loc Location, e perf.Exec, m *dnn.Model, pen interfere.Penalties) float64 {
+	ep := w.plansFor(m).engine(loc, e.Proc, e.Prec)
+	slot := &ep.idle[0]
+	if ep.plan != nil {
+		if pen != idlePen {
+			return ep.plan.Latency(e.Step, pen)
+		}
+		slot = &ep.idle[e.Step]
 	}
-	k := latKey{m: m, proc: e.Proc, step: e.Step, prec: e.Prec}
-	w.latMu.RLock()
-	v, ok := w.latMemo[k]
-	w.latMu.RUnlock()
-	if ok {
-		return v
+	if bits := slot.Load(); bits != 0 {
+		return math.Float64frombits(bits)
 	}
-	v = perf.ModelLatency(e, m, pen)
-	w.latMu.Lock()
-	if w.latMemo == nil {
-		w.latMemo = make(map[latKey]float64)
+	var v float64
+	if ep.plan != nil {
+		v = ep.plan.Latency(e.Step, idlePen)
+	} else {
+		v = perf.ModelLatency(e, m, idlePen)
 	}
-	w.latMemo[k] = v
-	w.latMu.Unlock()
+	slot.Store(math.Float64bits(v))
 	return v
+}
+
+// engine returns the placement of (loc, proc, prec), or nil when that engine
+// cannot run the model at that precision.
+func (mp *modelPlans) engine(loc Location, proc *soc.Processor, prec dnn.Precision) *enginePlan {
+	for i := range mp.engines {
+		if ep := &mp.engines[i]; ep.proc == proc && ep.prec == prec && ep.loc == loc {
+			return ep
+		}
+	}
+	return nil
+}
+
+// current reports whether t was built for w's present systems.
+func (t *planTable) current(w *World) bool {
+	return t != nil && t.device == w.Device && t.tablet == w.Tablet && t.server == w.Server
+}
+
+// plansFor returns m's entry of the plan table, building and publishing it
+// on first use. The hit path takes no lock.
+func (w *World) plansFor(m *dnn.Model) *modelPlans {
+	if t := w.plans.Load(); t.current(w) {
+		if mp := t.models[m]; mp != nil {
+			return mp
+		}
+	}
+	w.plansMu.Lock()
+	defer w.plansMu.Unlock()
+	old := w.plans.Load()
+	if !old.current(w) {
+		old = &planTable{device: w.Device, tablet: w.Tablet, server: w.Server}
+	}
+	if mp := old.models[m]; mp != nil {
+		return mp // lost the insert race; keep the published entry
+	}
+	mp := &modelPlans{targets: w.Targets(m)}
+	for _, other := range old.models {
+		if slices.Equal(other.targets, mp.targets) {
+			mp.targets = other.targets // models that admit the same actions share one list
+			break
+		}
+	}
+	for _, loc := range []Location{Local, Connected, Cloud} {
+		for _, p := range w.systemAt(loc).Processors {
+			for _, prec := range p.Precisions {
+				if !p.CanRun(m, prec) {
+					continue
+				}
+				ep := enginePlan{loc: loc, proc: p, prec: prec}
+				if loc == Local {
+					ep.plan = perf.Compile(perf.Exec{Proc: p, Prec: prec}, m)
+					ep.idle = make([]atomic.Uint64, p.Steps)
+				} else {
+					ep.idle = make([]atomic.Uint64, 1)
+				}
+				mp.engines = append(mp.engines, ep)
+			}
+		}
+	}
+	next := *old
+	next.models = make(map[*dnn.Model]*modelPlans, len(old.models)+1)
+	for k, v := range old.models {
+		next.models[k] = v
+	}
+	next.models[m] = mp
+	w.plans.Store(&next)
+	return mp
 }
 
 // NewWorld builds the standard evaluation world around the given phone, with
@@ -314,7 +410,7 @@ func (w *World) Expected(m *dnn.Model, t Target, c Conditions) (Measurement, err
 
 	if t.Location == Local {
 		pen := interfere.PenaltiesFor(c.Load)
-		lat := w.modelLatency(perf.Exec{Proc: proc, Step: t.Step, Prec: t.Prec}, m, pen)
+		lat := w.modelLatency(Local, perf.Exec{Proc: proc, Step: t.Step, Prec: t.Prec}, m, pen)
 		bd, err := power.OnDevice(proc, t.Step, lat, w.Device.PlatformIdleW)
 		if err != nil {
 			return Measurement{}, err
@@ -331,7 +427,7 @@ func (w *World) Expected(m *dnn.Model, t Target, c Conditions) (Measurement, err
 	rssi := c.rssiFor(t.Location)
 	tTX := link.TransferSeconds(m.InputBytes, rssi)
 	tRX := link.TransferSeconds(m.OutputBytes, rssi)
-	remote := w.modelLatency(perf.Exec{Proc: proc, Step: proc.Steps - 1, Prec: t.Prec}, m, perf.NoInterference())
+	remote := w.modelLatency(t.Location, perf.Exec{Proc: proc, Step: proc.Steps - 1, Prec: t.Prec}, m, idlePen)
 	total := tTX + remote + w.serviceOverhead(t.Location) + tRX
 
 	bd, err := power.Offload(link, rssi, tTX, tRX, total, w.Device.PlatformIdleW)
@@ -540,7 +636,7 @@ func (w *World) BestTargetAt(now float64, m *dnn.Model, c Conditions, qosS, accT
 }
 
 func (w *World) bestTarget(m *dnn.Model, c Conditions, qosS, accTarget float64, skip func(Target) bool) (Target, Measurement, error) {
-	targets := w.Targets(m)
+	targets := w.plansFor(m).targets
 	if len(targets) == 0 {
 		return Target{}, Measurement{}, fmt.Errorf("sim: no feasible target for %s", m.Name)
 	}

@@ -6,7 +6,10 @@ import (
 
 	"autoscale/internal/core"
 	"autoscale/internal/dnn"
+	"autoscale/internal/exec"
+	"autoscale/internal/interfere"
 	"autoscale/internal/sim"
+	"autoscale/internal/soc"
 	"autoscale/internal/tracez"
 )
 
@@ -32,6 +35,34 @@ func TestDecideZeroAlloc(t *testing.T) {
 	})
 	if avg != 0 {
 		t.Fatalf("Predict fast path allocates %.2f allocs/op, want 0", avg)
+	}
+}
+
+// TestExecuteLoadedZeroAlloc guards the simulator's loaded path: on a world
+// that has met the model, executing a local target under co-runner load
+// evaluates the compiled roofline and draws its noise without allocating —
+// the case every dynamic environment is in, which the idle memo never sees.
+func TestExecuteLoadedZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates on otherwise alloc-free paths")
+	}
+	w := sim.NewWorld(soc.Mi8Pro(), 1)
+	m := dnn.MustByName("ResNet 50")
+	tgt := sim.Target{Location: sim.Local, Kind: soc.CPU, Step: 11, Prec: dnn.INT8}
+	c := sim.Conditions{Load: interfere.Load{CPUUtil: 0.6, MemUtil: 0.5}, RSSIWLAN: -55, RSSIP2P: -55}
+	root := exec.NewRoot(1)
+	var ctx exec.Context
+	n := uint64(0)
+	run := func() {
+		n++
+		root.Rekey(&ctx, "req", n)
+		if _, err := w.ExecuteCtx(&ctx, m, tgt, c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // compiles the model's plans
+	if avg := testing.AllocsPerRun(1000, run); avg != 0 {
+		t.Fatalf("loaded ExecuteCtx allocates %.2f allocs/op, want 0", avg)
 	}
 }
 
