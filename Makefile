@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race alloc-guard fuzz-fault smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-all profile loc
+.PHONY: build test vet fmt race alloc-guard fuzz-fault smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-check bench-all profile loc
 
 build:
 	$(GO) build ./...
@@ -143,15 +143,21 @@ smoke-traces:
 # over every package (it covers the policy, exec, fault, telemetry, routing,
 # planning, hot-path, supervision and tracing planes — each used to be re-run
 # by a race-* target of its own), the short chaos soak, the allocation
-# guards, the schedule-parser fuzz smoke and the admin, planner, chaos and
-# tracing scrape smokes.
-verify: build fmt vet race chaos-short alloc-guard fuzz-fault smoke-admin smoke-plan smoke-chaos smoke-traces
+# guards, the schedule-parser fuzz smoke, the benchmark harness's own vet and
+# tests, and the admin, planner, chaos and tracing scrape smokes.
+verify: build fmt vet race chaos-short alloc-guard fuzz-fault bench-check smoke-admin smoke-plan smoke-chaos smoke-traces
 
 # The repo benchmark (BENCHMARK.json): six workloads plus the layer ladder,
 # results in bench/out/result.json. bench/README.md documents -append
 # (history) and -compare (old-vs-new with noise bands).
 bench:
 	bash bench/run.sh
+
+# bench/ is its own module, so `go build ./... && go test ./...` at the root
+# never compiles it: an API deletion in internal/ can break the benchmark
+# silently. This vets and tests the harness against the tree as it is.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 bench-all:
 	$(GO) test -bench=. -benchmem

@@ -146,7 +146,7 @@ func TestSaveLoadQTable(t *testing.T) {
 	if err := LoadQTable(e2, path); err != nil {
 		t.Fatal(err)
 	}
-	if len(e2.Agent().States()) != len(e.Agent().States()) {
+	if e2.Agent().NumStates() != e.Agent().NumStates() {
 		t.Error("restored table differs")
 	}
 	if err := LoadQTable(e2, filepath.Join(dir, "missing.json")); err == nil {
@@ -194,7 +194,7 @@ func TestNewTrainedEngineAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Agent().States()) == 0 {
+	if e.Agent().NumStates() == 0 {
 		t.Error("trained engine has no states")
 	}
 }
@@ -275,7 +275,7 @@ func TestFleetProvision(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", dev, err)
 		}
-		if len(e.Agent().States()) == 0 {
+		if e.Agent().NumStates() == 0 {
 			t.Errorf("%s: transferred engine has no states", dev)
 		}
 		m, _ := Model("MobileNet v1")

@@ -166,13 +166,17 @@ func BenchmarkStateKey(b *testing.B) {
 
 // BenchmarkQTableUpdate measures the raw Q-learning update rule.
 func BenchmarkQTableUpdate(b *testing.B) {
-	ag, err := rl.NewAgent(rl.DefaultConfig(), 66)
+	ag, err := rl.NewAgent(rl.DefaultConfig(), 66, core.NewStateSpace())
 	if err != nil {
 		b.Fatal(err)
 	}
+	s, ok := ag.StateIndex("0|1|0|1|0|0|1|1")
+	if !ok {
+		b.Fatal("Table I key not on the grid")
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := ag.Update("0|1|0|1|0|0|1|1", i%66, -42.0, "0|1|0|1|0|0|1|1", nil); err != nil {
+		if err := ag.UpdateIdx(s, i%66, -42.0, s, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

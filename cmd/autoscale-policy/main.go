@@ -127,15 +127,15 @@ func diff(args []string, out io.Writer) error {
 		fmt.Fprintln(out, "\nincompatible tables (config hash or action space differs) — coverage only")
 	}
 
-	agA, err := a.Agent()
+	tblA, err := a.Table()
 	if err != nil {
 		return err
 	}
-	agB, err := b.Agent()
+	tblB, err := b.Table()
 	if err != nil {
 		return err
 	}
-	rowsA, rowsB := agA.Rows(), agB.Rows()
+	rowsA, rowsB := tblA.Q, tblB.Q
 	var onlyA, onlyB, shared, disagree int
 	var maxDelta float64
 	var disagreements []string

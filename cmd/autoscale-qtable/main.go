@@ -120,9 +120,8 @@ func run(device, inPath, modelName string, train int, seed int64) error {
 	}
 
 	ag := engine.Agent()
-	states := ag.States()
 	fmt.Printf("device=%s  states=%d  actions=%d  table=%.1f KB\n\n",
-		device, len(states), ag.NumActions(), float64(ag.MemoryBytes())/1024)
+		device, ag.NumStates(), ag.NumActions(), float64(ag.MemoryBytes())/1024)
 
 	var onlyKey string
 	if modelName != "" {
@@ -137,21 +136,17 @@ func run(device, inPath, modelName string, train int, seed int64) error {
 
 	fmt.Printf("%-18s %-28s %10s %8s\n",
 		"state (Table I)", "greedy action", "Q", "visits")
-	for _, s := range states {
-		key := string(s)
+	// Ascending index is ascending key order on the Table I grid.
+	ag.ForEachMaterialized(func(i int32) {
+		key := string(ag.KeyOf(i))
 		if onlyKey != "" && !strings.HasPrefix(key, onlyKey) {
-			continue
+			return
 		}
-		best := -1
-		bestQ := 0.0
-		for i := 0; i < ag.NumActions(); i++ {
-			if q := ag.Q(s, i); best < 0 || q > bestQ {
-				best, bestQ = i, q
-			}
-		}
+		best, _ := ag.BestActionIdx(i, nil) // materialized row, nil mask: cannot fail
+		bestQ, _ := ag.QIdx(i, best)
 		fmt.Printf("%-18s %-28s %10.1f %8d\n",
-			key, engine.Actions.Describe(best), bestQ, ag.Visits(s))
-	}
+			key, engine.Actions.Describe(best), bestQ, ag.VisitsIdx(i))
+	})
 	fmt.Println("\nkey: SCONV|SFC|SRC|SMAC|SCo_CPU|SCo_MEM|SRSSI_W|SRSSI_P (bin indices per Table I)")
 	return nil
 }

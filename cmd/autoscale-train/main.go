@@ -60,7 +60,7 @@ func run(device, donorDevice, transferPath, outPath string, runs int, seed int64
 		if err := engine.TransferFrom(donor); err != nil {
 			return err
 		}
-		fmt.Printf("transferred Q-table from %s (%d states)\n", donorDevice, len(donor.Agent().States()))
+		fmt.Printf("transferred Q-table from %s (%d states)\n", donorDevice, donor.Agent().NumStates())
 	}
 
 	fmt.Printf("training on %s: %d runs per (model, variance state)...\n", device, runs)
@@ -69,7 +69,7 @@ func run(device, donorDevice, transferPath, outPath string, runs int, seed int64
 	}
 	ag := engine.Agent()
 	fmt.Printf("trained: %d states, %d actions, %.2f KB table\n",
-		len(ag.States()), ag.NumActions(), float64(ag.MemoryBytes())/1024)
+		ag.NumStates(), ag.NumActions(), float64(ag.MemoryBytes())/1024)
 
 	if outPath != "" {
 		if err := autoscale.SaveQTable(engine, outPath); err != nil {

@@ -30,7 +30,7 @@ func ExampleNewEngine() {
 			panic(err)
 		}
 	}
-	fmt.Println(len(engine.Agent().States()) > 0)
+	fmt.Println(engine.Agent().NumStates() > 0)
 	// Output: true
 }
 
@@ -90,7 +90,7 @@ func ExampleNewFleet() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(len(engine.Agent().States()) > 0)
+	fmt.Println(engine.Agent().NumStates() > 0)
 	// Output: true
 }
 

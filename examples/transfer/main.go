@@ -62,11 +62,12 @@ func converge(engine *autoscale.Engine, model *autoscale.DNNModel, env *autoscal
 		if err != nil {
 			log.Fatal(err)
 		}
-		best, err := engine.Agent().BestAction(d.State, engine.Actions.Mask(model))
+		best, err := engine.Agent().BestActionIdx(d.StateIdx, engine.Actions.Mask(model))
 		if err != nil {
 			log.Fatal(err)
 		}
-		buf = append(buf, engine.Agent().Q(d.State, best))
+		q, _ := engine.Agent().QIdx(d.StateIdx, best)
+		buf = append(buf, q)
 		if len(buf) > window {
 			buf = buf[len(buf)-window:]
 		}

@@ -12,14 +12,6 @@ type (
 	// ExecContext derives named RNG streams, shares a virtual clock, and
 	// carries observation hooks.
 	ExecContext = exec.Context
-	// ExecRand is a deterministic RNG stream derived by name.
-	ExecRand = exec.Rand
-	// ExecClock is the virtual clock shared by a context tree.
-	ExecClock = exec.Clock
-	// ExecEvent is an observation emitted by instrumented components.
-	ExecEvent = exec.Event
-	// ExecHook receives ExecEvents.
-	ExecHook = exec.Hook
 )
 
 // NewExecContext creates a root execution context from a seed. Use Child to

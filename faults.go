@@ -15,63 +15,21 @@ import (
 type (
 	// FaultSchedule is a declarative list of fault specs, loadable from JSON.
 	FaultSchedule = fault.Schedule
-	// FaultSpec describes one fault: its kind, where it applies, and when.
-	FaultSpec = fault.Spec
-	// FaultKind names a fault class (outage, rssi_ramp, queue_spike,
-	// thermal, worker_crash, checkpoint_corrupt).
-	FaultKind = fault.Kind
 	// FaultInjector is a compiled, immutable schedule answering point-in-time
 	// queries ("is the cloud down at t=3.2s?"). Safe for concurrent use; a
 	// nil injector is inert.
 	FaultInjector = fault.Injector
-	// FaultEvent is a compiled one-shot event (crash or corruption drill)
-	// targeted at a device.
-	FaultEvent = fault.Event
 )
 
-// Fault kinds.
-const (
-	FaultOutage            = fault.KindOutage
-	FaultRSSIRamp          = fault.KindRSSIRamp
-	FaultQueueSpike        = fault.KindQueueSpike
-	FaultThermal           = fault.KindThermal
-	FaultWorkerCrash       = fault.KindWorkerCrash
-	FaultCheckpointCorrupt = fault.KindCheckpointCorrupt
-	FaultShardCrash        = fault.KindShardCrash
-	FaultLoadSurge         = fault.KindLoadSurge
-	FaultGrayDegrade       = fault.KindGrayDegrade
-	FaultCheckpointIO      = fault.KindCheckpointIO
-	FaultSyncPartition     = fault.KindSyncPartition
-)
-
-// Checkpoint-store I/O fault modes (FaultCheckpointIO specs).
+// Checkpoint-store I/O fault modes (checkpoint_io specs).
 const (
 	FaultIOWriteFail = fault.IOWriteFail
 	FaultIOSlowFsync = fault.IOSlowFsync
 	FaultIODiskFull  = fault.IODiskFull
 )
 
-// Fault sites and links.
-const (
-	FaultSiteCloud     = fault.SiteCloud
-	FaultSiteConnected = fault.SiteConnected
-	FaultLinkWLAN      = fault.LinkWLAN
-	FaultLinkP2P       = fault.LinkP2P
-)
-
-// ParseFaultSchedule decodes and validates a JSON fault schedule.
-func ParseFaultSchedule(data []byte) (*FaultSchedule, error) { return fault.Parse(data) }
-
 // LoadFaultSchedule reads and validates a JSON fault schedule file.
 func LoadFaultSchedule(path string) (*FaultSchedule, error) { return fault.Load(path) }
-
-// NewFaultInjector compiles a schedule into an injector whose Markov outage
-// windows are drawn from ctx's named streams. A nil schedule yields a nil —
-// inert — injector. Panics if the schedule fails validation; call
-// (*FaultSchedule).Validate first for untrusted input.
-func NewFaultInjector(s *FaultSchedule, ctx *ExecContext) *FaultInjector {
-	return fault.New(s, ctx)
-}
 
 // CompileFaultSchedule is the common one-liner: derive the canonical "faults"
 // child context from seed and compile the schedule against it, matching what

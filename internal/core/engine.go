@@ -75,7 +75,10 @@ func (a Algorithm) String() string {
 // Decision records one engine step: what was observed, chosen, measured and
 // learned.
 type Decision struct {
+	// State is the rendered key of StateIdx, the dense index the agent's
+	// table is addressed by.
 	State       rl.State
+	StateIdx    int32
 	ActionIndex int
 	Target      sim.Target
 	Measurement sim.Measurement
@@ -169,23 +172,33 @@ func NewEngine(w *sim.World, cfg Config) (*Engine, error) {
 		est:     NewEnergyEstimator(cfg.EnergyMAPE, cfg.Seed),
 		root:    exec.NewRoot(cfg.Seed).Child("engine"),
 	}
-	// The agent interns states on the engine's own grid, so the whole
-	// decide path runs on dense indices.
-	if cfg.Algorithm == AlgorithmSARSA {
-		sarsa, err := rl.NewSarsaAgentInterned(cfg.RL, actions.Len(), states)
-		if err != nil {
-			return nil, err
-		}
-		e.sarsa = sarsa
-		e.agent.Store(sarsa.Agent)
-	} else {
-		agent, err := rl.NewAgentInterned(cfg.RL, actions.Len(), states)
-		if err != nil {
-			return nil, err
-		}
-		e.agent.Store(agent)
+	if err := e.freshAgentLocked(); err != nil {
+		return nil, err
 	}
 	return e, nil
+}
+
+// freshAgentLocked installs an untrained agent on the engine's own state
+// grid, wrapped for SARSA when that is the configured rule. Caller holds mu
+// (or is the constructor).
+func (e *Engine) freshAgentLocked() error {
+	agent, err := rl.NewAgent(e.cfg.RL, e.Actions.Len(), e.States)
+	if err != nil {
+		return err
+	}
+	e.installAgentLocked(agent)
+	return nil
+}
+
+// installAgentLocked publishes agent as the engine's table, keeping the
+// configured update rule and dropping any staged update. Caller holds mu.
+func (e *Engine) installAgentLocked(agent *rl.Agent) {
+	e.sarsa = nil
+	if e.cfg.Algorithm == AlgorithmSARSA {
+		e.sarsa = &rl.SarsaAgent{Agent: agent}
+	}
+	e.agent.Store(agent)
+	e.hasPending = false
 }
 
 // Agent exposes the underlying Q-learning agent (for persistence, transfer
@@ -347,6 +360,7 @@ func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow f
 
 	return Decision{
 		State:            e.States.KeyOf(sIdx),
+		StateIdx:         sIdx,
 		ActionIndex:      idx,
 		Target:           target,
 		Measurement:      meas,
@@ -394,22 +408,9 @@ func (e *Engine) AdvanceTo(t float64) {
 func (e *Engine) Reset() error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.cfg.Algorithm == AlgorithmSARSA {
-		sarsa, err := rl.NewSarsaAgentInterned(e.cfg.RL, e.Actions.Len(), e.States)
-		if err != nil {
-			return err
-		}
-		e.sarsa = sarsa
-		e.agent.Store(sarsa.Agent)
-	} else {
-		agent, err := rl.NewAgentInterned(e.cfg.RL, e.Actions.Len(), e.States)
-		if err != nil {
-			return err
-		}
-		e.agent.Store(agent)
-		e.sarsa = nil
+	if err := e.freshAgentLocked(); err != nil {
+		return err
 	}
-	e.hasPending = false
 	e.rewards = nil
 	e.rewardIdx, e.rewardN = 0, 0
 	return nil
@@ -442,7 +443,8 @@ func (e *Engine) Freeze() {
 // differ (other DVFS ladders, missing co-processors): each local action maps
 // to the donor action with the same location/kind/precision and the nearest
 // relative DVFS position; actions with no donor counterpart keep their local
-// initialization.
+// initialization. Donor rows are imported in ascending state index, so the
+// result is a function of the two engines' seeds alone.
 func (e *Engine) TransferFrom(donor *Engine) error {
 	if donor == nil {
 		return errors.New("core: nil donor engine")
@@ -488,16 +490,14 @@ func donorActionFor(t sim.Target, dst, donor *Engine) int {
 func (e *Engine) SnapshotQTable() ([]byte, error) { return e.Agent().Snapshot() }
 
 // RestoreQTable replaces the engine's agent with one restored from a
-// snapshot; the action-space size must match. A restore replaces the table,
-// not the mode: a Freeze()d engine stays frozen, and the engine keeps its
-// configured update rule (a SARSA engine re-wraps the restored table instead
-// of silently falling back to Q-learning).
+// snapshot onto this engine's state grid; the action-space size must match
+// and every key must be one the grid renders (a table from a foreign state
+// space is refused by name, and the current table stays in place). A restore
+// replaces the table, not the mode: a Freeze()d engine stays frozen, and the
+// engine keeps its configured update rule (a SARSA engine re-wraps the
+// restored table instead of silently falling back to Q-learning).
 func (e *Engine) RestoreQTable(data []byte) error {
-	// Re-home the snapshot onto this engine's state grid: keys the grid can
-	// render land on their dense indices (keeping the zero-alloc decide
-	// path); keys from a foreign state space go to the agent's overflow
-	// interner and keep working through the string API.
-	ag, err := rl.RestoreInterned(data, e.States)
+	ag, err := rl.Restore(data, e.States)
 	if err != nil {
 		return err
 	}
@@ -509,11 +509,6 @@ func (e *Engine) RestoreQTable(data []byte) error {
 	if e.agent.Load().Frozen() {
 		ag.Freeze()
 	}
-	e.agent.Store(ag)
-	e.sarsa = nil
-	if e.cfg.Algorithm == AlgorithmSARSA {
-		e.sarsa = &rl.SarsaAgent{Agent: ag}
-	}
-	e.hasPending = false
+	e.installAgentLocked(ag)
 	return nil
 }

@@ -173,8 +173,11 @@ func TestEngineRunInference(t *testing.T) {
 	if d.EstimatedEnergyJ <= 0 {
 		t.Error("Renergy estimate missing")
 	}
-	if !e.Agent().HasState(d.State) {
+	if !e.Agent().HasStateIdx(d.StateIdx) {
 		t.Error("state not materialized")
+	}
+	if d.State != e.States.KeyOf(d.StateIdx) || d.State != e.ObserveState(m, strongCond()) {
+		t.Errorf("decision state %q is not the rendered key of index %d", d.State, d.StateIdx)
 	}
 }
 
@@ -246,10 +249,10 @@ func TestEngineFreeze(t *testing.T) {
 		}
 	}
 	e.Freeze()
-	s := e.ObserveState(m, strongCond())
+	s := e.States.Index(ObservationOf(m, strongCond()))
 	before := make([]float64, e.Actions.Len())
 	for i := range before {
-		before[i] = e.Agent().Q(s, i)
+		before[i], _ = e.Agent().QIdx(s, i)
 	}
 	for i := 0; i < 20; i++ {
 		if _, err := e.RunInference(m, strongCond()); err != nil {
@@ -257,7 +260,7 @@ func TestEngineFreeze(t *testing.T) {
 		}
 	}
 	for i := range before {
-		if e.Agent().Q(s, i) != before[i] {
+		if q, ok := e.Agent().QIdx(s, i); !ok || q != before[i] {
 			t.Fatal("frozen engine must not learn")
 		}
 	}
@@ -295,12 +298,12 @@ func TestEngineSnapshotRestore(t *testing.T) {
 	if err := e2.RestoreQTable(data); err != nil {
 		t.Fatal(err)
 	}
-	s := e.ObserveState(m, strongCond())
-	a1, err := e.Agent().BestAction(s, e.Actions.Mask(m))
+	s := e.States.Index(ObservationOf(m, strongCond()))
+	a1, err := e.Agent().BestActionIdx(s, e.Actions.Mask(m))
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2, err := e2.Agent().BestAction(s, e2.Actions.Mask(m))
+	a2, err := e2.Agent().BestActionIdx(s, e2.Actions.Mask(m))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,13 +336,12 @@ func TestEngineTransferAcrossDevices(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The donor's visited states must now exist in the recipient.
-	if len(moto.Agent().States()) == 0 {
+	if moto.Agent().NumStates() == 0 {
 		t.Error("transfer produced no states")
 	}
 	// And the transferred knowledge should point off the CPU-FP32 action
 	// for Inception v1 (the donor learned DSP/co-processor execution).
-	s := moto.ObserveState(m, strongCond())
-	if !moto.Agent().HasState(s) {
+	if !moto.Agent().HasStateIdx(moto.States.Index(ObservationOf(m, strongCond()))) {
 		t.Fatal("donor state missing after transfer")
 	}
 	if err := moto.TransferFrom(nil); err == nil {
@@ -356,16 +358,16 @@ func TestSeedIfUnseenPrefersSameModel(t *testing.T) {
 		e.RunInference(m, reg)
 	}
 	e.Flush()
-	sReg := e.ObserveState(m, reg)
-	best, err := e.Agent().BestAction(sReg, e.Actions.Mask(m))
+	sReg := e.States.Index(ObservationOf(m, reg))
+	best, err := e.Agent().BestActionIdx(sReg, e.Actions.Mask(m))
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A new weak-signal state must seed from the same model's regular
 	// state: the initial greedy action matches the learned one.
 	weak := sim.Conditions{RSSIWLAN: -90, RSSIP2P: -55}
-	sWeak := e.ObserveState(m, weak)
-	if e.Agent().HasState(sWeak) {
+	sWeak := e.States.Index(ObservationOf(m, weak))
+	if e.Agent().HasStateIdx(sWeak) {
 		t.Fatal("weak state unexpectedly trained")
 	}
 	tgt, err := e.Predict(m, weak)
@@ -482,5 +484,57 @@ func TestDonorActionMapping(t *testing.T) {
 	mi8CPU := donor.World.Device.Processor(soc.CPU)
 	if mapped.Step != mi8CPU.Steps-1 {
 		t.Errorf("top step mapped to donor step %d, want %d", mapped.Step, mi8CPU.Steps-1)
+	}
+}
+
+// TestTransferDeterministicWithUnmappedActions: when a local action has no
+// donor counterpart it keeps its local initialization, which is drawn from
+// the recipient's RNG as each donor row arrives — so the order rows arrive in
+// is part of the result. Rows are imported in ascending state index, making
+// the transferred table a function of the seeds alone; a walk in Go's map
+// iteration order fails this test. Moto X Force -> Mi 8 Pro leaves one of the
+// 66 local actions unmapped.
+func TestTransferDeterministicWithUnmappedActions(t *testing.T) {
+	transfer := func() []byte {
+		donor, err := NewEngine(sim.NewWorld(soc.MotoXForce(), 2), DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		env, err := sim.NewEnvironment(sim.EnvD4, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, zoo := 0, dnn.Zoo(); i < 60; i++ {
+			if _, err := donor.RunInference(zoo[i%3], env.Sample()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if donor.Agent().NumStates() < 5 {
+			t.Fatalf("donor has %d states; the order of several rows is the point", donor.Agent().NumStates())
+		}
+		dst := newTestEngine(t)
+		unmapped := 0
+		for i := 0; i < dst.Actions.Len(); i++ {
+			if donorActionFor(dst.Actions.Target(i), dst, donor) < 0 {
+				unmapped++
+			}
+		}
+		if unmapped == 0 {
+			t.Fatal("every local action has a donor counterpart; pick another device pair")
+		}
+		if err := dst.TransferFrom(donor); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := dst.SnapshotQTable()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	first := transfer()
+	for run := 2; run <= 5; run++ {
+		if got := transfer(); string(got) != string(first) {
+			t.Fatalf("run %d transferred a different table than run 1", run)
+		}
 	}
 }

@@ -164,7 +164,7 @@ func TestEngineConcurrentServices(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if len(e.Agent().States()) == 0 {
+	if e.Agent().NumStates() == 0 {
 		t.Error("no states learned")
 	}
 }

@@ -73,11 +73,12 @@ func (e *Engine) Health() Health {
 		h.Coverage = float64(h.States) / float64(h.StateSpaceSize)
 	}
 
-	visits := agent.VisitCounts()
-	counts := make([]int, 0, len(visits))
-	for _, n := range visits {
-		h.TotalVisits += n
-		counts = append(counts, n)
+	counts := make([]int, 0, h.States)
+	for i := 0; i < h.StateSpaceSize; i++ {
+		if n := agent.VisitsIdx(int32(i)); n > 0 {
+			h.TotalVisits += n
+			counts = append(counts, n)
+		}
 	}
 	h.MaxVisits = obs.MaxCount(counts)
 	h.VisitEntropy = obs.Entropy(counts)

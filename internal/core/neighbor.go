@@ -1,11 +1,6 @@
 package core
 
-import (
-	"strconv"
-	"strings"
-
-	"autoscale/internal/rl"
-)
+import "autoscale/internal/rl"
 
 // State-lattice generalization. Tabular Q-learning has no notion of state
 // similarity, yet the paper's leave-one-out evaluation tests each network
@@ -17,28 +12,6 @@ import (
 // feature lattice (exact match required on the runtime-variance features
 // when possible, smallest bin distance on the NN features). Online learning
 // then refines the seeded row. DESIGN.md documents this substitution.
-
-// parseKey splits a state key into per-feature bin indices; disabled
-// features ("*") parse as -1.
-func parseKey(s rl.State) ([NumFeatures]int, bool) {
-	var bins [NumFeatures]int
-	parts := strings.Split(string(s), "|")
-	if len(parts) != NumFeatures {
-		return bins, false
-	}
-	for i, p := range parts {
-		if p == "*" {
-			bins[i] = -1
-			continue
-		}
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return bins, false
-		}
-		bins[i] = v
-	}
-	return bins, true
-}
 
 // nnWeight makes mismatches on NN features much more expensive than
 // runtime-variance mismatches: a state of the *same network* under different
@@ -69,8 +42,9 @@ func stateDistance(a, b [NumFeatures]int) int {
 // seedIfUnseenIdx seeds the Q row of the state at dense index i from the
 // nearest visited state. It is a no-op when the state already has a row or
 // no other state exists. The scan walks materialized states in ascending
-// index order — for grid-interned states the same order the map-backed table
-// produced by sorting string keys, so the first-wins tie-break is preserved.
+// index order — the same order the map-backed table produced by sorting
+// string keys, so the first-wins tie-break is preserved. The agent's table
+// is the engine's own grid, so every index decodes.
 func (e *Engine) seedIfUnseenIdx(ag *rl.Agent, i int32) {
 	if ag.HasStateIdx(i) {
 		return
@@ -83,22 +57,14 @@ func (e *Engine) seedIfUnseenIdx(ag *rl.Agent, i int32) {
 	var best int32
 	ag.ForEachMaterialized(func(j int32) {
 		var cb [NumFeatures]int
-		if !e.States.BinsOf(j, &cb) {
-			// Overflow index: a state restored from a foreign grid.
-			// Fall back to parsing its key.
-			pb, ok := parseKey(ag.KeyOf(j))
-			if !ok {
-				return
-			}
-			cb = pb
-		}
+		e.States.BinsOf(j, &cb)
 		d := int64(stateDistance(target, cb))
 		if bestDist < 0 || d < bestDist {
 			bestDist, best = d, j
 		}
 	})
 	if bestDist >= 0 {
-		// Both indices are interned, so the copy cannot fail.
+		// Both indices are on the grid, so the copy cannot fail.
 		_ = ag.CopyRowIdx(i, best)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"autoscale/internal/cluster"
 	"autoscale/internal/dnn"
 	"autoscale/internal/interfere"
+	"autoscale/internal/rl"
 	"autoscale/internal/sim"
 )
 
@@ -178,27 +179,34 @@ func TestKeyBinsInRangeProperty(t *testing.T) {
 	}
 }
 
-func TestParseKeyRoundTrip(t *testing.T) {
+// binsOfKey is the key -> bins reading the neighbour scan relies on: Lookup to
+// the dense index, BinsOf to the per-feature bins.
+func binsOfKey(s *StateSpace, key rl.State) (bins [NumFeatures]int, ok bool) {
+	i, ok := s.Lookup(key)
+	return bins, ok && s.BinsOf(i, &bins)
+}
+
+func TestKeyBinsRoundTrip(t *testing.T) {
 	s := NewStateSpace()
 	key := s.Key(Observation{NumConv: 49, NumFC: 1, MACs: 1.43e9, RSSIW: -55, RSSIP: -55})
-	bins, ok := parseKey(key)
+	bins, ok := binsOfKey(s, key)
 	if !ok {
-		t.Fatal("parseKey failed on a generated key")
+		t.Fatal("a generated key must look up")
 	}
 	if bins[FeatConv] != 1 || bins[FeatMAC] != 1 {
-		t.Errorf("parsed bins = %v", bins)
+		t.Errorf("decoded bins = %v", bins)
 	}
-	if _, ok := parseKey("bogus"); ok {
-		t.Error("malformed key must not parse")
+	if _, ok := binsOfKey(s, "bogus"); ok {
+		t.Error("malformed key must not look up")
 	}
-	if _, ok := parseKey("a|b|c|d|e|f|g|h"); ok {
-		t.Error("non-numeric key must not parse")
+	if _, ok := binsOfKey(s, "a|b|c|d|e|f|g|h"); ok {
+		t.Error("non-numeric key must not look up")
 	}
-	// Disabled features parse as -1.
+	// Disabled features decode as -1.
 	abl := NewStateSpace().Disable(FeatConv)
-	bins, ok = parseKey(abl.Key(Observation{}))
+	bins, ok = binsOfKey(abl, abl.Key(Observation{}))
 	if !ok || bins[FeatConv] != -1 {
-		t.Error("ablated key parse broken")
+		t.Error("ablated key decode broken")
 	}
 }
 
@@ -226,7 +234,7 @@ func TestStateDistance(t *testing.T) {
 
 func TestSlowKeyForManyBins(t *testing.T) {
 	// A custom discretizer with more than ten bins exercises the slow key
-	// path; generated keys must still parse.
+	// path; generated keys must still look up.
 	s := NewStateSpace()
 	cuts := make([]float64, 12)
 	for i := range cuts {
@@ -237,8 +245,8 @@ func TestSlowKeyForManyBins(t *testing.T) {
 	if !strings.Contains(string(key), "12") {
 		t.Errorf("slow key = %q, want bin 12", key)
 	}
-	bins, ok := parseKey(key)
+	bins, ok := binsOfKey(s, key)
 	if !ok || bins[FeatConv] != 12 {
-		t.Errorf("slow key parse = %v, %v", bins, ok)
+		t.Errorf("slow key decode = %v, %v", bins, ok)
 	}
 }

@@ -195,7 +195,7 @@ func TestTrainEngineAndPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Agent().States()) == 0 {
+	if e.Agent().NumStates() == 0 {
 		t.Error("training materialized no states")
 	}
 	pol := &AutoScalePolicy{Engine: e}

@@ -135,7 +135,7 @@ func convergenceRuns(w *sim.World, donor *core.Engine, models []*dnn.Model, tran
 			if err != nil {
 				return 0, err
 			}
-			best, err := e.Agent().BestAction(d.State, mask)
+			best, err := e.Agent().BestActionIdx(d.StateIdx, mask)
 			if err != nil {
 				return 0, err
 			}

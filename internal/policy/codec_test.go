@@ -10,15 +10,23 @@ import (
 	"autoscale/internal/rl"
 )
 
-// testSnapshot builds a raw rl snapshot with the given rows and visits.
+// testSnapshot builds a raw rl snapshot with the given rows and visits (a row
+// without a visit entry counts one visit). The policy plane never puts a
+// table on a state grid, so the keys are free-form.
 func testSnapshot(t testing.TB, actions int, q map[rl.State][]float64, visits map[rl.State]int) []byte {
 	t.Helper()
-	ag, err := rl.NewAgentFromTable(rl.DefaultConfig(), actions, q, visits)
+	tbl := rl.Table{Config: rl.DefaultConfig(), Actions: actions, Q: q, Visits: map[rl.State]int{}}
+	for s := range q {
+		tbl.Visits[s] = 1
+		if n, ok := visits[s]; ok {
+			tbl.Visits[s] = n
+		}
+	}
+	data, err := tbl.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := ag.Snapshot()
-	if err != nil {
+	if _, err := rl.DecodeTable(data); err != nil {
 		t.Fatal(err)
 	}
 	return data
@@ -54,14 +62,14 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got.Actions != 3 || got.States != 2 || got.Meta.TotalVisits() != 7 {
 		t.Fatalf("meta counts wrong: %+v", got.Meta)
 	}
-	ag, err := got.Agent()
+	tbl, err := got.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q := ag.Q("s1", 2); q != 3 {
+	if q := tbl.Q["s1"][2]; q != 3 {
 		t.Fatalf("payload Q(s1,2) = %v, want 3", q)
 	}
-	if v := ag.Visits("s2"); v != 2 {
+	if v := tbl.Visits["s2"]; v != 2 {
 		t.Fatalf("payload visits(s2) = %d, want 2", v)
 	}
 }
@@ -177,15 +185,15 @@ func FuzzDecode(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// A successful decode must yield a restorable agent that matches
-		// its own metadata.
-		ag, err := ck.Agent()
+		// A successful decode must yield a valid table that matches its own
+		// metadata.
+		tbl, err := ck.Table()
 		if err != nil {
-			t.Fatalf("Decode accepted a checkpoint with unrestorable payload: %v", err)
+			t.Fatalf("Decode accepted a checkpoint with an invalid payload: %v", err)
 		}
-		if ag.NumActions() != ck.Actions {
+		if tbl.Actions != ck.Actions {
 			t.Fatalf("Decode accepted mismatched action counts: meta %d, payload %d",
-				ck.Actions, ag.NumActions())
+				ck.Actions, tbl.Actions)
 		}
 	})
 }

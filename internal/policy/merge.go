@@ -28,7 +28,7 @@ func Merge(cks []*Checkpoint) (*Checkpoint, error) {
 		return nil, fmt.Errorf("policy: merge needs at least one checkpoint")
 	}
 	hash, actions := cks[0].ConfigHash, cks[0].Actions
-	agents := make([]*rl.Agent, len(cks))
+	tables := make([]rl.Table, len(cks))
 	for i, ck := range cks {
 		if ck.ConfigHash != hash {
 			return nil, fmt.Errorf("policy: merge: %s has config hash %s, group has %s",
@@ -38,11 +38,11 @@ func Merge(cks []*Checkpoint) (*Checkpoint, error) {
 			return nil, fmt.Errorf("policy: merge: %s has %d actions, group has %d",
 				ck.Device, ck.Actions, actions)
 		}
-		ag, err := ck.Agent()
+		tbl, err := ck.Table()
 		if err != nil {
 			return nil, fmt.Errorf("policy: merge: %s: %w", ck.Device, err)
 		}
-		agents[i] = ag
+		tables[i] = tbl
 	}
 
 	type contribution struct {
@@ -51,10 +51,9 @@ func Merge(cks []*Checkpoint) (*Checkpoint, error) {
 		visits int
 	}
 	byState := make(map[rl.State][]contribution)
-	for _, ag := range agents {
-		visits := ag.VisitCounts()
-		for s, row := range ag.Rows() {
-			n := visits[s]
+	for _, tbl := range tables {
+		for s, row := range tbl.Q {
+			n := tbl.Visits[s]
 			w := float64(n)
 			if w <= 0 {
 				w = 1
@@ -63,8 +62,12 @@ func Merge(cks []*Checkpoint) (*Checkpoint, error) {
 		}
 	}
 
-	mergedQ := make(map[rl.State][]float64, len(byState))
-	mergedVisits := make(map[rl.State]int, len(byState))
+	merged := rl.Table{
+		Config:  tables[0].Config,
+		Actions: actions,
+		Q:       make(map[rl.State][]float64, len(byState)),
+		Visits:  make(map[rl.State]int, len(byState)),
+	}
 	for s, contribs := range byState {
 		row := make([]float64, actions)
 		totalW, totalN := 0.0, 0
@@ -78,15 +81,11 @@ func Merge(cks []*Checkpoint) (*Checkpoint, error) {
 				row[i] += f * q
 			}
 		}
-		mergedQ[s] = row
-		mergedVisits[s] = totalN
+		merged.Q[s] = row
+		merged.Visits[s] = totalN
 	}
 
-	merged, err := rl.NewAgentFromTable(agents[0].Config(), actions, mergedQ, mergedVisits)
-	if err != nil {
-		return nil, fmt.Errorf("policy: merge: %w", err)
-	}
-	snapshot, err := merged.Snapshot()
+	snapshot, err := merged.Encode()
 	if err != nil {
 		return nil, fmt.Errorf("policy: merge: %w", err)
 	}

@@ -40,25 +40,25 @@ func TestMergeWeightsByVisits(t *testing.T) {
 	if !reflect.DeepEqual(merged.Sources, []string{"edge-a", "edge-b"}) {
 		t.Fatalf("sources: %v", merged.Sources)
 	}
-	ag, err := merged.Agent()
+	tbl, err := merged.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// shared: (3*1 + 1*5)/4 = 2, (3*10 + 1*20)/4 = 12.5; visits sum to 4.
-	if q := ag.Q("shared", 0); math.Abs(q-2.0) > 1e-12 {
+	if q := tbl.Q["shared"][0]; math.Abs(q-2.0) > 1e-12 {
 		t.Errorf("merged Q(shared,0) = %v, want 2", q)
 	}
-	if q := ag.Q("shared", 1); math.Abs(q-12.5) > 1e-12 {
+	if q := tbl.Q["shared"][1]; math.Abs(q-12.5) > 1e-12 {
 		t.Errorf("merged Q(shared,1) = %v, want 12.5", q)
 	}
-	if v := ag.Visits("shared"); v != 4 {
+	if v := tbl.Visits["shared"]; v != 4 {
 		t.Errorf("merged visits(shared) = %d, want 4", v)
 	}
 	// only-a passes through unchanged.
-	if q := ag.Q("only-a", 1); q != 8.0 {
+	if q := tbl.Q["only-a"][1]; q != 8.0 {
 		t.Errorf("pass-through Q(only-a,1) = %v, want 8", q)
 	}
-	if v := ag.Visits("only-a"); v != 4 {
+	if v := tbl.Visits["only-a"]; v != 4 {
 		t.Errorf("pass-through visits(only-a) = %d, want 4", v)
 	}
 }
@@ -75,11 +75,11 @@ func TestMergeZeroVisitRowsWeighAsOne(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, err := merged.Agent()
+	tbl, err := merged.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q := ag.Q("s", 0); math.Abs(q-3.0) > 1e-12 {
+	if q := tbl.Q["s"][0]; math.Abs(q-3.0) > 1e-12 {
 		t.Fatalf("equal-weight merge Q = %v, want 3", q)
 	}
 }
@@ -120,15 +120,15 @@ func TestMergeIterated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, err := all.Agent()
+	tbl, err := all.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// (2*0 + 2*6)/4 = 3 — identical to merging a, b, c in one shot.
-	if q := ag.Q("s", 0); math.Abs(q-3.0) > 1e-12 {
+	if q := tbl.Q["s"][0]; math.Abs(q-3.0) > 1e-12 {
 		t.Fatalf("iterated merge Q = %v, want 3", q)
 	}
-	if v := ag.Visits("s"); v != 4 {
+	if v := tbl.Visits["s"]; v != 4 {
 		t.Fatalf("iterated merge visits = %d, want 4", v)
 	}
 }

@@ -88,7 +88,7 @@ func (m Meta) TotalVisits() int {
 // rl agent snapshot payload.
 type Checkpoint struct {
 	Meta
-	// Snapshot is the rl.Agent snapshot (Q-table, visit counts, config).
+	// Snapshot is the encoded rl.Table (Q-table, visit counts, config).
 	Snapshot []byte
 }
 
@@ -98,28 +98,30 @@ func NewCheckpoint(device, configHash string, snapshot []byte) (*Checkpoint, err
 	if device == "" {
 		return nil, errors.New("policy: checkpoint needs a device name")
 	}
-	ag, err := rl.Restore(snapshot)
+	tbl, err := rl.DecodeTable(snapshot)
 	if err != nil {
 		return nil, fmt.Errorf("policy: invalid snapshot for %s: %w", device, err)
 	}
-	visits := make(map[string]int)
-	for s, n := range ag.VisitCounts() {
+	visits := make(map[string]int, len(tbl.Visits))
+	for s, n := range tbl.Visits {
 		visits[string(s)] = n
 	}
 	return &Checkpoint{
 		Meta: Meta{
 			Device:     device,
 			ConfigHash: configHash,
-			Actions:    ag.NumActions(),
-			States:     len(ag.States()),
+			Actions:    tbl.Actions,
+			States:     len(tbl.Q),
 			Visits:     visits,
 		},
 		Snapshot: snapshot,
 	}, nil
 }
 
-// Agent decodes the checkpoint's payload into a live rl agent.
-func (c *Checkpoint) Agent() (*rl.Agent, error) { return rl.Restore(c.Snapshot) }
+// Table decodes and validates the checkpoint's payload as plain data — the
+// policy plane reads, merges and diffs tables without building an agent;
+// only an engine's RestoreQTable puts one on a state grid.
+func (c *Checkpoint) Table() (rl.Table, error) { return rl.DecodeTable(c.Snapshot) }
 
 // FleetDevice is the reserved store device name under which the merged
 // policy for one compatibility group (config hash) is filed. It starts with

@@ -33,11 +33,11 @@ func ckWithQ(t testing.TB, device string, q float64) *Checkpoint {
 
 func qOf(t testing.TB, ck *Checkpoint) float64 {
 	t.Helper()
-	ag, err := ck.Agent()
+	tbl, err := ck.Table()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ag.Q("s", 0)
+	return tbl.Q["s"][0]
 }
 
 func TestStoreSaveNextAndLatest(t *testing.T) {

@@ -6,15 +6,12 @@ import (
 )
 
 func TestTDErrorEMATracksConvergence(t *testing.T) {
-	ag, err := NewAgent(Config{LearningRate: 0.9, Discount: 0, Epsilon: 0, InitLo: 0, InitHi: 0, Seed: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ag := newTestAgent(t, zeroInit(0.9, 0), 2)
 	if ema, n := ag.TDErrorEMA(); ema != 0 || n != 0 {
 		t.Fatalf("fresh agent EMA = (%v, %d)", ema, n)
 	}
 	// First update: Q=0, reward=1 -> |delta|=1 seeds the EMA exactly.
-	if err := ag.Update("s", 0, 1, "s", nil); err != nil {
+	if err := ag.UpdateIdx(s, 0, 1, s, nil); err != nil {
 		t.Fatal(err)
 	}
 	ema, n := ag.TDErrorEMA()
@@ -24,7 +21,7 @@ func TestTDErrorEMATracksConvergence(t *testing.T) {
 	// Repeated identical updates converge Q toward the reward, so the EMA
 	// must decay toward zero.
 	for i := 0; i < 200; i++ {
-		if err := ag.Update("s", 0, 1, "s", nil); err != nil {
+		if err := ag.UpdateIdx(s, 0, 1, s, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -38,23 +35,17 @@ func TestTDErrorEMATracksConvergence(t *testing.T) {
 }
 
 func TestTDErrorEMASkipsFrozenAndSarsaFeedsIt(t *testing.T) {
-	ag, err := NewAgent(DefaultConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ag := newTestAgent(t, DefaultConfig(), 2)
 	ag.Freeze()
-	if err := ag.Update("s", 0, 5, "s", nil); err != nil {
+	if err := ag.UpdateIdx(s, 0, 5, s, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, n := ag.TDErrorEMA(); n != 0 {
 		t.Fatalf("frozen update fed the EMA (%d samples)", n)
 	}
 
-	sa, err := NewSarsaAgent(Config{LearningRate: 0.5, Discount: 0, Epsilon: 0, InitLo: 0, InitHi: 0, Seed: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sa.UpdateSarsa("s", 0, 2, "s", 1); err != nil {
+	sa := &SarsaAgent{Agent: newTestAgent(t, zeroInit(0.5, 0), 2)}
+	if err := sa.UpdateSarsaIdx(s, 0, 2, s, 1); err != nil {
 		t.Fatal(err)
 	}
 	ema, n := sa.TDErrorEMA()
@@ -64,13 +55,10 @@ func TestTDErrorEMASkipsFrozenAndSarsaFeedsIt(t *testing.T) {
 }
 
 func TestExplorationStats(t *testing.T) {
-	ag, err := NewAgent(Config{LearningRate: 0.9, Discount: 0.1, Epsilon: 0.5, InitLo: -1, InitHi: 1, Seed: 7}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ag := newTestAgent(t, Config{LearningRate: 0.9, Discount: 0.1, Epsilon: 0.5, InitLo: -1, InitHi: 1, Seed: 7}, 3)
 	const n = 2000
 	for i := 0; i < n; i++ {
-		if _, err := ag.SelectAction("s", nil); err != nil {
+		if _, err := ag.SelectActionIdx(s, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -85,7 +73,7 @@ func TestExplorationStats(t *testing.T) {
 	// Frozen agents stop exploring but keep counting selections.
 	ag.Freeze()
 	for i := 0; i < 100; i++ {
-		if _, err := ag.SelectAction("s", nil); err != nil {
+		if _, err := ag.SelectActionIdx(s, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -96,15 +84,12 @@ func TestExplorationStats(t *testing.T) {
 }
 
 func TestNumStatesAndEpsilonAccessors(t *testing.T) {
-	ag, err := NewAgent(DefaultConfig(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ag := newTestAgent(t, DefaultConfig(), 2)
 	if ag.NumStates() != 0 {
 		t.Fatalf("fresh agent has %d states", ag.NumStates())
 	}
-	ag.Q("a", 0) // materializes
-	ag.Q("b", 0)
+	ag.BestActionIdx(s, nil) // materializes
+	ag.BestActionIdx(u, nil)
 	if ag.NumStates() != 2 {
 		t.Fatalf("NumStates = %d, want 2", ag.NumStates())
 	}
@@ -122,21 +107,18 @@ func TestNumStatesAndEpsilonAccessors(t *testing.T) {
 // TestSnapshotExcludesHealthCounters pins the checkpoint compatibility
 // contract: learning-health state must not leak into the persisted snapshot.
 func TestSnapshotExcludesHealthCounters(t *testing.T) {
-	ag, err := NewAgent(Config{LearningRate: 0.9, Discount: 0.1, Epsilon: 0, InitLo: 0, InitHi: 0, Seed: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ag.SelectAction("s", nil); err != nil {
+	ag := newTestAgent(t, zeroInit(0.9, 0.1), 2)
+	if _, err := ag.SelectActionIdx(s, nil); err != nil {
 		t.Fatal(err)
 	}
 	before, err := ag.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ag.Update("s", 0, 3, "s", nil); err != nil {
+	if err := ag.UpdateIdx(s, 0, 3, s, nil); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := Restore(before)
+	restored, err := Restore(before, grid)
 	if err != nil {
 		t.Fatal(err)
 	}

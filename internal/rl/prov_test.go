@@ -13,21 +13,14 @@ func TestSelectActionProvMirrorsPlain(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Seed = 99
 	cfg.Epsilon = 0.3 // high enough to exercise both branches
-	mk := func() *Agent {
-		ag, err := NewAgent(cfg, 4)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ag
-	}
-	plain, traced := mk(), mk()
+	plain, traced := newTestAgent(t, cfg, 4), newTestAgent(t, cfg, 4)
 
-	states := []State{"a", "b", "c"}
-	for _, s := range states { // intern + row-init draws, identical on both
-		if _, err := plain.SelectAction(s, nil); err != nil {
+	states := []int32{3, 11, 7}
+	for _, s := range states { // row-init draws, identical on both
+		if _, err := plain.SelectActionIdx(s, nil); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := traced.SelectAction(s, nil); err != nil {
+		if _, err := traced.SelectActionIdx(s, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -36,12 +29,11 @@ func TestSelectActionProvMirrorsPlain(t *testing.T) {
 	var p SelectProv
 	explored, exploited := 0, 0
 	for step := 0; step < 400; step++ {
-		s := states[step%len(states)]
 		mask := masks[step%len(masks)]
-		i1, ok1 := plain.StateIndex(s)
-		i2, ok2 := traced.StateIndex(s)
-		if !ok1 || !ok2 || i1 != i2 {
-			t.Fatalf("state index mismatch: %v/%v %d/%d", ok1, ok2, i1, i2)
+		i1 := states[step%len(states)]
+		i2, ok := traced.StateIndex(plain.KeyOf(i1))
+		if !ok || i1 != i2 {
+			t.Fatalf("state index does not round-trip through its key: %v %d/%d", ok, i1, i2)
 		}
 		a1, err1 := plain.SelectActionIdx(i1, mask)
 		a2, err2 := traced.SelectIdx(i2, mask, &p)

@@ -1,17 +1,16 @@
 package rl
 
 import (
-	"fmt"
 	"math"
 	"sync"
 	"testing"
 )
 
-// TestRCUTornReadHunt hammers the lock-free read paths (Q, BestAction,
-// HasState, NumStates, Visits) while a single writer materializes rows,
-// rewrites cells between two bit-distinct values, and forces repeated
-// table growth and republication. Run under -race this is the data-race
-// proof for the RCU table design; the bit-pattern assertion additionally
+// TestRCUTornReadHunt hammers the lock-free read paths (QIdx, BestActionIdx,
+// HasStateIdx, NumStates, VisitsIdx) while a single writer materializes rows
+// and rewrites cells between two bit-distinct values. Run under -race this is
+// the data-race proof for the table design (values stored before the row's
+// ready flag, atomic cells); the bit-pattern assertion additionally
 // catches torn float64 reads directly — both chosen values have non-zero,
 // distinct high and low 32-bit halves, so any half-and-half mix is a value
 // outside the allowed set.
@@ -21,16 +20,10 @@ func TestRCUTornReadHunt(t *testing.T) {
 	cfg.LearningRate = 1          // Update writes the reward verbatim...
 	cfg.Discount = 0              // ...with no bootstrap term
 	const actions = 4
-	ag, err := NewAgent(cfg, actions)
+	const states = 64
+	ag, err := NewAgent(cfg, actions, newTestGrid(states))
 	if err != nil {
 		t.Fatal(err)
-	}
-
-	// 64 states against the initial 16-row table forces several growth
-	// republications while readers are live.
-	states := make([]State, 64)
-	for i := range states {
-		states[i] = State(fmt.Sprintf("torn|%d", i))
 	}
 	valA := math.Float64frombits(0x4010123456789ABC)
 	valB := math.Float64frombits(0xC01FEDCBA9876543)
@@ -52,31 +45,30 @@ func TestRCUTornReadHunt(t *testing.T) {
 					return
 				default:
 				}
-				s := states[(i*7+r)%len(states)]
-				q := ag.Q(s, (i+r)%actions)
+				s := int32((i*7 + r) % states)
+				q, _ := ag.QIdx(s, (i+r)%actions) // 0 while the row is unmaterialized
 				if !allowed[math.Float64bits(q)] {
 					t.Errorf("torn read: Q=%v (bits %#x) is neither 0, %v nor %v",
 						q, math.Float64bits(q), valA, valB)
 					return
 				}
-				if a, err := ag.BestAction(s, nil); err == nil && (a < 0 || a >= actions) {
-					t.Errorf("BestAction(%q) = %d out of range", s, a)
+				if a, err := ag.BestActionIdx(s, nil); err == nil && (a < 0 || a >= actions) {
+					t.Errorf("BestActionIdx(%d) = %d out of range", s, a)
 					return
 				}
-				ag.HasState(s)
+				ag.HasStateIdx(s)
 				ag.NumStates()
-				ag.Visits(s)
+				ag.VisitsIdx(s)
 			}
 		}(r)
 	}
 
-	for i := 0; i < 20000; i++ {
-		s := states[i%len(states)]
-		v := valA
+	for i := 0; i < 200000; i++ { // ~10 ms of writes: long enough for every reader to overlap
+		val := valA
 		if i%2 == 1 {
-			v = valB
+			val = valB
 		}
-		if err := ag.Update(s, i%actions, v, states[(i+1)%len(states)], nil); err != nil {
+		if err := ag.UpdateIdx(int32(i%states), i%actions, val, int32((i+1)%states), nil); err != nil {
 			t.Fatal(err)
 		}
 	}

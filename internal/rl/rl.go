@@ -4,26 +4,25 @@
 // snapshot/restore for persistence, and table transfer for the paper's
 // learning-transfer experiments (Section VI-C).
 //
-// Hot-path representation (DESIGN.md §14): the table is a flat
-// [states*actions] array of float64 bit patterns stored in atomic.Uint64
-// cells, published through an atomic.Pointer. States are dense int32 indices
-// minted by an Interner (the core StateSpace's mixed-radix grid plus a
-// dynamic overflow for alien keys); string keys survive only at the
-// snapshot/checkpoint boundary, where they are re-rendered so envelopes stay
-// byte-compatible with the map-based format. Reads (greedy selection, Q
-// lookups, HasState) are lock-free and allocation-free once a row is
-// materialized; every write — RNG draws, row materialization, Q updates,
-// interning, growth — funnels through one writer mutex (the single-writer
-// rule), so readers can never observe a torn row: values are stored before
-// the row's ready flag, and per-cell loads are atomic.
+// One key space (DESIGN.md §14): an Agent is built on a state grid (Interner;
+// the core StateSpace's mixed-radix Table I grid) and its table — a flat
+// [grid.Size()*actions] array of float64 bit patterns in atomic.Uint64 cells
+// — is allocated once and never grows. Every method addresses states by dense
+// int32 index and bounds-checks against the table. Strings exist in exactly
+// one plain type, Table (table.go): Snapshot is agent -> Table -> Encode,
+// Restore is DecodeTable -> grid.Lookup per key, and a key the grid cannot
+// render is refused with an error naming it. Reads (greedy selection, Q and
+// visit lookups) are lock-free and allocation-free once a row is
+// materialized; every write — RNG draws, row materialization, Q updates —
+// funnels through one writer mutex (the single-writer rule), so readers can
+// never observe a torn row: values are stored before the row's ready flag,
+// and per-cell loads are atomic.
 package rl
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -90,10 +89,9 @@ const (
 	flagVisit uint32 = 1 << 1
 )
 
-// table is one RCU-published generation of the dense Q storage. Cells hold
-// float64 bit patterns; growth (dynamic interners only) copies into a larger
-// table and republishes, so a reader holding the old generation still sees a
-// consistent (if momentarily stale) snapshot.
+// table is the dense Q storage, one row per grid state. Cells hold float64
+// bit patterns; the zeroed cells of untouched rows are never written, so
+// their pages stay unmapped.
 type table struct {
 	actions int
 	states  int
@@ -113,18 +111,16 @@ func newTable(actions, states int) *table {
 }
 
 // Agent is a tabular Q-learning agent. It is safe for concurrent use:
-// greedy reads are lock-free against the published table, and all mutation
-// serializes on the writer lock.
+// greedy reads are lock-free against the table's atomic cells, and all
+// mutation serializes on the writer lock.
 type Agent struct {
 	cfg     Config // Epsilon herein is the initial value; live value in epsBits
 	actions int
-
-	tab    atomic.Pointer[table]
-	intern intern
+	grid    Interner
+	tab     *table // allocated once at grid.Size(); never replaced
 
 	// wmu is the single-writer lock: everything that draws from rng,
-	// materializes rows, writes Q values, interns overflow keys or grows
-	// the table holds it. Readers never do.
+	// materializes rows or writes Q values holds it. Readers never do.
 	wmu sync.Mutex
 	rng *exec.Rand
 
@@ -138,7 +134,7 @@ type Agent struct {
 	// stay byte-compatible.
 	tdEMABits  atomic.Uint64 // EMA of |TD error|, alpha 1/16
 	tdSamples  atomic.Int64
-	selections atomic.Int64 // SelectAction calls that returned an action
+	selections atomic.Int64 // selections that returned an action
 	explores   atomic.Int64 // of those, how many took the epsilon branch
 }
 
@@ -147,37 +143,31 @@ type Agent struct {
 // noise, short enough to show convergence stalls within a scrape interval.
 const tdAlpha = 1.0 / 16
 
-// NewAgent creates an agent over a fixed-size action space with a fully
-// dynamic state interner (states get indices in first-touch order).
-func NewAgent(cfg Config, numActions int) (*Agent, error) {
-	return newAgent(cfg, numActions, nil)
-}
+var (
+	errNoActions = errors.New("rl: need at least one action")
+	errNoEnabled = errors.New("rl: no enabled action")
+)
 
-// NewAgentInterned creates an agent whose state indices come from a fixed
-// base interner — the engine passes its StateSpace so the whole decide path
-// runs on arithmetic indices. Keys outside the base grid (foreign checkpoint
-// states) still work through the dynamic overflow.
-func NewAgentInterned(cfg Config, numActions int, base Interner) (*Agent, error) {
-	return newAgent(cfg, numActions, base)
-}
-
-func newAgent(cfg Config, numActions int, base Interner) (*Agent, error) {
+// NewAgent creates an agent over a fixed-size action space whose states are
+// the indices of grid. The table is sized to the whole grid up front.
+func NewAgent(cfg Config, numActions int, grid Interner) (*Agent, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	if numActions < 1 {
-		return nil, errors.New("rl: need at least one action")
+		return nil, errNoActions
+	}
+	if grid == nil {
+		return nil, errors.New("rl: agent needs a state grid")
 	}
 	a := &Agent{
 		cfg:     cfg,
 		actions: numActions,
+		grid:    grid,
+		tab:     newTable(numActions, grid.Size()),
 		rng:     exec.NewRoot(cfg.Seed).Stream("rl.agent"),
 	}
-	a.intern.base = base
 	a.epsBits.Store(math.Float64bits(cfg.Epsilon))
-	// The base grid is pre-sized so base indices never trigger growth; the
-	// zeroed cells are untouched pages until rows materialize.
-	a.tab.Store(newTable(numActions, a.intern.baseSize()))
 	return a, nil
 }
 
@@ -191,8 +181,8 @@ func (a *Agent) Config() Config {
 	return c
 }
 
-// Freeze disables exploration and learning: SelectAction becomes purely
-// greedy and Update becomes a no-op. This is the paper's post-convergence
+// Freeze disables exploration and learning: selection becomes purely
+// greedy and updates become no-ops. This is the paper's post-convergence
 // exploitation mode.
 func (a *Agent) Freeze() { a.frozen.Store(true) }
 
@@ -216,64 +206,25 @@ func (a *Agent) Epsilon() float64 { return math.Float64frombits(a.epsBits.Load()
 // Frozen reports whether the agent is in exploitation-only mode.
 func (a *Agent) Frozen() bool { return a.frozen.Load() }
 
-// StateIndex resolves a key to its dense index without interning it; ok is
-// false for keys the agent has never seen and cannot represent in its base
-// grid.
-func (a *Agent) StateIndex(s State) (int32, bool) { return a.intern.lookup(s) }
+// StateIndex resolves a key to its dense index; ok is false for keys the
+// agent's grid cannot render.
+func (a *Agent) StateIndex(s State) (int32, bool) { return a.grid.Lookup(s) }
 
 // KeyOf renders the string key of a dense state index.
-func (a *Agent) KeyOf(i int32) State { return a.intern.keyOf(i) }
+func (a *Agent) KeyOf(i int32) State { return a.grid.KeyOf(i) }
 
-// internLocked resolves or mints the index for s. Caller holds wmu.
-func (a *Agent) internLocked(s State) int32 {
-	if i, ok := a.intern.lookup(s); ok {
-		return i
-	}
-	i := a.intern.add(s)
-	a.growToLocked(int(i) + 1)
-	return i
-}
+// valid reports whether i addresses a row of the table.
+func (a *Agent) valid(i int32) bool { return i >= 0 && int(i) < a.tab.states }
 
-// growToLocked republishes a table with capacity >= states. Caller holds wmu.
-func (a *Agent) growToLocked(states int) *table {
-	t := a.tab.Load()
-	if t.states >= states {
-		return t
-	}
-	n := t.states * 2
-	if n < 16 {
-		n = 16
-	}
-	if n < states {
-		n = states
-	}
-	nt := newTable(a.actions, n)
-	for i := 0; i < t.states*t.actions; i++ {
-		nt.q[i].Store(t.q[i].Load())
-	}
-	for i := 0; i < t.states; i++ {
-		nt.flags[i].Store(t.flags[i].Load())
-		nt.visits[i].Store(t.visits[i].Load())
-	}
-	a.tab.Store(nt)
-	return nt
-}
-
-// tableForLocked validates an externally supplied index and returns a table
-// covering it. Caller holds wmu.
-func (a *Agent) tableForLocked(i int32) (*table, error) {
-	if i < 0 || int(i) >= a.intern.count() {
-		return nil, fmt.Errorf("rl: state index %d out of range", i)
-	}
-	return a.growToLocked(int(i) + 1), nil
-}
+func errIndex(i int32) error { return fmt.Errorf("rl: state index %d out of range", i) }
 
 // ensureRowLocked materializes row i with random values on first touch —
 // the same draw sequence (one Float64 per action, in action order) as the
 // historical map-backed table, so fixed-seed runs replay identically.
 // Values are stored before flagRow, which readers acquire-load to gate the
 // lock-free fast path. Caller holds wmu.
-func (a *Agent) ensureRowLocked(t *table, i int32) {
+func (a *Agent) ensureRowLocked(i int32) {
+	t := a.tab
 	if t.flags[i].Load()&flagRow != 0 {
 		return
 	}
@@ -284,19 +235,6 @@ func (a *Agent) ensureRowLocked(t *table, i int32) {
 	}
 	t.flags[i].Or(flagRow)
 	a.materialized.Add(1)
-}
-
-// installRowLocked writes explicit values into row i without consuming any
-// randomness (restore/copy paths). Caller holds wmu.
-func (a *Agent) installRowLocked(t *table, i int32, values []float64) {
-	row := t.q[int(i)*t.actions : (int(i)+1)*t.actions]
-	for j, v := range values {
-		row[j].Store(math.Float64bits(v))
-	}
-	if t.flags[i].Load()&flagRow == 0 {
-		t.flags[i].Or(flagRow)
-		a.materialized.Add(1)
-	}
 }
 
 func actionEnabled(mask []bool, j int) bool {
@@ -354,27 +292,18 @@ func argmaxRow(t *table, i int32, mask []bool) (best int, bestQ float64) {
 	return best, bestQ
 }
 
-var errNoEnabled = errors.New("rl: no enabled action")
-
-// SelectAction chooses an action for state s with the epsilon-greedy policy
-// over the actions enabled in mask. A nil mask enables every action. It
-// returns an error if the mask disables everything.
-func (a *Agent) SelectAction(s State, mask []bool) (int, error) {
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
-	return a.selectLocked(a.internLocked(s), mask, nil)
-}
-
-// SelectActionIdx is SelectAction over a dense state index — the engine's
-// hot path. It allocates nothing; the epsilon-greedy draw serializes on the
-// writer lock because it advances the agent's RNG.
+// SelectActionIdx chooses an action for the state at dense index i with the
+// epsilon-greedy policy over the actions enabled in mask. A nil mask enables
+// every action; a mask that disables everything is an error. It allocates
+// nothing; the draw serializes on the writer lock because it advances the
+// agent's RNG.
 func (a *Agent) SelectActionIdx(i int32, mask []bool) (int, error) {
 	return a.SelectIdx(i, mask, nil)
 }
 
 // SelectProv captures why one epsilon-greedy selection chose its action:
 // the epsilon in force, whether the agent was frozen, whether the draw
-// explored, and the per-action Q-row from the published RCU snapshot. The
+// explored, and the per-action Q-row as the selection read it. The
 // Q slice is truncated and refilled in place so a caller-owned SelectProv
 // is allocation-free in steady state.
 type SelectProv struct {
@@ -389,24 +318,20 @@ type SelectProv struct {
 // selection read — it consumes no draws — so a traced run replays an
 // untraced one byte for byte.
 func (a *Agent) SelectIdx(i int32, mask []bool, p *SelectProv) (int, error) {
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
-	if _, err := a.tableForLocked(i); err != nil {
-		return 0, err
+	if !a.valid(i) {
+		return 0, errIndex(i)
 	}
-	return a.selectLocked(i, mask, p)
-}
-
-func (a *Agent) selectLocked(i int32, mask []bool, p *SelectProv) (int, error) {
 	n := countEnabled(mask, a.actions)
 	if n == 0 {
 		return 0, errNoEnabled
 	}
-	t := a.tab.Load()
+	a.wmu.Lock()
+	defer a.wmu.Unlock()
+	t := a.tab
 	t.visits[i].Add(1)
 	t.flags[i].Or(flagVisit)
 	a.selections.Add(1)
-	a.ensureRowLocked(t, i) // materialize so a visited state exists even when exploring
+	a.ensureRowLocked(i) // materialize so a visited state exists even when exploring
 	eps, frozen := math.Float64frombits(a.epsBits.Load()), a.frozen.Load()
 	explored := !frozen && a.rng.Float64() < eps
 	var idx int
@@ -426,98 +351,69 @@ func (a *Agent) selectLocked(i int32, mask []bool, p *SelectProv) (int, error) {
 	return idx, nil
 }
 
-// BestAction returns the greedy action for s over the enabled actions.
-func (a *Agent) BestAction(s State, mask []bool) (int, error) {
-	if i, ok := a.intern.lookup(s); ok {
-		if t := a.tab.Load(); int(i) < t.states && t.flags[i].Load()&flagRow != 0 {
-			if best, _ := argmaxRow(t, i, mask); best >= 0 {
-				return best, nil
-			}
-			return 0, errNoEnabled
-		}
-	}
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
-	return a.bestLocked(a.internLocked(s), mask)
-}
-
 // BestActionIdx is the lock-free greedy read the serving fast path uses: for
-// a materialized state it reads the published table with zero locks and zero
+// a materialized state it reads the table with zero locks and zero
 // allocations. Never-seen states fall to the writer path, which materializes
 // the row (consuming the same init draws the map-backed table did).
 func (a *Agent) BestActionIdx(i int32, mask []bool) (int, error) {
-	if t := a.tab.Load(); i >= 0 && int(i) < t.states && t.flags[i].Load()&flagRow != 0 {
-		if best, _ := argmaxRow(t, i, mask); best >= 0 {
-			return best, nil
+	if !a.valid(i) {
+		return 0, errIndex(i)
+	}
+	if !a.HasStateIdx(i) {
+		if countEnabled(mask, a.actions) == 0 {
+			return 0, errNoEnabled
 		}
-		return 0, errNoEnabled
+		a.wmu.Lock()
+		a.ensureRowLocked(i)
+		a.wmu.Unlock()
 	}
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
-	if _, err := a.tableForLocked(i); err != nil {
-		return 0, err
+	if best, _ := argmaxRow(a.tab, i, mask); best >= 0 {
+		return best, nil
 	}
-	return a.bestLocked(i, mask)
+	return 0, errNoEnabled
 }
 
-func (a *Agent) bestLocked(i int32, mask []bool) (int, error) {
-	if countEnabled(mask, a.actions) == 0 {
-		return 0, errNoEnabled
-	}
-	t := a.tab.Load()
-	a.ensureRowLocked(t, i)
-	best, _ := argmaxRow(t, i, mask)
-	return best, nil
-}
-
-// Update applies the one-step Q-learning rule of Algorithm 1:
+// UpdateIdx applies the one-step Q-learning rule of Algorithm 1 to the states
+// at dense indices si (S) and ni (S'):
 //
 //	Q(S,A) <- Q(S,A) + gamma [ R + mu max_A' Q(S',A') - Q(S,A) ]
 //
 // nextMask restricts which next-state actions are considered (feasibility of
 // the next request's model). Frozen agents ignore updates.
-func (a *Agent) Update(s State, action int, reward float64, next State, nextMask []bool) error {
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
-	if a.frozen.Load() {
-		return nil
-	}
-	return a.updateLocked(a.internLocked(s), action, reward, a.internLocked(next), nextMask)
-}
-
-// UpdateIdx is Update over dense state indices (the engine's deferred-update
-// hot path).
 func (a *Agent) UpdateIdx(si int32, action int, reward float64, ni int32, nextMask []bool) error {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
 	if a.frozen.Load() {
 		return nil
 	}
-	if _, err := a.tableForLocked(si); err != nil {
+	if err := a.checkUpdate(si, action, ni); err != nil {
 		return err
 	}
-	if _, err := a.tableForLocked(ni); err != nil {
-		return err
-	}
-	return a.updateLocked(si, action, reward, ni, nextMask)
-}
-
-func (a *Agent) updateLocked(si int32, action int, reward float64, ni int32, nextMask []bool) error {
-	if action < 0 || action >= a.actions {
-		return fmt.Errorf("rl: action %d out of range", action)
-	}
-	t := a.tab.Load()
+	t := a.tab
 	var nextBest float64
 	if countEnabled(nextMask, a.actions) > 0 {
-		a.ensureRowLocked(t, ni)
+		a.ensureRowLocked(ni)
 		_, nextBest = argmaxRow(t, ni, nextMask)
 	}
-	a.ensureRowLocked(t, si)
+	a.ensureRowLocked(si)
 	cell := &t.q[int(si)*t.actions+action]
 	q := math.Float64frombits(cell.Load())
 	delta := reward + a.cfg.Discount*nextBest - q
 	a.noteTDLocked(delta)
 	cell.Store(math.Float64bits(q + a.cfg.LearningRate*delta))
+	return nil
+}
+
+// checkUpdate validates the arguments every TD update shares.
+func (a *Agent) checkUpdate(si int32, action int, ni int32) error {
+	switch {
+	case !a.valid(si):
+		return errIndex(si)
+	case !a.valid(ni):
+		return errIndex(ni)
+	case action < 0 || action >= a.actions:
+		return fmt.Errorf("rl: action %d out of range", action)
+	}
 	return nil
 }
 
@@ -543,7 +439,7 @@ func (a *Agent) TDErrorEMA() (ema float64, samples int64) {
 	return math.Float64frombits(a.tdEMABits.Load()), a.tdSamples.Load()
 }
 
-// ExplorationStats returns how many SelectAction calls took the epsilon
+// ExplorationStats returns how many selections took the epsilon
 // (exploration) branch out of the total. The ratio should track epsilon for
 // a healthy unfrozen agent and fall to zero once frozen.
 func (a *Agent) ExplorationStats() (explores, selections int64) {
@@ -554,25 +450,18 @@ func (a *Agent) ExplorationStats() (explores, selections int64) {
 // state-space coverage gauge.
 func (a *Agent) NumStates() int { return int(a.materialized.Load()) }
 
-// HasState reports whether state s has a materialized Q row. Lock-free.
-func (a *Agent) HasState(s State) bool {
-	i, ok := a.intern.lookup(s)
-	return ok && a.HasStateIdx(i)
-}
-
 // HasStateIdx reports whether the state at dense index i has a materialized
 // Q row. Lock-free.
 func (a *Agent) HasStateIdx(i int32) bool {
-	t := a.tab.Load()
-	return i >= 0 && int(i) < t.states && t.flags[i].Load()&flagRow != 0
+	return a.valid(i) && a.tab.flags[i].Load()&flagRow != 0
 }
 
 // ForEachMaterialized calls fn with the dense index of every materialized
-// state in ascending order (for a grid-interned agent that is also ascending
+// state in ascending order (on the Table I grid that is also ascending
 // lexicographic key order); callers that want the key ask KeyOf. fn must not
 // mutate the agent.
 func (a *Agent) ForEachMaterialized(fn func(i int32)) {
-	t := a.tab.Load()
+	t := a.tab
 	for i := range t.flags {
 		if t.flags[i].Load()&flagRow != 0 {
 			fn(int32(i))
@@ -580,128 +469,64 @@ func (a *Agent) ForEachMaterialized(fn func(i int32)) {
 	}
 }
 
-// CopyRow initializes dst's Q row as a copy of src's current row. It is the
-// generalization hook AutoScale uses to seed a never-visited state from its
-// nearest trained neighbour (the "energy trend knowledge" the paper says a
+// CopyRowIdx initializes dst's Q row as a copy of src's current row. It is
+// the generalization hook AutoScale uses to seed a never-visited state from
+// its nearest trained neighbour (the "energy trend knowledge" the paper says a
 // trained model carries implicitly). Copying from a missing src materializes
 // it first (random init).
-func (a *Agent) CopyRow(dst, src State) {
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
-	di := a.internLocked(dst)
-	si := a.internLocked(src)
-	a.copyRowLocked(di, si)
-}
-
-// CopyRowIdx is CopyRow over dense state indices.
 func (a *Agent) CopyRowIdx(dst, src int32) error {
+	switch {
+	case !a.valid(dst):
+		return errIndex(dst)
+	case !a.valid(src):
+		return errIndex(src)
+	}
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
-	if _, err := a.tableForLocked(dst); err != nil {
-		return err
+	t := a.tab
+	a.ensureRowLocked(src)
+	if dst == src {
+		return nil
 	}
-	if _, err := a.tableForLocked(src); err != nil {
-		return err
+	for j := 0; j < t.actions; j++ {
+		t.q[int(dst)*t.actions+j].Store(t.q[int(src)*t.actions+j].Load())
 	}
-	a.copyRowLocked(dst, src)
+	if t.flags[dst].Load()&flagRow == 0 {
+		t.flags[dst].Or(flagRow)
+		a.materialized.Add(1)
+	}
 	return nil
 }
 
-func (a *Agent) copyRowLocked(di, si int32) {
-	t := a.tab.Load()
-	a.ensureRowLocked(t, si)
-	if di == si {
-		return
+// QIdx returns the current Q value of (state i, action): a pure lock-free
+// read that materializes nothing. ok is false for an out-of-range index or
+// action and for a state with no row yet.
+func (a *Agent) QIdx(i int32, action int) (q float64, ok bool) {
+	if action < 0 || action >= a.actions || !a.HasStateIdx(i) {
+		return 0, false
 	}
-	for j := 0; j < t.actions; j++ {
-		t.q[int(di)*t.actions+j].Store(t.q[int(si)*t.actions+j].Load())
-	}
-	if t.flags[di].Load()&flagRow == 0 {
-		t.flags[di].Or(flagRow)
-		a.materialized.Add(1)
-	}
+	return loadQ(a.tab, i, action), true
 }
 
-// Q returns the current Q value of (s, action); untouched states return
-// their lazily initialized values.
-func (a *Agent) Q(s State, action int) float64 {
-	if action < 0 || action >= a.actions {
+// VisitsIdx returns how many times state i was selected against (0 for an
+// out-of-range index). Lock-free.
+func (a *Agent) VisitsIdx(i int32) int {
+	if !a.valid(i) {
 		return 0
 	}
-	if i, ok := a.intern.lookup(s); ok {
-		if t := a.tab.Load(); int(i) < t.states && t.flags[i].Load()&flagRow != 0 {
-			return loadQ(t, i, action)
-		}
-	}
-	a.wmu.Lock()
-	defer a.wmu.Unlock()
-	i := a.internLocked(s)
-	t := a.tab.Load()
-	a.ensureRowLocked(t, i)
-	return loadQ(t, i, action)
-}
-
-// States returns the visited/materialized states in sorted order.
-func (a *Agent) States() []State {
-	out := make([]State, 0, a.materialized.Load())
-	a.ForEachMaterialized(func(i int32) { out = append(out, a.KeyOf(i)) })
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
-// Visits returns how many times s was selected against. Lock-free.
-func (a *Agent) Visits(s State) int {
-	i, ok := a.intern.lookup(s)
-	if !ok {
-		return 0
-	}
-	t := a.tab.Load()
-	if int(i) >= t.states {
-		return 0
-	}
-	return int(t.visits[i].Load())
-}
-
-// VisitCounts returns a copy of the per-state visit counts — the experience
-// weights the policy plane uses when federating Q-tables across a fleet.
-func (a *Agent) VisitCounts() map[State]int {
-	t := a.tab.Load()
-	out := make(map[State]int)
-	for i := 0; i < t.states; i++ {
-		if t.flags[i].Load()&flagVisit != 0 {
-			out[a.intern.keyOf(int32(i))] = int(t.visits[i].Load())
-		}
-	}
-	return out
+	return int(a.tab.visits[i].Load())
 }
 
 // TotalVisits returns the total number of action selections across all
 // states — zero means the agent has never been asked for a decision, which
 // the fleet syncer treats as "new device, warm-start me".
 func (a *Agent) TotalVisits() int {
-	t := a.tab.Load()
+	t := a.tab
 	total := 0
 	for i := 0; i < t.states; i++ {
 		total += int(t.visits[i].Load())
 	}
 	return total
-}
-
-// Rows returns a deep copy of the materialized Q-table.
-func (a *Agent) Rows() map[State][]float64 {
-	t := a.tab.Load()
-	out := make(map[State][]float64, a.materialized.Load())
-	for i := 0; i < t.states; i++ {
-		if t.flags[i].Load()&flagRow == 0 {
-			continue
-		}
-		row := make([]float64, t.actions)
-		for j := range row {
-			row[j] = loadQ(t, int32(i), j)
-		}
-		out[a.intern.keyOf(int32(i))] = row
-	}
-	return out
 }
 
 // MemoryBytes estimates the Q-table's resident footprint: one float64 per
@@ -715,114 +540,82 @@ func (a *Agent) MemoryBytes() int {
 	return total
 }
 
-// snapshot is the serialized agent state.
-type snapshot struct {
-	Config  Config              `json:"config"`
-	Actions int                 `json:"actions"`
-	Q       map[State][]float64 `json:"q"`
-	Visits  map[State]int       `json:"visits"`
+// Table renders the agent as plain string-keyed data: a deep copy of every
+// materialized row and every visit-count entry (restored zero counts
+// included), with the live epsilon in Config.
+func (a *Agent) Table() Table {
+	t := a.tab
+	out := Table{
+		Config:  a.Config(),
+		Actions: a.actions,
+		Q:       make(map[State][]float64, a.materialized.Load()),
+		Visits:  make(map[State]int),
+	}
+	for i := range t.flags {
+		f := t.flags[i].Load()
+		if f&(flagRow|flagVisit) == 0 {
+			continue
+		}
+		key := a.grid.KeyOf(int32(i))
+		if f&flagRow != 0 {
+			row := make([]float64, t.actions)
+			for j := range row {
+				row[j] = loadQ(t, int32(i), j)
+			}
+			out.Q[key] = row
+		}
+		if f&flagVisit != 0 {
+			out.Visits[key] = int(t.visits[i].Load())
+		}
+	}
+	return out
 }
 
-// Snapshot serializes the agent (Q-table, visit counts, config) to JSON.
-// The dense table is re-rendered as string-keyed maps, so the payload is
-// byte-compatible with snapshots written by the historical map-backed table
-// (json.Marshal sorts map keys).
+// Snapshot serializes the agent (Q-table, visit counts, config) to JSON:
+// agent -> Table -> Encode, under the writer lock so the payload is one
+// consistent cut.
 func (a *Agent) Snapshot() ([]byte, error) {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
-	return json.Marshal(snapshot{
-		Config:  a.Config(),
-		Actions: a.actions,
-		Q:       a.Rows(),
-		Visits:  a.VisitCounts(),
-	})
+	return a.Table().Encode()
 }
 
-// Restore creates an agent from a Snapshot payload. Snapshots written before
-// visit counts existed restore with every materialized state credited one
-// visit, so downstream visit-weighted federation still counts the table as
-// (minimal) experience instead of discarding it.
-func Restore(data []byte) (*Agent, error) {
-	return RestoreInterned(data, nil)
-}
-
-// RestoreInterned is Restore with a fixed base interner: snapshot keys on
-// the base grid land on their arithmetic indices (so a restored engine agent
-// keeps the zero-alloc decide path), foreign keys go to the overflow.
-func RestoreInterned(data []byte, base Interner) (*Agent, error) {
-	var snap snapshot
-	if err := json.Unmarshal(data, &snap); err != nil {
-		return nil, fmt.Errorf("rl: restore: %w", err)
-	}
-	ag, err := newAgent(snap.Config, snap.Actions, base)
+// Restore creates an agent on grid from a Snapshot payload (see DecodeTable
+// for what is validated). Every key of the payload must be one the grid can
+// render: a table from a foreign state space is refused with an error naming
+// the first such key, rather than parked on rows no observation can reach.
+func Restore(data []byte, grid Interner) (*Agent, error) {
+	tbl, err := DecodeTable(data)
 	if err != nil {
 		return nil, err
 	}
-	ag.wmu.Lock()
-	defer ag.wmu.Unlock()
-	for s, row := range snap.Q {
-		if len(row) != snap.Actions {
-			return nil, fmt.Errorf("rl: restore: state %q has %d actions, want %d", s, len(row), snap.Actions)
-		}
-		i := ag.internLocked(s)
-		ag.installRowLocked(ag.tab.Load(), i, row)
-	}
-	switch {
-	case snap.Visits == nil:
-		// Backward compat: pre-visit-count snapshot.
-		t := ag.tab.Load()
-		for i := 0; i < t.states; i++ {
-			if t.flags[i].Load()&flagRow != 0 {
-				t.visits[i].Store(1)
-				t.flags[i].Or(flagVisit)
-			}
-		}
-	default:
-		for s, n := range snap.Visits {
-			if n < 0 {
-				return nil, fmt.Errorf("rl: restore: state %q has negative visit count %d", s, n)
-			}
-		}
-		for s, n := range snap.Visits {
-			i := ag.internLocked(s)
-			t := ag.tab.Load()
-			t.visits[i].Store(int64(n))
-			t.flags[i].Or(flagVisit)
-		}
-	}
-	return ag, nil
-}
-
-// NewAgentFromTable builds an agent directly from a Q-table and its visit
-// counts — the constructor the policy plane uses to materialize a federated
-// (merged) table as a live agent. Rows must all span the action space; nil
-// visits defaults every row to one visit.
-func NewAgentFromTable(cfg Config, actions int, q map[State][]float64, visits map[State]int) (*Agent, error) {
-	ag, err := NewAgent(cfg, actions)
+	ag, err := NewAgent(tbl.Config, tbl.Actions, grid)
 	if err != nil {
 		return nil, err
 	}
-	ag.wmu.Lock()
-	defer ag.wmu.Unlock()
-	for s, row := range q {
-		if len(row) != actions {
-			return nil, fmt.Errorf("rl: table: state %q has %d actions, want %d", s, len(row), actions)
+	index := func(s State) (int32, error) {
+		i, ok := grid.Lookup(s)
+		if !ok || !ag.valid(i) {
+			return 0, fmt.Errorf("rl: restore: state %q is not on this agent's state grid", s)
 		}
-		i := ag.internLocked(s)
-		ag.installRowLocked(ag.tab.Load(), i, row)
+		return i, nil
 	}
-	t := ag.tab.Load()
-	for i := 0; i < t.states; i++ {
-		if t.flags[i].Load()&flagRow == 0 {
-			continue
+	t := ag.tab
+	for s, row := range tbl.Q {
+		i, err := index(s)
+		if err != nil {
+			return nil, err
 		}
-		s := ag.intern.keyOf(int32(i))
-		n, ok := visits[s]
-		switch {
-		case !ok:
-			n = 1
-		case n < 0:
-			return nil, fmt.Errorf("rl: table: state %q has negative visit count %d", s, n)
+		for j, v := range row {
+			t.q[int(i)*t.actions+j].Store(math.Float64bits(v))
+		}
+		t.flags[i].Or(flagRow)
+	}
+	ag.materialized.Store(int64(len(tbl.Q)))
+	for s, n := range tbl.Visits {
+		i, err := index(s)
+		if err != nil {
+			return nil, err
 		}
 		t.visits[i].Store(int64(n))
 		t.flags[i].Or(flagVisit)
@@ -854,6 +647,12 @@ func (a *Agent) TransferFrom(donor *Agent) error {
 // agent's action i (-1 keeps the local initialization). This is how
 // AutoScale transfers a model between devices with different DVFS ladders
 // and co-processor sets (Section VI-C).
+//
+// The donor's materialized rows are walked in ascending donor index and
+// translated through the two grids (donor KeyOf, local Lookup), so the init
+// draws a never-seen local row consumes — which is what an unmapped action
+// keeps — depend on the seed alone. A donor state the local grid cannot
+// render fails the import before anything is written.
 func (a *Agent) ImportMapped(donor *Agent, srcForDst []int) error {
 	if donor == nil {
 		return errors.New("rl: nil donor")
@@ -861,23 +660,37 @@ func (a *Agent) ImportMapped(donor *Agent, srcForDst []int) error {
 	if len(srcForDst) != a.actions {
 		return fmt.Errorf("rl: mapping has %d entries, want %d", len(srcForDst), a.actions)
 	}
-	donorQ := donor.Rows()
-	donorActions := donor.actions
 	for _, src := range srcForDst {
-		if src >= donorActions {
-			return fmt.Errorf("rl: mapping refers to donor action %d of %d", src, donorActions)
+		if src >= donor.actions {
+			return fmt.Errorf("rl: mapping refers to donor action %d of %d", src, donor.actions)
 		}
+	}
+	type rowPair struct{ donor, local int32 }
+	var pairs []rowPair
+	var alien State
+	donor.ForEachMaterialized(func(di int32) {
+		key := donor.grid.KeyOf(di)
+		if i, ok := a.grid.Lookup(key); ok && a.valid(i) {
+			pairs = append(pairs, rowPair{di, i})
+		} else if alien == "" {
+			alien = key
+		}
+	})
+	if alien != "" {
+		return fmt.Errorf("rl: import: donor state %q is not on this agent's state grid", alien)
 	}
 
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
-	for s, donorRow := range donorQ {
-		i := a.internLocked(s)
-		t := a.tab.Load()
-		a.ensureRowLocked(t, i)
+	t, donorRow := a.tab, make([]float64, donor.actions)
+	for _, p := range pairs {
+		for j := range donorRow {
+			donorRow[j] = loadQ(donor.tab, p.donor, j)
+		}
+		a.ensureRowLocked(p.local)
 		for j, src := range srcForDst {
 			if src >= 0 {
-				t.q[int(i)*t.actions+j].Store(math.Float64bits(donorRow[src]))
+				t.q[int(p.local)*t.actions+j].Store(math.Float64bits(donorRow[src]))
 			}
 		}
 	}

@@ -1,20 +1,15 @@
 package rl
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
 )
 
-func newTestAgent(t *testing.T, actions int) *Agent {
-	t.Helper()
-	cfg := DefaultConfig()
-	ag, err := NewAgent(cfg, actions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return ag
-}
+// The tests address the shared 24-state grid by index; s, u and v are three
+// arbitrary distinct states.
+const s, u, v int32 = 0, 1, 2
 
 func TestConfigValidation(t *testing.T) {
 	bad := []Config{
@@ -33,8 +28,11 @@ func TestConfigValidation(t *testing.T) {
 	if err := DefaultConfig().Validate(); err != nil {
 		t.Error(err)
 	}
-	if _, err := NewAgent(DefaultConfig(), 0); err == nil {
+	if _, err := NewAgent(DefaultConfig(), 0, grid); err == nil {
 		t.Error("zero actions should fail")
+	}
+	if _, err := NewAgent(DefaultConfig(), 2, nil); err == nil {
+		t.Error("an agent without a state grid should fail")
 	}
 }
 
@@ -47,64 +45,82 @@ func TestDefaultHyperparameters(t *testing.T) {
 }
 
 func TestUpdateRule(t *testing.T) {
-	cfg := Config{LearningRate: 0.5, Discount: 0.2, Epsilon: 0, InitLo: 0, InitHi: 0, Seed: 1}
-	ag, err := NewAgent(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All Q start at 0. Update (s,0) with reward 10, next state t.
-	if err := ag.Update("s", 0, 10, "t", nil); err != nil {
+	ag := newTestAgent(t, zeroInit(0.5, 0.2), 2)
+	// All Q start at 0. Update (s,0) with reward 10, next state u.
+	if err := ag.UpdateIdx(s, 0, 10, u, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Q(s,0) = 0 + 0.5*(10 + 0.2*0 - 0) = 5.
-	if got := ag.Q("s", 0); math.Abs(got-5) > 1e-12 {
+	if got := q(t, ag, s, 0); math.Abs(got-5) > 1e-12 {
 		t.Errorf("Q = %v, want 5", got)
 	}
 	// Seed next-state value and update again.
-	if err := ag.Update("t", 1, 20, "u", nil); err != nil {
+	if err := ag.UpdateIdx(u, 1, 20, v, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Q(t,1) = 10. Now Q(s,0) += 0.5*(10 + 0.2*10 - 5) = 5 + 3.5 = 8.5.
-	if err := ag.Update("s", 0, 10, "t", nil); err != nil {
+	// Q(u,1) = 10. Now Q(s,0) += 0.5*(10 + 0.2*10 - 5) = 5 + 3.5 = 8.5.
+	if err := ag.UpdateIdx(s, 0, 10, u, nil); err != nil {
 		t.Fatal(err)
 	}
-	if got := ag.Q("s", 0); math.Abs(got-8.5) > 1e-12 {
+	if got := q(t, ag, s, 0); math.Abs(got-8.5) > 1e-12 {
 		t.Errorf("Q = %v, want 8.5", got)
 	}
 }
 
 func TestUpdateRespectsNextMask(t *testing.T) {
-	cfg := Config{LearningRate: 1, Discount: 0.5, Epsilon: 0, InitLo: 0, InitHi: 0, Seed: 1}
-	ag, err := NewAgent(cfg, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ag.Update("n", 0, 100, "end", nil) // Q(n,0)=100
+	ag := newTestAgent(t, zeroInit(1, 0.5), 2)
+	const n, end, s2 = 3, 4, 5
+	ag.UpdateIdx(n, 0, 100, end, nil) // Q(n,0)=100
 	// With action 0 masked in the next state, the bootstrap must use the
 	// remaining action (Q=0), not the 100.
-	ag.Update("s", 1, 0, "n", []bool{false, true})
-	if got := ag.Q("s", 1); got != 0 {
+	ag.UpdateIdx(s, 1, 0, n, []bool{false, true})
+	if got := q(t, ag, s, 1); got != 0 {
 		t.Errorf("masked bootstrap Q = %v, want 0", got)
 	}
-	ag.Update("s2", 1, 0, "n", nil)
-	if got := ag.Q("s2", 1); got != 50 {
+	ag.UpdateIdx(s2, 1, 0, n, nil)
+	if got := q(t, ag, s2, 1); got != 50 {
 		t.Errorf("unmasked bootstrap Q = %v, want 50", got)
 	}
 }
 
 func TestUpdateErrors(t *testing.T) {
-	ag := newTestAgent(t, 3)
-	if err := ag.Update("s", 5, 0, "t", nil); err == nil {
+	ag := newTestAgent(t, DefaultConfig(), 3)
+	if err := ag.UpdateIdx(s, 5, 0, u, nil); err == nil {
 		t.Error("out-of-range action should fail")
 	}
 }
 
+// TestIndexBounds: every index method bounds-checks against the fixed table
+// instead of growing it.
+func TestIndexBounds(t *testing.T) {
+	ag := newTestAgent(t, DefaultConfig(), 3)
+	for _, bad := range []int32{-1, int32(grid.Size())} {
+		if _, err := ag.SelectActionIdx(bad, nil); err == nil {
+			t.Errorf("SelectActionIdx(%d) should fail", bad)
+		}
+		if _, err := ag.BestActionIdx(bad, nil); err == nil {
+			t.Errorf("BestActionIdx(%d) should fail", bad)
+		}
+		if ag.UpdateIdx(bad, 0, 0, s, nil) == nil || ag.UpdateIdx(s, 0, 0, bad, nil) == nil {
+			t.Errorf("UpdateIdx with index %d should fail", bad)
+		}
+		if ag.CopyRowIdx(bad, s) == nil || ag.CopyRowIdx(s, bad) == nil {
+			t.Errorf("CopyRowIdx with index %d should fail", bad)
+		}
+		if _, ok := ag.QIdx(bad, 0); ok || ag.HasStateIdx(bad) || ag.VisitsIdx(bad) != 0 {
+			t.Errorf("reads of index %d must report nothing", bad)
+		}
+	}
+	if ag.NumStates() != 0 || ag.TotalVisits() != 0 {
+		t.Error("refused calls must leave the table untouched")
+	}
+}
+
 func TestGreedySelection(t *testing.T) {
-	cfg := Config{LearningRate: 0.9, Discount: 0.1, Epsilon: 0, InitLo: 0, InitHi: 0, Seed: 1}
-	ag, _ := NewAgent(cfg, 3)
-	ag.Update("s", 2, 100, "s", nil)
+	ag := newTestAgent(t, zeroInit(0.9, 0.1), 3)
+	ag.UpdateIdx(s, 2, 100, s, nil)
 	for i := 0; i < 20; i++ {
-		a, err := ag.SelectAction("s", nil)
+		a, err := ag.SelectActionIdx(s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,24 +128,26 @@ func TestGreedySelection(t *testing.T) {
 			t.Fatalf("greedy agent chose %d, want 2", a)
 		}
 	}
-	if b, _ := ag.BestAction("s", nil); b != 2 {
-		t.Error("BestAction disagrees")
+	if b, _ := ag.BestActionIdx(s, nil); b != 2 {
+		t.Error("BestActionIdx disagrees")
 	}
 }
 
 func TestMaskedSelection(t *testing.T) {
-	cfg := Config{LearningRate: 0.9, Discount: 0.1, Epsilon: 0, InitLo: 0, InitHi: 0, Seed: 1}
-	ag, _ := NewAgent(cfg, 3)
-	ag.Update("s", 2, 100, "s", nil)
-	a, err := ag.SelectAction("s", []bool{true, true, false})
+	ag := newTestAgent(t, zeroInit(0.9, 0.1), 3)
+	ag.UpdateIdx(s, 2, 100, s, nil)
+	a, err := ag.SelectActionIdx(s, []bool{true, true, false})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a == 2 {
 		t.Error("masked action selected")
 	}
-	if _, err := ag.SelectAction("s", []bool{false, false, false}); err == nil {
+	if _, err := ag.SelectActionIdx(s, []bool{false, false, false}); err == nil {
 		t.Error("fully masked selection should fail")
+	}
+	if _, err := ag.BestActionIdx(u, []bool{false, false, false}); err == nil || ag.HasStateIdx(u) {
+		t.Error("fully masked greedy read should fail without materializing the row")
 	}
 }
 
@@ -137,10 +155,10 @@ func TestEpsilonExplores(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Epsilon = 1 // always explore
 	cfg.InitLo, cfg.InitHi = 0, 0
-	ag, _ := NewAgent(cfg, 4)
+	ag := newTestAgent(t, cfg, 4)
 	seen := map[int]bool{}
 	for i := 0; i < 200; i++ {
-		a, err := ag.SelectAction("s", nil)
+		a, err := ag.SelectActionIdx(s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -152,7 +170,7 @@ func TestEpsilonExplores(t *testing.T) {
 }
 
 func TestSetEpsilon(t *testing.T) {
-	ag := newTestAgent(t, 2)
+	ag := newTestAgent(t, DefaultConfig(), 2)
 	if err := ag.SetEpsilon(0); err != nil {
 		t.Fatal(err)
 	}
@@ -162,22 +180,23 @@ func TestSetEpsilon(t *testing.T) {
 }
 
 func TestFreeze(t *testing.T) {
-	cfg := Config{LearningRate: 0.9, Discount: 0.1, Epsilon: 1, InitLo: 0, InitHi: 0, Seed: 1}
-	ag, _ := NewAgent(cfg, 2)
-	ag.Update("s", 1, 50, "s", nil)
+	cfg := zeroInit(0.9, 0.1)
+	cfg.Epsilon = 1
+	ag := newTestAgent(t, cfg, 2)
+	ag.UpdateIdx(s, 1, 50, s, nil)
 	ag.Freeze()
 	if !ag.Frozen() {
 		t.Error("agent should report frozen")
 	}
 	// Frozen agents act greedily despite epsilon=1 and ignore updates.
 	for i := 0; i < 20; i++ {
-		if a, _ := ag.SelectAction("s", nil); a != 1 {
+		if a, _ := ag.SelectActionIdx(s, nil); a != 1 {
 			t.Fatal("frozen agent must be greedy")
 		}
 	}
-	before := ag.Q("s", 1)
-	ag.Update("s", 1, -1000, "s", nil)
-	if ag.Q("s", 1) != before {
+	before := q(t, ag, s, 1)
+	ag.UpdateIdx(s, 1, -1000, s, nil)
+	if q(t, ag, s, 1) != before {
 		t.Error("frozen agent must not learn")
 	}
 }
@@ -185,96 +204,109 @@ func TestFreeze(t *testing.T) {
 func TestRandomInitRange(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.InitLo, cfg.InitHi = -2, 3
-	ag, _ := NewAgent(cfg, 50)
+	ag := newTestAgent(t, cfg, 50)
+	if _, ok := ag.QIdx(s, 0); ok {
+		t.Fatal("QIdx must not materialize a row")
+	}
+	if _, err := ag.BestActionIdx(s, nil); err != nil { // materializes
+		t.Fatal(err)
+	}
 	for i := 0; i < 50; i++ {
-		q := ag.Q("fresh", i)
-		if q < -2 || q > 3 {
-			t.Fatalf("init Q %v outside [-2,3]", q)
+		if got := q(t, ag, s, i); got < -2 || got > 3 {
+			t.Fatalf("init Q %v outside [-2,3]", got)
 		}
 	}
 }
 
 func TestStatesAndVisits(t *testing.T) {
-	ag := newTestAgent(t, 2)
-	if len(ag.States()) != 0 {
+	ag := newTestAgent(t, DefaultConfig(), 2)
+	if ag.NumStates() != 0 {
 		t.Error("fresh agent must have no states")
 	}
-	ag.SelectAction("b", nil)
-	ag.SelectAction("a", nil)
-	ag.SelectAction("a", nil)
-	states := ag.States()
-	if len(states) != 2 || states[0] != "a" || states[1] != "b" {
-		t.Errorf("States = %v", states)
+	ag.SelectActionIdx(u, nil)
+	ag.SelectActionIdx(s, nil)
+	ag.SelectActionIdx(s, nil)
+	var states []int32
+	ag.ForEachMaterialized(func(i int32) { states = append(states, i) })
+	if len(states) != 2 || states[0] != s || states[1] != u || ag.NumStates() != 2 {
+		t.Errorf("materialized states = %v", states)
 	}
-	if ag.Visits("a") != 2 || ag.Visits("b") != 1 || ag.Visits("c") != 0 {
+	if ag.VisitsIdx(s) != 2 || ag.VisitsIdx(u) != 1 || ag.VisitsIdx(v) != 0 || ag.TotalVisits() != 3 {
 		t.Error("visit counts wrong")
 	}
 }
 
 func TestHasStateCopyRow(t *testing.T) {
-	ag := newTestAgent(t, 3)
-	if ag.HasState("x") {
+	ag := newTestAgent(t, DefaultConfig(), 3)
+	const x, y = 7, 8
+	if ag.HasStateIdx(x) {
 		t.Error("fresh state must not exist")
 	}
-	ag.Update("x", 0, 42, "x", nil)
-	if !ag.HasState("x") {
+	ag.UpdateIdx(x, 0, 42, x, nil)
+	if !ag.HasStateIdx(x) {
 		t.Error("updated state must exist")
 	}
-	ag.CopyRow("y", "x")
+	if err := ag.CopyRowIdx(y, x); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < 3; i++ {
-		if ag.Q("y", i) != ag.Q("x", i) {
+		if q(t, ag, y, i) != q(t, ag, x, i) {
 			t.Fatal("copied row differs")
 		}
 	}
 	// Copies are independent.
-	ag.Update("y", 1, 7, "y", nil)
-	if ag.Q("x", 1) == ag.Q("y", 1) {
+	ag.UpdateIdx(y, 1, 7, y, nil)
+	if q(t, ag, x, 1) == q(t, ag, y, 1) {
 		t.Error("rows aliased after copy")
+	}
+	// Copying a state onto itself materializes it.
+	if err := ag.CopyRowIdx(v, v); err != nil || !ag.HasStateIdx(v) {
+		t.Error("self-copy must materialize the row")
 	}
 }
 
 func TestSnapshotRestore(t *testing.T) {
-	ag := newTestAgent(t, 4)
-	ag.Update("s1", 0, 5, "s2", nil)
-	ag.Update("s2", 3, -2, "s1", nil)
-	ag.SelectAction("s1", nil)
+	ag := newTestAgent(t, DefaultConfig(), 4)
+	ag.UpdateIdx(s, 0, 5, u, nil)
+	ag.UpdateIdx(u, 3, -2, s, nil)
+	ag.SelectActionIdx(s, nil)
 	data, err := ag.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := Restore(data)
+	got, err := Restore(data, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.NumActions() != 4 {
-		t.Error("restored action count wrong")
+	if got.NumActions() != 4 || got.NumStates() != ag.NumStates() {
+		t.Error("restored shape wrong")
 	}
-	for _, s := range ag.States() {
-		for i := 0; i < 4; i++ {
-			if got.Q(s, i) != ag.Q(s, i) {
-				t.Fatalf("restored Q(%s,%d) differs", s, i)
+	ag.ForEachMaterialized(func(i int32) {
+		for a := 0; a < 4; a++ {
+			if q(t, got, i, a) != q(t, ag, i, a) {
+				t.Fatalf("restored Q(%d,%d) differs", i, a)
 			}
 		}
-	}
-	if got.Visits("s1") != ag.Visits("s1") {
+	})
+	if got.VisitsIdx(s) != ag.VisitsIdx(s) {
 		t.Error("restored visits differ")
 	}
-	if _, err := Restore([]byte("not json")); err == nil {
+	if _, err := Restore([]byte("not json"), grid); err == nil {
 		t.Error("garbage restore should fail")
 	}
 }
 
 func TestTransferFrom(t *testing.T) {
-	donor := newTestAgent(t, 3)
-	donor.Update("s", 1, 99, "s", nil)
-	dst := newTestAgent(t, 3)
+	donor := newTestAgent(t, DefaultConfig(), 3)
+	donor.UpdateIdx(s, 1, 99, s, nil)
+	dst := newTestAgent(t, DefaultConfig(), 3)
 	if err := dst.TransferFrom(donor); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Q("s", 1) != donor.Q("s", 1) {
+	if q(t, dst, s, 1) != q(t, donor, s, 1) {
 		t.Error("transfer did not copy Q values")
 	}
-	other := newTestAgent(t, 5)
+	other := newTestAgent(t, DefaultConfig(), 5)
 	if err := other.TransferFrom(donor); err == nil {
 		t.Error("mismatched action spaces should fail")
 	}
@@ -284,20 +316,20 @@ func TestTransferFrom(t *testing.T) {
 }
 
 func TestImportMapped(t *testing.T) {
-	donor := newTestAgent(t, 3)
-	donor.Update("s", 0, 10, "s", nil)
-	donor.Update("s", 2, 30, "s", nil)
+	donor := newTestAgent(t, DefaultConfig(), 3)
+	donor.UpdateIdx(s, 0, 10, s, nil)
+	donor.UpdateIdx(s, 2, 30, s, nil)
 	cfg := DefaultConfig()
 	cfg.InitLo, cfg.InitHi = 0, 0
-	dst, _ := NewAgent(cfg, 2)
+	dst := newTestAgent(t, cfg, 2)
 	// dst action 0 <- donor action 2; dst action 1 keeps local init.
 	if err := dst.ImportMapped(donor, []int{2, -1}); err != nil {
 		t.Fatal(err)
 	}
-	if dst.Q("s", 0) != donor.Q("s", 2) {
+	if q(t, dst, s, 0) != q(t, donor, s, 2) {
 		t.Error("mapped import wrong")
 	}
-	if dst.Q("s", 1) != 0 {
+	if q(t, dst, s, 1) != 0 {
 		t.Error("unmapped action must keep local init")
 	}
 	if err := dst.ImportMapped(donor, []int{0}); err == nil {
@@ -308,47 +340,59 @@ func TestImportMapped(t *testing.T) {
 	}
 }
 
+// TestImportTranslatesThroughBothGrids: donor and recipient may sit on
+// different grids; rows travel by key, and a donor state the recipient cannot
+// render fails the import before anything is written.
+func TestImportTranslatesThroughBothGrids(t *testing.T) {
+	small := newTestGrid(4)
+	dst, err := NewAgent(zeroInit(0.9, 0.1), 2, small)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donor := newTestAgent(t, DefaultConfig(), 2)
+	donor.UpdateIdx(3, 1, 9, 3, nil)
+	if err := dst.TransferFrom(donor); err != nil {
+		t.Fatal(err)
+	}
+	if q(t, dst, 3, 1) != q(t, donor, 3, 1) {
+		t.Error("row did not travel by key")
+	}
+	donor.UpdateIdx(10, 0, 1, 10, nil) // "s10" does not exist on the small grid
+	before, _ := dst.Snapshot()
+	if err := dst.TransferFrom(donor); err == nil {
+		t.Fatal("a donor state outside the recipient's grid should fail the import")
+	}
+	if after, _ := dst.Snapshot(); string(after) != string(before) {
+		t.Error("a refused import must not write")
+	}
+}
+
 func TestMemoryBytes(t *testing.T) {
-	ag := newTestAgent(t, 66)
+	ag := newTestAgent(t, DefaultConfig(), 66)
 	if ag.MemoryBytes() != 0 {
 		t.Error("fresh table must be empty")
 	}
-	ag.Update("0|1|0|2|1|0|1|1", 0, 1, "0|1|0|2|1|0|1|1", nil)
-	got := ag.MemoryBytes()
-	want := len("0|1|0|2|1|0|1|1") + 8*66
-	if got != want {
+	ag.UpdateIdx(s, 0, 1, s, nil)
+	if got, want := ag.MemoryBytes(), len(grid.KeyOf(s))+8*66; got != want {
 		t.Errorf("MemoryBytes = %d, want %d", got, want)
 	}
 }
 
 func TestFullTableFootprintNearPaper(t *testing.T) {
-	// The paper reports a 0.4 MB Q-table (3,072 states x ~66 actions).
-	ag := newTestAgent(t, 66)
-	count := 0
-	for a := 0; a < 4; a++ {
-		for b := 0; b < 2; b++ {
-			for c := 0; c < 2; c++ {
-				for d := 0; d < 3; d++ {
-					for e := 0; e < 4; e++ {
-						for f := 0; f < 4; f++ {
-							for g := 0; g < 2; g++ {
-								for h := 0; h < 2; h++ {
-									s := State(string(rune('0'+a)) + "|" + string(rune('0'+b)) + "|" +
-										string(rune('0'+c)) + "|" + string(rune('0'+d)) + "|" +
-										string(rune('0'+e)) + "|" + string(rune('0'+f)) + "|" +
-										string(rune('0'+g)) + "|" + string(rune('0'+h)))
-									ag.CopyRow(s, s)
-									count++
-								}
-							}
-						}
-					}
-				}
-			}
-		}
+	// The paper reports a 0.4 MB Q-table (3,072 states x ~66 actions); Table I
+	// keys are 15 bytes ("0|1|0|2|1|0|1|1").
+	keys := make([]State, 3072)
+	for i := range keys {
+		keys[i] = State(fmt.Sprintf("%015d", i))
 	}
-	if count != 3072 {
-		t.Fatalf("state enumeration = %d, want 3072", count)
+	ag, err := NewAgent(DefaultConfig(), 66, gridOf(keys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int32(0); i < 3072; i++ {
+		if err := ag.CopyRowIdx(i, i); err != nil {
+			t.Fatal(err)
+		}
 	}
 	mb := float64(ag.MemoryBytes()) / 1e6
 	if mb < 0.3 || mb > 3 {
@@ -357,9 +401,12 @@ func TestFullTableFootprintNearPaper(t *testing.T) {
 }
 
 func TestQOutOfRangeAction(t *testing.T) {
-	ag := newTestAgent(t, 2)
-	if ag.Q("s", -1) != 0 || ag.Q("s", 5) != 0 {
-		t.Error("out-of-range Q must be 0")
+	ag := newTestAgent(t, DefaultConfig(), 2)
+	ag.SelectActionIdx(s, nil)
+	for _, a := range []int{-1, 5} {
+		if got, ok := ag.QIdx(s, a); ok || got != 0 {
+			t.Error("out-of-range Q must be (0, false)")
+		}
 	}
 }
 
@@ -367,20 +414,14 @@ func TestUpdateContractionProperty(t *testing.T) {
 	// One Q update moves the value a (1-gamma) fraction of the way toward
 	// the TD target.
 	f := func(rawQ, rawR int16) bool {
-		cfg := Config{LearningRate: 0.9, Discount: 0, Epsilon: 0, InitLo: 0, InitHi: 0, Seed: 1}
-		ag, err := NewAgent(cfg, 1)
-		if err != nil {
-			return false
-		}
+		ag := newTestAgent(t, zeroInit(0.9, 0), 1)
 		r := float64(rawR)
 		// Seed Q by one update from zero: Q = 0.9 * q0.
-		q0 := float64(rawQ)
-		ag.Update("s", 0, q0, "t", nil)
-		before := ag.Q("s", 0)
-		ag.Update("s", 0, r, "t", nil)
-		after := ag.Q("s", 0)
+		ag.UpdateIdx(s, 0, float64(rawQ), u, nil)
+		before := q(t, ag, s, 0)
+		ag.UpdateIdx(s, 0, r, u, nil)
 		want := before + 0.9*(r-before)
-		return math.Abs(after-want) < 1e-9
+		return math.Abs(q(t, ag, s, 0)-want) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -388,54 +429,51 @@ func TestUpdateContractionProperty(t *testing.T) {
 }
 
 func TestSarsaUpdate(t *testing.T) {
-	cfg := Config{LearningRate: 0.5, Discount: 0.5, Epsilon: 0, InitLo: 0, InitHi: 0, Seed: 1}
-	ag, err := NewSarsaAgent(cfg, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ag := &SarsaAgent{Agent: newTestAgent(t, zeroInit(0.5, 0.5), 3)}
+	const next, end = 3, 4
 	// Seed Q(next, 1) = 10 via one plain update.
-	ag.Agent.Update("next", 1, 20, "end", nil)
-	if got := ag.Q("next", 1); got != 10 {
+	ag.UpdateIdx(next, 1, 20, end, nil)
+	if got := q(t, ag.Agent, next, 1); got != 10 {
 		t.Fatalf("setup Q = %v", got)
 	}
 	// SARSA bootstraps from the taken action (1), not the max.
-	ag.Agent.Update("next", 2, 100, "end", nil) // Q(next,2)=50, the max
-	if err := ag.UpdateSarsa("s", 0, 4, "next", 1); err != nil {
+	ag.UpdateIdx(next, 2, 100, end, nil) // Q(next,2)=50, the max
+	if err := ag.UpdateSarsaIdx(s, 0, 4, next, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Q(s,0) = 0 + 0.5*(4 + 0.5*10 - 0) = 4.5 (not 0.5*(4+25)).
-	if got := ag.Q("s", 0); got != 4.5 {
+	if got := q(t, ag.Agent, s, 0); got != 4.5 {
 		t.Errorf("SARSA Q = %v, want 4.5", got)
 	}
-	if err := ag.UpdateSarsa("s", 9, 0, "next", 0); err == nil {
+	if err := ag.UpdateSarsaIdx(s, 9, 0, next, 0); err == nil {
 		t.Error("out-of-range action should fail")
 	}
-	if err := ag.UpdateSarsa("s", 0, 0, "next", 9); err == nil {
+	if err := ag.UpdateSarsaIdx(s, 0, 0, next, 9); err == nil {
 		t.Error("out-of-range next action should fail")
+	}
+	if err := ag.UpdateSarsaIdx(s, 0, 0, -1, 0); err == nil {
+		t.Error("out-of-range next state should fail")
 	}
 	// Frozen SARSA agents ignore updates.
 	ag.Freeze()
-	before := ag.Q("s", 0)
-	ag.UpdateSarsa("s", 0, 1000, "next", 1)
-	if ag.Q("s", 0) != before {
+	before := q(t, ag.Agent, s, 0)
+	ag.UpdateSarsaIdx(s, 0, 1000, next, 1)
+	if q(t, ag.Agent, s, 0) != before {
 		t.Error("frozen SARSA agent must not learn")
 	}
 }
 
 func TestSarsaSharesAgentMachinery(t *testing.T) {
-	ag, err := NewSarsaAgent(DefaultConfig(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ag := &SarsaAgent{Agent: newTestAgent(t, DefaultConfig(), 4)}
 	// Selection, snapshot and transfer all come from the embedded Agent.
-	if _, err := ag.SelectAction("s", nil); err != nil {
+	if _, err := ag.SelectActionIdx(s, nil); err != nil {
 		t.Fatal(err)
 	}
 	data, err := ag.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(data); err != nil {
+	if _, err := Restore(data, grid); err != nil {
 		t.Fatal(err)
 	}
 }

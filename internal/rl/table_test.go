@@ -1,32 +1,59 @@
 package rl
 
 import (
+	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 )
 
 func TestVisitCountsAndRowsAreCopies(t *testing.T) {
-	ag := newTestAgent(t, 2)
-	ag.SelectAction("a", nil)
-	ag.SelectAction("a", nil)
-	ag.Update("a", 0, 3, "a", nil)
+	ag := newTestAgent(t, DefaultConfig(), 2)
+	ag.SelectActionIdx(s, nil)
+	ag.SelectActionIdx(s, nil)
+	ag.UpdateIdx(s, 0, 3, s, nil)
 
-	visits := ag.VisitCounts()
-	if visits["a"] != 2 || len(visits) != 1 {
-		t.Fatalf("VisitCounts = %v", visits)
+	tbl := ag.Table()
+	key := grid.KeyOf(s)
+	if tbl.Visits[key] != 2 || len(tbl.Visits) != 1 {
+		t.Fatalf("Visits = %v", tbl.Visits)
 	}
 	if ag.TotalVisits() != 2 {
 		t.Fatalf("TotalVisits = %d, want 2", ag.TotalVisits())
 	}
-	rows := ag.Rows()
-	if len(rows) != 1 || len(rows["a"]) != 2 {
-		t.Fatalf("Rows = %v", rows)
+	if len(tbl.Q) != 1 || len(tbl.Q[key]) != 2 || tbl.Actions != 2 {
+		t.Fatalf("Q = %v", tbl.Q)
 	}
-	// Mutating the copies must not reach the agent.
-	visits["a"] = 99
-	rows["a"][0] = -1e9
-	if ag.Visits("a") != 2 || ag.Q("a", 0) == -1e9 {
-		t.Fatal("accessor returned aliased internals")
+	// Mutating the copy must not reach the agent.
+	tbl.Visits[key] = 99
+	tbl.Q[key][0] = -1e9
+	if ag.VisitsIdx(s) != 2 || q(t, ag, s, 0) == -1e9 {
+		t.Fatal("Table returned aliased internals")
+	}
+}
+
+// TestSnapshotIsTableEncode: Snapshot is agent -> Table -> Encode, and
+// DecodeTable -> Encode reproduces the payload byte for byte.
+func TestSnapshotIsTableEncode(t *testing.T) {
+	ag := newTestAgent(t, DefaultConfig(), 3)
+	for i := int32(0); i < 6; i++ {
+		a, _ := ag.SelectActionIdx(i, nil)
+		ag.UpdateIdx(i, a, float64(i)-2.5, (i+1)%6, nil)
+	}
+	snap, err := ag.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaTable, err := ag.Table().Encode()
+	if err != nil || !bytes.Equal(snap, viaTable) {
+		t.Fatalf("Snapshot != Table().Encode() (%v)", err)
+	}
+	tbl, err := DecodeTable(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := tbl.Encode(); !bytes.Equal(again, snap) {
+		t.Fatalf("DecodeTable -> Encode moved bytes:\n got %s\nwant %s", again, snap)
 	}
 }
 
@@ -37,20 +64,27 @@ func TestRestoreLegacySnapshot(t *testing.T) {
 	legacy, err := json.Marshal(map[string]any{
 		"config":  DefaultConfig(),
 		"actions": 2,
-		"q":       map[string][]float64{"s1": {1, 2}, "s2": {3, 4}},
+		"q":       map[string][]float64{"s01": {1, 2}, "s02": {3, 4}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ag, err := Restore(legacy)
+	tbl, err := DecodeTable(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ag.Visits("s1") != 1 || ag.Visits("s2") != 1 || ag.TotalVisits() != 2 {
-		t.Fatalf("legacy restore visits: s1=%d s2=%d", ag.Visits("s1"), ag.Visits("s2"))
+	if tbl.Visits["s01"] != 1 || tbl.Visits["s02"] != 1 || len(tbl.Visits) != 2 {
+		t.Fatalf("legacy decode visits: %v", tbl.Visits)
 	}
-	if ag.Q("s2", 1) != 4 {
-		t.Fatalf("legacy restore Q(s2,1) = %v", ag.Q("s2", 1))
+	ag, err := Restore(legacy, grid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ag.VisitsIdx(1) != 1 || ag.VisitsIdx(2) != 1 || ag.TotalVisits() != 2 {
+		t.Fatalf("legacy restore visits: s01=%d s02=%d", ag.VisitsIdx(1), ag.VisitsIdx(2))
+	}
+	if got := q(t, ag, 2, 1); got != 4 {
+		t.Fatalf("legacy restore Q(s02,1) = %v", got)
 	}
 }
 
@@ -58,48 +92,68 @@ func TestRestoreRejectsNegativeVisits(t *testing.T) {
 	data, err := json.Marshal(map[string]any{
 		"config":  DefaultConfig(),
 		"actions": 1,
-		"q":       map[string][]float64{"s": {1}},
-		"visits":  map[string]int{"s": -3},
+		"q":       map[string][]float64{"s00": {1}},
+		"visits":  map[string]int{"s00": -3},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Restore(data); err == nil {
+	if _, err := Restore(data, grid); err == nil {
 		t.Fatal("negative visit count restored silently")
 	}
 }
 
-func TestNewAgentFromTable(t *testing.T) {
-	cfg := DefaultConfig()
-	ag, err := NewAgentFromTable(cfg, 2,
-		map[State][]float64{"s1": {1, 2}, "s2": {3, 4}},
-		map[State]int{"s1": 7})
+// TestDecodeTableValidation keeps every refusal the agent-building decoders
+// had: malformed JSON, bad hyperparameters, no actions, a row narrower than
+// the action space, a negative visit count.
+func TestDecodeTableValidation(t *testing.T) {
+	mk := func(cfg Config, actions int, q map[string][]float64, visits map[string]int) []byte {
+		data, err := json.Marshal(map[string]any{"config": cfg, "actions": actions, "q": q, "visits": visits})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	badCfg := DefaultConfig()
+	badCfg.LearningRate = 0
+	for name, data := range map[string][]byte{
+		"garbage":         []byte("not json"),
+		"bad config":      mk(badCfg, 1, nil, nil),
+		"zero actions":    mk(DefaultConfig(), 0, nil, nil),
+		"short row":       mk(DefaultConfig(), 2, map[string][]float64{"s00": {1}}, nil),
+		"negative visits": mk(DefaultConfig(), 1, map[string][]float64{"s00": {1}}, map[string]int{"s00": -3}),
+	} {
+		if _, err := DecodeTable(data); err == nil {
+			t.Errorf("%s: decoded silently", name)
+		}
+		if _, err := Restore(data, grid); err == nil {
+			t.Errorf("%s: restored silently", name)
+		}
+	}
+	// A visit entry without a row, and a zero count, are data: they round-trip.
+	ok := mk(DefaultConfig(), 1, map[string][]float64{"s00": {1}}, map[string]int{"s00": 0, "s05": 4})
+	ag, err := Restore(ok, grid)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ag.Q("s1", 1) != 2 || ag.Q("s2", 0) != 3 {
-		t.Fatal("table rows not installed")
+	if tbl := ag.Table(); len(tbl.Visits) != 2 || tbl.Visits["s05"] != 4 || len(tbl.Q) != 1 {
+		t.Fatalf("visit-only entries lost: %+v", tbl)
 	}
-	// Explicit visits kept; missing visits default to one.
-	if ag.Visits("s1") != 7 || ag.Visits("s2") != 1 {
-		t.Fatalf("visits: s1=%d s2=%d", ag.Visits("s1"), ag.Visits("s2"))
-	}
-	// Rows are copied in, not aliased.
-	src := map[State][]float64{"s": {5}}
-	ag2, err := NewAgentFromTable(cfg, 1, src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src["s"][0] = -1
-	if ag2.Q("s", 0) != 5 {
-		t.Fatal("constructor aliased the caller's rows")
-	}
+}
 
-	if _, err := NewAgentFromTable(cfg, 2, map[State][]float64{"s": {1}}, nil); err == nil {
-		t.Fatal("short row accepted")
-	}
-	if _, err := NewAgentFromTable(cfg, 1, map[State][]float64{"s": {1}},
-		map[State]int{"s": -1}); err == nil {
-		t.Fatal("negative visits accepted")
+// TestRestoreRefusesAlienKey: a key the grid cannot render is an error that
+// names it, whether it appears among the rows or only among the visits.
+func TestRestoreRefusesAlienKey(t *testing.T) {
+	for _, data := range []string{
+		`{"config":{"LearningRate":0.9,"Discount":0.1,"Epsilon":0.1,"InitLo":-1,"InitHi":1,"Seed":1},"actions":1,"q":{"s00":[1],"foreign|key":[2]},"visits":{}}`,
+		`{"config":{"LearningRate":0.9,"Discount":0.1,"Epsilon":0.1,"InitLo":-1,"InitHi":1,"Seed":1},"actions":1,"q":{"s00":[1]},"visits":{"foreign|key":2}}`,
+	} {
+		if _, err := DecodeTable([]byte(data)); err != nil {
+			t.Fatalf("the table itself is valid data: %v", err)
+		}
+		_, err := Restore([]byte(data), grid)
+		if err == nil || !strings.Contains(err.Error(), `"foreign|key"`) {
+			t.Fatalf("Restore error = %v, want one naming the alien key", err)
+		}
 	}
 }

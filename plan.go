@@ -15,13 +15,6 @@ type (
 	Planner = plan.Planner
 	// PlannerConfig tunes estimation, model targets and actuation clamps.
 	PlannerConfig = plan.Config
-	// PlanDecision is one applied (or held) capacity decision.
-	PlanDecision = plan.Decision
-	// PlanStatus is the admin /plan document: latest decision plus
-	// per-class SLO attainment.
-	PlanStatus = plan.Status
-	// PlanClassStatus is one SLO class's attainment row in /plan.
-	PlanClassStatus = plan.ClassStatus
 	// SLOClass is one service tier: latency target, fairness weight and
 	// admission gate (the gate, not the target, decides shed priority).
 	SLOClass = plan.Class

@@ -1,10 +1,6 @@
 package autoscale
 
-import (
-	"fmt"
-
-	"autoscale/internal/policy"
-)
+import "autoscale/internal/policy"
 
 // Policy plane: durable, versioned Q-table checkpoints and federated fleet
 // policy sync (see internal/policy for full documentation). The store keeps
@@ -21,14 +17,9 @@ type (
 	PolicyMeta = policy.Meta
 	// PolicySink is the store surface the gateway and syncer depend on.
 	PolicySink = policy.Sink
-	// PolicySyncer is the background checkpoint/merge/warm-start loop.
-	PolicySyncer = policy.Syncer
-	// PolicySyncConfig tunes sync interval and save retry/backoff.
+	// PolicySyncConfig tunes sync interval and save retry/backoff
+	// (GatewayConfig.PolicySync).
 	PolicySyncConfig = policy.SyncConfig
-	// PolicySyncReport summarizes one federation pass.
-	PolicySyncReport = policy.Report
-	// PolicyNode is one fleet member (device name + engine) under sync.
-	PolicyNode = policy.Node
 	// PolicyFaultSink wraps a sink with scripted I/O faults (write failure,
 	// slow fsync, disk-full) for chaos drills; wire its Verdict from a fault
 	// injector's CheckpointIO query.
@@ -48,10 +39,7 @@ const (
 // Policy plane sentinel errors.
 var (
 	ErrPolicyNotEnvelope  = policy.ErrNotEnvelope
-	ErrPolicyCorrupt      = policy.ErrCorrupt
-	ErrPolicyVersion      = policy.ErrVersion
 	ErrNoPolicyCheckpoint = policy.ErrNoCheckpoint
-	ErrPolicyStaleGen     = policy.ErrStaleGeneration
 	// ErrPolicyInjectedIO marks checkpoint-store damage dealt by a fault
 	// sink, distinguishing scripted I/O failures from real bugs.
 	ErrPolicyInjectedIO = policy.ErrInjectedIO
@@ -80,25 +68,9 @@ func MergePolicies(cks ...*PolicyCheckpoint) (*PolicyCheckpoint, error) {
 	return policy.Merge(cks)
 }
 
-// RestoreFromCheckpoint warm-starts an engine from a checkpoint, refusing
-// incompatible tables (config-hash mismatch).
-func RestoreFromCheckpoint(e *Engine, ck *PolicyCheckpoint) error {
-	if got, want := ck.ConfigHash, e.ConfigHash(); got != want {
-		return fmt.Errorf("autoscale: checkpoint config hash %s does not match engine %s", got, want)
-	}
-	return e.RestoreQTable(ck.Snapshot)
-}
-
-// NewPolicySyncer builds a federation syncer over a checkpoint sink and a
-// node source; Gateway.StartPolicySync wires one up automatically for a
-// serving fleet.
-func NewPolicySyncer(sink PolicySink, nodes func() []PolicyNode, cfg PolicySyncConfig) (*PolicySyncer, error) {
-	return policy.NewSyncer(sink, nodes, cfg)
-}
-
 // DecodePolicyCheckpoint verifies and parses checkpoint envelope bytes
-// (ErrPolicyNotEnvelope for non-envelope data, ErrPolicyCorrupt /
-// ErrPolicyVersion for damaged or unsupported files).
+// (ErrPolicyNotEnvelope for non-envelope data; any other error means a
+// damaged or unsupported file).
 func DecodePolicyCheckpoint(data []byte) (*PolicyCheckpoint, error) {
 	return policy.Decode(data)
 }

@@ -173,7 +173,7 @@ func TestFleetProvisionFromStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(engine.Agent().States()) == 0 {
+	if engine.Agent().NumStates() == 0 {
 		t.Fatal("donor fallback left a cold engine")
 	}
 

@@ -19,10 +19,6 @@ type (
 	// SupervisorConfig tunes tick interval, score thresholds, hysteresis
 	// widths and the remediation budget. Zero values select the defaults.
 	SupervisorConfig = super.Config
-	// SupervisorStatus is the /supervisor document.
-	SupervisorStatus = super.Status
-	// SupervisorAction is one remediation in the status log.
-	SupervisorAction = super.Action
 	// ChaosAuditor asserts the chaos-soak invariants: clock monotonicity
 	// per shard incarnation, exactly-once request conservation, in-flight
 	// settling to zero, and checkpoint CRC integrity.

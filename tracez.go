@@ -21,38 +21,13 @@ type (
 	// TracerConfig tunes sample rate, ring capacity and the sampling
 	// seed. Zero values select the defaults.
 	TracerConfig = tracez.Config
-	// ActiveTrace is the per-request handle threaded through the serving
-	// tiers; every method is nil-safe, so untraced requests cost one
-	// branch per call site.
-	ActiveTrace = tracez.Active
 	// RequestTrace is one finished trace: identity, flags, span tree and
 	// decision provenance.
 	RequestTrace = tracez.Trace
-	// TraceSpan is one step of a request's lifecycle.
-	TraceSpan = tracez.Span
-	// TraceProvenance is the decide span's decision provenance.
-	TraceProvenance = tracez.Provenance
-	// TracerStats is the tracer's sampling-counter snapshot.
-	TracerStats = tracez.Stats
-	// TraceIndex is the admin /traces index document.
-	TraceIndex = tracez.Index
 	// FlightRecorder is the incident ring: structured control-plane
 	// events plus kept traces, dumped as a JSON bundle on supervisor
 	// remediation.
 	FlightRecorder = tracez.FlightRecorder
-	// FlightEvent is one structured entry in the recorder's ring.
-	FlightEvent = tracez.Event
-)
-
-// Tail-keep flags: a trace carrying any of these is kept regardless of the
-// head-sampling draw.
-const (
-	TraceFlagExpired  = tracez.FlagExpired
-	TraceFlagShed     = tracez.FlagShed
-	TraceFlagFailed   = tracez.FlagFailed
-	TraceFlagFailover = tracez.FlagFailover
-	TraceFlagHedged   = tracez.FlagHedged
-	TraceFlagDegraded = tracez.FlagDegraded
 )
 
 // NewTracer builds a causal tracer. Wire it into a RouterConfig (the router
