@@ -48,10 +48,13 @@ chaos:
 # dense state index, RCU argmax) and a loaded local execution on a warmed
 # world must stay at zero allocations with tracing disabled; provenance
 # capture and the sampled trace lifecycle each get a 2 allocs/op budget,
-# Router.Do on a warmed router 1. Runs un-instrumented (the race detector's
-# shadow memory allocates).
+# Router.Do on a warmed router 1. The heap guards hold an agent's Q-table to
+# what it has seen: MemoryBytes within 10% of the live-heap delta at 0, 20,
+# 640 and 3,072 rows, and the paper's 640-state table at 0.4 MB +-25%. Runs
+# un-instrumented (the race detector's shadow memory allocates).
 alloc-guard:
 	$(GO) test -run '^(TestDecideZeroAlloc|TestExecuteLoadedZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget|TestRouterDoAllocBudget)$$' .
+	$(GO) test -run '^(TestMemoryBytesMatchesHeap|TestFullTableFootprintNearPaper)$$' ./internal/rl/
 
 # Fuzz smoke over the fault-schedule parser: any input that parses must also
 # compile and answer injector queries without panicking.

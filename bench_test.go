@@ -153,6 +153,20 @@ func BenchmarkEngineLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkNewEngine measures building an untrained engine — what every
+// Reset, revive and restore pays for its fresh agent, and the experiment
+// harness for each of its short-lived engines. B/op is mostly the Q-table's
+// per-state arrays: rows cost nothing until a state is seen.
+func BenchmarkNewEngine(b *testing.B) {
+	w := sim.NewWorld(soc.Mi8Pro(), 1)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := core.NewEngine(w, core.DefaultConfig()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkStateKey measures the Table I discretization alone.
 func BenchmarkStateKey(b *testing.B) {
 	s := core.NewStateSpace()

@@ -6,6 +6,7 @@ import (
 
 	"autoscale/internal/dnn"
 	"autoscale/internal/interfere"
+	"autoscale/internal/rl"
 	"autoscale/internal/sim"
 	"autoscale/internal/soc"
 )
@@ -376,6 +377,42 @@ func TestSeedIfUnseenPrefersSameModel(t *testing.T) {
 	}
 	if tgt != e.Actions.Target(best) {
 		t.Errorf("seeded greedy %v differs from donor best %v", tgt, e.Actions.Target(best))
+	}
+}
+
+// TestSeedTieBreaksByLowerIndex: when two trained states are equally near a
+// new one, the new row is seeded from the lower-index state, whatever order
+// the rows were materialized in. Here the higher candidate is materialized
+// first, so a scan that kept the first candidate it met in materialization
+// order would pick it.
+func TestSeedTieBreaksByLowerIndex(t *testing.T) {
+	e := newTestEngine(t)
+	ag := e.Agent()
+	idx := func(key string) int32 {
+		i, ok := e.States.Lookup(rl.State(key))
+		if !ok {
+			t.Fatalf("%s is not on the grid", key)
+		}
+		return i
+	}
+	target := idx("0|0|0|0|1|0|0|0")
+	lo, hi := idx("0|0|0|0|0|0|0|0"), idx("0|0|0|0|2|0|0|0") // one SCo_CPU bin either side
+	ag.CopyRowIdx(hi, hi)
+	ag.CopyRowIdx(lo, lo)
+
+	e.seedIfUnseenIdx(ag, target)
+	differ := false
+	for j := 0; j < ag.NumActions(); j++ {
+		got, _ := ag.QIdx(target, j)
+		want, _ := ag.QIdx(lo, j)
+		other, _ := ag.QIdx(hi, j)
+		if got != want {
+			t.Fatalf("Q(target,%d) = %v, want the lower candidate's %v (higher: %v)", j, got, want, other)
+		}
+		differ = differ || want != other
+	}
+	if !differ {
+		t.Fatal("the two candidates' rows are identical; the test cannot tell them apart")
 	}
 }
 

@@ -41,10 +41,10 @@ func stateDistance(a, b [NumFeatures]int) int {
 
 // seedIfUnseenIdx seeds the Q row of the state at dense index i from the
 // nearest visited state. It is a no-op when the state already has a row or
-// no other state exists. The scan walks materialized states in ascending
-// index order — the same order the map-backed table produced by sorting
-// string keys, so the first-wins tie-break is preserved. The agent's table
-// is the engine's own grid, so every index decodes.
+// no other state exists. The scan walks only the materialized rows, in the
+// agent's row order, and breaks distance ties by the lower index — the state
+// the map-backed table's sorted-key walk found first. The agent's table is
+// the engine's own grid, so every index decodes.
 func (e *Engine) seedIfUnseenIdx(ag *rl.Agent, i int32) {
 	if ag.HasStateIdx(i) {
 		return
@@ -55,11 +55,11 @@ func (e *Engine) seedIfUnseenIdx(ag *rl.Agent, i int32) {
 	}
 	bestDist := int64(-1)
 	var best int32
-	ag.ForEachMaterialized(func(j int32) {
+	ag.ForEachRow(func(j int32) {
 		var cb [NumFeatures]int
 		e.States.BinsOf(j, &cb)
 		d := int64(stateDistance(target, cb))
-		if bestDist < 0 || d < bestDist {
+		if bestDist < 0 || d < bestDist || (d == bestDist && j < best) {
 			bestDist, best = d, j
 		}
 	})

@@ -39,6 +39,16 @@ func (g *testGrid) Lookup(s State) (int32, bool) {
 // grid is shared by the tests: grids are immutable, agents are not.
 var grid = newTestGrid(24)
 
+// paperGrid has Table I's 3,072 states with keys as long as Table I's
+// ("0|1|0|2|1|0|1|1" is 15 bytes).
+func paperGrid() *testGrid {
+	keys := make([]State, 3072)
+	for i := range keys {
+		keys[i] = State(fmt.Sprintf("%015d", i))
+	}
+	return gridOf(keys)
+}
+
 func newTestAgent(t testing.TB, cfg Config, actions int) *Agent {
 	t.Helper()
 	ag, err := NewAgent(cfg, actions, grid)

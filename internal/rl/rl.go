@@ -5,24 +5,26 @@
 // learning-transfer experiments (Section VI-C).
 //
 // One key space (DESIGN.md §14): an Agent is built on a state grid (Interner;
-// the core StateSpace's mixed-radix Table I grid) and its table — a flat
-// [grid.Size()*actions] array of float64 bit patterns in atomic.Uint64 cells
-// — is allocated once and never grows. Every method addresses states by dense
-// int32 index and bounds-checks against the table. Strings exist in exactly
-// one plain type, Table (table.go): Snapshot is agent -> Table -> Encode,
-// Restore is DecodeTable -> grid.Lookup per key, and a key the grid cannot
-// render is refused with an error naming it. Reads (greedy selection, Q and
-// visit lookups) are lock-free and allocation-free once a row is
-// materialized; every write — RNG draws, row materialization, Q updates —
-// funnels through one writer mutex (the single-writer rule), so readers can
-// never observe a torn row: values are stored before the row's ready flag,
-// and per-cell loads are atomic.
+// the core StateSpace's mixed-radix Table I grid) and every method addresses
+// states by dense int32 index, bounds-checked against the grid. The table
+// holds only what the agent has seen: each state has a pointer to its row of
+// float64 bit patterns in atomic.Uint64 cells, allocated on first touch, so
+// an agent's heap grows with the states it visits, not with the grid.
+// Strings exist in exactly one plain type, Table (table.go): Snapshot is
+// agent -> Table -> Encode, Restore is DecodeTable -> grid.Lookup per key,
+// and a key the grid cannot render is refused with an error naming it.
+// Reads (greedy selection, Q and visit lookups) are lock-free and
+// allocation-free once a row is materialized; every write — RNG draws, row
+// materialization, Q updates — funnels through one writer mutex (the
+// single-writer rule), so readers can never observe a torn row: a row's
+// values are stored before its pointer, and per-cell loads are atomic.
 package rl
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -79,35 +81,71 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Per-state flag bits in table.flags. flagRow gates every lock-free row
-// read: it is set (atomically, after the row's values) only once the row is
-// fully materialized, so observing it implies the values are visible.
-// flagVisit marks states carrying a visit-count entry — including restored
-// zero-count entries, which must round-trip through snapshots.
-const (
-	flagRow   uint32 = 1 << 0
-	flagVisit uint32 = 1 << 1
-)
+// entry is one state's slot in the table: a pointer to its row of float64
+// bit patterns, nil until the state is first seen, and its visit count +1,
+// so 0 means no visit entry (a restored zero-count entry must round-trip
+// without a row). Selection touches both, so they share a cache line.
+type entry struct {
+	row    atomic.Pointer[[]atomic.Uint64]
+	visits atomic.Int64
+}
 
-// table is the dense Q storage, one row per grid state. Cells hold float64
-// bit patterns; the zeroed cells of untouched rows are never written, so
-// their pages stay unmapped.
+// table is the Q storage: one entry per state of the grid, and rows only for
+// the states seen. A row's values are stored before its pointer, so the
+// pointer store is the ready flag, and a row never moves once allocated — a
+// reader sees either no row or a whole one, and a row slice stays valid
+// across later writes. order lists the states with a row in materialization
+// order; its first n entries are written, each before n counts it.
 type table struct {
 	actions int
-	states  int
-	q       []atomic.Uint64 // states*actions float64 bits, row-major
-	flags   []atomic.Uint32
-	visits  []atomic.Int64
+	states  []entry
+	order   []int32
+	n       atomic.Int32 // rows materialized
 }
 
 func newTable(actions, states int) *table {
 	return &table{
 		actions: actions,
-		states:  states,
-		q:       make([]atomic.Uint64, states*actions),
-		flags:   make([]atomic.Uint32, states),
-		visits:  make([]atomic.Int64, states),
+		states:  make([]entry, states),
+		order:   make([]int32, states),
 	}
+}
+
+// row returns state i's cells, or nil when it has no row. Lock-free.
+func (t *table) row(i int32) []atomic.Uint64 {
+	if p := t.states[i].row.Load(); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// writeRowLocked stores bits(j) into every cell of state i's row and
+// returns the row. A state without one gets a new row, published only once
+// the values are in. Caller holds wmu.
+func (t *table) writeRowLocked(i int32, bits func(j int) uint64) []atomic.Uint64 {
+	row := t.row(i)
+	fresh := row == nil
+	if fresh {
+		// Grown through append, so cap is the size the allocator reserved;
+		// MemoryBytes counts that.
+		row = slices.Grow([]atomic.Uint64(nil), t.actions)[:t.actions]
+	}
+	for j := range row {
+		row[j].Store(bits(j))
+	}
+	if fresh {
+		n := t.n.Load()
+		t.order[n] = i
+		t.states[i].row.Store(&row)
+		t.n.Store(n + 1)
+	}
+	return row
+}
+
+// visitsOf returns state i's visit count and whether it has an entry.
+func (t *table) visitsOf(i int32) (n int64, ok bool) {
+	v := t.states[i].visits.Load()
+	return max(v-1, 0), v > 0
 }
 
 // Agent is a tabular Q-learning agent. It is safe for concurrent use:
@@ -117,16 +155,15 @@ type Agent struct {
 	cfg     Config // Epsilon herein is the initial value; live value in epsBits
 	actions int
 	grid    Interner
-	tab     *table // allocated once at grid.Size(); never replaced
+	tab     *table // sized once from the grid; never replaced
 
 	// wmu is the single-writer lock: everything that draws from rng,
 	// materializes rows or writes Q values holds it. Readers never do.
 	wmu sync.Mutex
 	rng *exec.Rand
 
-	epsBits      atomic.Uint64 // float64 bits of the live epsilon
-	frozen       atomic.Bool
-	materialized atomic.Int64
+	epsBits atomic.Uint64 // float64 bits of the live epsilon
+	frozen  atomic.Bool
 
 	// Learning-health counters, sampled read-only by the telemetry plane.
 	// They are deliberately excluded from Snapshot: they describe this
@@ -149,7 +186,8 @@ var (
 )
 
 // NewAgent creates an agent over a fixed-size action space whose states are
-// the indices of grid. The table is sized to the whole grid up front.
+// the indices of grid. Only the per-state entry and order arrays are sized
+// to the grid up front; rows are allocated as states are first seen.
 func NewAgent(cfg Config, numActions int, grid Interner) (*Agent, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -214,27 +252,20 @@ func (a *Agent) StateIndex(s State) (int32, bool) { return a.grid.Lookup(s) }
 func (a *Agent) KeyOf(i int32) State { return a.grid.KeyOf(i) }
 
 // valid reports whether i addresses a row of the table.
-func (a *Agent) valid(i int32) bool { return i >= 0 && int(i) < a.tab.states }
+func (a *Agent) valid(i int32) bool { return i >= 0 && int(i) < len(a.tab.states) }
 
 func errIndex(i int32) error { return fmt.Errorf("rl: state index %d out of range", i) }
 
-// ensureRowLocked materializes row i with random values on first touch —
-// the same draw sequence (one Float64 per action, in action order) as the
-// historical map-backed table, so fixed-seed runs replay identically.
-// Values are stored before flagRow, which readers acquire-load to gate the
-// lock-free fast path. Caller holds wmu.
-func (a *Agent) ensureRowLocked(i int32) {
-	t := a.tab
-	if t.flags[i].Load()&flagRow != 0 {
-		return
+// ensureRowLocked returns state i's row, materializing it with random values
+// on first touch — the same draw sequence (one Float64 per action, in action
+// order) as the historical map-backed table, so fixed-seed runs replay
+// identically. Caller holds wmu.
+func (a *Agent) ensureRowLocked(i int32) []atomic.Uint64 {
+	if row := a.tab.row(i); row != nil {
+		return row
 	}
-	row := t.q[int(i)*t.actions : (int(i)+1)*t.actions]
-	span := a.cfg.InitHi - a.cfg.InitLo
-	for j := range row {
-		row[j].Store(math.Float64bits(a.cfg.InitLo + span*a.rng.Float64()))
-	}
-	t.flags[i].Or(flagRow)
-	a.materialized.Add(1)
+	lo, span := a.cfg.InitLo, a.cfg.InitHi-a.cfg.InitLo
+	return a.tab.writeRowLocked(i, func(int) uint64 { return math.Float64bits(lo + span*a.rng.Float64()) })
 }
 
 func actionEnabled(mask []bool, j int) bool {
@@ -267,16 +298,13 @@ func nthEnabled(mask []bool, n, k int) int {
 	return 0
 }
 
-func loadQ(t *table, i int32, j int) float64 {
-	return math.Float64frombits(t.q[int(i)*t.actions+j].Load())
-}
+func loadQ(cell *atomic.Uint64) float64 { return math.Float64frombits(cell.Load()) }
 
-// argmaxRow returns the first-enabled argmax of row i and its Q value
-// (strict > keeps the historical first-wins tie-break); -1 when mask
-// disables everything. The row is sliced once and the mask's presence
-// decided once, so each cell costs one atomic load and one compare.
-func argmaxRow(t *table, i int32, mask []bool) (best int, bestQ float64) {
-	row := t.q[int(i)*t.actions : (int(i)+1)*t.actions]
+// argmaxRow returns the first-enabled argmax of row and its Q value (strict >
+// keeps the historical first-wins tie-break); -1 when mask disables
+// everything. The mask's presence is decided once, so each cell costs one
+// atomic load and one compare.
+func argmaxRow(row []atomic.Uint64, mask []bool) (best int, bestQ float64) {
 	if mask != nil && len(mask) < len(row) {
 		row = row[:len(mask)] // actions past the mask's end are disabled
 	}
@@ -327,11 +355,10 @@ func (a *Agent) SelectIdx(i int32, mask []bool, p *SelectProv) (int, error) {
 	}
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
-	t := a.tab
-	t.visits[i].Add(1)
-	t.flags[i].Or(flagVisit)
+	v := &a.tab.states[i].visits
+	v.Store(max(v.Load(), 1) + 1) // single writer: load+store is the increment
 	a.selections.Add(1)
-	a.ensureRowLocked(i) // materialize so a visited state exists even when exploring
+	row := a.ensureRowLocked(i) // materialize so a visited state exists even when exploring
 	eps, frozen := math.Float64frombits(a.epsBits.Load()), a.frozen.Load()
 	explored := !frozen && a.rng.Float64() < eps
 	var idx int
@@ -339,13 +366,13 @@ func (a *Agent) SelectIdx(i int32, mask []bool, p *SelectProv) (int, error) {
 		a.explores.Add(1)
 		idx = nthEnabled(mask, a.actions, a.rng.Intn(n))
 	} else {
-		idx, _ = argmaxRow(t, i, mask)
+		idx, _ = argmaxRow(row, mask)
 	}
 	if p != nil {
 		p.Epsilon, p.Frozen, p.Explored = eps, frozen, explored
 		p.Q = p.Q[:0]
-		for j := 0; j < a.actions; j++ {
-			p.Q = append(p.Q, loadQ(t, i, j))
+		for j := range row {
+			p.Q = append(p.Q, loadQ(&row[j]))
 		}
 	}
 	return idx, nil
@@ -359,15 +386,16 @@ func (a *Agent) BestActionIdx(i int32, mask []bool) (int, error) {
 	if !a.valid(i) {
 		return 0, errIndex(i)
 	}
-	if !a.HasStateIdx(i) {
+	row := a.tab.row(i)
+	if row == nil {
 		if countEnabled(mask, a.actions) == 0 {
 			return 0, errNoEnabled
 		}
 		a.wmu.Lock()
-		a.ensureRowLocked(i)
+		row = a.ensureRowLocked(i)
 		a.wmu.Unlock()
 	}
-	if best, _ := argmaxRow(a.tab, i, mask); best >= 0 {
+	if best, _ := argmaxRow(row, mask); best >= 0 {
 		return best, nil
 	}
 	return 0, errNoEnabled
@@ -389,15 +417,12 @@ func (a *Agent) UpdateIdx(si int32, action int, reward float64, ni int32, nextMa
 	if err := a.checkUpdate(si, action, ni); err != nil {
 		return err
 	}
-	t := a.tab
 	var nextBest float64
 	if countEnabled(nextMask, a.actions) > 0 {
-		a.ensureRowLocked(ni)
-		_, nextBest = argmaxRow(t, ni, nextMask)
+		_, nextBest = argmaxRow(a.ensureRowLocked(ni), nextMask)
 	}
-	a.ensureRowLocked(si)
-	cell := &t.q[int(si)*t.actions+action]
-	q := math.Float64frombits(cell.Load())
+	cell := &a.ensureRowLocked(si)[action]
+	q := loadQ(cell)
 	delta := reward + a.cfg.Discount*nextBest - q
 	a.noteTDLocked(delta)
 	cell.Store(math.Float64bits(q + a.cfg.LearningRate*delta))
@@ -448,24 +473,36 @@ func (a *Agent) ExplorationStats() (explores, selections int64) {
 
 // NumStates returns how many Q rows are materialized — the numerator of the
 // state-space coverage gauge.
-func (a *Agent) NumStates() int { return int(a.materialized.Load()) }
+func (a *Agent) NumStates() int { return int(a.tab.n.Load()) }
 
 // HasStateIdx reports whether the state at dense index i has a materialized
 // Q row. Lock-free.
 func (a *Agent) HasStateIdx(i int32) bool {
-	return a.valid(i) && a.tab.flags[i].Load()&flagRow != 0
+	return a.valid(i) && a.tab.states[i].row.Load() != nil
 }
 
 // ForEachMaterialized calls fn with the dense index of every materialized
 // state in ascending order (on the Table I grid that is also ascending
-// lexicographic key order); callers that want the key ask KeyOf. fn must not
-// mutate the agent.
+// lexicographic key order); callers that want the key ask KeyOf. It walks
+// the whole grid; ForEachRow is the O(rows) walk for callers that do not
+// need index order. fn must not mutate the agent.
 func (a *Agent) ForEachMaterialized(fn func(i int32)) {
 	t := a.tab
-	for i := range t.flags {
-		if t.flags[i].Load()&flagRow != 0 {
+	for i := range t.states {
+		if t.states[i].row.Load() != nil {
 			fn(int32(i))
 		}
+	}
+}
+
+// ForEachRow calls fn with the dense index of every materialized state in
+// materialization order, which depends on the agent's history (and on map
+// order after Restore): a caller whose result must not depend on it breaks
+// ties by index. Lock-free; fn must not mutate the agent.
+func (a *Agent) ForEachRow(fn func(i int32)) {
+	t := a.tab
+	for _, i := range t.order[:t.n.Load()] {
+		fn(i)
 	}
 }
 
@@ -483,17 +520,9 @@ func (a *Agent) CopyRowIdx(dst, src int32) error {
 	}
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
-	t := a.tab
-	a.ensureRowLocked(src)
-	if dst == src {
-		return nil
-	}
-	for j := 0; j < t.actions; j++ {
-		t.q[int(dst)*t.actions+j].Store(t.q[int(src)*t.actions+j].Load())
-	}
-	if t.flags[dst].Load()&flagRow == 0 {
-		t.flags[dst].Or(flagRow)
-		a.materialized.Add(1)
+	from := a.ensureRowLocked(src)
+	if dst != src {
+		a.tab.writeRowLocked(dst, func(j int) uint64 { return from[j].Load() })
 	}
 	return nil
 }
@@ -502,10 +531,14 @@ func (a *Agent) CopyRowIdx(dst, src int32) error {
 // read that materializes nothing. ok is false for an out-of-range index or
 // action and for a state with no row yet.
 func (a *Agent) QIdx(i int32, action int) (q float64, ok bool) {
-	if action < 0 || action >= a.actions || !a.HasStateIdx(i) {
+	if action < 0 || action >= a.actions || !a.valid(i) {
 		return 0, false
 	}
-	return loadQ(a.tab, i, action), true
+	row := a.tab.row(i)
+	if row == nil {
+		return 0, false
+	}
+	return loadQ(&row[action]), true
 }
 
 // VisitsIdx returns how many times state i was selected against (0 for an
@@ -514,29 +547,36 @@ func (a *Agent) VisitsIdx(i int32) int {
 	if !a.valid(i) {
 		return 0
 	}
-	return int(a.tab.visits[i].Load())
+	n, _ := a.tab.visitsOf(i)
+	return int(n)
 }
 
 // TotalVisits returns the total number of action selections across all
 // states — zero means the agent has never been asked for a decision, which
 // the fleet syncer treats as "new device, warm-start me".
 func (a *Agent) TotalVisits() int {
-	t := a.tab
 	total := 0
-	for i := 0; i < t.states; i++ {
-		total += int(t.visits[i].Load())
+	for i := range a.tab.states {
+		n, _ := a.tab.visitsOf(int32(i))
+		total += int(n)
 	}
 	return total
 }
 
-// MemoryBytes estimates the Q-table's resident footprint: one float64 per
-// (materialized state, action) pair plus key overhead. The paper reports
-// 0.4 MB for its full table. (The dense backing array reserves the full
-// grid up front, but untouched rows are never written, so their pages stay
-// unmapped; this reports the touched working set, as the map did.)
+// MemoryBytes reports the heap the Q-table holds: the per-state entry and
+// order arrays, and every materialized row at the size the allocator
+// reserved for it plus the slice header its pointer addresses.
+// TestMemoryBytesMatchesHeap holds it to the runtime's HeapAlloc delta; the
+// paper reports 0.4 MB for its table.
 func (a *Agent) MemoryBytes() int {
-	total := 0
-	a.ForEachMaterialized(func(i int32) { total += len(a.KeyOf(i)) + 8*a.actions })
+	const sliceHeader = 24
+	t := a.tab
+	total := 16*len(t.states) + 4*len(t.order)
+	for i := range t.states {
+		if p := t.states[i].row.Load(); p != nil {
+			total += sliceHeader + 8*cap(*p)
+		}
+	}
 	return total
 }
 
@@ -548,24 +588,25 @@ func (a *Agent) Table() Table {
 	out := Table{
 		Config:  a.Config(),
 		Actions: a.actions,
-		Q:       make(map[State][]float64, a.materialized.Load()),
+		Q:       make(map[State][]float64, t.n.Load()),
 		Visits:  make(map[State]int),
 	}
-	for i := range t.flags {
-		f := t.flags[i].Load()
-		if f&(flagRow|flagVisit) == 0 {
+	for i := range t.states {
+		row := t.row(int32(i))
+		n, visited := t.visitsOf(int32(i))
+		if row == nil && !visited {
 			continue
 		}
 		key := a.grid.KeyOf(int32(i))
-		if f&flagRow != 0 {
-			row := make([]float64, t.actions)
-			for j := range row {
-				row[j] = loadQ(t, int32(i), j)
+		if row != nil {
+			q := make([]float64, len(row))
+			for j := range q {
+				q[j] = loadQ(&row[j])
 			}
-			out.Q[key] = row
+			out.Q[key] = q
 		}
-		if f&flagVisit != 0 {
-			out.Visits[key] = int(t.visits[i].Load())
+		if visited {
+			out.Visits[key] = int(n)
 		}
 	}
 	return out
@@ -600,25 +641,20 @@ func Restore(data []byte, grid Interner) (*Agent, error) {
 		}
 		return i, nil
 	}
-	t := ag.tab
+	t := ag.tab // not yet shared: no reader, no other writer
 	for s, row := range tbl.Q {
 		i, err := index(s)
 		if err != nil {
 			return nil, err
 		}
-		for j, v := range row {
-			t.q[int(i)*t.actions+j].Store(math.Float64bits(v))
-		}
-		t.flags[i].Or(flagRow)
+		t.writeRowLocked(i, func(j int) uint64 { return math.Float64bits(row[j]) })
 	}
-	ag.materialized.Store(int64(len(tbl.Q)))
 	for s, n := range tbl.Visits {
 		i, err := index(s)
 		if err != nil {
 			return nil, err
 		}
-		t.visits[i].Store(int64(n))
-		t.flags[i].Or(flagVisit)
+		t.states[i].visits.Store(int64(n) + 1)
 	}
 	return ag, nil
 }
@@ -682,15 +718,16 @@ func (a *Agent) ImportMapped(donor *Agent, srcForDst []int) error {
 
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
-	t, donorRow := a.tab, make([]float64, donor.actions)
+	donorRow := make([]float64, donor.actions)
 	for _, p := range pairs {
+		cells := donor.tab.row(p.donor)
 		for j := range donorRow {
-			donorRow[j] = loadQ(donor.tab, p.donor, j)
+			donorRow[j] = loadQ(&cells[j])
 		}
-		a.ensureRowLocked(p.local)
+		row := a.ensureRowLocked(p.local)
 		for j, src := range srcForDst {
 			if src >= 0 {
-				t.q[int(p.local)*t.actions+j].Store(math.Float64bits(donorRow[src]))
+				row[j].Store(math.Float64bits(donorRow[src]))
 			}
 		}
 	}

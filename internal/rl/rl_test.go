@@ -1,8 +1,9 @@
 package rl
 
 import (
-	"fmt"
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -236,6 +237,27 @@ func TestStatesAndVisits(t *testing.T) {
 	}
 }
 
+// TestRowWalkOrders: ForEachRow yields rows in materialization order;
+// ForEachMaterialized yields the same states by index.
+func TestRowWalkOrders(t *testing.T) {
+	ag := newTestAgent(t, DefaultConfig(), 2)
+	var want []int32
+	for i := int32(grid.Size() - 1); i >= 0; i -= 2 {
+		ag.CopyRowIdx(i, i)
+		want = append(want, i)
+	}
+	var rows, ascending []int32
+	ag.ForEachRow(func(i int32) { rows = append(rows, i) })
+	ag.ForEachMaterialized(func(i int32) { ascending = append(ascending, i) })
+	if !slices.Equal(rows, want) {
+		t.Errorf("ForEachRow = %v, want materialization order %v", rows, want)
+	}
+	slices.Reverse(want)
+	if !slices.Equal(ascending, want) {
+		t.Errorf("ForEachMaterialized = %v, want ascending %v", ascending, want)
+	}
+}
+
 func TestHasStateCopyRow(t *testing.T) {
 	ag := newTestAgent(t, DefaultConfig(), 3)
 	const x, y = 7, 8
@@ -367,36 +389,82 @@ func TestImportTranslatesThroughBothGrids(t *testing.T) {
 	}
 }
 
+// TestMemoryBytes: a fresh agent holds only its per-state pointer, order and
+// visit arrays, and every row it materializes adds the same amount: at least
+// its cells.
 func TestMemoryBytes(t *testing.T) {
-	ag := newTestAgent(t, DefaultConfig(), 66)
-	if ag.MemoryBytes() != 0 {
-		t.Error("fresh table must be empty")
-	}
-	ag.UpdateIdx(s, 0, 1, s, nil)
-	if got, want := ag.MemoryBytes(), len(grid.KeyOf(s))+8*66; got != want {
-		t.Errorf("MemoryBytes = %d, want %d", got, want)
-	}
-}
-
-func TestFullTableFootprintNearPaper(t *testing.T) {
-	// The paper reports a 0.4 MB Q-table (3,072 states x ~66 actions); Table I
-	// keys are 15 bytes ("0|1|0|2|1|0|1|1").
-	keys := make([]State, 3072)
-	for i := range keys {
-		keys[i] = State(fmt.Sprintf("%015d", i))
-	}
-	ag, err := NewAgent(DefaultConfig(), 66, gridOf(keys))
+	const states, actions = 200, 66
+	ag, err := NewAgent(DefaultConfig(), actions, newTestGrid(states))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int32(0); i < 3072; i++ {
+	fixed := ag.MemoryBytes()
+	if want := states * (8 + 4 + 8); fixed != want {
+		t.Errorf("fresh agent holds %d B, want %d (row pointers, order, visits)", fixed, want)
+	}
+	ag.CopyRowIdx(0, 0)
+	row := ag.MemoryBytes() - fixed
+	if row < actions*8 {
+		t.Fatalf("one row = %d B, less than its %d cells", row, actions)
+	}
+	for i := int32(1); i < 100; i++ {
+		ag.CopyRowIdx(i, i)
+	}
+	if got := ag.MemoryBytes(); got != fixed+100*row {
+		t.Errorf("100 rows hold %d B, want %d", got, fixed+100*row)
+	}
+}
+
+// TestMemoryBytesMatchesHeap: MemoryBytes is what the runtime says the agent
+// holds — the live-heap delta of building an agent on the paper's 3,072-state
+// grid and materializing 0, 20 (the benchmark's engine_train), 640 (the
+// paper's table) and every row, within 10 %.
+func TestMemoryBytesMatchesHeap(t *testing.T) {
+	g := paperGrid()
+	for _, rows := range []int{0, 20, 640, g.Size()} {
+		before := liveHeap()
+		ag, err := NewAgent(DefaultConfig(), 66, g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < rows; i++ {
+			ag.CopyRowIdx(int32(i), int32(i))
+		}
+		delta := liveHeap() - before
+		got := int64(ag.MemoryBytes())
+		runtime.KeepAlive(ag)
+		if diff := math.Abs(float64(got - delta)); diff > 0.1*float64(delta) {
+			t.Errorf("%d rows: MemoryBytes %d B, heap grew %d B", rows, got, delta)
+		}
+		t.Logf("%4d rows: MemoryBytes %7d B, heap grew %7d B", rows, got, delta)
+	}
+}
+
+// liveHeap is HeapAlloc after two collections: one does not always free
+// what was allocated while a background cycle was marking.
+func liveHeap() int64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
+// TestFullTableFootprintNearPaper: "full" is the paper's table, not the
+// grid — it reports 0.4 MB for about 640 visited states of the 3,072-state
+// grid x 66 actions (Section VI-C).
+func TestFullTableFootprintNearPaper(t *testing.T) {
+	ag, err := NewAgent(DefaultConfig(), 66, paperGrid())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int32(0); i < 640; i++ {
 		if err := ag.CopyRowIdx(i, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	mb := float64(ag.MemoryBytes()) / 1e6
-	if mb < 0.3 || mb > 3 {
-		t.Errorf("full-table footprint = %.2f MB, want within a few x of the paper's 0.4 MB", mb)
+	if mb := float64(ag.MemoryBytes()) / 1e6; mb < 0.3 || mb > 0.5 {
+		t.Errorf("640-state footprint = %.3f MB, want the paper's 0.4 MB +-25%%", mb)
 	}
 }
 

@@ -38,12 +38,9 @@ func (a *SarsaAgent) UpdateSarsaIdx(si int32, action int, reward float64, ni int
 	if nextAction < 0 || nextAction >= a.actions {
 		return fmt.Errorf("rl: next action %d out of range", nextAction)
 	}
-	t := a.tab
-	a.ensureRowLocked(ni)
-	nextQ := loadQ(t, ni, nextAction)
-	a.ensureRowLocked(si)
-	cell := &t.q[int(si)*t.actions+action]
-	q := math.Float64frombits(cell.Load())
+	nextQ := loadQ(&a.ensureRowLocked(ni)[nextAction])
+	cell := &a.ensureRowLocked(si)[action]
+	q := loadQ(cell)
 	delta := reward + a.cfg.Discount*nextQ - q
 	a.noteTDLocked(delta)
 	cell.Store(math.Float64bits(q + a.cfg.LearningRate*delta))
