@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -397,6 +398,45 @@ func (e *Engine) AdvanceTo(t float64) {
 	if d := t - e.root.Now(); d > 0 {
 		e.root.Advance(d)
 	}
+}
+
+// Fork returns an independent engine on world w that continues exactly as
+// this one would: a clone of the agent, the staged update, the step counter,
+// the reward ring, the estimator's fallback stream and a fresh root clock
+// standing at Now(). The action space is rebuilt on w (with partitions when
+// configured); a world with a different action count is refused. Stepping
+// either engine afterwards never moves the other. Callers fork a trained
+// engine to reuse its training; w must behave as the engine's own world does
+// for the continuation to match.
+func (e *Engine) Fork(w *sim.World) (*Engine, error) {
+	if w == nil {
+		return nil, errors.New("core: nil world")
+	}
+	actions := NewActionSpace(w)
+	if e.cfg.PartitionActions {
+		actions = NewActionSpaceWithPartitions(w)
+	}
+	if actions.Len() != e.Actions.Len() {
+		return nil, fmt.Errorf("core: fork: world has %d actions, engine has %d", actions.Len(), e.Actions.Len())
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	f := &Engine{
+		World:     w,
+		Actions:   actions,
+		States:    e.States,
+		cfg:       e.cfg,
+		est:       e.est.clone(),
+		root:      exec.NewRoot(e.cfg.Seed).Child("engine"),
+		steps:     e.steps,
+		rewards:   slices.Clone(e.rewards),
+		rewardIdx: e.rewardIdx,
+		rewardN:   e.rewardN,
+	}
+	f.root.Advance(e.root.Now())
+	f.installAgentLocked(e.agent.Load().Clone())
+	f.pending, f.hasPending = e.pending, e.hasPending
+	return f, nil
 }
 
 // Reset discards the engine's in-memory learning state — fresh agent,

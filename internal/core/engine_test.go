@@ -575,3 +575,20 @@ func TestTransferDeterministicWithUnmappedActions(t *testing.T) {
 		}
 	}
 }
+
+// TestForkCarriesEstimatorStream: the fork's Renergy fallback stream
+// continues from where the source's stands, and the two never share it.
+func TestForkCarriesEstimatorStream(t *testing.T) {
+	e := newTestEngine(t)
+	meas := sim.Measurement{EnergyJ: 1}
+	e.est.Estimate(meas)
+	f, err := e.Fork(sim.NewWorld(soc.Mi8Pro(), 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		if a, b := f.est.Estimate(meas), e.est.Estimate(meas); a != b {
+			t.Fatalf("draw %d: fork %v, source %v", i, a, b)
+		}
+	}
+}

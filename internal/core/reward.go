@@ -94,6 +94,12 @@ func NewEnergyEstimator(mape float64, seed int64) *EnergyEstimator {
 	}
 }
 
+// clone returns an estimator whose fallback stream continues from where e's
+// stands, independently of it.
+func (e *EnergyEstimator) clone() *EnergyEstimator {
+	return &EnergyEstimator{sigma: e.sigma, fallback: e.fallback.Clone()}
+}
+
 // Estimate returns Renergy for a measured outcome, drawing the estimation
 // error from the estimator's internal stream. Not safe for concurrent use;
 // prefer EstimateCtx on concurrent paths.

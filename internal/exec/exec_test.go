@@ -114,6 +114,39 @@ func TestRandDistributions(t *testing.T) {
 	}
 }
 
+// TestRandCloneContinuesIndependently: a clone yields exactly the draws its
+// source would have yielded from the clone point, whichever of the two draws
+// first, because neither moves the other.
+func TestRandCloneContinuesIndependently(t *testing.T) {
+	draws := func(r *Rand) (out [64]float64) {
+		for i := 0; i < len(out); i += 4 {
+			out[i], out[i+1] = r.Float64(), r.NormFloat64()
+			out[i+2], out[i+3] = float64(r.Intn(66)), r.ExpFloat64()
+		}
+		return out
+	}
+	r := NewRand(7)
+	draws(r)
+	c := r.Clone()
+	fromClone := draws(c)
+	if got := draws(r); got != fromClone {
+		t.Fatal("source diverged from its clone after the clone drew first")
+	}
+	c = r.Clone()
+	fromSource := draws(r)
+	if got := draws(c); got != fromSource {
+		t.Fatal("clone diverged from its source after the source drew first")
+	}
+	// Pooled streams carry their source too.
+	p := NewRoot(3).GetStream("pooled")
+	defer PutStream(p)
+	draws(p)
+	pc := p.Clone()
+	if draws(pc) != draws(p) {
+		t.Fatal("clone of a pooled stream diverged")
+	}
+}
+
 func TestLowEntropySeedsDiverge(t *testing.T) {
 	// Adjacent seeds must not produce correlated leading draws.
 	seen := map[float64]bool{}

@@ -13,6 +13,7 @@ import mrand "math/rand"
 // stream rather than an ambient generator.
 type Rand struct {
 	*mrand.Rand
+	src *xoshiro // the Rand's source, kept so Clone can copy its position
 }
 
 // NewRand returns a stream seeded from a 64-bit value. The seed is
@@ -25,7 +26,16 @@ func NewRand(seed uint64) *Rand {
 	s.state[1] = splitmix64(s.state[0])
 	s.state[2] = splitmix64(s.state[1])
 	s.state[3] = splitmix64(s.state[2])
-	return &Rand{Rand: mrand.New(s)}
+	return &Rand{Rand: mrand.New(s), src: s}
+}
+
+// Clone returns an independent stream positioned where r stands: both yield
+// the same draws from here on, and drawing from one never moves the other.
+// Every distribution method draws from the source alone, so the copy is
+// exact; only bytes buffered by a partial Read are not carried over.
+func (r *Rand) Clone() *Rand {
+	s := *r.src
+	return &Rand{Rand: mrand.New(&s), src: &s}
 }
 
 // xoshiro is the xoshiro256++ generator of Blackman & Vigna

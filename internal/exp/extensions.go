@@ -49,7 +49,7 @@ func ExtensionNPU(opts Options) (*Table, error) {
 		case "Edge (CPU FP32)":
 			p = sched.EdgeCPU{World: w}
 		case "AutoScale":
-			p = newLOOWorld(w, opts)
+			p = newLOO(w, opts, sim.NonStreaming, 0, worldLabels[i/len(order)] == "standard")
 		default:
 			p = sched.Opt{World: w}
 		}
@@ -80,22 +80,6 @@ func npuWorld(seed int64) *sim.World {
 	return w
 }
 
-// newLOOWorld is newLOO against an explicit world.
-func newLOOWorld(w *sim.World, opts Options) *LeaveOneOutAutoScale {
-	cfg := core.DefaultConfig()
-	cfg.Seed = opts.Seed
-	cfg.RL.Seed = opts.Seed + 100
-	return &LeaveOneOutAutoScale{
-		World:  w,
-		Config: cfg,
-		Train: TrainConfig{
-			Models:       dnn.Zoo(),
-			RunsPerState: opts.TrainRuns,
-			Seed:         opts.Seed + 200,
-		},
-	}
-}
-
 // ExtensionSARSA compares the paper's Q-learning against the on-policy
 // SARSA alternative it weighs in Section IV, on the standard Mi8Pro world.
 func ExtensionSARSA(opts Options) (*Table, error) {
@@ -120,7 +104,7 @@ func ExtensionSARSA(opts Options) (*Table, error) {
 		case i == 0:
 			p = sched.EdgeCPU{World: w}
 		case i <= len(algs):
-			loo := newLOOWorld(w, opts)
+			loo := newLOO(w, opts, sim.NonStreaming, 0, true)
 			loo.Config.Algorithm = algs[i-1]
 			p = loo
 		default:
@@ -169,7 +153,7 @@ func ExtensionPartition(opts Options) (*Table, error) {
 		case 0:
 			p = sched.EdgeCPU{World: w}
 		case 1, 2:
-			loo := newLOOWorld(w, opts)
+			loo := newLOO(w, opts, sim.NonStreaming, 0, true)
 			loo.Config.PartitionActions = i == 2
 			p = loo
 		case 3:
@@ -233,7 +217,7 @@ func ExtensionOutage(opts Options) (*Table, error) {
 		case "Cloud":
 			p = sched.CloudAll{World: w}
 		default:
-			p = newLOOWorld(w, opts)
+			p = newLOO(w, opts, sim.NonStreaming, 0, w.OutageProb == 0)
 		}
 		return EvaluatePolicy(p, cfg)
 	})
@@ -317,7 +301,7 @@ func ExtensionFaults(opts Options) (*Table, error) {
 		case "Opt":
 			p = sched.Opt{World: w, AvoidDown: true}
 		default:
-			p = newLOOWorld(w, opts)
+			p = newLOO(w, opts, sim.NonStreaming, 0, w.Faults == nil)
 		}
 		return EvaluatePolicy(p, cfg)
 	})
@@ -389,7 +373,7 @@ func ExtensionLinks(opts Options) (*Table, error) {
 		case "Edge (CPU FP32)":
 			p = sched.EdgeCPU{World: w}
 		case "AutoScale":
-			p = newLOOWorld(w, opts)
+			p = newLOO(w, opts, sim.NonStreaming, 0, false)
 		default:
 			p = sched.Opt{World: w}
 		}

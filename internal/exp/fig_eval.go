@@ -12,17 +12,21 @@ import (
 
 // The evaluation figures are decomposed into pure cells — one per
 // (world, policy) evaluation — so they parallelize on the harness pool.
-// Every cell builds its own sim.World (and, for AutoScale, its own engines)
-// from seeds derived of the Options, which keeps each cell's result
-// independent of scheduling; the table rows are assembled from the merged
-// results in a fixed order.
+// Every cell builds its own sim.World (and, for AutoScale, its own forks of
+// the pass's leave-one-out families) from seeds derived of the Options,
+// which keeps each cell's result independent of scheduling; the table rows
+// are assembled from the merged results in a fixed order.
 
 // newLOO builds the standard leave-one-out AutoScale policy for a world.
-func newLOO(w *sim.World, opts Options, intensity sim.Intensity, accuracy float64) *LeaveOneOutAutoScale {
+// With share, the policy takes its family from the pass's memo, so every
+// cell of the pass with the same device, configuration and training set
+// trains it once. Share only a world left exactly as sim.NewWorld built it:
+// the memo key sees the device, not edits to the world.
+func newLOO(w *sim.World, opts Options, intensity sim.Intensity, accuracy float64, share bool) *LeaveOneOutAutoScale {
 	cfg := core.DefaultConfig()
 	cfg.Seed = opts.Seed
 	cfg.RL.Seed = opts.Seed + 100
-	return &LeaveOneOutAutoScale{
+	p := &LeaveOneOutAutoScale{
 		World:  w,
 		Config: cfg,
 		Train: TrainConfig{
@@ -33,6 +37,10 @@ func newLOO(w *sim.World, opts Options, intensity sim.Intensity, accuracy float6
 			Seed:         opts.Seed + 200,
 		},
 	}
+	if share {
+		p.pass = &opts
+	}
+	return p
 }
 
 // Fig9 reproduces Fig 9: average normalized energy efficiency and QoS
@@ -76,7 +84,7 @@ func figBaselines(id string, intensity sim.Intensity, opts Options) (*Table, err
 		case "NeuroSurgeon":
 			return &sched.NeuroSurgeon{World: w, Intensity: intensity}
 		case "AutoScale":
-			return newLOO(w, opts, intensity, 0)
+			return newLOO(w, opts, intensity, 0, true)
 		default:
 			return sched.Opt{World: w, Intensity: intensity}
 		}
@@ -127,7 +135,7 @@ func Fig11(opts Options) (*Table, error) {
 		case "Connected Edge":
 			return &sched.ConnectedEdge{World: w}
 		case "AutoScale":
-			return newLOO(w, opts, sim.NonStreaming, 0)
+			return newLOO(w, opts, sim.NonStreaming, 0, true)
 		default:
 			return sched.Opt{World: w}
 		}
@@ -179,7 +187,7 @@ func Fig12(opts Options) (*Table, error) {
 		case "Edge (CPU FP32)":
 			p = sched.EdgeCPU{World: w}
 		case "AutoScale":
-			p = newLOO(w, opts, sim.NonStreaming, acc)
+			p = newLOO(w, opts, sim.NonStreaming, acc, true)
 		default:
 			p = sched.Opt{World: w, Accuracy: acc}
 		}
@@ -222,7 +230,7 @@ func Fig13(opts Options) (*Table, error) {
 	rowsPerDevice, err := runCells(opts, numDevices, func(i int) ([][]interface{}, error) {
 		dev := soc.Phones()[i]
 		w := sim.NewWorld(dev, opts.Seed+int64(i))
-		loo := newLOO(w, opts, sim.NonStreaming, 0)
+		loo := newLOO(w, opts, sim.NonStreaming, 0, true)
 		scopes := []struct {
 			label string
 			envs  []string

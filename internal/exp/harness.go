@@ -8,6 +8,7 @@ package exp
 
 import (
 	"fmt"
+	"slices"
 
 	"autoscale/internal/core"
 	"autoscale/internal/dnn"
@@ -250,17 +251,25 @@ type TrainConfig struct {
 // inferences with epsilon-greedy learning.
 func TrainEngine(e *core.Engine, cfg TrainConfig) error {
 	rng := exec.NewRoot(cfg.Seed).Stream("exp.train")
-	grid := VarianceGrid()
-	for _, m := range cfg.Models {
+	if err := trainModels(e, cfg.Models, VarianceGrid(), cfg.RunsPerState, rng); err != nil {
+		return err
+	}
+	return e.Flush()
+}
+
+// trainModels is the protocol's step loop: for each model in order, runs
+// inferences in every state of grid with conditions drawn from rng.
+func trainModels(e *core.Engine, models []*dnn.Model, grid []VarianceState, runs int, rng *exec.Rand) error {
+	for _, m := range models {
 		for _, vs := range grid {
-			for i := 0; i < cfg.RunsPerState; i++ {
+			for i := 0; i < runs; i++ {
 				if _, err := e.RunInference(m, vs.Conditions(rng)); err != nil {
 					return fmt.Errorf("exp: train %s: %w", m.Name, err)
 				}
 			}
 		}
 	}
-	return e.Flush()
+	return nil
 }
 
 // NewTrainedEngine builds and trains an AutoScale engine on a world.
@@ -309,12 +318,21 @@ func (p *AutoScalePolicy) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditio
 
 // LeaveOneOutAutoScale implements the paper's testing protocol: for each
 // tested model it uses an engine trained on the other nine (Section V-C).
-// Engines are built lazily, one per held-out model, and frozen before use.
+// On the first EngineFor it trains the whole family of such engines as a
+// prefix tree (see family), or takes it from the pass's memo when the policy
+// shares; each tested model then gets its own fork of its family engine on
+// World. A model outside Train.Models is tested with an engine trained on
+// all of them. The engines act greedily (epsilon 0) but keep learning online,
+// so they adapt to the held-out model's states (Section IV-B).
 type LeaveOneOutAutoScale struct {
 	World  *sim.World
 	Config core.Config
 	Train  TrainConfig
 
+	// pass, when set, is the experiment pass whose memo the family comes
+	// from; nil trains it privately.
+	pass    *Options
+	fam     *family
 	engines map[string]*core.Engine
 }
 
@@ -365,42 +383,43 @@ func (p *LeaveOneOutAutoScale) Warmup(m *dnn.Model, sample func() sim.Conditions
 
 // Warmup implements OnlineLearner for the single-engine adapter.
 func (p *AutoScalePolicy) Warmup(m *dnn.Model, sample func() sim.Conditions, runs int) error {
-	eps := p.Engine.Agent().Config().Epsilon
 	for i := 0; i < runs; i++ {
 		if _, err := p.Engine.RunInference(m, sample()); err != nil {
 			return err
 		}
 	}
-	_ = eps
 	return nil
 }
 
 func (p *LeaveOneOutAutoScale) engineFor(m *dnn.Model) (*core.Engine, error) {
-	if p.engines == nil {
-		p.engines = make(map[string]*core.Engine)
-	}
 	if e, ok := p.engines[m.Name]; ok {
 		return e, nil
 	}
-	tcfg := p.Train
-	var trainSet []*dnn.Model
-	for _, tm := range tcfg.Models {
-		if tm.Name != m.Name {
-			trainSet = append(trainSet, tm)
-		}
-	}
-	if len(trainSet) == 0 {
+	models := p.Train.Models
+	held := slices.IndexFunc(models, func(tm *dnn.Model) bool { return tm.Name == m.Name })
+	if len(models) == 0 || held >= 0 && len(models) == 1 {
 		return nil, fmt.Errorf("exp: no training models besides %s", m.Name)
 	}
-	tcfg.Models = trainSet
-	e, err := NewTrainedEngine(p.World, p.Config, tcfg)
+	if p.fam == nil {
+		var err error
+		if p.pass != nil {
+			p.fam, err = p.pass.sharedFamily(p.World, p.Config, p.Train)
+		} else {
+			p.fam, err = trainFamily(p.World, p.Config, p.Train)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	e, err := p.fam.engineOn(p.World, held)
 	if err != nil {
 		return nil, err
 	}
-	// Learning is complete: act greedily but keep learning online so the
-	// engine adapts to the held-out model's states (Section IV-B).
 	if err := e.Agent().SetEpsilon(0); err != nil {
 		return nil, err
+	}
+	if p.engines == nil {
+		p.engines = make(map[string]*core.Engine)
 	}
 	p.engines[m.Name] = e
 	return e, nil

@@ -11,14 +11,19 @@ import (
 // decomposed into pure cell functions that build every stateful object they
 // need (worlds, policies, engines) from seeds derived inside the cell, so a
 // cell's result is a pure function of (Options, cell index) and independent
-// of goroutine scheduling. Cells run on a bounded worker pool shared across
+// of goroutine scheduling. The one thing cells share is read-only: trained
+// leave-one-out families, which a cell only forks onto its own world (see
+// familyMemo). Cells run on a bounded worker pool shared across
 // experiments; results are merged in submission order, so the rendered
 // tables are byte-identical to a serial run.
 
 // pool is a counting semaphore bounding concurrently running work units
-// (cells, plus whole experiments between their fan-out phases).
+// (cells, plus whole experiments between their fan-out phases). It also
+// carries the pass's leave-one-out family memo, so families are shared by
+// every experiment of one Run or RunAll call and by nothing else.
 type pool struct {
-	tokens chan struct{}
+	tokens   chan struct{}
+	families familyMemo
 }
 
 // newPool builds a pool admitting n concurrent work units (n <= 0 selects
@@ -27,7 +32,7 @@ func newPool(n int) *pool {
 	if n <= 0 {
 		n = runtime.GOMAXPROCS(0)
 	}
-	return &pool{tokens: make(chan struct{}, n)}
+	return &pool{tokens: make(chan struct{}, n), families: familyMemo{calls: make(map[familyKey]*familyCall)}}
 }
 
 func (p *pool) acquire() { p.tokens <- struct{}{} }
@@ -41,6 +46,17 @@ func (o Options) addBusy(d time.Duration) {
 	}
 }
 
+// lend gives the caller's pool token back while wait blocks and takes it
+// again afterwards; the window is subtracted from the experiment's busy
+// time, since the token was doing other work.
+func (o Options) lend(wait func()) {
+	o.pool.release()
+	start := time.Now()
+	wait()
+	o.pool.acquire()
+	o.addBusy(-time.Since(start))
+}
+
 // runCells evaluates f(0..n-1) on the options' worker pool and returns the
 // results in index order; the first error wins. Each cell must be pure in
 // the sense above — in particular it must not share a sim.World or an engine
@@ -51,14 +67,6 @@ func (o Options) addBusy(d time.Duration) {
 func runCells[T any](o Options, n int, f func(int) (T, error)) ([]T, error) {
 	if o.pool == nil {
 		o = o.withDefaults()
-	}
-	if o.held {
-		o.pool.release()
-		lendStart := time.Now()
-		defer func() {
-			o.pool.acquire()
-			o.addBusy(-time.Since(lendStart))
-		}()
 	}
 	out := make([]T, n)
 	errs := make([]error, n)
@@ -74,7 +82,11 @@ func runCells[T any](o Options, n int, f func(int) (T, error)) ([]T, error) {
 			out[i], errs[i] = f(i)
 		}(i)
 	}
-	wg.Wait()
+	if o.held {
+		o.lend(wg.Wait)
+	} else {
+		wg.Wait()
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err
@@ -85,8 +97,9 @@ func runCells[T any](o Options, n int, f func(int) (T, error)) ([]T, error) {
 
 // RunOutcome is the result of one experiment inside RunAll. Elapsed is the
 // wall-clock the experiment's own work occupied a pool worker — its serial
-// phases plus its cells, excluding time its token was lent to other
-// experiments' cells — so the per-experiment numbers reflect relative cost
+// phases plus its cells, excluding time its tokens were lent out while it
+// waited on its cells or on a family another cell was training — so the
+// per-experiment numbers reflect relative cost
 // even though all experiments' spans overlap on the shared pool.
 type RunOutcome struct {
 	ID      string

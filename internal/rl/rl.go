@@ -659,6 +659,38 @@ func Restore(data []byte, grid Interner) (*Agent, error) {
 	return ag, nil
 }
 
+// Clone returns an independent copy of the agent that continues exactly as
+// the agent would: its rows in materialization order, every visit entry,
+// the RNG position, live epsilon, frozen flag and health counters. It is one
+// consistent cut taken under the writer lock; lock-free readers may run
+// concurrently, and no later write to either agent reaches the other.
+func (a *Agent) Clone() *Agent {
+	a.wmu.Lock()
+	defer a.wmu.Unlock()
+	src := a.tab
+	c := &Agent{
+		cfg:     a.cfg,
+		actions: a.actions,
+		grid:    a.grid,
+		tab:     newTable(a.actions, len(src.states)),
+		rng:     a.rng.Clone(),
+	}
+	for i := range src.states {
+		c.tab.states[i].visits.Store(src.states[i].visits.Load())
+	}
+	for _, i := range src.order[:src.n.Load()] {
+		row := src.row(i)
+		c.tab.writeRowLocked(i, func(j int) uint64 { return row[j].Load() })
+	}
+	c.epsBits.Store(a.epsBits.Load())
+	c.frozen.Store(a.frozen.Load())
+	c.tdEMABits.Store(a.tdEMABits.Load())
+	c.tdSamples.Store(a.tdSamples.Load())
+	c.selections.Store(a.selections.Load())
+	c.explores.Store(a.explores.Load())
+	return c
+}
+
 // TransferFrom warm-starts this agent's Q-table from a donor trained on
 // another device (the paper's learning transfer): every donor row is copied
 // in, overwriting local initialization, while this agent keeps its own
