@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race alloc-guard fuzz-fault smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-check bench-all profile loc
+.PHONY: build test vet fmt race alloc-guard fuzz-fault smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-check bench-all profile profile-figs loc
 
 build:
 	$(GO) build ./...
@@ -171,6 +171,14 @@ profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkGatewayThroughput/clients=1$$' -benchtime=3s \
 		-cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "profiles written: cpu.pprof mem.pprof (go tool pprof <file>)"
+
+# CPU profile of the researcher's path: four quick passes over the exp_figs
+# workload's eight experiments at Parallel=1 (BenchmarkFigsPass after one
+# warm-up pass, ~10 s).
+# Inspect with `go tool pprof -top figs.cpu.pprof`.
+profile-figs:
+	$(GO) test -run '^$$' -bench '^BenchmarkFigsPass$$' -benchtime=4x -cpuprofile figs.cpu.pprof ./internal/exp/
+	@echo "profile written: figs.cpu.pprof (go tool pprof <file>)"
 
 # The two line counts simplicity PRs quote: non-test Go outside bench/, and
 # the same restricted to the serving stack plus the paper's core.

@@ -147,6 +147,9 @@ type Engine struct {
 	rewards   []float64
 	rewardIdx int
 	rewardN   int
+	// nn indexes the installed agent's rows for cold-state seeding (see
+	// neighbor.go); installAgentLocked empties it.
+	nn neighborIndex
 }
 
 // NewEngine builds an engine for a world.
@@ -200,6 +203,7 @@ func (e *Engine) installAgentLocked(agent *rl.Agent) {
 	}
 	e.agent.Store(agent)
 	e.hasPending = false
+	e.nn = neighborIndex{}
 }
 
 // Agent exposes the underlying Q-learning agent (for persistence, transfer

@@ -7,7 +7,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"strings"
 	"sync/atomic"
 
@@ -123,15 +122,10 @@ type internCache struct {
 	size  int
 	radix [NumFeatures]int32 // 1 for disabled features
 	keys  []rl.State         // nil when size > maxPrecomputedKeys
-	// bins[i] is BinsOf(i) (-1 for disabled features), so the neighbour
-	// scan reads a row per candidate instead of dividing its index down;
-	// nil when keys is, or when a feature has more bins than an int8 holds.
-	bins [][NumFeatures]int8
 }
 
-// maxPrecomputedKeys bounds the pre-rendered key and bins tables (the paper's
-// space is 3,072 states; pathological fitted spaces fall back to on-demand
-// rendering and decoding).
+// maxPrecomputedKeys bounds the pre-rendered key table (the paper's space is
+// 3,072 states; pathological fitted spaces fall back to on-demand rendering).
 const maxPrecomputedKeys = 1 << 16
 
 // NewStateSpace returns the paper's Table I discretization, which its
@@ -244,7 +238,6 @@ func (s *StateSpace) cacheLoad() *internCache {
 
 func (s *StateSpace) buildCache() *internCache {
 	c := &internCache{size: 1}
-	fitsInt8 := true
 	for f := Feature(0); f < numFeatures; f++ {
 		r := 1
 		if s.enabled[f] {
@@ -252,22 +245,13 @@ func (s *StateSpace) buildCache() *internCache {
 		}
 		c.radix[f] = int32(r)
 		c.size *= r
-		fitsInt8 = fitsInt8 && r <= math.MaxInt8
 	}
 	if c.size <= maxPrecomputedKeys {
 		c.keys = make([]rl.State, c.size)
-		if fitsInt8 {
-			c.bins = make([][NumFeatures]int8, c.size)
-		}
 		var bins [NumFeatures]int
 		for i := range c.keys {
 			s.decodeEnabled(c, int32(i), &bins)
 			c.keys[i] = renderBins(&bins)
-			if fitsInt8 {
-				for f, b := range bins {
-					c.bins[i][f] = int8(b)
-				}
-			}
 		}
 	}
 	return c
@@ -332,13 +316,7 @@ func (s *StateSpace) BinsOf(i int32, bins *[NumFeatures]int) bool {
 	if i < 0 || int(i) >= c.size {
 		return false
 	}
-	if c.bins == nil {
-		s.decodeEnabled(c, i, bins)
-		return true
-	}
-	for f, b := range c.bins[i] {
-		bins[f] = int(b)
-	}
+	s.decodeEnabled(c, i, bins)
 	return true
 }
 

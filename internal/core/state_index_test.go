@@ -99,9 +99,9 @@ func TestLookupRejectsAlienKeys(t *testing.T) {
 	}
 }
 
-// BinsOf must decode indices consistently with KeyOf and Lookup: from the
-// per-index bins table, from the divide-down fallback a feature too wide for
-// the table's int8 cells takes, and in a space too large for any table.
+// BinsOf must decode indices consistently with KeyOf and Lookup: in a
+// Table I space, with a feature too wide for single-digit keys, and in a
+// space too large for the pre-rendered key table.
 func TestBinsOfDecodes(t *testing.T) {
 	cuts := make([]float64, 200)
 	for i := range cuts {
@@ -116,18 +116,18 @@ func TestBinsOfDecodes(t *testing.T) {
 		return ss
 	}
 	spaces := []struct {
-		name         string
-		ss           *StateSpace
-		keys, tabled bool
+		name string
+		ss   *StateSpace
+		keys bool
 	}{
-		{"table", NewStateSpace().Disable(FeatRC), true, true},
-		{"wide", wideMAC(FeatConv, FeatFC, FeatCoCPU, FeatCoMem, FeatRSSIP), true, false},
-		{"oversize", wideMAC(), false, false},
+		{"table", NewStateSpace().Disable(FeatRC), true},
+		{"wide", wideMAC(FeatConv, FeatFC, FeatCoCPU, FeatCoMem, FeatRSSIP), true},
+		{"oversize", wideMAC(), false},
 	}
 	for _, sp := range spaces {
 		name, ss := sp.name, sp.ss
-		if c := ss.cacheLoad(); (c.keys != nil) != sp.keys || (c.bins != nil) != sp.tabled {
-			t.Fatalf("%s: key table %v, bins table %v", name, c.keys != nil, c.bins != nil)
+		if c := ss.cacheLoad(); (c.keys != nil) != sp.keys {
+			t.Fatalf("%s: key table %v", name, c.keys != nil)
 		}
 		o := Observation{NumConv: 35, NumFC: 5, NumRC: 12, MACs: 1.5e9, CoCPU: 10, CoMem: 50, RSSIW: -60, RSSIP: -90}
 		if got, want := ss.Key(o), ss.KeyOf(ss.Index(o)); got != want {

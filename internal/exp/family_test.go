@@ -166,3 +166,20 @@ func TestRunAllSharesFamilies(t *testing.T) {
 		t.Errorf("busy ratio %.3f > 1: busy %v over %v at Parallel %d", ratio, busy, wall, o.Parallel)
 	}
 }
+
+// BenchmarkFigsPass runs one quick-fidelity RunAll over the eight
+// experiments the benchmark's exp_figs workload regenerates, on one worker so
+// a CPU profile (`make profile-figs`) attributes the pass without pool
+// scheduling in it. Iterations cycle through four seeds.
+func BenchmarkFigsPass(b *testing.B) {
+	ids := []string{"fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "ext-faults", "ext-plan"}
+	for i := 0; i < b.N; i++ {
+		o := Quick(42 + int64(i%4))
+		o.Parallel = 1
+		for _, out := range RunAll(ids, o) {
+			if out.Err != nil {
+				b.Fatalf("%s: %v", out.ID, out.Err)
+			}
+		}
+	}
+}

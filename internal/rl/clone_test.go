@@ -60,9 +60,8 @@ func fingerprintOf(t *testing.T, ag *Agent) fingerprint {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := fingerprint{snap: snap, eps: ag.Epsilon(), frozen: ag.Frozen(),
+	f := fingerprint{snap: snap, order: slices.Clone(ag.Rows()), eps: ag.Epsilon(), frozen: ag.Frozen(),
 		states: ag.NumStates(), memory: ag.MemoryBytes()}
-	ag.ForEachRow(func(i int32) { f.order = append(f.order, i) })
 	f.tdEMA, f.tdN = ag.TDErrorEMA()
 	f.explores, f.selects = ag.ExplorationStats()
 	return f

@@ -8,7 +8,7 @@ import (
 )
 
 // TestRCUTornReadHunt hammers the lock-free read paths (QIdx, BestActionIdx,
-// HasStateIdx, NumStates, VisitsIdx, ForEachMaterialized, ForEachRow, Table)
+// HasStateIdx, NumStates, VisitsIdx, ForEachMaterialized, Rows, Table)
 // while a single writer materializes rows and rewrites cells between two
 // bit-distinct values. Run under -race this is the data-race proof for the
 // table design (a row's values stored before its pointer, atomic cells); the
@@ -109,8 +109,8 @@ func TestRCUTornReadHunt(t *testing.T) {
 }
 
 // walksAgree checks the two row walks while rows are being published:
-// ForEachMaterialized yields strictly ascending indices, ForEachRow yields
-// each state at most once, and every state either yields has a row.
+// ForEachMaterialized yields strictly ascending indices, Rows lists each
+// state at most once, and every state either yields has a row.
 func walksAgree(t *testing.T, ag *Agent) bool {
 	t.Helper()
 	prev := int32(-1)
@@ -122,12 +122,12 @@ func walksAgree(t *testing.T, ag *Agent) bool {
 		prev = i
 	})
 	seen := make(map[int32]bool)
-	ag.ForEachRow(func(i int32) {
+	for _, i := range ag.Rows() {
 		if seen[i] || !ag.HasStateIdx(i) {
 			ok = false
 		}
 		seen[i] = true
-	})
+	}
 	if !ok {
 		t.Error("a row walk yielded a state out of order, twice, or without a row")
 	}

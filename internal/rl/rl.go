@@ -484,8 +484,8 @@ func (a *Agent) HasStateIdx(i int32) bool {
 // ForEachMaterialized calls fn with the dense index of every materialized
 // state in ascending order (on the Table I grid that is also ascending
 // lexicographic key order); callers that want the key ask KeyOf. It walks
-// the whole grid; ForEachRow is the O(rows) walk for callers that do not
-// need index order. fn must not mutate the agent.
+// the whole grid; Rows is the O(rows) view for callers that do not need
+// index order. fn must not mutate the agent.
 func (a *Agent) ForEachMaterialized(fn func(i int32)) {
 	t := a.tab
 	for i := range t.states {
@@ -495,15 +495,17 @@ func (a *Agent) ForEachMaterialized(fn func(i int32)) {
 	}
 }
 
-// ForEachRow calls fn with the dense index of every materialized state in
+// Rows returns the dense index of every materialized state in
 // materialization order, which depends on the agent's history (and on map
 // order after Restore): a caller whose result must not depend on it breaks
-// ties by index. Lock-free; fn must not mutate the agent.
-func (a *Agent) ForEachRow(fn func(i int32)) {
+// ties by index. The order list only grows, so a later call returns an
+// extension of an earlier one, and a caller can catch up on the rows added
+// since by slicing past what it has read. Lock-free; the slice is a view of
+// the agent's own list and must not be written.
+func (a *Agent) Rows() []int32 {
 	t := a.tab
-	for _, i := range t.order[:t.n.Load()] {
-		fn(i)
-	}
+	n := t.n.Load()
+	return t.order[:n:n]
 }
 
 // CopyRowIdx initializes dst's Q row as a copy of src's current row. It is

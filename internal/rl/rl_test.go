@@ -237,21 +237,33 @@ func TestStatesAndVisits(t *testing.T) {
 	}
 }
 
-// TestRowWalkOrders: ForEachRow yields rows in materialization order;
-// ForEachMaterialized yields the same states by index.
+// TestRowWalkOrders: Rows lists rows in materialization order, a later view
+// extends an earlier one, and appending to a view never writes the agent's
+// list; ForEachMaterialized yields the same states by index.
 func TestRowWalkOrders(t *testing.T) {
 	ag := newTestAgent(t, DefaultConfig(), 2)
 	var want []int32
+	var early []int32
 	for i := int32(grid.Size() - 1); i >= 0; i -= 2 {
 		ag.CopyRowIdx(i, i)
 		want = append(want, i)
+		if len(want) == 3 {
+			early = ag.Rows()
+		}
 	}
-	var rows, ascending []int32
-	ag.ForEachRow(func(i int32) { rows = append(rows, i) })
-	ag.ForEachMaterialized(func(i int32) { ascending = append(ascending, i) })
+	rows := ag.Rows()
 	if !slices.Equal(rows, want) {
-		t.Errorf("ForEachRow = %v, want materialization order %v", rows, want)
+		t.Errorf("Rows = %v, want materialization order %v", rows, want)
 	}
+	if !slices.Equal(early, want[:3]) || !slices.Equal(rows[:len(early)], early) {
+		t.Errorf("early view %v is not a prefix of %v", early, rows)
+	}
+	_ = append(early, -1)
+	if !slices.Equal(ag.Rows(), want) {
+		t.Errorf("appending to a view wrote the agent's list: %v", ag.Rows())
+	}
+	var ascending []int32
+	ag.ForEachMaterialized(func(i int32) { ascending = append(ascending, i) })
 	slices.Reverse(want)
 	if !slices.Equal(ascending, want) {
 		t.Errorf("ForEachMaterialized = %v, want ascending %v", ascending, want)

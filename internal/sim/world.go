@@ -163,11 +163,34 @@ type planTable struct {
 }
 
 // modelPlans is what the world derives once per model: the feasible target
-// list BestTarget sweeps and one enginePlan per (location, engine, supported
-// precision) that can run the model.
+// list BestTarget sweeps, one enginePlan per (location, engine, supported
+// precision) that can run the model, and the last unfaulted BestTarget
+// answer.
 type modelPlans struct {
 	targets []Target
 	engines []enginePlan
+	best    atomic.Pointer[bestAnswer]
+}
+
+// bestAnswer is one successful unfaulted BestTarget answer and the question
+// it answers. Entries are immutable once published; a new question replaces
+// the pointer.
+type bestAnswer struct {
+	q    bestQuestion
+	t    Target
+	meas Measurement
+}
+
+// bestQuestion is everything an unfaulted BestTarget answer depends on
+// besides the model and the three systems, which the plan table already pins
+// by identity: the conditions, both constraints, the two radio links by value
+// and the overheads and idle power Expected reads. Compared with ==.
+type bestQuestion struct {
+	c               Conditions
+	qosS, accTarget float64
+	wifi, p2p       radio.Link
+	cloudS, tabletS float64
+	idleW           float64
 }
 
 // enginePlan is the latency model of one placement of one model. A local
@@ -619,24 +642,39 @@ func (w *World) executeOutage(ctx *exec.Context, m *dnn.Model, t Target, c Condi
 // using noise-free expectations — the paper's Opt oracle. If no target meets
 // both constraints it relaxes to: meet accuracy and minimize latency; if
 // accuracy is unreachable it maximizes accuracy.
+//
+// Static environments ask the same question run after run, so each model
+// keeps its last successful answer and returns it while the question — the
+// conditions, both constraints and every world parameter Expected reads — is
+// unchanged.
 func (w *World) BestTarget(m *dnn.Model, c Conditions, qosS, accTarget float64) (Target, Measurement, error) {
-	return w.bestTarget(m, c, qosS, accTarget, nil)
+	mp := w.plansFor(m)
+	q := bestQuestion{c: c, qosS: qosS, accTarget: accTarget, wifi: *w.WiFi, p2p: *w.P2P,
+		cloudS: w.CloudServiceS, tabletS: w.TabletServiceS, idleW: w.Device.PlatformIdleW}
+	if a := mp.best.Load(); a != nil && a.q == q {
+		return a.t, a.meas, nil
+	}
+	t, meas, err := w.bestTarget(mp.targets, m, c, qosS, accTarget, nil)
+	if err == nil {
+		mp.best.Store(&bestAnswer{q: q, t: t, meas: meas})
+	}
+	return t, meas, err
 }
 
 // BestTargetAt is BestTarget with fault awareness: conditions are degraded
 // by any active RSSI ramp and targets whose site is inside a scripted
 // outage window at virtual time now are excluded from the search (unless
 // everything remote is down and no local target exists, which cannot
-// happen in practice since every device has a CPU).
+// happen in practice since every device has a CPU). Its answers depend on
+// the time, so it never reads or writes BestTarget's memo.
 func (w *World) BestTargetAt(now float64, m *dnn.Model, c Conditions, qosS, accTarget float64) (Target, Measurement, error) {
 	c = w.conditionsAt(now, c)
-	return w.bestTarget(m, c, qosS, accTarget, func(t Target) bool {
+	return w.bestTarget(w.plansFor(m).targets, m, c, qosS, accTarget, func(t Target) bool {
 		return w.SiteDown(now, t.Location)
 	})
 }
 
-func (w *World) bestTarget(m *dnn.Model, c Conditions, qosS, accTarget float64, skip func(Target) bool) (Target, Measurement, error) {
-	targets := w.plansFor(m).targets
+func (w *World) bestTarget(targets []Target, m *dnn.Model, c Conditions, qosS, accTarget float64, skip func(Target) bool) (Target, Measurement, error) {
 	if len(targets) == 0 {
 		return Target{}, Measurement{}, fmt.Errorf("sim: no feasible target for %s", m.Name)
 	}
