@@ -9,8 +9,7 @@ import "autoscale/internal/exec"
 // derived from it, so a request's random draws are a pure function of
 // (root seed, request identity) — independent of goroutine interleaving.
 type (
-	// ExecContext derives named RNG streams, shares a virtual clock, and
-	// carries observation hooks.
+	// ExecContext derives named RNG streams and shares a virtual clock.
 	ExecContext = exec.Context
 )
 

@@ -180,7 +180,7 @@ func (f *Fleet) ProvisionRouter(devices []string, shards int, cfg EngineConfig, 
 		shardNames[i] = fmt.Sprintf("shard-%d", i)
 	}
 
-	homes := router.PlaceDevices(lanes, shardNames, rcfg.VNodes, rcfg.LoadFactor)
+	homes := router.PlaceDevices(lanes, shardNames)
 	rebalanceEmptyShards(homes, shardNames)
 
 	byShard := make(map[string][]string, shards)

@@ -1,0 +1,82 @@
+package autoscale
+
+import (
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path"
+	"path/filepath"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// TestEveryInternalPackageIsImported guards against orphaned packages: every
+// internal/... package must be imported by at least one non-test .go file
+// outside its own directory. The bench module does not count as an importer
+// (it is its own module and tier-1 never builds it), so a package only the
+// harness reaches is still an orphan here.
+func TestEveryInternalPackageIsImported(t *testing.T) {
+	const module = "autoscale"
+	internal := map[string]bool{}             // import path -> true
+	importers := map[string]map[string]bool{} // import path -> importing dirs
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if p != "." && (strings.HasPrefix(name, ".") || name == "testdata" || name == "bench") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		dir := filepath.ToSlash(filepath.Dir(p))
+		if dir == "internal" || strings.HasPrefix(dir, "internal/") {
+			internal[path.Join(module, dir)] = true
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, spec := range f.Imports {
+			ip, err := strconv.Unquote(spec.Path.Value)
+			if err != nil {
+				return err
+			}
+			if importers[ip] == nil {
+				importers[ip] = map[string]bool{}
+			}
+			importers[ip][path.Join(module, dir)] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(internal) == 0 {
+		t.Fatal("found no internal packages; is the walk rooted at the module?")
+	}
+	var orphans []string
+	for pkg := range internal {
+		imported := false
+		for dir := range importers[pkg] {
+			if dir != pkg {
+				imported = true
+				break
+			}
+		}
+		if !imported {
+			orphans = append(orphans, pkg)
+		}
+	}
+	sort.Strings(orphans)
+	for _, pkg := range orphans {
+		t.Errorf("%s is imported by no non-test file outside its own directory: delete it or wire it in", pkg)
+	}
+}

@@ -116,20 +116,16 @@ func (a *ActionSpace) Mask(m *dnn.Model) []bool {
 	return mask
 }
 
-// MaskWith returns the feasibility mask of model m intersected with an
+// MaskWithBuf returns the feasibility mask of model m intersected with an
 // additional allow predicate over targets — the hook circuit breakers use
-// to mask unhealthy remote sites out of the action space. The result is a
-// fresh slice (the per-model cache is never mutated). If the intersection
-// would disable every action, the unfiltered mask is returned instead:
-// degrading to a full action space beats bricking selection entirely.
-func (a *ActionSpace) MaskWith(m *dnn.Model, allow func(sim.Target) bool) []bool {
-	return a.maskWith(m, allow, make([]bool, len(a.targets)))
-}
-
-// MaskWithBuf is MaskWith writing into a caller-owned scratch buffer (grown
-// through *buf as needed) so steady-state filtered masks allocate nothing.
-// The returned slice aliases *buf when allow is non-nil and must be consumed
-// before the next call with the same buffer.
+// to mask unhealthy remote sites out of the action space. The per-model
+// cache is never mutated: the filtered mask is written into a caller-owned
+// scratch buffer (grown through *buf as needed), so steady-state filtered
+// masks allocate nothing. The returned slice aliases *buf when allow is
+// non-nil and must be consumed before the next call with the same buffer.
+// If the intersection would disable every action, the unfiltered mask is
+// returned instead: degrading to a full action space beats bricking
+// selection entirely.
 func (a *ActionSpace) MaskWithBuf(m *dnn.Model, allow func(sim.Target) bool, buf *[]bool) []bool {
 	if allow == nil {
 		return a.Mask(m)
@@ -137,14 +133,8 @@ func (a *ActionSpace) MaskWithBuf(m *dnn.Model, allow func(sim.Target) bool, buf
 	if cap(*buf) < len(a.targets) {
 		*buf = make([]bool, len(a.targets))
 	}
-	return a.maskWith(m, allow, (*buf)[:len(a.targets)])
-}
-
-func (a *ActionSpace) maskWith(m *dnn.Model, allow func(sim.Target) bool, out []bool) []bool {
+	out := (*buf)[:len(a.targets)]
 	base := a.Mask(m)
-	if allow == nil {
-		return base
-	}
 	any := false
 	for i, ok := range base {
 		out[i] = false

@@ -133,7 +133,7 @@ type Engine struct {
 	// maskBuf is the step's scratch feasibility mask: the filtered mask is
 	// consumed within the step (selection + the deferred update completed
 	// at the next step's head both use the mask computed then), so one
-	// buffer per engine, guarded by mu, makes MaskWith allocation-free.
+	// buffer per engine, guarded by mu, makes MaskWithBuf allocation-free.
 	maskBuf []bool
 	// root and steps derive a per-step execution context for legacy
 	// RunInference calls (callers that don't pass their own context);

@@ -1,6 +1,6 @@
 // Package exec provides request-scoped execution contexts for the
-// simulation substrate: a deterministic splittable RNG, a virtual clock,
-// and optional observation hooks.
+// simulation substrate: a deterministic splittable RNG and a virtual
+// clock.
 //
 // The central object is Context. A root Context is created from a single
 // int64 seed; child contexts and RNG streams are derived from it by *name*
@@ -21,10 +21,7 @@
 // serial order.
 package exec
 
-import (
-	"strconv"
-	"sync"
-)
+import "sync"
 
 // splitmix64 is the SplitMix64 finalizer. It is used both to mix derived
 // seeds and to expand a single 64-bit seed into the xoshiro state vector.
@@ -64,22 +61,6 @@ func deriveSeed(base uint64, purpose string, ids ...uint64) uint64 {
 	return splitmix64(h)
 }
 
-// Event is an observation emitted by instrumented components (e.g. the
-// simulator's noise draw or an outage). Hooks receive events synchronously
-// on the goroutine that emitted them.
-type Event struct {
-	// Path identifies the emitting context, e.g. "root/req#7".
-	Path string
-	// Name is the event kind, e.g. "sim.noise" or "sim.outage".
-	Name string
-	// Value is the event payload (semantics depend on Name).
-	Value float64
-}
-
-// Hook observes events emitted through a Context. Hooks must be safe for
-// concurrent use if the context tree is shared across goroutines.
-type Hook func(Event)
-
 // Clock is a virtual clock measured in seconds. It is safe for concurrent
 // use; contexts derived from the same root share one clock.
 type Clock struct {
@@ -109,44 +90,27 @@ func (c *Clock) Advance(d float64) float64 {
 }
 
 // Context is a request-scoped execution context: a derivation point for
-// deterministic RNG streams, a shared virtual clock, and observation
-// hooks. Contexts are immutable; Child/WithHook return new values (Rekey
-// is the explicit exception for caller-owned scratch contexts).
-// A nil *Context is not usable — components that accept an optional
-// context must substitute their own fallback before drawing.
-//
-// The derivation path ("root/req#7") is materialized lazily from the
-// parent chain: it is pure diagnostics (event hooks), and building the
-// string eagerly was a measurable allocation on the per-request decide
-// path.
+// deterministic RNG streams and a shared virtual clock. Contexts are
+// immutable; Child returns a new value (Rekey is the explicit exception
+// for caller-owned scratch contexts). A nil *Context is not usable —
+// components that accept an optional context must substitute their own
+// fallback before drawing.
 type Context struct {
 	seed  uint64
 	clock *Clock
-	hooks []Hook
-
-	parent  *Context // nil at the root
-	purpose string   // "root" at the root
-	id      uint64
-	hasID   bool
 }
 
 // NewRoot creates a root context from a seed. The root owns a fresh
-// virtual clock starting at zero and has no hooks.
+// virtual clock starting at zero.
 func NewRoot(seed int64) *Context {
-	return &Context{
-		seed:    splitmix64(uint64(seed)),
-		purpose: "root",
-		clock:   NewClock(0),
-	}
+	return &Context{seed: splitmix64(uint64(seed)), clock: NewClock(0)}
 }
 
 // Child derives a context for a named sub-scope. The child shares the
-// parent's clock and hooks; its seed is a pure function of the parent
-// seed, purpose, and ids.
+// parent's clock; its seed is a pure function of the parent seed,
+// purpose, and ids.
 func (c *Context) Child(purpose string, ids ...uint64) *Context {
-	child := &Context{clock: c.clock, hooks: c.hooks}
-	c.rekeyInto(child, purpose, ids)
-	return child
+	return &Context{seed: deriveSeed(c.seed, purpose, ids...), clock: c.clock}
 }
 
 // Rekey repositions dst in place as the named child of c, reusing dst's
@@ -154,20 +118,8 @@ func (c *Context) Child(purpose string, ids ...uint64) *Context {
 // scratch context. dst must not be retained past the scope of the call
 // that rekeyed it or shared across goroutines while in use.
 func (c *Context) Rekey(dst *Context, purpose string, ids ...uint64) {
-	dst.clock = c.clock
-	dst.hooks = c.hooks
-	c.rekeyInto(dst, purpose, ids)
-}
-
-func (c *Context) rekeyInto(dst *Context, purpose string, ids []uint64) {
 	dst.seed = deriveSeed(c.seed, purpose, ids...)
-	dst.parent = c
-	dst.purpose = purpose
-	dst.hasID = len(ids) > 0
-	dst.id = 0
-	if dst.hasID {
-		dst.id = ids[0]
-	}
+	dst.clock = c.clock
 }
 
 // Stream derives a deterministic RNG stream by name. Repeated calls with
@@ -202,27 +154,6 @@ func (c *Context) Seed(purpose string, ids ...uint64) int64 {
 	return int64(deriveSeed(c.seed, purpose, ids...))
 }
 
-// WithHook returns a copy of the context with h appended to its hook
-// chain. Children derived afterwards inherit the hook.
-func (c *Context) WithHook(h Hook) *Context {
-	cp := *c
-	cp.hooks = append(append([]Hook(nil), c.hooks...), h)
-	return &cp
-}
-
-// Path returns the derivation path, e.g. "root/eval/req#12", building it
-// from the parent chain on demand.
-func (c *Context) Path() string {
-	if c.parent == nil {
-		return c.purpose
-	}
-	p := c.parent.Path() + "/" + c.purpose
-	if c.hasID {
-		p += "#" + strconv.FormatUint(c.id, 10)
-	}
-	return p
-}
-
 // Clock returns the shared virtual clock.
 func (c *Context) Clock() *Clock { return c.clock }
 
@@ -231,19 +162,3 @@ func (c *Context) Now() float64 { return c.clock.Now() }
 
 // Advance moves the shared virtual clock forward by d seconds.
 func (c *Context) Advance(d float64) float64 { return c.clock.Advance(d) }
-
-// Emit delivers an event to every hook on the context. It is free when no
-// hooks are installed.
-func (c *Context) Emit(name string, value float64) {
-	if len(c.hooks) == 0 {
-		return
-	}
-	ev := Event{Path: c.Path(), Name: name, Value: value}
-	for _, h := range c.hooks {
-		h(ev)
-	}
-}
-
-// Observing reports whether any hook is installed, so callers can skip
-// building expensive event payloads.
-func (c *Context) Observing() bool { return len(c.hooks) > 0 }

@@ -172,27 +172,6 @@ func TestClock(t *testing.T) {
 	}
 }
 
-func TestHooks(t *testing.T) {
-	root := NewRoot(5)
-	if root.Observing() {
-		t.Fatal("fresh root should have no hooks")
-	}
-	var got []Event
-	obs := root.WithHook(func(e Event) { got = append(got, e) })
-	child := obs.Child("req", 9)
-	child.Emit("sim.noise", 1.25)
-	root.Emit("ignored", 0) // original root unaffected by WithHook copy
-	if len(got) != 1 {
-		t.Fatalf("got %d events, want 1", len(got))
-	}
-	if got[0].Name != "sim.noise" || got[0].Value != 1.25 {
-		t.Fatalf("event = %+v", got[0])
-	}
-	if got[0].Path != "root/req#9" {
-		t.Fatalf("path = %q", got[0].Path)
-	}
-}
-
 func TestSeedPurposeSeparation(t *testing.T) {
 	root := NewRoot(3)
 	if root.Seed("a") == root.Seed("b") {

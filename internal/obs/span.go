@@ -42,19 +42,14 @@ const (
 // phaseNames maps phase index -> canonical name.
 var phaseNames = [NumPhases]string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseRetry, PhaseHedge, PhaseFailover}
 
-// PhaseName returns the canonical name of a phase index.
-func PhaseName(idx int) string { return phaseNames[idx] }
-
 // Phases returns the canonical phase names in pipeline order.
 func Phases() []string {
 	return []string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseRetry, PhaseHedge, PhaseFailover}
 }
 
-// PhaseTotals accumulates per-phase durations in a fixed array — the
-// allocation-free alternative to Stopwatch for hot paths that only need
-// per-phase totals, not individual spans. The zero value is ready to use;
-// like Stopwatch it belongs to one request and is not safe for concurrent
-// use.
+// PhaseTotals accumulates per-phase durations in a fixed array, without
+// allocating. The zero value is ready to use; it belongs to one request and
+// is not safe for concurrent use.
 type PhaseTotals struct {
 	totals [NumPhases]float64
 }
@@ -76,8 +71,8 @@ func (p PhaseTotals) ForEach(fn func(phase string, durS float64)) {
 }
 
 // Durations materializes the non-zero totals as a map, nil when every
-// phase is zero — the same shape and zero-drop semantics as
-// Stopwatch.Durations, for the trace's phases field.
+// phase is zero — a request that never retried carries no retry key,
+// keeping the trace's phases field compact.
 func (p PhaseTotals) Durations() map[string]float64 {
 	n := 0
 	for _, d := range p.totals {
@@ -95,86 +90,4 @@ func (p PhaseTotals) Durations() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// Span is one named phase of a request, stamped on a clock (virtual seconds
-// for the execution legs).
-type Span struct {
-	Phase  string  `json:"phase"`
-	StartS float64 `json:"start_s"`
-	EndS   float64 `json:"end_s"`
-}
-
-// DurS returns the span's duration in seconds.
-func (s Span) DurS() float64 { return s.EndS - s.StartS }
-
-// Stopwatch stamps phase spans on a caller-supplied clock — the gateway
-// passes the worker engine's virtual clock, so spans are a pure function of
-// the deterministic execution and replay byte-identically. It belongs to
-// one request and is not safe for concurrent use.
-type Stopwatch struct {
-	now   func() float64
-	spans []Span
-}
-
-// NewStopwatch builds a stopwatch over a clock function.
-func NewStopwatch(now func() float64) *Stopwatch { return &Stopwatch{now: now} }
-
-// Start opens a span for the phase at the current clock reading and returns
-// the function that closes it. Spans may nest or repeat; each Start/stop
-// pair appends one span.
-func (w *Stopwatch) Start(phase string) (stop func()) {
-	start := w.now()
-	return func() {
-		w.spans = append(w.spans, Span{Phase: phase, StartS: start, EndS: w.now()})
-	}
-}
-
-// Add appends a span of the given duration ending at the current clock
-// reading — for legs whose duration is known from a measurement rather than
-// bracketed on the shared clock (e.g. the failover re-execution).
-func (w *Stopwatch) Add(phase string, durS float64) {
-	end := w.now()
-	w.spans = append(w.spans, Span{Phase: phase, StartS: end - durS, EndS: end})
-}
-
-// Spans returns the recorded spans in completion order.
-func (w *Stopwatch) Spans() []Span { return w.spans }
-
-// Durations sums the recorded spans per phase, dropping phases whose total
-// is zero — a request that never retried carries no retry key, keeping the
-// trace's phases field compact.
-func (w *Stopwatch) Durations() map[string]float64 {
-	if len(w.spans) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(w.spans))
-	for _, s := range w.spans {
-		out[s.Phase] += s.DurS()
-	}
-	for phase, d := range out {
-		if d == 0 {
-			delete(out, phase)
-		}
-	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
-}
-
-// SumDurations totals the named phases of a duration map (all phases when
-// none are named).
-func SumDurations(durs map[string]float64, phases ...string) float64 {
-	var total float64
-	if len(phases) == 0 {
-		for _, d := range durs {
-			total += d
-		}
-		return total
-	}
-	for _, p := range phases {
-		total += durs[p]
-	}
-	return total
 }

@@ -5,68 +5,30 @@ import (
 	"testing"
 )
 
-// fakeClock is a settable clock for span tests.
-type fakeClock struct{ t float64 }
-
-func (c *fakeClock) now() float64 { return c.t }
-
-func TestStopwatchBracketsAndSums(t *testing.T) {
-	clk := &fakeClock{}
-	w := NewStopwatch(clk.now)
-
-	stop := w.Start(PhaseExecute)
-	clk.t = 0.25
-	stop()
-
-	stop = w.Start(PhaseRetry)
-	clk.t = 0.40
-	stop()
-	stop = w.Start(PhaseRetry)
-	clk.t = 0.55
-	stop()
-
-	w.Add(PhaseFailover, 0.1)
-
-	spans := w.Spans()
-	if len(spans) != 4 {
-		t.Fatalf("got %d spans, want 4", len(spans))
+func TestPhaseTotalsDropsZeroPhases(t *testing.T) {
+	var p PhaseTotals
+	// An empty accumulator reports nil so trace records omit the field.
+	if durs := p.Durations(); durs != nil {
+		t.Fatalf("empty totals reported %v", durs)
 	}
-	if spans[0] != (Span{Phase: PhaseExecute, StartS: 0, EndS: 0.25}) {
-		t.Fatalf("execute span = %+v", spans[0])
-	}
-	if spans[3].Phase != PhaseFailover || math.Abs(spans[3].DurS()-0.1) > 1e-12 || spans[3].EndS != 0.55 {
-		t.Fatalf("failover span = %+v", spans[3])
-	}
-
-	durs := w.Durations()
-	want := map[string]float64{PhaseExecute: 0.25, PhaseRetry: 0.30, PhaseFailover: 0.1}
+	p.Add(PhaseExecuteIdx, 0.25)
+	p.Add(PhaseRetryIdx, 0.15)
+	p.Add(PhaseRetryIdx, 0.15)
+	p.Add(PhaseHedgeIdx, 0) // a zero-width leg must not leak into the map
+	want := map[string]float64{PhaseExecute: 0.25, PhaseRetry: 0.30}
+	durs := p.Durations()
 	if len(durs) != len(want) {
 		t.Fatalf("durations = %v, want %v", durs, want)
 	}
-	for p, d := range want {
-		if math.Abs(durs[p]-d) > 1e-12 {
-			t.Fatalf("phase %s = %v, want %v", p, durs[p], d)
+	for ph, d := range want {
+		if math.Abs(durs[ph]-d) > 1e-12 {
+			t.Fatalf("phase %s = %v, want %v", ph, durs[ph], d)
 		}
 	}
-	if got := SumDurations(durs); math.Abs(got-0.65) > 1e-12 {
-		t.Fatalf("SumDurations = %v", got)
-	}
-	if got := SumDurations(durs, PhaseExecute, PhaseRetry); math.Abs(got-0.55) > 1e-12 {
-		t.Fatalf("SumDurations(execute,retry) = %v", got)
-	}
-}
-
-func TestStopwatchDropsZeroPhases(t *testing.T) {
-	clk := &fakeClock{}
-	w := NewStopwatch(clk.now)
-	// A zero-width span (clock did not advance) must not leak into the map.
-	w.Start(PhaseHedge)()
-	if durs := w.Durations(); durs != nil {
-		t.Fatalf("zero-width span leaked: %v", durs)
-	}
-	// And an empty stopwatch reports nil so trace records omit the field.
-	if durs := NewStopwatch(clk.now).Durations(); durs != nil {
-		t.Fatalf("empty stopwatch reported %v", durs)
+	var seen []string
+	p.ForEach(func(phase string, _ float64) { seen = append(seen, phase) })
+	if len(seen) != 2 || seen[0] != PhaseExecute || seen[1] != PhaseRetry {
+		t.Fatalf("ForEach visited %v, want [execute retry] in pipeline order", seen)
 	}
 }
 

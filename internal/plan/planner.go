@@ -18,30 +18,10 @@ type Config struct {
 	// IntervalS is the recompute period on the virtual arrival clock
 	// (default 1s). MaybeTick calls inside a window are free no-ops.
 	IntervalS float64
-	// EWMAAlpha smooths the arrival-rate and service-time estimators
-	// (default 0.35): higher reacts faster, lower rides out bursts.
-	EWMAAlpha float64
-	// UtilizationTarget caps planned per-lane occupancy (default 0.7):
-	// lanes are added until predicted ρ falls under it, independent of the
-	// wait target.
-	UtilizationTarget float64
-	// Headroom over-provisions the modeled lane requirement by a fraction
-	// (non-positive means the default 0.15) so estimation lag does not
-	// translate into queueing.
-	Headroom float64
 	// MaxStepFactor rate-limits actuation (default 2.0): each tick may at
 	// most multiply or divide the active-lane count by this factor, so a
 	// noisy estimate cannot slam the fleet between extremes.
 	MaxStepFactor float64
-	// MinLanes / MaxLanes clamp the planned active-lane count. MinLanes
-	// defaults to 1; MaxLanes defaults to the router's TotalLanes.
-	MinLanes int
-	MaxLanes int
-	// MinBudget / MaxBudget clamp the planned global in-flight budget
-	// (default: no floor beyond 1, no ceiling). The budget tracks
-	// 2x active lanes — one serving plus one queued per lane.
-	MinBudget int
-	MaxBudget int
 	// SurgeLookaheadS is how far ahead the planner scans the fault schedule
 	// for load surges (default 2x IntervalS): capacity is provisioned for
 	// the peak surge factor in [now, now+lookahead), so scale-up lands
@@ -51,32 +31,24 @@ type Config struct {
 	Faults *fault.Injector
 }
 
+// The planner's model constants.
+const (
+	// ewmaAlpha smooths the arrival-rate and service-time estimators:
+	// higher reacts faster, lower rides out bursts.
+	ewmaAlpha float64 = 0.35
+	// utilizationTarget caps planned per-lane occupancy: lanes are added
+	// until predicted ρ falls under it, independent of the wait target.
+	utilizationTarget float64 = 0.7
+	// headroom over-provisions the modeled lane requirement by a fraction
+	// so estimation lag does not translate into queueing.
+	headroom float64 = 0.15
+)
+
 func (c Config) intervalS() float64 {
 	if c.IntervalS <= 0 {
 		return 1
 	}
 	return c.IntervalS
-}
-
-func (c Config) alpha() float64 {
-	if c.EWMAAlpha <= 0 || c.EWMAAlpha > 1 {
-		return 0.35
-	}
-	return c.EWMAAlpha
-}
-
-func (c Config) utilization() float64 {
-	if c.UtilizationTarget <= 0 || c.UtilizationTarget >= 1 {
-		return 0.7
-	}
-	return c.UtilizationTarget
-}
-
-func (c Config) headroom() float64 {
-	if c.Headroom <= 0 {
-		return 0.15
-	}
-	return c.Headroom
 }
 
 func (c Config) stepFactor() float64 {
@@ -215,11 +187,11 @@ func New(rt *router.Router, cfg Config) (*Planner, error) {
 		rt:        rt,
 		cfg:       cfg,
 		rates:     make(map[string]*rateEstimator, len(cfg.Classes)),
-		svc:       meanEstimator{alpha: cfg.alpha()},
+		svc:       meanEstimator{alpha: ewmaAlpha},
 		lastLanes: rt.ActiveLanes(),
 	}
 	for _, c := range cfg.Classes {
-		p.rates[c.Name] = &rateEstimator{alpha: cfg.alpha()}
+		p.rates[c.Name] = &rateEstimator{alpha: ewmaAlpha}
 		if err := rt.SetTenantWeight(c.Name, c.Weight); err != nil {
 			return nil, fmt.Errorf("plan: class %q has no router tenant: %w", c.Name, err)
 		}
@@ -336,27 +308,20 @@ func (p *Planner) recomputeLocked(now float64) Decision {
 	if waitBudget < strictest/4 {
 		waitBudget = strictest / 4
 	}
-	maxLanes := d.TotalLanes
-	if p.cfg.MaxLanes > 0 && p.cfg.MaxLanes < maxLanes {
-		maxLanes = p.cfg.MaxLanes
-	}
-	need := RequiredServers(d.PlanRateHz, mu, waitBudget, maxLanes)
-	if byUtil := int(math.Ceil(d.PlanRateHz / (mu * p.cfg.utilization()))); byUtil > need {
+	need := RequiredServers(d.PlanRateHz, mu, waitBudget, d.TotalLanes)
+	if byUtil := int(math.Ceil(d.PlanRateHz / (mu * utilizationTarget))); byUtil > need {
 		need = byUtil
 	}
 	d.RequiredLanes = need
-	lanes := int(math.Ceil(float64(need) * (1 + p.cfg.headroom())))
+	lanes := int(math.Ceil(float64(need) * (1 + headroom)))
 
-	// Clamp and rate-limit against the previous applied lane count.
-	minLanes := p.cfg.MinLanes
-	if minLanes < 1 {
-		minLanes = 1
+	// Clamp to [1, TotalLanes] and rate-limit against the previous applied
+	// lane count.
+	if lanes < 1 {
+		lanes = 1
 	}
-	if lanes < minLanes {
-		lanes = minLanes
-	}
-	if lanes > maxLanes {
-		lanes = maxLanes
+	if lanes > d.TotalLanes {
+		lanes = d.TotalLanes
 	}
 	if prev := p.lastLanes; prev > 0 {
 		step := p.cfg.stepFactor()
@@ -380,14 +345,9 @@ func (p *Planner) recomputeLocked(now float64) Decision {
 		p.lastLanes = applied
 	}
 	d.ActiveLanes = applied
-	budget := 2 * applied
-	if p.cfg.MinBudget > 0 && budget < p.cfg.MinBudget {
-		budget = p.cfg.MinBudget
-	}
-	if p.cfg.MaxBudget > 0 && budget > p.cfg.MaxBudget {
-		budget = p.cfg.MaxBudget
-	}
-	d.Budget = p.rt.SetGlobalBudget(budget)
+	// The budget tracks 2x active lanes — one serving plus one queued per
+	// lane.
+	d.Budget = p.rt.SetGlobalBudget(2 * applied)
 	if d.Budget != p.lastBudget {
 		if p.lastBudget != 0 {
 			p.rt.Recorder().Note(now, "plan", "budget",

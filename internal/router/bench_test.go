@@ -14,7 +14,7 @@ func BenchmarkRouterDispatch(b *testing.B) {
 	for i := range shards {
 		shards[i] = fmt.Sprintf("shard-%d", i)
 	}
-	r := newRing(shards, 64)
+	r := newRing(shards)
 	d := newDRR([]Tenant{{"gold", 4}, {"silver", 2}, {"best", 1}})
 	tenants := []string{"gold", "silver", "best"}
 	devices := make([]string, 64)
@@ -47,7 +47,7 @@ func BenchmarkRingLookup(b *testing.B) {
 	for i := range shards {
 		shards[i] = fmt.Sprintf("shard-%d", i)
 	}
-	r := newRing(shards, 64)
+	r := newRing(shards)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

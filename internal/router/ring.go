@@ -32,12 +32,12 @@ func fnv1a(key string) uint32 {
 	return h
 }
 
+// vnodes is the ring's virtual-node count per shard.
+const vnodes = 64
+
 // newRing builds the ring over the given shard names with vnodes virtual
 // points each. An empty shard list yields an empty ring (lookup returns "").
-func newRing(shards []string, vnodes int) *ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
+func newRing(shards []string) *ring {
 	r := &ring{points: make([]ringPoint, 0, len(shards)*vnodes)}
 	for _, s := range shards {
 		for i := 0; i < vnodes; i++ {
@@ -103,7 +103,7 @@ func loadBound(factor float64, devices, shards int) int {
 // in sorted order so the assignment is a pure function of the inputs. counts
 // carries pre-existing per-shard device loads (may be nil) and is updated in
 // place.
-func placeDevices(devices, shards []string, counts map[string]int, vnodes int, factor float64) map[string]string {
+func placeDevices(devices, shards []string, counts map[string]int, factor float64) map[string]string {
 	if counts == nil {
 		counts = make(map[string]int, len(shards))
 	}
@@ -111,7 +111,7 @@ func placeDevices(devices, shards []string, counts map[string]int, vnodes int, f
 	sort.Strings(sortedDevs)
 	sortedShards := append([]string(nil), shards...)
 	sort.Strings(sortedShards)
-	r := newRing(sortedShards, vnodes)
+	r := newRing(sortedShards)
 
 	total := len(sortedDevs)
 	for _, s := range sortedShards {

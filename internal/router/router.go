@@ -79,16 +79,6 @@ type Config struct {
 	// the gateway's policy vocabulary: ShedNewest rejects the arrival,
 	// ShedOldest evicts the head of the tenant's queue.
 	Shed serve.ShedPolicy
-	// VNodes is the consistent-hash ring's virtual-node count per shard
-	// (default 64).
-	VNodes int
-	// LoadFactor is the bounded-load placement ceiling: no shard owns more
-	// than ceil(LoadFactor * devices / aliveShards) device lanes (default
-	// 1.25). Values below 1 clamp to a perfectly even split.
-	LoadFactor float64
-	// MaxFailovers caps per-request re-dispatches after a shard bounce
-	// (default 2). A request over the cap fails with the bounce error.
-	MaxFailovers int
 	// EngineFactory builds a fresh engine for a device being re-homed onto a
 	// surviving shard (the dead shard's engine is gone with its process).
 	// The new lane still warm-starts from the device's latest checkpoint via
@@ -138,29 +128,20 @@ func (c Config) tenantQueueDepth() int {
 	return c.TenantQueueDepth
 }
 
-func (c Config) maxFailovers() int {
-	if c.MaxFailovers <= 0 {
-		return 2
-	}
-	return c.MaxFailovers
-}
-
-func (c Config) loadFactor() float64 {
-	if c.LoadFactor <= 0 {
-		return 1.25
-	}
-	return c.LoadFactor
-}
+const (
+	// loadFactor is the bounded-load placement ceiling: no shard owns more
+	// than ceil(loadFactor * devices / aliveShards) device lanes.
+	loadFactor = 1.25
+	// maxFailovers caps per-request re-dispatches after a shard bounce. A
+	// request over the cap fails with the bounce error.
+	maxFailovers = 2
+)
 
 // PlaceDevices computes the initial device-to-shard assignment the router
 // and Fleet.ProvisionRouter share: consistent-hash placement with
-// bounded-load overflow, a pure function of the name sets. Zero vnodes and
-// factor select the defaults.
-func PlaceDevices(devices, shards []string, vnodes int, factor float64) map[string]string {
-	if factor <= 0 {
-		factor = Config{}.loadFactor()
-	}
-	return placeDevices(devices, shards, nil, vnodes, factor)
+// bounded-load overflow, a pure function of the name sets.
+func PlaceDevices(devices, shards []string) map[string]string {
+	return placeDevices(devices, shards, nil, loadFactor)
 }
 
 // shardState is the lifecycle of one shard.
@@ -240,10 +221,9 @@ var rreqPool = sync.Pool{
 
 // Router fronts a fleet of gateway shards. It is safe for concurrent use.
 type Router struct {
-	cfg          Config
-	budget       atomic.Int64 // global in-flight budget; the planner retunes it live
-	tenantDepth  int          // default per-tenant queue bound (tenantQueue.depth overrides)
-	maxFailovers int
+	cfg         Config
+	budget      atomic.Int64 // global in-flight budget; the planner retunes it live
+	tenantDepth int          // default per-tenant queue bound (tenantQueue.depth overrides)
 
 	// gated is true while any tenant has a positive admission-wait bound, so
 	// ungated deployments never pay the backlog estimate on Submit.
@@ -304,14 +284,13 @@ func New(shards []ShardGateway, cfg Config) (*Router, error) {
 	}
 
 	rt := &Router{
-		cfg:          cfg,
-		tenantDepth:  cfg.tenantQueueDepth(),
-		maxFailovers: cfg.maxFailovers(),
-		shards:       make(map[string]*shard, len(shards)),
-		homes:        make(map[string]string),
-		drr:          newDRR(tenants),
-		wake:         make(chan struct{}, 1),
-		stopc:        make(chan struct{}),
+		cfg:         cfg,
+		tenantDepth: cfg.tenantQueueDepth(),
+		shards:      make(map[string]*shard, len(shards)),
+		homes:       make(map[string]string),
+		drr:         newDRR(tenants),
+		wake:        make(chan struct{}, 1),
+		stopc:       make(chan struct{}),
 	}
 	rt.budget.Store(int64(cfg.globalBudget()))
 	for _, sg := range shards {
@@ -649,7 +628,7 @@ func (rt *Router) fail(r *rreq, err error) {
 
 // complete takes the shard's terminal response for one dispatched request
 // and relays it — unless the shard bounced it (killed or draining), in which
-// case the request re-enters the scheduler for failover, up to MaxFailovers.
+// case the request re-enters the scheduler for failover, up to maxFailovers.
 // The requeue happens before the in-flight gauges drop so Shutdown's quiet
 // check (queues empty AND nothing in flight) can never miss a failover in
 // motion.
@@ -665,7 +644,7 @@ func (rt *Router) complete(r *rreq, resp serve.Response) {
 	bounced := resp.Status == serve.StatusFailed &&
 		(errors.Is(resp.Err, serve.ErrShardDown) || errors.Is(resp.Err, serve.ErrClosed))
 
-	if bounced && r.attempts < rt.maxFailovers {
+	if bounced && r.attempts < maxFailovers {
 		r.attempts++
 		rt.met.failovers.Add(1)
 		// The same trace keeps accumulating: the next dispatch span lands on
@@ -888,7 +867,7 @@ func (rt *Router) rehomeLocked(sh *shard) int {
 		return 0
 	}
 
-	placed := placeDevices(orphans, alive, counts, rt.cfg.VNodes, rt.cfg.loadFactor())
+	placed := placeDevices(orphans, alive, counts, loadFactor)
 	moved := 0
 	for _, dev := range orphans {
 		target := placed[dev]

@@ -51,8 +51,8 @@ func testShard(t testing.TB, name string, lanes []string, seedBase int64, gcfg s
 // TestRingDeterministic checks the ring is a pure function of the name set:
 // input order must not matter, and lookups must be stable.
 func TestRingDeterministic(t *testing.T) {
-	a := newRing([]string{"shard-a", "shard-b", "shard-c"}, 64)
-	b := newRing([]string{"shard-c", "shard-a", "shard-b"}, 64)
+	a := newRing([]string{"shard-a", "shard-b", "shard-c"})
+	b := newRing([]string{"shard-c", "shard-a", "shard-b"})
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("device-%d", i)
 		if got, want := a.lookup(key), b.lookup(key); got != want {
@@ -67,8 +67,8 @@ func TestRingDeterministic(t *testing.T) {
 // TestRingMinimalMovement checks the consistent-hash property re-homing
 // relies on: removing one shard moves only that shard's keys.
 func TestRingMinimalMovement(t *testing.T) {
-	full := newRing([]string{"shard-a", "shard-b", "shard-c"}, 64)
-	survivors := newRing([]string{"shard-a", "shard-c"}, 64)
+	full := newRing([]string{"shard-a", "shard-b", "shard-c"})
+	survivors := newRing([]string{"shard-a", "shard-c"})
 	moved := 0
 	for i := 0; i < 300; i++ {
 		key := fmt.Sprintf("device-%d", i)
@@ -117,7 +117,7 @@ func TestPlaceDevicesBounded(t *testing.T) {
 		devices[i] = fmt.Sprintf("device-%d", i)
 	}
 	shards := []string{"shard-0", "shard-1", "shard-2", "shard-3"}
-	homes := PlaceDevices(devices, shards, 0, 1.0)
+	homes := placeDevices(devices, shards, nil, 1.0)
 	if len(homes) != len(devices) {
 		t.Fatalf("placed %d of %d devices", len(homes), len(devices))
 	}
@@ -139,7 +139,7 @@ func TestPlaceDevicesBounded(t *testing.T) {
 	for i, d := range devices {
 		rev[len(devices)-1-i] = d
 	}
-	homes2 := PlaceDevices(rev, shards, 0, 1.0)
+	homes2 := placeDevices(rev, shards, nil, 1.0)
 	for dev, s := range homes {
 		if homes2[dev] != s {
 			t.Fatalf("placement input-order dependent: %q -> %q vs %q", dev, s, homes2[dev])
@@ -250,14 +250,13 @@ func pausedRouter(cfg Config) *Router {
 		tenants = append(tenants, Tenant{Name: DefaultTenant, Weight: 1})
 	}
 	rt := &Router{
-		cfg:          cfg,
-		tenantDepth:  cfg.tenantQueueDepth(),
-		maxFailovers: cfg.maxFailovers(),
-		shards:       map[string]*shard{},
-		homes:        map[string]string{},
-		drr:          newDRR(tenants),
-		wake:         make(chan struct{}, 1),
-		stopc:        make(chan struct{}),
+		cfg:         cfg,
+		tenantDepth: cfg.tenantQueueDepth(),
+		shards:      map[string]*shard{},
+		homes:       map[string]string{},
+		drr:         newDRR(tenants),
+		wake:        make(chan struct{}, 1),
+		stopc:       make(chan struct{}),
 	}
 	rt.budget.Store(int64(cfg.globalBudget()))
 	holdDispatch(rt)
@@ -523,7 +522,7 @@ func TestRouterDrainRehome(t *testing.T) {
 func TestRouterFailoverBudget(t *testing.T) {
 	gwA := testShard(t, "shard-a", []string{"lane-a"}, 1, serve.Config{})
 	gwB := testShard(t, "shard-b", []string{"lane-b"}, 2, serve.Config{})
-	rt, err := New([]ShardGateway{{"shard-a", gwA}, {"shard-b", gwB}}, Config{MaxFailovers: 2})
+	rt, err := New([]ShardGateway{{"shard-a", gwA}, {"shard-b", gwB}}, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -914,7 +914,7 @@ func (g *Gateway) retryOffload(w *worker, p *pending, d *core.Decision) (retries
 
 	for attempt := 1; attempt <= rc.MaxRetries; attempt++ {
 		rctx := w.engine.StepContext("serve.retry", w.seq, uint64(attempt))
-		backoff := rc.RetryBackoffS * math.Pow(2, float64(attempt-1))
+		backoff := retryBackoffS * math.Pow(2, float64(attempt-1))
 		backoff += 0.5 * backoff * rctx.Stream("serve.retry.jitter").Float64()
 
 		// Budget: the backoff plus a clean execution must fit in the

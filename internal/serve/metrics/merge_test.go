@@ -9,35 +9,54 @@ import (
 	"autoscale/internal/obs"
 )
 
-// seededSnapshot drives a fresh registry with a seed-derived mix of counter
-// bumps, histogram observations, per-phase/per-tenant samples and breaker
-// states, and returns its snapshot. The tag keeps label spaces (devices,
-// breakers) disjoint between operands so last-writer-wins breaker state
-// cannot masquerade as a commutativity failure.
+// seededSnapshot drives a fresh registry through the mutators the gateway
+// calls — a seed-derived mix of counter bumps, batched admission and served
+// samples (histograms, per-phase/per-tenant observations, target and device
+// counts), breaker states and policy-sync passes — and returns its snapshot.
+// The tag keeps label spaces (devices, breakers, sync errors) disjoint
+// between operands so last-writer-wins breaker state cannot masquerade as a
+// commutativity failure.
 func seededSnapshot(seed uint64, tag string) Snapshot {
 	rng := exec.NewRand(seed)
 	r := New()
 	bump := []func(){
-		r.IncSubmitted, r.IncServed, r.IncShed, r.IncExpired, r.IncFailed,
-		r.IncRetried, r.IncQoSViolation, r.IncOutage, r.IncOffloadRetry,
-		r.IncHedge, r.IncBreakerOpen, r.IncWorkerCrash,
+		r.IncSubmitted, r.IncShed, r.IncExpired, r.IncFailed, r.IncRetried,
+		r.IncOutage, r.IncOffloadRetry, r.IncHedge, r.IncBreakerOpen, r.IncWorkerCrash,
 	}
 	for i, n := 0, 20+rng.Intn(60); i < n; i++ {
 		bump[rng.Intn(len(bump))]()
 		switch rng.Intn(4) {
 		case 0:
-			r.ObserveLatency(rng.ExpFloat64() * 0.05)
+			var phases obs.PhaseTotals
+			phases.Add(obs.PhaseExecuteIdx, rng.ExpFloat64()*0.05)
+			r.ObserveServed(ServedSample{
+				QoSViolated: rng.Intn(4) == 0,
+				LatencyS:    rng.ExpFloat64() * 0.05,
+				EnergyJ:     rng.ExpFloat64(),
+				Target:      "edge",
+				Device:      tag + "-device",
+				Phases:      phases,
+			})
 		case 1:
-			r.ObserveVWait(rng.ExpFloat64() * 0.2)
+			r.ObserveAdmission(rng.ExpFloat64()*0.01, rng.ExpFloat64()*0.2, rng.Intn(2) == 0)
 		case 2:
-			r.ObservePhase(obs.PhaseQueue, rng.ExpFloat64()*0.01)
+			r.ObservePhase(obs.PhaseDecide, rng.ExpFloat64()*0.001)
 		case 3:
-			r.ObserveTenantResponse("tenant-"+string(rune('a'+rng.Intn(3))), rng.ExpFloat64()*0.1)
+			lat := rng.ExpFloat64() * 0.05
+			r.ObserveServed(ServedSample{
+				LatencyS:    lat,
+				EnergyJ:     rng.ExpFloat64(),
+				Tenant:      "tenant-" + string(rune('a'+rng.Intn(3))),
+				TenantRespS: lat + rng.ExpFloat64()*0.1,
+				Target:      "local",
+				Device:      tag + "-device",
+			})
+		}
+		if rng.Intn(5) == 0 {
+			r.ObserveSyncPass(rng.Intn(4) != 0, tag+"-sync-error")
 		}
 	}
 	r.AddDegradedSeconds(rng.Float64())
-	r.CountTarget("edge")
-	r.CountDevice(tag + "-device")
 	r.SetBreakerState(tag+"-breaker", "closed")
 	return r.Snapshot()
 }
@@ -83,6 +102,17 @@ func TestMergeCommutative(t *testing.T) {
 		if ab.VWait.Count != a.VWait.Count+b.VWait.Count {
 			t.Fatalf("seed %d: merged vwait count %d, want %d",
 				seed, ab.VWait.Count, a.VWait.Count+b.VWait.Count)
+		}
+		// The sync alarm's count and message come from the same operand.
+		if ab.SyncLastError != "" {
+			from := a
+			if ab.SyncLastError == b.SyncLastError {
+				from = b
+			}
+			if ab.SyncLastError != from.SyncLastError || ab.SyncConsecutiveFailures != from.SyncConsecutiveFailures {
+				t.Fatalf("seed %d: merged sync error %q with %d failures matches neither operand",
+					seed, ab.SyncLastError, ab.SyncConsecutiveFailures)
+			}
 		}
 	}
 }

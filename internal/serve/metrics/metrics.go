@@ -117,9 +117,6 @@ func (r *Registry) shared(fn func()) {
 // IncSubmitted counts one request entering admission control.
 func (r *Registry) IncSubmitted() { r.shared(func() { r.submitted.Add(1) }) }
 
-// IncServed counts one executed request.
-func (r *Registry) IncServed() { r.shared(func() { r.served.Add(1) }) }
-
 // IncShed counts one request rejected by admission control (full queue).
 func (r *Registry) IncShed() { r.shared(func() { r.shed.Add(1) }) }
 
@@ -131,9 +128,6 @@ func (r *Registry) IncFailed() { r.shared(func() { r.failed.Add(1) }) }
 
 // IncRetried counts one failover re-execution on the local fallback target.
 func (r *Registry) IncRetried() { r.shared(func() { r.retried.Add(1) }) }
-
-// IncQoSViolation counts one served request over its latency target.
-func (r *Registry) IncQoSViolation() { r.shared(func() { r.qosViolations.Add(1) }) }
 
 // IncOutage counts one simulated radio outage absorbed by the sim's local
 // fallback.
@@ -209,38 +203,6 @@ func (r *Registry) QueueExit() { r.shared(func() { r.queueDepth.Add(-1) }) }
 // QueueDepth returns the current aggregate queue depth.
 func (r *Registry) QueueDepth() int64 { return r.queueDepth.Load() }
 
-// ObserveLatency records one end-to-end execution latency (seconds).
-func (r *Registry) ObserveLatency(s float64) { r.shared(func() { r.latency.Observe(s) }) }
-
-// ObserveWait records one queue wait (seconds).
-func (r *Registry) ObserveWait(s float64) { r.shared(func() { r.wait.Observe(s) }) }
-
-// ObserveEnergy records one mobile-side energy cost (joules).
-func (r *Registry) ObserveEnergy(j float64) { r.shared(func() { r.energy.Observe(j) }) }
-
-// ObserveVWait records one virtual queue wait (seconds on the lane clock)
-// for an arrival-stamped request.
-func (r *Registry) ObserveVWait(s float64) { r.shared(func() { r.vwait.Observe(s) }) }
-
-// ObserveTenantResponse records one virtual response time (vwait plus
-// execution latency, seconds) against the request's tenant — the per-class
-// series SLO attainment is judged on. No-op for an empty tenant.
-func (r *Registry) ObserveTenantResponse(tenant string, s float64) {
-	if tenant == "" {
-		return
-	}
-	r.shared(func() {
-		r.mu.Lock()
-		h, ok := r.byTenant[tenant]
-		if !ok {
-			h = obs.NewHistogram(Scheme())
-			r.byTenant[tenant] = h
-		}
-		r.mu.Unlock()
-		h.Observe(s)
-	})
-}
-
 // ObservePhase records one phase duration (seconds) into that phase's
 // histogram. Unknown phases are dropped — the phase set is the obs package's
 // canonical list, fixed at New.
@@ -288,7 +250,8 @@ type ServedSample struct {
 }
 
 // ObserveServed records one served request as a single batched mutation:
-// the same counters and histograms the individual mutators update, in one
+// the served and QoS-violation counters, the latency, energy, tenant and
+// phase histograms, and the per-target and per-device counts, in one
 // consistent cut relative to Snapshot.
 func (r *Registry) ObserveServed(s ServedSample) {
 	r.shared(func() {
@@ -336,25 +299,6 @@ func (r *Registry) ObserveSyncPass(failed bool, errStr string) {
 		}
 		r.mu.Lock()
 		r.syncLastErr = errStr
-		r.mu.Unlock()
-	})
-}
-
-// CountTarget counts one execution against a target label (the coarse
-// location — local/connected/cloud — keeps the map small).
-func (r *Registry) CountTarget(label string) {
-	r.shared(func() {
-		r.mu.Lock()
-		r.byTarget[label]++
-		r.mu.Unlock()
-	})
-}
-
-// CountDevice counts one execution against a gateway worker.
-func (r *Registry) CountDevice(device string) {
-	r.shared(func() {
-		r.mu.Lock()
-		r.byDevice[device]++
 		r.mu.Unlock()
 	})
 }
@@ -536,11 +480,16 @@ func Merge(snaps ...Snapshot) Snapshot {
 		out.SyncPasses += s.SyncPasses
 		out.SyncFailures += s.SyncFailures
 		// Consecutive failures merge by max: the sickest sync plane in the
-		// fleet decides the alarm. Its error message rides along.
-		if s.SyncConsecutiveFailures > out.SyncConsecutiveFailures {
+		// fleet decides the alarm, and its error message rides along. Ties
+		// take the lexicographically smallest non-empty error, so the
+		// failure count and the message always come from the same shard
+		// and the merge is order-independent.
+		switch {
+		case s.SyncConsecutiveFailures > out.SyncConsecutiveFailures:
 			out.SyncConsecutiveFailures = s.SyncConsecutiveFailures
-		}
-		if out.SyncLastError == "" && s.SyncLastError != "" {
+			out.SyncLastError = s.SyncLastError
+		case s.SyncConsecutiveFailures == out.SyncConsecutiveFailures && s.SyncLastError != "" &&
+			(out.SyncLastError == "" || s.SyncLastError < out.SyncLastError):
 			out.SyncLastError = s.SyncLastError
 		}
 		out.Latency = mergeHist(out.Latency, s.Latency)

@@ -12,15 +12,10 @@ func TestCountersAndSnapshot(t *testing.T) {
 	r := New()
 	r.IncSubmitted()
 	r.IncSubmitted()
-	r.IncServed()
+	r.ObserveServed(ServedSample{QoSViolated: true, Target: "local", Device: "Mi8Pro"})
 	r.IncShed()
 	r.IncRetried()
-	r.IncQoSViolation()
 	r.IncOutage()
-	r.CountTarget("local")
-	r.CountTarget("local")
-	r.CountTarget("cloud")
-	r.CountDevice("Mi8Pro")
 
 	s := r.Snapshot()
 	if s.Submitted != 2 || s.Served != 1 || s.Shed != 1 || s.Expired != 0 {
@@ -32,12 +27,12 @@ func TestCountersAndSnapshot(t *testing.T) {
 	if s.Accounted() != 2 {
 		t.Fatalf("accounted = %d", s.Accounted())
 	}
-	if s.ByTarget["local"] != 2 || s.ByTarget["cloud"] != 1 || s.ByDevice["Mi8Pro"] != 1 {
+	if s.ByTarget["local"] != 1 || s.ByDevice["Mi8Pro"] != 1 {
 		t.Fatalf("maps: %+v %+v", s.ByTarget, s.ByDevice)
 	}
 	// The snapshot must be a copy, not a view.
 	s.ByTarget["local"] = 99
-	if r.Snapshot().ByTarget["local"] != 2 {
+	if r.Snapshot().ByTarget["local"] != 1 {
 		t.Fatal("snapshot aliases the registry map")
 	}
 }
@@ -59,13 +54,16 @@ func TestQueueGauge(t *testing.T) {
 
 func TestRegistryHistograms(t *testing.T) {
 	r := New()
-	r.ObserveLatency(0.010)
-	r.ObserveLatency(0.020)
-	r.ObserveWait(0.001)
-	r.ObserveEnergy(0.5)
+	r.ObserveServed(ServedSample{LatencyS: 0.010, EnergyJ: 0.5})
+	r.ObserveServed(ServedSample{LatencyS: 0.020, EnergyJ: 0.5})
+	r.ObserveAdmission(0.001, 0, false)
 	s := r.Snapshot()
-	if s.Latency.Count != 2 || s.Wait.Count != 1 || s.Energy.Count != 1 {
-		t.Fatalf("histogram counts: %d %d %d", s.Latency.Count, s.Wait.Count, s.Energy.Count)
+	if s.Latency.Count != 2 || s.Wait.Count != 1 || s.Energy.Count != 2 || s.VWait.Count != 0 {
+		t.Fatalf("histogram counts: %d %d %d %d", s.Latency.Count, s.Wait.Count, s.Energy.Count, s.VWait.Count)
+	}
+	// Admission feeds the queue-phase histogram from the same wait.
+	if q := s.Phases[obs.PhaseQueue]; q.Count != 1 || q.Sum != 0.001 {
+		t.Fatalf("queue phase: %+v", q)
 	}
 	if got := s.Latency.Mean(); math.Abs(got-0.015) > 1e-12 {
 		t.Fatalf("latency mean = %v", got)
@@ -111,33 +109,33 @@ func TestObservePhase(t *testing.T) {
 	}
 }
 
-// TestSnapshotIsConsistentCut pins the torn-read fix: writers bump submitted
-// then served inside one shared-lock section, so no snapshot may ever
-// observe served > submitted.
+// TestSnapshotIsConsistentCut pins the torn-read fix: ObserveServed bumps
+// the served counter, the latency/energy/phase histograms and the target
+// and device counts inside one shared-lock section, so every snapshot sees
+// them agree — never a counter ahead of its histograms.
 func TestSnapshotIsConsistentCut(t *testing.T) {
 	r := New()
+	var phases obs.PhaseTotals
+	phases.Add(obs.PhaseExecuteIdx, 0.01)
+	sample := ServedSample{LatencyS: 0.01, EnergyJ: 0.5, Target: "local", Device: "dev", Phases: phases}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		for i := 0; i < 20000; i++ {
-			r.shared(func() {
-				r.submitted.Add(1)
-				r.served.Add(1)
-			})
+			r.ObserveServed(sample)
 		}
 	}()
 	for {
 		s := r.Snapshot()
-		if s.Served > s.Submitted {
-			t.Fatalf("torn snapshot: served %d > submitted %d", s.Served, s.Submitted)
-		}
-		if s.Submitted != s.Served {
-			t.Fatalf("mid-mutation snapshot: submitted %d served %d", s.Submitted, s.Served)
+		n := s.Served
+		if s.Latency.Count != n || s.Energy.Count != n || s.Phases[obs.PhaseExecute].Count != n ||
+			s.ByTarget["local"] != n || s.ByDevice["dev"] != n {
+			t.Fatalf("torn snapshot: served %d latency %d energy %d execute %d target %d device %d",
+				n, s.Latency.Count, s.Energy.Count, s.Phases[obs.PhaseExecute].Count, s.ByTarget["local"], s.ByDevice["dev"])
 		}
 		select {
 		case <-done:
-			s := r.Snapshot()
-			if s.Submitted != 20000 || s.Served != 20000 {
+			if s := r.Snapshot(); s.Served != 20000 {
 				t.Fatalf("lost counts: %+v", s)
 			}
 			return
@@ -158,15 +156,16 @@ func TestConcurrentUpdates(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
 				r.IncSubmitted()
-				r.IncServed()
 				r.QueueEnter()
-				r.ObserveLatency(0.01)
-				r.ObserveEnergy(0.5)
-				r.ObserveWait(0.001)
-				r.ObservePhase(obs.PhaseExecute, 0.01)
-				r.CountTarget("local")
-				r.CountDevice("dev")
+				r.ObserveAdmission(0.001, 0.002, true)
 				r.QueueExit()
+				var phases obs.PhaseTotals
+				phases.Add(obs.PhaseExecuteIdx, 0.01)
+				r.ObserveServed(ServedSample{
+					LatencyS: 0.01, EnergyJ: 0.5, Tenant: "t", TenantRespS: 0.012,
+					Target: "local", Device: "dev", Phases: phases,
+				})
+				r.ObservePhase(obs.PhaseDecide, 0.0001)
 				_ = r.Snapshot()
 			}
 		}()
@@ -182,13 +181,19 @@ func TestConcurrentUpdates(t *testing.T) {
 	if got := s.Latency.Sum; math.Abs(got-workers*each*0.01) > 1e-6 {
 		t.Fatalf("latency sum = %v", got)
 	}
-	if s.Phases[obs.PhaseExecute].Count != workers*each {
-		t.Fatalf("lost phase observations: %d", s.Phases[obs.PhaseExecute].Count)
+	for _, phase := range []string{obs.PhaseQueue, obs.PhaseDecide, obs.PhaseExecute} {
+		if got := s.Phases[phase].Count; got != workers*each {
+			t.Fatalf("lost %s phase observations: %d", phase, got)
+		}
+	}
+	if s.Wait.Count != workers*each || s.VWait.Count != workers*each || s.ByTenant["t"].Count != workers*each {
+		t.Fatalf("lost admission/tenant observations: wait %d vwait %d tenant %d",
+			s.Wait.Count, s.VWait.Count, s.ByTenant["t"].Count)
 	}
 	if s.QueueDepth != 0 {
 		t.Fatalf("queue depth = %d", s.QueueDepth)
 	}
-	if s.ByTarget["local"] != workers*each {
-		t.Fatalf("target counts = %d", s.ByTarget["local"])
+	if s.ByTarget["local"] != workers*each || s.ByDevice["dev"] != workers*each {
+		t.Fatalf("target/device counts = %d/%d", s.ByTarget["local"], s.ByDevice["dev"])
 	}
 }

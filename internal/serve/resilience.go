@@ -25,10 +25,6 @@ type ResilienceConfig struct {
 	// MaxRetries bounds the deadline-budgeted offload retries after an
 	// outage (default 1; negative disables retries).
 	MaxRetries int
-	// RetryBackoffS is the base backoff before the first retry, doubled
-	// per attempt, plus up to 50% deterministic jitter from the request's
-	// named RNG stream (default 2 ms).
-	RetryBackoffS float64
 	// Hedge enables hedged offloads: when a remote answer is slower than
 	// HedgeAfterS and the deadline budget allows, a local leg races it and
 	// the earlier answer wins.
@@ -37,6 +33,11 @@ type ResilienceConfig struct {
 	// fires (default 25 ms — half the paper's 50 ms QoS budget).
 	HedgeAfterS float64
 }
+
+// retryBackoffS is the base backoff before the first offload retry (2 ms),
+// doubled per attempt, plus up to 50% deterministic jitter from the
+// request's named RNG stream.
+const retryBackoffS = 0.002
 
 func (rc ResilienceConfig) withDefaults() ResilienceConfig {
 	if !rc.Enabled {
@@ -53,9 +54,6 @@ func (rc ResilienceConfig) withDefaults() ResilienceConfig {
 	}
 	if rc.MaxRetries == 0 {
 		rc.MaxRetries = 1
-	}
-	if rc.RetryBackoffS <= 0 {
-		rc.RetryBackoffS = 0.002
 	}
 	if rc.HedgeAfterS <= 0 {
 		rc.HedgeAfterS = 0.025

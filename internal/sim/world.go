@@ -498,7 +498,6 @@ func (w *World) ExecuteCtx(ctx *exec.Context, m *dnn.Model, t Target, c Conditio
 	c = w.conditionsAt(now, c)
 	if t.Location != Local {
 		if w.SiteDown(now, t.Location) {
-			ctx.Emit("sim.outage", 1)
 			return w.executeOutage(ctx, m, t, c)
 		}
 		if w.OutageProb > 0 {
@@ -506,7 +505,6 @@ func (w *World) ExecuteCtx(ctx *exec.Context, m *dnn.Model, t Target, c Conditio
 			down := st.Float64() < w.OutageProb
 			exec.PutStream(st)
 			if down {
-				ctx.Emit("sim.outage", 1)
 				return w.executeOutage(ctx, m, t, c)
 			}
 		}
@@ -523,7 +521,6 @@ func (w *World) ExecuteCtx(ctx *exec.Context, m *dnn.Model, t Target, c Conditio
 		if f < 0.5 {
 			f = 0.5
 		}
-		ctx.Emit("sim.noise", f)
 		meas.LatencyS *= f
 		meas.EnergyJ *= f
 		meas.Breakdown.Compute *= f
@@ -608,8 +605,8 @@ func (w *World) nextCtx() *exec.Context {
 // executeOutage models a failed offload: the device transmits until the
 // timeout with no answer, then reruns the inference on the local CPU at top
 // frequency. The returned measurement charges both phases, attributes the
-// burned offload energy as WastedJ, emits it on the context's observation
-// hook, and advances the virtual clock past the whole episode.
+// burned offload energy as WastedJ, and advances the virtual clock past the
+// whole episode.
 func (w *World) executeOutage(ctx *exec.Context, m *dnn.Model, t Target, c Conditions) (Measurement, error) {
 	link := w.linkTo(t.Location)
 	rssi := c.rssiFor(t.Location)
@@ -632,7 +629,6 @@ func (w *World) executeOutage(ctx *exec.Context, m *dnn.Model, t Target, c Condi
 	local.EnergyJ = local.Breakdown.Total()
 	local.WastedJ = wasted.Radio + wasted.Idle
 	local.Target = fallback
-	ctx.Emit("sim.outage.wasted_j", local.WastedJ)
 	ctx.Advance(local.LatencyS)
 	return local, nil
 }

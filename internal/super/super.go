@@ -37,29 +37,32 @@ type Config struct {
 	// LatencyTargetS is the windowed p95 the latency component scores
 	// against (default 0.1s).
 	LatencyTargetS float64
-	// UnhealthyBelow is the score under which a tick counts as sick
-	// (default 0.5); HealthyAbove the score over which a tick counts as
-	// well (default 0.75). The gap between them is the hysteresis band.
-	UnhealthyBelow float64
-	HealthyAbove   float64
-	// SickTicks is how many consecutive sick ticks cordon a shard
-	// (default 2); WellTicks how many consecutive well ticks lift the
-	// cordon (default 2).
-	SickTicks int
-	WellTicks int
-	// DrainAfterTicks is how many cordoned-and-still-sick ticks escalate
-	// to drain + restart (default 3).
-	DrainAfterTicks int
 	// RestartBackoffS is the first revive delay on the virtual clock; it
 	// doubles per restart — the crash-loop backoff (default 2s).
 	RestartBackoffS float64
 	// MaxRestarts is the remediation budget: revive attempts per shard
 	// before it is condemned dead (default 3).
 	MaxRestarts int
-	// DrainTimeout bounds each escalated drain (default 30s wall — the
-	// drain itself is queue work, not virtual time).
-	DrainTimeout time.Duration
 }
+
+// The remediation ladder's thresholds.
+const (
+	// unhealthyBelow is the score under which a tick counts as sick;
+	// healthyAbove the score over which a tick counts as well. The gap
+	// between them is the hysteresis band.
+	unhealthyBelow = 0.5
+	healthyAbove   = 0.75
+	// sickTicks is how many consecutive sick ticks cordon a shard;
+	// wellTicks how many consecutive well ticks lift the cordon.
+	sickTicks = 2
+	wellTicks = 2
+	// drainAfterTicks is how many cordoned-and-still-sick ticks escalate to
+	// drain + restart.
+	drainAfterTicks = 3
+	// drainTimeout bounds each escalated drain (wall time — the drain
+	// itself is queue work, not virtual time).
+	drainTimeout = 30 * time.Second
+)
 
 func (c Config) intervalS() float64 {
 	if c.IntervalS <= 0 {
@@ -75,41 +78,6 @@ func (c Config) latencyTargetS() float64 {
 	return c.LatencyTargetS
 }
 
-func (c Config) unhealthyBelow() float64 {
-	if c.UnhealthyBelow <= 0 {
-		return 0.5
-	}
-	return c.UnhealthyBelow
-}
-
-func (c Config) healthyAbove() float64 {
-	if c.HealthyAbove <= 0 {
-		return 0.75
-	}
-	return c.HealthyAbove
-}
-
-func (c Config) sickTicks() int {
-	if c.SickTicks <= 0 {
-		return 2
-	}
-	return c.SickTicks
-}
-
-func (c Config) wellTicks() int {
-	if c.WellTicks <= 0 {
-		return 2
-	}
-	return c.WellTicks
-}
-
-func (c Config) drainAfterTicks() int {
-	if c.DrainAfterTicks <= 0 {
-		return 3
-	}
-	return c.DrainAfterTicks
-}
-
 func (c Config) restartBackoffS() float64 {
 	if c.RestartBackoffS <= 0 {
 		return 2
@@ -122,13 +90,6 @@ func (c Config) maxRestarts() int {
 		return 3
 	}
 	return c.MaxRestarts
-}
-
-func (c Config) drainTimeout() time.Duration {
-	if c.DrainTimeout <= 0 {
-		return 30 * time.Second
-	}
-	return c.DrainTimeout
 }
 
 // phase is the supervisor's view of one shard — finer than the router's
@@ -331,13 +292,13 @@ func (s *Supervisor) superviseShard(now float64, rec *record, sig router.ShardSi
 			// (or breaker/crash deltas) are what move a cordoned shard.
 			return
 		}
-		if rec.lastScore >= s.cfg.healthyAbove() {
+		if rec.lastScore >= healthyAbove {
 			rec.well++
 		} else {
 			rec.well = 0
 			rec.cordonTicks++
 		}
-		if rec.well >= s.cfg.wellTicks() {
+		if rec.well >= wellTicks {
 			if err := s.rt.UncordonShard(rec.name); err == nil {
 				s.note(now, rec.name, "uncordon", "")
 				rec.phase = phaseOK
@@ -345,10 +306,10 @@ func (s *Supervisor) superviseShard(now float64, rec *record, sig router.ShardSi
 			}
 			return
 		}
-		if rec.cordonTicks >= s.cfg.drainAfterTicks() {
+		if rec.cordonTicks >= drainAfterTicks {
 			// Still sick under cordon: drain it (checkpoints flush, lanes
 			// re-home warm) and schedule a restart with backoff.
-			ctx, cancel := context.WithTimeout(context.Background(), s.cfg.drainTimeout())
+			ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 			err := s.rt.DrainShard(ctx, rec.name)
 			cancel()
 			if err != nil {
@@ -361,13 +322,13 @@ func (s *Supervisor) superviseShard(now float64, rec *record, sig router.ShardSi
 		}
 
 	default: // healthy at the router
-		if rec.lastScore < s.cfg.unhealthyBelow() {
+		if rec.lastScore < unhealthyBelow {
 			rec.sick++
 			rec.well = 0
 		} else {
 			rec.sick = 0
 		}
-		if rec.sick >= s.cfg.sickTicks() {
+		if rec.sick >= sickTicks {
 			if err := s.rt.CordonShard(rec.name); err == nil {
 				s.note(now, rec.name, "cordon", rec.lastReason)
 				rec.phase = phaseCordoned
@@ -471,7 +432,7 @@ func (s *Supervisor) score(rec *record, sig router.ShardSignal) (float64, string
 	if opens > 0 || crashes > 0 {
 		sampled = true
 	}
-	if score >= s.cfg.healthyAbove() {
+	if score >= healthyAbove {
 		reason = ""
 	}
 	return score, reason, sampled

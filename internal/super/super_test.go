@@ -167,7 +167,6 @@ func grayRun(t *testing.T, seed int64, supervised bool) (healthy, degraded []flo
 		sup, err = New(rt, Config{
 			IntervalS:      0.25,
 			LatencyTargetS: 2 * p95(healthy),
-			SickTicks:      2,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -208,7 +207,7 @@ func TestGrayFailureCordon(t *testing.T) {
 	if got := p95(naive); got < 5*base {
 		t.Fatalf("gray fault too gentle: naive p95 %.1fms vs healthy %.1fms", got*1e3, base*1e3)
 	}
-	// Supervised: after the cordon (SickTicks * interval of exposure), the
+	// Supervised: after the cordon (sickTicks * interval of exposure), the
 	// tail of the run routes around the gray shard. Judge the second half.
 	tail := supervised[len(supervised)/2:]
 	if got, limit := p95(tail), 3*p95(healthyS); got > limit {

@@ -32,7 +32,7 @@ type (
 // Routing-tier sentinel errors.
 var (
 	// ErrShardDown marks a request bounced by a crashed shard (the router
-	// fails it over to a survivor up to RouterConfig.MaxFailovers times).
+	// fails it over to a survivor up to twice).
 	ErrShardDown = serve.ErrShardDown
 	// ErrUnknownTenant marks a request naming an unconfigured fairness class.
 	ErrUnknownTenant = router.ErrUnknownTenant

@@ -16,8 +16,9 @@ type (
 	// calling MaybeTick with each request's virtual arrival time, like the
 	// capacity planner.
 	Supervisor = super.Supervisor
-	// SupervisorConfig tunes tick interval, score thresholds, hysteresis
-	// widths and the remediation budget. Zero values select the defaults.
+	// SupervisorConfig tunes the tick interval, the latency target, the
+	// crash-loop backoff and the remediation budget. Zero values select the
+	// defaults.
 	SupervisorConfig = super.Config
 	// ChaosAuditor asserts the chaos-soak invariants: clock monotonicity
 	// per shard incarnation, exactly-once request conservation, in-flight
