@@ -3,8 +3,6 @@ package autoscale
 import (
 	"bytes"
 	"context"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -117,40 +115,6 @@ func TestTrainAndPolicies(t *testing.T) {
 	}
 	if Opt(w, NonStreaming).Name() != "Opt" {
 		t.Error("Opt policy name wrong")
-	}
-}
-
-func TestSaveLoadQTable(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "table.json")
-	w, _ := NewWorld(Mi8Pro, 4)
-	e, err := NewEngine(w, DefaultEngineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := Model("Inception v1")
-	env, _ := NewEnvironment(EnvS1, 4)
-	for i := 0; i < 20; i++ {
-		e.RunInference(m, env.Sample())
-	}
-	if err := SaveQTable(e, path); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatal("file not written")
-	}
-	e2, err := NewEngine(w, DefaultEngineConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := LoadQTable(e2, path); err != nil {
-		t.Fatal(err)
-	}
-	if e2.Agent().NumStates() != e.Agent().NumStates() {
-		t.Error("restored table differs")
-	}
-	if err := LoadQTable(e2, filepath.Join(dir, "missing.json")); err == nil {
-		t.Error("missing file should fail")
 	}
 }
 
@@ -286,6 +250,11 @@ func TestFleetProvision(t *testing.T) {
 	}
 	if _, err := fleet.Provision("iPhone", cfg, 1); err == nil {
 		t.Error("unknown device should fail")
+	}
+	// The zero Fleet has no donor: it provisions cold engines.
+	var cold Fleet
+	if e, err := cold.Provision(GalaxyS10e, cfg, 9); err != nil || e.Agent().NumStates() != 0 || cold.Donor() != nil {
+		t.Errorf("zero Fleet: err %v, want a cold engine and no donor", err)
 	}
 	if _, err := FleetFromEngine(nil); err == nil {
 		t.Error("nil donor should fail")

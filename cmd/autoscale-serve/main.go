@@ -275,6 +275,10 @@ func run(c config, out *os.File) error {
 	if c.replicas < 1 {
 		return fmt.Errorf("need at least one replica, got %d", c.replicas)
 	}
+	routed := c.shards > 1 || len(tenantCfg) > 0
+	if c.replicas > 1 && !routed {
+		return fmt.Errorf("-replicas lays lanes over the routing tier; set -shards >= 2, -tenants or -plan")
+	}
 
 	// Causal tracing: a tracer exists when head sampling is requested or a
 	// flight-recorder directory is given (tail-kept traces and control-plane
@@ -301,10 +305,10 @@ func run(c config, out *os.File) error {
 		if c.chaosIntensity <= 0 || c.chaosIntensity > 1 {
 			return fmt.Errorf("-chaos-intensity must be in (0,1], got %g", c.chaosIntensity)
 		}
-		if c.shards == 1 && len(tenantCfg) == 0 {
+		if !routed {
 			return fmt.Errorf("-chaos supervises the routing tier; set -shards >= 2 or -tenants")
 		}
-		_, lanes, _ := laneSpecs(c.devices, c.replicas)
+		_, lanes := laneSpecs(c.devices, c.replicas)
 		shardNames := make([]string, c.shards)
 		for i := range shardNames {
 			shardNames[i] = fmt.Sprintf("shard-%d", i)
@@ -323,22 +327,31 @@ func run(c config, out *os.File) error {
 		}
 	}
 
+	// One provisioning path: a donor fleet, or the zero Fleet, whose cold
+	// engines learn online under the load itself.
+	fleet := &autoscale.Fleet{}
+	ecfg := autoscale.DefaultEngineConfig()
+	if c.donor != "" {
+		if fleet, err = autoscale.NewFleet(c.donor, ecfg, c.train, c.seed); err != nil {
+			return err
+		}
+	}
 	var srv server
 	var rt *autoscale.Router
 	var pl *autoscale.Planner
-	if c.shards > 1 || len(tenantCfg) > 0 {
+	if routed {
 		// The router starts traces at admission; shard gateways must not
 		// also carry a tracer, or requests would double-start.
-		rt, err = buildRouter(c, gcfg, tenantCfg, tracer, recorder)
-		if err != nil {
+		specs, _ := laneSpecs(c.devices, c.replicas)
+		rcfg := autoscale.RouterConfig{Tenants: tenantCfg, Shed: gcfg.Shed, Tracer: tracer, Recorder: recorder}
+		if rt, err = fleet.ProvisionRouter(specs, c.shards, ecfg, gcfg, rcfg, c.seed); err != nil {
 			return err
 		}
 		srv = rt
 	} else {
 		gcfg.Tracer = tracer
 		gcfg.Recorder = recorder
-		srv, err = buildGateway(c, gcfg)
-		if err != nil {
+		if srv, err = fleet.ProvisionGateway(c.devices, ecfg, gcfg, c.seed); err != nil {
 			return err
 		}
 	}
@@ -422,8 +435,12 @@ func run(c config, out *os.File) error {
 			front += ", planned capacity"
 		}
 	}
-	fmt.Fprintf(out, "serving %q on %s%s — %d requests, %d clients, %s\n",
-		m.Name, strings.Join(srv.Devices(), "+"), front, c.n, c.clients, mode)
+	fmt.Fprintf(out, "serving %q in %s on %s%s — %d requests, %d clients, %s\n",
+		m.Name, c.envID, strings.Join(srv.Devices(), "+"), front, c.n, c.clients, mode)
+	if c.donor != "" {
+		fmt.Fprintf(out, "engines warm-started from a %s donor trained %d runs per (model, variance state)\n",
+			c.donor, c.train)
+	}
 	if gcfg.Faults != nil {
 		resil := "resilience off"
 		if c.resilient {
@@ -544,119 +561,23 @@ func printHealth(out *os.File, health map[string]autoscale.EngineHealth) {
 	}
 }
 
-func buildGateway(c config, gcfg autoscale.GatewayConfig) (*autoscale.Gateway, error) {
-	ecfg := autoscale.DefaultEngineConfig()
-	if c.donor != "" {
-		fleet, err := autoscale.NewFleet(c.donor, ecfg, c.train, c.seed)
-		if err != nil {
-			return nil, err
-		}
-		return fleet.ProvisionGateway(c.devices, ecfg, gcfg, c.seed)
-	}
-	// Cold engines: learn online under the load itself.
-	backends := make([]autoscale.GatewayBackend, 0, len(c.devices))
-	for i, device := range c.devices {
-		world, err := autoscale.NewWorld(device, c.seed+int64(i))
-		if err != nil {
-			return nil, err
-		}
-		engine, err := autoscale.NewEngine(world, ecfg)
-		if err != nil {
-			return nil, err
-		}
-		backends = append(backends, autoscale.GatewayBackend{Device: device, Engine: engine})
-	}
-	return autoscale.NewGateway(backends, gcfg)
-}
-
 // laneSpecs expands the device list by -replicas: each device D becomes
 // lanes D-0..D-(r-1) backed by D's hardware ("D-0=D" specs). With one
 // replica the plain names pass through.
-func laneSpecs(devices []string, replicas int) (specs, lanes []string, hw map[string]string) {
-	hw = make(map[string]string)
+func laneSpecs(devices []string, replicas int) (specs, lanes []string) {
 	for _, device := range devices {
 		if replicas == 1 {
 			specs = append(specs, device)
 			lanes = append(lanes, device)
-			hw[device] = device
 			continue
 		}
 		for r := 0; r < replicas; r++ {
 			lane := fmt.Sprintf("%s-%d", device, r)
 			specs = append(specs, lane+"="+device)
 			lanes = append(lanes, lane)
-			hw[lane] = device
 		}
 	}
-	return specs, lanes, hw
-}
-
-// buildRouter stands up the sharded routing tier: donor-warm-started lanes
-// via Fleet.ProvisionRouter, or cold lanes round-robined over the shards.
-func buildRouter(c config, gcfg autoscale.GatewayConfig, tenants []autoscale.RouterTenant, tr *autoscale.Tracer, rec *autoscale.FlightRecorder) (*autoscale.Router, error) {
-	ecfg := autoscale.DefaultEngineConfig()
-	specs, lanes, hw := laneSpecs(c.devices, c.replicas)
-	rcfg := autoscale.RouterConfig{Tenants: tenants, Shed: gcfg.Shed, Tracer: tr, Recorder: rec}
-	if c.donor != "" {
-		fleet, err := autoscale.NewFleet(c.donor, ecfg, c.train, c.seed)
-		if err != nil {
-			return nil, err
-		}
-		return fleet.ProvisionRouter(specs, c.shards, ecfg, gcfg, rcfg, c.seed)
-	}
-
-	// Cold engines, round-robin placement: a load test without a donor just
-	// needs the lanes spread, not the full placement machinery.
-	if len(lanes) < c.shards {
-		return nil, fmt.Errorf("%d lanes cannot populate %d shards (raise -replicas)", len(lanes), c.shards)
-	}
-	seeds := make(map[string]int64, len(lanes))
-	coldEngine := func(lane string) (*autoscale.Engine, error) {
-		world, err := autoscale.NewWorld(hw[lane], seeds[lane])
-		if err != nil {
-			return nil, err
-		}
-		return autoscale.NewEngine(world, ecfg)
-	}
-	backends := make([][]autoscale.GatewayBackend, c.shards)
-	for i, lane := range lanes {
-		seeds[lane] = c.seed + int64(i)
-		engine, err := coldEngine(lane)
-		if err != nil {
-			return nil, err
-		}
-		backends[i%c.shards] = append(backends[i%c.shards], autoscale.GatewayBackend{Device: lane, Engine: engine})
-	}
-	shards := make([]autoscale.RouterShard, 0, c.shards)
-	for i, bs := range backends {
-		shardCfg := gcfg
-		shardCfg.Name = fmt.Sprintf("shard-%d", i)
-		gw, err := autoscale.NewGateway(bs, shardCfg)
-		if err != nil {
-			return nil, err
-		}
-		shards = append(shards, autoscale.RouterShard{Name: shardCfg.Name, Gateway: gw})
-	}
-	rcfg.EngineFactory = coldEngine
-	rcfg.Checkpoints = gcfg.Checkpoints
-	rcfg.Faults = gcfg.Faults
-	rcfg.PolicySync = gcfg.PolicySync
-	// Restart path for the supervisor: rebuild a dead shard's lanes on cold
-	// engines (warm-started from checkpoints when a store is configured).
-	rcfg.ShardFactory = func(name string, devs []string) (*autoscale.Gateway, error) {
-		backends := make([]autoscale.GatewayBackend, 0, len(devs))
-		for _, lane := range devs {
-			engine, err := coldEngine(lane)
-			if err != nil {
-				return nil, err
-			}
-			backends = append(backends, autoscale.GatewayBackend{Device: lane, Engine: engine})
-		}
-		shardCfg := gcfg
-		shardCfg.Name = name
-		return autoscale.NewGateway(backends, shardCfg)
-	}
-	return autoscale.NewRouter(shards, rcfg)
+	return specs, lanes
 }
 
 // flood drives the server from c.clients goroutines, each with its own

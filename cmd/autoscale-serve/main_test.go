@@ -2,9 +2,14 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http"
 	"os"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -21,7 +26,10 @@ func quick(t *testing.T) config {
 		n:       40,
 		clients: 4,
 		shed:    "newest",
+		train:   1, // donor training budget; read only with -donor
 		seed:    1,
+		// main's default; read only with -chaos
+		chaosIntensity: 0.7,
 	}
 }
 
@@ -271,4 +279,235 @@ func TestExpectedFailure(t *testing.T) {
 			t.Errorf("expectedFailure(%v, chaos=%v) = %v, want %v", tc.err, tc.chaos, got, tc.want)
 		}
 	}
+}
+
+// report runs c and returns what it printed.
+func report(t *testing.T, c config) (string, error) {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "out")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	runErr := run(c, f)
+	b, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b), runErr
+}
+
+// An observation checks one run's report (or error) against the reference
+// run without the flag; it returns "" when the flag shows.
+type observation func(out, ref string, err error) string
+
+// shows: the report carries frag.
+func shows(frag string) observation {
+	return func(out, _ string, err error) string {
+		if err != nil {
+			return "run failed: " + err.Error()
+		}
+		if !strings.Contains(out, frag) {
+			return fmt.Sprintf("report lacks %q", frag)
+		}
+		return ""
+	}
+}
+
+// fails: the run returns an error naming frag.
+func fails(frag string) observation {
+	return func(_, _ string, err error) string {
+		if err == nil || !strings.Contains(err.Error(), frag) {
+			return fmt.Sprintf("error %v, want one naming %q", err, frag)
+		}
+		return ""
+	}
+}
+
+// counts: the snapshot line name reads a count satisfying ok.
+func counts(name string, ok func(int) bool) observation {
+	re := regexp.MustCompile(`(?m)^` + name + `\s+(\d+)`)
+	return func(out, _ string, err error) string {
+		if err != nil {
+			return "run failed: " + err.Error()
+		}
+		m := re.FindStringSubmatch(out)
+		if m == nil {
+			return fmt.Sprintf("report has no %q line", name)
+		}
+		if n, _ := strconv.Atoi(m[1]); !ok(n) {
+			return fmt.Sprintf("%s = %d", name, n)
+		}
+		return ""
+	}
+}
+
+// coveredAtLeast: every learning-health line reports at least min states.
+func coveredAtLeast(min int) observation {
+	re := regexp.MustCompile(`\((\d+)/\d+ states\)`)
+	return func(out, _ string, err error) string {
+		if err != nil {
+			return "run failed: " + err.Error()
+		}
+		ms := re.FindAllStringSubmatch(out, -1)
+		if len(ms) == 0 {
+			return "report has no learning-health lines"
+		}
+		for _, m := range ms {
+			if n, _ := strconv.Atoi(m[1]); n < min {
+				return fmt.Sprintf("an engine covers %d states, want >= %d", n, min)
+			}
+		}
+		return ""
+	}
+}
+
+// planDiffers: the plan summary differs from the reference run's.
+func planDiffers(out, ref string, err error) string {
+	if err != nil {
+		return "run failed: " + err.Error()
+	}
+	plan := func(s string) string {
+		if i := strings.Index(s, "\nplan:"); i >= 0 {
+			return s[i:]
+		}
+		return ""
+	}
+	if p := plan(out); p == "" || p == plan(ref) {
+		return "plan summary matches the reference run's"
+	}
+	return ""
+}
+
+// TestEveryFlagIsObservable turns each flag of the command, one per row,
+// away from quick() and asserts what the report (or the returned error)
+// shows for it; the same observation must not hold for the reference run
+// without the flag. A flag that acts only in a regime quick() does not
+// reach names that regime in base (its reference run is quick()+base). A
+// row may instead name an existing test that observes its flag. The rows
+// must cover exactly the flags main defines.
+func TestEveryFlagIsObservable(t *testing.T) {
+	rows := []struct {
+		flag string
+		base func(*config)
+		set  func(*config)
+		want observation
+		test string // existing test observing the flag, instead of want
+	}{
+		{flag: "devices", set: func(c *config) { c.devices = []string{"MotoXForce"} }, want: shows("on MotoXForce —")},
+		{flag: "donor", set: func(c *config) { c.donor = "Mi8Pro" }, want: coveredAtLeast(500)},
+		{flag: "train", base: func(c *config) { c.donor = "Mi8Pro" }, set: func(c *config) { c.train = 2 },
+			want: shows("donor trained 2 runs per")},
+		{flag: "model", set: func(c *config) { c.model = "ResNet 50" }, want: shows(`serving "ResNet 50"`)},
+		{flag: "env", set: func(c *config) { c.envID = "D4" }, want: shows("in D4 on")},
+		{flag: "n", set: func(c *config) { c.n = 30 }, want: counts("submitted", func(n int) bool { return n == 30 })},
+		{flag: "clients", set: func(c *config) { c.clients = 2 }, want: shows("2 clients")},
+		{flag: "rate", set: func(c *config) { c.rate = 5000 }, want: shows("Poisson 5000 req/s per client")},
+		{flag: "queue", set: func(c *config) { c.queue = -1 }, want: fails("negative queue depth")},
+		{flag: "deadline", set: func(c *config) { c.deadline = time.Nanosecond },
+			want: counts("expired", func(n int) bool { return n > 0 })},
+		{flag: "shed", test: "TestRunRejectsBadInput"},
+		// A light model in S1 rarely misses QoS; ResNet 50 misses it on
+		// most of a cold engine's actions, which failover then retries.
+		{flag: "failover", base: func(c *config) { c.model = "ResNet 50" }, set: func(c *config) { c.failover = true },
+			want: counts("retried", func(n int) bool { return n > 0 })},
+		{flag: "snapshots", test: "TestRunWritesSnapshots"},
+		{flag: "sync", test: "TestRunSyncNeedsStore"},
+		{flag: "faults", set: func(c *config) { c.faults = "../../examples/faults/storm.json" },
+			want: shows("injecting fault schedule")},
+		{flag: "chaos", set: func(c *config) { c.chaos = true }, want: fails("-chaos supervises the routing tier")},
+		{flag: "chaos-intensity", base: func(c *config) { c.chaos, c.shards, c.replicas = true, 2, 2 },
+			set: func(c *config) { c.chaosIntensity = 0.5 }, want: shows("intensity 0.50")},
+		{flag: "resilient", base: func(c *config) { c.faults = "../../examples/faults/storm.json" },
+			set: func(c *config) { c.resilient = true }, want: shows("(breakers+retries on)")},
+		{flag: "hedge", set: func(c *config) { c.hedge = true }, want: fails("-hedge needs -resilient")},
+		{flag: "admin", test: "TestRunAdminEndpoint"},
+		{flag: "linger", test: "TestRunAdminEndpoint"},
+		{flag: "shards", set: func(c *config) { c.shards = 2 }, want: shows("over 2 shards")},
+		{flag: "replicas", set: func(c *config) { c.replicas = 2 }, want: fails("-replicas lays lanes over the routing tier")},
+		{flag: "tenants", set: func(c *config) { c.tenants = "gold:4,best:1" }, want: shows("tenants gold/best")},
+		{flag: "plan", test: "TestRunPlanned"},
+		{flag: "slo-classes", test: "TestRunPlannedRejectsBadFlags"},
+		{flag: "trace-sample", set: func(c *config) { c.traceSample = 1 }, want: shows("traces: started 40")},
+		{flag: "flight-recorder", set: func(c *config) { c.flightDir = t.TempDir() }, want: shows("flight recorder: ")},
+		// One client and the planner's virtual arrivals make the plan
+		// summary a pure function of the seed (see TestRunPlanned).
+		{flag: "seed", base: func(c *config) { c.plan, c.clients, c.n = true, 1, 200 },
+			set: func(c *config) { c.seed = 2 }, want: planDiffers},
+	}
+
+	tests := map[string]bool{}
+	for _, d := range parseFile(t, "main_test.go").Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok {
+			tests[fn.Name.Name] = true
+		}
+	}
+	covered := map[string]bool{}
+	for _, r := range rows {
+		covered[r.flag] = true
+		if r.test != "" {
+			if !tests[r.test] {
+				t.Errorf("-%s names %s, which this package does not define", r.flag, r.test)
+			}
+			continue
+		}
+		t.Run(r.flag, func(t *testing.T) {
+			c := quick(t)
+			if r.base != nil {
+				r.base(&c)
+			}
+			ref, refErr := report(t, c)
+			if r.want(ref, ref, refErr) == "" {
+				t.Fatalf("the reference run without -%s already shows the observation", r.flag)
+			}
+			r.set(&c)
+			out, err := report(t, c)
+			if msg := r.want(out, ref, err); msg != "" {
+				t.Fatalf("-%s: %s\n%s", r.flag, msg, out)
+			}
+		})
+	}
+	defined := definedFlags(t)
+	for _, f := range defined {
+		if !covered[f] {
+			t.Errorf("flag -%s has no row", f)
+		}
+	}
+	if len(covered) != len(defined) {
+		t.Errorf("%d rows for %d defined flags", len(covered), len(defined))
+	}
+}
+
+func parseFile(t *testing.T, name string) *ast.File {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), name, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// definedFlags lists the names main.go registers with the flag package.
+func definedFlags(t *testing.T) []string {
+	t.Helper()
+	var names []string
+	ast.Inspect(parseFile(t, "main.go"), func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok || len(call.Args) == 0 {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if pkg, ok := sel.X.(*ast.Ident); !ok || pkg.Name != "flag" {
+			return true
+		}
+		if lit, ok := call.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, _ := strconv.Unquote(lit.Value)
+			names = append(names, name)
+		}
+		return true
+	})
+	return names
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -17,7 +18,8 @@ import (
 // train one donor Q-table on a reference device, then provision warm-started
 // engines for a heterogeneous fleet — each engine converges in a fraction of
 // the from-scratch runs because the donor's energy-trend knowledge maps onto
-// its action space.
+// its action space. The zero Fleet has no donor: it provisions cold engines
+// that learn from scratch, through the same gateway and router paths.
 type Fleet struct {
 	mu    sync.Mutex
 	donor *Engine
@@ -47,7 +49,7 @@ func FleetFromEngine(donor *Engine) (*Fleet, error) {
 	return &Fleet{donor: donor}, nil
 }
 
-// Donor returns the fleet's donor engine.
+// Donor returns the fleet's donor engine (nil for the zero Fleet).
 func (f *Fleet) Donor() *Engine {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -56,8 +58,9 @@ func (f *Fleet) Donor() *Engine {
 
 // Provision builds an engine for the named device, warm-started from the
 // donor's Q-table (actions map by location/kind/precision and nearest
-// relative DVFS position). The engine keeps learning online; call
-// Agent().SetEpsilon(0) once converged to exploit greedily.
+// relative DVFS position), or cold when the fleet has no donor. The engine
+// keeps learning online; call Agent().SetEpsilon(0) once converged to
+// exploit greedily.
 func (f *Fleet) Provision(device string, cfg EngineConfig, seed int64) (*Engine, error) {
 	world, err := NewWorld(device, seed)
 	if err != nil {
@@ -70,6 +73,9 @@ func (f *Fleet) Provision(device string, cfg EngineConfig, seed int64) (*Engine,
 	f.mu.Lock()
 	donor := f.donor
 	f.mu.Unlock()
+	if donor == nil {
+		return engine, nil
+	}
 	if err := engine.TransferFrom(donor); err != nil {
 		return nil, fmt.Errorf("autoscale: fleet transfer to %s: %w", device, err)
 	}
@@ -141,10 +147,10 @@ func (f *Fleet) ProvisionGateway(devices []string, cfg EngineConfig, gcfg Gatewa
 // engine (seeded seed, seed+1, ... in input order), each shard gets a copy
 // of gcfg with its Name stamped, and the router is wired with an engine
 // factory that rebuilds any lane's engine — same seed — when a dead shard's
-// lanes re-home onto survivors. The router inherits gcfg's checkpoint store
-// and fault injector when rcfg leaves them unset, so the cross-shard
-// learning plane and shard-crash drills ride the same plumbing the gateways
-// already use.
+// lanes re-home onto survivors. The router inherits gcfg's checkpoint store,
+// fault injector and policy-sync settings when rcfg leaves them unset, so
+// the cross-shard learning plane and shard-crash drills ride the same
+// plumbing the gateways already use.
 //
 // Each devices entry is either a hardware name ("Mi8Pro") or a
 // "lane=hardware" spec ("Mi8Pro-1=Mi8Pro"), so one physical device model can
@@ -223,12 +229,15 @@ func (f *Fleet) ProvisionRouter(devices []string, shards int, cfg EngineConfig, 
 	if rcfg.Faults == nil {
 		rcfg.Faults = gcfg.Faults
 	}
+	if reflect.ValueOf(rcfg.PolicySync).IsZero() {
+		rcfg.PolicySync = gcfg.PolicySync
+	}
 	if rcfg.ShardFactory == nil {
 		// Rebuild a drained/dead shard's gateway for ReviveShard: each lane
-		// gets its original seed back (determinism) and a fresh donor
-		// transfer, then serve.New warm-starts from the checkpoint store —
-		// so a revived shard resumes from the fleet's persisted learning,
-		// not from scratch.
+		// gets its original seed back (determinism) and, from a donor
+		// fleet, a fresh transfer; then serve.New warm-starts from the
+		// checkpoint store — so a revived shard resumes from the fleet's
+		// persisted learning, not from scratch.
 		rcfg.ShardFactory = func(name string, devs []string) (*Gateway, error) {
 			backends := make([]GatewayBackend, 0, len(devs))
 			for _, lane := range devs {

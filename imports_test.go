@@ -4,6 +4,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path"
 	"path/filepath"
 	"sort"
@@ -78,5 +79,26 @@ func TestEveryInternalPackageIsImported(t *testing.T) {
 	sort.Strings(orphans)
 	for _, pkg := range orphans {
 		t.Errorf("%s is imported by no non-test file outside its own directory: delete it or wire it in", pkg)
+	}
+}
+
+// TestEveryCommandIsDocumented guards the docs against drift in the tool
+// set: every directory under cmd/ must appear as cmd/<name> in both
+// README.md and DESIGN.md.
+func TestEveryCommandIsDocumented(t *testing.T) {
+	cmds, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cmds {
+			if c.IsDir() && !strings.Contains(string(text), "cmd/"+c.Name()) {
+				t.Errorf("%s does not mention cmd/%s", doc, c.Name())
+			}
+		}
 	}
 }

@@ -36,7 +36,9 @@ type Config struct {
 	PartitionActions bool
 	// States overrides the Table I state space (nil = paper default).
 	States *StateSpace
-	// Seed drives the energy estimator.
+	// Seed roots the engine's per-step request contexts: the streams a Step
+	// without a caller-supplied context draws from (the energy estimate's
+	// error among them).
 	Seed int64
 }
 
@@ -173,7 +175,7 @@ func NewEngine(w *sim.World, cfg Config) (*Engine, error) {
 		Actions: actions,
 		States:  states,
 		cfg:     cfg,
-		est:     NewEnergyEstimator(cfg.EnergyMAPE, cfg.Seed),
+		est:     NewEnergyEstimator(cfg.EnergyMAPE),
 		root:    exec.NewRoot(cfg.Seed).Child("engine"),
 	}
 	if err := e.freshAgentLocked(); err != nil {
@@ -354,7 +356,7 @@ func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow f
 	qos := e.qosFor(m)
 	rc := e.cfg.Reward
 	rc.QoSTargetS = qos
-	energyEst := e.est.EstimateCtx(ctx, meas)
+	energyEst := e.est.Estimate(ctx, meas)
 	reward := rc.Reward(energyEst, meas.LatencyS, meas.Accuracy)
 	e.noteRewardLocked(reward)
 
@@ -406,12 +408,11 @@ func (e *Engine) AdvanceTo(t float64) {
 
 // Fork returns an independent engine on world w that continues exactly as
 // this one would: a clone of the agent, the staged update, the step counter,
-// the reward ring, the estimator's fallback stream and a fresh root clock
-// standing at Now(). The action space is rebuilt on w (with partitions when
-// configured); a world with a different action count is refused. Stepping
-// either engine afterwards never moves the other. Callers fork a trained
-// engine to reuse its training; w must behave as the engine's own world does
-// for the continuation to match.
+// the reward ring and a fresh root clock standing at Now(). The action space
+// is rebuilt on w (with partitions when configured); a world with a
+// different action count is refused. Stepping either engine afterwards never
+// moves the other. Callers fork a trained engine to reuse its training; w
+// must behave as the engine's own world does for the continuation to match.
 func (e *Engine) Fork(w *sim.World) (*Engine, error) {
 	if w == nil {
 		return nil, errors.New("core: nil world")
@@ -430,7 +431,7 @@ func (e *Engine) Fork(w *sim.World) (*Engine, error) {
 		Actions:   actions,
 		States:    e.States,
 		cfg:       e.cfg,
-		est:       e.est.clone(),
+		est:       e.est,
 		root:      exec.NewRoot(e.cfg.Seed).Child("engine"),
 		steps:     e.steps,
 		rewards:   slices.Clone(e.rewards),

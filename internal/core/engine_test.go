@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"autoscale/internal/dnn"
+	"autoscale/internal/exec"
 	"autoscale/internal/interfere"
 	"autoscale/internal/rl"
 	"autoscale/internal/sim"
@@ -133,12 +134,13 @@ func TestRewardPrefersQoSSatisfier(t *testing.T) {
 }
 
 func TestEnergyEstimatorMAPE(t *testing.T) {
-	est := NewEnergyEstimator(PaperEnergyMAPE, 7)
+	est := NewEnergyEstimator(PaperEnergyMAPE)
+	root := exec.NewRoot(7)
 	meas := sim.Measurement{EnergyJ: 0.1}
 	var sumAbs float64
 	const n = 20000
-	for i := 0; i < n; i++ {
-		e := est.Estimate(meas)
+	for i := uint64(0); i < n; i++ {
+		e := est.Estimate(root.Child("req", i), meas)
 		if e < 0 {
 			t.Fatal("estimate must be non-negative")
 		}
@@ -149,8 +151,8 @@ func TestEnergyEstimatorMAPE(t *testing.T) {
 		t.Errorf("estimator MAPE = %.3f, want ~%.3f (paper)", mape, PaperEnergyMAPE)
 	}
 	// A perfect estimator returns the truth.
-	perfect := NewEnergyEstimator(0, 1)
-	if perfect.Estimate(meas) != 0.1 {
+	perfect := NewEnergyEstimator(0)
+	if perfect.Estimate(root, meas) != 0.1 {
 		t.Error("zero-MAPE estimator must be exact")
 	}
 }
@@ -572,23 +574,6 @@ func TestTransferDeterministicWithUnmappedActions(t *testing.T) {
 	for run := 2; run <= 5; run++ {
 		if got := transfer(); string(got) != string(first) {
 			t.Fatalf("run %d transferred a different table than run 1", run)
-		}
-	}
-}
-
-// TestForkCarriesEstimatorStream: the fork's Renergy fallback stream
-// continues from where the source's stands, and the two never share it.
-func TestForkCarriesEstimatorStream(t *testing.T) {
-	e := newTestEngine(t)
-	meas := sim.Measurement{EnergyJ: 1}
-	e.est.Estimate(meas)
-	f, err := e.Fork(sim.NewWorld(soc.Mi8Pro(), 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if a, b := f.est.Estimate(meas), e.est.Estimate(meas); a != b {
-			t.Fatalf("draw %d: fork %v, source %v", i, a, b)
 		}
 	}
 }

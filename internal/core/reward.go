@@ -74,47 +74,25 @@ type EnergyEstimator struct {
 	// sigma of the multiplicative Gaussian error. For a zero-mean
 	// Gaussian, MAPE = sigma * sqrt(2/pi), so sigma = MAPE/sqrt(2/pi).
 	sigma float64
-	// fallback serves Estimate calls made without a request context.
-	fallback *exec.Rand
 }
 
 // PaperEnergyMAPE is the estimation error the paper reports for Renergy.
 const PaperEnergyMAPE = 0.073
 
 // NewEnergyEstimator creates an estimator with the given MAPE (fraction,
-// e.g. 0.073) and seed. A non-positive MAPE yields a perfect estimator.
-func NewEnergyEstimator(mape float64, seed int64) *EnergyEstimator {
+// e.g. 0.073). A non-positive MAPE yields a perfect estimator.
+func NewEnergyEstimator(mape float64) *EnergyEstimator {
 	sigma := 0.0
 	if mape > 0 {
 		sigma = mape / math.Sqrt(2/math.Pi)
 	}
-	return &EnergyEstimator{
-		sigma:    sigma,
-		fallback: exec.NewRoot(seed).Stream("core.energy-est"),
-	}
+	return &EnergyEstimator{sigma: sigma}
 }
 
-// clone returns an estimator whose fallback stream continues from where e's
-// stands, independently of it.
-func (e *EnergyEstimator) clone() *EnergyEstimator {
-	return &EnergyEstimator{sigma: e.sigma, fallback: e.fallback.Clone()}
-}
-
-// Estimate returns Renergy for a measured outcome, drawing the estimation
-// error from the estimator's internal stream. Not safe for concurrent use;
-// prefer EstimateCtx on concurrent paths.
-func (e *EnergyEstimator) Estimate(meas sim.Measurement) float64 {
-	return e.estimate(e.fallback, meas)
-}
-
-// EstimateCtx returns Renergy with the estimation error drawn from the
-// request context's "core.energy-est" stream, making the estimate a pure
-// function of (context identity, measurement). A nil ctx falls back to the
-// internal stream.
-func (e *EnergyEstimator) EstimateCtx(ctx *exec.Context, meas sim.Measurement) float64 {
-	if ctx == nil {
-		return e.Estimate(meas)
-	}
+// Estimate returns Renergy with the estimation error drawn from the request
+// context's "core.energy-est" stream, making the estimate a pure function of
+// (context identity, measurement).
+func (e *EnergyEstimator) Estimate(ctx *exec.Context, meas sim.Measurement) float64 {
 	if e.sigma == 0 {
 		return e.estimate(nil, meas) // no draw needed; skip the stream
 	}

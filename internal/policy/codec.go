@@ -51,8 +51,8 @@ func Encode(c *Checkpoint) ([]byte, error) {
 }
 
 // Decode verifies and parses envelope bytes into a checkpoint. It
-// distinguishes "this is not an envelope at all" (ErrNotEnvelope — callers
-// may fall back to a legacy format) from "this is a damaged or unsupported
+// distinguishes "this is not an envelope at all" (ErrNotEnvelope — a bare
+// rl snapshot, say) from "this is a damaged or unsupported
 // envelope" (ErrCorrupt / ErrVersion — callers must fail loudly). The
 // payload is fully validated as an rl.Table, so a successful Decode can never
 // hand garbage to an engine.

@@ -943,32 +943,29 @@ func (rt *Router) Recorder() *tracez.FlightRecorder { return rt.cfg.Recorder }
 
 // Snapshot merges every shard's metrics registry into one fleet-wide view
 // (dead shards included — their counters froze at the kill but their served
-// history still counts).
+// history still counts). The cross-shard syncer is the router's own — shard
+// registries never see it — so its health joins the merge as one more
+// snapshot, under the same alarm rule as the shards' sync planes.
 func (rt *Router) Snapshot() metrics.Snapshot {
 	rt.mu.RLock()
-	snaps := make([]metrics.Snapshot, 0, len(rt.order))
+	snaps := make([]metrics.Snapshot, 0, len(rt.order)+1)
 	for _, name := range rt.order {
 		snaps = append(snaps, rt.shards[name].gw.Snapshot())
 	}
 	rt.mu.RUnlock()
-	out := metrics.Merge(snaps...)
-	// The cross-shard syncer is the router's own — shard registries never
-	// see it — so its failure state overlays the merged view here.
 	rt.syncMu.Lock()
 	syn := rt.syncer
 	rt.syncMu.Unlock()
 	if syn != nil {
 		h := syn.Health()
-		out.SyncPasses += int64(h.Passes)
-		out.SyncFailures += int64(h.Failures)
-		if c := int64(h.ConsecutiveFailures); c > out.SyncConsecutiveFailures {
-			out.SyncConsecutiveFailures = c
-		}
-		if out.SyncLastError == "" {
-			out.SyncLastError = h.LastError
-		}
+		snaps = append(snaps, metrics.Snapshot{
+			SyncPasses:              int64(h.Passes),
+			SyncFailures:            int64(h.Failures),
+			SyncConsecutiveFailures: int64(h.ConsecutiveFailures),
+			SyncLastError:           h.LastError,
+		})
 	}
-	return out
+	return metrics.Merge(snaps...)
 }
 
 // Health unions per-device learning health across live shards, filtered to

@@ -5,7 +5,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"autoscale/internal/core"
 	"autoscale/internal/dnn"
@@ -646,5 +648,54 @@ func TestRouterFairness(t *testing.T) {
 		if got < want*0.9 || got > want*1.1 {
 			t.Errorf("tenant %s served %v of %v in-window requests, want %.0f±10%%", tn, got, total, want)
 		}
+	}
+}
+
+// errSink fails every save with its own numbered error, so each sync pass
+// leaves a distinct last error behind.
+type errSink struct {
+	prefix string
+	n      atomic.Int32
+}
+
+func (s *errSink) SaveNext(*policy.Checkpoint) (uint64, error) {
+	return 0, fmt.Errorf("%s %d", s.prefix, s.n.Add(1))
+}
+
+func (s *errSink) Latest(string) (*policy.Checkpoint, error) { return nil, policy.ErrNoCheckpoint }
+
+// TestSnapshotSyncAlarmFromOnePlane: the router's syncer joins the merged
+// snapshot under metrics.Merge's rule, so the consecutive-failure count and
+// the last error shown together always come from the same sync plane —
+// here the router's syncer (two failed passes) over a shard's (one).
+func TestSnapshotSyncAlarmFromOnePlane(t *testing.T) {
+	noSleep := policy.SyncConfig{MaxAttempts: 1, Sleep: func(time.Duration) {}}
+	gwA := testShard(t, "shard-a", []string{"lane-a0"}, 1,
+		serve.Config{Checkpoints: &errSink{prefix: "shard disk gone"}, PolicySync: noSleep})
+	gwB := testShard(t, "shard-b", []string{"lane-b0"}, 2, serve.Config{})
+	rt, err := New([]ShardGateway{{"shard-a", gwA}, {"shard-b", gwB}}, Config{
+		Checkpoints: &errSink{prefix: "router disk gone"}, PolicySync: noSleep,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown(context.Background()) //nolint:errcheck
+
+	if rep, err := gwA.SyncPolicies(); err != nil || rep.Err() == nil {
+		t.Fatalf("shard sync pass: %v / %v, want a failed pass", err, rep.Err())
+	}
+	for i := 0; i < 2; i++ {
+		if rep, err := rt.SyncPolicies(); err != nil || rep.Err() == nil {
+			t.Fatalf("router sync pass %d: %v / %v, want a failed pass", i, err, rep.Err())
+		}
+	}
+	h := rt.syncer.Health()
+	s := rt.Snapshot()
+	if s.SyncConsecutiveFailures != 2 || s.SyncLastError != h.LastError {
+		t.Fatalf("merged sync alarm: %d consecutive, last error %q; want 2 and the router syncer's %q",
+			s.SyncConsecutiveFailures, s.SyncLastError, h.LastError)
+	}
+	if s.SyncPasses != 3 || s.SyncFailures != 3 {
+		t.Fatalf("merged sync counters: %d passes, %d failures; want 3 and 3", s.SyncPasses, s.SyncFailures)
 	}
 }

@@ -38,7 +38,6 @@ const (
 
 // Policy plane sentinel errors.
 var (
-	ErrPolicyNotEnvelope  = policy.ErrNotEnvelope
 	ErrNoPolicyCheckpoint = policy.ErrNoCheckpoint
 	// ErrPolicyInjectedIO marks checkpoint-store damage dealt by a fault
 	// sink, distinguishing scripted I/O failures from real bugs.
@@ -68,9 +67,8 @@ func MergePolicies(cks ...*PolicyCheckpoint) (*PolicyCheckpoint, error) {
 	return policy.Merge(cks)
 }
 
-// DecodePolicyCheckpoint verifies and parses checkpoint envelope bytes
-// (ErrPolicyNotEnvelope for non-envelope data; any other error means a
-// damaged or unsupported file).
+// DecodePolicyCheckpoint verifies and parses checkpoint envelope bytes; an
+// error means non-envelope, damaged or unsupported data.
 func DecodePolicyCheckpoint(data []byte) (*PolicyCheckpoint, error) {
 	return policy.Decode(data)
 }

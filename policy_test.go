@@ -204,3 +204,48 @@ func TestFleetProvisionFromStore(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProvisionRouterInheritsPolicySync: a router provisioned from a fleet
+// runs its cross-shard syncer on gcfg.PolicySync when rcfg sets none, so
+// -sync reaches a routed fleet as it reaches a single gateway.
+func TestProvisionRouterInheritsPolicySync(t *testing.T) {
+	// A donor with a handful of rows keeps each sync pass cheap, even
+	// under the race detector.
+	cfg := DefaultEngineConfig()
+	donor := edgeBackends(t, 1, 1)[0].Engine
+	m, _ := Model("MobileNet v1")
+	env, _ := NewEnvironment(EnvS1, 1)
+	for i := 0; i < 10; i++ {
+		if _, err := donor.RunInference(m, env.Sample()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fleet, err := FleetFromEngine(donor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcfg := GatewayConfig{Checkpoints: memSink{}}
+	gcfg.PolicySync.Interval = time.Millisecond
+	rt, err := fleet.ProvisionRouter([]string{Mi8Pro, GalaxyS10e}, 2, cfg, gcfg, RouterConfig{}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown(context.Background()) //nolint:errcheck
+	if err := rt.StartPolicySync(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(3 * time.Second)
+	for rt.Snapshot().SyncPasses < 2 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sync passes in 3s", rt.Snapshot().SyncPasses)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// memSink is a checkpoint sink that keeps nothing: every save succeeds and
+// no device has a checkpoint, so a sync pass costs no disk I/O.
+type memSink struct{}
+
+func (memSink) SaveNext(*PolicyCheckpoint) (uint64, error) { return 1, nil }
+func (memSink) Latest(string) (*PolicyCheckpoint, error)   { return nil, ErrNoPolicyCheckpoint }

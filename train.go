@@ -1,9 +1,6 @@
 package autoscale
 
 import (
-	"fmt"
-	"os"
-
 	"autoscale/internal/exp"
 	"autoscale/internal/sched"
 	"autoscale/internal/sim"
@@ -55,27 +52,6 @@ func PriorWork(w *World, intensity Intensity) []Policy {
 // Opt returns the oracle policy for a world.
 func Opt(w *World, intensity Intensity) Policy {
 	return sched.Opt{World: w, Intensity: intensity}
-}
-
-// SaveQTable writes an engine's Q-table snapshot to a file.
-func SaveQTable(e *Engine, path string) error {
-	data, err := e.SnapshotQTable()
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		return fmt.Errorf("autoscale: save q-table: %w", err)
-	}
-	return nil
-}
-
-// LoadQTable restores an engine's Q-table from a file written by SaveQTable.
-func LoadQTable(e *Engine, path string) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return fmt.Errorf("autoscale: load q-table: %w", err)
-	}
-	return e.RestoreQTable(data)
 }
 
 // QoSFor returns the latency target (seconds) of the paper's application
