@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race alloc-guard fuzz-fault smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-check bench-all profile profile-figs loc
+.PHONY: build test vet fmt race alloc-guard fuzz smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-check bench-all profile profile-figs loc
 
 build:
 	$(GO) build ./...
@@ -56,10 +56,14 @@ alloc-guard:
 	$(GO) test -run '^(TestDecideZeroAlloc|TestExecuteLoadedZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget|TestRouterDoAllocBudget)$$' .
 	$(GO) test -run '^(TestMemoryBytesMatchesHeap|TestFullTableFootprintNearPaper)$$' ./internal/rl/
 
-# Fuzz smoke over the fault-schedule parser: any input that parses must also
-# compile and answer injector queries without panicking.
-fuzz-fault:
-	$(GO) test -run '^$$' -fuzz FuzzScheduleParse -fuzztime 5s ./internal/fault/
+# Fuzz smoke over the decoders, 5 s each: a fault schedule that parses must
+# compile and answer injector queries; a policy envelope that decodes must
+# carry a valid table; a Q-table that decodes must restore onto an agent and
+# encode back byte for byte. `go test -fuzz` takes one target per run.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzScheduleParse$$' -fuzztime 5s ./internal/fault/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/policy/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTable$$' -fuzztime 5s ./internal/rl/
 
 # End-to-end scrape check: boot a small load with the admin endpoint up,
 # then curl /healthz and /metrics like a monitoring agent would.
@@ -146,9 +150,9 @@ smoke-traces:
 # over every package (it covers the policy, exec, fault, telemetry, routing,
 # planning, hot-path, supervision and tracing planes — each used to be re-run
 # by a race-* target of its own), the short chaos soak, the allocation
-# guards, the schedule-parser fuzz smoke, the benchmark harness's own vet and
+# guards, the decoder fuzz smoke, the benchmark harness's own vet and
 # tests, and the admin, planner, chaos and tracing scrape smokes.
-verify: build fmt vet race chaos-short alloc-guard fuzz-fault bench-check smoke-admin smoke-plan smoke-chaos smoke-traces
+verify: build fmt vet race chaos-short alloc-guard fuzz bench-check smoke-admin smoke-plan smoke-chaos smoke-traces
 
 # The repo benchmark (BENCHMARK.json): six workloads plus the layer ladder,
 # results in bench/out/result.json. bench/README.md documents -append

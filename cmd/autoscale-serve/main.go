@@ -50,7 +50,7 @@ func main() {
 		shed      = flag.String("shed", "newest", "shed policy on full queue: newest, oldest")
 		failover  = flag.Bool("failover", false, "re-execute QoS misses on the local fallback target")
 		snapdir   = flag.String("snapshots", "", "policy checkpoint store directory: warm-start at boot, flush at shutdown")
-		sync      = flag.Duration("sync", 0, "background policy sync interval (0 = off; needs -snapshots)")
+		sync      = flag.Duration("sync", 0, "policy sync interval in virtual time (0 = off; needs -snapshots)")
 		faults    = flag.String("faults", "", "JSON fault schedule to inject (see examples/faults/)")
 		chaos     = flag.Bool("chaos", false, "seeded chaos storm over the routing tier: generated faults, self-healing supervisor, invariant audit")
 		chaosInt  = flag.Float64("chaos-intensity", 0.7, "chaos storm intensity in (0,1]: scales fault density, severity and window width")
@@ -191,7 +191,8 @@ type server interface {
 	Health() map[string]autoscale.EngineHealth
 	Closed() bool
 	Tracer() *autoscale.Tracer
-	StartPolicySync() error
+	VirtualNow() float64
+	MaybeSyncPolicies(now float64) bool
 	Shutdown(context.Context) error
 }
 
@@ -395,11 +396,6 @@ func run(c config, out *os.File) error {
 			}
 		}
 	}
-	if c.sync > 0 {
-		if err := srv.StartPolicySync(); err != nil {
-			return err
-		}
-	}
 	if c.admin != "" {
 		var views []autoscale.AdminView
 		if rt != nil {
@@ -487,7 +483,12 @@ func run(c config, out *os.File) error {
 		}
 		fmt.Fprintf(out, "shutdown flush hit injected checkpoint faults (prior generations survive): %v\n", err)
 	}
-	printSnapshot(out, srv.Snapshot(), time.Since(start))
+	snap := srv.Snapshot()
+	printSnapshot(out, snap, time.Since(start))
+	if c.sync > 0 {
+		fmt.Fprintf(out, "\npolicy sync: %d passes (%d failed), every %s of virtual time\n",
+			snap.SyncPasses, snap.SyncFailures, c.sync)
+	}
 	if rt != nil {
 		printRouter(out, rt)
 	}
@@ -590,6 +591,17 @@ func laneSpecs(devices []string, replicas int) (specs, lanes []string) {
 func flood(srv server, m *autoscale.DNNModel, c config, tenantNames []string, pl *autoscale.Planner, inj *autoscale.FaultInjector, rig *chaosRig) error {
 	per := c.n / c.clients
 	extra := c.n % c.clients
+	// The control loops tick on the fleet's virtual clock after every
+	// response: the chaos rig first (it advances the clock the checkpoint
+	// fault sink reads), then federation.
+	observe := func() {
+		if rig != nil {
+			rig.observe()
+		}
+		if c.sync > 0 {
+			srv.MaybeSyncPolicies(srv.VirtualNow())
+		}
+	}
 	errs := make(chan error, c.clients)
 	var wg sync.WaitGroup
 	for cl := 0; cl < c.clients; cl++ {
@@ -644,15 +656,11 @@ func flood(srv server, m *autoscale.DNNModel, c config, tenantNames []string, pl
 					errs <- err
 					return
 				}
-				if rig != nil {
-					rig.observe()
-				}
+				observe()
 			}
 			for _, ch := range pending {
 				<-ch
-				if rig != nil {
-					rig.observe()
-				}
+				observe()
 			}
 		}(cl, count)
 	}

@@ -6,8 +6,11 @@ import (
 	"go/parser"
 	"go/token"
 	"io"
+	"io/fs"
 	"net/http"
 	"os"
+	"path/filepath"
+	"reflect"
 	"regexp"
 	"strconv"
 	"strings"
@@ -235,6 +238,53 @@ func TestRunSyncNeedsStore(t *testing.T) {
 	}
 }
 
+// TestRunSyncIsReproducible: -sync passes tick on the virtual clock, so two
+// single-client runs of one seed report the same number of passes and leave
+// byte-identical checkpoint stores.
+func TestRunSyncIsReproducible(t *testing.T) {
+	passes := regexp.MustCompile(`policy sync: (\d+) passes`)
+	var reports []string
+	var stores []map[string]string
+	for i := 0; i < 2; i++ {
+		c := quick(t)
+		c.clients = 1
+		c.snapdir = t.TempDir()
+		c.sync = 100 * time.Millisecond
+		out, err := report(t, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := passes.FindStringSubmatch(out)
+		if m == nil {
+			t.Fatalf("report has no policy sync line:\n%s", out)
+		}
+		if n, _ := strconv.Atoi(m[1]); n < 1 {
+			t.Fatalf("run %d crossed no sync interval: %s", i, m[0])
+		}
+		reports = append(reports, m[0])
+		store := map[string]string{}
+		err = filepath.WalkDir(c.snapdir, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() {
+				return err
+			}
+			b, err := os.ReadFile(path)
+			rel, _ := filepath.Rel(c.snapdir, path)
+			store[rel] = string(b)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stores = append(stores, store)
+	}
+	if reports[0] != reports[1] {
+		t.Fatalf("same seed, different sync reports: %q vs %q", reports[0], reports[1])
+	}
+	if !reflect.DeepEqual(stores[0], stores[1]) {
+		t.Fatalf("same seed, different stores: %d vs %d files", len(stores[0]), len(stores[1]))
+	}
+}
+
 func TestRunRejectsBadInput(t *testing.T) {
 	c := quick(t)
 	c.shed = "random"
@@ -412,7 +462,8 @@ func TestEveryFlagIsObservable(t *testing.T) {
 		{flag: "failover", base: func(c *config) { c.model = "ResNet 50" }, set: func(c *config) { c.failover = true },
 			want: counts("retried", func(n int) bool { return n > 0 })},
 		{flag: "snapshots", test: "TestRunWritesSnapshots"},
-		{flag: "sync", test: "TestRunSyncNeedsStore"},
+		{flag: "sync", base: func(c *config) { c.snapdir = t.TempDir() }, set: func(c *config) { c.sync = 100 * time.Millisecond },
+			want: counts("policy sync:", func(n int) bool { return n >= 1 })},
 		{flag: "faults", set: func(c *config) { c.faults = "../../examples/faults/storm.json" },
 			want: shows("injecting fault schedule")},
 		{flag: "chaos", set: func(c *config) { c.chaos = true }, want: fails("-chaos supervises the routing tier")},

@@ -8,7 +8,7 @@ import (
 
 // FuzzScheduleParse hammers the JSON schedule parser: any input must either
 // fail with an error or yield a schedule that validates and compiles
-// without panicking. This is the `make fuzz-fault` smoke.
+// without panicking. It runs in the `make fuzz` smoke.
 func FuzzScheduleParse(f *testing.F) {
 	f.Add([]byte(`{"name":"s","faults":[{"kind":"outage","site":"cloud","start_s":1,"end_s":2}]}`))
 	f.Add([]byte(`{"faults":[{"kind":"outage","site":"connected","start_s":0,"end_s":50,"mean_up_s":2,"mean_down_s":1}]}`))

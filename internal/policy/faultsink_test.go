@@ -139,8 +139,8 @@ func TestFaultSinkRetryFallsBackToStore(t *testing.T) {
 }
 
 // TestSyncerHealthTracking pins the sync-plane failure surface: consecutive
-// failure counting, last-error capture, reset on a clean pass, and the
-// OnPass hook (what the serving tier exports to /healthz).
+// failure counting, last-error capture and reset on a clean pass (what the
+// serving tier exports to /healthz).
 func TestSyncerHealthTracking(t *testing.T) {
 	store, err := Open(t.TempDir(), 0)
 	if err != nil {
@@ -150,11 +150,9 @@ func TestSyncerHealthTracking(t *testing.T) {
 	learn(t, e, 5)
 
 	partitioned := true
-	var passed []bool
 	s, err := NewSyncer(store, staticNodes(Node{Device: "phone-0", Engine: e}), SyncConfig{
 		Sleep:       func(time.Duration) {},
 		Unreachable: func(string) bool { return partitioned },
-		OnPass:      func(rep Report) { passed = append(passed, rep.Err() == nil) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -182,9 +180,6 @@ func TestSyncerHealthTracking(t *testing.T) {
 	h = s.Health()
 	if h.Passes != 4 || h.Failures != 3 || h.ConsecutiveFailures != 0 || h.LastError != "" {
 		t.Fatalf("health after heal: %+v", h)
-	}
-	if len(passed) != 4 || passed[0] || !passed[3] {
-		t.Fatalf("OnPass sequence: %v", passed)
 	}
 }
 

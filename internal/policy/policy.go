@@ -14,9 +14,10 @@
 //     of feeding garbage to an engine.
 //
 //   - Federation (merge.go, sync.go): visit-count-weighted merging of
-//     compatible Q-tables into a shared fleet policy, and a background
-//     Syncer that periodically checkpoints every node, refreshes the merged
-//     policy, and warm-starts new or restarted nodes from it — with
+//     compatible Q-tables into a shared fleet policy, and a Syncer that
+//     periodically (on the fleet's virtual clock) checkpoints every node,
+//     refreshes the merged policy, and warm-starts new or restarted nodes
+//     from it — with
 //     retry/backoff on store errors and staleness guards so an old
 //     generation never overwrites a newer one.
 //

@@ -19,7 +19,7 @@ type Node struct {
 
 // SyncConfig tunes a Syncer.
 type SyncConfig struct {
-	// Interval is the background sync period (default 30s).
+	// Interval is the virtual time between MaybeTick passes (default 30s).
 	Interval time.Duration
 	// MaxAttempts bounds save attempts per checkpoint, including the first
 	// (default 3).
@@ -29,11 +29,6 @@ type SyncConfig struct {
 	Backoff time.Duration
 	// Sleep overrides the backoff wait (tests; default time.Sleep).
 	Sleep func(time.Duration)
-	// OnPass, when set, observes every completed sync pass (background and
-	// synchronous alike) — the hook the serving tier uses to export sync
-	// failure state into its metrics registry. Called outside the syncer's
-	// lock, after the pass's failure accounting has been recorded.
-	OnPass func(Report)
 	// Unreachable, when set, reports whether a device is partitioned from
 	// the sync plane right now: the syncer skips it (recording an
 	// ErrPartitioned failure) while the device keeps serving traffic.
@@ -117,18 +112,17 @@ func (r Report) Err() error { return errors.Join(r.Errs...) }
 // Syncer is the federation loop: each pass checkpoints every node's current
 // Q-table, merges each compatibility group into a fleet policy checkpoint,
 // and warm-starts nodes that have not learned anything yet (new or wiped
-// devices) from their group's merged policy. Generation monotonicity is
-// enforced by the store; save failures retry with backoff and are reported,
-// never fatal.
+// devices) from their group's merged policy. Passes run on demand (SyncOnce)
+// or on the fleet's virtual clock (MaybeTick), never on a goroutine of their
+// own. Generation monotonicity is enforced by the store; save failures retry
+// with backoff and are reported, never fatal.
 type Syncer struct {
 	sink  Sink
 	nodes func() []Node
 	cfg   SyncConfig
 
-	mu      sync.Mutex
-	started bool
-	stop    chan struct{}
-	done    chan struct{}
+	mu       sync.Mutex
+	lastTick float64 // virtual time of the last MaybeTick pass
 
 	// Failure state, guarded by mu: how the sync plane has been doing.
 	passes      uint64
@@ -161,7 +155,7 @@ func (s *Syncer) Health() SyncHealth {
 	}
 }
 
-// notePass records one pass's outcome and fires the OnPass hook.
+// notePass records one pass's outcome.
 func (s *Syncer) notePass(rep Report) {
 	s.mu.Lock()
 	s.passes++
@@ -174,9 +168,6 @@ func (s *Syncer) notePass(rep Report) {
 		s.lastErr = ""
 	}
 	s.mu.Unlock()
-	if s.cfg.OnPass != nil {
-		s.cfg.OnPass(rep)
-	}
 }
 
 // NewSyncer builds a syncer over a checkpoint sink and a node source (called
@@ -279,45 +270,17 @@ func sortedGroupKeys[V any](m map[string]V) []string {
 	return keys
 }
 
-// Start launches the background loop (one pass every Interval) until Stop.
-// Starting a started syncer is a no-op.
-func (s *Syncer) Start() {
+// MaybeTick runs one pass when at least Interval of virtual time has passed
+// since the last ticked pass (the first lands one Interval in, as with a
+// ticker). The window is claimed under the lock and the pass runs outside
+// it, so concurrent callers with the same now produce exactly one pass.
+func (s *Syncer) MaybeTick(now float64) (Report, bool) {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return
-	}
-	s.started = true
-	s.stop = make(chan struct{})
-	s.done = make(chan struct{})
-	go s.run(s.stop, s.done)
-}
-
-func (s *Syncer) run(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
-	ticker := time.NewTicker(s.cfg.interval())
-	defer ticker.Stop()
-	for {
-		select {
-		case <-stop:
-			return
-		case <-ticker.C:
-			s.SyncOnce()
-		}
-	}
-}
-
-// Stop halts the background loop and waits for the in-flight pass to finish.
-// Stopping a stopped (or never started) syncer is a no-op.
-func (s *Syncer) Stop() {
-	s.mu.Lock()
-	if !s.started {
+	if now-s.lastTick < s.cfg.interval().Seconds() {
 		s.mu.Unlock()
-		return
+		return Report{}, false
 	}
-	s.started = false
-	stop, done := s.stop, s.done
+	s.lastTick = now
 	s.mu.Unlock()
-	close(stop)
-	<-done
+	return s.SyncOnce(), true
 }

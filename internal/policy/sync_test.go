@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -206,29 +208,72 @@ func TestSyncOnceSickStoreDoesNotStallFleet(t *testing.T) {
 	}
 }
 
-func TestSyncerStartStop(t *testing.T) {
+// TestSyncerMaybeTick: passes land on the virtual clock, one Interval after
+// the last ticked pass, the first one Interval in.
+func TestSyncerMaybeTick(t *testing.T) {
 	st := testStore(t, 0)
 	engine := syncEngine(t, 1)
 	learn(t, engine, 5)
 	syncer, err := NewSyncer(st, staticNodes(Node{Device: "edge-1", Engine: engine}),
-		SyncConfig{Interval: 5 * time.Millisecond})
+		SyncConfig{Interval: time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncer.Start()
-	syncer.Start() // idempotent
-	deadline := time.Now().Add(5 * time.Second)
-	for st.LatestGeneration("edge-1") == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("background syncer never checkpointed")
+	for _, step := range []struct {
+		now  float64
+		pass bool
+	}{{0.5, false}, {1, true}, {1.9, false}, {2.2, true}, {2.5, false}} {
+		rep, ok := syncer.MaybeTick(step.now)
+		if ok != step.pass {
+			t.Fatalf("MaybeTick(%v) ran = %v, want %v", step.now, ok, step.pass)
 		}
-		time.Sleep(time.Millisecond)
+		if ok && rep.Err() != nil {
+			t.Fatal(rep.Err())
+		}
 	}
-	syncer.Stop()
-	syncer.Stop() // idempotent
-	gen := st.LatestGeneration("edge-1")
-	time.Sleep(20 * time.Millisecond)
-	if g := st.LatestGeneration("edge-1"); g != gen {
-		t.Fatalf("syncer still running after Stop: gen %d -> %d", gen, g)
+	if h := syncer.Health(); h.Passes != 2 {
+		t.Fatalf("passes = %d, want 2", h.Passes)
+	}
+	if g := st.LatestGeneration("edge-1"); g != 2 {
+		t.Fatalf("edge-1 generation = %d, want 2", g)
+	}
+}
+
+// TestSyncerMaybeTickConcurrent: eight callers walk one shared virtual
+// timeline in lock step; each crossed interval runs exactly one pass, however
+// the callers interleave. Run under -race.
+func TestSyncerMaybeTickConcurrent(t *testing.T) {
+	const callers, steps, perInterval = 8, 40, 4 // 0.25 s steps, 1 s interval
+	engine := syncEngine(t, 1)
+	learn(t, engine, 5)
+	syncer, err := NewSyncer(testStore(t, 0), staticNodes(Node{Device: "edge-1", Engine: engine}),
+		SyncConfig{Interval: time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for step := 1; step <= steps; step++ {
+		now := float64(step) / perInterval
+		var ran atomic.Int64
+		var wg sync.WaitGroup
+		for c := 0; c < callers; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, ok := syncer.MaybeTick(now); ok {
+					ran.Add(1)
+				}
+			}()
+		}
+		wg.Wait()
+		want := int64(0)
+		if step%perInterval == 0 {
+			want = 1
+		}
+		if got := ran.Load(); got != want {
+			t.Fatalf("t=%v: %d passes, want %d", now, got, want)
+		}
+	}
+	if h := syncer.Health(); h.Passes != steps/perInterval {
+		t.Fatalf("passes = %d, want %d", h.Passes, steps/perInterval)
 	}
 }

@@ -2,8 +2,15 @@ package rl
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 )
+
+// ErrVisitOverflow marks a table whose visit counts an agent cannot hold: a
+// single count of math.MaxInt (Restore stores each count plus one), or counts
+// whose sum overflows int (TotalVisits would wrap negative).
+var ErrVisitOverflow = errors.New("rl: restore: visit counts overflow int")
 
 // Interner is the state grid an Agent is built on: a fixed bijection between
 // string state keys and the dense indices [0, Size). The core package's
@@ -38,7 +45,8 @@ type Table struct {
 
 // DecodeTable parses and validates a snapshot payload: hyperparameters in
 // range, at least one action, every row spanning the action space, no
-// negative visit count. Snapshots written before visit counts existed (no
+// negative visit count, no visit count or total an agent cannot hold
+// (ErrVisitOverflow). Snapshots written before visit counts existed (no
 // "visits" member) decode with every row credited one visit, so visit-weighted
 // federation still counts the table as (minimal) experience instead of
 // discarding it.
@@ -67,10 +75,15 @@ func DecodeTable(data []byte) (Table, error) {
 			t.Visits[s] = 1
 		}
 	}
+	total := 0
 	for s, n := range t.Visits {
 		if n < 0 {
 			return Table{}, fmt.Errorf("rl: restore: state %q has negative visit count %d", s, n)
 		}
+		if n == math.MaxInt || n > math.MaxInt-total {
+			return Table{}, ErrVisitOverflow
+		}
+		total += n
 	}
 	return t, nil
 }

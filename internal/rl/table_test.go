@@ -3,6 +3,8 @@ package rl
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -141,6 +143,25 @@ func TestDecodeTableValidation(t *testing.T) {
 	}
 }
 
+// TestDecodeTableRejectsVisitOverflow: a count Restore cannot store plus one,
+// and counts whose sum wraps TotalVisits, are refused by name.
+func TestDecodeTableRejectsVisitOverflow(t *testing.T) {
+	for _, visits := range []map[string]int{
+		{"s00": math.MaxInt},
+		{"s00": math.MaxInt/2 + 1, "s01": math.MaxInt/2 + 1},
+	} {
+		data, err := json.Marshal(map[string]any{
+			"config": DefaultConfig(), "actions": 1, "q": map[string][]float64{"s00": {1}}, "visits": visits,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := DecodeTable(data); !errors.Is(err, ErrVisitOverflow) {
+			t.Errorf("visits %v: err = %v, want ErrVisitOverflow", visits, err)
+		}
+	}
+}
+
 // TestRestoreRefusesAlienKey: a key the grid cannot render is an error that
 // names it, whether it appears among the rows or only among the visits.
 func TestRestoreRefusesAlienKey(t *testing.T) {
@@ -156,4 +177,78 @@ func TestRestoreRefusesAlienKey(t *testing.T) {
 			t.Fatalf("Restore error = %v, want one naming the alien key", err)
 		}
 	}
+}
+
+// FuzzDecodeTable: whatever DecodeTable accepts, an agent holds exactly —
+// restored onto a grid that renders its keys, the agent's Table encodes to
+// the decoded table's bytes; whatever it rejects comes back as an error.
+// The overflow seeds are the counts an agent cannot hold: one that wraps
+// Restore's stored count, and two whose sum wraps TotalVisits negative.
+func FuzzDecodeTable(f *testing.F) {
+	const cfg = `"config":{"LearningRate":0.9,"Discount":0.1,"Epsilon":0.1,"InitLo":-1,"InitHi":1,"Seed":1}`
+	trained := newTestAgent(f, DefaultConfig(), 3)
+	for i := int32(0); i < 6; i++ {
+		if _, err := trained.SelectActionIdx(i, nil); err != nil {
+			f.Fatal(err)
+		}
+		if err := trained.UpdateIdx(i, int(i)%3, float64(i), i+1, nil); err != nil {
+			f.Fatal(err)
+		}
+	}
+	snap, err := trained.Snapshot()
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, seed := range []string{
+		string(snap),
+		`{` + cfg + `,"actions":2,"q":{"s01":[1,2],"s02":[3,4]}}`,
+		`{` + cfg + `,"actions":1,"q":{"s00":[1]},"visits":{"s00":0,"s05":4}}`,
+		`{` + cfg + `,"actions":1,"q":{"s00":[1],"foreign|key":[2]},"visits":{}}`,
+		`{` + cfg + `,"actions":1,"q":{"s00":[1]},"visits":{"s00":-3}}`,
+		`{` + cfg + `,"actions":1,"q":{"a":[1]},"visits":{"a":9223372036854775807}}`,
+		`{` + cfg + `,"actions":1,"q":{"a":[1],"b":[2]},"visits":{"a":4611686018427387904,"b":4611686018427387904}}`,
+		`{"config":{},"actions":0,"q":{}}`,
+		`not json`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl, err := DecodeTable(data)
+		if err != nil {
+			return
+		}
+		want, err := tbl.Encode()
+		if err != nil {
+			t.Fatalf("accepted table does not encode: %v", err)
+		}
+		var keys []State
+		for s := range tbl.Q {
+			keys = append(keys, s)
+		}
+		for s := range tbl.Visits {
+			if _, ok := tbl.Q[s]; !ok {
+				keys = append(keys, s)
+			}
+		}
+		ag, err := Restore(data, gridOf(keys))
+		if err != nil {
+			t.Fatalf("accepted table does not restore: %v", err)
+		}
+		got, err := ag.Table().Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("round trip changed the table:\n got %s\nwant %s", got, want)
+		}
+		// The syncer reads TotalVisits() > 0 as "has learned": a wrapped
+		// sum would misfile an experienced device as blank.
+		total := 0
+		for _, n := range tbl.Visits {
+			total += n
+		}
+		if tv := ag.TotalVisits(); tv < 0 || tv != total {
+			t.Fatalf("TotalVisits = %d, want the decoded sum %d", tv, total)
+		}
+	})
 }

@@ -255,8 +255,7 @@ type Router struct {
 	stopc  chan struct{}
 	dispWG sync.WaitGroup // dispatcher goroutine
 
-	syncMu sync.Mutex
-	syncer *policy.Syncer
+	syncer *policy.Syncer // nil without cfg.Checkpoints; set once in New
 }
 
 // New builds a router over the given shards and starts its dispatcher.
@@ -317,6 +316,22 @@ func New(shards []ShardGateway, cfg Config) (*Router, error) {
 		}
 	}
 	sort.Strings(rt.order)
+
+	if cfg.Checkpoints != nil {
+		scfg := cfg.PolicySync
+		if scfg.Unreachable == nil && cfg.Faults != nil {
+			// Scripted sync partitions: the lane serves but the cross-shard
+			// syncer cannot reach it while its window holds.
+			scfg.Unreachable = func(dev string) bool {
+				return cfg.Faults.Partitioned(dev, rt.VirtualNow())
+			}
+		}
+		s, err := policy.NewSyncer(cfg.Checkpoints, rt.policyNodes, scfg)
+		if err != nil {
+			return nil, fmt.Errorf("router: policy sync: %w", err)
+		}
+		rt.syncer = s
+	}
 
 	rt.dispWG.Add(1)
 	go rt.run()
@@ -953,11 +968,8 @@ func (rt *Router) Snapshot() metrics.Snapshot {
 		snaps = append(snaps, rt.shards[name].gw.Snapshot())
 	}
 	rt.mu.RUnlock()
-	rt.syncMu.Lock()
-	syn := rt.syncer
-	rt.syncMu.Unlock()
-	if syn != nil {
-		h := syn.Health()
+	if rt.syncer != nil {
+		h := rt.syncer.Health()
 		snaps = append(snaps, metrics.Snapshot{
 			SyncPasses:              int64(h.Passes),
 			SyncFailures:            int64(h.Failures),
@@ -1433,31 +1445,6 @@ func (rt *Router) policyNodes() []policy.Node {
 	return nodes
 }
 
-// policySyncer lazily builds the cross-shard federation syncer.
-func (rt *Router) policySyncer() (*policy.Syncer, error) {
-	if rt.cfg.Checkpoints == nil {
-		return nil, errors.New("router: no checkpoint store configured")
-	}
-	rt.syncMu.Lock()
-	defer rt.syncMu.Unlock()
-	if rt.syncer == nil {
-		cfg := rt.cfg.PolicySync
-		if cfg.Unreachable == nil && rt.cfg.Faults != nil {
-			// Scripted sync partitions: the lane serves but the cross-shard
-			// syncer cannot reach it while its window holds.
-			cfg.Unreachable = func(dev string) bool {
-				return rt.cfg.Faults.Partitioned(dev, rt.VirtualNow())
-			}
-		}
-		s, err := policy.NewSyncer(rt.cfg.Checkpoints, rt.policyNodes, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("router: policy sync: %w", err)
-		}
-		rt.syncer = s
-	}
-	return rt.syncer, nil
-}
-
 // VirtualNow is the fleet's virtual clock: the maximum shard clock across
 // serving and draining shards (dead shards' frozen clocks are ignored).
 func (rt *Router) VirtualNow() float64 {
@@ -1483,41 +1470,30 @@ func (rt *Router) SyncPolicies() (policy.Report, error) {
 	if rt.closed.Load() {
 		return policy.Report{}, serve.ErrClosed
 	}
-	s, err := rt.policySyncer()
-	if err != nil {
-		return policy.Report{}, err
+	if rt.syncer == nil {
+		return policy.Report{}, errors.New("router: no checkpoint store configured")
 	}
-	return s.SyncOnce(), nil
+	return rt.syncer.SyncOnce(), nil
 }
 
-// StartPolicySync launches the background cross-shard federation loop.
-func (rt *Router) StartPolicySync() error {
-	s, err := rt.policySyncer()
-	if err != nil {
-		return err
+// MaybeSyncPolicies runs one cross-shard federation pass when
+// cfg.PolicySync.Interval of virtual time has passed since the last one; the
+// load loop calls it with VirtualNow. It reports whether a pass ran; a closed
+// router or one without a checkpoint store never runs one.
+func (rt *Router) MaybeSyncPolicies(now float64) bool {
+	if rt.syncer == nil || rt.closed.Load() {
+		return false
 	}
-	s.Start()
-	return nil
-}
-
-// StopPolicySync halts the background federation loop (no-op when not
-// running).
-func (rt *Router) StopPolicySync() {
-	rt.syncMu.Lock()
-	s := rt.syncer
-	rt.syncMu.Unlock()
-	if s != nil {
-		s.Stop()
-	}
+	_, ran := rt.syncer.MaybeTick(now)
+	return ran
 }
 
 // Shutdown stops admission, lets the dispatcher drain the tenant queues
 // (queued requests still route and execute; shard admission and deadline
 // rules still apply) until nothing is queued or in flight, stops the
-// dispatcher and the federation loop, then gracefully shuts down every
-// still-healthy shard — which drains shard queues, waits out the completions
-// still running on their workers and persists final checkpoints. The context
-// bounds the whole drain.
+// dispatcher, then gracefully shuts down every still-healthy shard — which
+// drains shard queues, waits out the completions still running on their
+// workers and persists final checkpoints. The context bounds the whole drain.
 func (rt *Router) Shutdown(ctx context.Context) error {
 	if !rt.closed.CompareAndSwap(false, true) {
 		return serve.ErrClosed
@@ -1536,7 +1512,6 @@ func (rt *Router) Shutdown(ctx context.Context) error {
 	}
 	close(rt.stopc)
 	rt.dispWG.Wait()
-	rt.StopPolicySync()
 
 	rt.mu.Lock()
 	var toClose []*shard

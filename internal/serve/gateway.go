@@ -48,8 +48,7 @@ type Gateway struct {
 	inflight sync.WaitGroup    // Submit calls between admission and enqueue
 	wg       sync.WaitGroup    // worker goroutines
 
-	syncMu sync.Mutex
-	syncer *policy.Syncer
+	syncer *policy.Syncer // nil without cfg.Checkpoints; set once in New
 }
 
 // worker is one device's serving lane: a warm engine and a bounded queue.
@@ -169,6 +168,19 @@ func New(backends []Backend, cfg Config) (*Gateway, error) {
 				g.warm[w.device] = gen
 			}
 		}
+		scfg := cfg.PolicySync
+		if scfg.Unreachable == nil && cfg.Faults != nil {
+			// Scripted sync partitions: the device serves traffic but the
+			// syncer cannot reach it while its window holds.
+			scfg.Unreachable = func(dev string) bool {
+				return cfg.Faults.Partitioned(dev, g.VirtualNow())
+			}
+		}
+		s, err := policy.NewSyncer(cfg.Checkpoints, g.PolicyNodes, scfg)
+		if err != nil {
+			return nil, fmt.Errorf("serve: policy sync: %w", err)
+		}
+		g.syncer = s
 	}
 	for _, w := range g.workers {
 		g.wg.Add(1)
@@ -266,8 +278,19 @@ func (g *Gateway) Metrics() *metrics.Registry { return g.met }
 // lights up the admin server's /traces endpoints.
 func (g *Gateway) Tracer() *tracez.Tracer { return g.cfg.Tracer }
 
-// Snapshot copies the current metrics.
-func (g *Gateway) Snapshot() metrics.Snapshot { return g.met.Snapshot() }
+// Snapshot copies the current metrics, with the federation syncer's health
+// in the Sync* fields.
+func (g *Gateway) Snapshot() metrics.Snapshot {
+	s := g.met.Snapshot()
+	if g.syncer != nil {
+		h := g.syncer.Health()
+		s.SyncPasses = int64(h.Passes)
+		s.SyncFailures = int64(h.Failures)
+		s.SyncConsecutiveFailures = int64(h.ConsecutiveFailures)
+		s.SyncLastError = h.LastError
+	}
+	return s
+}
 
 // Health samples each device engine's learning-health gauges (read-only;
 // see core.Health). Keys are device names.
@@ -1025,15 +1048,6 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	g.closed = true
 	g.mu.Unlock()
 
-	// The background policy sync (if running) must stop before the final
-	// flush so its passes cannot interleave with shutdown persistence.
-	g.syncMu.Lock()
-	syncer := g.syncer
-	g.syncMu.Unlock()
-	if syncer != nil {
-		syncer.Stop()
-	}
-
 	// Wait out Submits that passed the closed check, then close the queues
 	// — after this no send can race the close. The worker set is frozen once
 	// closed is set (AddBackend refuses), so the snapshot is complete.
@@ -1098,13 +1112,6 @@ func (g *Gateway) Kill() error {
 	g.closed = true
 	g.killed.Store(true)
 	g.mu.Unlock()
-
-	g.syncMu.Lock()
-	syncer := g.syncer
-	g.syncMu.Unlock()
-	if syncer != nil {
-		syncer.Stop()
-	}
 
 	workers := g.snapshotWorkers()
 	g.inflight.Wait()

@@ -12,13 +12,16 @@ import (
 // seededSnapshot drives a fresh registry through the mutators the gateway
 // calls — a seed-derived mix of counter bumps, batched admission and served
 // samples (histograms, per-phase/per-tenant observations, target and device
-// counts), breaker states and policy-sync passes — and returns its snapshot.
+// counts) and breaker states — and returns its snapshot, with a seeded
+// policy-sync pass sequence in the Sync* fields.
 // The tag keeps label spaces (devices, breakers, sync errors) disjoint
 // between operands so last-writer-wins breaker state cannot masquerade as a
 // commutativity failure.
 func seededSnapshot(seed uint64, tag string) Snapshot {
 	rng := exec.NewRand(seed)
 	r := New()
+	var passes, failures, consec int64
+	lastErr := ""
 	bump := []func(){
 		r.IncSubmitted, r.IncShed, r.IncExpired, r.IncFailed, r.IncRetried,
 		r.IncOutage, r.IncOffloadRetry, r.IncHedge, r.IncBreakerOpen, r.IncWorkerCrash,
@@ -53,12 +56,21 @@ func seededSnapshot(seed uint64, tag string) Snapshot {
 			})
 		}
 		if rng.Intn(5) == 0 {
-			r.ObserveSyncPass(rng.Intn(4) != 0, tag+"-sync-error")
+			passes++
+			if rng.Intn(4) != 0 {
+				failures++
+				consec++
+				lastErr = tag + "-sync-error"
+			} else {
+				consec, lastErr = 0, ""
+			}
 		}
 	}
 	r.AddDegradedSeconds(rng.Float64())
 	r.SetBreakerState(tag+"-breaker", "closed")
-	return r.Snapshot()
+	s := r.Snapshot()
+	s.SyncPasses, s.SyncFailures, s.SyncConsecutiveFailures, s.SyncLastError = passes, failures, consec, lastErr
+	return s
 }
 
 // TestMergeEmptyIdentity checks merging a zero-valued snapshot — from an

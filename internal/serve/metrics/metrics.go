@@ -63,10 +63,6 @@ type Registry struct {
 	queueDepth atomic.Int64
 	queueMax   atomic.Int64
 
-	syncPasses      atomic.Int64
-	syncFailures    atomic.Int64
-	syncConsecFails atomic.Int64
-
 	latency *obs.Histogram
 	wait    *obs.Histogram
 	energy  *obs.Histogram
@@ -82,9 +78,6 @@ type Registry struct {
 	// byTenant maps tenant -> virtual response-time histogram (vwait plus
 	// execution latency), built lazily on first observation per tenant.
 	byTenant map[string]*obs.Histogram
-	// syncLastErr is the most recent policy-sync pass failure ("" after a
-	// clean pass); guarded by mu like the label maps.
-	syncLastErr string
 }
 
 // New builds a registry over the shared Scheme ladder, with one phase
@@ -283,26 +276,6 @@ func (r *Registry) ObserveServed(s ServedSample) {
 	})
 }
 
-// ObserveSyncPass records one policy-sync pass outcome: failures bump the
-// consecutive-failure gauge and remember the error, a clean pass resets
-// both. The health endpoint alarms once consecutive failures cross its
-// threshold.
-func (r *Registry) ObserveSyncPass(failed bool, errStr string) {
-	r.shared(func() {
-		r.syncPasses.Add(1)
-		if failed {
-			r.syncFailures.Add(1)
-			r.syncConsecFails.Add(1)
-		} else {
-			r.syncConsecFails.Store(0)
-			errStr = ""
-		}
-		r.mu.Lock()
-		r.syncLastErr = errStr
-		r.mu.Unlock()
-	})
-}
-
 // Snapshot is a point-in-time copy of the registry, taken as one consistent
 // cut (see the package comment).
 type Snapshot struct {
@@ -335,7 +308,8 @@ type Snapshot struct {
 
 	// Policy-sync failure state: total passes, failed passes, failed passes
 	// since the last clean one (the health-endpoint alarm signal), and the
-	// most recent failure message.
+	// most recent failure message. The registry never records these: the
+	// owning front copies them from its federation syncer's health.
 	SyncPasses              int64
 	SyncFailures            int64
 	SyncConsecutiveFailures int64
@@ -396,10 +370,6 @@ func (r *Registry) Snapshot() Snapshot {
 		QueueDepth:    r.queueDepth.Load(),
 		QueueMaxDepth: r.queueMax.Load(),
 
-		SyncPasses:              r.syncPasses.Load(),
-		SyncFailures:            r.syncFailures.Load(),
-		SyncConsecutiveFailures: r.syncConsecFails.Load(),
-
 		Latency:   r.latency.Snapshot(),
 		Wait:      r.wait.Snapshot(),
 		Energy:    r.energy.Snapshot(),
@@ -418,7 +388,6 @@ func (r *Registry) Snapshot() Snapshot {
 	// No mutator is in flight (they all hold snapMu shared), so locking mu
 	// here is belt-and-braces for the map copies.
 	r.mu.Lock()
-	s.SyncLastError = r.syncLastErr
 	for k, v := range r.byTarget {
 		s.ByTarget[k] = v
 	}

@@ -2,13 +2,13 @@ package serve
 
 import (
 	"errors"
-	"fmt"
 
 	"autoscale/internal/policy"
 )
 
 // Policy-plane glue: warm-starting workers from the checkpoint store,
-// flushing final tables at shutdown, and the periodic federation loop.
+// flushing final tables at shutdown, and federation passes on the virtual
+// clock.
 
 // warmStart restores a worker's engine from the newest compatible
 // checkpoint: the device's own latest generation when its config hash still
@@ -74,79 +74,29 @@ func (g *Gateway) PolicyNodes() []policy.Node {
 	return nodes
 }
 
-// policySyncer lazily builds the gateway's federation syncer.
-func (g *Gateway) policySyncer() (*policy.Syncer, error) {
-	if g.cfg.Checkpoints == nil {
-		return nil, errors.New("serve: no checkpoint store configured")
-	}
-	g.syncMu.Lock()
-	defer g.syncMu.Unlock()
-	if g.syncer == nil {
-		cfg := g.cfg.PolicySync
-		if cfg.OnPass == nil {
-			// Export pass outcomes into the registry so /healthz and the
-			// autoscale_policy_sync_* series see persistent failure.
-			cfg.OnPass = func(rep policy.Report) {
-				if err := rep.Err(); err != nil {
-					g.met.ObserveSyncPass(true, err.Error())
-				} else {
-					g.met.ObserveSyncPass(false, "")
-				}
-			}
-		}
-		if cfg.Unreachable == nil && g.cfg.Faults != nil {
-			// Scripted sync partitions: the device serves traffic but the
-			// syncer cannot reach it while its window holds.
-			cfg.Unreachable = func(dev string) bool {
-				return g.cfg.Faults.Partitioned(dev, g.VirtualNow())
-			}
-		}
-		s, err := policy.NewSyncer(g.cfg.Checkpoints, g.PolicyNodes, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: policy sync: %w", err)
-		}
-		g.syncer = s
-	}
-	return g.syncer, nil
-}
-
 // SyncPolicies runs one federation pass synchronously: checkpoint every
 // worker's table, merge each compatibility group into the fleet policy, and
 // warm-start workers that have not learned anything yet. It fails on a
 // closed gateway (shutdown already persisted the final tables).
 func (g *Gateway) SyncPolicies() (policy.Report, error) {
-	g.mu.RLock()
-	closed := g.closed
-	g.mu.RUnlock()
-	if closed {
+	if g.Closed() {
 		return policy.Report{}, ErrClosed
 	}
-	s, err := g.policySyncer()
-	if err != nil {
-		return policy.Report{}, err
+	if g.syncer == nil {
+		return policy.Report{}, errors.New("serve: no checkpoint store configured")
 	}
-	return s.SyncOnce(), nil
+	return g.syncer.SyncOnce(), nil
 }
 
-// StartPolicySync launches the background federation loop (one SyncPolicies
-// pass per cfg.PolicySync.Interval). Shutdown stops it before the final
-// flush; it can also be stopped early via StopPolicySync.
-func (g *Gateway) StartPolicySync() error {
-	s, err := g.policySyncer()
-	if err != nil {
-		return err
+// MaybeSyncPolicies runs one federation pass when cfg.PolicySync.Interval of
+// virtual time has passed since the last one — the load loop calls it with
+// VirtualNow, as it ticks the planner and the supervisor. It reports whether
+// a pass ran; a closed gateway or one without a checkpoint store never runs
+// one.
+func (g *Gateway) MaybeSyncPolicies(now float64) bool {
+	if g.syncer == nil || g.Closed() {
+		return false
 	}
-	s.Start()
-	return nil
-}
-
-// StopPolicySync halts the background federation loop (no-op when not
-// running).
-func (g *Gateway) StopPolicySync() {
-	g.syncMu.Lock()
-	s := g.syncer
-	g.syncMu.Unlock()
-	if s != nil {
-		s.Stop()
-	}
+	_, ran := g.syncer.MaybeTick(now)
+	return ran
 }

@@ -195,11 +195,12 @@ type Config struct {
 	// every worker from its device's latest valid checkpoint — falling back
 	// to the fleet's merged policy for the engine's config hash — and
 	// Shutdown persists each worker's final table exactly once after the
-	// queues drain. StartPolicySync adds the periodic checkpoint/merge loop
-	// on top.
+	// queues drain. MaybeSyncPolicies adds periodic checkpoint/merge passes
+	// on the virtual clock.
 	Checkpoints policy.Sink
 	// PolicySync tunes the policy plane's retry/backoff and the
-	// StartPolicySync interval (zero values mean policy defaults).
+	// MaybeSyncPolicies interval in virtual seconds (zero values mean
+	// policy defaults).
 	PolicySync policy.SyncConfig
 	// Clock overrides the gateway's time source (tests; default time.Now).
 	Clock func() time.Time

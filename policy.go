@@ -17,8 +17,8 @@ type (
 	PolicyMeta = policy.Meta
 	// PolicySink is the store surface the gateway and syncer depend on.
 	PolicySink = policy.Sink
-	// PolicySyncConfig tunes sync interval and save retry/backoff
-	// (GatewayConfig.PolicySync).
+	// PolicySyncConfig tunes the sync interval in virtual seconds and save
+	// retry/backoff (GatewayConfig.PolicySync).
 	PolicySyncConfig = policy.SyncConfig
 	// PolicyFaultSink wraps a sink with scripted I/O faults (write failure,
 	// slow fsync, disk-full) for chaos drills; wire its Verdict from a fault

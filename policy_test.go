@@ -207,7 +207,8 @@ func TestFleetProvisionFromStore(t *testing.T) {
 
 // TestProvisionRouterInheritsPolicySync: a router provisioned from a fleet
 // runs its cross-shard syncer on gcfg.PolicySync when rcfg sets none, so
-// -sync reaches a routed fleet as it reaches a single gateway.
+// -sync reaches a routed fleet as it reaches a single gateway. Under the
+// uninherited 30 s default no tick below would run a pass.
 func TestProvisionRouterInheritsPolicySync(t *testing.T) {
 	// A donor with a handful of rows keeps each sync pass cheap, even
 	// under the race detector.
@@ -225,21 +226,22 @@ func TestProvisionRouterInheritsPolicySync(t *testing.T) {
 		t.Fatal(err)
 	}
 	gcfg := GatewayConfig{Checkpoints: memSink{}}
-	gcfg.PolicySync.Interval = time.Millisecond
+	gcfg.PolicySync.Interval = time.Second
 	rt, err := fleet.ProvisionRouter([]string{Mi8Pro, GalaxyS10e}, 2, cfg, gcfg, RouterConfig{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Shutdown(context.Background()) //nolint:errcheck
-	if err := rt.StartPolicySync(); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(3 * time.Second)
-	for rt.Snapshot().SyncPasses < 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d sync passes in 3s", rt.Snapshot().SyncPasses)
+	for _, tick := range []struct {
+		now  float64
+		pass bool
+	}{{0.5, false}, {1, true}, {1.5, false}, {2, true}} {
+		if ran := rt.MaybeSyncPolicies(tick.now); ran != tick.pass {
+			t.Fatalf("MaybeSyncPolicies(%v) ran = %v, want %v", tick.now, ran, tick.pass)
 		}
-		time.Sleep(5 * time.Millisecond)
+	}
+	if n := rt.Snapshot().SyncPasses; n != 2 {
+		t.Fatalf("%d sync passes, want 2", n)
 	}
 }
 

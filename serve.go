@@ -13,8 +13,8 @@ type (
 	// Gateway serves inference requests against a fleet of engines.
 	Gateway = serve.Gateway
 	// GatewayConfig tunes queue depth, shed policy, failover and the policy
-	// checkpoint store (warm-start at boot, flush at shutdown, background
-	// sync).
+	// checkpoint store (warm-start at boot, flush at shutdown, sync passes
+	// on the virtual clock).
 	GatewayConfig = serve.Config
 	// GatewayBackend pairs a device name with its engine.
 	GatewayBackend = serve.Backend
