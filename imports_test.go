@@ -102,3 +102,55 @@ func TestEveryCommandIsDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestEveryPackageIsInventoried guards DESIGN.md §3 against drift in the
+// module set: every internal/ and examples/ directory holding Go files must
+// have a row of its own in the §3 inventory tables.
+func TestEveryPackageIsInventoried(t *testing.T) {
+	text, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc := string(text)
+	start := strings.Index(doc, "\n## 3. ")
+	end := strings.Index(doc, "\n## 4. ")
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md has no §3 followed by §4")
+	}
+	rows := map[string]bool{}
+	for _, line := range strings.Split(doc[start:end], "\n") {
+		if cell, ok := strings.CutPrefix(line, "| `"); ok {
+			if name, _, ok := strings.Cut(cell, "`"); ok {
+				rows[name] = true
+			}
+		}
+	}
+	dirs := map[string]bool{}
+	for _, root := range []string{"internal", "examples"} {
+		err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if !d.IsDir() && strings.HasSuffix(p, ".go") {
+				dirs[filepath.ToSlash(filepath.Dir(p))] = true
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(dirs) == 0 {
+		t.Fatal("found no packages; is the walk rooted at the module?")
+	}
+	var missing []string
+	for dir := range dirs {
+		if !rows[dir] {
+			missing = append(missing, dir)
+		}
+	}
+	sort.Strings(missing)
+	for _, dir := range missing {
+		t.Errorf("DESIGN.md §3 has no row for %s", dir)
+	}
+}

@@ -517,7 +517,7 @@ func donorActionFor(t sim.Target, dst, donor *Engine) int {
 	want := rel(dst, t)
 	best, bestDist := -1, 0.0
 	for j, u := range donor.Actions.Targets() {
-		if u.Location != t.Location || u.Kind != t.Kind || u.Prec != t.Prec {
+		if !u.SameEngine(t) {
 			continue
 		}
 		d := rel(donor, u) - want

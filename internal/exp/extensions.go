@@ -474,16 +474,11 @@ func (p *restrictedOpt) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, er
 }
 
 // RunCtx implements sched.ContextPolicy: exhaustive expectation search over
-// the kept subset, same selection rule as sim.World.BestTarget.
+// the kept subset, choosing by sim.Choice as sim.World.BestTarget does.
 func (p *restrictedOpt) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	qos := sim.QoSFor(m.Task == dnn.Translation, sim.NonStreaming)
-	var (
-		best      sim.Target
-		bestE     = -1.0
-		fallback  sim.Target
-		fbLatency = -1.0
-	)
-	for _, tgt := range p.world.Targets(m) {
+	ch := sim.Choice{QoSS: sim.QoSFor(m.Task == dnn.Translation, sim.NonStreaming)}
+	ts := p.world.Targets(m)
+	for i, tgt := range ts {
 		if !p.keep(p.world, tgt) {
 			continue
 		}
@@ -491,21 +486,11 @@ func (p *restrictedOpt) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions
 		if err != nil {
 			return sim.Measurement{}, err
 		}
-		if fbLatency < 0 || meas.LatencyS < fbLatency {
-			fallback, fbLatency = tgt, meas.LatencyS
-		}
-		if meas.LatencyS > qos {
-			continue
-		}
-		if bestE < 0 || meas.EnergyJ < bestE {
-			best, bestE = tgt, meas.EnergyJ
-		}
+		ch.Offer(i, meas)
 	}
-	if bestE < 0 {
-		if fbLatency < 0 {
-			return sim.Measurement{}, fmt.Errorf("exp: restricted space has no target for %s", m.Name)
-		}
-		best = fallback
+	i, _, ok := ch.Result()
+	if !ok {
+		return sim.Measurement{}, fmt.Errorf("exp: restricted space has no target for %s", m.Name)
 	}
-	return p.world.ExecuteCtx(ctx, m, best, c)
+	return p.world.ExecuteCtx(ctx, m, ts[i], c)
 }

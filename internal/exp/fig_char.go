@@ -184,7 +184,7 @@ func Fig4(opts Options) (*Table, error) {
 				return nil, err
 			}
 			t.AddRow(m.Name, tgt.label, base.EnergyJ/meas.EnergyJ, meas.Accuracy,
-				sameEngine(tgt.target, opt50), sameEngine(tgt.target, opt65))
+				tgt.target.SameEngine(opt50), tgt.target.SameEngine(opt65))
 		}
 		t.Notes = append(t.Notes, fmt.Sprintf("%s: oracle@50%%=%v, oracle@65%%=%v", m.Name, opt50, opt65))
 	}
@@ -192,12 +192,6 @@ func Fig4(opts Options) (*Table, error) {
 		"paper: at a 50% accuracy target the low-precision on-device targets win; "+
 			"at 65% the optimum shifts toward full-precision/cloud execution")
 	return t, nil
-}
-
-// sameEngine compares targets by location, engine kind and precision,
-// ignoring the DVFS step (the oracle picks a specific step).
-func sameEngine(a, b sim.Target) bool {
-	return a.Location == b.Location && a.Kind == b.Kind && a.Prec == b.Prec
 }
 
 // Fig5 reproduces Fig 5: PPW and latency of MobileNet v3 under CPU- and

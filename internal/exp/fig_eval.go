@@ -80,7 +80,7 @@ func figBaselines(id string, intensity sim.Intensity, opts Options) (*Table, err
 		case "Connected Edge":
 			return &sched.ConnectedEdge{World: w, Intensity: intensity}
 		case "MOSAIC":
-			return &sched.MOSAIC{World: w, Intensity: intensity}
+			return &sched.MOSAIC{World: w}
 		case "NeuroSurgeon":
 			return &sched.NeuroSurgeon{World: w, Intensity: intensity}
 		case "AutoScale":
@@ -320,7 +320,7 @@ func predictionAccuracy(w *sim.World, loo *LeaveOneOutAutoScale, models []*dnn.M
 					return 0, err
 				}
 				total++
-				if pred.Location == opt.Location && pred.Kind == opt.Kind && pred.Prec == opt.Prec {
+				if pred.SameEngine(opt) {
 					correct++
 					continue
 				}

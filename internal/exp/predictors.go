@@ -140,7 +140,8 @@ func logTargets(ys []float64) []float64 {
 }
 
 // RegressionPolicy chooses actions by predicting energy and latency for
-// every feasible action and picking the predicted-cheapest QoS-satisfier.
+// every feasible action and picking by sim.Choice over the predictions: the
+// predicted-cheapest QoS-satisfier, else the predicted-fastest.
 type RegressionPolicy struct {
 	Label     string
 	World     *sim.World
@@ -161,31 +162,16 @@ func (p *RegressionPolicy) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement,
 // RunCtx implements sched.ContextPolicy.
 func (p *RegressionPolicy) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	x := featuresOf(m, c)
-	qos := sim.QoSFor(m.Task == dnn.Translation, p.Intensity)
-	mask := p.Actions.Mask(m)
-	best, bestE := -1, 0.0
-	fastest, fastestL := -1, 0.0
-	for i, ok := range mask {
+	ch := sim.Choice{QoSS: sim.QoSFor(m.Task == dnn.Translation, p.Intensity)}
+	for i, ok := range p.Actions.Mask(m) {
 		if !ok {
 			continue
 		}
 		xa := append(append([]float64(nil), x...), oneHot(i, p.Actions.Len())...)
-		e := p.Energy.Predict(xa)
-		l := p.Latency.Predict(xa)
-		if fastest < 0 || l < fastestL {
-			fastest, fastestL = i, l
-		}
-		if l > qos {
-			continue
-		}
-		if best < 0 || e < bestE {
-			best, bestE = i, e
-		}
+		ch.Offer(i, sim.Measurement{EnergyJ: p.Energy.Predict(xa), LatencyS: p.Latency.Predict(xa)})
 	}
-	if best < 0 {
-		best = fastest
-	}
-	if best < 0 {
+	best, _, ok := ch.Result()
+	if !ok {
 		return sim.Measurement{}, fmt.Errorf("exp: %s found no action for %s", p.Label, m.Name)
 	}
 	return p.World.ExecuteCtx(ctx, m, p.Actions.Target(best), c)
@@ -317,10 +303,10 @@ func NewBOPolicy(w *sim.World, seed []predict.Sample, acquisitions int, cfgSeed 
 	if err := refit(); err != nil {
 		return nil, err
 	}
-	bestE := data[0].EnergyJ
+	incumbentE := data[0].EnergyJ
 	for _, s := range data {
-		if s.EnergyJ < bestE {
-			bestE = s.EnergyJ
+		if s.EnergyJ < incumbentE {
+			incumbentE = s.EnergyJ
 		}
 	}
 	const candidates = 24
@@ -341,7 +327,7 @@ func NewBOPolicy(w *sim.World, seed []predict.Sample, acquisitions int, cfgSeed 
 			}
 			x := featuresOf(m, cond)
 			xa := append(append([]float64(nil), x...), oneHot(a, actions.Len())...)
-			ei := energyGP.ExpectedImprovement(xa, math.Log(bestE))
+			ei := energyGP.ExpectedImprovement(xa, math.Log(incumbentE))
 			if ei > bestEI {
 				bestEI, bestX, bestModel, bestAction, bestCond = ei, x, m, a, cond
 			}
@@ -352,8 +338,8 @@ func NewBOPolicy(w *sim.World, seed []predict.Sample, acquisitions int, cfgSeed 
 		}
 		data = append(data, predict.Sample{X: bestX, Action: bestAction,
 			EnergyJ: meas.EnergyJ, LatencyS: meas.LatencyS})
-		if meas.EnergyJ < bestE {
-			bestE = meas.EnergyJ
+		if meas.EnergyJ < incumbentE {
+			incumbentE = meas.EnergyJ
 		}
 		if (it+1)%50 == 0 {
 			if err := refit(); err != nil {

@@ -18,7 +18,6 @@ import (
 // unmitigated, which is exactly the weakness Fig 9 of the paper exposes.
 type NeuroSurgeon struct {
 	World     *sim.World
-	QoSTarget float64
 	Accuracy  float64
 	Intensity sim.Intensity
 
@@ -50,32 +49,16 @@ func (p *NeuroSurgeon) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions)
 	return p.World.Partitioned(m, plan.cut, plan.local, sim.Cloud, c)
 }
 
-func (p *NeuroSurgeon) qos(m *dnn.Model) float64 {
-	if p.QoSTarget > 0 {
-		return p.QoSTarget
-	}
-	return sim.QoSFor(m.Task == dnn.Translation, p.Intensity)
-}
-
-// plan sweeps every partition point under no-variance conditions and keeps
-// the most energy-efficient cut satisfying QoS (fallback: minimum latency).
+// plan sweeps every partition point under no-variance conditions and picks
+// one with the selection rule sim.Choice (most energy-efficient cut within
+// QoS, else the fastest).
 func (p *NeuroSurgeon) plan(m *dnn.Model) (nsPlan, error) {
-	if p.plans == nil {
-		p.plans = make(map[string]nsPlan)
-	}
 	if pl, ok := p.plans[m.Name]; ok {
 		return pl, nil
 	}
 	cond := noVariance()
-	qos := p.qos(m)
 	local := p.bestLocalEngine(m)
-
-	var (
-		best    nsPlan
-		bestE   = -1.0
-		fastest nsPlan
-		fastLat = -1.0
-	)
+	ch := sim.Choice{QoSS: sim.QoSFor(m.Task == dnn.Translation, p.Intensity), AccTarget: p.Accuracy}
 	for cut := 0; cut <= len(m.Layers); cut++ {
 		var meas sim.Measurement
 		var err error
@@ -90,25 +73,16 @@ func (p *NeuroSurgeon) plan(m *dnn.Model) (nsPlan, error) {
 		if err != nil {
 			continue // e.g. RC layers in the local prefix
 		}
-		if p.Accuracy > 0 && meas.Accuracy < p.Accuracy {
-			continue
-		}
-		if fastLat < 0 || meas.LatencyS < fastLat {
-			fastest, fastLat = nsPlan{cut: cut, local: local}, meas.LatencyS
-		}
-		if meas.LatencyS > qos {
-			continue
-		}
-		if bestE < 0 || meas.EnergyJ < bestE {
-			best, bestE = nsPlan{cut: cut, local: local}, meas.EnergyJ
-		}
+		ch.Offer(cut, meas)
 	}
-	if bestE < 0 {
-		if fastLat < 0 {
-			return nsPlan{}, fmt.Errorf("sched: neurosurgeon found no plan for %s", m.Name)
-		}
-		best = fastest
+	cut, _, ok := ch.Result()
+	if !ok {
+		return nsPlan{}, fmt.Errorf("sched: neurosurgeon found no plan for %s", m.Name)
 	}
+	if p.plans == nil {
+		p.plans = make(map[string]nsPlan)
+	}
+	best := nsPlan{cut: cut, local: local}
 	p.plans[m.Name] = best
 	return best, nil
 }
@@ -133,10 +107,8 @@ func (p *NeuroSurgeon) bestLocalEngine(m *dnn.Model) sim.Target {
 // path, so heavy networks and runtime variance both hurt it (Fig 9 shows
 // AutoScale 1.9x ahead on average).
 type MOSAIC struct {
-	World     *sim.World
-	QoSTarget float64
-	Accuracy  float64
-	Intensity sim.Intensity
+	World    *sim.World
+	Accuracy float64
 
 	plans map[string][]sim.Slice
 }

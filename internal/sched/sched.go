@@ -3,7 +3,8 @@
 // Edge), the Opt oracle, and the two prior works of Fig 9 — MOSAIC-style
 // on-device layer slicing and NeuroSurgeon-style edge–cloud partitioning,
 // both of which plan offline with no knowledge of stochastic runtime
-// variance (their documented weakness).
+// variance (their documented weakness). The oracle, Edge (Best), Connected
+// Edge and NeuroSurgeon all choose through the one rule sim.Choice.
 package sched
 
 import (
@@ -68,7 +69,6 @@ func (p EdgeCPU) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.
 // and accuracy constraints (the paper's Edge (Best) baseline).
 type EdgeBest struct {
 	World     *sim.World
-	QoSTarget float64 // seconds; 0 derives from the model's task
 	Accuracy  float64 // percent; 0 disables
 	Intensity sim.Intensity
 
@@ -85,62 +85,41 @@ func (p *EdgeBest) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) 
 
 // RunCtx implements ContextPolicy.
 func (p *EdgeBest) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	t, err := p.plan(m)
-	if err != nil {
-		return sim.Measurement{}, err
+	t, ok := p.plans[m.Name]
+	if !ok {
+		var err error
+		if t, err = planAt(p.World, m, sim.Local, p.Intensity, p.Accuracy); err != nil {
+			return sim.Measurement{}, err
+		}
+		if p.plans == nil {
+			p.plans = make(map[string]sim.Target)
+		}
+		p.plans[m.Name] = t
 	}
 	return p.World.ExecuteCtx(ctx, m, t, c)
 }
 
-func (p *EdgeBest) qos(m *dnn.Model) float64 {
-	if p.QoSTarget > 0 {
-		return p.QoSTarget
-	}
-	return sim.QoSFor(m.Task == dnn.Translation, p.Intensity)
-}
-
-func (p *EdgeBest) plan(m *dnn.Model) (sim.Target, error) {
-	if p.plans == nil {
-		p.plans = make(map[string]sim.Target)
-	}
-	if t, ok := p.plans[m.Name]; ok {
-		return t, nil
-	}
-	qos := p.qos(m)
+// planAt is the offline plan of Edge (Best) and Connected Edge: the
+// selection rule over the targets at loc, under no-variance conditions.
+func planAt(w *sim.World, m *dnn.Model, loc sim.Location, intensity sim.Intensity, acc float64) (sim.Target, error) {
+	ch := sim.Choice{QoSS: sim.QoSFor(m.Task == dnn.Translation, intensity), AccTarget: acc}
 	cond := noVariance()
-	var best sim.Target
-	bestE := -1.0
-	var fastest sim.Target
-	fastestLat := -1.0
-	for _, t := range p.World.Targets(m) {
-		if t.Location != sim.Local {
+	ts := w.Targets(m)
+	for i, t := range ts {
+		if t.Location != loc {
 			continue
 		}
-		meas, err := p.World.Expected(m, t, cond)
+		meas, err := w.Expected(m, t, cond)
 		if err != nil {
 			return sim.Target{}, err
 		}
-		if p.Accuracy > 0 && meas.Accuracy < p.Accuracy {
-			continue
-		}
-		if fastestLat < 0 || meas.LatencyS < fastestLat {
-			fastest, fastestLat = t, meas.LatencyS
-		}
-		if meas.LatencyS > qos {
-			continue
-		}
-		if bestE < 0 || meas.EnergyJ < bestE {
-			best, bestE = t, meas.EnergyJ
-		}
+		ch.Offer(i, meas)
 	}
-	if bestE < 0 {
-		if fastestLat < 0 {
-			return sim.Target{}, fmt.Errorf("sched: no local target for %s", m.Name)
-		}
-		best = fastest // nothing meets QoS: run the fastest local option
+	i, _, ok := ch.Result()
+	if !ok {
+		return sim.Target{}, fmt.Errorf("sched: no %s target for %s", loc, m.Name)
 	}
-	p.plans[m.Name] = best
-	return best, nil
+	return ts[i], nil
 }
 
 // CloudAll always offloads to the cloud, using the server GPU when it can
@@ -169,7 +148,6 @@ func (p CloudAll) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim
 // Edge baseline).
 type ConnectedEdge struct {
 	World     *sim.World
-	QoSTarget float64
 	Accuracy  float64
 	Intensity sim.Intensity
 
@@ -186,47 +164,14 @@ func (p *ConnectedEdge) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, er
 
 // RunCtx implements ContextPolicy.
 func (p *ConnectedEdge) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	if p.plans == nil {
-		p.plans = make(map[string]sim.Target)
-	}
 	t, ok := p.plans[m.Name]
 	if !ok {
-		qos := p.QoSTarget
-		if qos == 0 {
-			qos = sim.QoSFor(m.Task == dnn.Translation, p.Intensity)
+		var err error
+		if t, err = planAt(p.World, m, sim.Connected, p.Intensity, p.Accuracy); err != nil {
+			return sim.Measurement{}, err
 		}
-		cond := noVariance()
-		bestE := -1.0
-		var fallback sim.Target
-		fbLat := -1.0
-		found := false
-		for _, cand := range p.World.Targets(m) {
-			if cand.Location != sim.Connected {
-				continue
-			}
-			meas, err := p.World.Expected(m, cand, cond)
-			if err != nil {
-				return sim.Measurement{}, err
-			}
-			if p.Accuracy > 0 && meas.Accuracy < p.Accuracy {
-				continue
-			}
-			if fbLat < 0 || meas.LatencyS < fbLat {
-				fallback, fbLat = cand, meas.LatencyS
-			}
-			if meas.LatencyS > qos {
-				continue
-			}
-			if bestE < 0 || meas.EnergyJ < bestE {
-				t, bestE = cand, meas.EnergyJ
-				found = true
-			}
-		}
-		if !found {
-			if fbLat < 0 {
-				return sim.Measurement{}, fmt.Errorf("sched: no connected target for %s", m.Name)
-			}
-			t = fallback
+		if p.plans == nil {
+			p.plans = make(map[string]sim.Target)
 		}
 		p.plans[m.Name] = t
 	}
@@ -236,10 +181,9 @@ func (p *ConnectedEdge) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions
 // Opt is the oracular design: for every request it exhaustively evaluates
 // the whole action space under the *actual* current conditions and runs the
 // most energy-efficient target satisfying the QoS and accuracy constraints
-// (Section V-A footnote 8).
+// (Section V-A footnote 8), through sim.World.BestTarget.
 type Opt struct {
 	World     *sim.World
-	QoSTarget float64
 	Accuracy  float64
 	Intensity sim.Intensity
 	// AvoidDown makes the oracle fault-aware: when the world carries a
@@ -260,36 +204,18 @@ func (p Opt) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 
 // RunCtx implements ContextPolicy.
 func (p Opt) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
+	qos := sim.QoSFor(m.Task == dnn.Translation, p.Intensity)
 	var (
 		t   sim.Target
 		err error
 	)
 	if p.AvoidDown && ctx != nil {
-		t, _, err = p.ChooseAt(ctx.Now(), m, c)
+		t, _, err = p.World.BestTargetAt(ctx.Now(), m, c, qos, p.Accuracy)
 	} else {
-		t, _, err = p.Choose(m, c)
+		t, _, err = p.World.BestTarget(m, c, qos, p.Accuracy)
 	}
 	if err != nil {
 		return sim.Measurement{}, err
 	}
 	return p.World.ExecuteCtx(ctx, m, t, c)
-}
-
-// Choose returns the oracle's target and its expected measurement.
-func (p Opt) Choose(m *dnn.Model, c sim.Conditions) (sim.Target, sim.Measurement, error) {
-	return p.World.BestTarget(m, c, p.qos(m), p.Accuracy)
-}
-
-// ChooseAt is Choose evaluated at virtual time now: scripted RSSI ramps
-// degrade the planning conditions and targets at sites inside an outage
-// window are excluded from the search.
-func (p Opt) ChooseAt(now float64, m *dnn.Model, c sim.Conditions) (sim.Target, sim.Measurement, error) {
-	return p.World.BestTargetAt(now, m, c, p.qos(m), p.Accuracy)
-}
-
-func (p Opt) qos(m *dnn.Model) float64 {
-	if p.QoSTarget > 0 {
-		return p.QoSTarget
-	}
-	return sim.QoSFor(m.Task == dnn.Translation, p.Intensity)
 }

@@ -91,6 +91,39 @@ func TestEdgeBestAccuracyConstraint(t *testing.T) {
 	}
 }
 
+// TestEdgeBestUnreachableAccuracy: when no local target meets the accuracy
+// target, Edge (Best) relaxes as the oracle does and runs the most accurate
+// local target (the first offered, on ties) instead of failing.
+func TestEdgeBestUnreachableAccuracy(t *testing.T) {
+	w := sim.NewWorld(soc.Mi8Pro(), 1)
+	m := dnn.MustByName("Inception v1")
+	var want sim.Target
+	wantAcc := -1.0
+	for _, tgt := range w.Targets(m) {
+		if tgt.Location != sim.Local {
+			continue
+		}
+		e, err := w.Expected(m, tgt, noVariance())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.Accuracy >= 99 {
+			t.Fatalf("%v reaches %v%%: the test needs an unreachable target", tgt, e.Accuracy)
+		}
+		if e.Accuracy > wantAcc {
+			want, wantAcc = tgt, e.Accuracy
+		}
+	}
+	meas, err := (&EdgeBest{World: w, Accuracy: 99}).Run(m, strongCond())
+	if err != nil {
+		t.Fatalf("unreachable accuracy: %v", err)
+	}
+	if meas.Target != want || meas.Accuracy != wantAcc {
+		t.Errorf("ran %v at %v%%, want the most accurate local target %v at %v%%",
+			meas.Target, meas.Accuracy, want, wantAcc)
+	}
+}
+
 func TestCloudAll(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := CloudAll{World: w}
@@ -133,7 +166,6 @@ func TestConnectedEdge(t *testing.T) {
 
 func TestOptBeatsBaselines(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
-	opt := Opt{World: w}
 	baselines := []Policy{
 		EdgeCPU{World: w},
 		&EdgeBest{World: w},
@@ -142,12 +174,11 @@ func TestOptBeatsBaselines(t *testing.T) {
 	}
 	for _, m := range dnn.Zoo() {
 		c := strongCond()
-		optT, optMeas, err := opt.Choose(m, c)
+		qos := sim.QoSFor(m.Task == dnn.Translation, sim.NonStreaming)
+		_, optMeas, err := w.BestTarget(m, c, qos, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = optT
-		qos := sim.QoSFor(m.Task == dnn.Translation, sim.NonStreaming)
 		for _, b := range baselines {
 			meas, err := b.Run(m, c)
 			if err != nil {
@@ -356,12 +387,7 @@ func TestMOSAICUsesMultipleEngines(t *testing.T) {
 
 func TestOptWithExplicitQoS(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
-	p := Opt{World: w, QoSTarget: 0.010} // very tight: 10 ms
-	meas, err := p.Run(dnn.MustByName("MobileNet v1"), strongCond())
-	if err != nil {
-		t.Fatal(err)
-	}
-	exp, err := w.Expected(dnn.MustByName("MobileNet v1"), meas.Target, strongCond())
+	_, exp, err := w.BestTarget(dnn.MustByName("MobileNet v1"), strongCond(), 0.010, 0) // very tight: 10 ms
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -69,6 +69,12 @@ func (t Target) String() string {
 	return fmt.Sprintf("%s/%s/%s", t.Location, t.Kind, t.Prec)
 }
 
+// SameEngine reports whether u runs where t does, on the same engine kind at
+// the same precision; the DVFS step is ignored.
+func (t Target) SameEngine(u Target) bool {
+	return t.Location == u.Location && t.Kind == u.Kind && t.Prec == u.Prec
+}
+
 // Conditions captures the stochastic runtime variance at one inference: the
 // co-runner load on the local device and the two radio signal strengths.
 type Conditions struct {
@@ -633,11 +639,9 @@ func (w *World) executeOutage(ctx *exec.Context, m *dnn.Model, t Target, c Condi
 	return local, nil
 }
 
-// BestTarget exhaustively searches the action space for the feasible target
-// with maximum PPW subject to the latency QoS and accuracy constraints,
-// using noise-free expectations — the paper's Opt oracle. If no target meets
-// both constraints it relaxes to: meet accuracy and minimize latency; if
-// accuracy is unreachable it maximizes accuracy.
+// BestTarget exhaustively searches the action space with noise-free
+// expectations and picks by Choice: maximum PPW subject to the latency QoS
+// and accuracy constraints — the paper's Opt oracle.
 //
 // Static environments ask the same question run after run, so each model
 // keeps its last successful answer and returns it while the question — the
@@ -674,18 +678,8 @@ func (w *World) bestTarget(targets []Target, m *dnn.Model, c Conditions, qosS, a
 	if len(targets) == 0 {
 		return Target{}, Measurement{}, fmt.Errorf("sim: no feasible target for %s", m.Name)
 	}
-	var (
-		best        Target
-		bestMeas    Measurement
-		haveBest    bool
-		fallback    Target
-		fbMeas      Measurement
-		haveFB      bool
-		accBest     Target
-		accBestMeas Measurement
-		haveAcc     bool
-	)
-	for _, t := range targets {
+	ch := Choice{QoSS: qosS, AccTarget: accTarget}
+	for i, t := range targets {
 		if skip != nil && skip(t) {
 			continue
 		}
@@ -693,28 +687,11 @@ func (w *World) bestTarget(targets []Target, m *dnn.Model, c Conditions, qosS, a
 		if err != nil {
 			return Target{}, Measurement{}, err
 		}
-		if meas.Accuracy >= accTarget {
-			if meas.LatencyS <= qosS {
-				if !haveBest || meas.PPW() > bestMeas.PPW() {
-					best, bestMeas, haveBest = t, meas, true
-				}
-			}
-			if !haveFB || meas.LatencyS < fbMeas.LatencyS {
-				fallback, fbMeas, haveFB = t, meas, true
-			}
-		}
-		if !haveAcc || meas.Accuracy > accBestMeas.Accuracy {
-			accBest, accBestMeas, haveAcc = t, meas, true
-		}
+		ch.Offer(i, meas)
 	}
-	switch {
-	case haveBest:
-		return best, bestMeas, nil
-	case haveFB:
-		return fallback, fbMeas, nil
-	case haveAcc:
-		return accBest, accBestMeas, nil
-	default:
+	i, meas, ok := ch.Result()
+	if !ok {
 		return Target{}, Measurement{}, fmt.Errorf("sim: every feasible target for %s is down", m.Name)
 	}
+	return targets[i], meas, nil
 }

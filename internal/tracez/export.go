@@ -240,7 +240,7 @@ func (r *binReader) uvarint() uint64 {
 
 func (r *binReader) str() string {
 	n := r.uvarint()
-	if r.err != nil || r.off+int(n) > len(r.b) {
+	if r.err != nil || n > uint64(len(r.b)-r.off) {
 		r.fail()
 		return ""
 	}

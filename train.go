@@ -44,7 +44,7 @@ func Baselines(w *World, intensity Intensity) []Policy {
 // PriorWork constructs the MOSAIC- and NeuroSurgeon-style comparators.
 func PriorWork(w *World, intensity Intensity) []Policy {
 	return []Policy{
-		&sched.MOSAIC{World: w, Intensity: intensity},
+		&sched.MOSAIC{World: w},
 		&sched.NeuroSurgeon{World: w, Intensity: intensity},
 	}
 }
