@@ -24,7 +24,7 @@
 //	env, _ := autoscale.NewEnvironment(autoscale.EnvD2, 1) // web browser co-running
 //	model, _ := autoscale.Model("MobileNet v3")
 //	for i := 0; i < 200; i++ {
-//	    d, _ := engine.RunInference(model, env.Sample())
+//	    d, _ := engine.RunInferenceCtx(nil, model, env.Sample())
 //	    fmt.Println(d.Target, d.Measurement.LatencyS, d.Measurement.EnergyJ)
 //	}
 package autoscale

@@ -81,7 +81,7 @@ func TestEngineLifecycle(t *testing.T) {
 	}
 	m, _ := Model("MobileNet v1")
 	for i := 0; i < 30; i++ {
-		d, err := e.RunInference(m, env.Sample())
+		d, err := e.RunInferenceCtx(nil, m, env.Sample())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestTrainAndPolicies(t *testing.T) {
 	}
 	pol := AsPolicy(e)
 	env, _ := NewEnvironment(EnvD1, 2)
-	if _, err := pol.Run(models[0], env.Sample()); err != nil {
+	if _, err := pol.RunCtx(nil, models[0], env.Sample()); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(Baselines(w, NonStreaming)); got != 5 {
@@ -205,7 +205,7 @@ func TestTracedPolicyAPI(t *testing.T) {
 	m, _ := Model("Inception v1")
 	env, _ := NewEnvironment(EnvS1, 7)
 	for i := 0; i < 10; i++ {
-		if _, err := p.Run(m, env.Sample()); err != nil {
+		if _, err := p.RunCtx(nil, m, env.Sample()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -244,7 +244,7 @@ func TestFleetProvision(t *testing.T) {
 		}
 		m, _ := Model("MobileNet v1")
 		env, _ := NewEnvironment(EnvS1, 9)
-		if _, err := e.RunInference(m, env.Sample()); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, env.Sample()); err != nil {
 			t.Fatalf("%s: %v", dev, err)
 		}
 	}

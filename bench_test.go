@@ -120,7 +120,7 @@ func trainedBenchEngine(b testing.TB) (*core.Engine, *dnn.Model, sim.Conditions)
 	m := dnn.MustByName("MobileNet v3")
 	c := sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
 	for i := 0; i < 200; i++ {
-		if _, err := e.RunInference(m, c); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -134,7 +134,7 @@ func BenchmarkEngineTrainStep(b *testing.B) {
 	e, m, c := trainedBenchEngine(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.RunInference(m, c); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, c); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -218,7 +218,7 @@ func BenchmarkWorldExecute(b *testing.B) {
 			c := sim.Conditions{Load: bl.load, RSSIWLAN: -55, RSSIP2P: -55}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := w.Execute(m, t, c); err != nil {
+				if _, err := w.ExecuteCtx(nil, m, t, c); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -259,7 +259,7 @@ func ablationEval(b *testing.B, cfg core.Config) float64 {
 	env := sim.MustEnvironment(sim.EnvS1, 9)
 	for i := 0; i < 200; i++ {
 		for _, m := range models {
-			if _, err := e.RunInference(m, env.Sample()); err != nil {
+			if _, err := e.RunInferenceCtx(nil, m, env.Sample()); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -373,7 +373,7 @@ func BenchmarkBaselinePolicies(b *testing.B) {
 	for _, p := range policies {
 		b.Run(p.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := p.Run(m, c); err != nil {
+				if _, err := p.RunCtx(nil, m, c); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -406,7 +406,7 @@ func benchGateway(b *testing.B) *Gateway {
 			b.Fatal(err)
 		}
 		for j := 0; j < 100; j++ {
-			if _, err := e.RunInference(m, c); err != nil {
+			if _, err := e.RunInferenceCtx(nil, m, c); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -512,7 +512,7 @@ func benchRouter(b testing.TB) *Router {
 			b.Fatal(err)
 		}
 		for j := 0; j < 100; j++ {
-			if _, err := e.RunInference(m, c); err != nil {
+			if _, err := e.RunInferenceCtx(nil, m, c); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -593,7 +593,7 @@ func BenchmarkEngineTrainStepPartitions(b *testing.B) {
 	c := sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.RunInference(m, c); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, c); err != nil {
 			b.Fatal(err)
 		}
 	}

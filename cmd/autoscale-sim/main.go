@@ -90,7 +90,7 @@ func run(device, modelName, envID, policyName string, n, train int, streaming bo
 		var viol int
 		locs := map[string]int{}
 		for i := 0; i < n; i++ {
-			meas, err := pol.Run(m, env.Sample())
+			meas, err := pol.RunCtx(nil, m, env.Sample())
 			if err != nil {
 				return fmt.Errorf("%s: %w", m.Name, err)
 			}

@@ -26,7 +26,7 @@ func ExampleNewEngine() {
 		panic(err)
 	}
 	for i := 0; i < 100; i++ {
-		if _, err := engine.RunInference(model, env.Sample()); err != nil {
+		if _, err := engine.RunInferenceCtx(nil, model, env.Sample()); err != nil {
 			panic(err)
 		}
 	}
@@ -114,7 +114,7 @@ func ExampleNewModel() {
 	engine, _ := autoscale.NewEngine(world, autoscale.DefaultEngineConfig())
 	env, _ := autoscale.NewEnvironment(autoscale.EnvS1, 1)
 	for i := 0; i < 100; i++ {
-		if _, err := engine.RunInference(model, env.Sample()); err != nil {
+		if _, err := engine.RunInferenceCtx(nil, model, env.Sample()); err != nil {
 			panic(err)
 		}
 	}

@@ -70,7 +70,7 @@ func main() {
 			}
 			var joules float64
 			for r := 0; r < s.requests; r++ {
-				meas, err := p.Run(model, env.Sample())
+				meas, err := p.RunCtx(nil, model, env.Sample())
 				if err != nil {
 					log.Fatalf("%s: %v", p.Name(), err)
 				}

@@ -54,7 +54,7 @@ func main() {
 			log.Fatal(err)
 		}
 		for i := 0; i < 300; i++ {
-			if _, err := policy.Run(model, env.Sample()); err != nil {
+			if _, err := policy.RunCtx(nil, model, env.Sample()); err != nil {
 				log.Fatal(err)
 			}
 		}

@@ -34,7 +34,7 @@ func main() {
 
 	var energy10 float64
 	for i := 1; i <= 200; i++ {
-		d, err := engine.RunInference(model, env.Sample())
+		d, err := engine.RunInferenceCtx(nil, model, env.Sample())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -51,7 +51,7 @@ func main() {
 		var energy, latency float64
 		var dropped int
 		for f := 0; f < frames; f++ {
-			meas, err := p.Run(model, env.Sample())
+			meas, err := p.RunCtx(nil, model, env.Sample())
 			if err != nil {
 				log.Fatal(err)
 			}

@@ -58,7 +58,7 @@ func converge(engine *autoscale.Engine, model *autoscale.DNNModel, env *autoscal
 	const window, tol, maxRuns = 12, 0.05, 400
 	var buf []float64
 	for run := 1; run <= maxRuns; run++ {
-		d, err := engine.RunInference(model, env.Sample())
+		d, err := engine.RunInferenceCtx(nil, model, env.Sample())
 		if err != nil {
 			log.Fatal(err)
 		}

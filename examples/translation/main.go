@@ -49,7 +49,7 @@ func main() {
 			const n = 200
 			for i := 0; i < n; i++ {
 				c := autoscale.Conditions{RSSIWLAN: scenario.rssi, RSSIP2P: -55}
-				meas, err := p.Run(model, c)
+				meas, err := p.RunCtx(nil, model, c)
 				if err != nil {
 					log.Fatal(err)
 				}

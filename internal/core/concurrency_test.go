@@ -10,7 +10,7 @@ import (
 )
 
 // TestEngineConcurrentCallers is the -race regression test for the engine's
-// concurrency contract: RunInference, Predict, snapshots, transfer and a
+// concurrency contract: RunInferenceCtx, Predict, snapshots, transfer and a
 // Q-table restore all racing one engine must stay consistent — the serving
 // gateway relies on exactly this.
 func TestEngineConcurrentCallers(t *testing.T) {
@@ -26,7 +26,7 @@ func TestEngineConcurrentCallers(t *testing.T) {
 	c := sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
 	// Pre-train enough that the snapshot/restore goroutine has a real table.
 	for i := 0; i < 50; i++ {
-		if _, err := donor.RunInference(models[0], c); err != nil {
+		if _, err := donor.RunInferenceCtx(nil, models[0], c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -58,7 +58,7 @@ func TestEngineConcurrentCallers(t *testing.T) {
 				case 3:
 					_ = e.Agent().MemoryBytes()
 				default:
-					if _, err := e.RunInference(m, c); err != nil {
+					if _, err := e.RunInferenceCtx(nil, m, c); err != nil {
 						t.Error(err)
 						return
 					}
@@ -90,7 +90,7 @@ func TestEngineConcurrentCallers(t *testing.T) {
 	wg.Wait()
 
 	// The engine must still function and its table must still serialize.
-	if _, err := e.RunInference(models[0], c); err != nil {
+	if _, err := e.RunInferenceCtx(nil, models[0], c); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.SnapshotQTable(); err != nil {

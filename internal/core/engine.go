@@ -9,6 +9,7 @@ import (
 
 	"autoscale/internal/dnn"
 	"autoscale/internal/exec"
+	"autoscale/internal/obs"
 	"autoscale/internal/rl"
 	"autoscale/internal/sim"
 )
@@ -108,14 +109,14 @@ type pendingUpdate struct {
 // runs several such services at once — and the serving gateway drives one
 // engine per device from its worker goroutines.
 //
-// Concurrency contract: every method serializes on one mutex, so each
-// RunInference step (observe, select, execute, reward, stage update) is
-// atomic with respect to the others. Under concurrent callers the deferred
-// Algorithm 1 update chain interleaves across callers — each step's staged
-// (S, A, R) completes against the next observed state regardless of which
-// caller observes it — which matches the paper's single-decision-stream
-// semantics: the device executes one inference at a time, so the engine sees
-// one totally ordered decision sequence.
+// Concurrency contract: every method serializes on one mutex, so each Step
+// (observe, select, execute, reward, stage update) is atomic with respect
+// to the others. Under concurrent callers the deferred Algorithm 1 update
+// chain interleaves across callers — each step's staged (S, A, R) completes
+// against the next observed state regardless of which caller observes it —
+// which matches the paper's single-decision-stream semantics: the device
+// executes one inference at a time, so the engine sees one totally ordered
+// decision sequence.
 type Engine struct {
 	World   *sim.World
 	Actions *ActionSpace
@@ -137,10 +138,9 @@ type Engine struct {
 	// at the next step's head both use the mask computed then), so one
 	// buffer per engine, guarded by mu, makes MaskWithBuf allocation-free.
 	maskBuf []bool
-	// root and steps derive a per-step execution context for legacy
-	// RunInference calls (callers that don't pass their own context);
-	// stepCtx is the reused scratch those steps are keyed into (guarded by
-	// mu, never retained past the step).
+	// root and steps derive a per-step execution context for steps called
+	// with a nil ctx; stepCtx is the reused scratch those steps are keyed
+	// into (guarded by mu, never retained past the step).
 	root    *exec.Context
 	steps   uint64
 	stepCtx exec.Context
@@ -258,31 +258,13 @@ func (e *Engine) Predict(m *dnn.Model, c sim.Conditions) (sim.Target, error) {
 	return e.Actions.Target(idx), nil
 }
 
-// RunInference is Step with an engine-derived context, no target filter and
-// no provenance capture: the world's noise and the Renergy estimation error
-// are a pure function of the engine seed and the step index.
-func (e *Engine) RunInference(m *dnn.Model, c sim.Conditions) (Decision, error) {
-	return e.Step(nil, m, c, nil, nil)
-}
-
-// RunInferenceCtx is RunInference with an explicit request context: the
-// simulator's stochastic draws and the Renergy estimation error come from
-// ctx's named streams, tying them to the request's identity rather than
-// the engine's call history.
+// RunInferenceCtx is Step with no target filter and no provenance capture:
+// the simulator's stochastic draws and the Renergy estimation error come
+// from ctx's named streams, tying them to the request's identity rather
+// than the engine's call history. A nil ctx makes them a pure function of
+// the engine seed and the step index.
 func (e *Engine) RunInferenceCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (Decision, error) {
 	return e.Step(ctx, m, c, nil, nil)
-}
-
-// DecisionProv captures one decide step's provenance for the tracing plane:
-// the dense state index, the mask actually applied (breakers and lane
-// filters included), how many actions it disabled, and the agent's
-// selection provenance. Slices are truncated and refilled in place, so a
-// caller-owned DecisionProv is allocation-free in steady state.
-type DecisionProv struct {
-	StateIdx  int32
-	MaskedOut int
-	Mask      []bool
-	Sel       rl.SelectProv
 }
 
 // Step performs one full engine step: observe the state (completing the
@@ -295,12 +277,14 @@ type DecisionProv struct {
 // predicate over targets: actions it rejects are masked out of selection for
 // this step only (falling back to the unfiltered mask if it would reject
 // everything) — how circuit breakers steer requests away from unhealthy
-// remote sites. prov receives the step's decision provenance; capture draws
-// nothing, so traced and untraced runs of the same seed take identical
-// decisions. The observed Q-state uses the conditions as the world actually
-// degrades them (scripted RSSI ramps applied), so the agent learns against
-// what execution will see.
-func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow func(sim.Target) bool, prov *DecisionProv) (Decision, error) {
+// remote sites. prov receives the step's decision provenance: the agent's
+// selection fields, then the state index and the mask actually applied
+// (breakers and lane filters included) once the step succeeds; a failed
+// step leaves it zeroed. Capture draws nothing, so traced and untraced runs
+// of the same seed take identical decisions. The observed Q-state uses the
+// conditions as the world actually degrades them (scripted RSSI ramps
+// applied), so the agent learns against what execution will see.
+func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow func(sim.Target) bool, prov *obs.Provenance) (Decision, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ctx == nil {
@@ -322,19 +306,7 @@ func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow f
 		e.hasPending = false
 	}
 
-	var sel *rl.SelectProv
-	if prov != nil {
-		prov.StateIdx = sIdx
-		prov.Mask = append(prov.Mask[:0], mask...)
-		prov.MaskedOut = 0
-		for _, ok := range prov.Mask {
-			if !ok {
-				prov.MaskedOut++
-			}
-		}
-		sel = &prov.Sel
-	}
-	idx, err := ag.SelectIdx(sIdx, mask, sel)
+	idx, err := ag.SelectIdx(sIdx, mask, prov)
 	if err != nil {
 		return Decision{}, fmt.Errorf("core: select for %s: %w", m.Name, err)
 	}
@@ -342,6 +314,7 @@ func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow f
 	// SARSA bootstraps from the action the policy actually took in S'.
 	if e.sarsa != nil && e.hasPending {
 		if err := e.sarsa.UpdateSarsaIdx(e.pending.stateIdx, e.pending.action, e.pending.reward, sIdx, idx); err != nil {
+			prov.Reset()
 			return Decision{}, err
 		}
 		e.hasPending = false
@@ -350,7 +323,18 @@ func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow f
 
 	meas, err := e.Actions.ExecuteCtx(ctx, m, idx, c)
 	if err != nil {
+		prov.Reset()
 		return Decision{}, err
+	}
+	if prov != nil {
+		prov.StateIdx = sIdx
+		prov.Mask = append(prov.Mask[:0], mask...)
+		prov.MaskedOut = 0
+		for _, ok := range mask {
+			if !ok {
+				prov.MaskedOut++
+			}
+		}
 	}
 
 	qos := e.qosFor(m)
@@ -389,9 +373,9 @@ func (e *Engine) StepContext(purpose string, ids ...uint64) *exec.Context {
 }
 
 // Now returns the engine's virtual time: the simulated seconds accumulated
-// by every inference executed through it (legacy and explicit-context calls
-// share the root clock). Fault schedules and the serving layer's resilience
-// logic key on this time base.
+// by every inference executed through it (nil-ctx and explicit-context
+// steps share the root clock). Fault schedules and the serving layer's
+// resilience logic key on this time base.
 func (e *Engine) Now() float64 { return e.root.Now() }
 
 // AdvanceTo fast-forwards the engine's virtual clock to t if it lags behind

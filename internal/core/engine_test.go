@@ -160,7 +160,7 @@ func TestEnergyEstimatorMAPE(t *testing.T) {
 func TestEngineRunInference(t *testing.T) {
 	e := newTestEngine(t)
 	m := dnn.MustByName("MobileNet v1")
-	d, err := e.RunInference(m, strongCond())
+	d, err := e.RunInferenceCtx(nil, m, strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestEngineLearnsOptimalInOneState(t *testing.T) {
 	m := dnn.MustByName("Inception v1")
 	c := strongCond()
 	for i := 0; i < 300; i++ {
-		if _, err := e.RunInference(m, c); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -220,7 +220,7 @@ func TestEngineLearnsOptimalInOneState(t *testing.T) {
 func TestEngineQoSPerTask(t *testing.T) {
 	e := newTestEngine(t)
 	bert := dnn.MustByName("MobileBERT")
-	d, err := e.RunInference(bert, strongCond())
+	d, err := e.RunInferenceCtx(nil, bert, strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,7 +234,7 @@ func TestEngineQoSPerTask(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := es.RunInference(dnn.MustByName("MobileNet v1"), strongCond())
+	d2, err := es.RunInferenceCtx(nil, dnn.MustByName("MobileNet v1"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestEngineFreeze(t *testing.T) {
 	e := newTestEngine(t)
 	m := dnn.MustByName("MobileNet v1")
 	for i := 0; i < 50; i++ {
-		if _, err := e.RunInference(m, strongCond()); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, strongCond()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -258,7 +258,7 @@ func TestEngineFreeze(t *testing.T) {
 		before[i], _ = e.Agent().QIdx(s, i)
 	}
 	for i := 0; i < 20; i++ {
-		if _, err := e.RunInference(m, strongCond()); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, strongCond()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -291,7 +291,7 @@ func TestEngineSnapshotRestore(t *testing.T) {
 	e := newTestEngine(t)
 	m := dnn.MustByName("MobileNet v1")
 	for i := 0; i < 30; i++ {
-		e.RunInference(m, strongCond())
+		e.RunInferenceCtx(nil, m, strongCond())
 	}
 	data, err := e.SnapshotQTable()
 	if err != nil {
@@ -327,7 +327,7 @@ func TestEngineTransferAcrossDevices(t *testing.T) {
 	donor := newTestEngine(t)
 	m := dnn.MustByName("Inception v1")
 	for i := 0; i < 200; i++ {
-		donor.RunInference(m, strongCond())
+		donor.RunInferenceCtx(nil, m, strongCond())
 	}
 	donor.Flush()
 
@@ -358,7 +358,7 @@ func TestSeedIfUnseenPrefersSameModel(t *testing.T) {
 	// Learn under regular signal.
 	reg := strongCond()
 	for i := 0; i < 150; i++ {
-		e.RunInference(m, reg)
+		e.RunInferenceCtx(nil, m, reg)
 	}
 	e.Flush()
 	sReg := e.States.Index(ObservationOf(m, reg))
@@ -441,7 +441,7 @@ func TestEngineAccuracyTarget(t *testing.T) {
 	}
 	m := dnn.MustByName("Inception v1")
 	for i := 0; i < 300; i++ {
-		if _, err := e.RunInference(m, strongCond()); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, strongCond()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -544,7 +544,7 @@ func TestTransferDeterministicWithUnmappedActions(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i, zoo := 0, dnn.Zoo(); i < 60; i++ {
-			if _, err := donor.RunInference(zoo[i%3], env.Sample()); err != nil {
+			if _, err := donor.RunInferenceCtx(nil, zoo[i%3], env.Sample()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -43,7 +43,7 @@ func TestPartitionActionExecution(t *testing.T) {
 	m := dnn.MustByName("ResNet 50")
 	c := strongCond()
 	for i := as.Len() - 6; i < as.Len(); i++ {
-		meas, err := as.Execute(m, i, c)
+		meas, err := as.ExecuteCtx(nil, m, i, c)
 		if err != nil {
 			t.Fatalf("%s: %v", as.Describe(i), err)
 		}
@@ -58,10 +58,10 @@ func TestPartitionActionExecution(t *testing.T) {
 			t.Errorf("%s: no radio energy", as.Describe(i))
 		}
 	}
-	if _, err := as.Execute(m, -1, c); err == nil {
+	if _, err := as.ExecuteCtx(nil, m, -1, c); err == nil {
 		t.Error("out-of-range action should fail")
 	}
-	if _, err := as.Execute(m, as.Len(), c); err == nil {
+	if _, err := as.ExecuteCtx(nil, m, as.Len(), c); err == nil {
 		t.Error("out-of-range action should fail")
 	}
 }
@@ -79,7 +79,7 @@ func TestPartitionMaskForRCModels(t *testing.T) {
 		}
 	}
 	// And partitioned BERT executes.
-	if _, err := as.Execute(bert, as.Len()-1, strongCond()); err != nil {
+	if _, err := as.ExecuteCtx(nil, bert, as.Len()-1, strongCond()); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -96,7 +96,7 @@ func TestEngineWithPartitionActions(t *testing.T) {
 	}
 	m := dnn.MustByName("Inception v3")
 	for i := 0; i < 100; i++ {
-		if _, err := e.RunInference(m, strongCond()); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, strongCond()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -112,7 +112,7 @@ func TestSARSAEngine(t *testing.T) {
 	m := dnn.MustByName("MobileNet v1")
 	c := strongCond()
 	for i := 0; i < 200; i++ {
-		if _, err := e.RunInference(m, c); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, c); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -152,7 +152,7 @@ func TestEngineConcurrentServices(t *testing.T) {
 		go func(m *dnn.Model) {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				if _, err := e.RunInference(m, strongCond()); err != nil {
+				if _, err := e.RunInferenceCtx(nil, m, strongCond()); err != nil {
 					errs <- err
 					return
 				}

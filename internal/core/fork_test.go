@@ -83,7 +83,7 @@ func TestForkContinuesBitForBit(t *testing.T) {
 			src, twin := build(), build()
 			for _, r := range reqs[:k] {
 				for _, e := range []*core.Engine{src, twin} {
-					if _, err := e.RunInference(r.m, r.c); err != nil {
+					if _, err := e.RunInferenceCtx(nil, r.m, r.c); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -97,11 +97,11 @@ func TestForkContinuesBitForBit(t *testing.T) {
 				t.Fatal("fork differs from its source at the fork point")
 			}
 			for i, r := range reqs[k:] {
-				fd, err := fork.RunInference(r.m, r.c)
+				fd, err := fork.RunInferenceCtx(nil, r.m, r.c)
 				if err != nil {
 					t.Fatal(err)
 				}
-				td, err := twin.RunInference(r.m, r.c)
+				td, err := twin.RunInferenceCtx(nil, r.m, r.c)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -35,7 +35,7 @@ func TestHealthTracksLearning(t *testing.T) {
 	const steps = 50
 	var rewardSum float64
 	for i := 0; i < steps; i++ {
-		d, err := e.RunInference(m, strongCond())
+		d, err := e.RunInferenceCtx(nil, m, strongCond())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,7 +83,7 @@ func TestHealthRewardWindowCapsAndResetClears(t *testing.T) {
 	e := newTestEngine(t)
 	m := dnn.MustByName("MobileNet v1")
 	for i := 0; i < rewardWindow+20; i++ {
-		if _, err := e.RunInference(m, strongCond()); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, strongCond()); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -118,7 +118,7 @@ func TestHealthIsPureObservation(t *testing.T) {
 			if sample {
 				e.Health()
 			}
-			d, err := e.RunInference(m, strongCond())
+			d, err := e.RunInferenceCtx(nil, m, strongCond())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -74,16 +74,9 @@ func (a *ActionSpace) partitionLocal(m *dnn.Model) sim.Target {
 	return sim.Target{Location: sim.Local, Kind: soc.CPU, Step: cpu.Steps - 1, Prec: dnn.FP32}
 }
 
-// Execute runs action i for model m under conditions c — covering both
-// whole-model targets and partition actions. The world derives a request
-// context from its internal sequence.
-func (a *ActionSpace) Execute(m *dnn.Model, i int, c sim.Conditions) (sim.Measurement, error) {
-	return a.ExecuteCtx(nil, m, i, c)
-}
-
-// ExecuteCtx runs action i under an explicit request context — the single
-// entry point the engine uses. A nil ctx falls back to the world's internal
-// sequence.
+// ExecuteCtx runs action i for model m under conditions c, covering both
+// whole-model targets and partition actions. A nil ctx draws from the
+// world's internal sequence.
 func (a *ActionSpace) ExecuteCtx(ctx *exec.Context, m *dnn.Model, i int, c sim.Conditions) (sim.Measurement, error) {
 	if i < 0 || i >= a.Len() {
 		return sim.Measurement{}, fmt.Errorf("core: action %d out of range", i)

@@ -202,7 +202,7 @@ func TestTrainEngineAndPolicy(t *testing.T) {
 	if pol.Name() != "AutoScale" {
 		t.Error("policy name wrong")
 	}
-	meas, err := pol.Run(models[0], sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55})
+	meas, err := pol.RunCtx(nil, models[0], sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestLeaveOneOutBuildsPerModelEngines(t *testing.T) {
 	if again != e0 {
 		t.Error("engines must be cached")
 	}
-	if _, err := loo.Run(m0, sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}); err != nil {
+	if _, err := loo.RunCtx(nil, m0, sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}); err != nil {
 		t.Fatal(err)
 	}
 	// A single-model training set cannot leave one out.

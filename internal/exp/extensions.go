@@ -468,12 +468,7 @@ type restrictedOpt struct {
 // Name implements Policy.
 func (p *restrictedOpt) Name() string { return "Opt (restricted)" }
 
-// Run implements Policy.
-func (p *restrictedOpt) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	return p.RunCtx(nil, m, c)
-}
-
-// RunCtx implements sched.ContextPolicy: exhaustive expectation search over
+// RunCtx implements sched.Policy: exhaustive expectation search over
 // the kept subset, choosing by sim.Choice as sim.World.BestTarget does.
 func (p *restrictedOpt) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	ch := sim.Choice{QoSS: sim.QoSFor(m.Task == dnn.Translation, sim.NonStreaming)}

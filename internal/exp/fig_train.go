@@ -131,7 +131,7 @@ func convergenceRuns(w *sim.World, donor *core.Engine, models []*dnn.Model, tran
 				// extra jitter keeps the dynamic series noisy
 				c.RSSIWLAN += 2 * rng.NormFloat64()
 			}
-			d, err := e.RunInference(m, c)
+			d, err := e.RunInferenceCtx(nil, m, c)
 			if err != nil {
 				return 0, err
 			}

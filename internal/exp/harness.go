@@ -120,11 +120,9 @@ type OnlineLearner interface {
 }
 
 // EvaluatePolicy runs a policy over every (model, env) cell and aggregates.
-// Policies implementing sched.ContextPolicy receive a request-scoped
-// execution context derived from (cfg.Seed, model, env, run index), so their
-// stochastic draws are independent of any shared world state; the remaining
-// policies fall back to Run and stay deterministic as long as the caller
-// owns the world exclusively.
+// Every request runs under an execution context derived from (cfg.Seed,
+// model, env, run index), so its stochastic draws are independent of any
+// shared world state.
 func EvaluatePolicy(p sched.Policy, cfg EvalConfig) (Result, error) {
 	res := Result{
 		Policy:       p.Name(),
@@ -134,7 +132,6 @@ func EvaluatePolicy(p sched.Policy, cfg EvalConfig) (Result, error) {
 		Decisions:    make(map[sim.Location]int),
 	}
 	root := exec.NewRoot(cfg.Seed).Child("eval")
-	cp, _ := p.(sched.ContextPolicy)
 	for _, m := range cfg.Models {
 		qos := sim.QoSFor(m.Task == dnn.Translation, cfg.Intensity)
 		for _, envID := range cfg.EnvIDs {
@@ -152,13 +149,7 @@ func EvaluatePolicy(p sched.Policy, cfg EvalConfig) (Result, error) {
 			var energy, latency float64
 			var viol int
 			for i := 0; i < cfg.Runs; i++ {
-				var meas sim.Measurement
-				var err error
-				if cp != nil {
-					meas, err = cp.RunCtx(cellCtx.Child("req", uint64(i)), m, env.Sample())
-				} else {
-					meas, err = p.Run(m, env.Sample())
-				}
+				meas, err := p.RunCtx(cellCtx.Child("req", uint64(i)), m, env.Sample())
 				if err != nil {
 					return Result{}, fmt.Errorf("exp: %s on %s/%s: %w", p.Name(), m.Name, envID, err)
 				}
@@ -263,7 +254,7 @@ func trainModels(e *core.Engine, models []*dnn.Model, grid []VarianceState, runs
 	for _, m := range models {
 		for _, vs := range grid {
 			for i := 0; i < runs; i++ {
-				if _, err := e.RunInference(m, vs.Conditions(rng)); err != nil {
+				if _, err := e.RunInferenceCtx(nil, m, vs.Conditions(rng)); err != nil {
 					return fmt.Errorf("exp: train %s: %w", m.Name, err)
 				}
 			}
@@ -302,12 +293,7 @@ func (p *AutoScalePolicy) Name() string {
 	return "AutoScale"
 }
 
-// Run implements Policy.
-func (p *AutoScalePolicy) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	return p.RunCtx(nil, m, c)
-}
-
-// RunCtx implements sched.ContextPolicy.
+// RunCtx implements sched.Policy.
 func (p *AutoScalePolicy) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	d, err := p.Engine.RunInferenceCtx(ctx, m, c)
 	if err != nil {
@@ -339,12 +325,7 @@ type LeaveOneOutAutoScale struct {
 // Name implements Policy.
 func (*LeaveOneOutAutoScale) Name() string { return "AutoScale" }
 
-// Run implements Policy.
-func (p *LeaveOneOutAutoScale) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	return p.RunCtx(nil, m, c)
-}
-
-// RunCtx implements sched.ContextPolicy.
+// RunCtx implements sched.Policy.
 func (p *LeaveOneOutAutoScale) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	e, err := p.engineFor(m)
 	if err != nil {
@@ -374,7 +355,7 @@ func (p *LeaveOneOutAutoScale) Warmup(m *dnn.Model, sample func() sim.Conditions
 		return err
 	}
 	for i := 0; i < runs; i++ {
-		if _, err := e.RunInference(m, sample()); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, sample()); err != nil {
 			return err
 		}
 	}
@@ -384,7 +365,7 @@ func (p *LeaveOneOutAutoScale) Warmup(m *dnn.Model, sample func() sim.Conditions
 // Warmup implements OnlineLearner for the single-engine adapter.
 func (p *AutoScalePolicy) Warmup(m *dnn.Model, sample func() sim.Conditions, runs int) error {
 	for i := 0; i < runs; i++ {
-		if _, err := p.Engine.RunInference(m, sample()); err != nil {
+		if _, err := p.Engine.RunInferenceCtx(nil, m, sample()); err != nil {
 			return err
 		}
 	}

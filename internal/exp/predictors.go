@@ -64,7 +64,7 @@ func BuildDataset(w *sim.World, cfg ProfileConfig) ([]predict.Sample, error) {
 			for k := 0; k < cfg.ActionsPerState; k++ {
 				c := vs.Conditions(rng)
 				a := feasible[rng.Intn(len(feasible))]
-				meas, err := w.Execute(m, actions.Target(a), c)
+				meas, err := w.ExecuteCtx(nil, m, actions.Target(a), c)
 				if err != nil {
 					return nil, err
 				}
@@ -154,12 +154,7 @@ type RegressionPolicy struct {
 // Name implements Policy.
 func (p *RegressionPolicy) Name() string { return p.Label }
 
-// Run implements Policy.
-func (p *RegressionPolicy) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	return p.RunCtx(nil, m, c)
-}
-
-// RunCtx implements sched.ContextPolicy.
+// RunCtx implements sched.Policy.
 func (p *RegressionPolicy) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	x := featuresOf(m, c)
 	ch := sim.Choice{QoSS: sim.QoSFor(m.Task == dnn.Translation, p.Intensity)}
@@ -196,12 +191,7 @@ type ClassifierPolicy struct {
 // Name implements Policy.
 func (p *ClassifierPolicy) Name() string { return p.Label }
 
-// Run implements Policy.
-func (p *ClassifierPolicy) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	return p.RunCtx(nil, m, c)
-}
-
-// RunCtx implements sched.ContextPolicy.
+// RunCtx implements sched.Policy.
 func (p *ClassifierPolicy) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	idx := p.Clf.Classify(featuresOf(m, c), p.Actions.Mask(m))
 	if idx < 0 {
@@ -332,7 +322,7 @@ func NewBOPolicy(w *sim.World, seed []predict.Sample, acquisitions int, cfgSeed 
 				bestEI, bestX, bestModel, bestAction, bestCond = ei, x, m, a, cond
 			}
 		}
-		meas, err := w.Execute(bestModel, actions.Target(bestAction), bestCond)
+		meas, err := w.ExecuteCtx(nil, bestModel, actions.Target(bestAction), bestCond)
 		if err != nil {
 			return nil, err
 		}

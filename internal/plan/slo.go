@@ -2,6 +2,7 @@ package plan
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -32,17 +33,20 @@ func (c Class) validate() error {
 	if c.Name == "" {
 		return fmt.Errorf("plan: class with empty name")
 	}
-	if c.TargetP95S <= 0 {
-		return fmt.Errorf("plan: class %q needs a positive latency target", c.Name)
+	if !positiveFinite(c.TargetP95S) {
+		return fmt.Errorf("plan: class %q needs a positive, finite latency target", c.Name)
 	}
 	if c.Weight < 1 {
 		return fmt.Errorf("plan: class %q needs weight >= 1", c.Name)
 	}
-	if c.MaxQueueS <= 0 {
-		return fmt.Errorf("plan: class %q needs a positive max-queue bound", c.Name)
+	if !positiveFinite(c.MaxQueueS) {
+		return fmt.Errorf("plan: class %q needs a positive, finite max-queue bound", c.Name)
 	}
 	return nil
 }
+
+// positiveFinite reports whether x is a usable bound: > 0, not +Inf, not NaN.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // DefaultClasses returns the canonical gold/silver/best-effort tiering:
 // targets tighten and shed protection grows with the tier.
@@ -59,7 +63,9 @@ func DefaultClasses() []Class {
 // durations (e.g. "gold:250ms:4:2s,silver:500ms:2,best:1s:1"). A missing
 // weight defaults to 1. Missing queue bounds are derived from the listing
 // order — each class's bound is 4x the next one's, 100ms for the last — so
-// classes listed most-protected first shed strictly in reverse order.
+// classes listed most-protected first shed strictly in reverse order. A spec
+// long enough for that bound to overflow (514 or more classes without one)
+// is rejected.
 func ParseClasses(spec string) ([]Class, error) {
 	parts := strings.Split(spec, ",")
 	classes := make([]Class, 0, len(parts))

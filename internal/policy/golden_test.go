@@ -43,7 +43,7 @@ func goldenTrain(t *testing.T, e *core.Engine, seed int64, runs int) {
 	}
 	zoo := dnn.Zoo()
 	for i := 0; i < runs; i++ {
-		if _, err := e.RunInference(zoo[i%len(zoo)], env.Sample()); err != nil {
+		if _, err := e.RunInferenceCtx(nil, zoo[i%len(zoo)], env.Sample()); err != nil {
 			t.Fatal(err)
 		}
 	}

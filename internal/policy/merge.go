@@ -2,6 +2,7 @@ package policy
 
 import (
 	"fmt"
+	"math"
 
 	"autoscale/internal/rl"
 )
@@ -18,7 +19,8 @@ import (
 // device that faced a state a thousand times outvotes one that saw it twice).
 // Rows with zero recorded visits weigh as one visit so legacy tables still
 // participate. Merged visit counts are the sums, so iterated merges stay
-// properly weighted.
+// properly weighted; a sum an int cannot hold, per state or over the whole
+// table, fails with rl.ErrVisitOverflow.
 //
 // The merged checkpoint is filed under FleetDevice(hash), lists its source
 // devices, keeps the first input's hyperparameters (value semantics do not
@@ -68,13 +70,21 @@ func Merge(cks []*Checkpoint) (*Checkpoint, error) {
 		Q:       make(map[rl.State][]float64, len(byState)),
 		Visits:  make(map[rl.State]int, len(byState)),
 	}
+	total := 0
 	for s, contribs := range byState {
 		row := make([]float64, actions)
 		totalW, totalN := 0.0, 0
 		for _, c := range contribs {
+			if c.visits > math.MaxInt-totalN {
+				return nil, fmt.Errorf("policy: merge: state %q: %w", s, rl.ErrVisitOverflow)
+			}
 			totalW += c.weight
 			totalN += c.visits
 		}
+		if totalN > math.MaxInt-total {
+			return nil, fmt.Errorf("policy: merge: %w", rl.ErrVisitOverflow)
+		}
+		total += totalN
 		for _, c := range contribs {
 			f := c.weight / totalW
 			for i, q := range c.row {

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -130,5 +131,36 @@ func TestMergeIterated(t *testing.T) {
 	}
 	if v := tbl.Visits["s"]; v != 4 {
 		t.Fatalf("iterated merge visits = %d, want 4", v)
+	}
+}
+
+// TestMergeVisitOverflow: visit sums an int cannot hold fail with
+// rl.ErrVisitOverflow instead of wrapping. Two tables at 0.7·MaxInt visits
+// for one state wrap the sum negative, three wrap it back to a plausible
+// positive count, and two at 0.7·MaxInt on different states overflow only
+// the merged total.
+func TestMergeVisitOverflow(t *testing.T) {
+	const hash = "cafebabe00000000"
+	big := int(0.7 * float64(math.MaxInt))
+	ck := func(device string, s rl.State) *Checkpoint {
+		return mergeCk(t, device, hash, 1,
+			map[rl.State][]float64{s: {1.0}}, map[rl.State]int{s: big})
+	}
+	for _, tc := range []struct {
+		name string
+		cks  []*Checkpoint
+	}{
+		{"two tables, one state", []*Checkpoint{ck("a", "s"), ck("b", "s")}},
+		{"three tables, one state", []*Checkpoint{ck("a", "s"), ck("b", "s"), ck("c", "s")}},
+		{"two tables, two states", []*Checkpoint{ck("a", "s"), ck("b", "t")}},
+	} {
+		merged, err := Merge(tc.cks)
+		if !errors.Is(err, rl.ErrVisitOverflow) {
+			var visits map[string]int
+			if merged != nil {
+				visits = merged.Visits
+			}
+			t.Errorf("%s: err = %v (visits %v), want rl.ErrVisitOverflow", tc.name, err, visits)
+		}
 	}
 }

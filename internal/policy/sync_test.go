@@ -55,7 +55,7 @@ func learn(t testing.TB, e *core.Engine, n int) {
 	t.Helper()
 	m := dnn.MustByName("MobileNet v3")
 	for i := 0; i < n; i++ {
-		if _, err := e.RunInference(m, sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}); err != nil {
+		if _, err := e.RunInferenceCtx(nil, m, sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}); err != nil {
 			t.Fatal(err)
 		}
 	}

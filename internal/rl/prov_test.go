@@ -3,6 +3,8 @@ package rl
 import (
 	"math"
 	"testing"
+
+	"autoscale/internal/obs"
 )
 
 // TestSelectActionProvMirrorsPlain: two agents with identical seeds must
@@ -26,7 +28,7 @@ func TestSelectActionProvMirrorsPlain(t *testing.T) {
 	}
 
 	masks := [][]bool{nil, {true, true, true, true}, {true, false, true, true}, {false, true, false, true}}
-	var p SelectProv
+	var p obs.Provenance
 	explored, exploited := 0, 0
 	for step := 0; step < 400; step++ {
 		mask := masks[step%len(masks)]

@@ -29,6 +29,7 @@ import (
 	"sync/atomic"
 
 	"autoscale/internal/exec"
+	"autoscale/internal/obs"
 )
 
 // State is a discrete state key. The core package composes it from the
@@ -329,23 +330,13 @@ func (a *Agent) SelectActionIdx(i int32, mask []bool) (int, error) {
 	return a.SelectIdx(i, mask, nil)
 }
 
-// SelectProv captures why one epsilon-greedy selection chose its action:
-// the epsilon in force, whether the agent was frozen, whether the draw
-// explored, and the per-action Q-row as the selection read it. The
-// Q slice is truncated and refilled in place so a caller-owned SelectProv
-// is allocation-free in steady state.
-type SelectProv struct {
-	Epsilon  float64
-	Frozen   bool
-	Explored bool
-	Q        []float64
-}
-
-// SelectIdx is SelectActionIdx with optional decision-provenance capture
-// into p; nil p is the untraced hot path. Provenance only records what the
+// SelectIdx is SelectActionIdx with optional decision-provenance capture:
+// it fills p's Epsilon, Frozen, Explored and Q (the per-action row as the
+// selection read it, refilled in place) and leaves the other fields to its
+// caller; nil p is the untraced hot path. Provenance only records what the
 // selection read — it consumes no draws — so a traced run replays an
 // untraced one byte for byte.
-func (a *Agent) SelectIdx(i int32, mask []bool, p *SelectProv) (int, error) {
+func (a *Agent) SelectIdx(i int32, mask []bool, p *obs.Provenance) (int, error) {
 	if !a.valid(i) {
 		return 0, errIndex(i)
 	}

@@ -32,12 +32,7 @@ type nsPlan struct {
 // Name implements Policy.
 func (*NeuroSurgeon) Name() string { return "NeuroSurgeon" }
 
-// Run implements Policy.
-func (p *NeuroSurgeon) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	return p.RunCtx(nil, m, c)
-}
-
-// RunCtx implements ContextPolicy.
+// RunCtx implements Policy.
 func (p *NeuroSurgeon) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	plan, err := p.plan(m)
 	if err != nil {
@@ -116,12 +111,7 @@ type MOSAIC struct {
 // Name implements Policy.
 func (*MOSAIC) Name() string { return "MOSAIC" }
 
-// Run implements Policy.
-func (p *MOSAIC) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	return p.RunCtx(nil, m, c)
-}
-
-// RunCtx implements ContextPolicy. The sliced execution plan is evaluated
+// RunCtx implements Policy. The sliced execution plan is evaluated
 // on expected values, so the context carries no draws here; implementing
 // the interface keeps the harness's request-derivation uniform.
 func (p *MOSAIC) RunCtx(_ *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {

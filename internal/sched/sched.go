@@ -22,18 +22,10 @@ import (
 type Policy interface {
 	// Name is the label used in figures.
 	Name() string
-	// Run executes one inference of m under conditions c.
-	Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error)
-}
-
-// ContextPolicy is implemented by policies that thread a request-scoped
-// execution context down to the simulator, making every stochastic draw of
-// the request a pure function of the context identity. Harnesses should
-// prefer RunCtx when available; Run remains for callers without a context.
-type ContextPolicy interface {
-	Policy
 	// RunCtx executes one inference of m under conditions c, drawing all
-	// randomness from ctx's named streams. A nil ctx behaves like Run.
+	// randomness from ctx's named streams, which makes every stochastic draw
+	// of the request a pure function of the context identity. A nil ctx
+	// draws from the world's own sequence.
 	RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error)
 }
 
@@ -49,12 +41,7 @@ type EdgeCPU struct{ World *sim.World }
 // Name implements Policy.
 func (EdgeCPU) Name() string { return "Edge (CPU FP32)" }
 
-// Run implements Policy.
-func (p EdgeCPU) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	return p.RunCtx(nil, m, c)
-}
-
-// RunCtx implements ContextPolicy.
+// RunCtx implements Policy.
 func (p EdgeCPU) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	cpu := p.World.Device.Processor(soc.CPU)
 	if cpu == nil {
@@ -78,12 +65,12 @@ type EdgeBest struct {
 // Name implements Policy.
 func (*EdgeBest) Name() string { return "Edge (Best)" }
 
-// Run implements Policy.
+// Run is RunCtx(nil, m, c), kept for the benchmark ladder (bench/ladder.go).
 func (p *EdgeBest) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	return p.RunCtx(nil, m, c)
 }
 
-// RunCtx implements ContextPolicy.
+// RunCtx implements Policy.
 func (p *EdgeBest) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	t, ok := p.plans[m.Name]
 	if !ok {
@@ -129,12 +116,7 @@ type CloudAll struct{ World *sim.World }
 // Name implements Policy.
 func (CloudAll) Name() string { return "Cloud" }
 
-// Run implements Policy.
-func (p CloudAll) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	return p.RunCtx(nil, m, c)
-}
-
-// RunCtx implements ContextPolicy.
+// RunCtx implements Policy.
 func (p CloudAll) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	t := sim.Target{Location: sim.Cloud, Kind: soc.GPU, Prec: dnn.FP32}
 	if !p.World.Feasible(m, t) {
@@ -157,12 +139,7 @@ type ConnectedEdge struct {
 // Name implements Policy.
 func (*ConnectedEdge) Name() string { return "Connected Edge" }
 
-// Run implements Policy.
-func (p *ConnectedEdge) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	return p.RunCtx(nil, m, c)
-}
-
-// RunCtx implements ContextPolicy.
+// RunCtx implements Policy.
 func (p *ConnectedEdge) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	t, ok := p.plans[m.Name]
 	if !ok {
@@ -197,12 +174,12 @@ type Opt struct {
 // Name implements Policy.
 func (Opt) Name() string { return "Opt" }
 
-// Run implements Policy.
+// Run is RunCtx(nil, m, c), kept for the benchmark ladder (bench/ladder.go).
 func (p Opt) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	return p.RunCtx(nil, m, c)
 }
 
-// RunCtx implements ContextPolicy.
+// RunCtx implements Policy.
 func (p Opt) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
 	qos := sim.QoSFor(m.Task == dnn.Translation, p.Intensity)
 	var (

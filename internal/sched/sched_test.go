@@ -18,7 +18,7 @@ func TestEdgeCPU(t *testing.T) {
 	if p.Name() != "Edge (CPU FP32)" {
 		t.Error("name wrong")
 	}
-	meas, err := p.Run(dnn.MustByName("MobileNet v1"), strongCond())
+	meas, err := p.RunCtx(nil, dnn.MustByName("MobileNet v1"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestEdgeBestStaysLocalAndMeetsQoS(t *testing.T) {
 	p := &EdgeBest{World: w}
 	for _, name := range []string{"Inception v1", "MobileNet v3", "MobileNet v1"} {
 		m := dnn.MustByName(name)
-		meas, err := p.Run(m, strongCond())
+		meas, err := p.RunCtx(nil, m, strongCond())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestEdgeBestPlanIsBestLocal(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := &EdgeBest{World: w}
 	m := dnn.MustByName("Inception v1")
-	meas, err := p.Run(m, strongCond())
+	meas, err := p.RunCtx(nil, m, strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestEdgeBestPlanIsBestLocal(t *testing.T) {
 func TestEdgeBestAccuracyConstraint(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := &EdgeBest{World: w, Accuracy: 65}
-	meas, err := p.Run(dnn.MustByName("Inception v1"), strongCond())
+	meas, err := p.RunCtx(nil, dnn.MustByName("Inception v1"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestEdgeBestUnreachableAccuracy(t *testing.T) {
 			want, wantAcc = tgt, e.Accuracy
 		}
 	}
-	meas, err := (&EdgeBest{World: w, Accuracy: 99}).Run(m, strongCond())
+	meas, err := (&EdgeBest{World: w, Accuracy: 99}).RunCtx(nil, m, strongCond())
 	if err != nil {
 		t.Fatalf("unreachable accuracy: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestEdgeBestUnreachableAccuracy(t *testing.T) {
 func TestCloudAll(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := CloudAll{World: w}
-	meas, err := p.Run(dnn.MustByName("ResNet 50"), strongCond())
+	meas, err := p.RunCtx(nil, dnn.MustByName("ResNet 50"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestCloudAll(t *testing.T) {
 		t.Errorf("CloudAll ran on %v", meas.Target)
 	}
 	// MobileBERT also lands on the server GPU (it supports RC).
-	meas, err = p.Run(dnn.MustByName("MobileBERT"), strongCond())
+	meas, err = p.RunCtx(nil, dnn.MustByName("MobileBERT"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestCloudAll(t *testing.T) {
 func TestConnectedEdge(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := &ConnectedEdge{World: w}
-	meas, err := p.Run(dnn.MustByName("Inception v1"), strongCond())
+	meas, err := p.RunCtx(nil, dnn.MustByName("Inception v1"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +155,7 @@ func TestConnectedEdge(t *testing.T) {
 		t.Errorf("ConnectedEdge ran on %v", meas.Target)
 	}
 	// BERT has only the tablet CPU available.
-	meas, err = p.Run(dnn.MustByName("MobileBERT"), strongCond())
+	meas, err = p.RunCtx(nil, dnn.MustByName("MobileBERT"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestOptBeatsBaselines(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, b := range baselines {
-			meas, err := b.Run(m, c)
+			meas, err := b.RunCtx(nil, m, c)
 			if err != nil {
 				t.Fatalf("%s on %s: %v", b.Name(), m.Name, err)
 			}
@@ -201,7 +201,7 @@ func TestOptBeatsBaselines(t *testing.T) {
 func TestNeuroSurgeonBERTFullOffload(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := &NeuroSurgeon{World: w}
-	meas, err := p.Run(dnn.MustByName("MobileBERT"), strongCond())
+	meas, err := p.RunCtx(nil, dnn.MustByName("MobileBERT"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestNeuroSurgeonBERTFullOffload(t *testing.T) {
 func TestNeuroSurgeonLightStaysLocal(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := &NeuroSurgeon{World: w}
-	meas, err := p.Run(dnn.MustByName("MobileNet v1"), strongCond())
+	meas, err := p.RunCtx(nil, dnn.MustByName("MobileNet v1"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +233,11 @@ func TestNeuroSurgeonIgnoresVariance(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := &NeuroSurgeon{World: w}
 	m := dnn.MustByName("ResNet 50")
-	strong, err := p.Run(m, strongCond())
+	strong, err := p.RunCtx(nil, m, strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
-	weak, err := p.Run(m, sim.Conditions{RSSIWLAN: -90, RSSIP2P: -55})
+	weak, err := p.RunCtx(nil, m, sim.Conditions{RSSIWLAN: -90, RSSIP2P: -55})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestMOSAICCoversAllLayersLocally(t *testing.T) {
 	p := &MOSAIC{World: w}
 	for _, name := range []string{"Inception v1", "MobileNet v3", "MobileBERT"} {
 		m := dnn.MustByName(name)
-		meas, err := p.Run(m, strongCond())
+		meas, err := p.RunCtx(nil, m, strongCond())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -267,7 +267,7 @@ func TestMOSAICCoversAllLayersLocally(t *testing.T) {
 func TestMOSAICRespectsAccuracy(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := &MOSAIC{World: w, Accuracy: 65}
-	meas, err := p.Run(dnn.MustByName("Inception v1"), strongCond())
+	meas, err := p.RunCtx(nil, dnn.MustByName("Inception v1"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +280,11 @@ func TestMOSAICPlanIsCached(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := &MOSAIC{World: w}
 	m := dnn.MustByName("Inception v1")
-	a, err := p.Run(m, strongCond())
+	a, err := p.RunCtx(nil, m, strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := p.Run(m, strongCond())
+	b, err := p.RunCtx(nil, m, strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestEdgeBestFallbackWhenNothingMeetsQoS(t *testing.T) {
 	// must fall back to the fastest local option rather than fail.
 	w := sim.NewWorld(soc.MotoXForce(), 1)
 	p := &EdgeBest{World: w}
-	meas, err := p.Run(dnn.MustByName("ResNet 50"), strongCond())
+	meas, err := p.RunCtx(nil, dnn.MustByName("ResNet 50"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,7 +346,7 @@ func TestEdgeBestFallbackWhenNothingMeetsQoS(t *testing.T) {
 func TestConnectedEdgeAccuracyConstraint(t *testing.T) {
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := &ConnectedEdge{World: w, Accuracy: 65}
-	meas, err := p.Run(dnn.MustByName("Inception v1"), strongCond())
+	meas, err := p.RunCtx(nil, dnn.MustByName("Inception v1"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +362,7 @@ func TestNeuroSurgeonStreamingQoS(t *testing.T) {
 	// Streaming tightens the budget; the planner must still produce a plan.
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := &NeuroSurgeon{World: w, Intensity: sim.Streaming}
-	meas, err := p.Run(dnn.MustByName("SSD MobileNet v1"), strongCond())
+	meas, err := p.RunCtx(nil, dnn.MustByName("SSD MobileNet v1"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestMOSAICUsesMultipleEngines(t *testing.T) {
 	// excluded by accuracy, the DP still has CPU and GPU to slice across.
 	w := sim.NewWorld(soc.Mi8Pro(), 1)
 	p := &MOSAIC{World: w, Accuracy: 65}
-	meas, err := p.Run(dnn.MustByName("Inception v1"), strongCond())
+	meas, err := p.RunCtx(nil, dnn.MustByName("Inception v1"), strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,12 +72,6 @@ type worker struct {
 	// its record in the trace before its response arrives), and when the
 	// worker exits.
 	tbuf []trace.Record
-
-	// prov is the lane's decision-provenance scratch, reused across requests
-	// so the traced decide path allocates nothing in steady state; only the
-	// worker goroutine touches it, and it is copied into the request's trace
-	// immediately after each engine step.
-	prov core.DecisionProv
 }
 
 // traceBatch bounds a worker's trace buffer: under sustained load records
@@ -710,16 +704,12 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	// decision cost (the simulated inference itself costs no wall time).
 	decideStart := time.Now()
 	execStart := w.engine.Now()
-	// Traced decide: the engine fills the worker's reusable provenance
-	// scratch with the exact Q-row, mask and exploration verdict behind this
+	// Traced decide: the engine fills the trace's reusable provenance slot
+	// with the exact Q-row, mask and exploration verdict behind this
 	// selection. Capture draws nothing, so enabling tracing never changes
 	// what the policy chooses.
 	pr := act.Prov()
-	var prov *core.DecisionProv
-	if pr != nil {
-		prov = &w.prov
-	}
-	d, err := w.engine.Step(nil, p.req.Model, p.req.Conditions, allow, prov)
+	d, err := w.engine.Step(nil, p.req.Model, p.req.Conditions, allow, pr)
 	pt.Add(obs.PhaseExecuteIdx, w.engine.Now()-execStart)
 	decideWallS := time.Since(decideStart).Seconds()
 	g.met.ObservePhase(obs.PhaseDecide, decideWallS)
@@ -733,16 +723,9 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		return
 	}
 	if pr != nil {
-		pr.StateIdx = w.prov.StateIdx
 		pr.State = string(d.State)
-		pr.Epsilon = w.prov.Sel.Epsilon
-		pr.Frozen = w.prov.Sel.Frozen
-		pr.Explored = w.prov.Sel.Explored
 		pr.Action = d.Target.String()
 		pr.ActionIdx = d.ActionIndex
-		pr.Q = append(pr.Q[:0], w.prov.Sel.Q...)
-		pr.Mask = append(pr.Mask[:0], w.prov.Mask...)
-		pr.MaskedOut = w.prov.MaskedOut
 	}
 	act.Span("decide", decideWallS, d.Target.Location.String())
 
@@ -799,7 +782,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		// remaining deadline budget actually fits the fallback's expected
 		// latency; a retry that cannot finish in time is abandoned.
 		if g.fitsDeadline(w, p, w.fallback, 0) {
-			if meas, ferr := w.engine.World.Execute(p.req.Model, w.fallback, p.req.Conditions); ferr == nil {
+			if meas, ferr := w.engine.World.ExecuteCtx(nil, p.req.Model, w.fallback, p.req.Conditions); ferr == nil {
 				// The failover runs on the world's own clock, not the
 				// engine's, so its leg is added by measured duration.
 				pt.Add(obs.PhaseFailoverIdx, meas.LatencyS)

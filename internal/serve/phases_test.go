@@ -206,6 +206,89 @@ func TestSpansReconcileWithPhases(t *testing.T) {
 	}
 }
 
+// TestTracedProvenanceMatchesDecision checks what the provenance says, not
+// only that it is there: for every kept trace, the state and action are the
+// served Decision's, the Q-row spans the action space, MaskedOut counts the
+// mask's disabled actions, and an exploiting draw chose the masked row
+// maximum.
+func TestTracedProvenanceMatchesDecision(t *testing.T) {
+	const seed = 53
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
+	cfg.RL.Epsilon = 0.5 // both branches of the epsilon-greedy draw
+	e := testEngine(t, soc.Mi8Pro(), seed, cfg)
+	tr := tracez.New(tracez.Config{SampleRate: 1, Ring: 512, Seed: seed})
+	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	zoo := dnn.Zoo() // recurrent models mask out the engines they cannot use
+	served := make(map[uint64]core.Decision)
+	for i := 0; i < 300; i++ {
+		act := tr.Start(zoo[i%len(zoo)].Name, "", 0)
+		id := act.ID()
+		resp, err := g.Do(Request{Model: zoo[i%len(zoo)], Conditions: conds(), Trace: act})
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		served[id] = resp.Decision
+	}
+	if err := g.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	kept := tr.Kept()
+	if len(kept) != len(served) {
+		t.Fatalf("tracer kept %d of %d traces at sample rate 1", len(kept), len(served))
+	}
+	explored, exploited, masked := 0, 0, 0
+	for _, ct := range kept {
+		d, ok := served[ct.ID]
+		if !ok || !ct.HasProv {
+			t.Fatalf("trace %d: served=%v has_prov=%v", ct.ID, ok, ct.HasProv)
+		}
+		pr := ct.Prov
+		if pr.StateIdx != d.StateIdx || pr.ActionIdx != d.ActionIndex {
+			t.Fatalf("trace %d: prov state/action %d/%d, decision %d/%d",
+				ct.ID, pr.StateIdx, pr.ActionIdx, d.StateIdx, d.ActionIndex)
+		}
+		if len(pr.Q) != e.Actions.Len() || len(pr.Mask) != e.Actions.Len() {
+			t.Fatalf("trace %d: %d Q values and %d mask entries for %d actions",
+				ct.ID, len(pr.Q), len(pr.Mask), e.Actions.Len())
+		}
+		off := 0
+		for _, ok := range pr.Mask {
+			if !ok {
+				off++
+			}
+		}
+		if pr.MaskedOut != off {
+			t.Fatalf("trace %d: MaskedOut %d, mask disables %d", ct.ID, pr.MaskedOut, off)
+		}
+		if off > 0 {
+			masked++
+		}
+		if pr.Explored {
+			explored++
+			continue
+		}
+		exploited++
+		best := math.Inf(-1)
+		for j, q := range pr.Q {
+			if pr.Mask[j] && q > best {
+				best = q
+			}
+		}
+		if pr.Q[pr.ActionIdx] != best {
+			t.Fatalf("trace %d: exploit chose Q[%d] = %v, masked row maximum is %v",
+				ct.ID, pr.ActionIdx, pr.Q[pr.ActionIdx], best)
+		}
+	}
+	if explored == 0 || exploited == 0 || masked == 0 {
+		t.Fatalf("vacuous: explored=%d exploited=%d masked=%d", explored, exploited, masked)
+	}
+}
+
 // TestShutdownSurfacesTraceError pins satellite (b): a trace writer whose
 // sink failed must fail Gateway.Shutdown instead of silently dropping the
 // audit trail.

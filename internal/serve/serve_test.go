@@ -503,7 +503,7 @@ func TestFrozenGatewayStaysFrozenAcrossSync(t *testing.T) {
 	cold := testEngine(t, soc.Mi8Pro(), 2, core.DefaultConfig())
 	m := dnn.MustByName("MobileNet v3")
 	for i := 0; i < 30; i++ {
-		if _, err := trained.RunInference(m, conds()); err != nil {
+		if _, err := trained.RunInferenceCtx(nil, m, conds()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -181,7 +181,7 @@ func Run(p sched.Policy, cfg Config, b *battery.Battery) (Stats, error) {
 		if !drain(idle) {
 			break
 		}
-		meas, err := p.Run(cfg.Model, cfg.Env.Sample())
+		meas, err := p.RunCtx(nil, cfg.Model, cfg.Env.Sample())
 		if err != nil {
 			return Stats{}, fmt.Errorf("session: %w", err)
 		}

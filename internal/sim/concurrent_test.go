@@ -86,7 +86,7 @@ func TestExecuteCtxIndependentOfSequence(t *testing.T) {
 	}
 	w2 := NewWorld(soc.Mi8Pro(), 1)
 	for i := 0; i < 10; i++ {
-		if _, err := w2.Execute(m, tgt, c); err != nil {
+		if _, err := w2.ExecuteCtx(nil, m, tgt, c); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -17,7 +17,7 @@ func TestOutageDisabledByDefault(t *testing.T) {
 	m := dnn.MustByName("ResNet 50")
 	cloud := Target{Location: Cloud, Kind: soc.GPU, Prec: dnn.FP32}
 	for i := 0; i < 50; i++ {
-		meas, err := w.Execute(m, cloud, strongCond())
+		meas, err := w.ExecuteCtx(nil, m, cloud, strongCond())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -32,7 +32,7 @@ func TestOutageFallsBackToLocalCPU(t *testing.T) {
 	w.OutageProb = 1 // every offload fails
 	m := dnn.MustByName("Inception v1")
 	cloud := Target{Location: Cloud, Kind: soc.GPU, Prec: dnn.FP32}
-	meas, err := w.Execute(m, cloud, strongCond())
+	meas, err := w.ExecuteCtx(nil, m, cloud, strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestOutageDoesNotAffectLocal(t *testing.T) {
 	w.OutageProb = 1
 	m := dnn.MustByName("MobileNet v1")
 	local := Target{Location: Local, Kind: soc.DSP, Prec: dnn.INT8}
-	meas, err := w.Execute(m, local, strongCond())
+	meas, err := w.ExecuteCtx(nil, m, local, strongCond())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestOutageProbability(t *testing.T) {
 	outages := 0
 	const n = 1000
 	for i := 0; i < n; i++ {
-		meas, err := w.Execute(m, cloud, strongCond())
+		meas, err := w.ExecuteCtx(nil, m, cloud, strongCond())
 		if err != nil {
 			t.Fatal(err)
 		}

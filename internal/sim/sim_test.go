@@ -94,7 +94,7 @@ func TestExecuteNoise(t *testing.T) {
 	differs := false
 	const n = 200
 	for i := 0; i < n; i++ {
-		meas, err := w.Execute(m, tgt, strongCond())
+		meas, err := w.ExecuteCtx(nil, m, tgt, strongCond())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +237,7 @@ func TestBestTargetFallbacks(t *testing.T) {
 func TestExecuteInfeasibleTarget(t *testing.T) {
 	w := NewWorld(soc.Mi8Pro(), 1)
 	bert := dnn.MustByName("MobileBERT")
-	if _, err := w.Execute(bert, Target{Location: Local, Kind: soc.GPU, Prec: dnn.FP32}, strongCond()); err == nil {
+	if _, err := w.ExecuteCtx(nil, bert, Target{Location: Local, Kind: soc.GPU, Prec: dnn.FP32}, strongCond()); err == nil {
 		t.Error("executing an infeasible target must fail")
 	}
 }

@@ -145,8 +145,8 @@ type World struct {
 	// injector itself is immutable and safe to share across worlds.
 	Faults *fault.Injector
 
-	// root is the world's execution context; legacy Execute calls derive a
-	// per-request child from it using seq, so each request's draws come
+	// root is the world's execution context; nil-ctx ExecuteCtx calls derive
+	// a per-request child from it using seq, so each request's draws come
 	// from its own named stream regardless of goroutine interleaving.
 	root *exec.Context
 	seq  atomic.Uint64
@@ -471,25 +471,17 @@ func (w *World) Expected(m *dnn.Model, t Target, c Conditions) (Measurement, err
 	return meas, nil
 }
 
-// Execute runs one inference with multiplicative measurement noise on
+// ExecuteCtx runs one inference with multiplicative measurement noise on
 // latency (and correspondingly on energy), modelling run-to-run variance of
 // a real system. When OutageProb is set, offload attempts may fail and fall
 // back to local CPU execution after the outage timeout.
 //
-// Execute is the legacy sequential entry point: it derives a fresh
-// request context from the world's root using an atomic sequence number,
-// so concurrent callers are race-free, and a fixed call order reproduces
-// a fixed draw sequence. Callers that need draws to be a pure function of
-// request identity (independent of interleaving) should derive their own
-// context and call ExecuteCtx.
-func (w *World) Execute(m *dnn.Model, t Target, c Conditions) (Measurement, error) {
-	return w.ExecuteCtx(w.nextCtx(), m, t, c)
-}
-
-// ExecuteCtx is Execute with an explicit request context: the outage and
-// noise draws come from the context's "sim.request" stream, making the
-// measurement a pure function of (context identity, model, target,
-// conditions). A nil ctx falls back to the world's internal sequence.
+// The outage and noise draws come from ctx's "sim.request" stream, making
+// the measurement a pure function of (context identity, model, target,
+// conditions). A nil ctx derives a fresh request context from the world's
+// root using an atomic sequence number, so concurrent callers are
+// race-free, and a fixed call order reproduces a fixed draw sequence;
+// callers that need draws independent of interleaving pass their own.
 //
 // Scripted faults (w.Faults) are evaluated at the context's virtual time:
 // RSSI ramps degrade the observed signal, outage windows force the offload
@@ -498,7 +490,7 @@ func (w *World) Execute(m *dnn.Model, t Target, c Conditions) (Measurement, erro
 // faulted request consumes exactly the streams an unfaulted one would.
 func (w *World) ExecuteCtx(ctx *exec.Context, m *dnn.Model, t Target, c Conditions) (Measurement, error) {
 	if ctx == nil {
-		ctx = w.nextCtx()
+		ctx = w.root.Child("req", w.seq.Add(1))
 	}
 	now := ctx.Now()
 	c = w.conditionsAt(now, c)
@@ -573,7 +565,7 @@ func (w *World) conditionsAt(now float64, c Conditions) Conditions {
 // them at the context's virtual time — scripted RSSI ramps applied — so an
 // agent's state observation matches what execution will experience. A nil
 // ctx uses c as-is at time zero semantics (no faults are keyed on the
-// legacy path's clockless requests).
+// clockless requests of the world's own sequence).
 func (w *World) ObservedConditions(ctx *exec.Context, c Conditions) Conditions {
 	if ctx == nil || w.Faults == nil {
 		return c
@@ -601,11 +593,6 @@ func (w *World) applyWindowFaults(now float64, meas *Measurement) {
 	meas.LatencyS += stall
 	meas.Breakdown.Idle += stall * w.Device.PlatformIdleW
 	meas.EnergyJ = meas.Breakdown.Total()
-}
-
-// nextCtx derives the context for one legacy Execute call.
-func (w *World) nextCtx() *exec.Context {
-	return w.root.Child("req", w.seq.Add(1))
 }
 
 // executeOutage models a failed offload: the device transmits until the

@@ -16,6 +16,7 @@ import (
 
 	"autoscale/internal/core"
 	"autoscale/internal/dnn"
+	"autoscale/internal/exec"
 	"autoscale/internal/sim"
 )
 
@@ -285,9 +286,9 @@ type RecordingPolicy struct {
 // Name implements sched.Policy.
 func (p *RecordingPolicy) Name() string { return "AutoScale (traced)" }
 
-// Run implements sched.Policy: one engine step, recorded.
-func (p *RecordingPolicy) Run(m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
-	d, err := p.Engine.RunInference(m, c)
+// RunCtx implements sched.Policy: one engine step, recorded.
+func (p *RecordingPolicy) RunCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (sim.Measurement, error) {
+	d, err := p.Engine.RunInferenceCtx(ctx, m, c)
 	if err != nil {
 		return sim.Measurement{}, err
 	}

@@ -106,7 +106,7 @@ func TestRecordingPolicyConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				if _, err := p.Run(m, c); err != nil {
+				if _, err := p.RunCtx(nil, m, c); err != nil {
 					t.Error(err)
 					return
 				}
@@ -188,7 +188,7 @@ func TestRecordingPolicy(t *testing.T) {
 	m := dnn.MustByName("MobileNet v1")
 	c := sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
 	for i := 0; i < 25; i++ {
-		if _, err := p.Run(m, c); err != nil {
+		if _, err := p.RunCtx(nil, m, c); err != nil {
 			t.Fatal(err)
 		}
 	}

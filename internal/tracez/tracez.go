@@ -71,36 +71,20 @@ type Span struct {
 	Detail string  `json:"detail,omitempty"`
 }
 
-// Provenance captures why the decide step chose what it chose: the dense
-// state index, the epsilon in force, whether the draw explored, the applied
-// breaker/lane mask, and the per-action Q-row from the RCU snapshot.
-type Provenance struct {
-	StateIdx  int32     `json:"state_idx"`
-	State     string    `json:"state,omitempty"`
-	Epsilon   float64   `json:"epsilon"`
-	Frozen    bool      `json:"frozen,omitempty"`
-	Explored  bool      `json:"explored"`
-	Action    string    `json:"action,omitempty"`
-	ActionIdx int       `json:"action_idx"`
-	Q         []float64 `json:"q,omitempty"`
-	Mask      []bool    `json:"mask,omitempty"`
-	MaskedOut int       `json:"masked_out,omitempty"`
-}
-
 // Trace is one completed request's span tree plus its decision provenance.
 // Kept traces live in the tracer's ring until evicted.
 type Trace struct {
-	ID      uint64     `json:"id"`
-	Model   string     `json:"model"`
-	Tenant  string     `json:"tenant,omitempty"`
-	Shard   string     `json:"shard,omitempty"`
-	Status  string     `json:"status,omitempty"`
-	StartS  float64    `json:"start_s"`
-	Flags   uint8      `json:"flags,omitempty"`
-	Sampled bool       `json:"head_sampled,omitempty"`
-	HasProv bool       `json:"has_prov,omitempty"`
-	Prov    Provenance `json:"prov"`
-	Spans   []Span     `json:"spans"`
+	ID      uint64         `json:"id"`
+	Model   string         `json:"model"`
+	Tenant  string         `json:"tenant,omitempty"`
+	Shard   string         `json:"shard,omitempty"`
+	Status  string         `json:"status,omitempty"`
+	StartS  float64        `json:"start_s"`
+	Flags   uint8          `json:"flags,omitempty"`
+	Sampled bool           `json:"head_sampled,omitempty"`
+	HasProv bool           `json:"has_prov,omitempty"`
+	Prov    obs.Provenance `json:"prov"`
+	Spans   []Span         `json:"spans"`
 }
 
 // reset clears a trace for reuse, keeping slice capacity.
@@ -111,8 +95,7 @@ func (t *Trace) reset() {
 	t.Flags = 0
 	t.Sampled = false
 	t.HasProv = false
-	q, mask := t.Prov.Q[:0], t.Prov.Mask[:0]
-	t.Prov = Provenance{Q: q, Mask: mask}
+	t.Prov.Reset()
 	t.Spans = t.Spans[:0]
 }
 
@@ -163,7 +146,7 @@ func (a *Active) SetShard(shard string) {
 // untraced request. The slot's Q and Mask slices are reused across
 // requests — truncate before appending. Calling Prov marks the trace as
 // carrying provenance.
-func (a *Active) Prov() *Provenance {
+func (a *Active) Prov() *obs.Provenance {
 	if a == nil || a.t == nil {
 		return nil
 	}

@@ -217,7 +217,7 @@ func TestProvisionRouterInheritsPolicySync(t *testing.T) {
 	m, _ := Model("MobileNet v1")
 	env, _ := NewEnvironment(EnvS1, 1)
 	for i := 0; i < 10; i++ {
-		if _, err := donor.RunInference(m, env.Sample()); err != nil {
+		if _, err := donor.RunInferenceCtx(nil, m, env.Sample()); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -4,10 +4,10 @@ import (
 	"context"
 	"testing"
 
-	"autoscale/internal/core"
 	"autoscale/internal/dnn"
 	"autoscale/internal/exec"
 	"autoscale/internal/interfere"
+	"autoscale/internal/obs"
 	"autoscale/internal/sim"
 	"autoscale/internal/soc"
 	"autoscale/internal/tracez"
@@ -67,7 +67,7 @@ func TestExecuteLoadedZeroAlloc(t *testing.T) {
 }
 
 // TestTracedDecideAllocBudget guards the sampled decide path: capturing
-// decision provenance into a caller-owned, reused DecisionProv must add at
+// decision provenance into a caller-owned, reused obs.Provenance must add at
 // most 2 allocs/op over the plain filtered step. The prov slot's Q and Mask
 // slices are refilled in place, so in practice the delta is zero once warm.
 func TestTracedDecideAllocBudget(t *testing.T) {
@@ -76,7 +76,7 @@ func TestTracedDecideAllocBudget(t *testing.T) {
 	}
 	e, m, c := trainedBenchEngine(t)
 	e.Agent().Freeze()
-	var prov core.DecisionProv
+	var prov obs.Provenance
 	// Warm both paths so every row and scratch buffer is materialized.
 	if _, err := e.Step(nil, m, c, nil, nil); err != nil {
 		t.Fatal(err)
