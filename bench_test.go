@@ -320,41 +320,6 @@ func BenchmarkAblationHyper(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDiscretization compares the paper's Table I bins against
-// a DBSCAN-fitted state space (how the paper derived them) on prediction
-// quality.
-func BenchmarkAblationDiscretization(b *testing.B) {
-	fitSamples := func() []core.Observation {
-		var out []core.Observation
-		for _, m := range dnn.Zoo() {
-			for _, vs := range exp.VarianceGrid() {
-				out = append(out, core.Observation{
-					NumConv: m.NumConv(), NumFC: m.NumFC(), NumRC: m.NumRC(), MACs: m.MACs(),
-					CoCPU: vs.CoCPU * 100, CoMem: vs.CoMem * 100,
-					RSSIW: vs.RSSIW, RSSIP: vs.RSSIP,
-				})
-			}
-		}
-		return out
-	}
-	b.Run("tableI", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.ReportMetric(ablationEval(b, core.DefaultConfig()), "energy/opt")
-		}
-	})
-	b.Run("dbscan-fit", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			states, err := core.FitStateSpace(fitSamples())
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := core.DefaultConfig()
-			cfg.States = states
-			b.ReportMetric(ablationEval(b, cfg), "energy/opt")
-		}
-	})
-}
-
 // BenchmarkBaselinePolicies measures the per-request cost of each
 // comparison policy.
 func BenchmarkBaselinePolicies(b *testing.B) {

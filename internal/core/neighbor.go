@@ -39,13 +39,14 @@ const (
 
 // neighborIndex groups an agent's materialized rows by NN tuple for the
 // nearest-neighbour search. A state's distance to a row is
-// nnWeight·dNN + dVar with dVar ≥ 0, so no row of a group whose
-// nnWeight·dNN already exceeds the best total found can win or tie: the
-// search visits groups by ascending dNN and stops there, which is exact for
-// any bin counts. The index belongs to the engine's installed agent and is
-// guarded by the engine's mu; it catches up from the agent's append-only
-// row list on each search, so rows materialized by any path (selection,
-// transfer, a lock-free reader's miss) are found.
+// nnWeight·dNN + dVar with 0 ≤ dVar < nnWeight, so a row of the target's
+// own group beats every other group; without one, no row of a group whose
+// nnWeight·dNN already exceeds the best total found can win or tie, and the
+// search visits groups by ascending dNN and stops there. The index belongs
+// to the engine's installed agent and is guarded by the engine's mu; it
+// catches up from the agent's append-only row list on each search, so rows
+// materialized by any path (selection, transfer, a lock-free reader's miss)
+// are found.
 type neighborIndex struct {
 	cache   *internCache // the radix table the groups were cut with; nil = empty index
 	read    int          // length of the agent's Rows already indexed
@@ -132,20 +133,17 @@ func (x *neighborIndex) nearest(i int32) (best int32, ok bool) {
 			}
 		}
 	}
-	// The target's own group is at dNN = 0; every other group is at least
-	// nnWeight away, so a nearer donor in the own group settles the search.
-	own := x.slot[i/x.varSize] - 1
-	if own >= 0 {
+	// The target's own group is at dNN = 0 and every other group at least
+	// nnWeight away. A Table I variance distance is at most
+	// (4-1)+(4-1)+(2-1)+(2-1) = 8 < nnWeight (TestTableIInvariants), so any
+	// row of the own group settles the search.
+	if own := x.slot[i/x.varSize] - 1; own >= 0 {
 		scan(&x.groups[own], 0)
-		if bestD < nnWeight {
-			return best, true
-		}
+		return best, true
 	}
 	x.visit = x.visit[:0]
 	for k := range x.groups {
-		if int32(k) != own {
-			x.visit = append(x.visit, groupDist{d: nnWeight * l1(tn[:], x.groups[k].nn[:]), group: int32(k)})
-		}
+		x.visit = append(x.visit, groupDist{d: nnWeight * l1(tn[:], x.groups[k].nn[:]), group: int32(k)})
 	}
 	slices.SortFunc(x.visit, func(a, b groupDist) int { return cmp.Compare(a.d, b.d) })
 	for _, v := range x.visit {

@@ -7,10 +7,10 @@ package core
 
 import (
 	"fmt"
-	"strings"
+	"math"
+	"sort"
 	"sync/atomic"
 
-	"autoscale/internal/cluster"
 	"autoscale/internal/dnn"
 	"autoscale/internal/rl"
 	"autoscale/internal/sim"
@@ -99,8 +99,39 @@ func (o Observation) value(f Feature) float64 {
 	return 0
 }
 
+// tableI holds the published Table I cut points (Kim & Wu, arXiv
+// 2005.02544), feature by feature; a value v falls in the bin of the first
+// cut strictly above it:
+//
+//	SCONV: small(<30) medium(<50) large(<90) larger(>=90)
+//	SFC:   small(<10) large(>=10)
+//	SRC:   small(<10) large(>=10)
+//	SMAC:  small(<1000M) medium(<2000M) large(>=2000M)
+//	SCo_CPU / SCo_MEM: none(0) small(<25) medium(<75) large(<=100)
+//	SRSSI_W / SRSSI_P: regular(>-80dBm) weak(<=-80dBm)
+//
+// Table I counts exactly -80 dBm as weak ("<= -80"), so the RSSI cut sits
+// just above the boundary. Every feature has at most 4 bins, so each bin is
+// one digit of a state key.
+var tableI = [NumFeatures][]float64{
+	FeatConv:  {30, 50, 90},
+	FeatFC:    {10},
+	FeatRC:    {10},
+	FeatMAC:   {1000e6, 2000e6},
+	FeatCoCPU: {0.5, 25, 75},
+	FeatCoMem: {0.5, 25, 75},
+	FeatRSSIW: {-79.999},
+	FeatRSSIP: {-79.999},
+}
+
+// bin returns the Table I bin of value v of feature f. NaN lands in the top
+// bin.
+func bin(f Feature, v float64) int {
+	return sort.SearchFloat64s(tableI[f], math.Nextafter(v, math.Inf(1)))
+}
+
 // StateSpace discretizes observations into dense state indices and their
-// rl.State keys. Each feature has a Discretizer and may be disabled (for the
+// rl.State keys with the Table I bins. A feature may be disabled (for the
 // paper's state-ablation study).
 //
 // StateSpace implements rl.Interner: every state is a mixed-radix number
@@ -109,7 +140,6 @@ func (o Observation) value(f Feature) float64 {
 // engine and agent run the decide path on int32 arithmetic with string keys
 // rendered only at the checkpoint boundary.
 type StateSpace struct {
-	disc    [NumFeatures]*cluster.Discretizer
 	enabled [NumFeatures]bool
 
 	// cache holds the lazily built radix table and pre-rendered keys.
@@ -121,74 +151,17 @@ type StateSpace struct {
 type internCache struct {
 	size  int
 	radix [NumFeatures]int32 // 1 for disabled features
-	keys  []rl.State         // nil when size > maxPrecomputedKeys
+	keys  []rl.State         // the key of every index
 }
 
-// maxPrecomputedKeys bounds the pre-rendered key table (the paper's space is
-// 3,072 states; pathological fitted spaces fall back to on-demand rendering).
-const maxPrecomputedKeys = 1 << 16
-
-// NewStateSpace returns the paper's Table I discretization, which its
-// authors obtained by running DBSCAN over observed feature samples:
-//
-//	SCONV: small(<30) medium(<50) large(<90) larger(>=90)
-//	SFC:   small(<10) large(>=10)
-//	SRC:   small(<10) large(>=10)
-//	SMAC:  small(<1000M) medium(<2000M) large(>=2000M)
-//	SCo_CPU / SCo_MEM: none(0) small(<25) medium(<75) large(<=100)
-//	SRSSI_W / SRSSI_P: regular(>-80dBm) weak(<=-80dBm)
+// NewStateSpace returns the Table I state space with every feature enabled:
+// 4 x 2 x 2 x 3 x 4 x 4 x 2 x 2 = 3,072 states.
 func NewStateSpace() *StateSpace {
 	s := &StateSpace{}
-	s.disc[FeatConv] = cluster.NewDiscretizer([]float64{30, 50, 90})
-	s.disc[FeatFC] = cluster.NewDiscretizer([]float64{10})
-	s.disc[FeatRC] = cluster.NewDiscretizer([]float64{10})
-	s.disc[FeatMAC] = cluster.NewDiscretizer([]float64{1000e6, 2000e6})
-	s.disc[FeatCoCPU] = cluster.NewDiscretizer([]float64{0.5, 25, 75})
-	s.disc[FeatCoMem] = cluster.NewDiscretizer([]float64{0.5, 25, 75})
-	// Table I counts exactly -80 dBm as weak ("<= -80"), so the cut sits
-	// just above the boundary.
-	s.disc[FeatRSSIW] = cluster.NewDiscretizer([]float64{-79.999})
-	s.disc[FeatRSSIP] = cluster.NewDiscretizer([]float64{-79.999})
 	for i := range s.enabled {
 		s.enabled[i] = true
 	}
 	return s
-}
-
-// FitStateSpace rebuilds the discretization by clustering the given
-// observation samples with DBSCAN, exactly as the paper derives Table I.
-// Features whose samples do not split into at least two clusters fall back
-// to the Table I cuts.
-func FitStateSpace(samples []Observation) (*StateSpace, error) {
-	if len(samples) == 0 {
-		return nil, fmt.Errorf("core: no samples to fit")
-	}
-	fallback := NewStateSpace()
-	s := &StateSpace{}
-	for i := range s.enabled {
-		s.enabled[i] = true
-	}
-	// Per-feature DBSCAN radii scaled to the feature's natural units.
-	eps := [NumFeatures]float64{
-		FeatConv: 8, FeatFC: 4, FeatRC: 4, FeatMAC: 400e6,
-		FeatCoCPU: 10, FeatCoMem: 10, FeatRSSIW: 5, FeatRSSIP: 5,
-	}
-	minPts := 2
-	for f := Feature(0); f < numFeatures; f++ {
-		vals := make([]float64, len(samples))
-		for i, o := range samples {
-			vals[i] = o.value(f)
-		}
-		d, err := cluster.FitDiscretizer(vals, eps[f], minPts)
-		if err != nil {
-			return nil, fmt.Errorf("core: fit %s: %w", f, err)
-		}
-		if d.Bins() < 2 {
-			d = fallback.disc[f]
-		}
-		s.disc[f] = d
-	}
-	return s, nil
 }
 
 // Disable removes a feature from the state key (ablation). It returns the
@@ -209,7 +182,7 @@ func (s *StateSpace) Bins(f Feature) int {
 	if f < 0 || f >= numFeatures {
 		return 0
 	}
-	return s.disc[f].Bins()
+	return len(tableI[f]) + 1
 }
 
 // Size returns the total number of distinct states (product of enabled
@@ -218,7 +191,7 @@ func (s *StateSpace) Size() int {
 	n := 1
 	for f := Feature(0); f < numFeatures; f++ {
 		if s.enabled[f] {
-			n *= s.disc[f].Bins()
+			n *= s.Bins(f)
 		}
 	}
 	return n
@@ -241,18 +214,16 @@ func (s *StateSpace) buildCache() *internCache {
 	for f := Feature(0); f < numFeatures; f++ {
 		r := 1
 		if s.enabled[f] {
-			r = s.disc[f].Bins()
+			r = s.Bins(f)
 		}
 		c.radix[f] = int32(r)
 		c.size *= r
 	}
-	if c.size <= maxPrecomputedKeys {
-		c.keys = make([]rl.State, c.size)
-		var bins [NumFeatures]int
-		for i := range c.keys {
-			s.decodeEnabled(c, int32(i), &bins)
-			c.keys[i] = renderBins(&bins)
-		}
+	c.keys = make([]rl.State, c.size)
+	var bins [NumFeatures]int
+	for i := range c.keys {
+		s.decodeEnabled(c, int32(i), &bins)
+		c.keys[i] = renderBins(&bins)
 	}
 	return c
 }
@@ -288,25 +259,20 @@ func (s *StateSpace) Index(o Observation) int32 {
 		if !s.enabled[f] {
 			continue
 		}
-		idx = idx*c.radix[f] + int32(s.disc[f].Bin(o.value(f)))
+		idx = idx*c.radix[f] + int32(bin(f, o.value(f)))
 	}
 	return idx
 }
 
 // KeyOf renders the canonical string key of a dense index (rl.Interner).
-// For realistic spaces the key comes from a pre-rendered table, so repeated
-// calls return the same interned string without allocating.
+// The key comes from the pre-rendered table, so repeated calls return the
+// same interned string without allocating.
 func (s *StateSpace) KeyOf(i int32) rl.State {
 	c := s.cacheLoad()
 	if i < 0 || int(i) >= c.size {
 		return ""
 	}
-	if c.keys != nil {
-		return c.keys[i]
-	}
-	var bins [NumFeatures]int
-	s.decodeEnabled(c, i, &bins)
-	return renderBins(&bins)
+	return c.keys[i]
 }
 
 // BinsOf decodes a dense index into per-feature bins; disabled features
@@ -321,21 +287,14 @@ func (s *StateSpace) BinsOf(i int32, bins *[NumFeatures]int) bool {
 }
 
 // Lookup parses a canonical state key back to its dense index
-// (rl.Interner). ok is false for keys this space cannot have rendered:
-// wrong feature count, '*' mismatches against the ablation set, bins out of
-// range, or non-canonical digit strings.
+// (rl.Interner): one digit or '*' per feature, '|'-separated. ok is false
+// for keys this space cannot have rendered: wrong length, '*' mismatches
+// against the ablation set, or bins out of range.
 func (s *StateSpace) Lookup(key rl.State) (int32, bool) {
-	c := s.cacheLoad()
-	if len(key) == 2*NumFeatures-1 {
-		if i, ok := s.lookupFast(c, key); ok {
-			return i, true
-		}
+	if len(key) != 2*NumFeatures-1 {
+		return 0, false
 	}
-	return s.lookupSlow(c, key)
-}
-
-// lookupFast parses the single-digit-per-feature rendering.
-func (s *StateSpace) lookupFast(c *internCache, key rl.State) (int32, bool) {
+	c := s.cacheLoad()
 	idx := int32(0)
 	for f := Feature(0); f < numFeatures; f++ {
 		if f > 0 && key[2*f-1] != '|' {
@@ -351,96 +310,34 @@ func (s *StateSpace) lookupFast(c *internCache, key rl.State) (int32, bool) {
 		if ch < '0' || ch > '9' {
 			return 0, false
 		}
-		bin := int32(ch - '0')
-		if bin >= c.radix[f] {
+		b := int32(ch - '0')
+		if b >= c.radix[f] {
 			return 0, false
 		}
-		idx = idx*c.radix[f] + bin
-	}
-	return idx, true
-}
-
-func (s *StateSpace) lookupSlow(c *internCache, key rl.State) (int32, bool) {
-	parts := strings.Split(string(key), "|")
-	if len(parts) != NumFeatures {
-		return 0, false
-	}
-	idx := int32(0)
-	for f := Feature(0); f < numFeatures; f++ {
-		p := parts[f]
-		if !s.enabled[f] {
-			if p != "*" {
-				return 0, false
-			}
-			continue
-		}
-		// Canonical decimal only: digits, no leading zeros/signs.
-		if p == "" || (len(p) > 1 && p[0] == '0') {
-			return 0, false
-		}
-		bin := 0
-		for k := 0; k < len(p); k++ {
-			if p[k] < '0' || p[k] > '9' {
-				return 0, false
-			}
-			bin = bin*10 + int(p[k]-'0')
-			if bin >= int(c.radix[f]) {
-				return 0, false
-			}
-		}
-		idx = idx*c.radix[f] + int32(bin)
+		idx = idx*c.radix[f] + b
 	}
 	return idx, true
 }
 
 // Key discretizes an observation into the Q-table state key. Disabled
-// features render as "*" so ablated tables collapse their dimension. With
-// the pre-rendered key table this is a table lookup; oversized fitted
-// spaces render on demand.
+// features render as "*" so ablated tables collapse their dimension.
 func (s *StateSpace) Key(o Observation) rl.State {
-	c := s.cacheLoad()
-	if c.keys != nil {
-		return c.keys[s.Index(o)]
-	}
-	var bins [NumFeatures]int
-	for f := Feature(0); f < numFeatures; f++ {
-		bins[f] = -1
-		if s.enabled[f] {
-			bins[f] = s.disc[f].Bin(o.value(f))
-		}
-	}
-	return renderBins(&bins)
+	return s.cacheLoad().keys[s.Index(o)]
 }
 
 // renderBins renders per-feature bins into the canonical key string; -1
-// renders as '*'. Bin indices are single digits for every realistic
-// discretization; larger indices fall back to full formatting.
+// renders as '*'.
 func renderBins(bins *[NumFeatures]int) rl.State {
 	var buf [2*NumFeatures - 1]byte
 	for f := 0; f < NumFeatures; f++ {
 		if f > 0 {
 			buf[2*f-1] = '|'
 		}
-		switch {
-		case bins[f] < 0:
+		if bins[f] < 0 {
 			buf[2*f] = '*'
-		case bins[f] > 9:
-			return slowRenderBins(bins)
-		default:
+		} else {
 			buf[2*f] = byte('0' + bins[f])
 		}
 	}
 	return rl.State(buf[:])
-}
-
-func slowRenderBins(bins *[NumFeatures]int) rl.State {
-	parts := make([]string, NumFeatures)
-	for f := 0; f < NumFeatures; f++ {
-		if bins[f] < 0 {
-			parts[f] = "*"
-			continue
-		}
-		parts[f] = fmt.Sprintf("%d", bins[f])
-	}
-	return rl.State(strings.Join(parts, "|"))
 }

@@ -4,7 +4,6 @@ import (
 	"sort"
 	"testing"
 
-	"autoscale/internal/cluster"
 	"autoscale/internal/rl"
 )
 
@@ -100,35 +99,17 @@ func TestLookupRejectsAlienKeys(t *testing.T) {
 }
 
 // BinsOf must decode indices consistently with KeyOf and Lookup: in a
-// Table I space, with a feature too wide for single-digit keys, and in a
-// space too large for the pre-rendered key table.
+// Table I space with one feature ablated and with several.
 func TestBinsOfDecodes(t *testing.T) {
-	cuts := make([]float64, 200)
-	for i := range cuts {
-		cuts[i] = float64(i+1) * 1e7
-	}
-	wideMAC := func(disable ...Feature) *StateSpace {
-		ss := NewStateSpace()
-		ss.disc[FeatMAC] = cluster.NewDiscretizer(cuts)
-		for _, f := range append(disable, FeatRC) {
-			ss.Disable(f)
-		}
-		return ss
-	}
 	spaces := []struct {
 		name string
 		ss   *StateSpace
-		keys bool
 	}{
-		{"table", NewStateSpace().Disable(FeatRC), true},
-		{"wide", wideMAC(FeatConv, FeatFC, FeatCoCPU, FeatCoMem, FeatRSSIP), true},
-		{"oversize", wideMAC(), false},
+		{"table", NewStateSpace().Disable(FeatRC)},
+		{"multi", NewStateSpace().Disable(FeatConv).Disable(FeatRC).Disable(FeatCoMem).Disable(FeatRSSIP)},
 	}
 	for _, sp := range spaces {
 		name, ss := sp.name, sp.ss
-		if c := ss.cacheLoad(); (c.keys != nil) != sp.keys {
-			t.Fatalf("%s: key table %v", name, c.keys != nil)
-		}
 		o := Observation{NumConv: 35, NumFC: 5, NumRC: 12, MACs: 1.5e9, CoCPU: 10, CoMem: 50, RSSIW: -60, RSSIP: -90}
 		if got, want := ss.Key(o), ss.KeyOf(ss.Index(o)); got != want {
 			t.Fatalf("%s: Key = %q, KeyOf(Index) = %q", name, got, want)
@@ -137,12 +118,14 @@ func TestBinsOfDecodes(t *testing.T) {
 		if ss.BinsOf(int32(ss.Size()), &bins) {
 			t.Fatalf("%s: BinsOf accepted out-of-range index", name)
 		}
-		for i := int32(0); int(i) < ss.Size(); i += 7 {
+		for i := int32(0); int(i) < ss.Size(); i++ {
 			if !ss.BinsOf(i, &bins) {
 				t.Fatalf("%s: BinsOf(%d) failed", name, i)
 			}
-			if bins[FeatRC] != -1 {
-				t.Fatalf("%s: BinsOf(%d): disabled feature decoded %d, want -1", name, i, bins[FeatRC])
+			for f := Feature(0); f < numFeatures; f++ {
+				if ss.Enabled(f) != (bins[f] >= 0) || bins[f] >= ss.Bins(f) {
+					t.Fatalf("%s: BinsOf(%d): %s decoded %d (enabled %v, %d bins)", name, i, f, bins[f], ss.Enabled(f), ss.Bins(f))
+				}
 			}
 			if got := renderBins(&bins); got != ss.KeyOf(i) {
 				t.Fatalf("%s: BinsOf(%d) renders %q, KeyOf %q", name, i, got, ss.KeyOf(i))

@@ -28,15 +28,17 @@ func TableI() *Table {
 		core.FeatRSSIP: "RSSI of peer-to-peer network (dBm)",
 	}
 	for f := core.Feature(0); int(f) < core.NumFeatures; f++ {
-		t.AddRow(f.String(), desc[f], s.Bins(f), fmt.Sprintf("%v", cutsOf(s, f)))
+		t.AddRow(f.String(), desc[f], s.Bins(f), fmt.Sprintf("%v", cutsOf(f)))
 	}
 	t.Notes = append(t.Notes, fmt.Sprintf("state space size: %d (paper: 3,072)", s.Size()))
 	return t
 }
 
-func cutsOf(s *core.StateSpace, f core.Feature) []float64 {
-	// The StateSpace does not expose raw cuts; re-derive the canonical
-	// Table I boundaries for display.
+// cutsOf returns the cut points of feature f as the paper prints them.
+// The state space bins with 0.5 for "none" co-runner load and -79.999 dBm
+// so that exactly -80 dBm counts as weak; the table shows the printed 0 and
+// -80.
+func cutsOf(f core.Feature) []float64 {
 	switch f {
 	case core.FeatConv:
 		return []float64{30, 50, 90}

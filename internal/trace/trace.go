@@ -228,6 +228,11 @@ func ReadAll(r io.Reader) ([]Record, error) {
 			}
 			return nil, fmt.Errorf("trace: record %d: %w", len(out), err)
 		}
+		if len(rec.Phases) == 0 {
+			// "phases":{} is a record without phases, which is how Writer
+			// renders it back.
+			rec.Phases = nil
+		}
 		out = append(out, rec)
 	}
 }

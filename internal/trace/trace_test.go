@@ -268,17 +268,19 @@ func TestSchemaV1Compat(t *testing.T) {
 	}
 }
 
+// fixtures are records as each schema version before v4 wrote them.
+var fixtures = []struct {
+	name, raw string
+	wantV     int
+}{
+	{"v1", `{"seq":0,"model":"MobileNet v1","state":"0|0|0|0|0|0|1|1","target":"local/CPU@0/FP32","location":"local","latency_s":0.02,"energy_j":0.05,"reward":-40,"qos_violated":false}`, 0},
+	{"v2", `{"v":2,"seq":1,"model":"ResNet50 v1","state":"1|0|0|0|0|0|1|1","target":"edge/GPU/FP16","location":"edge","latency_s":0.04,"energy_j":0.03,"reward":-25,"qos_violated":false,"device":"lane-0","shard":"shard-1","tenant":"gold"}`, 2},
+	{"v3", `{"v":3,"seq":2,"model":"Inception v4","state":"2|0|0|0|0|0|1|1","target":"cloud/GPU/FP32","location":"cloud","latency_s":0.08,"energy_j":0.02,"reward":-18,"qos_violated":true,"vwait_s":0.005,"phases":{"execute":0.08}}`, 3},
+}
+
 // TestSchemaV4Compat pins the v4 contract: v1-v3 fixtures keep parsing
 // unchanged with TraceID zero, and a v4 record round-trips its trace link.
 func TestSchemaV4Compat(t *testing.T) {
-	fixtures := []struct {
-		name, raw string
-		wantV     int
-	}{
-		{"v1", `{"seq":0,"model":"MobileNet v1","state":"0|0|0|0|0|0|1|1","target":"local/CPU@0/FP32","location":"local","latency_s":0.02,"energy_j":0.05,"reward":-40,"qos_violated":false}`, 0},
-		{"v2", `{"v":2,"seq":1,"model":"ResNet50 v1","state":"1|0|0|0|0|0|1|1","target":"edge/GPU/FP16","location":"edge","latency_s":0.04,"energy_j":0.03,"reward":-25,"qos_violated":false,"device":"lane-0","shard":"shard-1","tenant":"gold"}`, 2},
-		{"v3", `{"v":3,"seq":2,"model":"Inception v4","state":"2|0|0|0|0|0|1|1","target":"cloud/GPU/FP32","location":"cloud","latency_s":0.08,"energy_j":0.02,"reward":-18,"qos_violated":true,"vwait_s":0.005,"phases":{"execute":0.08}}`, 3},
-	}
 	for _, fx := range fixtures {
 		recs, err := ReadAll(strings.NewReader(fx.raw + "\n"))
 		if err != nil {
