@@ -1,6 +1,7 @@
 package autoscale
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -79,6 +80,108 @@ func TestEveryInternalPackageIsImported(t *testing.T) {
 	sort.Strings(orphans)
 	for _, pkg := range orphans {
 		t.Errorf("%s is imported by no non-test file outside its own directory: delete it or wire it in", pkg)
+	}
+}
+
+// TestEveryInternalExportIsReached guards against production code that only
+// its own package's tests call: every exported func and method declared in a
+// non-test file under internal/ must be named, its own declaration aside, by a
+// non-test file in the repo or by a test file in another directory. Unlike
+// the package guard, bench/ counts as a caller here: the benchmark is built
+// from this tree and what it calls must stay. Methods on unexported receivers are
+// skipped: interfaces reach them (xoshiro's Int63 is rand.Source's). Matching
+// is by name only, so a name used anywhere else keeps every declaration of it.
+func TestEveryInternalExportIsReached(t *testing.T) {
+	type decl struct{ file, dir, name string }
+	var decls []decl
+	namedBy := map[string]map[string]bool{} // identifier -> files naming it
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			name := d.Name()
+			if p != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(p, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		p = filepath.ToSlash(p)
+		dir := path.Dir(p)
+		internal := strings.HasPrefix(dir, "internal/") && !strings.HasSuffix(p, "_test.go")
+		var declared *ast.Ident // a declaration's own name is not a use of it
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				declared = n.Name
+				if internal && n.Name.IsExported() && exportedRecv(n.Recv) {
+					decls = append(decls, decl{p, dir, n.Name.Name})
+				}
+			case *ast.Ident:
+				if n != declared {
+					if namedBy[n.Name] == nil {
+						namedBy[n.Name] = map[string]bool{}
+					}
+					namedBy[n.Name][p] = true
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(decls) == 0 {
+		t.Fatal("found no internal exports; is the walk rooted at the module?")
+	}
+	var unreached []string
+	for _, d := range decls {
+		reached := false
+		for file := range namedBy[d.name] {
+			if !strings.HasSuffix(file, "_test.go") || path.Dir(file) != d.dir {
+				reached = true
+				break
+			}
+		}
+		if !reached {
+			unreached = append(unreached, d.file+": "+d.name)
+		}
+	}
+	sort.Strings(unreached)
+	for _, u := range unreached {
+		t.Errorf("%s is named by no non-test file and no other package's tests: delete it or wire it in", u)
+	}
+}
+
+// exportedRecv reports whether a func is a plain function or a method whose
+// receiver's base type is exported.
+func exportedRecv(recv *ast.FieldList) bool {
+	if recv == nil || len(recv.List) == 0 {
+		return true
+	}
+	typ := recv.List[0].Type
+	for {
+		switch x := typ.(type) {
+		case *ast.StarExpr:
+			typ = x.X
+		case *ast.IndexExpr:
+			typ = x.X
+		case *ast.IndexListExpr:
+			typ = x.X
+		case *ast.Ident:
+			return x.IsExported()
+		default:
+			return true
+		}
 	}
 }
 
