@@ -59,17 +59,15 @@ alloc-guard:
 # Fuzz smoke over the decoders, 5 s each: a fault schedule that parses must
 # compile and answer injector queries; a policy envelope that decodes must
 # carry a valid table; a Q-table that decodes must restore onto an agent and
-# encode back byte for byte; a binary trace dump that decodes must re-encode
-# stably; an SLO class spec that parses must carry unique names and finite
-# positive bounds; a state key that looks up must be the key its index
-# renders, on the Table I space and each single-feature ablation; a JSON
-# Lines audit trace that reads must read back unchanged after a write.
+# encode back byte for byte; an SLO class spec that parses must carry unique
+# names and finite positive bounds; a state key that looks up must be the key
+# its index renders, on the Table I space and each single-feature ablation; a
+# JSON Lines audit trace that reads must read back unchanged after a write.
 # `go test -fuzz` takes one target per run.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzScheduleParse$$' -fuzztime 5s ./internal/fault/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecode$$' -fuzztime 5s ./internal/policy/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeTable$$' -fuzztime 5s ./internal/rl/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeBinary$$' -fuzztime 5s ./internal/tracez/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseClasses$$' -fuzztime 5s ./internal/plan/
 	$(GO) test -run '^$$' -fuzz '^FuzzStateKey$$' -fuzztime 5s ./internal/core/
 	$(GO) test -run '^$$' -fuzz '^FuzzReadAll$$' -fuzztime 5s ./internal/trace/

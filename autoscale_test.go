@@ -163,36 +163,6 @@ func TestNewTrainedEngineAPI(t *testing.T) {
 	}
 }
 
-func TestRunSessionAPI(t *testing.T) {
-	w, err := NewWorld(Mi8Pro, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _ := Model("MobileNet v1")
-	env, _ := NewEnvironment(EnvS1, 6)
-	b, err := NewBattery(3000, 3.85)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stats, err := RunSession(Opt(w, NonStreaming), SessionConfig{
-		Model:     m,
-		Env:       env,
-		Arrival:   Periodic{PeriodS: 0.2},
-		DurationS: 10,
-		IdleW:     1.0,
-		Seed:      6,
-	}, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Inferences == 0 || stats.BatteryDrainedJ <= 0 {
-		t.Errorf("session stats incomplete: %+v", stats)
-	}
-	if b.SoC() >= 1 {
-		t.Error("battery must have drained")
-	}
-}
-
 func TestTracedPolicyAPI(t *testing.T) {
 	w, _ := NewWorld(Mi8Pro, 7)
 	e, err := NewEngine(w, DefaultEngineConfig())

@@ -57,27 +57,6 @@ func ExampleQoSFor() {
 	// translation:          100 ms
 }
 
-// ExampleRunSession replays a 10-second burst of periodic camera frames
-// against the oracle policy and reports the session outcome.
-func ExampleRunSession() {
-	world, _ := autoscale.NewWorld(autoscale.Mi8Pro, 1)
-	model, _ := autoscale.Model("MobileNet v1")
-	env, _ := autoscale.NewEnvironment(autoscale.EnvS1, 1)
-	stats, err := autoscale.RunSession(autoscale.Opt(world, autoscale.NonStreaming), autoscale.SessionConfig{
-		Model:     model,
-		Env:       env,
-		Arrival:   autoscale.Periodic{PeriodS: 0.5},
-		DurationS: 10,
-		IdleW:     1.0,
-		Seed:      1,
-	}, nil)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println(stats.Inferences > 0 && stats.ViolationRatio() == 0)
-	// Output: true
-}
-
 // ExampleNewFleet provisions a warm-started engine for a second device from
 // a donor trained on the first — the paper's learning transfer.
 func ExampleNewFleet() {

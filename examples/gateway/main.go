@@ -45,16 +45,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// A Poisson arrival stream, as a user-interaction session would produce
-	// — compressed so the example finishes quickly: the session layer's
-	// gaps, divided by 1000, pace real submissions.
-	arrival := autoscale.Poisson{RatePerS: 20}
+	// A Poisson arrival stream at 20 req/s, as user interactions would
+	// produce — compressed so the example finishes quickly: exponential gaps,
+	// divided by 1000, pace real submissions.
 	rng := autoscale.NewExecContext(11).Stream("example.arrival")
 	const requests = 600
 	fmt.Printf("submitting %d Poisson-arriving requests...\n", requests)
 	var chans []<-chan autoscale.Response
 	for i := 0; i < requests; i++ {
-		time.Sleep(time.Duration(arrival.NextGapS(rng) / 1000 * float64(time.Second)))
+		time.Sleep(time.Duration(rng.ExpFloat64() / 20 / 1000 * float64(time.Second)))
 		ch, err := gw.Submit(autoscale.Request{
 			Model:      model,
 			Conditions: env.Sample(),

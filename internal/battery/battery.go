@@ -1,10 +1,9 @@
 // Package battery models the energy reservoir the paper's whole optimization
 // exists to protect: mobile devices "are energy constrained [60], so it is
 // necessary to optimize energy efficiency of the DNN inference". It provides
-// a simple coulomb-counting battery with a nominal voltage, drain/charge
-// accounting and projected lifetime — used by the day-in-the-life example
-// and the session simulator to translate per-inference joules into hours of
-// battery life.
+// a simple coulomb-counting battery with a nominal voltage and drain
+// accounting — used by the day-in-the-life example to translate
+// per-inference joules into state of charge.
 package battery
 
 import (
@@ -17,7 +16,6 @@ import (
 type Battery struct {
 	capacityJ float64
 	remaining float64
-	drained   float64
 }
 
 // New creates a battery from its datasheet rating: capacity in mAh and
@@ -33,13 +31,6 @@ func New(capacityMAh, nominalV float64) (*Battery, error) {
 // CapacityJ returns the full capacity in joules.
 func (b *Battery) CapacityJ() float64 { return b.capacityJ }
 
-// RemainingJ returns the remaining charge in joules.
-func (b *Battery) RemainingJ() float64 { return b.remaining }
-
-// DrainedJ returns the total energy drawn since construction (or the last
-// Recharge).
-func (b *Battery) DrainedJ() float64 { return b.drained }
-
 // SoC returns the state of charge in [0,1].
 func (b *Battery) SoC() float64 {
 	if b.capacityJ == 0 {
@@ -48,16 +39,12 @@ func (b *Battery) SoC() float64 {
 	return b.remaining / b.capacityJ
 }
 
-// Empty reports whether the battery is exhausted.
-func (b *Battery) Empty() bool { return b.remaining <= 0 }
-
 // Drain removes energy (joules). It returns an error for negative amounts;
 // draining past empty clamps at zero and reports ErrEmpty.
 func (b *Battery) Drain(joules float64) error {
 	if joules < 0 {
 		return errors.New("battery: negative drain")
 	}
-	b.drained += joules
 	b.remaining -= joules
 	if b.remaining <= 0 {
 		b.remaining = 0
@@ -68,22 +55,6 @@ func (b *Battery) Drain(joules float64) error {
 
 // ErrEmpty is reported by Drain when the battery hits zero.
 var ErrEmpty = errors.New("battery: empty")
-
-// Recharge restores the battery to full and resets the drain counter.
-func (b *Battery) Recharge() {
-	b.remaining = b.capacityJ
-	b.drained = 0
-}
-
-// HoursAt projects the remaining lifetime in hours at a constant average
-// power draw (watts). Non-positive power yields +Inf semantics via a large
-// sentinel; callers should treat it as "not draining".
-func (b *Battery) HoursAt(watts float64) float64 {
-	if watts <= 0 {
-		return 1e9
-	}
-	return b.remaining / watts / 3600
-}
 
 // String renders the state of charge.
 func (b *Battery) String() string {

@@ -16,7 +16,7 @@ func TestNew(t *testing.T) {
 	if math.Abs(b.CapacityJ()-41580) > 1 {
 		t.Errorf("capacity = %v J, want ~41580", b.CapacityJ())
 	}
-	if b.SoC() != 1 || b.Empty() {
+	if b.SoC() != 1 {
 		t.Error("fresh battery must be full")
 	}
 	if _, err := New(0, 3.85); err == nil {
@@ -32,11 +32,8 @@ func TestDrainAccounting(t *testing.T) {
 	if err := b.Drain(1000); err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(b.DrainedJ()-1000) > 1e-9 {
-		t.Errorf("drained = %v", b.DrainedJ())
-	}
-	if math.Abs(b.RemainingJ()-(b.CapacityJ()-1000)) > 1e-9 {
-		t.Error("remaining inconsistent")
+	if want := 1 - 1000/b.CapacityJ(); math.Abs(b.SoC()-want) > 1e-12 {
+		t.Errorf("SoC = %v after 1 kJ, want %v", b.SoC(), want)
 	}
 	if err := b.Drain(-1); err == nil {
 		t.Error("negative drain should fail")
@@ -48,24 +45,8 @@ func TestDrainToEmpty(t *testing.T) {
 	if err := b.Drain(b.CapacityJ() + 50); err != ErrEmpty {
 		t.Errorf("overdrain error = %v, want ErrEmpty", err)
 	}
-	if !b.Empty() || b.RemainingJ() != 0 {
-		t.Error("battery must clamp at empty")
-	}
-	b.Recharge()
-	if b.Empty() || b.SoC() != 1 || b.DrainedJ() != 0 {
-		t.Error("recharge must restore full state")
-	}
-}
-
-func TestHoursAt(t *testing.T) {
-	b, _ := New(3000, 3.85)
-	h := b.HoursAt(2)
-	// 41.58 kJ at 2 W = 5.775 hours.
-	if math.Abs(h-5.775) > 0.01 {
-		t.Errorf("HoursAt(2) = %v, want ~5.775", h)
-	}
-	if b.HoursAt(0) < 1e8 {
-		t.Error("zero draw must project effectively forever")
+	if b.SoC() != 0 {
+		t.Errorf("SoC = %v, battery must clamp at empty", b.SoC())
 	}
 }
 
@@ -84,9 +65,6 @@ func TestInvariantProperty(t *testing.T) {
 		}
 		for _, r := range raw {
 			_ = b.Drain(float64(r))
-			if b.RemainingJ() < 0 || b.RemainingJ() > b.CapacityJ() {
-				return false
-			}
 			if b.SoC() < 0 || b.SoC() > 1 {
 				return false
 			}

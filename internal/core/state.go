@@ -275,17 +275,6 @@ func (s *StateSpace) KeyOf(i int32) rl.State {
 	return c.keys[i]
 }
 
-// BinsOf decodes a dense index into per-feature bins; disabled features
-// decode as -1. It reports false for out-of-range indices.
-func (s *StateSpace) BinsOf(i int32, bins *[NumFeatures]int) bool {
-	c := s.cacheLoad()
-	if i < 0 || int(i) >= c.size {
-		return false
-	}
-	s.decodeEnabled(c, i, bins)
-	return true
-}
-
 // Lookup parses a canonical state key back to its dense index
 // (rl.Interner): one digit or '*' per feature, '|'-separated. ok is false
 // for keys this space cannot have rendered: wrong length, '*' mismatches

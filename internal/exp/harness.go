@@ -16,7 +16,6 @@ import (
 	"autoscale/internal/interfere"
 	"autoscale/internal/sched"
 	"autoscale/internal/sim"
-	"autoscale/internal/soc"
 )
 
 // Cell identifies one (model, environment) aggregation bucket.
@@ -416,13 +415,4 @@ func Baselines(w *sim.World, intensity sim.Intensity, accuracy float64) []sched.
 		&sched.ConnectedEdge{World: w, Intensity: intensity, Accuracy: accuracy},
 		sched.Opt{World: w, Intensity: intensity, Accuracy: accuracy},
 	}
-}
-
-// PhoneWorlds builds the three evaluation worlds of Table II.
-func PhoneWorlds(seed int64) []*sim.World {
-	var out []*sim.World
-	for i, d := range soc.Phones() {
-		out = append(out, sim.NewWorld(d, seed+int64(i)))
-	}
-	return out
 }

@@ -80,15 +80,6 @@ func LayerLatency(e Exec, l dnn.Layer, pen interfere.Penalties) float64 {
 	return t + p.Overhead(l.Type)
 }
 
-// PerLayerLatencies returns the latency of every layer of m in order.
-func PerLayerLatencies(e Exec, m *dnn.Model, pen interfere.Penalties) []float64 {
-	out := make([]float64, len(m.Layers))
-	for i, l := range m.Layers {
-		out[i] = LayerLatency(e, l, pen)
-	}
-	return out
-}
-
 // ModelLatency returns the end-to-end compute latency of m (excluding any
 // network transfer, which the sim package adds for offloaded targets).
 func ModelLatency(e Exec, m *dnn.Model, pen interfere.Penalties) float64 {

@@ -91,25 +91,6 @@ func (m MMC) MeanWaitS() float64 {
 	return m.WaitProbability() / drain
 }
 
-// WaitQuantileS returns the q-quantile (0..1) of the queueing delay, using
-// the M/M/c wait law P(W > t) = Pw·exp(−(c·μ−λ)·t): zero when the quantile
-// falls in the no-wait mass, +Inf for an unstable system.
-func (m MMC) WaitQuantileS(q float64) float64 {
-	if !m.Stable() {
-		return math.Inf(1)
-	}
-	pw := m.WaitProbability()
-	tail := 1 - q
-	if tail <= 0 {
-		return math.Inf(1)
-	}
-	if tail >= pw {
-		return 0
-	}
-	drain := float64(m.Servers)*m.MuHz - m.LambdaHz
-	return math.Log(pw/tail) / drain
-}
-
 // RequiredServers returns the smallest server count whose predicted mean
 // wait meets targetWaitS at arrival rate lambdaHz and per-server service
 // rate muHz, capped at maxServers (returned when even that many cannot meet

@@ -45,19 +45,10 @@ func TestMMCWaitLaw(t *testing.T) {
 	if got, want := m.MeanWaitS(), m.WaitProbability(); math.Abs(got-want) > 1e-12 {
 		t.Errorf("mean wait = %g, want %g", got, want)
 	}
-	// Quantiles: below the no-wait mass they are 0, above they grow.
-	if got := m.WaitQuantileS(0.3); got != 0 {
-		t.Errorf("q30 wait = %g, want 0 (P(wait) ~ 0.51)", got)
-	}
-	q95 := m.WaitQuantileS(0.95)
-	q99 := m.WaitQuantileS(0.99)
-	if q95 <= 0 || q99 <= q95 {
-		t.Errorf("wait quantiles not increasing: q95=%g q99=%g", q95, q99)
-	}
 	// Unstable system: infinite waits.
 	bad := MMC{LambdaHz: 5, MuHz: 1, Servers: 4}
-	if !math.IsInf(bad.MeanWaitS(), 1) || !math.IsInf(bad.WaitQuantileS(0.5), 1) {
-		t.Error("unstable system must report infinite waits")
+	if !math.IsInf(bad.MeanWaitS(), 1) {
+		t.Error("unstable system must report an infinite wait")
 	}
 }
 

@@ -47,7 +47,7 @@ var (
 	// ErrNoCheckpoint is returned by Latest when a device has no valid
 	// checkpoint on disk.
 	ErrNoCheckpoint = errors.New("policy: no checkpoint")
-	// ErrStaleGeneration marks a Save whose generation is not newer than
+	// ErrStaleGeneration marks a write whose generation is not newer than
 	// what the store already holds for the device.
 	ErrStaleGeneration = errors.New("policy: stale generation")
 )

@@ -163,19 +163,6 @@ func generationsLocked(dir string) []uint64 {
 	return gens
 }
 
-// Save persists a checkpoint under its explicit generation. It refuses
-// generations at or below the device's newest on-disk generation
-// (ErrStaleGeneration) — the guard that keeps a delayed or replayed writer
-// from clobbering fresher learning.
-func (s *Store) Save(c *Checkpoint) error {
-	if c == nil || c.Device == "" {
-		return fmt.Errorf("policy: save needs a named checkpoint")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.saveLocked(c, c.Generation)
-}
-
 // SaveNext persists a checkpoint under the device's next generation
 // (newest on disk + 1, or 1) and returns the generation assigned.
 func (s *Store) SaveNext(c *Checkpoint) (uint64, error) {

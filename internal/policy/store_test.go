@@ -227,3 +227,16 @@ func TestStoreSweepsTempFiles(t *testing.T) {
 		t.Fatalf("generation = %d, want 1", g)
 	}
 }
+
+// Save persists a checkpoint under its explicit generation. It refuses
+// generations at or below the device's newest on-disk generation
+// (ErrStaleGeneration) — the guard that keeps a delayed or replayed writer
+// from clobbering fresher learning.
+func (s *Store) Save(c *Checkpoint) error {
+	if c == nil || c.Device == "" {
+		return errors.New("policy: save needs a named checkpoint")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.saveLocked(c, c.Generation)
+}

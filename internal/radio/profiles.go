@@ -47,14 +47,3 @@ func Bluetooth() *Link {
 		RTTSeconds:   0.030,
 	}
 }
-
-// Profiles returns every built-in link profile keyed by name.
-func Profiles() map[string]*Link {
-	return map[string]*Link{
-		"wifi":        WiFi(),
-		"wifi-direct": WiFiDirect(),
-		"lte":         LTE(),
-		"5g":          FiveG(),
-		"bluetooth":   Bluetooth(),
-	}
-}

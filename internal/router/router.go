@@ -934,13 +934,6 @@ func (rt *Router) Devices() []string {
 	return out
 }
 
-// Home returns the shard currently serving a device ("" when unknown).
-func (rt *Router) Home(device string) string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	return rt.homes[device]
-}
-
 // Closed reports whether Shutdown has begun.
 func (rt *Router) Closed() bool { return rt.closed.Load() }
 

@@ -699,3 +699,10 @@ func TestSnapshotSyncAlarmFromOnePlane(t *testing.T) {
 		t.Fatalf("merged sync counters: %d passes, %d failures; want 3 and 3", s.SyncPasses, s.SyncFailures)
 	}
 }
+
+// Home returns the shard currently serving a device ("" when unknown).
+func (rt *Router) Home(device string) string {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	return rt.homes[device]
+}

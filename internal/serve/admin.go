@@ -147,8 +147,7 @@ func (a *Admin) handleMetrics(w http.ResponseWriter, r *http.Request) {
 
 // handleTraces serves the /traces index (sampling counters plus one row per
 // kept trace). ?format=chrome exports the whole ring as one Chrome
-// trace-event document for chrome://tracing; ?format=bin as the compact
-// binary dump.
+// trace-event document for chrome://tracing.
 func (a *Admin) handleTraces(w http.ResponseWriter, r *http.Request) {
 	tr := a.src.Tracer()
 	if tr == nil {
@@ -159,8 +158,8 @@ func (a *Admin) handleTraces(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleTrace serves one kept trace by ID (/traces/{id}): the full span tree
-// with decision provenance as JSON by default, ?format=chrome / ?format=bin
-// for the other codecs.
+// with decision provenance as JSON by default, ?format=chrome for the
+// Chrome trace-event codec.
 func (a *Admin) handleTrace(w http.ResponseWriter, r *http.Request) {
 	tr := a.src.Tracer()
 	if tr == nil {
@@ -181,7 +180,6 @@ func (a *Admin) handleTrace(w http.ResponseWriter, r *http.Request) {
 func (a *Admin) writeTraceDoc(w http.ResponseWriter, tr *tracez.Tracer, id uint64, format string) {
 	var b []byte
 	var err error
-	ct := "application/json"
 	switch format {
 	case "", "json":
 		if id == 0 {
@@ -191,9 +189,6 @@ func (a *Admin) writeTraceDoc(w http.ResponseWriter, tr *tracez.Tracer, id uint6
 		}
 	case "chrome":
 		b, err = tr.ChromeJSON(id)
-	case "bin":
-		b, err = tr.Binary(id)
-		ct = "application/octet-stream"
 	default:
 		http.Error(w, "unknown format "+format, http.StatusBadRequest)
 		return
@@ -202,7 +197,7 @@ func (a *Admin) writeTraceDoc(w http.ResponseWriter, tr *tracez.Tracer, id uint6
 		http.Error(w, err.Error(), http.StatusNotFound)
 		return
 	}
-	w.Header().Set("Content-Type", ct)
+	w.Header().Set("Content-Type", "application/json")
 	w.Write(b) //nolint:errcheck
 }
 

@@ -360,21 +360,8 @@ func TestAdminTraceEndpoints(t *testing.T) {
 		t.Fatalf("chrome export = %d, body %.120s", code, body)
 	}
 
-	// Binary export round-trips through the decoder.
-	code, ctype, body = adminGet(t, a, "/traces?format=bin")
-	if code != http.StatusOK || ctype != "application/octet-stream" {
-		t.Fatalf("binary export = %d %q", code, ctype)
-	}
-	decoded, err := tracez.DecodeBinary([]byte(body))
-	if err != nil {
-		t.Fatalf("DecodeBinary: %v", err)
-	}
-	if len(decoded) != 20 {
-		t.Fatalf("binary export decoded %d traces, want 20", len(decoded))
-	}
-
 	// Explicit json is the default's alias; error paths: malformed id, id 0,
-	// unknown id, unknown format.
+	// unknown id, unknown format (bin included).
 	for path, want := range map[string]int{
 		"/traces?format=json": http.StatusOK,
 		"/traces/" + strconv.FormatUint(id, 10) + "?format=json": http.StatusOK,
@@ -383,6 +370,8 @@ func TestAdminTraceEndpoints(t *testing.T) {
 		"/traces/999999":     http.StatusNotFound,
 		"/traces?format=wat": http.StatusBadRequest,
 		"/traces/" + strconv.FormatUint(id, 10) + "?format=wat": http.StatusBadRequest,
+		"/traces?format=bin": http.StatusBadRequest,
+		"/traces/" + strconv.FormatUint(id, 10) + "?format=bin": http.StatusBadRequest,
 	} {
 		if code, _, _ := adminGet(t, a, path); code != want {
 			t.Errorf("%s = %d, want %d", path, code, want)

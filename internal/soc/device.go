@@ -67,9 +67,6 @@ func (d *Device) Processor(k Kind) *Processor {
 	return nil
 }
 
-// HasKind reports whether the device has an engine of kind k.
-func (d *Device) HasKind(k Kind) bool { return d.Processor(k) != nil }
-
 // Validate checks the device and all its processors.
 func (d *Device) Validate() error {
 	if d.Name == "" {

@@ -42,10 +42,6 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// IsCoprocessor reports whether the kind is an accelerator sharing DRAM with
-// the host (everything except the CPU).
-func (k Kind) IsCoprocessor() bool { return k != CPU }
-
 // Processor models one execution engine of an SoC: a DVFS ladder, a power
 // curve fitted to the Table II peak powers, a peak MAC rate, and per-layer
 // efficiency/overhead profiles that encode which layer types the engine is
@@ -101,9 +97,6 @@ func (p *Processor) FreqRatio(step int) float64 {
 	}
 	return p.MinFreqRatio + (1-p.MinFreqRatio)*float64(step)/float64(p.Steps-1)
 }
-
-// FreqGHz returns the absolute frequency of DVFS step i.
-func (p *Processor) FreqGHz(step int) float64 { return p.MaxFreqGHz * p.FreqRatio(step) }
 
 // VoltRatio returns the relative supply voltage at DVFS step i, scaling
 // linearly from vMinRatio to vMaxRatio with frequency as on real rails.

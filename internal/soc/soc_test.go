@@ -34,7 +34,7 @@ func TestTableIISpecs(t *testing.T) {
 	if cpu := s10e.Processor(CPU); cpu.Steps != 21 || cpu.MaxFreqGHz != 2.7 {
 		t.Errorf("S10e CPU = %d steps @ %.1f GHz, want 21 @ 2.7", cpu.Steps, cpu.MaxFreqGHz)
 	}
-	if s10e.HasKind(DSP) {
+	if s10e.Processor(DSP) != nil {
 		t.Error("S10e must not have a DSP")
 	}
 	moto := MotoXForce()
@@ -67,14 +67,14 @@ func TestFreqMonotonic(t *testing.T) {
 		for _, p := range d.Processors {
 			prev := -1.0
 			for s := 0; s < p.Steps; s++ {
-				f := p.FreqGHz(s)
+				f := p.FreqRatio(s)
 				if f <= prev {
 					t.Errorf("%s/%s freq not strictly increasing at step %d", d.Name, p.Name, s)
 				}
 				prev = f
 			}
-			if got := p.FreqGHz(p.Steps - 1); got != p.MaxFreqGHz {
-				t.Errorf("%s/%s top-step freq = %v, want %v", d.Name, p.Name, got, p.MaxFreqGHz)
+			if got := p.FreqRatio(p.Steps - 1); got != 1 {
+				t.Errorf("%s/%s top-step freq ratio = %v, want 1", d.Name, p.Name, got)
 			}
 		}
 	}
@@ -251,7 +251,8 @@ func TestDeviceValidateRejectsDuplicates(t *testing.T) {
 }
 
 func TestKindClassStrings(t *testing.T) {
-	if CPU.String() != "CPU" || GPU.String() != "GPU" || DSP.String() != "DSP" {
+	if CPU.String() != "CPU" || GPU.String() != "GPU" || DSP.String() != "DSP" ||
+		NPU.String() != "NPU" || TPU.String() != "TPU" {
 		t.Error("kind names wrong")
 	}
 	if Kind(9).String() == "" || Class(9).String() == "" {
@@ -298,19 +299,5 @@ func TestNPUTPUProfiles(t *testing.T) {
 	}
 	if gpu := tpu.Processor(GPU); tp.PeakGMACs <= gpu.PeakGMACs {
 		t.Error("TPU should out-rate the P100")
-	}
-}
-
-func TestIsCoprocessor(t *testing.T) {
-	if CPU.IsCoprocessor() {
-		t.Error("CPU is the host")
-	}
-	for _, k := range []Kind{GPU, DSP, NPU, TPU} {
-		if !k.IsCoprocessor() {
-			t.Errorf("%v must be a coprocessor", k)
-		}
-	}
-	if NPU.String() != "NPU" || TPU.String() != "TPU" {
-		t.Error("kind names wrong")
 	}
 }

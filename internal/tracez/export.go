@@ -1,12 +1,8 @@
 package tracez
 
 import (
-	"bytes"
-	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"math"
 )
 
 // IndexEntry is one row of the /traces index.
@@ -118,223 +114,4 @@ func (tr *Tracer) ChromeJSON(id uint64) ([]byte, error) {
 		}
 	}
 	return json.Marshal(map[string]any{"traceEvents": events})
-}
-
-// Binary dump format: a compact varint encoding for incident archival.
-//
-//	magic "ATRZ" | version byte | uvarint trace count | traces...
-//
-// Strings are uvarint length + bytes, floats are IEEE 754 bits in 8-byte
-// little-endian, bools are single bytes.
-const (
-	binMagic   = "ATRZ"
-	binVersion = 1
-)
-
-// Binary encodes kept traces in the compact binary dump format. id 0
-// encodes every kept trace.
-func (tr *Tracer) Binary(id uint64) ([]byte, error) {
-	traces := tr.snapshot(id)
-	if id != 0 && len(traces) == 0 {
-		return nil, fmt.Errorf("tracez: no kept trace %d", id)
-	}
-	return EncodeBinary(traces), nil
-}
-
-type binWriter struct {
-	buf bytes.Buffer
-	tmp [binary.MaxVarintLen64]byte
-}
-
-func (w *binWriter) uvarint(v uint64) {
-	n := binary.PutUvarint(w.tmp[:], v)
-	w.buf.Write(w.tmp[:n])
-}
-
-func (w *binWriter) str(s string) {
-	w.uvarint(uint64(len(s)))
-	w.buf.WriteString(s)
-}
-
-func (w *binWriter) f64(v float64) {
-	binary.LittleEndian.PutUint64(w.tmp[:8], math.Float64bits(v))
-	w.buf.Write(w.tmp[:8])
-}
-
-func (w *binWriter) bool(v bool) {
-	b := byte(0)
-	if v {
-		b = 1
-	}
-	w.buf.WriteByte(b)
-}
-
-// EncodeBinary renders traces in the compact binary dump format.
-func EncodeBinary(traces []Trace) []byte {
-	var w binWriter
-	w.buf.WriteString(binMagic)
-	w.buf.WriteByte(binVersion)
-	w.uvarint(uint64(len(traces)))
-	for _, t := range traces {
-		w.uvarint(t.ID)
-		w.str(t.Model)
-		w.str(t.Tenant)
-		w.str(t.Shard)
-		w.str(t.Status)
-		w.f64(t.StartS)
-		w.buf.WriteByte(t.Flags)
-		w.bool(t.Sampled)
-		w.uvarint(uint64(len(t.Spans)))
-		for _, s := range t.Spans {
-			w.str(s.Name)
-			w.f64(s.DurS)
-			w.str(s.Detail)
-		}
-		w.bool(t.HasProv)
-		if t.HasProv {
-			w.uvarint(uint64(uint32(t.Prov.StateIdx)))
-			w.str(t.Prov.State)
-			w.f64(t.Prov.Epsilon)
-			w.bool(t.Prov.Frozen)
-			w.bool(t.Prov.Explored)
-			w.str(t.Prov.Action)
-			w.uvarint(uint64(t.Prov.ActionIdx))
-			w.uvarint(uint64(t.Prov.MaskedOut))
-			w.uvarint(uint64(len(t.Prov.Q)))
-			for _, q := range t.Prov.Q {
-				w.f64(q)
-			}
-			w.uvarint(uint64(len(t.Prov.Mask)))
-			for _, m := range t.Prov.Mask {
-				w.bool(m)
-			}
-		}
-	}
-	return w.buf.Bytes()
-}
-
-type binReader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *binReader) fail() {
-	if r.err == nil {
-		r.err = errors.New("tracez: truncated binary dump")
-	}
-}
-
-func (r *binReader) uvarint() uint64 {
-	if r.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
-		r.fail()
-		return 0
-	}
-	r.off += n
-	return v
-}
-
-func (r *binReader) str() string {
-	n := r.uvarint()
-	if r.err != nil || n > uint64(len(r.b)-r.off) {
-		r.fail()
-		return ""
-	}
-	s := string(r.b[r.off : r.off+int(n)])
-	r.off += int(n)
-	return s
-}
-
-func (r *binReader) f64() float64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := math.Float64frombits(binary.LittleEndian.Uint64(r.b[r.off:]))
-	r.off += 8
-	return v
-}
-
-func (r *binReader) byte() byte {
-	if r.err != nil || r.off >= len(r.b) {
-		r.fail()
-		return 0
-	}
-	b := r.b[r.off]
-	r.off++
-	return b
-}
-
-func (r *binReader) bool() bool { return r.byte() != 0 }
-
-// DecodeBinary parses a compact binary dump back into traces.
-func DecodeBinary(b []byte) ([]Trace, error) {
-	if len(b) < len(binMagic)+1 || string(b[:len(binMagic)]) != binMagic {
-		return nil, errors.New("tracez: not a binary trace dump")
-	}
-	if b[len(binMagic)] != binVersion {
-		return nil, fmt.Errorf("tracez: unsupported binary dump version %d", b[len(binMagic)])
-	}
-	r := &binReader{b: b, off: len(binMagic) + 1}
-	count := r.uvarint()
-	if count > uint64(len(b)) {
-		return nil, errors.New("tracez: implausible trace count")
-	}
-	traces := make([]Trace, 0, count)
-	for i := uint64(0); i < count && r.err == nil; i++ {
-		var t Trace
-		t.ID = r.uvarint()
-		t.Model = r.str()
-		t.Tenant = r.str()
-		t.Shard = r.str()
-		t.Status = r.str()
-		t.StartS = r.f64()
-		t.Flags = r.byte()
-		t.Sampled = r.bool()
-		nspans := r.uvarint()
-		if nspans > uint64(len(b)) {
-			return nil, errors.New("tracez: implausible span count")
-		}
-		for j := uint64(0); j < nspans && r.err == nil; j++ {
-			var s Span
-			s.Name = r.str()
-			s.DurS = r.f64()
-			s.Detail = r.str()
-			t.Spans = append(t.Spans, s)
-		}
-		t.HasProv = r.bool()
-		if t.HasProv {
-			t.Prov.StateIdx = int32(uint32(r.uvarint()))
-			t.Prov.State = r.str()
-			t.Prov.Epsilon = r.f64()
-			t.Prov.Frozen = r.bool()
-			t.Prov.Explored = r.bool()
-			t.Prov.Action = r.str()
-			t.Prov.ActionIdx = int(r.uvarint())
-			t.Prov.MaskedOut = int(r.uvarint())
-			nq := r.uvarint()
-			if nq > uint64(len(b)) {
-				return nil, errors.New("tracez: implausible Q length")
-			}
-			for j := uint64(0); j < nq && r.err == nil; j++ {
-				t.Prov.Q = append(t.Prov.Q, r.f64())
-			}
-			nm := r.uvarint()
-			if nm > uint64(len(b)) {
-				return nil, errors.New("tracez: implausible mask length")
-			}
-			for j := uint64(0); j < nm && r.err == nil; j++ {
-				t.Prov.Mask = append(t.Prov.Mask, r.bool())
-			}
-		}
-		traces = append(traces, t)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	return traces, nil
 }

@@ -1,7 +1,6 @@
 package tracez
 
 import (
-	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -182,65 +181,6 @@ func TestProvenanceRoundTrip(t *testing.T) {
 	if want := []bool{true, false, true}; !reflect.DeepEqual(kt.Prov.Mask, want) {
 		t.Fatalf("Mask = %v, want %v", kt.Prov.Mask, want)
 	}
-}
-
-// TestBinaryRoundTrip: EncodeBinary/DecodeBinary is lossless.
-func TestBinaryRoundTrip(t *testing.T) {
-	tr := New(Config{SampleRate: 1, Ring: 8})
-	finishOne(tr, "resnet", "ok", 0)
-	finishOne(tr, "bert", "failed", FlagFailed|FlagHedged)
-	want := tr.Kept()
-	blob := EncodeBinary(want)
-	got, err := DecodeBinary(blob)
-	if err != nil {
-		t.Fatalf("DecodeBinary: %v", err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\ngot  %+v\nwant %+v", got, want)
-	}
-	if _, err := DecodeBinary(blob[:len(blob)/2]); err == nil {
-		t.Fatal("truncated dump decoded without error")
-	}
-	if _, err := DecodeBinary([]byte("not a dump")); err == nil {
-		t.Fatal("garbage decoded without error")
-	}
-}
-
-// FuzzDecodeBinary: a dump DecodeBinary accepts re-encodes to bytes that
-// decode again and re-encode identically (bytes, not DeepEqual: NaN floats
-// never compare equal); anything else is an error, never a panic. The
-// 17-byte seed declares a string of length 2^64-1, which once overflowed
-// the bounds check.
-func FuzzDecodeBinary(f *testing.F) {
-	tr := New(Config{SampleRate: 1, Ring: 8})
-	finishOne(tr, "resnet", "ok", 0)
-	finishOne(tr, "bert", "failed", FlagFailed|FlagHedged)
-	dump, err := tr.Binary(0)
-	if err != nil {
-		f.Fatal(err)
-	}
-	for _, seed := range [][]byte{
-		dump,
-		dump[:len(dump)/2],
-		[]byte("ATRZ\x01\x01\x00\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"),
-		[]byte("not a dump"),
-	} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		got, err := DecodeBinary(data)
-		if err != nil {
-			return
-		}
-		blob := EncodeBinary(got)
-		again, err := DecodeBinary(blob)
-		if err != nil {
-			t.Fatalf("re-encoded dump does not decode: %v", err)
-		}
-		if b := EncodeBinary(again); !bytes.Equal(b, blob) {
-			t.Fatalf("second encoding differs:\n%x\n%x", b, blob)
-		}
-	})
 }
 
 // TestChromeExport: the chrome trace-event document is well-formed, spans

@@ -43,9 +43,3 @@ func NewTracer(cfg TracerConfig) *Tracer {
 func NewFlightRecorder(tr *Tracer, dir string, maxEvents, maxDumps int) *FlightRecorder {
 	return tracez.NewFlightRecorder(tr, dir, maxEvents, maxDumps)
 }
-
-// DecodeTraceBinary decodes the compact binary export (/traces?format=bin)
-// back into traces.
-func DecodeTraceBinary(b []byte) ([]RequestTrace, error) {
-	return tracez.DecodeBinary(b)
-}
