@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race alloc-guard fuzz smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-check bench-all profile profile-figs loc
+.PHONY: build test vet fmt race alloc-guard fuzz smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-check bench-all profile profile-figs profile-engine loc
 
 build:
 	$(GO) build ./...
@@ -45,15 +45,16 @@ chaos:
 	$(GO) test -run '^TestChaosSoak$$' -count=1 -timeout 1800s -v ./internal/super/
 
 # Allocs-per-op regression guards: the frozen decide fast path (observe,
-# dense state index, RCU argmax) and a loaded local execution on a warmed
-# world must stay at zero allocations with tracing disabled; provenance
+# dense state index, RCU argmax), a learning engine's full Step on a warmed
+# zoo x D2 ring and a loaded local execution on a warmed world must stay at
+# zero allocations with tracing disabled; provenance
 # capture and the sampled trace lifecycle each get a 2 allocs/op budget,
 # Router.Do on a warmed router 1. The heap guards hold an agent's Q-table to
 # what it has seen: MemoryBytes within 10% of the live-heap delta at 0, 20,
 # 640 and 3,072 rows, and the paper's 640-state table at 0.4 MB +-25%. Runs
 # un-instrumented (the race detector's shadow memory allocates).
 alloc-guard:
-	$(GO) test -run '^(TestDecideZeroAlloc|TestExecuteLoadedZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget|TestRouterDoAllocBudget)$$' .
+	$(GO) test -run '^(TestDecideZeroAlloc|TestTrainStepZeroAlloc|TestExecuteLoadedZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget|TestRouterDoAllocBudget)$$' .
 	$(GO) test -run '^(TestMemoryBytesMatchesHeap|TestFullTableFootprintNearPaper)$$' ./internal/rl/
 
 # Fuzz smoke over the decoders, 5 s each: a fault schedule that parses must
@@ -190,6 +191,13 @@ profile:
 profile-figs:
 	$(GO) test -run '^$$' -bench '^BenchmarkFigsPass$$' -benchtime=4x -cpuprofile figs.cpu.pprof ./internal/exp/
 	@echo "profile written: figs.cpu.pprof (go tool pprof <file>)"
+
+# CPU profile of the learning engine's step: BenchmarkEngineTrainStepZoo,
+# the engine_train workload's zoo x D2 ring after its warm-up (~5 s).
+# Inspect with `go tool pprof -top engine.cpu.pprof`.
+profile-engine:
+	$(GO) test -run '^$$' -bench '^BenchmarkEngineTrainStepZoo$$' -benchtime=3s -cpuprofile engine.cpu.pprof .
+	@echo "profile written: engine.cpu.pprof (go tool pprof <file>)"
 
 # The two line counts simplicity PRs quote: non-test Go outside bench/, and
 # the same restricted to the serving stack plus the paper's core.

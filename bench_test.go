@@ -10,6 +10,7 @@ package autoscale
 
 import (
 	"context"
+	"math/rand"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -135,6 +136,71 @@ func BenchmarkEngineTrainStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := e.RunInferenceCtx(nil, m, c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// zooRingSize is the length of a zooRing, the benchmark harness's ring.
+const zooRingSize = 4096
+
+// zooRing is the engine_train workload's request ring for seed: the
+// ten-model zoo in a fresh seeded order every ten requests, under the D2
+// (web-browser co-runner) conditions process. Consecutive requests are
+// mostly different models, so S′ usually differs from S, unlike
+// BenchmarkEngineTrainStep's one model under one condition.
+func zooRing(tb testing.TB, seed int64) []Request {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(seed * 7919))
+	env, err := sim.NewEnvironment(sim.EnvD2, seed)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	zoo := dnn.Zoo()
+	var order []int
+	ring := make([]Request, zooRingSize)
+	for i := range ring {
+		if i%len(zoo) == 0 {
+			order = rng.Perm(len(zoo))
+		}
+		ring[i] = Request{Model: zoo[order[i%len(zoo)]], Conditions: env.Sample()}
+	}
+	return ring
+}
+
+// zooTrainEngine builds the engine_train workload's learning engine for
+// seed on the Mi8Pro and warms it with warm steps over its zooRing, which
+// it returns too.
+func zooTrainEngine(tb testing.TB, seed int64, warm int) (*core.Engine, []Request) {
+	tb.Helper()
+	cfg := core.DefaultConfig()
+	cfg.Seed, cfg.RL.Seed = seed, seed+100
+	e, err := core.NewEngine(sim.NewWorld(soc.Mi8Pro(), seed), cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ring := zooRing(tb, seed)
+	for i := 0; i < warm; i++ {
+		r := &ring[i%zooRingSize]
+		if _, err := e.RunInferenceCtx(nil, r.Model, r.Conditions); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return e, ring
+}
+
+// BenchmarkEngineTrainStepZoo measures the learning step on the
+// engine_train workload's zoo × D2 ring after its 20,000-step warm-up. S′
+// usually differs from S, so this mostly times the branch where the
+// selection reuses the update's argmax of S′; BenchmarkEngineTrainStep
+// times the rescan after S′ = S. `make profile-engine` profiles it.
+func BenchmarkEngineTrainStepZoo(b *testing.B) {
+	e, ring := zooTrainEngine(b, 11, 20_000)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := &ring[i%zooRingSize]
+		if _, err := e.RunInferenceCtx(nil, r.Model, r.Conditions); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -94,15 +94,6 @@ type Decision struct {
 	AccuracyMissed   bool
 }
 
-// pendingUpdate holds the (S, A, R) of the previous step; Algorithm 1
-// completes the Q update once the next state S' is observed. The state is
-// kept as its dense index — no key formatting on the decide path.
-type pendingUpdate struct {
-	stateIdx int32
-	action   int
-	reward   float64
-}
-
 // Engine is the AutoScale execution-scaling engine of Fig 8. It is safe for
 // concurrent use by multiple services sharing one device: the paper deploys
 // AutoScale "as part of intelligent services" on the mobile CPU, and a phone
@@ -110,13 +101,18 @@ type pendingUpdate struct {
 // engine per device from its worker goroutines.
 //
 // Concurrency contract: every method serializes on one mutex, so each Step
-// (observe, select, execute, reward, stage update) is atomic with respect
-// to the others. Under concurrent callers the deferred Algorithm 1 update
-// chain interleaves across callers — each step's staged (S, A, R) completes
-// against the next observed state regardless of which caller observes it —
-// which matches the paper's single-decision-stream semantics: the device
-// executes one inference at a time, so the engine sees one totally ordered
-// decision sequence.
+// (observe, complete the staged update and select, execute, reward, stage
+// the next update) is atomic with respect to the others. A Step enters the
+// agent once: StepIdx completes the update and selects under one hold of
+// the agent's writer lock, so an agent write that bypasses the engine's
+// mutex (TransferFrom's import) lands before or after that pair, never
+// between the update and the selection that reads it. Lock-free readers
+// (Predict on a seen state) may run at any point. Under concurrent callers
+// the deferred Algorithm 1 update chain interleaves across callers — each
+// step's staged (S, A, R) completes against the next observed state
+// regardless of which caller observes it — which matches the paper's
+// single-decision-stream semantics: the device executes one inference at a
+// time, so the engine sees one totally ordered decision sequence.
 type Engine struct {
 	World   *sim.World
 	Actions *ActionSpace
@@ -127,11 +123,15 @@ type Engine struct {
 	// swaps (NewEngine, Reset, RestoreQTable) serialize on mu.
 	agent atomic.Pointer[rl.Agent]
 
-	mu         sync.Mutex
-	cfg        Config
-	sarsa      *rl.SarsaAgent // non-nil when cfg.Algorithm == AlgorithmSARSA
-	est        *EnergyEstimator
-	pending    pendingUpdate
+	mu    sync.Mutex
+	cfg   Config
+	sarsa *rl.SarsaAgent // non-nil when cfg.Algorithm == AlgorithmSARSA
+	est   *EnergyEstimator
+	// pending is the previous step's (S, A, R), staged until the next step
+	// observes S′ (Algorithm 1); hasPending says whether one is staged. The
+	// state is kept as its dense index — no key formatting on the decide
+	// path.
+	pending    rl.Staged
 	hasPending bool
 	// maskBuf is the step's scratch feasibility mask: the filtered mask is
 	// consumed within the step (selection + the deferred update completed
@@ -297,27 +297,28 @@ func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow f
 	sIdx := e.States.Index(ObservationOf(m, e.World.ObservedConditions(ctx, c)))
 	e.seedIfUnseenIdx(ag, sIdx)
 
-	// Q-learning completes the previous step's update as soon as S' is
-	// known, so the selection below sees the freshest values (Algorithm 1).
-	if e.sarsa == nil && e.hasPending {
-		if err := ag.UpdateIdx(e.pending.stateIdx, e.pending.action, e.pending.reward, sIdx, mask); err != nil {
-			return Decision{}, err
-		}
+	// One agent call completes the previous step's update against S′ and
+	// selects for S′ (Algorithm 1). Q-learning updates first, so the
+	// selection sees the freshest values; SARSA bootstraps from the action
+	// it selects. Either consumes the staged update when it succeeds, and
+	// Q-learning also when the mask enables nothing (the update applies
+	// before the selection fails).
+	var st *rl.Staged
+	if e.hasPending {
+		st = &e.pending
+	}
+	var idx int
+	var err error
+	if e.sarsa != nil {
+		idx, err = e.sarsa.StepIdx(st, sIdx, mask, prov)
+	} else {
+		idx, err = ag.StepIdx(st, sIdx, mask, prov)
+	}
+	if err == nil || (e.sarsa == nil && errors.Is(err, rl.ErrNoEnabled)) {
 		e.hasPending = false
 	}
-
-	idx, err := ag.SelectIdx(sIdx, mask, prov)
 	if err != nil {
 		return Decision{}, fmt.Errorf("core: select for %s: %w", m.Name, err)
-	}
-
-	// SARSA bootstraps from the action the policy actually took in S'.
-	if e.sarsa != nil && e.hasPending {
-		if err := e.sarsa.UpdateSarsaIdx(e.pending.stateIdx, e.pending.action, e.pending.reward, sIdx, idx); err != nil {
-			prov.Reset()
-			return Decision{}, err
-		}
-		e.hasPending = false
 	}
 	target := e.Actions.Target(idx)
 
@@ -345,7 +346,7 @@ func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow f
 	e.noteRewardLocked(reward)
 
 	if !ag.Frozen() {
-		e.pending = pendingUpdate{stateIdx: sIdx, action: idx, reward: reward}
+		e.pending = rl.Staged{State: sIdx, Action: idx, Reward: reward}
 		e.hasPending = true
 	}
 
@@ -455,7 +456,7 @@ func (e *Engine) Flush() error {
 	}
 	p := e.pending
 	e.hasPending = false
-	return e.agent.Load().UpdateIdx(p.stateIdx, p.action, p.reward, p.stateIdx, nil)
+	return e.agent.Load().UpdateIdx(p.State, p.Action, p.Reward, p.State, nil)
 }
 
 // Freeze switches the engine to exploitation-only mode (greedy policy, no

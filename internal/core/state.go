@@ -7,8 +7,6 @@ package core
 
 import (
 	"fmt"
-	"math"
-	"sort"
 	"sync/atomic"
 
 	"autoscale/internal/dnn"
@@ -124,10 +122,16 @@ var tableI = [NumFeatures][]float64{
 	FeatRSSIP: {-79.999},
 }
 
-// bin returns the Table I bin of value v of feature f. NaN lands in the top
-// bin.
+// bin returns the Table I bin of value v of feature f: how many of its
+// ascending cuts are not above v, counted by a linear scan (at most 3 cuts).
+// NaN compares above no cut, so it lands in the top bin.
 func bin(f Feature, v float64) int {
-	return sort.SearchFloat64s(tableI[f], math.Nextafter(v, math.Inf(1)))
+	cuts := tableI[f]
+	k := 0
+	for k < len(cuts) && !(cuts[k] > v) {
+		k++
+	}
+	return k
 }
 
 // StateSpace discretizes observations into dense state indices and their

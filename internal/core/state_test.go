@@ -2,6 +2,8 @@ package core
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -132,6 +134,44 @@ func TestBinOnCutGoesUp(t *testing.T) {
 			below := math.Nextafter(c, math.Inf(-1))
 			if got := bin(f, below); got != k {
 				t.Errorf("%s: bin(%v) = %d, want %d", f, below, got, k)
+			}
+		}
+	}
+}
+
+// TestBinMatchesSearch referees bin's linear scan against the binary search
+// it replaced — the first cut at or above the next float up from v — on
+// every Table I cut and its neighbouring floats, the signed zeros, NaN, the
+// infinities, the largest finite floats and 100k random floats: half raw
+// bit patterns (every exponent, NaN payloads included), half spread over
+// each feature's own range.
+func TestBinMatchesSearch(t *testing.T) {
+	search := func(f Feature, v float64) int {
+		return sort.SearchFloat64s(tableI[f], math.Nextafter(v, math.Inf(1)))
+	}
+	special := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	for f := Feature(0); f < numFeatures; f++ {
+		for _, c := range tableI[f] {
+			special = append(special, c, math.Nextafter(c, math.Inf(-1)), math.Nextafter(c, math.Inf(1)))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	values := special
+	for k := 0; k < 100_000; k++ {
+		if k%2 == 0 {
+			values = append(values, math.Float64frombits(rng.Uint64()))
+			continue
+		}
+		cuts := tableI[Feature(k/2)%numFeatures]
+		lo, hi := cuts[0], cuts[len(cuts)-1]
+		span := max(hi-lo, math.Abs(hi), 1)
+		values = append(values, lo-span+rng.Float64()*3*span)
+	}
+	for f := Feature(0); f < numFeatures; f++ {
+		for _, v := range values {
+			if got, want := bin(f, v), search(f, v); got != want {
+				t.Fatalf("%s: bin(%v) = %d, binary search gives %d", f, v, got, want)
 			}
 		}
 	}

@@ -45,7 +45,7 @@ func TestTDErrorEMASkipsFrozenAndSarsaFeedsIt(t *testing.T) {
 	}
 
 	sa := &SarsaAgent{Agent: newTestAgent(t, zeroInit(0.5, 0), 2)}
-	if err := sa.UpdateSarsaIdx(s, 0, 2, s, 1); err != nil {
+	if _, err := sa.StepIdx(&Staged{State: s, Action: 0, Reward: 2}, s, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	ema, n := sa.TDErrorEMA()

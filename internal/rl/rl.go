@@ -181,10 +181,10 @@ type Agent struct {
 // noise, short enough to show convergence stalls within a scrape interval.
 const tdAlpha = 1.0 / 16
 
-var (
-	errNoActions = errors.New("rl: need at least one action")
-	errNoEnabled = errors.New("rl: no enabled action")
-)
+var errNoActions = errors.New("rl: need at least one action")
+
+// ErrNoEnabled is returned by a selection whose mask enables no action.
+var ErrNoEnabled = errors.New("rl: no enabled action")
 
 // NewAgent creates an agent over a fixed-size action space whose states are
 // the indices of grid. Only the per-state entry and order arrays are sized
@@ -277,9 +277,12 @@ func countEnabled(mask []bool, n int) int {
 	if mask == nil {
 		return n
 	}
+	if len(mask) > n {
+		mask = mask[:n] // entries past the action count enable nothing
+	}
 	c := 0
-	for j := 0; j < n; j++ {
-		if j < len(mask) && mask[j] {
+	for _, on := range mask {
+		if on {
 			c++
 		}
 	}
@@ -335,28 +338,37 @@ func (a *Agent) SelectActionIdx(i int32, mask []bool) (int, error) {
 // selection read it, refilled in place) and leaves the other fields to its
 // caller; nil p is the untraced hot path. Provenance only records what the
 // selection read — it consumes no draws — so a traced run replays an
-// untraced one byte for byte.
+// untraced one byte for byte. An error resets p.
 func (a *Agent) SelectIdx(i int32, mask []bool, p *obs.Provenance) (int, error) {
 	if !a.valid(i) {
+		p.Reset()
 		return 0, errIndex(i)
-	}
-	n := countEnabled(mask, a.actions)
-	if n == 0 {
-		return 0, errNoEnabled
 	}
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
+	return a.selectLocked(i, mask, countEnabled(mask, a.actions), -1, p)
+}
+
+// selectLocked is the epsilon-greedy rule over the n actions mask enables
+// in valid state i. best, when not negative, is the greedy choice the
+// caller already read from i's current row; the greedy branch then skips
+// its scan. Caller holds wmu.
+func (a *Agent) selectLocked(i int32, mask []bool, n, best int, p *obs.Provenance) (int, error) {
+	if n == 0 {
+		p.Reset()
+		return 0, ErrNoEnabled
+	}
 	v := &a.tab.states[i].visits
 	v.Store(max(v.Load(), 1) + 1) // single writer: load+store is the increment
 	a.selections.Add(1)
 	row := a.ensureRowLocked(i) // materialize so a visited state exists even when exploring
 	eps, frozen := math.Float64frombits(a.epsBits.Load()), a.frozen.Load()
 	explored := !frozen && a.rng.Float64() < eps
-	var idx int
+	idx := best
 	if explored {
 		a.explores.Add(1)
 		idx = nthEnabled(mask, a.actions, a.rng.Intn(n))
-	} else {
+	} else if idx < 0 {
 		idx, _ = argmaxRow(row, mask)
 	}
 	if p != nil {
@@ -367,6 +379,53 @@ func (a *Agent) SelectIdx(i int32, mask []bool, p *obs.Provenance) (int, error) 
 		}
 	}
 	return idx, nil
+}
+
+// Staged is the (S, A, R) of a step whose Q update waits for the next
+// observed state S′ (Algorithm 1).
+type Staged struct {
+	State  int32
+	Action int
+	Reward float64
+}
+
+// StepIdx is Algorithm 1's agent half for one inference, in one critical
+// section: it completes the staged update st (nil: nothing staged; a frozen
+// agent drops it) against S′ = i with the Q-learning rule, then selects an
+// action for i exactly as SelectIdx does. The argmax of S′'s row that gives
+// max Q(S′,·) is also the greedy choice, unless the update just rewrote
+// that row (st.State == i). When mask enables nothing the update still
+// applies, with max Q(S′,·) = 0, and StepIdx returns ErrNoEnabled; on any
+// other error nothing has changed. Every error resets p.
+func (a *Agent) StepIdx(st *Staged, i int32, mask []bool, p *obs.Provenance) (int, error) {
+	a.wmu.Lock()
+	defer a.wmu.Unlock()
+	learn := st != nil && !a.frozen.Load()
+	if err := a.checkStep(st, learn, i); err != nil {
+		p.Reset()
+		return 0, err
+	}
+	n := countEnabled(mask, a.actions)
+	best := -1
+	if learn {
+		best = a.updateLocked(st.State, st.Action, st.Reward, i, mask, n)
+		if st.State == i {
+			best = -1
+		}
+	}
+	return a.selectLocked(i, mask, n, best, p)
+}
+
+// checkStep validates a StepIdx call: S′ = i, and st when it will be
+// applied.
+func (a *Agent) checkStep(st *Staged, learn bool, i int32) error {
+	if learn {
+		return a.checkUpdate(st.State, st.Action, i)
+	}
+	if !a.valid(i) {
+		return errIndex(i)
+	}
+	return nil
 }
 
 // BestActionIdx is the lock-free greedy read the serving fast path uses: for
@@ -380,7 +439,7 @@ func (a *Agent) BestActionIdx(i int32, mask []bool) (int, error) {
 	row := a.tab.row(i)
 	if row == nil {
 		if countEnabled(mask, a.actions) == 0 {
-			return 0, errNoEnabled
+			return 0, ErrNoEnabled
 		}
 		a.wmu.Lock()
 		row = a.ensureRowLocked(i)
@@ -389,7 +448,7 @@ func (a *Agent) BestActionIdx(i int32, mask []bool) (int, error) {
 	if best, _ := argmaxRow(row, mask); best >= 0 {
 		return best, nil
 	}
-	return 0, errNoEnabled
+	return 0, ErrNoEnabled
 }
 
 // UpdateIdx applies the one-step Q-learning rule of Algorithm 1 to the states
@@ -408,16 +467,34 @@ func (a *Agent) UpdateIdx(si int32, action int, reward float64, ni int32, nextMa
 	if err := a.checkUpdate(si, action, ni); err != nil {
 		return err
 	}
+	a.updateLocked(si, action, reward, ni, nextMask, countEnabled(nextMask, a.actions))
+	return nil
+}
+
+// updateLocked applies the Q-learning rule to validated arguments, n being
+// how many actions nextMask enables. It materializes S′'s row only when n
+// is positive (max Q(S′,·) is 0 otherwise), then S's, and returns the
+// argmax of S′'s row as it stood before the write (-1 when n is 0). Caller
+// holds wmu.
+func (a *Agent) updateLocked(si int32, action int, reward float64, ni int32, nextMask []bool, n int) (nextArg int) {
+	nextArg = -1
 	var nextBest float64
-	if countEnabled(nextMask, a.actions) > 0 {
-		_, nextBest = argmaxRow(a.ensureRowLocked(ni), nextMask)
+	if n > 0 {
+		nextArg, nextBest = argmaxRow(a.ensureRowLocked(ni), nextMask)
 	}
+	a.tdLocked(si, action, reward, nextBest)
+	return nextArg
+}
+
+// tdLocked moves Q(si, action) toward reward + mu*next by the learning rate
+// and feeds the TD error to the health EMA: the step both update rules
+// share, differing only in next. Caller holds wmu.
+func (a *Agent) tdLocked(si int32, action int, reward, next float64) {
 	cell := &a.ensureRowLocked(si)[action]
 	q := loadQ(cell)
-	delta := reward + a.cfg.Discount*nextBest - q
+	delta := reward + a.cfg.Discount*next - q
 	a.noteTDLocked(delta)
 	cell.Store(math.Float64bits(q + a.cfg.LearningRate*delta))
-	return nil
 }
 
 // checkUpdate validates the arguments every TD update shares.

@@ -516,28 +516,32 @@ func TestSarsaUpdate(t *testing.T) {
 	if got := q(t, ag.Agent, next, 1); got != 10 {
 		t.Fatalf("setup Q = %v", got)
 	}
-	// SARSA bootstraps from the taken action (1), not the max.
+	// SARSA bootstraps from the taken action (1, the only one the mask
+	// enables), not the max.
 	ag.UpdateIdx(next, 2, 100, end, nil) // Q(next,2)=50, the max
-	if err := ag.UpdateSarsaIdx(s, 0, 4, next, 1); err != nil {
-		t.Fatal(err)
+	onlyOne := []bool{false, true, false}
+	if a, err := ag.StepIdx(&Staged{State: s, Action: 0, Reward: 4}, next, onlyOne, nil); err != nil || a != 1 {
+		t.Fatalf("StepIdx = %d, %v; want 1", a, err)
 	}
 	// Q(s,0) = 0 + 0.5*(4 + 0.5*10 - 0) = 4.5 (not 0.5*(4+25)).
 	if got := q(t, ag.Agent, s, 0); got != 4.5 {
 		t.Errorf("SARSA Q = %v, want 4.5", got)
 	}
-	if err := ag.UpdateSarsaIdx(s, 9, 0, next, 0); err == nil {
+	if _, err := ag.StepIdx(&Staged{State: s, Action: 9}, next, nil, nil); err == nil {
 		t.Error("out-of-range action should fail")
 	}
-	if err := ag.UpdateSarsaIdx(s, 0, 0, next, 9); err == nil {
-		t.Error("out-of-range next action should fail")
+	if _, err := ag.StepIdx(&Staged{State: -1}, next, nil, nil); err == nil {
+		t.Error("out-of-range staged state should fail")
 	}
-	if err := ag.UpdateSarsaIdx(s, 0, 0, -1, 0); err == nil {
+	if _, err := ag.StepIdx(&Staged{State: s}, -1, nil, nil); err == nil {
 		t.Error("out-of-range next state should fail")
 	}
 	// Frozen SARSA agents ignore updates.
 	ag.Freeze()
 	before := q(t, ag.Agent, s, 0)
-	ag.UpdateSarsaIdx(s, 0, 1000, next, 1)
+	if _, err := ag.StepIdx(&Staged{State: s, Action: 0, Reward: 1000}, next, onlyOne, nil); err != nil {
+		t.Fatal(err)
+	}
 	if q(t, ag.Agent, s, 0) != before {
 		t.Error("frozen SARSA agent must not learn")
 	}

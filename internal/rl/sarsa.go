@@ -1,9 +1,6 @@
 package rl
 
-import (
-	"fmt"
-	"math"
-)
+import "autoscale/internal/obs"
 
 // SarsaAgent is an on-policy TD(0) alternative to the Q-learning Agent. The
 // paper weighs Q-learning against TD-learning and deep RL (Section IV,
@@ -23,26 +20,23 @@ type SarsaAgent struct {
 	*Agent
 }
 
-// UpdateSarsaIdx applies the SARSA rule to the states at dense indices si and
-// ni using nextAction — the action the policy selected in the next state.
-// Frozen agents ignore updates.
-func (a *SarsaAgent) UpdateSarsaIdx(si int32, action int, reward float64, ni int32, nextAction int) error {
+// StepIdx is the SARSA counterpart of Agent.StepIdx, in one critical
+// section: it selects A′ for S′ = i exactly as SelectIdx does, then
+// completes the staged update st (nil: nothing staged; a frozen agent drops
+// it) by bootstrapping from Q(S′,A′). On an error nothing has changed, st
+// included, and p is reset.
+func (a *SarsaAgent) StepIdx(st *Staged, i int32, mask []bool, p *obs.Provenance) (int, error) {
 	a.wmu.Lock()
 	defer a.wmu.Unlock()
-	if a.frozen.Load() {
-		return nil
+	learn := st != nil && !a.frozen.Load()
+	if err := a.checkStep(st, learn, i); err != nil {
+		p.Reset()
+		return 0, err
 	}
-	if err := a.checkUpdate(si, action, ni); err != nil {
-		return err
+	idx, err := a.selectLocked(i, mask, countEnabled(mask, a.actions), -1, p)
+	if err != nil || !learn {
+		return idx, err
 	}
-	if nextAction < 0 || nextAction >= a.actions {
-		return fmt.Errorf("rl: next action %d out of range", nextAction)
-	}
-	nextQ := loadQ(&a.ensureRowLocked(ni)[nextAction])
-	cell := &a.ensureRowLocked(si)[action]
-	q := loadQ(cell)
-	delta := reward + a.cfg.Discount*nextQ - q
-	a.noteTDLocked(delta)
-	cell.Store(math.Float64bits(q + a.cfg.LearningRate*delta))
-	return nil
+	a.tdLocked(st.State, st.Action, st.Reward, loadQ(&a.tab.row(i)[idx]))
+	return idx, nil
 }

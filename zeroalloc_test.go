@@ -159,3 +159,28 @@ func TestRouterDoAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestTrainStepZeroAlloc guards the learning step: an unfrozen engine,
+// warmed on the engine_train workload's zoo × D2 ring until every state of
+// the ring has a row, takes full Steps — observe, complete the staged
+// update, select, execute, reward, stage — without allocating.
+func TestTrainStepZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates on otherwise alloc-free paths")
+	}
+	e, ring := zooTrainEngine(t, 11, 2*zooRingSize)
+	i := 0
+	step := func() {
+		r := &ring[i%zooRingSize]
+		i++
+		if _, err := e.Step(nil, r.Model, r.Conditions, nil, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if avg := testing.AllocsPerRun(2000, step); avg != 0 {
+		t.Fatalf("training Step allocates %.2f allocs/op, want 0", avg)
+	}
+	if e.Agent().Frozen() {
+		t.Fatal("the guarded engine must be learning")
+	}
+}
