@@ -786,6 +786,12 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 				// The failover runs on the world's own clock, not the
 				// engine's, so its leg is added by measured duration.
 				pt.Add(obs.PhaseFailoverIdx, meas.LatencyS)
+				// The superseded answer was already paid for: the request
+				// carries both legs, and the first leg's energy is waste,
+				// as retryOffload charges it.
+				meas.LatencyS += d.Measurement.LatencyS
+				meas.EnergyJ += d.Measurement.EnergyJ
+				meas.WastedJ += d.Measurement.EnergyJ
 				d.Measurement = meas
 				d.QoSViolated = meas.LatencyS > d.QoSTargetS
 				retried = true

@@ -113,6 +113,70 @@ func TestPhaseSumInvariant(t *testing.T) {
 	}
 }
 
+// TestFailoverPaysBothLegs extends the phase-sum identity to local
+// failover: the fallback runs only after the first answer already missed
+// QoS, so the request carries both legs — execute + failover reconstructs
+// the recorded latency, the superseded leg's energy is charged as waste,
+// and no failover response can report QoS met.
+func TestFailoverPaysBothLegs(t *testing.T) {
+	const seed = 3
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
+	cfg.RL.Epsilon = 0.5 // keep remote choices, and their QoS misses, flowing
+
+	var buf bytes.Buffer
+	e := testEngine(t, soc.Mi8Pro(), seed, cfg)
+	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{Trace: trace.NewWriter(&buf), FailoverLocal: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := dnn.MustByName("MobileNet v3")
+	failovers := 0
+	for i := 0; i < 2000; i++ {
+		resp, err := g.Do(Request{Model: m, Conditions: conds()})
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if !resp.Retried {
+			continue
+		}
+		failovers++
+		d := resp.Decision
+		if !d.QoSViolated {
+			t.Fatalf("request %d failed over but reports QoS met (latency %.4f s, target %.4f s)",
+				i, d.Measurement.LatencyS, d.QoSTargetS)
+		}
+		if d.Measurement.WastedJ <= 0 {
+			t.Fatalf("request %d failed over without charging the superseded leg as waste", i)
+		}
+	}
+	if failovers == 0 {
+		t.Fatal("no request failed over; the test is vacuous")
+	}
+	if err := g.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	for i, rec := range recs {
+		fo, ok := rec.Phases[obs.PhaseFailover]
+		if !ok {
+			continue
+		}
+		seen++
+		if sum := rec.Phases[obs.PhaseExecute] + fo; math.Abs(sum-rec.LatencyS) > 1e-9 {
+			t.Fatalf("record %d: execute + failover = %.12f but latency is %.12f (phases %v)",
+				i, sum, rec.LatencyS, rec.Phases)
+		}
+	}
+	if seen != failovers {
+		t.Fatalf("trace has %d failover records for %d failovers", seen, failovers)
+	}
+}
+
 // TestSpansReconcileWithPhases pins the causal-trace accounting contract:
 // for non-hedged serves, the execution-leg spans in a kept causal trace
 // (execute, retry, failover) carry exactly the durations the request-trace

@@ -185,10 +185,12 @@ type Config struct {
 	Shed ShedPolicy
 	// FailoverLocal re-executes a QoS-missed decision on the worker's local
 	// fallback target (CPU at top frequency, FP32 — the same fallback the
-	// sim's outage machinery uses). The retry is an operator action outside
-	// the learning loop: the engine already staged its reward for the
-	// original decision, so the Q-table still learns that the remote choice
-	// missed.
+	// sim's outage machinery uses). The request pays for both legs: its
+	// latency and energy are the missed first answer's plus the fallback's,
+	// the first answer's energy counts as waste, and QoS is judged on the
+	// sum. The retry is an operator action outside the learning loop: the
+	// engine already staged its reward for the original decision, so the
+	// Q-table still learns that the remote choice missed.
 	FailoverLocal bool
 	// Checkpoints, when non-nil, connects the gateway to the policy plane
 	// (it replaces the old ad-hoc Snapshot flush callback). New warm-starts
