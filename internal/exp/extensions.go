@@ -14,9 +14,7 @@ import (
 )
 
 // Extension experiments: studies the paper sketches but does not run. Like
-// the evaluation figures, each (world, policy) evaluation is a pure cell on
-// the harness pool: the cell builds its own (possibly modified) world and
-// policy from the Options.
+// Figs 9-12 each is a comparison grid whose variants edit the world.
 
 // ExtensionNPU evaluates the Section V-C extension note — adding a mobile
 // NPU and a cloud TPU to the action space — by comparing the standard
@@ -28,9 +26,8 @@ func ExtensionNPU(opts Options) (*Table, error) {
 		Title:   "Extension: mobile NPU and cloud TPU actions (Section V-C note)",
 		Columns: []string{"World", "Policy", "PPW (vs Edge CPU)", "QoS violation", "Actions"},
 	}
-	models := dnn.Zoo()
 	envs := sim.StaticEnvIDs()
-	cells := Cells(models, envs)
+	cells := Cells(dnn.Zoo(), envs)
 
 	worldLabels := []string{"standard", "NPU+TPU"}
 	makeWorld := func(label string) *sim.World {
@@ -39,32 +36,19 @@ func ExtensionNPU(opts Options) (*Table, error) {
 		}
 		return sim.NewWorld(soc.Mi8Pro(), opts.Seed)
 	}
-	order := []string{"Edge (CPU FP32)", "AutoScale", "Opt"}
-	results, err := runCells(opts, len(worldLabels)*len(order), func(i int) (Result, error) {
-		w := makeWorld(worldLabels[i/len(order)])
-		cfg := EvalConfig{Models: models, EnvIDs: envs, Runs: opts.Runs,
-			Seed: opts.Seed + 10, WarmupRuns: opts.Warmup}
-		var p sched.Policy
-		switch order[i%len(order)] {
-		case "Edge (CPU FP32)":
-			p = sched.EdgeCPU{World: w}
-		case "AutoScale":
-			p = newLOO(w, opts, sim.NonStreaming, 0, worldLabels[i/len(order)] == "standard")
-		default:
-			p = sched.Opt{World: w}
-		}
-		return EvaluatePolicy(p, cfg)
+	results, err := compare(opts, len(worldLabels), func(wi int) ([]sched.Policy, EvalConfig) {
+		w := makeWorld(worldLabels[wi])
+		return []sched.Policy{sched.EdgeCPU{World: w}, newLOO(w, opts, sim.NonStreaming, 0, worldLabels[wi] == "standard"),
+			sched.Opt{World: w}}, opts.evalConfig(envs)
 	})
 	if err != nil {
 		return nil, err
 	}
 	for wi, label := range worldLabels {
-		base := results[wi*len(order)]
-		as := results[wi*len(order)+1]
-		opt := results[wi*len(order)+2]
 		actions := core.NewActionSpace(makeWorld(label)).Len()
-		t.AddRow(label, "AutoScale", as.MeanNormPPW(base, cells), as.MeanQoSViolation(cells), actions)
-		t.AddRow(label, "Opt", opt.MeanNormPPW(base, cells), opt.MeanQoSViolation(cells), actions)
+		for _, r := range results[wi][1:] {
+			t.AddRow(label, r.Policy, r.MeanNormPPW(results[wi][0], cells), r.MeanQoSViolation(cells), actions)
+		}
 	}
 	t.Notes = append(t.Notes,
 		"paper (Section V-C): \"additional actions, such as mobile NPU or cloud TPU, could be "+
@@ -89,39 +73,31 @@ func ExtensionSARSA(opts Options) (*Table, error) {
 		Title:   "Extension: Q-learning vs SARSA update rule (Section IV design choice)",
 		Columns: []string{"Algorithm", "PPW (vs Edge CPU)", "QoS violation"},
 	}
-	models := dnn.Zoo()
 	envs := sim.StaticEnvIDs()
-	cells := Cells(models, envs)
+	cells := Cells(dnn.Zoo(), envs)
 
 	algs := []core.Algorithm{core.AlgorithmQLearning, core.AlgorithmSARSA}
-	// Cell 0: baseline; cells 1..len(algs): algorithms; last: Opt.
-	results, err := runCells(opts, len(algs)+2, func(i int) (Result, error) {
+	results, err := compare(opts, 1, func(int) ([]sched.Policy, EvalConfig) {
 		w := sim.NewWorld(soc.Mi8Pro(), opts.Seed)
-		cfg := EvalConfig{Models: models, EnvIDs: envs, Runs: opts.Runs,
-			Seed: opts.Seed + 10, WarmupRuns: opts.Warmup}
-		var p sched.Policy
-		switch {
-		case i == 0:
-			p = sched.EdgeCPU{World: w}
-		case i <= len(algs):
+		lineup := []sched.Policy{sched.EdgeCPU{World: w}}
+		for _, alg := range algs {
 			loo := newLOO(w, opts, sim.NonStreaming, 0, true)
-			loo.Config.Algorithm = algs[i-1]
-			p = loo
-		default:
-			p = sched.Opt{World: w}
+			loo.Config.Algorithm = alg
+			lineup = append(lineup, loo)
 		}
-		return EvaluatePolicy(p, cfg)
+		return append(lineup, sched.Opt{World: w}), opts.evalConfig(envs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	base := results[0]
-	for ai, alg := range algs {
-		res := results[ai+1]
-		t.AddRow(alg.String(), res.MeanNormPPW(base, cells), res.MeanQoSViolation(cells))
+	res := results[0]
+	for i, r := range res[1:] {
+		label := r.Policy
+		if i < len(algs) {
+			label = algs[i].String()
+		}
+		t.AddRow(label, r.MeanNormPPW(res[0], cells), r.MeanQoSViolation(cells))
 	}
-	opt := results[len(algs)+1]
-	t.AddRow("Opt", opt.MeanNormPPW(base, cells), opt.MeanQoSViolation(cells))
 	t.Notes = append(t.Notes,
 		"the paper picks Q-learning over TD alternatives for lookup-table latency (Section IV); "+
 			"both rules share the table, so the overhead is identical and only policy quality differs")
@@ -139,47 +115,34 @@ func ExtensionPartition(opts Options) (*Table, error) {
 		Title:   "Extension: partition actions on top of AutoScale (footnote 4)",
 		Columns: []string{"Policy", "PPW (vs Edge CPU)", "QoS violation", "Actions"},
 	}
-	models := dnn.Zoo()
 	envs := sim.StaticEnvIDs()
-	cells := Cells(models, envs)
+	cells := Cells(dnn.Zoo(), envs)
 
-	// Cells: baseline, AutoScale, AutoScale+partition, NeuroSurgeon, Opt.
-	results, err := runCells(opts, 5, func(i int) (Result, error) {
+	results, err := compare(opts, 1, func(int) ([]sched.Policy, EvalConfig) {
 		w := sim.NewWorld(soc.Mi8Pro(), opts.Seed)
-		cfg := EvalConfig{Models: models, EnvIDs: envs, Runs: opts.Runs,
-			Seed: opts.Seed + 10, WarmupRuns: opts.Warmup}
-		var p sched.Policy
-		switch i {
-		case 0:
-			p = sched.EdgeCPU{World: w}
-		case 1, 2:
-			loo := newLOO(w, opts, sim.NonStreaming, 0, true)
-			loo.Config.PartitionActions = i == 2
-			p = loo
-		case 3:
-			p = &sched.NeuroSurgeon{World: w}
-		default:
-			p = sched.Opt{World: w}
-		}
-		return EvaluatePolicy(p, cfg)
+		split := newLOO(w, opts, sim.NonStreaming, 0, true)
+		split.Config.PartitionActions = true
+		return []sched.Policy{sched.EdgeCPU{World: w}, newLOO(w, opts, sim.NonStreaming, 0, true), split,
+			&sched.NeuroSurgeon{World: w}, sched.Opt{World: w}}, opts.evalConfig(envs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	base := results[0]
+	res := results[0]
 	w := sim.NewWorld(soc.Mi8Pro(), opts.Seed)
-	for i, label := range []string{"AutoScale", "AutoScale+partition"} {
-		res := results[i+1]
-		actions := core.NewActionSpace(w).Len()
-		if i == 1 {
-			actions = core.NewActionSpaceWithPartitions(w).Len()
-		}
-		t.AddRow(label, res.MeanNormPPW(base, cells), res.MeanQoSViolation(cells), actions)
+	rows := []struct {
+		label   string
+		actions any
+	}{
+		{"AutoScale", core.NewActionSpace(w).Len()},
+		{"AutoScale+partition", core.NewActionSpaceWithPartitions(w).Len()},
+		{"NeuroSurgeon", "-"},
+		{"Opt (whole-model)", "-"},
 	}
-	ns := results[3]
-	t.AddRow("NeuroSurgeon", ns.MeanNormPPW(base, cells), ns.MeanQoSViolation(cells), "-")
-	opt := results[4]
-	t.AddRow("Opt (whole-model)", opt.MeanNormPPW(base, cells), opt.MeanQoSViolation(cells), "-")
+	for i, row := range rows {
+		r := res[i+1]
+		t.AddRow(row.label, r.MeanNormPPW(res[0], cells), r.MeanQoSViolation(cells), row.actions)
+	}
 	t.Notes = append(t.Notes,
 		"paper (footnote 4): \"model partitioning at layer granularity is complementary to and "+
 			"can be applied on top of AutoScale\"; the Opt oracle searches whole-model targets only, "+
@@ -199,37 +162,22 @@ func ExtensionOutage(opts Options) (*Table, error) {
 		Title:   "Extension: offload-outage robustness (Mi8Pro, S1)",
 		Columns: []string{"Outage prob", "Policy", "PPW (vs Edge CPU)", "QoS violation", "Offload share"},
 	}
-	models := dnn.Zoo()
 	envs := []string{sim.EnvS1}
-	cells := Cells(models, envs)
+	cells := Cells(dnn.Zoo(), envs)
 
 	outages := []float64{0, 0.10, 0.30}
-	order := []string{"Edge (CPU FP32)", "Cloud", "AutoScale"}
-	results, err := runCells(opts, len(outages)*len(order), func(i int) (Result, error) {
+	results, err := compare(opts, len(outages), func(oi int) ([]sched.Policy, EvalConfig) {
 		w := sim.NewWorld(soc.Mi8Pro(), opts.Seed)
-		w.OutageProb = outages[i/len(order)]
-		cfg := EvalConfig{Models: models, EnvIDs: envs, Runs: opts.Runs,
-			Seed: opts.Seed + 10, WarmupRuns: opts.Warmup}
-		var p sched.Policy
-		switch order[i%len(order)] {
-		case "Edge (CPU FP32)":
-			p = sched.EdgeCPU{World: w}
-		case "Cloud":
-			p = sched.CloudAll{World: w}
-		default:
-			p = newLOO(w, opts, sim.NonStreaming, 0, w.OutageProb == 0)
-		}
-		return EvaluatePolicy(p, cfg)
+		w.OutageProb = outages[oi]
+		return []sched.Policy{sched.EdgeCPU{World: w}, sched.CloudAll{World: w},
+			newLOO(w, opts, sim.NonStreaming, 0, w.OutageProb == 0)}, opts.evalConfig(envs)
 	})
 	if err != nil {
 		return nil, err
 	}
 	for oi, outage := range outages {
-		base := results[oi*len(order)]
-		for pi := 1; pi < len(order); pi++ {
-			res := results[oi*len(order)+pi]
-			offload := 1 - share(res, sim.Local)
-			t.AddRow(outage, res.Policy, res.MeanNormPPW(base, cells), res.MeanQoSViolation(cells), offload)
+		for _, r := range results[oi][1:] {
+			t.AddRow(outage, r.Policy, r.MeanNormPPW(results[oi][0], cells), r.MeanQoSViolation(cells), 1-share(r, sim.Local))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -278,43 +226,25 @@ func ExtensionFaults(opts Options) (*Table, error) {
 		Columns: []string{"Faults", "Policy", "PPW (vs Edge CPU)",
 			"QoS violation", "Offload share"},
 	}
-	models := dnn.Zoo()
 	envs := []string{sim.EnvS1}
-	cells := Cells(models, envs)
+	cells := Cells(dnn.Zoo(), envs)
 
 	schedules := []*fault.Schedule{nil, sched1}
 	labels := []string{"none", sched1.Name}
-	order := []string{"Edge (CPU FP32)", "Cloud", "Opt", "AutoScale"}
-	results, err := runCells(opts, len(schedules)*len(order), func(i int) (Result, error) {
+	results, err := compare(opts, len(schedules), func(si int) ([]sched.Policy, EvalConfig) {
 		w := sim.NewWorld(soc.Mi8Pro(), opts.Seed)
-		if s := schedules[i/len(order)]; s != nil {
+		if s := schedules[si]; s != nil {
 			w.Faults = fault.New(s, exec.NewRoot(opts.Seed).Child("faults"))
 		}
-		cfg := EvalConfig{Models: models, EnvIDs: envs, Runs: opts.Runs,
-			Seed: opts.Seed + 10, WarmupRuns: opts.Warmup}
-		var p sched.Policy
-		switch order[i%len(order)] {
-		case "Edge (CPU FP32)":
-			p = sched.EdgeCPU{World: w}
-		case "Cloud":
-			p = sched.CloudAll{World: w}
-		case "Opt":
-			p = sched.Opt{World: w, AvoidDown: true}
-		default:
-			p = newLOO(w, opts, sim.NonStreaming, 0, w.Faults == nil)
-		}
-		return EvaluatePolicy(p, cfg)
+		return []sched.Policy{sched.EdgeCPU{World: w}, sched.CloudAll{World: w}, sched.Opt{World: w, AvoidDown: true},
+			newLOO(w, opts, sim.NonStreaming, 0, w.Faults == nil)}, opts.evalConfig(envs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	for si := range schedules {
-		base := results[si*len(order)]
-		for pi := 1; pi < len(order); pi++ {
-			res := results[si*len(order)+pi]
-			offload := 1 - share(res, sim.Local)
-			t.AddRow(labels[si], res.Policy, res.MeanNormPPW(base, cells),
-				res.MeanQoSViolation(cells), offload)
+	for si, label := range labels {
+		for _, r := range results[si][1:] {
+			t.AddRow(label, r.Policy, r.MeanNormPPW(results[si][0], cells), r.MeanQoSViolation(cells), 1-share(r, sim.Local))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -334,9 +264,8 @@ func ExtensionLinks(opts Options) (*Table, error) {
 		Title:   "Extension: radio taxonomy of Table I (Mi8Pro, static envs)",
 		Columns: []string{"WAN", "P2P", "Policy", "PPW (vs Edge CPU)", "QoS violation", "Offload share"},
 	}
-	models := dnn.Zoo()
 	envs := sim.StaticEnvIDs()
-	cells := Cells(models, envs)
+	cells := Cells(dnn.Zoo(), envs)
 	combos := []struct {
 		wanName string
 		p2pName string
@@ -363,31 +292,18 @@ func ExtensionLinks(opts Options) (*Table, error) {
 		}
 		return w
 	}
-	order := []string{"Edge (CPU FP32)", "AutoScale", "Opt"}
-	results, err := runCells(opts, len(combos)*len(order), func(i int) (Result, error) {
-		w := makeWorld(i / len(order))
-		cfg := EvalConfig{Models: models, EnvIDs: envs, Runs: opts.Runs,
-			Seed: opts.Seed + 10, WarmupRuns: opts.Warmup}
-		var p sched.Policy
-		switch order[i%len(order)] {
-		case "Edge (CPU FP32)":
-			p = sched.EdgeCPU{World: w}
-		case "AutoScale":
-			p = newLOO(w, opts, sim.NonStreaming, 0, false)
-		default:
-			p = sched.Opt{World: w}
-		}
-		return EvaluatePolicy(p, cfg)
+	results, err := compare(opts, len(combos), func(ci int) ([]sched.Policy, EvalConfig) {
+		w := makeWorld(ci)
+		return []sched.Policy{sched.EdgeCPU{World: w}, newLOO(w, opts, sim.NonStreaming, 0, false), sched.Opt{World: w}},
+			opts.evalConfig(envs)
 	})
 	if err != nil {
 		return nil, err
 	}
 	for ci, combo := range combos {
-		base := results[ci*len(order)]
-		for pi := 1; pi < len(order); pi++ {
-			res := results[ci*len(order)+pi]
-			t.AddRow(combo.wanName, combo.p2pName, res.Policy,
-				res.MeanNormPPW(base, cells), res.MeanQoSViolation(cells), 1-share(res, sim.Local))
+		for _, r := range results[ci][1:] {
+			t.AddRow(combo.wanName, combo.p2pName, r.Policy,
+				r.MeanNormPPW(results[ci][0], cells), r.MeanQoSViolation(cells), 1-share(r, sim.Local))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -409,9 +325,8 @@ func ExtensionActions(opts Options) (*Table, error) {
 		Title:   "Extension: action-space ablation (oracle, Mi8Pro, static envs)",
 		Columns: []string{"Action space", "PPW (vs Edge CPU)", "QoS violation"},
 	}
-	models := dnn.Zoo()
 	envs := sim.StaticEnvIDs()
-	cells := Cells(models, envs)
+	cells := Cells(dnn.Zoo(), envs)
 
 	filters := []struct {
 		label string
@@ -436,22 +351,21 @@ func ExtensionActions(opts Options) (*Table, error) {
 		}},
 	}
 
-	// Cell 0: baseline; cells 1..len(filters): restricted oracles.
-	results, err := runCells(opts, len(filters)+1, func(i int) (Result, error) {
+	results, err := compare(opts, 1, func(int) ([]sched.Policy, EvalConfig) {
 		w := sim.NewWorld(soc.Mi8Pro(), opts.Seed)
-		cfg := EvalConfig{Models: models, EnvIDs: envs, Runs: opts.Runs, Seed: opts.Seed + 10}
-		if i == 0 {
-			return EvaluatePolicy(sched.EdgeCPU{World: w}, cfg)
+		lineup := []sched.Policy{sched.EdgeCPU{World: w}}
+		for _, f := range filters {
+			lineup = append(lineup, &restrictedOpt{world: w, keep: f.keep})
 		}
-		return EvaluatePolicy(&restrictedOpt{world: w, keep: filters[i-1].keep}, cfg)
+		return lineup, opts.evalConfig(envs)
 	})
 	if err != nil {
 		return nil, err
 	}
-	base := results[0]
+	res := results[0]
 	for fi, f := range filters {
-		res := results[fi+1]
-		t.AddRow(f.label, res.MeanNormPPW(base, cells), res.MeanQoSViolation(cells))
+		r := res[fi+1]
+		t.AddRow(f.label, r.MeanNormPPW(res[0], cells), r.MeanQoSViolation(cells))
 	}
 	t.Notes = append(t.Notes,
 		"quantifies the paper's Section V-C augmentations: the oracle restricted to FP32 or "+

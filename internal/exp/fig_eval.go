@@ -10,12 +10,10 @@ import (
 	"autoscale/internal/soc"
 )
 
-// The evaluation figures are decomposed into pure cells — one per
-// (world, policy) evaluation — so they parallelize on the harness pool.
-// Every cell builds its own sim.World (and, for AutoScale, its own forks of
-// the pass's leave-one-out families) from seeds derived of the Options,
-// which keeps each cell's result independent of scheduling; the table rows
-// are assembled from the merged results in a fixed order.
+// Figs 9-12 are comparison grids (see compare): each states its lineup of
+// policies per variant, and every (variant, policy) cell builds its own
+// world and, for AutoScale, its own forks of the pass's leave-one-out
+// families, so each result is independent of scheduling.
 
 // newLOO builds the standard leave-one-out AutoScale policy for a world.
 // With share, the policy takes its family from the pass's memo, so every
@@ -43,6 +41,19 @@ func newLOO(w *sim.World, opts Options, intensity sim.Intensity, accuracy float6
 	return p
 }
 
+// beforeOpt inserts policies into a Baselines lineup ahead of its last
+// entry, Opt.
+func beforeOpt(b []sched.Policy, ps ...sched.Policy) []sched.Policy {
+	opt := b[len(b)-1]
+	return append(append(b[:len(b)-1], ps...), opt)
+}
+
+// evalConfig is the evaluation every comparison starts from: the zoo over
+// envIDs, non-streaming, no accuracy target, seeded Seed+10.
+func (o Options) evalConfig(envIDs []string) EvalConfig {
+	return EvalConfig{Models: dnn.Zoo(), EnvIDs: envIDs, Runs: o.Runs, Seed: o.Seed + 10, WarmupRuns: o.Warmup}
+}
+
 // Fig9 reproduces Fig 9: average normalized energy efficiency and QoS
 // violation ratio of AutoScale against the four baselines, MOSAIC and
 // NeuroSurgeon, and Opt, per device, in the static environments
@@ -64,47 +75,22 @@ func figBaselines(id string, intensity sim.Intensity, opts Options) (*Table, err
 		Title:   fmt.Sprintf("AutoScale vs baselines and prior work, static environments (%s)", intensity),
 		Columns: []string{"Device", "Policy", "PPW (vs Edge CPU)", "QoS violation"},
 	}
-	models := dnn.Zoo()
 	envs := sim.StaticEnvIDs()
-	cells := Cells(models, envs)
-	order := []string{"Edge (CPU FP32)", "Edge (Best)", "Cloud", "Connected Edge",
-		"MOSAIC", "NeuroSurgeon", "AutoScale", "Opt"}
-	makePolicy := func(w *sim.World, name string) sched.Policy {
-		switch name {
-		case "Edge (CPU FP32)":
-			return sched.EdgeCPU{World: w}
-		case "Edge (Best)":
-			return &sched.EdgeBest{World: w, Intensity: intensity}
-		case "Cloud":
-			return sched.CloudAll{World: w}
-		case "Connected Edge":
-			return &sched.ConnectedEdge{World: w, Intensity: intensity}
-		case "MOSAIC":
-			return &sched.MOSAIC{World: w}
-		case "NeuroSurgeon":
-			return &sched.NeuroSurgeon{World: w, Intensity: intensity}
-		case "AutoScale":
-			return newLOO(w, opts, intensity, 0, true)
-		default:
-			return sched.Opt{World: w, Intensity: intensity}
-		}
-	}
-	numDevices := len(soc.Phones())
-	results, err := runCells(opts, numDevices*len(order), func(i int) (Result, error) {
-		di, pi := i/len(order), i%len(order)
+	cells := Cells(dnn.Zoo(), envs)
+	results, err := compare(opts, len(soc.Phones()), func(di int) ([]sched.Policy, EvalConfig) {
 		w := sim.NewWorld(soc.Phones()[di], opts.Seed+int64(di))
-		cfg := EvalConfig{Models: models, EnvIDs: envs, Runs: opts.Runs,
-			Intensity: intensity, Seed: opts.Seed + 10 + int64(di), WarmupRuns: opts.Warmup}
-		return EvaluatePolicy(makePolicy(w, order[pi]), cfg)
+		lineup := beforeOpt(Baselines(w, intensity, 0), &sched.MOSAIC{World: w},
+			&sched.NeuroSurgeon{World: w, Intensity: intensity}, newLOO(w, opts, intensity, 0, true))
+		cfg := opts.evalConfig(envs)
+		cfg.Intensity, cfg.Seed = intensity, cfg.Seed+int64(di)
+		return lineup, cfg
 	})
 	if err != nil {
 		return nil, err
 	}
 	for di, dev := range soc.Phones() {
-		base := results[di*len(order)] // Edge (CPU FP32) normalizer
-		for pi, name := range order {
-			r := results[di*len(order)+pi]
-			t.AddRow(dev.Name, name, r.MeanNormPPW(base, cells), r.MeanQoSViolation(cells))
+		for _, r := range results[di] {
+			t.AddRow(dev.Name, r.Policy, r.MeanNormPPW(results[di][0], cells), r.MeanQoSViolation(cells))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -123,38 +109,18 @@ func Fig11(opts Options) (*Table, error) {
 		Columns: []string{"Env", "Policy", "PPW (vs Edge CPU)", "QoS violation"},
 	}
 	models := dnn.Zoo()
-	order := []string{"Edge (CPU FP32)", "Edge (Best)", "Cloud", "Connected Edge", "AutoScale", "Opt"}
-	makePolicy := func(w *sim.World, name string) sched.Policy {
-		switch name {
-		case "Edge (CPU FP32)":
-			return sched.EdgeCPU{World: w}
-		case "Edge (Best)":
-			return &sched.EdgeBest{World: w}
-		case "Cloud":
-			return sched.CloudAll{World: w}
-		case "Connected Edge":
-			return &sched.ConnectedEdge{World: w}
-		case "AutoScale":
-			return newLOO(w, opts, sim.NonStreaming, 0, true)
-		default:
-			return sched.Opt{World: w}
-		}
-	}
-	results, err := runCells(opts, len(order), func(i int) (Result, error) {
+	results, err := compare(opts, 1, func(int) ([]sched.Policy, EvalConfig) {
 		w := sim.NewWorld(soc.Mi8Pro(), opts.Seed)
-		cfg := EvalConfig{Models: models, EnvIDs: sim.AllEnvIDs(), Runs: opts.Runs,
-			Seed: opts.Seed + 10, WarmupRuns: opts.Warmup}
-		return EvaluatePolicy(makePolicy(w, order[i]), cfg)
+		return beforeOpt(Baselines(w, sim.NonStreaming, 0), newLOO(w, opts, sim.NonStreaming, 0, true)),
+			opts.evalConfig(sim.AllEnvIDs())
 	})
 	if err != nil {
 		return nil, err
 	}
-	base := results[0]
 	for _, env := range sim.AllEnvIDs() {
 		cells := Cells(models, []string{env})
-		for pi, name := range order {
-			r := results[pi]
-			t.AddRow(env, name, r.MeanNormPPW(base, cells), r.MeanQoSViolation(cells))
+		for _, r := range results[0] {
+			t.AddRow(env, r.Policy, r.MeanNormPPW(results[0][0], cells), r.MeanQoSViolation(cells))
 		}
 	}
 	t.Notes = append(t.Notes,
@@ -172,26 +138,16 @@ func Fig12(opts Options) (*Table, error) {
 		Title:   "Adaptability to inference quality targets (Mi8Pro)",
 		Columns: []string{"Accuracy target", "Policy", "PPW (vs Edge CPU)", "QoS violation"},
 	}
-	models := dnn.Zoo()
 	envs := sim.StaticEnvIDs()
-	cells := Cells(models, envs)
+	cells := Cells(dnn.Zoo(), envs)
 	accs := []float64{0, 50, 65, 70}
-	order := []string{"Edge (CPU FP32)", "AutoScale", "Opt"}
-	results, err := runCells(opts, len(accs)*len(order), func(i int) (Result, error) {
-		acc := accs[i/len(order)]
+	results, err := compare(opts, len(accs), func(ai int) ([]sched.Policy, EvalConfig) {
+		acc := accs[ai]
 		w := sim.NewWorld(soc.Mi8Pro(), opts.Seed)
-		cfg := EvalConfig{Models: models, EnvIDs: envs, Runs: opts.Runs, Accuracy: acc,
-			Seed: opts.Seed + 10, WarmupRuns: opts.Warmup}
-		var p sched.Policy
-		switch order[i%len(order)] {
-		case "Edge (CPU FP32)":
-			p = sched.EdgeCPU{World: w}
-		case "AutoScale":
-			p = newLOO(w, opts, sim.NonStreaming, acc, true)
-		default:
-			p = sched.Opt{World: w, Accuracy: acc}
-		}
-		return EvaluatePolicy(p, cfg)
+		cfg := opts.evalConfig(envs)
+		cfg.Accuracy = acc
+		return []sched.Policy{sched.EdgeCPU{World: w}, newLOO(w, opts, sim.NonStreaming, acc, true),
+			sched.Opt{World: w, Accuracy: acc}}, cfg
 	})
 	if err != nil {
 		return nil, err
@@ -201,11 +157,9 @@ func Fig12(opts Options) (*Table, error) {
 		if acc > 0 {
 			label = fmt.Sprintf("%.0f%%", acc)
 		}
-		base := results[ai*len(order)]
-		as := results[ai*len(order)+1]
-		opt := results[ai*len(order)+2]
-		t.AddRow(label, "AutoScale", as.MeanNormPPW(base, cells), as.MeanQoSViolation(cells))
-		t.AddRow(label, "Opt", opt.MeanNormPPW(base, cells), opt.MeanQoSViolation(cells))
+		for _, r := range results[ai][1:] {
+			t.AddRow(label, r.Policy, r.MeanNormPPW(results[ai][0], cells), r.MeanQoSViolation(cells))
+		}
 	}
 	t.Notes = append(t.Notes,
 		"paper: higher accuracy targets forbid low-precision on-device targets, slightly "+

@@ -169,6 +169,35 @@ func EvaluatePolicy(p sched.Policy, cfg EvalConfig) (Result, error) {
 	return res, nil
 }
 
+// compare runs a comparison grid: for each of variants (a device, an
+// environment setting, an accuracy target, a world edit) lineup returns the
+// policies to compare and the evaluation they share. Every (variant, policy)
+// pair is one pure cell on the pool, and lineup runs inside each cell, so
+// every cell builds its own world and policies. res[v][p] is policy p of
+// variant v; lineups put the variant's Edge (CPU FP32) normaliser first.
+func compare(opts Options, variants int, lineup func(v int) ([]sched.Policy, EvalConfig)) ([][]Result, error) {
+	type cell struct{ v, p int }
+	var cells []cell
+	for v := 0; v < variants; v++ {
+		ps, _ := lineup(v)
+		for p := range ps {
+			cells = append(cells, cell{v, p})
+		}
+	}
+	flat, err := runCells(opts, len(cells), func(i int) (Result, error) {
+		ps, cfg := lineup(cells[i].v)
+		return EvaluatePolicy(ps[cells[i].p], cfg)
+	})
+	if err != nil {
+		return nil, err
+	}
+	res := make([][]Result, variants)
+	for i, c := range cells {
+		res[c.v] = append(res[c.v], flat[i])
+	}
+	return res, nil
+}
+
 // VarianceState is one combination of the Table I runtime-variance features,
 // used as a training condition generator (the paper trains 100 runs per NN
 // in each runtime-variance-related state).
