@@ -3,6 +3,7 @@ package autoscale
 import (
 	"context"
 	"io"
+	"maps"
 	"net/http"
 	"os"
 	"slices"
@@ -125,12 +126,7 @@ func seriesNames(body string) []string {
 		}
 		seen[name+"{"+strings.Join(keys, ",")+"}"] = true
 	}
-	out := make([]string, 0, len(seen))
-	for n := range seen {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return slices.Sorted(maps.Keys(seen))
 }
 
 // assertHeadersOnce fails unless every metric in the body renders its HELP

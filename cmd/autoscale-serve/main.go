@@ -22,10 +22,11 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -549,12 +550,7 @@ func printHealth(out *os.File, health map[string]autoscale.EngineHealth) {
 		return
 	}
 	fmt.Fprintf(out, "\nlearning health:\n")
-	devs := make([]string, 0, len(health))
-	for d := range health {
-		devs = append(devs, d)
-	}
-	sort.Strings(devs)
-	for _, dev := range devs {
+	for _, dev := range slices.Sorted(maps.Keys(health)) {
 		h := health[dev]
 		fmt.Fprintf(out, "  %-12s eps %.2f  coverage %5.1f%% (%d/%d states)  explore %4.1f%%  tdEMA %.3f  meanR %7.2f  entropy %.2f\n",
 			dev, h.Epsilon, 100*h.Coverage, h.States, h.StateSpaceSize,
@@ -765,7 +761,7 @@ func printSnapshot(out *os.File, s autoscale.GatewayMetrics, wall time.Duration)
 	}
 	if len(s.ByBreaker) > 0 {
 		fmt.Fprintf(out, "breakers:")
-		for _, label := range sortedStrKeys(s.ByBreaker) {
+		for _, label := range slices.Sorted(maps.Keys(s.ByBreaker)) {
 			fmt.Fprintf(out, "  %s=%s", label, s.ByBreaker[label])
 		}
 		fmt.Fprintln(out)
@@ -780,14 +776,14 @@ func printSnapshot(out *os.File, s autoscale.GatewayMetrics, wall time.Duration)
 	}
 	if len(s.ByTarget) > 0 {
 		fmt.Fprintf(out, "\ndecisions:")
-		for _, loc := range sortedKeys(s.ByTarget) {
+		for _, loc := range slices.Sorted(maps.Keys(s.ByTarget)) {
 			fmt.Fprintf(out, "  %s %.1f%%", loc, 100*float64(s.ByTarget[loc])/float64(s.Served))
 		}
 		fmt.Fprintln(out)
 	}
 	if len(s.ByDevice) > 0 {
 		fmt.Fprintf(out, "per device:")
-		for _, dev := range sortedKeys(s.ByDevice) {
+		for _, dev := range slices.Sorted(maps.Keys(s.ByDevice)) {
 			fmt.Fprintf(out, "  %s %d", dev, s.ByDevice[dev])
 		}
 		fmt.Fprintln(out)
@@ -802,22 +798,4 @@ func quantileMS(h interface{ Quantile(float64) float64 }, q float64) string {
 		return ">max"
 	}
 	return fmt.Sprintf("<=%.1fms", v*1e3)
-}
-
-func sortedKeys(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedStrKeys(m map[string]string) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -118,11 +118,6 @@ func run(device, modelName, envID, policyName string, n, train int, streaming bo
 	return nil
 }
 
-func buildPolicy(w *autoscale.World, name string, intensity autoscale.Intensity, train int, seed int64) (autoscale.Policy, error) {
-	p, _, err := buildPolicyEngine(w, name, intensity, train, seed)
-	return p, err
-}
-
 func buildPolicyEngine(w *autoscale.World, name string, intensity autoscale.Intensity, train int, seed int64) (autoscale.Policy, *autoscale.Engine, error) {
 	switch name {
 	case "autoscale":

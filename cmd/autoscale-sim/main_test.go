@@ -23,15 +23,15 @@ func TestBuildPolicyNames(t *testing.T) {
 		"neurosurgeon": "NeuroSurgeon",
 	}
 	for arg, want := range cases {
-		p, err := buildPolicy(w, arg, autoscale.NonStreaming, 1, 1)
+		p, _, err := buildPolicyEngine(w, arg, autoscale.NonStreaming, 1, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", arg, err)
 		}
 		if p.Name() != want {
-			t.Errorf("buildPolicy(%s) = %s, want %s", arg, p.Name(), want)
+			t.Errorf("buildPolicyEngine(%s) = %s, want %s", arg, p.Name(), want)
 		}
 	}
-	if _, err := buildPolicy(w, "magic", autoscale.NonStreaming, 1, 1); err == nil {
+	if _, _, err := buildPolicyEngine(w, "magic", autoscale.NonStreaming, 1, 1); err == nil {
 		t.Error("unknown policy should fail")
 	}
 }

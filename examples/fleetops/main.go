@@ -8,9 +8,10 @@ package main
 import (
 	"fmt"
 	"log"
+	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 
 	"autoscale"
 )
@@ -76,12 +77,7 @@ func main() {
 		sum := autoscale.SummarizeTrace(records)
 		fmt.Printf("\n%s: %d decisions, %.1f J total, %.1f ms mean latency, %.1f%% QoS misses\n",
 			device, sum.Records, sum.TotalEnergyJ, sum.MeanLatencyS*1e3, sum.ViolationRatio*100)
-		var locs []string
-		for loc := range sum.ByLocation {
-			locs = append(locs, loc)
-		}
-		sort.Strings(locs)
-		for _, loc := range locs {
+		for _, loc := range slices.Sorted(maps.Keys(sum.ByLocation)) {
 			fmt.Printf("  %-10s %5.1f%%\n", loc, sum.ByLocation[loc]*100)
 		}
 	}

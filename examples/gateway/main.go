@@ -9,7 +9,8 @@ import (
 	"context"
 	"fmt"
 	"log"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"autoscale"
@@ -86,13 +87,8 @@ func main() {
 	fmt.Printf("retries %d, outages %d, QoS misses %d, queue high-water %d\n",
 		s.Retried, s.Outages, s.QoSViolations, s.QueueMaxDepth)
 
-	var locs []string
-	for loc := range s.ByTarget {
-		locs = append(locs, loc)
-	}
-	sort.Strings(locs)
 	fmt.Println("decision breakdown:")
-	for _, loc := range locs {
+	for _, loc := range slices.Sorted(maps.Keys(s.ByTarget)) {
 		fmt.Printf("  %-10s %5.1f%%\n", loc, 100*float64(s.ByTarget[loc])/float64(s.Served))
 	}
 	for _, dev := range gw.Devices() {

@@ -2,7 +2,8 @@ package exp
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 
 	"autoscale/internal/dnn"
 	"autoscale/internal/interfere"
@@ -47,12 +48,7 @@ func Fig2(opts Options) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			names := make([]string, 0, len(targets))
-			for name := range targets {
-				names = append(names, name)
-			}
-			sort.Strings(names)
-			for _, name := range names {
+			for _, name := range slices.Sorted(maps.Keys(targets)) {
 				meas, err := w.Expected(m, targets[name], c)
 				if err != nil {
 					return nil, err

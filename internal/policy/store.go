@@ -2,8 +2,10 @@ package policy
 
 import (
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -346,10 +348,5 @@ func (s *Store) Devices() ([]string, error) {
 			}
 		}
 	}
-	out := make([]string, 0, len(seen))
-	for d := range seen {
-		out = append(out, d)
-	}
-	sort.Strings(out)
-	return out, nil
+	return slices.Sorted(maps.Keys(seen)), nil
 }

@@ -3,7 +3,8 @@ package policy
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"sync"
 	"time"
 
@@ -226,7 +227,7 @@ func (s *Syncer) syncOnce() Report {
 		groups[hash] = append(groups[hash], saved{node: n, ck: ck})
 	}
 
-	for _, hash := range sortedGroupKeys(groups) {
+	for _, hash := range slices.Sorted(maps.Keys(groups)) {
 		group := groups[hash]
 		cks := make([]*Checkpoint, len(group))
 		for i, g := range group {
@@ -259,15 +260,6 @@ func (s *Syncer) syncOnce() Report {
 		}
 	}
 	return rep
-}
-
-func sortedGroupKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // MaybeTick runs one pass when at least Interval of virtual time has passed

@@ -22,7 +22,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -925,13 +927,8 @@ func (rt *Router) CondemnShard(name string) error {
 // Devices returns the routable device names in sorted order.
 func (rt *Router) Devices() []string {
 	rt.mu.RLock()
-	out := make([]string, 0, len(rt.homes))
-	for dev := range rt.homes {
-		out = append(out, dev)
-	}
-	rt.mu.RUnlock()
-	sort.Strings(out)
-	return out
+	defer rt.mu.RUnlock()
+	return slices.Sorted(maps.Keys(rt.homes))
 }
 
 // Closed reports whether Shutdown has begun.

@@ -4,10 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -283,14 +284,14 @@ func AppendProm(p *obs.Prom, s metrics.Snapshot, health map[string]core.Health) 
 	p.Counter("autoscale_policy_sync_failures_total", "Policy-sync passes reporting errors.", float64(s.SyncFailures))
 	p.Gauge("autoscale_policy_sync_consecutive_failures", "Failed sync passes since the last clean one.", float64(s.SyncConsecutiveFailures))
 
-	for _, label := range sortedKeys(s.ByBreaker) {
+	for _, label := range slices.Sorted(maps.Keys(s.ByBreaker)) {
 		p.Gauge("autoscale_breaker_state", "Breaker state: 0 closed, 1 half-open, 2 open.",
 			breakerStateValue(s.ByBreaker[label]), "breaker", label)
 	}
-	for _, loc := range sortedKeys(s.ByTarget) {
+	for _, loc := range slices.Sorted(maps.Keys(s.ByTarget)) {
 		p.Counter("autoscale_executions_total", "Executions by location.", float64(s.ByTarget[loc]), "location", loc)
 	}
-	for _, dev := range sortedKeys(s.ByDevice) {
+	for _, dev := range slices.Sorted(maps.Keys(s.ByDevice)) {
 		p.Counter("autoscale_device_requests_total", "Executions by serving device.", float64(s.ByDevice[dev]), "device", dev)
 	}
 
@@ -301,7 +302,7 @@ func AppendProm(p *obs.Prom, s metrics.Snapshot, health map[string]core.Health) 
 	if s.VWait.Count > 0 {
 		p.Histogram("autoscale_virtual_wait_seconds", "Virtual queue wait (lane clock minus arrival stamp).", s.VWait)
 	}
-	for _, tenant := range sortedKeys(s.ByTenant) {
+	for _, tenant := range slices.Sorted(maps.Keys(s.ByTenant)) {
 		p.Histogram("autoscale_tenant_response_seconds", "Virtual response time (vwait plus execution latency) per tenant.",
 			s.ByTenant[tenant], "tenant", tenant)
 	}
@@ -314,7 +315,7 @@ func AppendProm(p *obs.Prom, s metrics.Snapshot, health map[string]core.Health) 
 	}
 
 	// Learning health, one gauge set per device.
-	for _, dev := range sortedKeys(health) {
+	for _, dev := range slices.Sorted(maps.Keys(health)) {
 		h := health[dev]
 		frozen := 0.0
 		if h.Frozen {
@@ -332,14 +333,4 @@ func AppendProm(p *obs.Prom, s metrics.Snapshot, health map[string]core.Health) 
 		p.Gauge("autoscale_rl_mean_reward", "Mean reward over the recent window.", h.MeanReward, "device", dev)
 		p.Gauge("autoscale_rl_virtual_seconds", "Engine virtual-clock reading.", h.VirtualS, "device", dev)
 	}
-}
-
-// sortedKeys returns a map's keys in sorted order for deterministic output.
-func sortedKeys[V any](m map[string]V) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

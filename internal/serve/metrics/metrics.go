@@ -19,16 +19,6 @@ import (
 	"autoscale/internal/obs"
 )
 
-// Scheme returns the bucket ladder shared by the registry's histograms:
-// log-linear from 1e-4 to ~104 with 8 sub-buckets per octave (≤ 12.5%
-// relative quantile error). One ladder for seconds and joules keeps every
-// snapshot mergeable with every other.
-func Scheme() obs.BucketScheme { return obs.DefaultScheme() }
-
-// HistogramSnapshot aliases the obs snapshot so existing callers keep their
-// vocabulary.
-type HistogramSnapshot = obs.HistogramSnapshot
-
 // Registry accumulates gateway counters. The zero value is not usable; call
 // New.
 type Registry struct {
@@ -80,14 +70,15 @@ type Registry struct {
 	byTenant map[string]*obs.Histogram
 }
 
-// New builds a registry over the shared Scheme ladder, with one phase
-// histogram per canonical request phase.
+// New builds a registry whose histograms all use obs.DefaultScheme, one
+// ladder for seconds and joules, so every snapshot merges with every other;
+// it has one phase histogram per canonical request phase.
 func New() *Registry {
 	r := &Registry{
-		latency:   obs.NewHistogram(Scheme()),
-		wait:      obs.NewHistogram(Scheme()),
-		energy:    obs.NewHistogram(Scheme()),
-		vwait:     obs.NewHistogram(Scheme()),
+		latency:   obs.NewHistogram(obs.DefaultScheme()),
+		wait:      obs.NewHistogram(obs.DefaultScheme()),
+		energy:    obs.NewHistogram(obs.DefaultScheme()),
+		vwait:     obs.NewHistogram(obs.DefaultScheme()),
 		phases:    make(map[string]*obs.Histogram),
 		byTarget:  make(map[string]int64),
 		byDevice:  make(map[string]int64),
@@ -95,7 +86,7 @@ func New() *Registry {
 		byTenant:  make(map[string]*obs.Histogram),
 	}
 	for _, p := range obs.Phases() {
-		r.phases[p] = obs.NewHistogram(Scheme())
+		r.phases[p] = obs.NewHistogram(obs.DefaultScheme())
 	}
 	return r
 }
@@ -258,7 +249,7 @@ func (r *Registry) ObserveServed(s ServedSample) {
 			r.mu.Lock()
 			h, ok := r.byTenant[s.Tenant]
 			if !ok {
-				h = obs.NewHistogram(Scheme())
+				h = obs.NewHistogram(obs.DefaultScheme())
 				r.byTenant[s.Tenant] = h
 			}
 			r.mu.Unlock()
@@ -315,15 +306,15 @@ type Snapshot struct {
 	SyncConsecutiveFailures int64
 	SyncLastError           string
 
-	Latency HistogramSnapshot
-	Wait    HistogramSnapshot
-	Energy  HistogramSnapshot
+	Latency obs.HistogramSnapshot
+	Wait    obs.HistogramSnapshot
+	Energy  obs.HistogramSnapshot
 	// VWait is the virtual queue-wait histogram (arrival-stamped requests
 	// only; see serve.Request.ArrivalS).
-	VWait HistogramSnapshot
+	VWait obs.HistogramSnapshot
 	// Phases holds one histogram per request phase that recorded at least
 	// one observation (obs.Phases names the full set).
-	Phases map[string]HistogramSnapshot
+	Phases map[string]obs.HistogramSnapshot
 
 	// ByTarget counts executions per execution-location label; ByDevice per
 	// gateway worker; ByBreaker holds each breaker's last recorded state.
@@ -332,7 +323,7 @@ type Snapshot struct {
 	ByBreaker map[string]string
 	// ByTenant holds one virtual response-time histogram per tenant that
 	// served at least one request.
-	ByTenant map[string]HistogramSnapshot
+	ByTenant map[string]obs.HistogramSnapshot
 }
 
 // Accounted returns the number of requests with a terminal outcome.
@@ -374,11 +365,11 @@ func (r *Registry) Snapshot() Snapshot {
 		Wait:      r.wait.Snapshot(),
 		Energy:    r.energy.Snapshot(),
 		VWait:     r.vwait.Snapshot(),
-		Phases:    make(map[string]HistogramSnapshot),
+		Phases:    make(map[string]obs.HistogramSnapshot),
 		ByTarget:  make(map[string]int64),
 		ByDevice:  make(map[string]int64),
 		ByBreaker: make(map[string]string),
-		ByTenant:  make(map[string]HistogramSnapshot),
+		ByTenant:  make(map[string]obs.HistogramSnapshot),
 	}
 	for p, h := range r.phases {
 		if hs := h.Snapshot(); hs.Count > 0 {
@@ -416,11 +407,11 @@ func (r *Registry) Snapshot() Snapshot {
 // across shards, so states never collide.
 func Merge(snaps ...Snapshot) Snapshot {
 	out := Snapshot{
-		Phases:    make(map[string]HistogramSnapshot),
+		Phases:    make(map[string]obs.HistogramSnapshot),
 		ByTarget:  make(map[string]int64),
 		ByDevice:  make(map[string]int64),
 		ByBreaker: make(map[string]string),
-		ByTenant:  make(map[string]HistogramSnapshot),
+		ByTenant:  make(map[string]obs.HistogramSnapshot),
 	}
 	for _, s := range snaps {
 		out.Submitted += s.Submitted
@@ -498,7 +489,7 @@ func Merge(snaps ...Snapshot) Snapshot {
 // before this rule a zero first operand's empty scheme poisoned every later
 // merge. On a genuine scheme mismatch the accumulated side wins (cannot
 // happen between registries built by New, which share one ladder).
-func mergeHist(a, b HistogramSnapshot) HistogramSnapshot {
+func mergeHist(a, b obs.HistogramSnapshot) obs.HistogramSnapshot {
 	if b.Count == 0 && len(b.Counts) == 0 {
 		return a
 	}

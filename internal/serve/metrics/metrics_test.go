@@ -68,7 +68,7 @@ func TestRegistryHistograms(t *testing.T) {
 	if got := s.Latency.Mean(); math.Abs(got-0.015) > 1e-12 {
 		t.Fatalf("latency mean = %v", got)
 	}
-	if s.Latency.Scheme != Scheme() {
+	if s.Latency.Scheme != obs.DefaultScheme() {
 		t.Fatalf("latency scheme = %+v", s.Latency.Scheme)
 	}
 	// All registry histograms share one scheme so they can merge.
@@ -78,7 +78,7 @@ func TestRegistryHistograms(t *testing.T) {
 	// Quantiles are within one sub-bucket of the observation and capped at
 	// the observed max.
 	p99 := s.Latency.Quantile(0.99)
-	if p99 < 0.020 || p99 > 0.020*(1+1.0/float64(Scheme().Sub)) {
+	if p99 < 0.020 || p99 > 0.020*(1+1.0/float64(obs.DefaultScheme().Sub)) {
 		t.Fatalf("p99 = %v", p99)
 	}
 }

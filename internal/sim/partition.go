@@ -22,12 +22,13 @@ import (
 // engines of the same SoC (runtime handoff, cache/DMA setup).
 const switchOverheadS = 1.5e-3
 
-// expectedPartitioned computes the noise-free outcome of running layers
-// [0,cut) of m on the local target and layers [cut,len) at the remote
-// location's best-suited engine (at its top DVFS step), transferring the
-// boundary activation out and the result back. cut == len(m.Layers)
-// degenerates to fully local execution; cut == 0 to a full offload.
-func (w *World) expectedPartitioned(m *dnn.Model, cut int, local Target, remoteLoc Location, c Conditions) (Measurement, error) {
+// Partitioned computes the noise-free outcome of running layers [0,cut) of
+// m on the local target and layers [cut,len) at the remote location's
+// best-suited engine (at its top DVFS step, chosen automatically),
+// transferring the boundary activation out and the result back. cut ==
+// len(m.Layers) degenerates to fully local execution; cut == 0 to a full
+// offload. The NeuroSurgeon comparator and the partition actions use it.
+func (w *World) Partitioned(m *dnn.Model, cut int, local Target, remoteLoc Location, c Conditions) (Measurement, error) {
 	if remoteLoc == Local {
 		return Measurement{}, fmt.Errorf("sim: partition remote location must not be local")
 	}
@@ -111,9 +112,6 @@ func (w *World) expectedPartitioned(m *dnn.Model, cut int, local Target, remoteL
 	if cut == 0 || m.Accuracy(remotePrec) < acc {
 		acc = m.Accuracy(remotePrec)
 	}
-	if cut == 0 {
-		acc = m.Accuracy(remotePrec)
-	}
 	return Measurement{
 		Target:     Target{Location: remoteLoc, Kind: remoteProc.Kind, Prec: remotePrec},
 		LatencyS:   total,
@@ -123,12 +121,6 @@ func (w *World) expectedPartitioned(m *dnn.Model, cut int, local Target, remoteL
 		TTXSeconds: tTX,
 		TRXSeconds: tRX,
 	}, nil
-}
-
-// Partitioned is the exported form used by the NeuroSurgeon comparator: the
-// remote engine is chosen automatically.
-func (w *World) Partitioned(m *dnn.Model, cut int, local Target, remoteLoc Location, c Conditions) (Measurement, error) {
-	return w.expectedPartitioned(m, cut, local, remoteLoc, c)
 }
 
 // bestRemoteEngine picks the remote engine for a layer suffix: the GPU when

@@ -27,7 +27,6 @@ import (
 	"autoscale/internal/obs"
 	"autoscale/internal/router"
 	"autoscale/internal/serve"
-	"autoscale/internal/serve/metrics"
 )
 
 // Config tunes a Supervisor. Zero values select the defaults.
@@ -139,7 +138,7 @@ type record struct {
 
 	// Windowed-delta baselines, reset on incarnation change (a revived
 	// gateway's counters restart at zero).
-	prevLat     metrics.HistogramSnapshot
+	prevLat     obs.HistogramSnapshot
 	prevOpens   int64
 	prevCrashes int64
 }
@@ -225,7 +224,7 @@ func (s *Supervisor) tickLocked(now float64) {
 		if sig.Incarnation != rec.incarnation {
 			// A fresh gateway: counters restarted, windows are meaningless.
 			rec.incarnation = sig.Incarnation
-			rec.prevLat = metrics.HistogramSnapshot{}
+			rec.prevLat = obs.HistogramSnapshot{}
 			rec.prevOpens, rec.prevCrashes = 0, 0
 		}
 		s.superviseShard(now, rec, sig)
@@ -367,7 +366,7 @@ func (s *Supervisor) score(rec *record, sig router.ShardSignal) (float64, string
 	cur := sig.Snap.Latency
 	if dCount := cur.Count - rec.prevLat.Count; dCount > 0 && len(cur.Counts) > 0 {
 		sampled = true
-		delta := metrics.HistogramSnapshot{
+		delta := obs.HistogramSnapshot{
 			Scheme: cur.Scheme,
 			Counts: make([]int64, len(cur.Counts)),
 			Count:  dCount,

@@ -2,6 +2,8 @@ package super
 
 import (
 	"context"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -53,11 +55,7 @@ func buildFleet(t testing.TB, seed int64, sched *fault.Schedule, shards map[stri
 	}
 	inj := fault.New(sched, exec.NewRoot(seed).Child("faults"))
 
-	names := make([]string, 0, len(shards))
-	for name := range shards {
-		names = append(names, name)
-	}
-	sort.Strings(names)
+	names := slices.Sorted(maps.Keys(shards))
 	seeds := make(map[string]int64)
 	var lanes []string
 	next := seed
