@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race alloc-guard fuzz smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-check bench-all profile profile-figs profile-engine loc
+.PHONY: build test vet fmt race digests alloc-guard fuzz smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-check bench-all profile profile-figs profile-engine loc
 
 build:
 	$(GO) build ./...
@@ -30,6 +30,13 @@ fmt:
 race:
 	$(GO) test -race $$($(GO) list ./... | grep -v '/internal/exp$$')
 	$(GO) test -race -short ./internal/exp/
+
+# The reproduction's byte contract: the sha256 of every experiment's table at
+# Quick(42) against internal/exp/testdata/quick_digests.txt (~17 s,
+# un-instrumented). `make race` runs internal/exp under -short, where
+# TestQuickDigests skips, so the gate runs it here. Part of `make verify`.
+digests:
+	$(GO) test -count=1 -run '^TestQuickDigests$$' ./internal/exp/
 
 # Seeded chaos soak, small matrix (~seconds): 2 seeds at high intensity with
 # the invariant auditor, byte-identical replay and the goroutine-leak check.
@@ -157,10 +164,11 @@ smoke-traces:
 # The full gate: tier-1 build plus formatting, vet, one race-detector pass
 # over every package (it covers the policy, exec, fault, telemetry, routing,
 # planning, hot-path, supervision and tracing planes — each used to be re-run
-# by a race-* target of its own), the short chaos soak, the allocation
-# guards, the decoder fuzz smoke, the benchmark harness's own vet and
-# tests, and the admin, planner, chaos and tracing scrape smokes.
-verify: build fmt vet race chaos-short alloc-guard fuzz bench-check smoke-admin smoke-plan smoke-chaos smoke-traces
+# by a race-* target of its own), the 25 quick table digests, the short
+# chaos soak, the allocation guards, the decoder fuzz smoke, the benchmark
+# harness's own vet and tests, and the admin, planner, chaos and tracing
+# scrape smokes.
+verify: build fmt vet race digests chaos-short alloc-guard fuzz bench-check smoke-admin smoke-plan smoke-chaos smoke-traces
 
 # The repo benchmark (BENCHMARK.json): six workloads plus the layer ladder,
 # results in bench/out/result.json. bench/README.md documents -append
