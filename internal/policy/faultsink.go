@@ -7,10 +7,12 @@ import (
 )
 
 // IOVerdict classifies the checkpoint store's injected I/O state at one
-// instant. The fault plane (internal/fault) cannot be imported here — core's
-// simulator already depends on it, so policy importing fault would cycle —
-// which is why the verdict is delivered through a callback the wiring layer
-// builds from the injector.
+// instant. It arrives through FaultSink.Verdict, a callback the wiring layer
+// builds from its fault injector, rather than from the injector itself,
+// because the caller owns both halves of the question: the virtual clock
+// the verdict is evaluated at (one sampled outside the serving tier's
+// locks) and the mapping from the fault plane's I/O modes to these
+// verdicts.
 type IOVerdict int
 
 const (
