@@ -54,14 +54,15 @@ chaos:
 # Allocs-per-op regression guards: the frozen decide fast path (observe,
 # dense state index, RCU argmax), a learning engine's full Step on a warmed
 # zoo x D2 ring and a loaded local execution on a warmed world must stay at
-# zero allocations with tracing disabled; provenance
-# capture and the sampled trace lifecycle each get a 2 allocs/op budget,
-# Router.Do on a warmed router 1. The heap guards hold an agent's Q-table to
+# zero allocations with tracing disabled, as must a sequential Gateway.Do
+# served inline on a frozen gateway; provenance capture and the sampled
+# trace lifecycle each get a 2 allocs/op budget, Router.Do on a warmed
+# router 1. The heap guards hold an agent's Q-table to
 # what it has seen: MemoryBytes within 10% of the live-heap delta at 0, 20,
 # 640 and 3,072 rows, and the paper's 640-state table at 0.4 MB +-25%. Runs
 # un-instrumented (the race detector's shadow memory allocates).
 alloc-guard:
-	$(GO) test -run '^(TestDecideZeroAlloc|TestTrainStepZeroAlloc|TestExecuteLoadedZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget|TestRouterDoAllocBudget)$$' .
+	$(GO) test -run '^(TestDecideZeroAlloc|TestTrainStepZeroAlloc|TestExecuteLoadedZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget|TestRouterDoAllocBudget|TestGatewayDoZeroAlloc)$$' .
 	$(GO) test -run '^(TestMemoryBytesMatchesHeap|TestFullTableFootprintNearPaper)$$' ./internal/rl/
 
 # Fuzz smoke over the decoders, 5 s each: a fault schedule that parses must

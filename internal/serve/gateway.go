@@ -23,8 +23,8 @@ import (
 )
 
 // Gateway serves inference requests against a fleet of per-device engines,
-// one worker goroutine per device. It is safe for concurrent use by any
-// number of clients.
+// one serving lane per device. It is safe for concurrent use by any number
+// of clients.
 type Gateway struct {
 	cfg Config
 	met *metrics.Registry
@@ -45,15 +45,18 @@ type Gateway struct {
 	byName   map[string]*worker
 	warm     map[string]uint64 // device -> checkpoint generation warm-started from
 	killed   atomic.Bool       // crash semantics: workers reject instead of serve
-	inflight sync.WaitGroup    // Submit calls between admission and enqueue
+	inflight sync.WaitGroup    // submissions between admission and enqueue (or inline serve)
 	wg       sync.WaitGroup    // worker goroutines
 
 	syncer *policy.Syncer // nil without cfg.Checkpoints; set once in New
 }
 
-// worker is one device's serving lane: a warm engine and a bounded queue.
-// The resilience fields (breakers, scripted events, sequence counter) are
-// only touched by the worker's own goroutine.
+// worker is one device's serving lane: a warm engine, a bounded queue and
+// the goroutine that drains it. A request executes on whichever goroutine
+// holds lane: the worker for queued requests, or a Do caller that found the
+// lane idle (busy == 0) and serves its request on its own goroutine, with no
+// handoff. Requests on one lane execute one at a time, queued ones in FIFO
+// order, and an inline request never overtakes one admitted before it.
 type worker struct {
 	device      string
 	engine      *core.Engine
@@ -61,16 +64,26 @@ type worker struct {
 	fallback    sim.Target
 	hasFallback bool
 
+	// busy counts the requests admitted to this lane and not yet answered:
+	// enqueue raises it before the send, an inline Do claims it from 0, and
+	// it drops before the response is delivered — so a sequential client
+	// always finds its lane idle again — or when ShedOldest evicts a queued
+	// request.
+	busy atomic.Int64
+	// lane is held while a request executes and across its delivery, so a
+	// lane's responses leave in execution order, as they did when only the
+	// worker executed; it owns every field below.
+	lane sync.Mutex
+
 	breakers  map[sim.Location]*breaker
 	events    []fault.Event // scripted crash/corruption drills, time-ordered
 	nextEvent int
-	seq       uint64 // per-worker request sequence (trace + retry streams)
+	seq       uint64 // per-lane request sequence (trace + retry streams)
 
-	// tbuf buffers this lane's trace records between batch flushes; only the
-	// worker goroutine touches it. It drains to the shared writer when it
-	// fills, when the lane's queue runs empty (so a synchronous client sees
-	// its record in the trace before its response arrives), and when the
-	// worker exits.
+	// tbuf buffers this lane's trace records between batch flushes. It drains
+	// to the shared writer when it fills, when the lane's queue runs empty
+	// (so a synchronous client sees its record in the trace before its
+	// response arrives), and when the worker exits.
 	tbuf []trace.Record
 }
 
@@ -101,7 +114,8 @@ func (w *worker) anyBreakerNotClosed() bool {
 // gateway calls Deliver exactly once, on whichever goroutine terminates the
 // request: the submitter for admission rejections, a worker otherwise. A
 // Deliver on a worker holds up that lane, and must not wait for the gateway
-// to stop (Shutdown and Kill wait for the workers).
+// to stop (Shutdown and Kill wait for the workers). SubmitTo always
+// enqueues, so a sink is never called on an inline serve.
 type Sink interface {
 	Deliver(Response)
 }
@@ -340,7 +354,7 @@ func (g *Gateway) now() time.Time {
 // closed gateway.
 func (g *Gateway) Submit(req Request) (<-chan Response, error) {
 	p := &pending{req: req, resp: make(chan Response, 1)}
-	if err := g.submit(p); err != nil {
+	if err := g.submit(p, false); err != nil {
 		return nil, err
 	}
 	return p.resp, nil
@@ -350,11 +364,18 @@ func (g *Gateway) Submit(req Request) (<-chan Response, error) {
 // request is guaranteed exactly one deliver — possibly before submit returns,
 // so a sink-bound p is no longer the caller's; on an error (misuse, closed
 // gateway) nothing was enqueued and nothing will be delivered, so a pooled
-// pending can be recycled immediately.
-func (g *Gateway) submit(p *pending) error {
+// pending can be recycled immediately. With inline set, a request whose lane
+// is idle executes on the caller's goroutine before submit returns.
+func (g *Gateway) submit(p *pending, inline bool) error {
 	if p.req.Model == nil {
 		return errors.New("serve: request needs a model")
 	}
+	now := g.now()
+	// A dead-on-arrival request is never routed, so it does not advance the
+	// unpinned rotation.
+	doa := !p.req.Deadline.IsZero() && now.After(p.req.Deadline)
+	var w *worker
+	var err error
 	g.mu.RLock()
 	if g.closed {
 		g.mu.RUnlock()
@@ -362,12 +383,14 @@ func (g *Gateway) submit(p *pending) error {
 	}
 	// inflight is raised before the closed check releases so Shutdown
 	// cannot close the queues while this request is between admission and
-	// enqueue.
+	// enqueue, and Shutdown and Kill wait out an inline serve.
 	g.inflight.Add(1)
+	if !doa {
+		w, err = g.pickLocked(p.req.Device, inline)
+	}
 	g.mu.RUnlock()
 	defer g.inflight.Done()
 
-	now := g.now()
 	g.met.IncSubmitted()
 	p.submittedAt = now
 
@@ -379,7 +402,7 @@ func (g *Gateway) submit(p *pending) error {
 	}
 
 	// A dead-on-arrival deadline is failed fast without touching a queue.
-	if !p.req.Deadline.IsZero() && now.After(p.req.Deadline) {
+	if doa {
 		g.met.IncExpired()
 		p.req.Trace.Flag(tracez.FlagExpired)
 		p.req.Trace.Finish("expired")
@@ -390,7 +413,6 @@ func (g *Gateway) submit(p *pending) error {
 		return nil
 	}
 
-	w, err := g.pick(p.req.Device)
 	if err != nil {
 		g.met.IncFailed()
 		p.req.Trace.Flag(tracez.FlagFailed)
@@ -399,6 +421,12 @@ func (g *Gateway) submit(p *pending) error {
 		return nil
 	}
 
+	// Nothing queued and nothing running: no earlier request can be
+	// overtaken, so the caller serves its own request.
+	if inline && w.busy.CompareAndSwap(0, 1) {
+		g.run(w, p)
+		return nil
+	}
 	if g.enqueue(w, p) {
 		return nil
 	}
@@ -409,6 +437,7 @@ func (g *Gateway) submit(p *pending) error {
 		select {
 		case old := <-w.queue:
 			g.met.QueueExit()
+			w.busy.Add(-1)
 			g.reject(old, w.device)
 		default:
 		}
@@ -420,12 +449,18 @@ func (g *Gateway) submit(p *pending) error {
 	return nil
 }
 
+// enqueue admits p to w's queue without blocking. The lane's busy count is
+// raised before the send, so p is counted for as long as it is queued: the
+// worker cannot answer it first, and no inline Do finds the lane idle
+// meanwhile.
 func (g *Gateway) enqueue(w *worker, p *pending) bool {
+	w.busy.Add(1)
 	select {
 	case w.queue <- p:
 		g.met.QueueEnter()
 		return true
 	default:
+		w.busy.Add(-1)
 		return false
 	}
 }
@@ -441,12 +476,13 @@ func (g *Gateway) reject(p *pending, device string) {
 	})
 }
 
-// pick routes a request: a named device directly, otherwise the least-loaded
-// queue with a rotating tiebreak. It reads the worker set under the lock so
-// concurrent AddBackend calls cannot tear the slice under it.
-func (g *Gateway) pick(device string) (*worker, error) {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
+// pickLocked routes a request: a named device directly, otherwise the
+// least-loaded queue with a rotating tiebreak. With preferIdle (the inline
+// Do path) an unpinned request first takes the first lane in rotating order
+// with nothing queued or running, so concurrent closed-loop clients spread
+// over idle lanes instead of queueing behind each other. Caller holds g.mu,
+// so concurrent AddBackend calls cannot tear the worker set under it.
+func (g *Gateway) pickLocked(device string, preferIdle bool) (*worker, error) {
 	if device != "" {
 		w, ok := g.byName[device]
 		if !ok {
@@ -461,6 +497,13 @@ func (g *Gateway) pick(device string) (*worker, error) {
 	}
 	lanes := g.activeWorkersLocked()
 	offset := int(g.rr.Add(1))
+	if preferIdle {
+		for i := range lanes {
+			if w := lanes[(offset+i)%len(lanes)]; w.busy.Load() == 0 {
+				return w, nil
+			}
+		}
+	}
 	best := lanes[offset%len(lanes)]
 	for i := 1; i < len(lanes); i++ {
 		w := lanes[(offset+i)%len(lanes)]
@@ -542,7 +585,7 @@ func (g *Gateway) MinLaneClock() float64 {
 func (g *Gateway) SubmitTo(req Request, sink Sink) error {
 	p := pendingPool.Get().(*pending)
 	p.req, p.sink = req, sink
-	if err := g.submit(p); err != nil {
+	if err := g.submit(p, false); err != nil {
 		p.req, p.sink = Request{}, nil
 		pendingPool.Put(p)
 		return err
@@ -559,12 +602,15 @@ var pendingPool = sync.Pool{
 }
 
 // Do submits one request and waits for its response — the synchronous
-// convenience for closed-loop clients. The response's Err is also returned
-// for non-served outcomes.
+// convenience for closed-loop clients. When the request's lane has nothing
+// queued and nothing running, Do executes it on the caller's goroutine; the
+// lane's worker is neither woken nor handed a response. Otherwise the
+// request queues like a Submit. The response's Err is also returned for
+// non-served outcomes.
 func (g *Gateway) Do(req Request) (Response, error) {
 	p := pendingPool.Get().(*pending)
 	p.req = req
-	if err := g.submit(p); err != nil {
+	if err := g.submit(p, true); err != nil {
 		p.req = Request{}
 		pendingPool.Put(p)
 		return Response{}, err
@@ -586,23 +632,41 @@ func (g *Gateway) runWorker(w *worker) {
 	defer g.wg.Done()
 	for p := range w.queue {
 		g.met.QueueExit()
-		if g.killed.Load() {
-			g.met.IncFailed()
-			// The trace handle is deliberately left open: an ErrShardDown
-			// rejection bounces back to the routing tier, which either fails
-			// the request over (the same trace keeps accumulating spans on the
-			// surviving shard) or terminates it with a final status.
-			p.deliver(Response{
-				Status: StatusFailed, Device: w.device, Err: ErrShardDown,
-				SubmittedAt: p.submittedAt, DoneAt: g.now(),
-			})
-			continue
-		}
-		g.serveOne(w, p)
+		g.run(w, p)
 	}
 	// Queue closed: drain any trace records still buffered so Shutdown's
 	// final writer flush covers the complete lane.
+	w.lane.Lock()
 	g.flushTrace(w)
+	w.lane.Unlock()
+}
+
+// run executes one admitted request under the lane lock, on the worker or
+// an inline Do caller.
+func (g *Gateway) run(w *worker, p *pending) {
+	w.lane.Lock()
+	defer w.lane.Unlock()
+	if g.killed.Load() {
+		g.met.IncFailed()
+		// The trace handle is deliberately left open: an ErrShardDown
+		// rejection bounces back to the routing tier, which either fails
+		// the request over (the same trace keeps accumulating spans on the
+		// surviving shard) or terminates it with a final status.
+		w.answer(p, Response{
+			Status: StatusFailed, Device: w.device, Err: ErrShardDown,
+			SubmittedAt: p.submittedAt, DoneAt: g.now(),
+		})
+		return
+	}
+	g.serveOne(w, p)
+}
+
+// answer delivers the terminal response of a request this lane admitted.
+// The busy count drops first, so by the time a client holds its response
+// the lane reads idle again.
+func (w *worker) answer(p *pending, r Response) {
+	w.busy.Add(-1)
+	p.deliver(r)
 }
 
 // flushTrace drains the worker's buffered trace records into the shared
@@ -619,7 +683,7 @@ func (g *Gateway) flushTrace(w *worker) {
 // serveOne executes one admitted request: scripted fault drills, deadline
 // fast-fail, the engine step (with open breakers masked out of the action
 // space), the resilient offload path (retries, hedging, breaker feedback),
-// optional failover, metrics, trace, response.
+// optional failover, metrics, trace, response. The caller holds w.lane.
 //
 // Phase accounting: the execution legs (execute, retry, hedge, failover) are
 // stamped on the worker engine's virtual clock, so they are a pure function
@@ -671,7 +735,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		base.Status, base.Err, base.DoneAt = StatusExpired, ErrDeadlineExpired, start
 		act.Flag(tracez.FlagExpired)
 		act.Finish("expired")
-		p.deliver(base)
+		w.answer(p, base)
 		return
 	}
 
@@ -719,7 +783,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		act.Span("decide", decideWallS, "")
 		act.Flag(tracez.FlagFailed)
 		act.Finish("failed")
-		p.deliver(base)
+		w.answer(p, base)
 		return
 	}
 	if pr != nil {
@@ -863,7 +927,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	base.Hedged, base.HedgeWon = hedged, hedgeWon
 	base.Degraded = degraded
 	act.Finish("served")
-	p.deliver(base)
+	w.answer(p, base)
 }
 
 // applyFaultEvents fires the worker's scripted one-shot drills whose

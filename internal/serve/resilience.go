@@ -86,9 +86,10 @@ func (s breakerState) String() string {
 // has elapsed. Half-open: the site is unmasked so the policy can probe it;
 // HalfOpenProbes consecutive successes close it, any failure reopens it.
 //
-// A breaker is only touched by its worker goroutine (the gateway serializes
-// each device's requests), so it needs no lock; the metrics registry it
-// reports into is atomic.
+// A breaker is only touched under its lane's mutex (the gateway serializes
+// each device's requests) and by Shutdown once every lane has stopped, so
+// it needs no lock of its own; the metrics registry it reports into is
+// atomic.
 type breaker struct {
 	label string
 	cfg   ResilienceConfig

@@ -68,9 +68,11 @@ var (
 	ErrDeadlineExpired = serve.ErrDeadlineExpired
 )
 
-// NewGateway starts a serving gateway over the given backends (one worker
-// goroutine per device). Provision the engines however you like —
-// Fleet.ProvisionGateway warm-starts a whole fleet in one call.
+// NewGateway starts a serving gateway over the given backends: one lane per
+// device, each a bounded queue drained by its own worker goroutine, where a
+// synchronous Do on an idle lane runs on the caller's goroutine instead.
+// Provision the engines however you like — Fleet.ProvisionGateway
+// warm-starts a whole fleet in one call.
 func NewGateway(backends []GatewayBackend, cfg GatewayConfig) (*Gateway, error) {
 	return serve.New(backends, cfg)
 }

@@ -160,6 +160,46 @@ func TestRouterDoAllocBudget(t *testing.T) {
 	}
 }
 
+// TestGatewayDoZeroAlloc guards the synchronous gateway path: a sequential
+// client's Do on a frozen two-lane gateway finds its lane idle, serves on
+// its own goroutine with a recycled envelope, and allocates nothing. The
+// queue high watermark staying at 0 shows no request took the worker path.
+func TestGatewayDoZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instrumentation allocates on otherwise alloc-free paths")
+	}
+	var backends []GatewayBackend
+	var req Request
+	for _, dev := range []string{"lane-0", "lane-1"} {
+		e, m, c := trainedBenchEngine(t)
+		e.Agent().Freeze()
+		backends = append(backends, GatewayBackend{Device: dev, Engine: e})
+		req = Request{Model: m, Conditions: c}
+	}
+	gw, err := NewGateway(backends, GatewayConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	do := func() {
+		if _, err := gw.Do(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm: every lane has served and the envelope pool holds one.
+	for i := 0; i < 16; i++ {
+		do()
+	}
+	if avg := testing.AllocsPerRun(2000, do); avg != 0 {
+		t.Fatalf("Gateway.Do allocates %.2f allocs/op, want 0", avg)
+	}
+	if d := gw.Snapshot().QueueMaxDepth; d != 0 {
+		t.Fatalf("queue high watermark %d: a sequential Do left the inline path", d)
+	}
+	if err := gw.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestTrainStepZeroAlloc guards the learning step: an unfrozen engine,
 // warmed on the engine_train workload's zoo × D2 ring until every state of
 // the ring has a row, takes full Steps — observe, complete the staged
