@@ -245,7 +245,7 @@ func TestProvisionGatewayAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw, err := fleet.ProvisionGateway([]string{GalaxyS10e, MotoXForce}, cfg,
-		GatewayConfig{QueueDepth: 16, FailoverLocal: true}, 9)
+		GatewayConfig{QueueDepth: 16}, 9)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,7 +49,6 @@ func main() {
 		queue     = flag.Int("queue", 0, "per-device queue depth (0 = gateway default)")
 		deadline  = flag.Duration("deadline", 0, "per-request deadline (0 = none)")
 		shed      = flag.String("shed", "newest", "shed policy on full queue: newest, oldest")
-		failover  = flag.Bool("failover", false, "re-execute QoS misses on the local fallback target")
 		snapdir   = flag.String("snapshots", "", "policy checkpoint store directory: warm-start at boot, flush at shutdown")
 		sync      = flag.Duration("sync", 0, "policy sync interval in virtual time (0 = off; needs -snapshots)")
 		faults    = flag.String("faults", "", "JSON fault schedule to inject (see examples/faults/)")
@@ -73,7 +72,7 @@ func main() {
 	if err := run(config{
 		devices: strings.Split(*devices, ","), donor: *donor, train: *train,
 		model: *model, envID: *envID, n: *n, clients: *clients, rate: *rate,
-		queue: *queue, deadline: *deadline, shed: *shed, failover: *failover,
+		queue: *queue, deadline: *deadline, shed: *shed,
 		snapdir: *snapdir, sync: *sync, faults: *faults, chaos: *chaos,
 		chaosIntensity: *chaosInt, resilient: *resilient,
 		hedge: *hedge, admin: *admin, linger: *linger, shards: *shards,
@@ -96,7 +95,6 @@ type config struct {
 	queue          int
 	deadline       time.Duration
 	shed           string
-	failover       bool
 	snapdir        string
 	sync           time.Duration
 	faults         string
@@ -201,7 +199,7 @@ func run(c config, out *os.File) error {
 	if c.clients < 1 {
 		return fmt.Errorf("need at least one client, got %d", c.clients)
 	}
-	gcfg := autoscale.GatewayConfig{QueueDepth: c.queue, FailoverLocal: c.failover}
+	gcfg := autoscale.GatewayConfig{QueueDepth: c.queue}
 	switch c.shed {
 	case "newest":
 		gcfg.Shed = autoscale.ShedNewest
@@ -737,7 +735,6 @@ func printSnapshot(out *os.File, s autoscale.GatewayMetrics, wall time.Duration)
 	fmt.Fprintf(out, "%-14s %8d\n", "shed", s.Shed)
 	fmt.Fprintf(out, "%-14s %8d\n", "expired", s.Expired)
 	fmt.Fprintf(out, "%-14s %8d\n", "failed", s.Failed)
-	fmt.Fprintf(out, "%-14s %8d\n", "retried", s.Retried)
 	fmt.Fprintf(out, "%-14s %8d\n", "outages", s.Outages)
 	fmt.Fprintf(out, "%-14s %8d\n", "QoS misses", s.QoSViolations)
 	fmt.Fprintf(out, "%-14s %8d\n", "queue max", s.QueueMaxDepth)

@@ -47,7 +47,6 @@ func TestRunOpenLoopWithDeadline(t *testing.T) {
 	c.rate = 5000 // fast open loop
 	c.deadline = 50 * time.Millisecond
 	c.shed = "oldest"
-	c.failover = true
 	c.n = 30
 	if err := run(c, os.Stdout); err != nil {
 		t.Fatal(err)
@@ -457,10 +456,6 @@ func TestEveryFlagIsObservable(t *testing.T) {
 		{flag: "deadline", set: func(c *config) { c.deadline = time.Nanosecond },
 			want: counts("expired", func(n int) bool { return n > 0 })},
 		{flag: "shed", test: "TestRunRejectsBadInput"},
-		// A light model in S1 rarely misses QoS; ResNet 50 misses it on
-		// most of a cold engine's actions, which failover then retries.
-		{flag: "failover", base: func(c *config) { c.model = "ResNet 50" }, set: func(c *config) { c.failover = true },
-			want: counts("retried", func(n int) bool { return n > 0 })},
 		{flag: "snapshots", test: "TestRunWritesSnapshots"},
 		{flag: "sync", base: func(c *config) { c.snapdir = t.TempDir() }, set: func(c *config) { c.sync = 100 * time.Millisecond },
 			want: counts("policy sync:", func(n int) bool { return n >= 1 })},

@@ -26,11 +26,11 @@ func main() {
 	}
 
 	// One warm-started engine per fleet device, behind one gateway with
-	// small queues and failover to the local fallback on QoS misses.
+	// small queues that shed their oldest request when full.
 	gw, err := fleet.ProvisionGateway(
 		[]string{autoscale.GalaxyS10e, autoscale.MotoXForce},
 		cfg,
-		autoscale.GatewayConfig{QueueDepth: 8, Shed: autoscale.ShedOldest, FailoverLocal: true},
+		autoscale.GatewayConfig{QueueDepth: 8, Shed: autoscale.ShedOldest},
 		11,
 	)
 	if err != nil {
@@ -84,8 +84,8 @@ func main() {
 	s := gw.Snapshot()
 	fmt.Printf("latency: mean %.1f ms   energy: mean %.1f mJ (%.1f J total)\n",
 		s.Latency.Mean()*1e3, s.Energy.Mean()*1e3, s.Energy.Sum)
-	fmt.Printf("retries %d, outages %d, QoS misses %d, queue high-water %d\n",
-		s.Retried, s.Outages, s.QoSViolations, s.QueueMaxDepth)
+	fmt.Printf("outages %d, QoS misses %d, queue high-water %d\n",
+		s.Outages, s.QoSViolations, s.QueueMaxDepth)
 
 	fmt.Println("decision breakdown:")
 	for _, loc := range slices.Sorted(maps.Keys(s.ByTarget)) {

@@ -8,10 +8,12 @@ import (
 	"os"
 	"path"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"unicode"
 )
 
 // TestEveryInternalPackageIsImported guards against orphaned packages: every
@@ -204,6 +206,119 @@ func TestEveryCommandIsDocumented(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestDocumentedFlagsExist guards the docs against flags a command no longer
+// has: every -flag token on an autoscale-{exp,policy,serve,sim} command line
+// in the user-facing docs must name a flag the command's non-test .go files
+// define. A command line is a line of a fenced or indented code block (with
+// backslash-continued lines joined) or an inline code span; it runs from the
+// command to the end of the line, the first shell separator or a comment, and
+// text inside $(...) belongs to another program.
+func TestDocumentedFlagsExist(t *testing.T) {
+	defRe := regexp.MustCompile(`\b(?:flag|fs)\.[A-Z]\w*\("([^"]+)"`)
+	defined := map[string]map[string]bool{} // command -> flag names
+	cmds, err := filepath.Glob("cmd/autoscale-*")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, dir := range cmds {
+		files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := map[string]bool{}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range defRe.FindAllStringSubmatch(string(src), -1) {
+				names[m[1]] = true
+			}
+		}
+		defined[filepath.Base(dir)] = names
+	}
+	if len(defined) != 4 {
+		t.Fatalf("found %d autoscale-* commands, want 4", len(defined))
+	}
+
+	docs := []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+	err = filepath.WalkDir("examples", func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() && strings.HasSuffix(p, ".md") {
+			docs = append(docs, p)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	subshell := regexp.MustCompile(`\$\([^)]*\)`)
+	checked := 0
+	for _, doc := range docs {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range commandLines(string(text)) {
+			fields := strings.Fields(subshell.ReplaceAllString(line, ""))
+			for i := 0; i < len(fields); i++ {
+				cmd := path.Base(strings.TrimSuffix(fields[i], "/"))
+				names, ok := defined[cmd]
+				// A command runs bare or under go run; go test, vet and build
+				// of its package take their own flags.
+				if !ok || (cmd != fields[i] && (i == 0 || fields[i-1] != "run")) {
+					continue
+				}
+				for i++; i < len(fields) && !strings.ContainsAny(fields[i], "|&;>#"); i++ {
+					tok := strings.TrimLeft(fields[i], "-")
+					if tok == fields[i] || tok == "" || !unicode.IsLetter(rune(tok[0])) {
+						continue
+					}
+					name, _, _ := strings.Cut(tok, "=")
+					name = strings.TrimRight(name, "`'\",.)")
+					checked++
+					if !names[name] {
+						t.Errorf("%s: %s has no flag -%s: %s", doc, cmd, name, line)
+					}
+				}
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("checked no documented flag; is the scan rooted at the module?")
+	}
+}
+
+// commandLines returns a Markdown document's code: each line of a fenced or
+// indented block, with backslash-continued lines joined, and each inline
+// code span outside the blocks.
+func commandLines(doc string) []string {
+	var out []string
+	inFence, cont := false, ""
+	for _, line := range strings.Split(doc, "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inFence = !inFence
+			continue
+		}
+		if !inFence && !strings.HasPrefix(line, "\t") && !strings.HasPrefix(line, "    ") {
+			spans := strings.Split(line, "`")
+			for i := 1; i < len(spans)-1; i += 2 {
+				out = append(out, spans[i])
+			}
+			continue
+		}
+		if body, ok := strings.CutSuffix(strings.TrimRight(line, " "), "\\"); ok {
+			cont += body + " "
+			continue
+		}
+		out = append(out, cont+line)
+		cont = ""
+	}
+	return out
 }
 
 // TestEveryPackageIsInventoried guards DESIGN.md §3 against drift in the

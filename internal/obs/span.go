@@ -21,10 +21,6 @@ const (
 	// PhaseHedge is the local hedge leg raced against a slow remote,
 	// measured on the virtual clock.
 	PhaseHedge = "hedge"
-	// PhaseFailover is the local re-execution after a QoS miss; its duration
-	// is the fallback measurement's latency (the failover runs outside the
-	// engine's clocked path).
-	PhaseFailover = "failover"
 )
 
 // Phase indices for PhaseTotals, in the same pipeline order as Phases().
@@ -34,18 +30,15 @@ const (
 	PhaseExecuteIdx
 	PhaseRetryIdx
 	PhaseHedgeIdx
-	PhaseFailoverIdx
 	// NumPhases is the number of canonical phases.
 	NumPhases
 )
 
 // phaseNames maps phase index -> canonical name.
-var phaseNames = [NumPhases]string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseRetry, PhaseHedge, PhaseFailover}
+var phaseNames = [NumPhases]string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseRetry, PhaseHedge}
 
-// Phases returns the canonical phase names in pipeline order.
-func Phases() []string {
-	return []string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseRetry, PhaseHedge, PhaseFailover}
-}
+// Phases returns a fresh copy of the canonical phase names in pipeline order.
+func Phases() []string { return append([]string(nil), phaseNames[:]...) }
 
 // PhaseTotals accumulates per-phase durations in a fixed array, without
 // allocating. The zero value is ready to use; it belongs to one request and

@@ -34,7 +34,7 @@ func TestPhaseTotalsDropsZeroPhases(t *testing.T) {
 
 func TestPhasesCanonicalOrder(t *testing.T) {
 	got := Phases()
-	want := []string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseRetry, PhaseHedge, PhaseFailover}
+	want := []string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseRetry, PhaseHedge}
 	if len(got) != len(want) {
 		t.Fatalf("Phases() = %v", got)
 	}
@@ -42,6 +42,12 @@ func TestPhasesCanonicalOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Phases()[%d] = %s, want %s", i, got[i], want[i])
 		}
+	}
+	// Each call returns its own slice: a caller's edit cannot reorder the
+	// pipeline for everyone else.
+	got[0] = "mutated"
+	if Phases()[0] != PhaseQueue {
+		t.Fatal("Phases() shares its backing array with callers")
 	}
 }
 

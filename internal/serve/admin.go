@@ -264,7 +264,6 @@ func AppendProm(p *obs.Prom, s metrics.Snapshot, health map[string]core.Health) 
 
 	// Resilience machinery.
 	p.Counter("autoscale_outages_total", "Simulated radio outages absorbed by the local fallback.", float64(s.Outages))
-	p.Counter("autoscale_failover_retries_total", "QoS-missed requests re-executed on the local fallback.", float64(s.Retried))
 	p.Counter("autoscale_offload_retries_total", "Deadline-budgeted offload retries launched.", float64(s.OffloadRetries))
 	p.Counter("autoscale_offload_retries_recovered_total", "Offload retries that reached the remote cleanly.", float64(s.RetriesRecovered))
 	p.Counter("autoscale_offload_retries_abandoned_total", "Retries skipped for an unaffordable deadline budget.", float64(s.RetriesAbandoned))

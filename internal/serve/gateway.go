@@ -215,7 +215,7 @@ func (g *Gateway) newWorker(b Backend) (*worker, error) {
 		engine: b.Engine,
 		queue:  make(chan *pending, g.cfg.queueDepth()),
 	}
-	// The failover target mirrors the sim's outage fallback: local CPU
+	// The hedge's local leg mirrors the sim's outage fallback: local CPU
 	// at top frequency, FP32.
 	if cpu := b.Engine.World.Device.Processor(soc.CPU); cpu != nil {
 		w.fallback = sim.Target{Location: sim.Local, Kind: soc.CPU, Step: cpu.Steps - 1, Prec: dnn.FP32}
@@ -683,9 +683,9 @@ func (g *Gateway) flushTrace(w *worker) {
 // serveOne executes one admitted request: scripted fault drills, deadline
 // fast-fail, the engine step (with open breakers masked out of the action
 // space), the resilient offload path (retries, hedging, breaker feedback),
-// optional failover, metrics, trace, response. The caller holds w.lane.
+// metrics, trace, response. The caller holds w.lane.
 //
-// Phase accounting: the execution legs (execute, retry, hedge, failover) are
+// Phase accounting: the execution legs (execute, retry, hedge) are
 // stamped on the worker engine's virtual clock, so they are a pure function
 // of the deterministic execution and flow into the trace; the queue and
 // decide phases are wall-clock (scheduling reality, not simulation) and feed
@@ -696,9 +696,8 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	act := p.req.Trace // nil-safe handle; nil when tracing is off
 	act.SetShard(g.cfg.Name)
 	// pt accumulates the deterministic virtual-clock legs (execute, retry,
-	// hedge, failover) without allocating; the wall-clock queue and decide
-	// phases feed the registry's histograms directly and stay out of the
-	// trace.
+	// hedge) without allocating; the wall-clock queue and decide phases feed
+	// the registry's histograms directly and stay out of the trace.
 	var pt obs.PhaseTotals
 	w.seq++
 
@@ -838,34 +837,6 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		pt.Add(obs.PhaseHedgeIdx, w.engine.Now()-hedgeStart)
 	}
 
-	retried := false
-	if g.cfg.FailoverLocal && d.QoSViolated && w.hasFallback &&
-		!outage && d.Measurement.Target != w.fallback {
-		// Outage results already ran the fallback; everything else that
-		// missed QoS gets one local re-execution — but only when the
-		// remaining deadline budget actually fits the fallback's expected
-		// latency; a retry that cannot finish in time is abandoned.
-		if g.fitsDeadline(w, p, w.fallback, 0) {
-			if meas, ferr := w.engine.World.ExecuteCtx(nil, p.req.Model, w.fallback, p.req.Conditions); ferr == nil {
-				// The failover runs on the world's own clock, not the
-				// engine's, so its leg is added by measured duration.
-				pt.Add(obs.PhaseFailoverIdx, meas.LatencyS)
-				// The superseded answer was already paid for: the request
-				// carries both legs, and the first leg's energy is waste,
-				// as retryOffload charges it.
-				meas.LatencyS += d.Measurement.LatencyS
-				meas.EnergyJ += d.Measurement.EnergyJ
-				meas.WastedJ += d.Measurement.EnergyJ
-				d.Measurement = meas
-				d.QoSViolated = meas.LatencyS > d.QoSTargetS
-				retried = true
-				g.met.IncRetried()
-			}
-		} else if !p.req.Deadline.IsZero() {
-			g.met.IncRetryAbandoned()
-		}
-	}
-
 	// Span tree tail: the deterministic execution legs, emitted from the same
 	// phase totals the trace record carries so span durations and the
 	// record's phases field reconcile exactly for every serve.
@@ -876,17 +847,11 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	if v := pt.Total(obs.PhaseHedgeIdx); v > 0 {
 		act.Span("hedge", v, "")
 	}
-	if v := pt.Total(obs.PhaseFailoverIdx); v > 0 {
-		act.Span("failover", v, "")
-	}
 	if degraded {
 		act.Flag(tracez.FlagDegraded)
 	}
 	if hedged {
 		act.Flag(tracez.FlagHedged)
-	}
-	if retried {
-		act.Flag(tracez.FlagFailover)
 	}
 
 	g.met.ObserveServed(metrics.ServedSample{
@@ -921,8 +886,8 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		}
 	}
 
-	base.Status, base.Decision, base.Retried, base.Outage, base.DoneAt =
-		StatusServed, d, retried, outage, g.now()
+	base.Status, base.Decision, base.Outage, base.DoneAt =
+		StatusServed, d, outage, g.now()
 	base.OffloadRetries, base.RetryRecovered = retries, recovered
 	base.Hedged, base.HedgeWon = hedged, hedgeWon
 	base.Degraded = degraded

@@ -23,7 +23,7 @@ func seededSnapshot(seed uint64, tag string) Snapshot {
 	var passes, failures, consec int64
 	lastErr := ""
 	bump := []func(){
-		r.IncSubmitted, r.IncShed, r.IncExpired, r.IncFailed, r.IncRetried,
+		r.IncSubmitted, r.IncShed, r.IncExpired, r.IncFailed,
 		r.IncOutage, r.IncOffloadRetry, r.IncHedge, r.IncBreakerOpen, r.IncWorkerCrash,
 	}
 	for i, n := 0, 20+rng.Intn(60); i < n; i++ {

@@ -31,7 +31,6 @@ type Registry struct {
 	shed          atomic.Int64
 	expired       atomic.Int64
 	failed        atomic.Int64
-	retried       atomic.Int64
 	qosViolations atomic.Int64
 	outages       atomic.Int64
 
@@ -109,9 +108,6 @@ func (r *Registry) IncExpired() { r.shared(func() { r.expired.Add(1) }) }
 
 // IncFailed counts one request whose execution returned an error.
 func (r *Registry) IncFailed() { r.shared(func() { r.failed.Add(1) }) }
-
-// IncRetried counts one failover re-execution on the local fallback target.
-func (r *Registry) IncRetried() { r.shared(func() { r.retried.Add(1) }) }
 
 // IncOutage counts one simulated radio outage absorbed by the sim's local
 // fallback.
@@ -275,7 +271,6 @@ type Snapshot struct {
 	Shed          int64
 	Expired       int64
 	Failed        int64
-	Retried       int64
 	QoSViolations int64
 	Outages       int64
 
@@ -340,7 +335,6 @@ func (r *Registry) Snapshot() Snapshot {
 		Shed:          r.shed.Load(),
 		Expired:       r.expired.Load(),
 		Failed:        r.failed.Load(),
-		Retried:       r.retried.Load(),
 		QoSViolations: r.qosViolations.Load(),
 		Outages:       r.outages.Load(),
 
@@ -419,7 +413,6 @@ func Merge(snaps ...Snapshot) Snapshot {
 		out.Shed += s.Shed
 		out.Expired += s.Expired
 		out.Failed += s.Failed
-		out.Retried += s.Retried
 		out.QoSViolations += s.QoSViolations
 		out.Outages += s.Outages
 		out.OffloadRetries += s.OffloadRetries

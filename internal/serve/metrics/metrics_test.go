@@ -14,14 +14,13 @@ func TestCountersAndSnapshot(t *testing.T) {
 	r.IncSubmitted()
 	r.ObserveServed(ServedSample{QoSViolated: true, Target: "local", Device: "Mi8Pro"})
 	r.IncShed()
-	r.IncRetried()
 	r.IncOutage()
 
 	s := r.Snapshot()
 	if s.Submitted != 2 || s.Served != 1 || s.Shed != 1 || s.Expired != 0 {
 		t.Fatalf("snapshot counters: %+v", s)
 	}
-	if s.Retried != 1 || s.QoSViolations != 1 || s.Outages != 1 {
+	if s.QoSViolations != 1 || s.Outages != 1 {
 		t.Fatalf("snapshot counters: %+v", s)
 	}
 	if s.Accounted() != 2 {

@@ -19,10 +19,10 @@ import (
 )
 
 // TestPhaseSumInvariant pins the phase-span accounting contract: for every
-// served request without hedging or local failover, the virtual-clock legs in
-// the trace (execute + retry) reconstruct the recorded end-to-end latency
-// exactly, and the wall-clock legs (queue, decide) never leak into the trace
-// — they would break byte-identical replay.
+// served request without hedging, the virtual-clock legs in the trace
+// (execute + retry) reconstruct the recorded end-to-end latency exactly,
+// and the wall-clock legs (queue, decide) never leak into the trace — they
+// would break byte-identical replay.
 func TestPhaseSumInvariant(t *testing.T) {
 	const seed = 47
 	cfg := core.DefaultConfig()
@@ -39,7 +39,7 @@ func TestPhaseSumInvariant(t *testing.T) {
 	tw := trace.NewWriter(&buf)
 	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
 		Trace: tw,
-		// Retries on, hedge and failover off: every served request must then
+		// Retries on, hedge off: every served request must then
 		// decompose exactly into execute + retry on the virtual clock.
 		Resilience: ResilienceConfig{Enabled: true, MaxRetries: 2},
 	})
@@ -78,9 +78,6 @@ func TestPhaseSumInvariant(t *testing.T) {
 		if _, ok := p[obs.PhaseHedge]; ok {
 			t.Fatalf("record %d has a hedge leg with hedging disabled", i)
 		}
-		if _, ok := p[obs.PhaseFailover]; ok {
-			t.Fatalf("record %d has a failover leg with failover disabled", i)
-		}
 		if p[obs.PhaseExecute] <= 0 {
 			t.Fatalf("record %d: execute leg %v", i, p[obs.PhaseExecute])
 		}
@@ -113,74 +110,10 @@ func TestPhaseSumInvariant(t *testing.T) {
 	}
 }
 
-// TestFailoverPaysBothLegs extends the phase-sum identity to local
-// failover: the fallback runs only after the first answer already missed
-// QoS, so the request carries both legs — execute + failover reconstructs
-// the recorded latency, the superseded leg's energy is charged as waste,
-// and no failover response can report QoS met.
-func TestFailoverPaysBothLegs(t *testing.T) {
-	const seed = 3
-	cfg := core.DefaultConfig()
-	cfg.Seed = seed
-	cfg.RL.Epsilon = 0.5 // keep remote choices, and their QoS misses, flowing
-
-	var buf bytes.Buffer
-	e := testEngine(t, soc.Mi8Pro(), seed, cfg)
-	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{Trace: trace.NewWriter(&buf), FailoverLocal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := dnn.MustByName("MobileNet v3")
-	failovers := 0
-	for i := 0; i < 2000; i++ {
-		resp, err := g.Do(Request{Model: m, Conditions: conds()})
-		if err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-		if !resp.Retried {
-			continue
-		}
-		failovers++
-		d := resp.Decision
-		if !d.QoSViolated {
-			t.Fatalf("request %d failed over but reports QoS met (latency %.4f s, target %.4f s)",
-				i, d.Measurement.LatencyS, d.QoSTargetS)
-		}
-		if d.Measurement.WastedJ <= 0 {
-			t.Fatalf("request %d failed over without charging the superseded leg as waste", i)
-		}
-	}
-	if failovers == 0 {
-		t.Fatal("no request failed over; the test is vacuous")
-	}
-	if err := g.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	recs, err := trace.ReadAll(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := 0
-	for i, rec := range recs {
-		fo, ok := rec.Phases[obs.PhaseFailover]
-		if !ok {
-			continue
-		}
-		seen++
-		if sum := rec.Phases[obs.PhaseExecute] + fo; math.Abs(sum-rec.LatencyS) > 1e-9 {
-			t.Fatalf("record %d: execute + failover = %.12f but latency is %.12f (phases %v)",
-				i, sum, rec.LatencyS, rec.Phases)
-		}
-	}
-	if seen != failovers {
-		t.Fatalf("trace has %d failover records for %d failovers", seen, failovers)
-	}
-}
-
 // TestSpansReconcileWithPhases pins the causal-trace accounting contract:
 // for non-hedged serves, the execution-leg spans in a kept causal trace
-// (execute, retry, failover) carry exactly the durations the request-trace
-// record's Phases map reports — both are emitted from the same PhaseTotals,
+// (execute, retry) carry exactly the durations the request-trace record's
+// Phases map reports — both are emitted from the same PhaseTotals,
 // so any drift means the span tree and the audit trail disagree about the
 // same request. Decide spans must carry full provenance.
 func TestSpansReconcileWithPhases(t *testing.T) {
@@ -245,7 +178,7 @@ func TestSpansReconcileWithPhases(t *testing.T) {
 		for _, sp := range ct.Spans {
 			spans[sp.Name] += sp.DurS
 		}
-		for _, leg := range []string{obs.PhaseExecute, obs.PhaseRetry, obs.PhaseFailover} {
+		for _, leg := range []string{obs.PhaseExecute, obs.PhaseRetry} {
 			if math.Abs(spans[leg]-rec.Phases[leg]) > 1e-12 {
 				t.Fatalf("trace %d: span %q = %.12f but phases say %.12f",
 					ct.ID, leg, spans[leg], rec.Phases[leg])
@@ -378,3 +311,67 @@ func TestShutdownSurfacesTraceError(t *testing.T) {
 type failingSink struct{ err error }
 
 func (s *failingSink) Write(p []byte) (int, error) { return 0, s.err }
+
+// TestLaneClockMatchesCharge pins lane-clock conservation for non-hedged
+// serving. Fault windows, gray factors and breakers all key on the lane's
+// virtual clock, so every served request must advance it by exactly the
+// latency it is charged: through outages, offload retries, breaker
+// degradation and gray stretching alike. Hedging stays off here: its local
+// leg still advances the lane clock by time the request is not charged, and
+// the hedge is added to this test once that leg runs off the lane's clock.
+func TestLaneClockMatchesCharge(t *testing.T) {
+	const seed, n = 3, 2000
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
+	cfg.RL.Epsilon = 0.5 // keep offloads flowing into every fault window
+
+	e := testEngine(t, soc.Mi8Pro(), seed, cfg)
+	inj := fault.New(&fault.Schedule{Faults: []fault.Spec{
+		{Kind: fault.KindOutage, Site: fault.SiteCloud, StartS: 2, EndS: 14, MeanUpS: 1, MeanDownS: 1},
+		{Kind: fault.KindOutage, Site: fault.SiteConnected, StartS: 2, EndS: 14, MeanUpS: 1, MeanDownS: 1},
+		{Kind: fault.KindRSSIRamp, Link: fault.LinkWLAN, StartS: 14, EndS: 22, DeltaDBm: -20},
+		{Kind: fault.KindGrayDegrade, Device: "Mi8Pro", StartS: 22, EndS: 28, Factor: 1.5},
+	}}, exec.NewRoot(seed).Child("faults"))
+	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
+		Faults:     inj,
+		Resilience: ResilienceConfig{Enabled: true, MaxRetries: 2},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := dnn.MustByName("MobileNet v3")
+	outages, retried, degraded, gray := 0, 0, 0, 0
+	for i := 0; i < n; i++ {
+		before := e.Now()
+		resp, err := g.Do(Request{Model: m, Conditions: conds()})
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		charged := resp.Decision.Measurement.LatencyS
+		if moved := e.Now() - before; math.Abs(moved-charged) > 1e-9 {
+			t.Fatalf("request %d: lane clock moved %.12f s but the request is charged %.12f s",
+				i, moved, charged)
+		}
+		if resp.Outage {
+			outages++
+		}
+		if resp.OffloadRetries > 0 {
+			retried++
+		}
+		if resp.Degraded {
+			degraded++
+		}
+		if inj.GrayFactor("Mi8Pro", before) > 1 {
+			gray++
+		}
+	}
+	if err := g.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d requests: %d outages, %d retried, %d degraded, %d gray-stretched, lane clock %.3f s",
+		n, outages, retried, degraded, gray, e.Now())
+	if outages == 0 || retried == 0 || degraded == 0 || gray == 0 {
+		t.Fatalf("vacuous: %d outages, %d retried, %d degraded, %d gray-stretched requests",
+			outages, retried, degraded, gray)
+	}
+}

@@ -5,8 +5,8 @@
 // on one device; a production deployment faces a stream of requests from
 // many services against a heterogeneous fleet, and needs the plumbing the
 // paper never had to build — admission control instead of unbounded
-// blocking, deadline-aware dispatch that fails stale work fast, failover to
-// the local fallback target on QoS misses, runtime metrics, and a graceful
+// blocking, deadline-aware dispatch that fails stale work fast, resilient
+// offloading (breakers, retries, hedges), runtime metrics, and a graceful
 // shutdown that drains queues and persists what each engine learned.
 //
 // The gateway deliberately preserves the paper's per-decision semantics:
@@ -53,7 +53,7 @@ type Status int
 
 // Request outcomes.
 const (
-	// StatusServed: the request executed (possibly with a failover retry).
+	// StatusServed: the request executed (possibly after offload retries).
 	StatusServed Status = iota
 	// StatusShed: admission control rejected the request on a full queue.
 	StatusShed
@@ -121,8 +121,6 @@ type Response struct {
 	// Decision is the engine step for served requests (zero otherwise —
 	// shed and expired requests never execute).
 	Decision core.Decision
-	// Retried marks a failover re-execution on the local fallback target.
-	Retried bool
 	// Outage marks a simulated radio outage absorbed by the sim's local
 	// fallback during execution.
 	Outage bool
@@ -183,15 +181,6 @@ type Config struct {
 	QueueDepth int
 	// Shed selects the admission-control victim on a full queue.
 	Shed ShedPolicy
-	// FailoverLocal re-executes a QoS-missed decision on the worker's local
-	// fallback target (CPU at top frequency, FP32 — the same fallback the
-	// sim's outage machinery uses). The request pays for both legs: its
-	// latency and energy are the missed first answer's plus the fallback's,
-	// the first answer's energy counts as waste, and QoS is judged on the
-	// sum. The retry is an operator action outside the learning loop: the
-	// engine already staged its reward for the original decision, so the
-	// Q-table still learns that the remote choice missed.
-	FailoverLocal bool
 	// Checkpoints, when non-nil, connects the gateway to the policy plane
 	// (it replaces the old ad-hoc Snapshot flush callback). New warm-starts
 	// every worker from its device's latest valid checkpoint — falling back
@@ -221,7 +210,7 @@ type Config struct {
 	// Tracer, when non-nil, switches on the causal tracing plane: requests
 	// not already carrying a trace handle get one at submit, and served
 	// requests accumulate a span tree (queue, decide with decision
-	// provenance, execute, retry, hedge, failover). The tracer owns its own
+	// provenance, execute, retry, hedge). The tracer owns its own
 	// RNG root, so enabling it never perturbs the engines' deterministic
 	// streams.
 	Tracer *tracez.Tracer

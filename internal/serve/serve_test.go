@@ -279,40 +279,6 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 	}
 }
 
-// TestFailoverLocal forces QoS misses (impossibly tight target) and checks
-// that the gateway re-executes on the local fallback target.
-func TestFailoverLocal(t *testing.T) {
-	cfg := core.DefaultConfig()
-	cfg.Reward.QoSTargetS = 1e-9 // everything violates
-	g, err := New([]Backend{{Device: "Mi8Pro", Engine: testEngine(t, soc.Mi8Pro(), 1, cfg)}},
-		Config{FailoverLocal: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer g.Shutdown(context.Background())
-	m := dnn.MustByName("MobileNet v3")
-	sawRetry := false
-	for i := 0; i < 100; i++ {
-		r, err := g.Do(Request{Model: m, Conditions: conds()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.Retried {
-			sawRetry = true
-			tgt := r.Decision.Measurement.Target
-			if tgt.Location != sim.Local || tgt.Kind != soc.CPU {
-				t.Fatalf("retry executed on %v, want local CPU fallback", tgt)
-			}
-		}
-	}
-	if !sawRetry {
-		t.Fatal("no failover retry in 100 forced QoS misses")
-	}
-	if snap := g.Snapshot(); snap.Retried == 0 {
-		t.Fatal("metrics missed the retries")
-	}
-}
-
 // TestOutageCounting turns every offload into a simulated radio outage and
 // checks the gateway records the sim's local fallback.
 func TestOutageCounting(t *testing.T) {

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -268,7 +269,10 @@ func TestSchemaV1Compat(t *testing.T) {
 	}
 }
 
-// fixtures are records as each schema version before v4 wrote them.
+// fixtures are records as earlier writers wrote them: one per schema
+// version v1-v3, and a v4 record whose phases carry a "failover" leg, as the
+// gateway's local failover recorded it before that path was removed. Readers
+// must keep accepting every one of them.
 var fixtures = []struct {
 	name, raw string
 	wantV     int
@@ -276,10 +280,16 @@ var fixtures = []struct {
 	{"v1", `{"seq":0,"model":"MobileNet v1","state":"0|0|0|0|0|0|1|1","target":"local/CPU@0/FP32","location":"local","latency_s":0.02,"energy_j":0.05,"reward":-40,"qos_violated":false}`, 0},
 	{"v2", `{"v":2,"seq":1,"model":"ResNet50 v1","state":"1|0|0|0|0|0|1|1","target":"edge/GPU/FP16","location":"edge","latency_s":0.04,"energy_j":0.03,"reward":-25,"qos_violated":false,"device":"lane-0","shard":"shard-1","tenant":"gold"}`, 2},
 	{"v3", `{"v":3,"seq":2,"model":"Inception v4","state":"2|0|0|0|0|0|1|1","target":"cloud/GPU/FP32","location":"cloud","latency_s":0.08,"energy_j":0.02,"reward":-18,"qos_violated":true,"vwait_s":0.005,"phases":{"execute":0.08}}`, 3},
+	{"v4_failover", `{"v":4,"seq":3,"model":"MobileNet v3","state":"0|1|0|0|0|0|1|1","target":"cloud/CPU/FP32","location":"local","latency_s":0.0811111111111111,"energy_j":0.09,"reward":-30,"qos_violated":true,"wasted_j":0.04,"phases":{"execute":0.0612345678901234,"failover":0.0198765432109877}}`, 4},
 }
 
-// TestSchemaV4Compat pins the v4 contract: v1-v3 fixtures keep parsing
-// unchanged with TraceID zero, and a v4 record round-trips its trace link.
+// failoverLegS is the v4_failover fixture's "failover" phase, as parsed.
+const failoverLegS = 0.0198765432109877
+
+// TestSchemaV4Compat pins the v4 contract: the fixtures keep parsing
+// unchanged with TraceID zero, a v4 record's retired "failover" phase
+// survives a read and a write bit for bit, and a v4 record round-trips its
+// trace link.
 func TestSchemaV4Compat(t *testing.T) {
 	for _, fx := range fixtures {
 		recs, err := ReadAll(strings.NewReader(fx.raw + "\n"))
@@ -301,6 +311,24 @@ func TestSchemaV4Compat(t *testing.T) {
 	recs, _ := ReadAll(strings.NewReader(fixtures[2].raw + "\n"))
 	if recs[0].VWaitS != 0.005 || recs[0].Phases["execute"] != 0.08 {
 		t.Fatalf("v3 fields drifted: %+v", recs[0])
+	}
+	recs, _ = ReadAll(strings.NewReader(fixtures[3].raw + "\n"))
+	var fo bytes.Buffer
+	fw := NewWriter(&fo)
+	if err := fw.AppendBatch(recs); err != nil {
+		t.Fatal(err)
+	}
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := ReadAll(&fo)
+	if err != nil || len(again) != 1 {
+		t.Fatalf("v4_failover write-read: %d records, %v", len(again), err)
+	}
+	for stage, r := range map[string]Record{"read": recs[0], "write-read": again[0]} {
+		if got := r.Phases["failover"]; math.Float64bits(got) != math.Float64bits(failoverLegS) {
+			t.Fatalf("%s: failover phase %v, want %v (phases %v)", stage, got, failoverLegS, r.Phases)
+		}
 	}
 
 	var buf bytes.Buffer

@@ -1,9 +1,10 @@
 // Package tracez is the causal tracing plane: every traced request carries
 // a trace ID and accumulates a span tree across router admission → DRR
-// dispatch → gateway queue → decide → execute/offload → retries/hedges/
-// failover, where the decide span carries decision provenance — the dense
-// state index, per-action Q-values from the RCU snapshot, the breaker/lane
-// mask applied, and whether the epsilon draw explored.
+// dispatch → gateway queue → decide → execute/offload → retries/hedges
+// (a router failover re-dispatch stays on the same trace). The decide span
+// carries decision provenance — the dense state index, per-action Q-values
+// from the RCU snapshot, the breaker/lane mask applied, and whether the
+// epsilon draw explored.
 //
 // Sampling is decided at Finish, after the request's fate is known:
 // tail-based keep-all for interesting requests (deadline miss, shed,
@@ -37,8 +38,8 @@ const (
 	FlagShed
 	// FlagFailed marks a failed response (outage, shard down, no viable action).
 	FlagFailed
-	// FlagFailover marks a local failover re-execution or a cross-shard
-	// failover re-dispatch.
+	// FlagFailover marks a cross-shard failover re-dispatch: the router
+	// re-queued the request after its shard bounced it.
 	FlagFailover
 	// FlagHedged marks a hedged request (local hedge raced a slow remote).
 	FlagHedged
@@ -62,7 +63,7 @@ func FlagNames(flags uint8) []string {
 }
 
 // Span is one leg of a traced request's lifecycle. Durations are seconds;
-// legs measured on the virtual clock (execute, retry, hedge, failover) use
+// legs measured on the virtual clock (execute, retry, hedge) use
 // virtual seconds and replay byte-identically, wall legs (admit, dispatch,
 // queue, decide) use wall seconds.
 type Span struct {

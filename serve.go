@@ -7,12 +7,12 @@ import (
 
 // Fleet serving: a concurrent gateway that accepts inference requests
 // through bounded per-device queues and serves them from warm-started
-// engines, with admission control, deadline-aware dispatch, failover and
-// runtime metrics (see internal/serve for full documentation).
+// engines, with admission control, deadline-aware dispatch, resilient
+// offloading and runtime metrics (see internal/serve for full documentation).
 type (
 	// Gateway serves inference requests against a fleet of engines.
 	Gateway = serve.Gateway
-	// GatewayConfig tunes queue depth, shed policy, failover and the policy
+	// GatewayConfig tunes queue depth, shed policy, resilience and the policy
 	// checkpoint store (warm-start at boot, flush at shutdown, sync passes
 	// on the virtual clock).
 	GatewayConfig = serve.Config
