@@ -187,9 +187,10 @@ bench-all:
 	$(GO) test -bench=. -benchmem
 
 # CPU and heap profiles of the serving hot path, from the closed-loop
-# gateway bench. Inspect with `go tool pprof cpu.pprof` / `mem.pprof`.
+# gateway bench at two clients — the gateway_frozen workload's count, where
+# two lanes serve at once. Inspect with `go tool pprof cpu.pprof` / `mem.pprof`.
 profile:
-	$(GO) test -run '^$$' -bench '^BenchmarkGatewayThroughput/clients=1$$' -benchtime=3s \
+	$(GO) test -run '^$$' -bench '^BenchmarkGatewayThroughput/clients=2$$' -benchtime=3s \
 		-cpuprofile cpu.pprof -memprofile mem.pprof .
 	@echo "profiles written: cpu.pprof mem.pprof (go tool pprof <file>)"
 

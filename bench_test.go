@@ -456,7 +456,7 @@ func benchGateway(b *testing.B) *Gateway {
 // ns/op is the per-request gateway overhead plus the engine step). The
 // aggregate decision rate is reported as decisions/sec.
 func BenchmarkGatewayThroughput(b *testing.B) {
-	for _, clients := range []int{1, 4, 8, 16} {
+	for _, clients := range []int{1, 2, 4, 8, 16} {
 		b.Run("clients="+strconv.Itoa(clients), func(b *testing.B) {
 			gw := benchGateway(b)
 			m := dnn.MustByName("MobileNet v3")
