@@ -1075,17 +1075,47 @@ func (rt *Router) ShardState(name string) string {
 	return ""
 }
 
-// ShardSignal is one shard's raw health inputs, gathered in a single locked
-// pass for the supervisor: lifecycle, per-shard serving metrics, per-device
-// learning health, and the in-flight gauge.
-type ShardSignal struct {
+// ShardClock is one shard's lifecycle and virtual clock: all the fleet
+// auditor samples, read without touching the shard's metrics registries.
+type ShardClock struct {
 	Name        string
 	State       string
 	Incarnation int
 	VirtualS    float64
-	Inflight    int64
-	Snap        metrics.Snapshot
-	Health      map[string]core.Health
+}
+
+// ShardClocks reports every shard's lifecycle and clock in shard-name order.
+func (rt *Router) ShardClocks() []ShardClock {
+	rt.mu.RLock()
+	defer rt.mu.RUnlock()
+	out := make([]ShardClock, 0, len(rt.order))
+	for _, name := range rt.order {
+		out = append(out, rt.shardClock(name))
+	}
+	return out
+}
+
+// shardClock reads one shard's clock row; the caller holds rt.mu.
+func (rt *Router) shardClock(name string) ShardClock {
+	sh := rt.shards[name]
+	return ShardClock{
+		Name:        name,
+		State:       sh.state.String(),
+		Incarnation: sh.incarnation,
+		VirtualS:    sh.gw.VirtualNow(),
+	}
+}
+
+// ShardSignal is one shard's raw health inputs, gathered in a single locked
+// pass for the supervisor: lifecycle and clock, the serving signals the
+// supervisor scores (latency histogram, breaker trips, worker crashes, queue
+// depth; see serve.Gateway.Signals), per-device learning health, and the
+// in-flight gauge.
+type ShardSignal struct {
+	ShardClock
+	Inflight int64
+	metrics.Signals
+	Health map[string]core.Health
 }
 
 // ShardSignals collects every shard's health inputs in shard-name order.
@@ -1098,12 +1128,9 @@ func (rt *Router) ShardSignals() []ShardSignal {
 	for _, name := range rt.order {
 		sh := rt.shards[name]
 		sig := ShardSignal{
-			Name:        name,
-			State:       sh.state.String(),
-			Incarnation: sh.incarnation,
-			VirtualS:    sh.gw.VirtualNow(),
-			Inflight:    sh.inflight.Load(),
-			Snap:        sh.gw.Snapshot(),
+			ShardClock: rt.shardClock(name),
+			Inflight:   sh.inflight.Load(),
+			Signals:    sh.gw.Signals(),
 		}
 		if sh.state.serving() || sh.state == shardDraining {
 			sig.Health = sh.gw.Health()

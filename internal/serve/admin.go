@@ -260,7 +260,7 @@ func AppendProm(p *obs.Prom, s metrics.Snapshot, health map[string]core.Health) 
 	p.Counter("autoscale_requests_total", "Requests by terminal outcome.", float64(s.Failed), "outcome", "failed")
 	p.Counter("autoscale_qos_violations_total", "Served requests over their latency target.", float64(s.QoSViolations))
 	p.Gauge("autoscale_queue_depth", "Aggregate queued requests right now.", float64(s.QueueDepth))
-	p.Gauge("autoscale_queue_depth_max", "High watermark of the aggregate queue depth.", float64(s.QueueMaxDepth))
+	p.Gauge("autoscale_queue_depth_max", "Sum of the lane queue-depth high watermarks (bounds the aggregate one).", float64(s.QueueMaxDepth))
 
 	// Resilience machinery.
 	p.Counter("autoscale_outages_total", "Simulated radio outages absorbed by the local fallback.", float64(s.Outages))

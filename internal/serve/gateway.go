@@ -27,8 +27,11 @@ import (
 // of clients.
 type Gateway struct {
 	cfg Config
-	met *metrics.Registry
-	rr  atomic.Uint64
+	// unrouted counts the outcomes of requests that never reach a lane:
+	// dead-on-arrival expiries and unknown devices. Everything else is
+	// counted in the registry of the lane that admitted the request.
+	unrouted *metrics.Registry
+	rr       atomic.Uint64
 
 	// activeLanes bounds how many worker lanes (in registration order)
 	// unpinned requests route to; 0 or >= len(workers) means all. The
@@ -60,6 +63,7 @@ type Gateway struct {
 type worker struct {
 	device      string
 	engine      *core.Engine
+	met         *metrics.Registry // this lane's own registry; see the metrics package
 	queue       chan *pending
 	fallback    sim.Target
 	hasFallback bool
@@ -146,6 +150,20 @@ func (p *pending) deliver(r Response) {
 // New builds a gateway over the given backends and starts one worker per
 // device. Backends need distinct device names and non-nil engines.
 func New(backends []Backend, cfg Config) (*Gateway, error) {
+	g, err := newGateway(backends, cfg)
+	if err != nil {
+		return nil, err
+	}
+	for _, w := range g.workers {
+		g.wg.Add(1)
+		go g.runWorker(w)
+	}
+	return g, nil
+}
+
+// newGateway is New without the worker goroutines: it validates the config,
+// builds every lane and warm-starts it, and wires the policy syncer.
+func newGateway(backends []Backend, cfg Config) (*Gateway, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("serve: no backends")
 	}
@@ -154,10 +172,10 @@ func New(backends []Backend, cfg Config) (*Gateway, error) {
 	}
 	cfg.Resilience = cfg.Resilience.withDefaults()
 	g := &Gateway{
-		cfg:    cfg,
-		met:    metrics.New(),
-		byName: make(map[string]*worker, len(backends)),
-		warm:   make(map[string]uint64),
+		cfg:      cfg,
+		unrouted: metrics.New(),
+		byName:   make(map[string]*worker, len(backends)),
+		warm:     make(map[string]uint64),
 	}
 	for _, b := range backends {
 		w, err := g.newWorker(b)
@@ -190,10 +208,6 @@ func New(backends []Backend, cfg Config) (*Gateway, error) {
 		}
 		g.syncer = s
 	}
-	for _, w := range g.workers {
-		g.wg.Add(1)
-		go g.runWorker(w)
-	}
 	return g, nil
 }
 
@@ -213,6 +227,7 @@ func (g *Gateway) newWorker(b Backend) (*worker, error) {
 	w := &worker{
 		device: b.Device,
 		engine: b.Engine,
+		met:    metrics.New(),
 		queue:  make(chan *pending, g.cfg.queueDepth()),
 	}
 	// The hedge's local leg mirrors the sim's outage fallback: local CPU
@@ -232,8 +247,8 @@ func (g *Gateway) newWorker(b Backend) (*worker, error) {
 	}
 	if g.cfg.Resilience.Enabled {
 		w.breakers = map[sim.Location]*breaker{
-			sim.Connected: newBreaker(b.Device, sim.Connected, g.cfg.Resilience, g.met, g.cfg.Recorder),
-			sim.Cloud:     newBreaker(b.Device, sim.Cloud, g.cfg.Resilience, g.met, g.cfg.Recorder),
+			sim.Connected: newBreaker(b.Device, sim.Connected, g.cfg.Resilience, w.met, g.cfg.Recorder),
+			sim.Cloud:     newBreaker(b.Device, sim.Cloud, g.cfg.Resilience, w.met, g.cfg.Recorder),
 		}
 	}
 	return w, nil
@@ -279,17 +294,21 @@ func (g *Gateway) Devices() []string {
 	return out
 }
 
-// Metrics exposes the live registry.
-func (g *Gateway) Metrics() *metrics.Registry { return g.met }
-
 // Tracer exposes the gateway's causal tracer — nil when tracing is off. It
 // lights up the admin server's /traces endpoints.
 func (g *Gateway) Tracer() *tracez.Tracer { return g.cfg.Tracer }
 
-// Snapshot copies the current metrics, with the federation syncer's health
-// in the Sync* fields.
+// Snapshot merges the lane registries and the unrouted one into one
+// snapshot, with the federation syncer's health in the Sync* fields.
 func (g *Gateway) Snapshot() metrics.Snapshot {
-	s := g.met.Snapshot()
+	g.mu.RLock()
+	snaps := make([]metrics.Snapshot, 0, 1+len(g.workers))
+	snaps = append(snaps, g.unrouted.Snapshot())
+	for _, w := range g.workers {
+		snaps = append(snaps, w.met.Snapshot())
+	}
+	g.mu.RUnlock()
+	s := metrics.Merge(snaps...)
 	if g.syncer != nil {
 		h := g.syncer.Health()
 		s.SyncPasses = int64(h.Passes)
@@ -297,6 +316,20 @@ func (g *Gateway) Snapshot() metrics.Snapshot {
 		s.SyncConsecutiveFailures = int64(h.ConsecutiveFailures)
 		s.SyncLastError = h.LastError
 	}
+	return s
+}
+
+// Signals folds the supervisor's inputs from every lane registry (see
+// metrics.Signals) without copying a full snapshot. Breakers, drills, served
+// latency and the queue all live on lanes, so the unrouted registry adds
+// nothing here.
+func (g *Gateway) Signals() metrics.Signals {
+	var s metrics.Signals
+	g.mu.RLock()
+	for _, w := range g.workers {
+		w.met.AddSignals(&s)
+	}
+	g.mu.RUnlock()
 	return s
 }
 
@@ -391,7 +424,13 @@ func (g *Gateway) submit(p *pending, inline bool) error {
 	g.mu.RUnlock()
 	defer g.inflight.Done()
 
-	g.met.IncSubmitted()
+	// The submission is counted where its outcome will be: on its lane, or
+	// in the unrouted registry when it never gets one.
+	met := g.unrouted
+	if w != nil {
+		met = w.met
+	}
+	met.IncSubmitted()
 	p.submittedAt = now
 
 	// Standalone-gateway tracing: requests arriving without a trace handle
@@ -403,7 +442,7 @@ func (g *Gateway) submit(p *pending, inline bool) error {
 
 	// A dead-on-arrival deadline is failed fast without touching a queue.
 	if doa {
-		g.met.IncExpired()
+		met.IncExpired()
 		p.req.Trace.Flag(tracez.FlagExpired)
 		p.req.Trace.Finish("expired")
 		p.deliver(Response{
@@ -414,7 +453,7 @@ func (g *Gateway) submit(p *pending, inline bool) error {
 	}
 
 	if err != nil {
-		g.met.IncFailed()
+		met.IncFailed()
 		p.req.Trace.Flag(tracez.FlagFailed)
 		p.req.Trace.Finish("failed")
 		p.deliver(Response{Status: StatusFailed, Err: err, SubmittedAt: now, DoneAt: now})
@@ -436,16 +475,16 @@ func (g *Gateway) submit(p *pending, inline bool) error {
 		// retry below usually succeeds.
 		select {
 		case old := <-w.queue:
-			g.met.QueueExit()
+			w.met.QueueExit()
 			w.busy.Add(-1)
-			g.reject(old, w.device)
+			g.reject(w, old)
 		default:
 		}
 		if g.enqueue(w, p) {
 			return nil
 		}
 	}
-	g.reject(p, w.device)
+	g.reject(w, p)
 	return nil
 }
 
@@ -457,7 +496,7 @@ func (g *Gateway) enqueue(w *worker, p *pending) bool {
 	w.busy.Add(1)
 	select {
 	case w.queue <- p:
-		g.met.QueueEnter()
+		w.met.QueueEnter()
 		return true
 	default:
 		w.busy.Add(-1)
@@ -465,13 +504,13 @@ func (g *Gateway) enqueue(w *worker, p *pending) bool {
 	}
 }
 
-// reject sheds one request with a terminal response.
-func (g *Gateway) reject(p *pending, device string) {
-	g.met.IncShed()
+// reject sheds one request of w's with a terminal response.
+func (g *Gateway) reject(w *worker, p *pending) {
+	w.met.IncShed()
 	p.req.Trace.Flag(tracez.FlagShed)
 	p.req.Trace.Finish("shed")
 	p.deliver(Response{
-		Status: StatusShed, Device: device, Err: ErrQueueFull,
+		Status: StatusShed, Device: w.device, Err: ErrQueueFull,
 		SubmittedAt: p.submittedAt, DoneAt: g.now(),
 	})
 }
@@ -631,7 +670,7 @@ func (g *Gateway) Do(req Request) (Response, error) {
 func (g *Gateway) runWorker(w *worker) {
 	defer g.wg.Done()
 	for p := range w.queue {
-		g.met.QueueExit()
+		w.met.QueueExit()
 		g.run(w, p)
 	}
 	// Queue closed: drain any trace records still buffered so Shutdown's
@@ -647,7 +686,7 @@ func (g *Gateway) run(w *worker, p *pending) {
 	w.lane.Lock()
 	defer w.lane.Unlock()
 	if g.killed.Load() {
-		g.met.IncFailed()
+		w.met.IncFailed()
 		// The trace handle is deliberately left open: an ErrShardDown
 		// rejection bounces back to the routing tier, which either fails
 		// the request over (the same trace keeps accumulating spans on the
@@ -717,7 +756,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 			w.engine.AdvanceTo(p.req.ArrivalS)
 		}
 	}
-	g.met.ObserveAdmission(wait, vwait, hasVWait)
+	w.met.ObserveAdmission(wait, vwait, hasVWait)
 	act.Span("queue", wait, w.device)
 
 	base := Response{Device: w.device, SubmittedAt: p.submittedAt, WaitS: wait, VWaitS: vwait}
@@ -730,7 +769,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	// the client has already moved on, and running it would only burn
 	// device energy on a dead answer.
 	if !p.req.Deadline.IsZero() && start.After(p.req.Deadline) {
-		g.met.IncExpired()
+		w.met.IncExpired()
 		base.Status, base.Err, base.DoneAt = StatusExpired, ErrDeadlineExpired, start
 		act.Flag(tracez.FlagExpired)
 		act.Finish("expired")
@@ -775,9 +814,9 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	d, err := w.engine.Step(nil, p.req.Model, p.req.Conditions, allow, pr)
 	pt.Add(obs.PhaseExecuteIdx, w.engine.Now()-execStart)
 	decideWallS := time.Since(decideStart).Seconds()
-	g.met.ObservePhase(obs.PhaseDecide, decideWallS)
+	w.met.ObservePhase(obs.PhaseDecide, decideWallS)
 	if err != nil {
-		g.met.IncFailed()
+		w.met.IncFailed()
 		base.Status, base.Err, base.DoneAt = StatusFailed, err, g.now()
 		act.Span("decide", decideWallS, "")
 		act.Flag(tracez.FlagFailed)
@@ -809,10 +848,10 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	// the chosen remote target.
 	outage := d.Target.Location != sim.Local && d.Measurement.Target.Location == sim.Local
 	if outage {
-		g.met.IncOutage()
+		w.met.IncOutage()
 	}
 	if wastedJ := d.Measurement.WastedJ; wastedJ > 0 {
-		g.met.AddOutageWastedJ(wastedJ)
+		w.met.AddOutageWastedJ(wastedJ)
 	}
 	if br := w.breakerFor(d.Target.Location); br != nil && d.Target.Location != sim.Local {
 		if outage {
@@ -854,7 +893,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		act.Flag(tracez.FlagHedged)
 	}
 
-	g.met.ObserveServed(metrics.ServedSample{
+	w.met.ObserveServed(metrics.ServedSample{
 		QoSViolated: d.QoSViolated,
 		LatencyS:    d.Measurement.LatencyS,
 		EnergyJ:     d.Measurement.EnergyJ,
@@ -908,11 +947,11 @@ func (g *Gateway) applyFaultEvents(w *worker) {
 		case fault.KindCheckpointCorrupt:
 			if c, ok := g.cfg.Checkpoints.(policy.Corrupter); ok {
 				c.CorruptLatest(w.device)
-				g.met.IncCorruptDrill()
+				w.met.IncCorruptDrill()
 			}
 		case fault.KindWorkerCrash:
 			if w.engine.Reset() == nil {
-				g.met.IncWorkerCrash()
+				w.met.IncWorkerCrash()
 				if g.cfg.Checkpoints != nil {
 					warmStart(w, g.cfg.Checkpoints)
 				}
@@ -962,13 +1001,13 @@ func (g *Gateway) retryOffload(w *worker, p *pending, d *core.Decision) (retries
 		// remaining deadline, or the retry is abandoned immediately
 		// instead of burning another outage timeout.
 		if !g.fitsDeadline(w, p, d.Target, backoff) {
-			g.met.IncRetryAbandoned()
+			w.met.IncRetryAbandoned()
 			break
 		}
 
 		rctx.Advance(backoff)
 		retries++
-		g.met.IncOffloadRetry()
+		w.met.IncOffloadRetry()
 		rmeas, err := world.ExecuteCtx(rctx, p.req.Model, d.Target, p.req.Conditions)
 		if err != nil {
 			break
@@ -978,7 +1017,7 @@ func (g *Gateway) retryOffload(w *worker, p *pending, d *core.Decision) (retries
 		wasteS += cur.LatencyS + backoff
 		cur = rmeas
 		if rmeas.WastedJ > 0 {
-			g.met.AddOutageWastedJ(rmeas.WastedJ)
+			w.met.AddOutageWastedJ(rmeas.WastedJ)
 		}
 		if rmeas.Target.Location == sim.Local {
 			// Failed again (outage fallback ran); keep backing off.
@@ -991,7 +1030,7 @@ func (g *Gateway) retryOffload(w *worker, p *pending, d *core.Decision) (retries
 			br.recordSuccess(w.engine.Now())
 		}
 		recovered = true
-		g.met.IncRetryRecovered()
+		w.met.IncRetryRecovered()
 		break
 	}
 
@@ -1022,7 +1061,7 @@ func (g *Gateway) hedge(w *worker, p *pending, d *core.Decision) (hedged, won bo
 	if err != nil {
 		return false, false
 	}
-	g.met.IncHedge()
+	w.met.IncHedge()
 	hedgedLat := rc.HedgeAfterS + local.LatencyS
 	if hedgedLat < remote.LatencyS {
 		// Local leg wins: the remote answer is superseded; charge the
@@ -1033,7 +1072,7 @@ func (g *Gateway) hedge(w *worker, p *pending, d *core.Decision) (hedged, won bo
 		local.WastedJ += waste
 		d.Measurement = local
 		d.QoSViolated = local.LatencyS > d.QoSTargetS
-		g.met.IncHedgeWon()
+		w.met.IncHedgeWon()
 		return true, true
 	}
 	// Remote answered first: the local leg ran (remote - hedge point) long
@@ -1045,7 +1084,7 @@ func (g *Gateway) hedge(w *worker, p *pending, d *core.Decision) (hedged, won bo
 	waste := frac * local.EnergyJ
 	d.Measurement.EnergyJ += waste
 	d.Measurement.WastedJ += waste
-	g.met.IncHedgeLost()
+	w.met.IncHedgeLost()
 	return true, false
 }
 

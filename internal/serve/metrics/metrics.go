@@ -1,14 +1,22 @@
 // Package metrics is the serving gateway's runtime instrumentation: a
 // registry of lock-cheap counters and log-linear histograms (internal/obs)
-// every worker updates on the hot path, plus a torn-read-free Snapshot for
+// a serving lane updates on the hot path, plus a torn-read-free Snapshot for
 // the admin endpoint, tests, the CLI and operators.
 //
-// Consistency: every mutator holds the registry's snapshot lock in read
-// (shared) mode — one uncontended atomic on the hot path — while Snapshot
-// takes it exclusively, so a snapshot is a single consistent cut: no
-// mutation is in flight while it copies, and cross-field invariants
-// (Accounted <= Submitted, bucket sums matching counts) hold in every
-// snapshot, not just at quiescence.
+// A gateway keeps one registry per lane, so two lanes serving at once never
+// write the same cache lines, and one more for the outcomes that never reach
+// a lane (dead-on-arrival expiries, unknown devices). Each request's
+// submission and terminal outcome land in the same registry.
+//
+// Consistency: every mutator holds its registry's snapshot lock in read
+// (shared) mode — one uncontended atomic on the hot path — while the readers
+// (Snapshot, AddSignals) take it exclusively, so each registry is read as
+// one consistent cut: no mutation is in flight while it copies, and
+// cross-field invariants (Accounted <= Submitted, Served == Latency.Count,
+// bucket sums matching counts) hold in every registry's cut, not just at
+// quiescence. A gateway snapshot is the Merge of its registries' cuts,
+// taken one after another; the cuts are not simultaneous, but the
+// invariants are sums of per-registry ones and so hold in the merge too.
 package metrics
 
 import (
@@ -164,7 +172,7 @@ func (r *Registry) SetBreakerState(label, state string) {
 	})
 }
 
-// QueueEnter bumps the aggregate queue-depth gauge and its high watermark.
+// QueueEnter bumps the queue-depth gauge and its high watermark.
 func (r *Registry) QueueEnter() {
 	r.shared(func() {
 		d := r.queueDepth.Add(1)
@@ -177,10 +185,10 @@ func (r *Registry) QueueEnter() {
 	})
 }
 
-// QueueExit drops the aggregate queue-depth gauge.
+// QueueExit drops the queue-depth gauge.
 func (r *Registry) QueueExit() { r.shared(func() { r.queueDepth.Add(-1) }) }
 
-// QueueDepth returns the current aggregate queue depth.
+// QueueDepth returns the current queue depth.
 func (r *Registry) QueueDepth() int64 { return r.queueDepth.Load() }
 
 // ObservePhase records one phase duration (seconds) into that phase's
@@ -263,8 +271,8 @@ func (r *Registry) ObserveServed(s ServedSample) {
 	})
 }
 
-// Snapshot is a point-in-time copy of the registry, taken as one consistent
-// cut (see the package comment).
+// Snapshot is a point-in-time copy of a registry, taken as one consistent
+// cut, or a Merge of several registries' cuts (see the package comment).
 type Snapshot struct {
 	Submitted     int64
 	Served        int64
@@ -289,6 +297,9 @@ type Snapshot struct {
 	DegradedSeconds  float64
 	OutageWastedJ    float64
 
+	// QueueDepth is the queued requests summed over registries; in a merge,
+	// QueueMaxDepth sums each registry's high watermark, which upper-bounds
+	// the (unknowable) watermark of the summed depth.
 	QueueDepth    int64
 	QueueMaxDepth int64
 
@@ -387,6 +398,29 @@ func (r *Registry) Snapshot() Snapshot {
 	}
 	r.mu.Unlock()
 	return s
+}
+
+// Signals is the part of a snapshot the fleet supervisor scores a shard on:
+// the served-latency histogram, breaker trips, worker-crash drills and the
+// queue gauge.
+type Signals struct {
+	Latency       obs.HistogramSnapshot
+	BreakerOpens  int64
+	WorkerCrashes int64
+	QueueDepth    int64
+}
+
+// AddSignals folds the registry's supervisor signals into s, from one
+// consistent cut, copying nothing else.
+func (r *Registry) AddSignals(s *Signals) {
+	r.snapMu.Lock()
+	lat := r.latency.Snapshot()
+	opens, crashes, depth := r.breakerOpens.Load(), r.workerCrashes.Load(), r.queueDepth.Load()
+	r.snapMu.Unlock()
+	s.Latency = mergeHist(s.Latency, lat)
+	s.BreakerOpens += opens
+	s.WorkerCrashes += crashes
+	s.QueueDepth += depth
 }
 
 // Merge folds any number of snapshots into one fleet-wide view — the

@@ -88,8 +88,8 @@ func (s breakerState) String() string {
 //
 // A breaker is only touched under its lane's mutex (the gateway serializes
 // each device's requests) and by Shutdown once every lane has stopped, so
-// it needs no lock of its own; the metrics registry it reports into is
-// atomic.
+// it needs no lock of its own; it reports into its lane's metrics
+// registry, which is atomic.
 type breaker struct {
 	label string
 	cfg   ResilienceConfig

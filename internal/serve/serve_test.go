@@ -13,7 +13,6 @@ import (
 	"autoscale/internal/fault"
 	"autoscale/internal/obs"
 	"autoscale/internal/policy"
-	"autoscale/internal/serve/metrics"
 	"autoscale/internal/sim"
 	"autoscale/internal/soc"
 )
@@ -154,14 +153,12 @@ func TestGatewayStress(t *testing.T) {
 func TestShedPolicies(t *testing.T) {
 	m := dnn.MustByName("MobileNet v1")
 	build := func(policy ShedPolicy) *Gateway {
-		w := &worker{device: "Mi8Pro", engine: testEngine(t, soc.Mi8Pro(), 1, core.DefaultConfig()),
-			queue: make(chan *pending, 1)}
-		return &Gateway{
-			cfg:     Config{QueueDepth: 1, Shed: policy},
-			met:     metrics.New(),
-			workers: []*worker{w},
-			byName:  map[string]*worker{"Mi8Pro": w},
+		g, err := newGateway([]Backend{{Device: "Mi8Pro", Engine: testEngine(t, soc.Mi8Pro(), 1, core.DefaultConfig())}},
+			Config{QueueDepth: 1, Shed: policy})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return g
 	}
 
 	t.Run("newest", func(t *testing.T) {
@@ -247,14 +244,12 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 		defer mu.Unlock()
 		return now
 	}
-	w := &worker{device: "Mi8Pro", engine: testEngine(t, soc.Mi8Pro(), 1, core.DefaultConfig()),
-		queue: make(chan *pending, 4)}
-	g := &Gateway{
-		cfg:     Config{QueueDepth: 4, Clock: clock},
-		met:     metrics.New(),
-		workers: []*worker{w},
-		byName:  map[string]*worker{"Mi8Pro": w},
+	g, err := newGateway([]Backend{{Device: "Mi8Pro", Engine: testEngine(t, soc.Mi8Pro(), 1, core.DefaultConfig())}},
+		Config{QueueDepth: 4, Clock: clock})
+	if err != nil {
+		t.Fatal(err)
 	}
+	w := g.workers[0]
 	ch, err := g.Submit(Request{
 		Model:      dnn.MustByName("MobileNet v1"),
 		Conditions: conds(),
@@ -557,26 +552,11 @@ func TestSubmitNilModel(t *testing.T) {
 // directly with fully controlled decisions.
 func resilientWorker(t testing.TB, e *core.Engine, cfg Config) (*Gateway, *worker) {
 	t.Helper()
-	cfg.Resilience = cfg.Resilience.withDefaults()
-	w := &worker{device: "Mi8Pro", engine: e, queue: make(chan *pending, 16)}
-	if cpu := e.World.Device.Processor(soc.CPU); cpu != nil {
-		w.fallback = sim.Target{Location: sim.Local, Kind: soc.CPU, Step: cpu.Steps - 1, Prec: dnn.FP32}
-		w.hasFallback = true
+	g, err := newGateway([]Backend{{Device: "Mi8Pro", Engine: e}}, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	g := &Gateway{cfg: cfg, met: metrics.New(), workers: []*worker{w}, byName: map[string]*worker{w.device: w}}
-	if cfg.Faults != nil {
-		if e.World.Faults == nil {
-			e.World.Faults = cfg.Faults
-		}
-		w.events = cfg.Faults.Events(w.device)
-	}
-	if cfg.Resilience.Enabled {
-		w.breakers = map[sim.Location]*breaker{
-			sim.Connected: newBreaker(w.device, sim.Connected, cfg.Resilience, g.met, nil),
-			sim.Cloud:     newBreaker(w.device, sim.Cloud, cfg.Resilience, g.met, nil),
-		}
-	}
-	return g, w
+	return g, g.workers[0]
 }
 
 // cloudOnly masks the action space down to cloud targets, forcing the engine

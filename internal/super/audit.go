@@ -59,13 +59,15 @@ func (a *Auditor) violate(format string, args ...any) {
 }
 
 // Observe samples the mid-storm invariants; call it from the driving loop as
-// often as desired (each supervision tick is the natural cadence). The
-// signals are sampled under the auditor's lock, so concurrent callers
-// compare and record marks in the order they sampled them.
+// often as desired (each supervision tick is the natural cadence). It reads
+// only the shards' lifecycle and clocks, never their metrics registries, so
+// a pass does not hold up the lanes' metric writes. The clocks are sampled
+// under the auditor's lock, so concurrent callers compare and record marks
+// in the order they sampled them.
 func (a *Auditor) Observe() {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for _, sig := range a.rt.ShardSignals() {
+	for _, sig := range a.rt.ShardClocks() {
 		mark, ok := a.clocks[sig.Name]
 		if ok && mark.incarnation == sig.Incarnation && sig.VirtualS < mark.virtualS {
 			a.violate("shard %s incarnation %d: virtual clock moved backwards (%.6f -> %.6f)",

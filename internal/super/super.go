@@ -363,7 +363,7 @@ func (s *Supervisor) condemn(now float64, rec *record) {
 func (s *Supervisor) score(rec *record, sig router.ShardSignal) (float64, string, bool) {
 	lat := 1.0
 	sampled := false
-	cur := sig.Snap.Latency
+	cur := sig.Latency
 	if dCount := cur.Count - rec.prevLat.Count; dCount > 0 && len(cur.Counts) > 0 {
 		sampled = true
 		delta := obs.HistogramSnapshot{
@@ -384,19 +384,19 @@ func (s *Supervisor) score(rec *record, sig router.ShardSignal) (float64, string
 		}
 	}
 
-	opens := sig.Snap.BreakerOpens - rec.prevOpens
+	opens := sig.BreakerOpens - rec.prevOpens
 	if opens < 0 {
 		opens = 0
 	}
 	brk := 1.0 / float64(1+opens)
 
-	crashes := sig.Snap.WorkerCrashes - rec.prevCrashes
+	crashes := sig.WorkerCrashes - rec.prevCrashes
 	if crashes < 0 {
 		crashes = 0
 	}
 	crash := 1.0 / float64(1+2*crashes)
 
-	queue := 1.0 / (1 + float64(sig.Snap.QueueDepth)/16)
+	queue := 1.0 / (1 + float64(sig.QueueDepth)/16)
 
 	rl := 1.0
 	if len(sig.Health) > 0 {
@@ -410,8 +410,8 @@ func (s *Supervisor) score(rec *record, sig router.ShardSignal) (float64, string
 
 	// Advance the window baselines.
 	rec.prevLat = cur
-	rec.prevOpens = sig.Snap.BreakerOpens
-	rec.prevCrashes = sig.Snap.WorkerCrashes
+	rec.prevOpens = sig.BreakerOpens
+	rec.prevCrashes = sig.WorkerCrashes
 
 	// Weighted geometric mean: unlike an additive mix, one catastrophic
 	// component (a 30x gray latency multiplier, say) drags the whole score
@@ -471,7 +471,7 @@ func (s *Supervisor) Status() Status {
 		IntervalS: s.cfg.intervalS(),
 		Actions:   append([]Action(nil), s.actions...),
 	}
-	for _, sig := range s.rt.ShardSignals() {
+	for _, sig := range s.rt.ShardClocks() {
 		row := ShardStatus{Name: sig.Name, RouterState: sig.State, Phase: phaseOK.String(), Score: 1}
 		if rec, ok := s.recs[sig.Name]; ok {
 			row.Phase = rec.phase.String()
