@@ -150,7 +150,10 @@ func (f *Fleet) ProvisionGateway(devices []string, cfg EngineConfig, gcfg Gatewa
 // lanes re-home onto survivors. The router inherits gcfg's checkpoint store,
 // fault injector and policy-sync settings when rcfg leaves them unset, so
 // the cross-shard learning plane and shard-crash drills ride the same
-// plumbing the gateways already use.
+// plumbing the gateways already use; every shard, booted or revived, takes
+// rcfg's checkpoint store, fault injector and flight recorder wherever gcfg
+// leaves them unset, so its breakers note their transitions in the router's
+// recorder.
 //
 // Each devices entry is either a hardware name ("Mi8Pro") or a
 // "lane=hardware" spec ("Mi8Pro-1=Mi8Pro"), so one physical device model can
@@ -189,31 +192,6 @@ func (f *Fleet) ProvisionRouter(devices []string, shards int, cfg EngineConfig, 
 	homes := router.PlaceDevices(lanes, shardNames)
 	rebalanceEmptyShards(homes, shardNames)
 
-	byShard := make(map[string][]string, shards)
-	for lane, shard := range homes {
-		byShard[shard] = append(byShard[shard], lane)
-	}
-	gateways := make([]RouterShard, 0, shards)
-	for _, name := range shardNames {
-		devs := byShard[name]
-		sort.Strings(devs)
-		backends := make([]GatewayBackend, 0, len(devs))
-		for _, lane := range devs {
-			engine, err := f.Provision(hw[lane], cfg, seeds[lane])
-			if err != nil {
-				return nil, err
-			}
-			backends = append(backends, GatewayBackend{Device: lane, Engine: engine})
-		}
-		shardCfg := gcfg
-		shardCfg.Name = name
-		gw, err := serve.New(backends, shardCfg)
-		if err != nil {
-			return nil, fmt.Errorf("autoscale: shard %s: %w", name, err)
-		}
-		gateways = append(gateways, RouterShard{Name: name, Gateway: gw})
-	}
-
 	if rcfg.EngineFactory == nil {
 		rcfg.EngineFactory = func(lane string) (*Engine, error) {
 			s, ok := seeds[lane]
@@ -232,35 +210,54 @@ func (f *Fleet) ProvisionRouter(devices []string, shards int, cfg EngineConfig, 
 	if reflect.ValueOf(rcfg.PolicySync).IsZero() {
 		rcfg.PolicySync = gcfg.PolicySync
 	}
-	if rcfg.ShardFactory == nil {
-		// Rebuild a drained/dead shard's gateway for ReviveShard: each lane
-		// gets its original seed back (determinism) and, from a donor
-		// fleet, a fresh transfer; then serve.New warm-starts from the
-		// checkpoint store — so a revived shard resumes from the fleet's
-		// persisted learning, not from scratch.
-		rcfg.ShardFactory = func(name string, devs []string) (*Gateway, error) {
-			backends := make([]GatewayBackend, 0, len(devs))
-			for _, lane := range devs {
-				model, ok := hw[lane]
-				if !ok {
-					return nil, fmt.Errorf("autoscale: unknown device %q", lane)
-				}
-				engine, err := f.Provision(model, cfg, seeds[lane])
-				if err != nil {
-					return nil, err
-				}
-				backends = append(backends, GatewayBackend{Device: lane, Engine: engine})
+	// shard builds one shard's gateway, at boot and, as the ShardFactory,
+	// when ReviveShard rebuilds a drained or dead one: each lane gets its
+	// original seed back (determinism) and, from a donor fleet, a fresh
+	// transfer; then serve.New warm-starts from the checkpoint store, so a
+	// revived shard resumes from the fleet's persisted learning.
+	shard := func(name string, devs []string) (*Gateway, error) {
+		backends := make([]GatewayBackend, 0, len(devs))
+		for _, lane := range devs {
+			model, ok := hw[lane]
+			if !ok {
+				return nil, fmt.Errorf("autoscale: unknown device %q", lane)
 			}
-			shardCfg := gcfg
-			shardCfg.Name = name
-			if shardCfg.Checkpoints == nil {
-				shardCfg.Checkpoints = rcfg.Checkpoints
+			engine, err := f.Provision(model, cfg, seeds[lane])
+			if err != nil {
+				return nil, err
 			}
-			if shardCfg.Faults == nil {
-				shardCfg.Faults = rcfg.Faults
-			}
-			return serve.New(backends, shardCfg)
+			backends = append(backends, GatewayBackend{Device: lane, Engine: engine})
 		}
+		shardCfg := gcfg
+		shardCfg.Name = name
+		if shardCfg.Checkpoints == nil {
+			shardCfg.Checkpoints = rcfg.Checkpoints
+		}
+		if shardCfg.Faults == nil {
+			shardCfg.Faults = rcfg.Faults
+		}
+		if shardCfg.Recorder == nil {
+			shardCfg.Recorder = rcfg.Recorder
+		}
+		return serve.New(backends, shardCfg)
+	}
+	if rcfg.ShardFactory == nil {
+		rcfg.ShardFactory = shard
+	}
+
+	byShard := make(map[string][]string, shards)
+	for lane, home := range homes {
+		byShard[home] = append(byShard[home], lane)
+	}
+	gateways := make([]RouterShard, 0, shards)
+	for _, name := range shardNames {
+		devs := byShard[name]
+		sort.Strings(devs)
+		gw, err := shard(name, devs)
+		if err != nil {
+			return nil, fmt.Errorf("autoscale: shard %s: %w", name, err)
+		}
+		gateways = append(gateways, RouterShard{Name: name, Gateway: gw})
 	}
 	return router.New(gateways, rcfg)
 }

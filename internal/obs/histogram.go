@@ -3,7 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
-	"sync/atomic"
+	"slices"
 )
 
 // BucketScheme defines a log-linear bucket ladder: Octaves power-of-two
@@ -83,73 +83,32 @@ func (b BucketScheme) UpperBound(i int) float64 {
 	return math.Ldexp(b.Min*(1+(float64(s)+1)/float64(b.Sub)), o)
 }
 
-// Histogram is a fixed-scheme log-linear histogram safe for concurrent
-// Observe: every field is an atomic, so the hot path never takes a lock.
-// A concurrent Snapshot may be mid-observation torn by a few counts; callers
-// that need a consistent cut (the metrics registry) serialize observation
-// against snapshotting themselves.
-type Histogram struct {
-	scheme  BucketScheme
-	counts  []atomic.Int64
-	count   atomic.Int64
-	sumBits atomic.Uint64
-	minBits atomic.Uint64
-	maxBits atomic.Uint64
-}
+// Histogram is a fixed-scheme log-linear histogram being filled: a
+// HistogramSnapshot with a constructor that validates its scheme. It is
+// plain arithmetic with no lock of its own; whoever owns one serializes
+// Observe against every read (the metrics registry holds its mutex).
+type Histogram struct{ HistogramSnapshot }
 
-// NewHistogram builds a histogram over the scheme. It panics on a malformed
-// scheme — bucket layout is a compile-time decision, not runtime input.
+// NewHistogram builds an empty histogram over the scheme. It panics on a
+// malformed scheme — bucket layout is a compile-time decision, not runtime
+// input.
 func NewHistogram(scheme BucketScheme) *Histogram {
 	if !scheme.valid() {
 		panic(fmt.Sprintf("obs: invalid bucket scheme %+v", scheme))
 	}
-	h := &Histogram{
-		scheme: scheme,
-		counts: make([]atomic.Int64, scheme.NumBuckets()),
-	}
-	h.minBits.Store(math.Float64bits(math.Inf(1)))
-	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
-	return h
+	return &Histogram{HistogramSnapshot{Scheme: scheme, Counts: make([]int64, scheme.NumBuckets())}}
 }
 
-// Scheme returns the bucket layout.
-func (h *Histogram) Scheme() BucketScheme { return h.scheme }
-
-// Observe records one value. NaN observations are dropped. The total count
-// is bumped last, so a reader that sees count > 0 also sees the min/max set.
-func (h *Histogram) Observe(v float64) {
-	if math.IsNaN(v) {
-		return
-	}
-	h.counts[h.scheme.Index(v)].Add(1)
-	atomicAddFloat(&h.sumBits, v)
-	atomicMinFloat(&h.minBits, v)
-	atomicMaxFloat(&h.maxBits, v)
-	h.count.Add(1)
-}
-
-// Snapshot copies the histogram. See the Histogram doc for the consistency
-// contract under concurrent Observe.
+// Snapshot copies the histogram.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Scheme: h.scheme,
-		Counts: make([]int64, len(h.counts)),
-		Count:  h.count.Load(),
-		Sum:    math.Float64frombits(h.sumBits.Load()),
-	}
-	if s.Count > 0 {
-		s.Min = math.Float64frombits(h.minBits.Load())
-		s.Max = math.Float64frombits(h.maxBits.Load())
-	}
-	for i := range h.counts {
-		s.Counts[i] = h.counts[i].Load()
-	}
+	s := h.HistogramSnapshot
+	s.Counts = slices.Clone(s.Counts)
 	return s
 }
 
-// HistogramSnapshot is a point-in-time histogram copy. Snapshots with the
-// same scheme merge losslessly, so per-shard histograms can be aggregated
-// into fleet views.
+// HistogramSnapshot is a histogram as a plain value: Observe fills it and
+// Add folds another one into it. Snapshots with the same scheme add
+// losslessly, so per-shard histograms can be aggregated into fleet views.
 type HistogramSnapshot struct {
 	Scheme BucketScheme `json:"scheme"`
 	// Counts has one entry per bucket (NumBuckets, including both tails).
@@ -194,69 +153,48 @@ func (s HistogramSnapshot) Quantile(q float64) float64 {
 	return s.Max
 }
 
-// Merge returns the union of two snapshots. The schemes must match; counts
-// add bucket-wise, so merging is associative and commutative up to
-// floating-point addition order in Sum.
-func (s HistogramSnapshot) Merge(o HistogramSnapshot) (HistogramSnapshot, error) {
-	if s.Scheme != o.Scheme {
-		return HistogramSnapshot{}, fmt.Errorf("obs: merging mismatched schemes %+v vs %+v", s.Scheme, o.Scheme)
+// Observe records one value into a snapshot whose Counts already span its
+// scheme (NewHistogram's, or one that Add filled). NaN observations are
+// dropped.
+func (s *HistogramSnapshot) Observe(v float64) {
+	if math.IsNaN(v) {
+		return
 	}
-	if len(s.Counts) != len(o.Counts) {
-		return HistogramSnapshot{}, fmt.Errorf("obs: merging %d buckets with %d", len(s.Counts), len(o.Counts))
+	s.Counts[s.Scheme.Index(v)]++
+	s.Sum += v
+	if s.Count == 0 || v < s.Min {
+		s.Min = v
 	}
-	out := HistogramSnapshot{
-		Scheme: s.Scheme,
-		Counts: make([]int64, len(s.Counts)),
-		Count:  s.Count + o.Count,
-		Sum:    s.Sum + o.Sum,
+	if s.Count == 0 || v > s.Max {
+		s.Max = v
 	}
-	for i := range s.Counts {
-		out.Counts[i] = s.Counts[i] + o.Counts[i]
-	}
+	s.Count++
+}
+
+// Add folds o into s in place: counts add bucket-wise, so adding is
+// associative and commutative up to floating-point addition order in Sum.
+// An o with no observations is the identity and allocates nothing; an s
+// with none takes o's scheme and copies o, reusing its own bucket slice
+// when it is long enough. Between two non-empty histograms of different
+// schemes s keeps what it has (registries built by one ladder never
+// differ).
+func (s *HistogramSnapshot) Add(o HistogramSnapshot) {
 	switch {
-	case s.Count == 0:
-		out.Min, out.Max = o.Min, o.Max
 	case o.Count == 0:
-		out.Min, out.Max = s.Min, s.Max
-	default:
-		out.Min, out.Max = math.Min(s.Min, o.Min), math.Max(s.Max, o.Max)
+		return
+	case s.Count == 0:
+		counts := append(s.Counts[:0], o.Counts...)
+		*s = o
+		s.Counts = counts
+		return
+	case s.Scheme != o.Scheme || len(s.Counts) != len(o.Counts):
+		return
 	}
-	return out, nil
-}
-
-// atomicAddFloat accumulates v into a float64 stored as bits.
-func atomicAddFloat(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if bits.CompareAndSwap(old, next) {
-			return
-		}
+	for i, c := range o.Counts {
+		s.Counts[i] += c
 	}
-}
-
-// atomicMinFloat lowers the stored float to v if v is smaller.
-func atomicMinFloat(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if math.Float64frombits(old) <= v {
-			return
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
-}
-
-// atomicMaxFloat raises the stored float to v if v is larger.
-func atomicMaxFloat(bits *atomic.Uint64, v float64) {
-	for {
-		old := bits.Load()
-		if math.Float64frombits(old) >= v {
-			return
-		}
-		if bits.CompareAndSwap(old, math.Float64bits(v)) {
-			return
-		}
-	}
+	s.Count += o.Count
+	s.Sum += o.Sum
+	s.Min = math.Min(s.Min, o.Min)
+	s.Max = math.Max(s.Max, o.Max)
 }

@@ -3,8 +3,9 @@ package obs
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"sort"
-	"sync"
 	"testing"
 )
 
@@ -120,22 +121,9 @@ func TestHistogramMergeAssociativity(t *testing.T) {
 			}
 			parts[p] = h.Snapshot()
 		}
-		ab, err := parts[0].Merge(parts[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		abc1, err := ab.Merge(parts[2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		bc, err := parts[1].Merge(parts[2])
-		if err != nil {
-			t.Fatal(err)
-		}
-		abc2, err := parts[0].Merge(bc)
-		if err != nil {
-			t.Fatal(err)
-		}
+		abc1 := sum(parts[0], parts[1])
+		abc1.Add(parts[2])
+		abc2 := sum(parts[0], sum(parts[1], parts[2]))
 		for _, pair := range [][2]HistogramSnapshot{{abc1, abc2}, {abc1, all.Snapshot()}} {
 			x, y := pair[0], pair[1]
 			if x.Count != y.Count || x.Min != y.Min || x.Max != y.Max {
@@ -151,11 +139,48 @@ func TestHistogramMergeAssociativity(t *testing.T) {
 			}
 		}
 	}
-	// Mismatched schemes refuse to merge.
-	a := NewHistogram(scheme).Snapshot()
-	b := NewHistogram(BucketScheme{Min: 1e-3, Octaves: 10, Sub: 8}).Snapshot()
-	if _, err := a.Merge(b); err == nil {
-		t.Fatal("mismatched schemes merged")
+	// A histogram of another scheme does not fold into a non-empty one.
+	a := NewHistogram(scheme)
+	a.Observe(0.01)
+	b := NewHistogram(BucketScheme{Min: 1e-3, Octaves: 10, Sub: 8})
+	b.Observe(0.02)
+	want := a.Snapshot()
+	if a.Add(b.HistogramSnapshot); !reflect.DeepEqual(a.Snapshot(), want) {
+		t.Fatal("mismatched schemes added")
+	}
+}
+
+// sum adds b into a copy of a, leaving both operands untouched.
+func sum(a, b HistogramSnapshot) HistogramSnapshot {
+	a.Counts = slices.Clone(a.Counts)
+	a.Add(b)
+	return a
+}
+
+// TestHistogramAddEmptyIsIdentity: adding a histogram with no observations
+// changes nothing and allocates nothing, whether it has buckets or not, and
+// adding into an empty accumulator reproduces the operand.
+func TestHistogramAddEmptyIsIdentity(t *testing.T) {
+	h := NewHistogram(DefaultScheme())
+	for _, v := range []float64{0.003, 0.02, 7} {
+		h.Observe(v)
+	}
+	want := h.Snapshot()
+	for name, empty := range map[string]HistogramSnapshot{
+		"zero value":      {},
+		"no observations": NewHistogram(DefaultScheme()).Snapshot(),
+	} {
+		if allocs := testing.AllocsPerRun(10, func() { h.Add(empty) }); allocs != 0 {
+			t.Errorf("adding %s allocates %v times", name, allocs)
+		}
+		if !reflect.DeepEqual(h.Snapshot(), want) {
+			t.Fatalf("adding %s changed the histogram", name)
+		}
+		acc := empty
+		acc.Counts = slices.Clone(acc.Counts)
+		if acc.Add(want); !reflect.DeepEqual(acc, want) {
+			t.Fatalf("adding into %s: %+v, want %+v", name, acc, want)
+		}
 	}
 }
 
@@ -177,37 +202,6 @@ func TestNewHistogramRejectsBadScheme(t *testing.T) {
 	NewHistogram(BucketScheme{Min: -1, Octaves: 4, Sub: 4})
 }
 
-// TestHistogramConcurrent hammers Observe from many goroutines; with -race
-// this is the lock-free hot path's regression test.
-func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram(DefaultScheme())
-	const workers, each = 8, 5000
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(w)))
-			for i := 0; i < each; i++ {
-				h.Observe(0.001 + rng.Float64())
-				_ = h.Snapshot()
-			}
-		}(w)
-	}
-	wg.Wait()
-	s := h.Snapshot()
-	if s.Count != workers*each {
-		t.Fatalf("lost observations: %d", s.Count)
-	}
-	var bucketed int64
-	for _, c := range s.Counts {
-		bucketed += c
-	}
-	if bucketed != s.Count {
-		t.Fatalf("bucket total %d != count %d", bucketed, s.Count)
-	}
-}
-
 func BenchmarkHistogramObserve(b *testing.B) {
 	h := NewHistogram(DefaultScheme())
 	vals := make([]float64, 1024)
@@ -220,15 +214,4 @@ func BenchmarkHistogramObserve(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		h.Observe(vals[i&1023])
 	}
-}
-
-func BenchmarkHistogramObserveParallel(b *testing.B) {
-	h := NewHistogram(DefaultScheme())
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		v := 0.0017
-		for pb.Next() {
-			h.Observe(v)
-		}
-	})
 }

@@ -1,5 +1,5 @@
-// Package obs is the unified telemetry plane: lock-cheap log-linear-bucket
-// histograms with mergeable snapshots, phase-span stopwatches stamped on the
+// Package obs is the unified telemetry plane: log-linear-bucket histograms
+// as plain values that add in place, phase-span stopwatches stamped on the
 // virtual clock, learning-health helpers (visit entropy), and a Prometheus
 // text-exposition writer.
 //

@@ -4,7 +4,7 @@
 //
 // Three pieces close the loop. Estimation reads per-class arrival rates and
 // the fleet-wide mean service time from the routing tier's admission
-// counters and the seqlock metrics registry — pure counter deltas smoothed
+// counters and the merged metrics snapshot — pure counter deltas smoothed
 // by EWMA, no instrumentation of its own. An Erlang-C/M/M/c occupancy model
 // maps (λ, 1/μ, c lanes) to predicted wait and occupancy, and is calibrated
 // against measured lane occupancy with a reported error. Actuation applies

@@ -1107,14 +1107,14 @@ func (rt *Router) shardClock(name string) ShardClock {
 }
 
 // ShardSignal is one shard's raw health inputs, gathered in a single locked
-// pass for the supervisor: lifecycle and clock, the serving signals the
-// supervisor scores (latency histogram, breaker trips, worker crashes, queue
-// depth; see serve.Gateway.Signals), per-device learning health, and the
-// in-flight gauge.
+// pass for the supervisor: lifecycle and clock, the shard's metrics snapshot
+// (the same serve.Gateway.Snapshot the admin endpoint serves; the supervisor
+// scores its latency histogram, breaker trips, worker crashes and queue
+// depth), per-device learning health, and the in-flight gauge.
 type ShardSignal struct {
 	ShardClock
 	Inflight int64
-	metrics.Signals
+	metrics.Snapshot
 	Health map[string]core.Health
 }
 
@@ -1130,7 +1130,7 @@ func (rt *Router) ShardSignals() []ShardSignal {
 		sig := ShardSignal{
 			ShardClock: rt.shardClock(name),
 			Inflight:   sh.inflight.Load(),
-			Signals:    sh.gw.Signals(),
+			Snapshot:   sh.gw.Snapshot(),
 		}
 		if sh.state.serving() || sh.state == shardDraining {
 			sig.Health = sh.gw.Health()

@@ -25,12 +25,12 @@ func (s *heldSink) Deliver(serve.Response) {
 	<-s.release
 }
 
-// TestShardSignalsMatchSnapshot checks that the supervisor's cheap read
-// carries exactly what the full gateway snapshot says about the four inputs
-// it scores: after an outage storm that trips breakers and a worker-crash
-// drill, with requests parked in a queue behind a held lane, every field is
-// nonzero and equal to its Snapshot counterpart. The auditor's clock read
-// must match the signals' lifecycle and clock fields.
+// TestShardSignalsMatchSnapshot checks that the supervisor reads the
+// snapshot everyone else reads: after an outage storm that trips breakers
+// and a worker-crash drill, with requests parked in a queue behind a held
+// lane, the four inputs it scores from the embedded snapshot are nonzero and
+// equal to Gateway.Snapshot's. The auditor's clock read must match the
+// signals' lifecycle and clock fields.
 func TestShardSignalsMatchSnapshot(t *testing.T) {
 	const seed = 5
 	inj := fault.New(&fault.Schedule{Name: "signals", Faults: []fault.Spec{

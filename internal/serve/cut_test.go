@@ -2,15 +2,18 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"autoscale/internal/core"
 	"autoscale/internal/dnn"
 	"autoscale/internal/obs"
 	"autoscale/internal/serve/metrics"
+	"autoscale/internal/soc"
 )
 
 // checkCut asserts the invariants every snapshot must hold mid-traffic: no
@@ -136,4 +139,57 @@ func TestSnapshotCutAcrossLanes(t *testing.T) {
 	}
 	t.Logf("%d mid-traffic snapshots; %d submitted, %d served, %d shed, %d expired, %d failed",
 		snaps, s.Submitted, s.Served, s.Shed, s.Expired, s.Failed)
+}
+
+// servedGateway builds a gateway of n Mi8Pro lanes and serves perLane
+// requests pinned to each, so every lane's registry holds observations in
+// its latency, wait, energy and phase histograms.
+func servedGateway(t testing.TB, n, perLane int) *Gateway {
+	t.Helper()
+	backends := make([]Backend, n)
+	for i := range backends {
+		backends[i] = Backend{Device: fmt.Sprintf("lane-%d", i), Engine: testEngine(t, soc.Mi8Pro(), int64(i+1), core.DefaultConfig())}
+	}
+	g, err := New(backends, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := dnn.MustByName("MobileNet v3")
+	for i := 0; i < n*perLane; i++ {
+		if _, err := g.Do(Request{Model: m, Conditions: conds(), Device: backends[i%n].Device}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return g
+}
+
+// TestGatewaySnapshotAllocsFlat: Gateway.Snapshot folds each lane's
+// registry into one accumulator, so reading four busy lanes allocates no
+// more than reading one. A read that copied each lane's histograms first
+// would allocate per lane.
+func TestGatewaySnapshotAllocsFlat(t *testing.T) {
+	allocs := make(map[int]float64)
+	for _, n := range []int{1, 4} {
+		g := servedGateway(t, n, 50)
+		allocs[n] = testing.AllocsPerRun(20, func() { g.Snapshot() })
+		if err := g.Shutdown(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs[4] != allocs[1] {
+		t.Fatalf("Gateway.Snapshot allocates %.0f times on 4 lanes, %.0f on 1", allocs[4], allocs[1])
+	}
+}
+
+// BenchmarkGatewaySnapshot prices one Gateway.Snapshot on a two-lane
+// gateway after 2,000 requests: the read the admin endpoint, the router and
+// the supervisor's ShardSignals take.
+func BenchmarkGatewaySnapshot(b *testing.B) {
+	g := servedGateway(b, 2, 1000)
+	defer g.Shutdown(context.Background()) //nolint:errcheck
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.Snapshot()
+	}
 }

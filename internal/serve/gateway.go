@@ -298,17 +298,17 @@ func (g *Gateway) Devices() []string {
 // lights up the admin server's /traces endpoints.
 func (g *Gateway) Tracer() *tracez.Tracer { return g.cfg.Tracer }
 
-// Snapshot merges the lane registries and the unrouted one into one
-// snapshot, with the federation syncer's health in the Sync* fields.
+// Snapshot folds the unrouted registry and then each lane's into one
+// snapshot, each under its own lock, with the federation syncer's health in
+// the Sync* fields.
 func (g *Gateway) Snapshot() metrics.Snapshot {
+	var s metrics.Snapshot
+	g.unrouted.AddTo(&s)
 	g.mu.RLock()
-	snaps := make([]metrics.Snapshot, 0, 1+len(g.workers))
-	snaps = append(snaps, g.unrouted.Snapshot())
 	for _, w := range g.workers {
-		snaps = append(snaps, w.met.Snapshot())
+		w.met.AddTo(&s)
 	}
 	g.mu.RUnlock()
-	s := metrics.Merge(snaps...)
 	if g.syncer != nil {
 		h := g.syncer.Health()
 		s.SyncPasses = int64(h.Passes)
@@ -316,20 +316,6 @@ func (g *Gateway) Snapshot() metrics.Snapshot {
 		s.SyncConsecutiveFailures = int64(h.ConsecutiveFailures)
 		s.SyncLastError = h.LastError
 	}
-	return s
-}
-
-// Signals folds the supervisor's inputs from every lane registry (see
-// metrics.Signals) without copying a full snapshot. Breakers, drills, served
-// latency and the queue all live on lanes, so the unrouted registry adds
-// nothing here.
-func (g *Gateway) Signals() metrics.Signals {
-	var s metrics.Signals
-	g.mu.RLock()
-	for _, w := range g.workers {
-		w.met.AddSignals(&s)
-	}
-	g.mu.RUnlock()
 	return s
 }
 
@@ -812,7 +798,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	// what the policy chooses.
 	pr := act.Prov()
 	d, err := w.engine.Step(nil, p.req.Model, p.req.Conditions, allow, pr)
-	pt.Add(obs.PhaseExecuteIdx, w.engine.Now()-execStart)
+	execS := w.engine.Now() - execStart
 	decideWallS := time.Since(decideStart).Seconds()
 	w.met.ObservePhase(obs.PhaseDecide, decideWallS)
 	if err != nil {
@@ -839,7 +825,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	if f := g.cfg.Faults.GrayFactor(w.device, execStart); f > 1 {
 		extra := d.Measurement.LatencyS * (f - 1)
 		w.engine.AdvanceTo(w.engine.Now() + extra)
-		pt.Add(obs.PhaseExecuteIdx, extra)
+		execS += extra
 		d.Measurement.LatencyS += extra
 		d.QoSViolated = d.Measurement.LatencyS > d.QoSTargetS
 	}
@@ -871,10 +857,16 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	hedged, hedgeWon := false, false
 	if g.cfg.Resilience.Enabled && g.cfg.Resilience.Hedge && !outage &&
 		d.Measurement.Target.Location != sim.Local && w.hasFallback {
-		hedgeStart := w.engine.Now()
-		hedged, hedgeWon = g.hedge(w, p, &d)
-		pt.Add(obs.PhaseHedgeIdx, w.engine.Now()-hedgeStart)
+		var localS float64
+		hedged, hedgeWon, localS = g.hedge(w, p, &d, execStart)
+		if hedgeWon {
+			// The phases follow the critical path: the remote leg up to
+			// the hedge point, then the local leg that answered.
+			execS = g.cfg.Resilience.HedgeAfterS
+			pt.Add(obs.PhaseHedgeIdx, localS)
+		}
 	}
+	pt.Add(obs.PhaseExecuteIdx, execS)
 
 	// Span tree tail: the deterministic execution legs, emitted from the same
 	// phase totals the trace record carries so span durations and the
@@ -1046,34 +1038,40 @@ func (g *Gateway) retryOffload(w *worker, p *pending, d *core.Decision) (retries
 // remote latency exceeds HedgeAfterS and the deadline budget fits the local
 // leg, the gateway simulates having fired the fallback at the hedge point
 // and takes whichever answer lands first, charging the loser's in-flight
-// energy as waste.
-func (g *Gateway) hedge(w *worker, p *pending, d *core.Decision) (hedged, won bool) {
+// energy as waste. The local leg runs beside the remote one, on a clock of
+// its own that starts at the hedge point; the lane's clock, which the
+// remote leg already advanced, ends at the winner's finish. localS is the
+// local leg's latency when it won.
+func (g *Gateway) hedge(w *worker, p *pending, d *core.Decision, execStart float64) (hedged, won bool, localS float64) {
 	rc := g.cfg.Resilience
 	remote := d.Measurement
 	if remote.LatencyS <= rc.HedgeAfterS {
-		return false, false
+		return false, false, 0
 	}
 	if !g.fitsDeadline(w, p, w.fallback, rc.HedgeAfterS) {
-		return false, false
+		return false, false, 0
 	}
-	hctx := w.engine.StepContext("serve.hedge", w.seq)
+	lane := w.engine.StepContext("serve.hedge", w.seq)
+	hctx := lane.Detach(execStart + rc.HedgeAfterS)
 	local, err := w.engine.World.ExecuteCtx(hctx, p.req.Model, w.fallback, p.req.Conditions)
 	if err != nil {
-		return false, false
+		return false, false, 0
 	}
 	w.met.IncHedge()
 	hedgedLat := rc.HedgeAfterS + local.LatencyS
 	if hedgedLat < remote.LatencyS {
 		// Local leg wins: the remote answer is superseded; charge the
 		// remote energy spent up to the hedged completion as waste.
+		localS = local.LatencyS
 		waste := remote.EnergyJ * (hedgedLat / remote.LatencyS)
 		local.LatencyS = hedgedLat
 		local.EnergyJ += waste
 		local.WastedJ += waste
 		d.Measurement = local
 		d.QoSViolated = local.LatencyS > d.QoSTargetS
+		lane.Clock().Set(hctx.Now())
 		w.met.IncHedgeWon()
-		return true, true
+		return true, true, localS
 	}
 	// Remote answered first: the local leg ran (remote - hedge point) long
 	// before cancellation; charge that fraction as waste.
@@ -1085,7 +1083,7 @@ func (g *Gateway) hedge(w *worker, p *pending, d *core.Decision) (hedged, won bo
 	d.Measurement.EnergyJ += waste
 	d.Measurement.WastedJ += waste
 	w.met.IncHedgeLost()
-	return true, false
+	return true, false, 0
 }
 
 // Shutdown stops admission, drains every queue (queued requests still

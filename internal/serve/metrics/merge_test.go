@@ -75,11 +75,14 @@ func seededSnapshot(seed uint64, tag string) Snapshot {
 
 // TestMergeEmptyIdentity checks merging a zero-valued snapshot — from an
 // untouched registry or a plain zero struct — changes nothing, regardless
-// of operand order.
+// of operand order. Folding an untouched registry into a snapshot also
+// allocates nothing: its histograms hold no observations, so they are the
+// identity of the histogram add, buckets or not.
 func TestMergeEmptyIdentity(t *testing.T) {
+	untouched := New()
 	empties := map[string]Snapshot{
 		"zero struct":        {},
-		"untouched registry": New().Snapshot(),
+		"untouched registry": untouched.Snapshot(),
 	}
 	for seed := uint64(1); seed <= 10; seed++ {
 		s := seededSnapshot(seed, "x")
@@ -91,6 +94,13 @@ func TestMergeEmptyIdentity(t *testing.T) {
 			if got := Merge(empty, s); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: Merge(%s, s) != Merge(s)", seed, name)
 			}
+		}
+		acc := Merge(s)
+		if allocs := testing.AllocsPerRun(10, func() { untouched.AddTo(&acc) }); allocs != 0 {
+			t.Fatalf("seed %d: folding an untouched registry allocates %v times", seed, allocs)
+		}
+		if !reflect.DeepEqual(acc, want) {
+			t.Fatalf("seed %d: folding an untouched registry changed the snapshot", seed)
 		}
 	}
 }

@@ -1,28 +1,29 @@
 // Package metrics is the serving gateway's runtime instrumentation: a
-// registry of lock-cheap counters and log-linear histograms (internal/obs)
-// a serving lane updates on the hot path, plus a torn-read-free Snapshot for
-// the admin endpoint, tests, the CLI and operators.
+// registry of counters and log-linear histograms (internal/obs) that a
+// serving lane updates on the hot path, read as a Snapshot by the admin
+// endpoint, the fleet supervisor, tests, the CLI and operators.
+//
+// A registry is a Snapshot behind one mutex. Every mutator locks, updates
+// plain fields and unlocks, so every read is a consistent cut by
+// construction: cross-field invariants (Accounted <= Submitted, Served ==
+// Latency.Count, bucket sums matching counts) hold in every cut, not just at
+// quiescence.
+//
+// One fold rule, Snapshot.add, sums a snapshot into another field by field.
+// Registry.Snapshot is an add into a zero value, Registry.AddTo is an add
+// under the registry's lock, and Merge adds snapshots one after another.
 //
 // A gateway keeps one registry per lane, so two lanes serving at once never
-// write the same cache lines, and one more for the outcomes that never reach
-// a lane (dead-on-arrival expiries, unknown devices). Each request's
-// submission and terminal outcome land in the same registry.
-//
-// Consistency: every mutator holds its registry's snapshot lock in read
-// (shared) mode — one uncontended atomic on the hot path — while the readers
-// (Snapshot, AddSignals) take it exclusively, so each registry is read as
-// one consistent cut: no mutation is in flight while it copies, and
-// cross-field invariants (Accounted <= Submitted, Served == Latency.Count,
-// bucket sums matching counts) hold in every registry's cut, not just at
-// quiescence. A gateway snapshot is the Merge of its registries' cuts,
-// taken one after another; the cuts are not simultaneous, but the
-// invariants are sums of per-registry ones and so hold in the merge too.
+// take the same lock, and one more for the outcomes that never reach a lane
+// (dead-on-arrival expiries, unknown devices). Each request's submission and
+// terminal outcome land in the same registry. A gateway snapshot folds its
+// registries into one accumulator, one after another; the cuts are not
+// simultaneous, but the invariants are sums of per-registry ones and so hold
+// in the fold too.
 package metrics
 
 import (
-	"math"
 	"sync"
-	"sync/atomic"
 
 	"autoscale/internal/obs"
 )
@@ -30,197 +31,167 @@ import (
 // Registry accumulates gateway counters. The zero value is not usable; call
 // New.
 type Registry struct {
-	// snapMu is the snapshot seqlock: mutators hold it shared, Snapshot
-	// holds it exclusively. See the package comment.
-	snapMu sync.RWMutex
-
-	submitted     atomic.Int64
-	served        atomic.Int64
-	shed          atomic.Int64
-	expired       atomic.Int64
-	failed        atomic.Int64
-	qosViolations atomic.Int64
-	outages       atomic.Int64
-
-	offloadRetries   atomic.Int64
-	retriesRecovered atomic.Int64
-	retriesAbandoned atomic.Int64
-	hedges           atomic.Int64
-	hedgesWon        atomic.Int64
-	hedgesLost       atomic.Int64
-	breakerOpens     atomic.Int64
-	breakerHalfOpens atomic.Int64
-	breakerCloses    atomic.Int64
-	workerCrashes    atomic.Int64
-	corruptDrills    atomic.Int64
-
-	degradedSeconds atomicFloat
-	outageWastedJ   atomicFloat
-
-	queueDepth atomic.Int64
-	queueMax   atomic.Int64
-
-	latency *obs.Histogram
-	wait    *obs.Histogram
-	energy  *obs.Histogram
-	vwait   *obs.Histogram
-	// phases maps phase name -> histogram. Built complete at New and never
-	// mutated after, so reads need no lock.
-	phases map[string]*obs.Histogram
-
-	mu        sync.Mutex
-	byTarget  map[string]int64
-	byDevice  map[string]int64
-	byBreaker map[string]string
-	// byTenant maps tenant -> virtual response-time histogram (vwait plus
-	// execution latency), built lazily on first observation per tenant.
-	byTenant map[string]*obs.Histogram
+	mu sync.Mutex
+	s  Snapshot
 }
 
 // New builds a registry whose histograms all use obs.DefaultScheme, one
-// ladder for seconds and joules, so every snapshot merges with every other;
-// it has one phase histogram per canonical request phase.
+// ladder for seconds and joules, so every snapshot adds to every other; it
+// has one phase histogram per canonical request phase.
 func New() *Registry {
-	r := &Registry{
-		latency:   obs.NewHistogram(obs.DefaultScheme()),
-		wait:      obs.NewHistogram(obs.DefaultScheme()),
-		energy:    obs.NewHistogram(obs.DefaultScheme()),
-		vwait:     obs.NewHistogram(obs.DefaultScheme()),
-		phases:    make(map[string]*obs.Histogram),
-		byTarget:  make(map[string]int64),
-		byDevice:  make(map[string]int64),
-		byBreaker: make(map[string]string),
-		byTenant:  make(map[string]*obs.Histogram),
-	}
+	r := &Registry{s: empty()}
 	for _, p := range obs.Phases() {
-		r.phases[p] = obs.NewHistogram(obs.DefaultScheme())
+		r.s.Phases[p] = newHist()
 	}
 	return r
 }
 
-// shared brackets one mutation in the snapshot seqlock's read side.
-func (r *Registry) shared(fn func()) {
-	r.snapMu.RLock()
-	fn()
-	r.snapMu.RUnlock()
+// newHist is an empty histogram on the ladder every registry shares.
+func newHist() obs.HistogramSnapshot {
+	scheme := obs.DefaultScheme()
+	return obs.HistogramSnapshot{Scheme: scheme, Counts: make([]int64, scheme.NumBuckets())}
+}
+
+// empty is where every fold starts: the label maps made and the four fixed
+// histograms laid out, so an idle registry reads like a busy one with no
+// counts.
+func empty() Snapshot {
+	return Snapshot{
+		Latency:   newHist(),
+		Wait:      newHist(),
+		Energy:    newHist(),
+		VWait:     newHist(),
+		Phases:    make(map[string]obs.HistogramSnapshot),
+		ByTarget:  make(map[string]int64),
+		ByDevice:  make(map[string]int64),
+		ByBreaker: make(map[string]string),
+		ByTenant:  make(map[string]obs.HistogramSnapshot),
+	}
+}
+
+// count adds n to one counter of the registry.
+func (r *Registry) count(c *int64, n int64) {
+	r.mu.Lock()
+	*c += n
+	r.mu.Unlock()
+}
+
+// accrue adds v to one float accumulator of the registry.
+func (r *Registry) accrue(f *float64, v float64) {
+	r.mu.Lock()
+	*f += v
+	r.mu.Unlock()
 }
 
 // IncSubmitted counts one request entering admission control.
-func (r *Registry) IncSubmitted() { r.shared(func() { r.submitted.Add(1) }) }
+func (r *Registry) IncSubmitted() { r.count(&r.s.Submitted, 1) }
 
 // IncShed counts one request rejected by admission control (full queue).
-func (r *Registry) IncShed() { r.shared(func() { r.shed.Add(1) }) }
+func (r *Registry) IncShed() { r.count(&r.s.Shed, 1) }
 
 // IncExpired counts one request failed fast on a passed deadline.
-func (r *Registry) IncExpired() { r.shared(func() { r.expired.Add(1) }) }
+func (r *Registry) IncExpired() { r.count(&r.s.Expired, 1) }
 
 // IncFailed counts one request whose execution returned an error.
-func (r *Registry) IncFailed() { r.shared(func() { r.failed.Add(1) }) }
+func (r *Registry) IncFailed() { r.count(&r.s.Failed, 1) }
 
 // IncOutage counts one simulated radio outage absorbed by the sim's local
 // fallback.
-func (r *Registry) IncOutage() { r.shared(func() { r.outages.Add(1) }) }
+func (r *Registry) IncOutage() { r.count(&r.s.Outages, 1) }
 
 // IncOffloadRetry counts one deadline-budgeted re-offload after an outage.
-func (r *Registry) IncOffloadRetry() { r.shared(func() { r.offloadRetries.Add(1) }) }
+func (r *Registry) IncOffloadRetry() { r.count(&r.s.OffloadRetries, 1) }
 
 // IncRetryRecovered counts one offload retry that came back clean.
-func (r *Registry) IncRetryRecovered() { r.shared(func() { r.retriesRecovered.Add(1) }) }
+func (r *Registry) IncRetryRecovered() { r.count(&r.s.RetriesRecovered, 1) }
 
 // IncRetryAbandoned counts one retry skipped because the remaining deadline
 // could not fit the backoff plus the expected execution.
-func (r *Registry) IncRetryAbandoned() { r.shared(func() { r.retriesAbandoned.Add(1) }) }
+func (r *Registry) IncRetryAbandoned() { r.count(&r.s.RetriesAbandoned, 1) }
 
 // IncHedge counts one hedged offload launched against a slow remote.
-func (r *Registry) IncHedge() { r.shared(func() { r.hedges.Add(1) }) }
+func (r *Registry) IncHedge() { r.count(&r.s.Hedges, 1) }
 
 // IncHedgeWon counts one hedge whose local leg beat the remote.
-func (r *Registry) IncHedgeWon() { r.shared(func() { r.hedgesWon.Add(1) }) }
+func (r *Registry) IncHedgeWon() { r.count(&r.s.HedgesWon, 1) }
 
 // IncHedgeLost counts one hedge whose remote leg answered first.
-func (r *Registry) IncHedgeLost() { r.shared(func() { r.hedgesLost.Add(1) }) }
+func (r *Registry) IncHedgeLost() { r.count(&r.s.HedgesLost, 1) }
 
 // IncBreakerOpen counts one circuit breaker tripping closed->open.
-func (r *Registry) IncBreakerOpen() { r.shared(func() { r.breakerOpens.Add(1) }) }
+func (r *Registry) IncBreakerOpen() { r.count(&r.s.BreakerOpens, 1) }
 
 // IncBreakerHalfOpen counts one breaker admitting a recovery probe.
-func (r *Registry) IncBreakerHalfOpen() { r.shared(func() { r.breakerHalfOpens.Add(1) }) }
+func (r *Registry) IncBreakerHalfOpen() { r.count(&r.s.BreakerHalfOpens, 1) }
 
 // IncBreakerClose counts one breaker closing after successful probes.
-func (r *Registry) IncBreakerClose() { r.shared(func() { r.breakerCloses.Add(1) }) }
+func (r *Registry) IncBreakerClose() { r.count(&r.s.BreakerCloses, 1) }
 
 // IncWorkerCrash counts one scripted worker-crash drill.
-func (r *Registry) IncWorkerCrash() { r.shared(func() { r.workerCrashes.Add(1) }) }
+func (r *Registry) IncWorkerCrash() { r.count(&r.s.WorkerCrashes, 1) }
 
 // IncCorruptDrill counts one scripted checkpoint-corruption drill.
-func (r *Registry) IncCorruptDrill() { r.shared(func() { r.corruptDrills.Add(1) }) }
+func (r *Registry) IncCorruptDrill() { r.count(&r.s.CorruptDrills, 1) }
 
 // AddDegradedSeconds accumulates wall time a worker spent with at least one
 // breaker open (serving degraded, remote targets masked).
-func (r *Registry) AddDegradedSeconds(s float64) { r.shared(func() { r.degradedSeconds.Add(s) }) }
+func (r *Registry) AddDegradedSeconds(s float64) { r.accrue(&r.s.DegradedSeconds, s) }
 
 // AddOutageWastedJ accumulates energy burned on failed offload attempts.
-func (r *Registry) AddOutageWastedJ(j float64) { r.shared(func() { r.outageWastedJ.Add(j) }) }
+func (r *Registry) AddOutageWastedJ(j float64) { r.accrue(&r.s.OutageWastedJ, j) }
 
 // SetBreakerState records a breaker's current state under its label
 // (e.g. "phone-0/cloud" -> "open").
 func (r *Registry) SetBreakerState(label, state string) {
-	r.shared(func() {
-		r.mu.Lock()
-		r.byBreaker[label] = state
-		r.mu.Unlock()
-	})
+	r.mu.Lock()
+	r.s.ByBreaker[label] = state
+	r.mu.Unlock()
 }
 
 // QueueEnter bumps the queue-depth gauge and its high watermark.
 func (r *Registry) QueueEnter() {
-	r.shared(func() {
-		d := r.queueDepth.Add(1)
-		for {
-			max := r.queueMax.Load()
-			if d <= max || r.queueMax.CompareAndSwap(max, d) {
-				return
-			}
-		}
-	})
+	r.mu.Lock()
+	r.s.QueueDepth++
+	r.s.QueueMaxDepth = max(r.s.QueueMaxDepth, r.s.QueueDepth)
+	r.mu.Unlock()
 }
 
 // QueueExit drops the queue-depth gauge.
-func (r *Registry) QueueExit() { r.shared(func() { r.queueDepth.Add(-1) }) }
-
-// QueueDepth returns the current queue depth.
-func (r *Registry) QueueDepth() int64 { return r.queueDepth.Load() }
+func (r *Registry) QueueExit() { r.count(&r.s.QueueDepth, -1) }
 
 // ObservePhase records one phase duration (seconds) into that phase's
 // histogram. Unknown phases are dropped — the phase set is the obs package's
 // canonical list, fixed at New.
 func (r *Registry) ObservePhase(phase string, s float64) {
-	h, ok := r.phases[phase]
-	if !ok {
-		return
-	}
-	r.shared(func() { h.Observe(s) })
+	r.mu.Lock()
+	observe(r.s.Phases, phase, s)
+	r.mu.Unlock()
 }
 
 // ObserveAdmission batches the per-request admission observations — queue
 // wait into both the wait and queue-phase histograms, plus the virtual wait
-// when the request carried an arrival stamp — under one shared bracket of
-// the snapshot seqlock.
+// when the request carried an arrival stamp — under one lock.
 func (r *Registry) ObserveAdmission(waitS, vwaitS float64, hasVWait bool) {
-	r.shared(func() {
-		r.wait.Observe(waitS)
-		if h, ok := r.phases[obs.PhaseQueue]; ok {
-			h.Observe(waitS)
-		}
-		if hasVWait {
-			r.vwait.Observe(vwaitS)
-		}
-	})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.s.Wait.Observe(waitS)
+	observe(r.s.Phases, obs.PhaseQueue, waitS)
+	if hasVWait {
+		r.s.VWait.Observe(vwaitS)
+	}
+}
+
+// observe records v into m's histogram under key, if m has one.
+func observe(m map[string]obs.HistogramSnapshot, key string, v float64) {
+	if h, ok := m[key]; ok {
+		h.Observe(v)
+		m[key] = h
+	}
 }
 
 // ServedSample batches every observation the gateway records when a request
-// completes service, so the hot path crosses the snapshot seqlock once at
-// the tail instead of once per metric.
+// completes service, so the hot path takes the registry lock once at the
+// tail instead of once per metric.
 type ServedSample struct {
 	QoSViolated bool
 	LatencyS    float64
@@ -237,42 +208,34 @@ type ServedSample struct {
 	Phases obs.PhaseTotals
 }
 
-// ObserveServed records one served request as a single batched mutation:
-// the served and QoS-violation counters, the latency, energy, tenant and
-// phase histograms, and the per-target and per-device counts, in one
-// consistent cut relative to Snapshot.
+// ObserveServed records one served request as a single locked update: the
+// served and QoS-violation counters, the latency, energy, tenant and phase
+// histograms, and the per-target and per-device counts.
 func (r *Registry) ObserveServed(s ServedSample) {
-	r.shared(func() {
-		r.served.Add(1)
-		if s.QoSViolated {
-			r.qosViolations.Add(1)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.s.Served++
+	if s.QoSViolated {
+		r.s.QoSViolations++
+	}
+	r.s.Latency.Observe(s.LatencyS)
+	r.s.Energy.Observe(s.EnergyJ)
+	if s.Tenant != "" {
+		h, ok := r.s.ByTenant[s.Tenant]
+		if !ok {
+			h = newHist()
 		}
-		r.latency.Observe(s.LatencyS)
-		r.energy.Observe(s.EnergyJ)
-		if s.Tenant != "" {
-			r.mu.Lock()
-			h, ok := r.byTenant[s.Tenant]
-			if !ok {
-				h = obs.NewHistogram(obs.DefaultScheme())
-				r.byTenant[s.Tenant] = h
-			}
-			r.mu.Unlock()
-			h.Observe(s.TenantRespS)
-		}
-		r.mu.Lock()
-		r.byTarget[s.Target]++
-		r.byDevice[s.Device]++
-		r.mu.Unlock()
-		s.Phases.ForEach(func(phase string, durS float64) {
-			if h, ok := r.phases[phase]; ok {
-				h.Observe(durS)
-			}
-		})
-	})
+		h.Observe(s.TenantRespS)
+		r.s.ByTenant[s.Tenant] = h
+	}
+	r.s.ByTarget[s.Target]++
+	r.s.ByDevice[s.Device]++
+	s.Phases.ForEach(func(phase string, durS float64) { observe(r.s.Phases, phase, durS) })
 }
 
-// Snapshot is a point-in-time copy of a registry, taken as one consistent
-// cut, or a Merge of several registries' cuts (see the package comment).
+// Snapshot is a registry's state: a registry holds one behind its lock, and
+// a read is a copy of it taken as one consistent cut, or a fold of several
+// registries' cuts (see the package comment).
 type Snapshot struct {
 	Submitted     int64
 	Served        int64
@@ -335,212 +298,110 @@ type Snapshot struct {
 // Accounted returns the number of requests with a terminal outcome.
 func (s Snapshot) Accounted() int64 { return s.Served + s.Shed + s.Expired + s.Failed }
 
-// Snapshot copies the registry as one consistent cut: it excludes every
-// mutator for the duration of the copy.
+// Snapshot copies the registry as one consistent cut.
 func (r *Registry) Snapshot() Snapshot {
-	r.snapMu.Lock()
-	defer r.snapMu.Unlock()
-	s := Snapshot{
-		Submitted:     r.submitted.Load(),
-		Served:        r.served.Load(),
-		Shed:          r.shed.Load(),
-		Expired:       r.expired.Load(),
-		Failed:        r.failed.Load(),
-		QoSViolations: r.qosViolations.Load(),
-		Outages:       r.outages.Load(),
-
-		OffloadRetries:   r.offloadRetries.Load(),
-		RetriesRecovered: r.retriesRecovered.Load(),
-		RetriesAbandoned: r.retriesAbandoned.Load(),
-		Hedges:           r.hedges.Load(),
-		HedgesWon:        r.hedgesWon.Load(),
-		HedgesLost:       r.hedgesLost.Load(),
-		BreakerOpens:     r.breakerOpens.Load(),
-		BreakerHalfOpens: r.breakerHalfOpens.Load(),
-		BreakerCloses:    r.breakerCloses.Load(),
-		WorkerCrashes:    r.workerCrashes.Load(),
-		CorruptDrills:    r.corruptDrills.Load(),
-		DegradedSeconds:  r.degradedSeconds.Load(),
-		OutageWastedJ:    r.outageWastedJ.Load(),
-
-		QueueDepth:    r.queueDepth.Load(),
-		QueueMaxDepth: r.queueMax.Load(),
-
-		Latency:   r.latency.Snapshot(),
-		Wait:      r.wait.Snapshot(),
-		Energy:    r.energy.Snapshot(),
-		VWait:     r.vwait.Snapshot(),
-		Phases:    make(map[string]obs.HistogramSnapshot),
-		ByTarget:  make(map[string]int64),
-		ByDevice:  make(map[string]int64),
-		ByBreaker: make(map[string]string),
-		ByTenant:  make(map[string]obs.HistogramSnapshot),
-	}
-	for p, h := range r.phases {
-		if hs := h.Snapshot(); hs.Count > 0 {
-			s.Phases[p] = hs
-		}
-	}
-	// No mutator is in flight (they all hold snapMu shared), so locking mu
-	// here is belt-and-braces for the map copies.
-	r.mu.Lock()
-	for k, v := range r.byTarget {
-		s.ByTarget[k] = v
-	}
-	for k, v := range r.byDevice {
-		s.ByDevice[k] = v
-	}
-	for k, v := range r.byBreaker {
-		s.ByBreaker[k] = v
-	}
-	for t, h := range r.byTenant {
-		s.ByTenant[t] = h.Snapshot()
-	}
-	r.mu.Unlock()
+	var s Snapshot
+	r.AddTo(&s)
 	return s
 }
 
-// Signals is the part of a snapshot the fleet supervisor scores a shard on:
-// the served-latency histogram, breaker trips, worker-crash drills and the
-// queue gauge.
-type Signals struct {
-	Latency       obs.HistogramSnapshot
-	BreakerOpens  int64
-	WorkerCrashes int64
-	QueueDepth    int64
-}
-
-// AddSignals folds the registry's supervisor signals into s, from one
-// consistent cut, copying nothing else.
-func (r *Registry) AddSignals(s *Signals) {
-	r.snapMu.Lock()
-	lat := r.latency.Snapshot()
-	opens, crashes, depth := r.breakerOpens.Load(), r.workerCrashes.Load(), r.queueDepth.Load()
-	r.snapMu.Unlock()
-	s.Latency = mergeHist(s.Latency, lat)
-	s.BreakerOpens += opens
-	s.WorkerCrashes += crashes
-	s.QueueDepth += depth
+// AddTo folds the registry into s as one consistent cut: it holds the
+// registry's lock for the add. s is the zero Snapshot or the result of
+// earlier folds.
+func (r *Registry) AddTo(s *Snapshot) {
+	r.mu.Lock()
+	s.add(&r.s)
+	r.mu.Unlock()
 }
 
 // Merge folds any number of snapshots into one fleet-wide view — the
-// routing tier's merged registry across gateway shards. Counters and gauges
-// sum; histograms merge bucket-wise (every registry shares the Scheme
-// ladder, so merging cannot fail across gateways; a foreign-scheme snapshot
-// keeps the accumulated histogram). Merging a zero-valued or empty snapshot
-// is an identity operation in any operand position, and same-scheme merges
-// are commutative. QueueMaxDepth sums the per-shard watermarks, which
-// upper-bounds the (unknowable) aggregate watermark. Label maps union with
-// summed counts; breaker labels are device-scoped and devices are unique
-// across shards, so states never collide.
+// routing tier's merged registry across gateway shards — by adding them, in
+// order, into a zero Snapshot.
 func Merge(snaps ...Snapshot) Snapshot {
-	out := Snapshot{
-		Phases:    make(map[string]obs.HistogramSnapshot),
-		ByTarget:  make(map[string]int64),
-		ByDevice:  make(map[string]int64),
-		ByBreaker: make(map[string]string),
-		ByTenant:  make(map[string]obs.HistogramSnapshot),
-	}
-	for _, s := range snaps {
-		out.Submitted += s.Submitted
-		out.Served += s.Served
-		out.Shed += s.Shed
-		out.Expired += s.Expired
-		out.Failed += s.Failed
-		out.QoSViolations += s.QoSViolations
-		out.Outages += s.Outages
-		out.OffloadRetries += s.OffloadRetries
-		out.RetriesRecovered += s.RetriesRecovered
-		out.RetriesAbandoned += s.RetriesAbandoned
-		out.Hedges += s.Hedges
-		out.HedgesWon += s.HedgesWon
-		out.HedgesLost += s.HedgesLost
-		out.BreakerOpens += s.BreakerOpens
-		out.BreakerHalfOpens += s.BreakerHalfOpens
-		out.BreakerCloses += s.BreakerCloses
-		out.WorkerCrashes += s.WorkerCrashes
-		out.CorruptDrills += s.CorruptDrills
-		out.DegradedSeconds += s.DegradedSeconds
-		out.OutageWastedJ += s.OutageWastedJ
-		out.QueueDepth += s.QueueDepth
-		out.QueueMaxDepth += s.QueueMaxDepth
-		out.SyncPasses += s.SyncPasses
-		out.SyncFailures += s.SyncFailures
-		// Consecutive failures merge by max: the sickest sync plane in the
-		// fleet decides the alarm, and its error message rides along. Ties
-		// take the lexicographically smallest non-empty error, so the
-		// failure count and the message always come from the same shard
-		// and the merge is order-independent.
-		switch {
-		case s.SyncConsecutiveFailures > out.SyncConsecutiveFailures:
-			out.SyncConsecutiveFailures = s.SyncConsecutiveFailures
-			out.SyncLastError = s.SyncLastError
-		case s.SyncConsecutiveFailures == out.SyncConsecutiveFailures && s.SyncLastError != "" &&
-			(out.SyncLastError == "" || s.SyncLastError < out.SyncLastError):
-			out.SyncLastError = s.SyncLastError
-		}
-		out.Latency = mergeHist(out.Latency, s.Latency)
-		out.Wait = mergeHist(out.Wait, s.Wait)
-		out.Energy = mergeHist(out.Energy, s.Energy)
-		out.VWait = mergeHist(out.VWait, s.VWait)
-		for p, h := range s.Phases {
-			if have, ok := out.Phases[p]; ok {
-				out.Phases[p] = mergeHist(have, h)
-			} else {
-				out.Phases[p] = h
-			}
-		}
-		for k, v := range s.ByTarget {
-			out.ByTarget[k] += v
-		}
-		for k, v := range s.ByDevice {
-			out.ByDevice[k] += v
-		}
-		for k, v := range s.ByBreaker {
-			out.ByBreaker[k] = v
-		}
-		for t, h := range s.ByTenant {
-			if have, ok := out.ByTenant[t]; ok {
-				out.ByTenant[t] = mergeHist(have, h)
-			} else {
-				out.ByTenant[t] = h
-			}
-		}
+	var out Snapshot
+	for i := range snaps {
+		out.add(&snaps[i])
 	}
 	return out
 }
 
-// mergeHist merges two histogram snapshots. An empty operand — a zero-valued
-// snapshot (no scheme, no buckets) or one with no observations — is the
-// merge identity on either side, so Merge(zero, s) == Merge(s, zero) == s;
-// before this rule a zero first operand's empty scheme poisoned every later
-// merge. On a genuine scheme mismatch the accumulated side wins (cannot
-// happen between registries built by New, which share one ladder).
-func mergeHist(a, b obs.HistogramSnapshot) obs.HistogramSnapshot {
-	if b.Count == 0 && len(b.Counts) == 0 {
-		return a
+// add folds o into s, field by field; it is the one rule behind every read
+// of a registry. A zero s starts from empty(). Counters and gauges sum;
+// histograms add bucket-wise (obs.HistogramSnapshot.Add), so an empty one
+// is the identity and allocates nothing, and a histogram-keyed entry appears
+// only once it holds an observation. Adding a zero-valued or untouched
+// snapshot therefore changes nothing in any operand position, and adds are
+// commutative. QueueMaxDepth sums the watermarks, which upper-bounds the
+// (unknowable) watermark of the summed depth. Label maps union with summed
+// counts; breaker labels are device-scoped and devices are unique across
+// shards, so states never collide.
+func (s *Snapshot) add(o *Snapshot) {
+	if s.Phases == nil {
+		*s = empty()
 	}
-	if a.Count == 0 && len(a.Counts) == 0 {
-		return b
+	s.Submitted += o.Submitted
+	s.Served += o.Served
+	s.Shed += o.Shed
+	s.Expired += o.Expired
+	s.Failed += o.Failed
+	s.QoSViolations += o.QoSViolations
+	s.Outages += o.Outages
+	s.OffloadRetries += o.OffloadRetries
+	s.RetriesRecovered += o.RetriesRecovered
+	s.RetriesAbandoned += o.RetriesAbandoned
+	s.Hedges += o.Hedges
+	s.HedgesWon += o.HedgesWon
+	s.HedgesLost += o.HedgesLost
+	s.BreakerOpens += o.BreakerOpens
+	s.BreakerHalfOpens += o.BreakerHalfOpens
+	s.BreakerCloses += o.BreakerCloses
+	s.WorkerCrashes += o.WorkerCrashes
+	s.CorruptDrills += o.CorruptDrills
+	s.DegradedSeconds += o.DegradedSeconds
+	s.OutageWastedJ += o.OutageWastedJ
+	s.QueueDepth += o.QueueDepth
+	s.QueueMaxDepth += o.QueueMaxDepth
+	s.SyncPasses += o.SyncPasses
+	s.SyncFailures += o.SyncFailures
+	// Consecutive failures fold by max: the sickest sync plane in the fleet
+	// decides the alarm, and its error message rides along. Ties take the
+	// lexicographically smallest non-empty error, so the failure count and
+	// the message always come from the same shard and the fold is
+	// order-independent.
+	switch {
+	case o.SyncConsecutiveFailures > s.SyncConsecutiveFailures:
+		s.SyncConsecutiveFailures = o.SyncConsecutiveFailures
+		s.SyncLastError = o.SyncLastError
+	case o.SyncConsecutiveFailures == s.SyncConsecutiveFailures && o.SyncLastError != "" &&
+		(s.SyncLastError == "" || o.SyncLastError < s.SyncLastError):
+		s.SyncLastError = o.SyncLastError
 	}
-	m, err := a.Merge(b)
-	if err != nil {
-		return a
+	s.Latency.Add(o.Latency)
+	s.Wait.Add(o.Wait)
+	s.Energy.Add(o.Energy)
+	s.VWait.Add(o.VWait)
+	addHists(s.Phases, o.Phases)
+	for k, v := range o.ByTarget {
+		s.ByTarget[k] += v
 	}
-	return m
+	for k, v := range o.ByDevice {
+		s.ByDevice[k] += v
+	}
+	for k, v := range o.ByBreaker {
+		s.ByBreaker[k] = v
+	}
+	addHists(s.ByTenant, o.ByTenant)
 }
 
-// atomicFloat is a float64 accumulated with compare-and-swap.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) Add(v float64) {
-	for {
-		old := f.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if f.bits.CompareAndSwap(old, next) {
-			return
+// addHists adds each histogram of src with an observation into dst's entry
+// under the same key.
+func addHists(dst, src map[string]obs.HistogramSnapshot) {
+	for k, h := range src {
+		if h.Count == 0 {
+			continue
 		}
+		acc := dst[k]
+		acc.Add(h)
+		dst[k] = acc
 	}
 }
-
-func (f *atomicFloat) Load() float64 { return math.Float64frombits(f.bits.Load()) }

@@ -42,9 +42,6 @@ func TestQueueGauge(t *testing.T) {
 	r.QueueEnter()
 	r.QueueEnter()
 	r.QueueExit()
-	if d := r.QueueDepth(); d != 2 {
-		t.Fatalf("depth = %d", d)
-	}
 	s := r.Snapshot()
 	if s.QueueDepth != 2 || s.QueueMaxDepth != 3 {
 		t.Fatalf("gauge: depth %d max %d", s.QueueDepth, s.QueueMaxDepth)
@@ -70,9 +67,9 @@ func TestRegistryHistograms(t *testing.T) {
 	if s.Latency.Scheme != obs.DefaultScheme() {
 		t.Fatalf("latency scheme = %+v", s.Latency.Scheme)
 	}
-	// All registry histograms share one scheme so they can merge.
-	if _, err := s.Latency.Merge(s.Wait); err != nil {
-		t.Fatalf("merge across axes: %v", err)
+	// All registry histograms share one scheme so they can add.
+	if s.Wait.Scheme != s.Latency.Scheme || s.Energy.Scheme != s.Latency.Scheme || s.VWait.Scheme != s.Latency.Scheme {
+		t.Fatalf("schemes differ across axes: %+v %+v %+v", s.Wait.Scheme, s.Energy.Scheme, s.VWait.Scheme)
 	}
 	// Quantiles are within one sub-bucket of the observation and capped at
 	// the observed max.
@@ -110,8 +107,8 @@ func TestObservePhase(t *testing.T) {
 
 // TestSnapshotIsConsistentCut pins the torn-read fix: ObserveServed bumps
 // the served counter, the latency/energy/phase histograms and the target
-// and device counts inside one shared-lock section, so every snapshot sees
-// them agree — never a counter ahead of its histograms.
+// and device counts under one lock, so every snapshot sees them agree —
+// never a counter ahead of its histograms.
 func TestSnapshotIsConsistentCut(t *testing.T) {
 	r := New()
 	var phases obs.PhaseTotals

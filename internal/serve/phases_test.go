@@ -312,13 +312,12 @@ type failingSink struct{ err error }
 
 func (s *failingSink) Write(p []byte) (int, error) { return 0, s.err }
 
-// TestLaneClockMatchesCharge pins lane-clock conservation for non-hedged
-// serving. Fault windows, gray factors and breakers all key on the lane's
-// virtual clock, so every served request must advance it by exactly the
-// latency it is charged: through outages, offload retries, breaker
-// degradation and gray stretching alike. Hedging stays off here: its local
-// leg still advances the lane clock by time the request is not charged, and
-// the hedge is added to this test once that leg runs off the lane's clock.
+// TestLaneClockMatchesCharge pins lane-clock conservation. Fault windows,
+// gray factors and breakers all key on the lane's virtual clock, so every
+// served request must advance it by exactly the latency it is charged:
+// through outages, offload retries, breaker degradation, gray stretching
+// and hedges alike, won or lost. A hedge's local leg runs on a clock of its
+// own, and the lane ends at the winner's finish.
 func TestLaneClockMatchesCharge(t *testing.T) {
 	const seed, n = 3, 2000
 	cfg := core.DefaultConfig()
@@ -332,15 +331,17 @@ func TestLaneClockMatchesCharge(t *testing.T) {
 		{Kind: fault.KindRSSIRamp, Link: fault.LinkWLAN, StartS: 14, EndS: 22, DeltaDBm: -20},
 		{Kind: fault.KindGrayDegrade, Device: "Mi8Pro", StartS: 22, EndS: 28, Factor: 1.5},
 	}}, exec.NewRoot(seed).Child("faults"))
+	var buf bytes.Buffer
 	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
+		Trace:      trace.NewWriter(&buf),
 		Faults:     inj,
-		Resilience: ResilienceConfig{Enabled: true, MaxRetries: 2},
+		Resilience: ResilienceConfig{Enabled: true, MaxRetries: 2, Hedge: true},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := dnn.MustByName("MobileNet v3")
-	outages, retried, degraded, gray := 0, 0, 0, 0
+	outages, retried, degraded, gray, won, lost := 0, 0, 0, 0, 0, 0
 	for i := 0; i < n; i++ {
 		before := e.Now()
 		resp, err := g.Do(Request{Model: m, Conditions: conds()})
@@ -364,14 +365,41 @@ func TestLaneClockMatchesCharge(t *testing.T) {
 		if inj.GrayFactor("Mi8Pro", before) > 1 {
 			gray++
 		}
+		switch {
+		case resp.HedgeWon:
+			won++
+		case resp.Hedged:
+			lost++
+		}
 	}
 	if err := g.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d requests: %d outages, %d retried, %d degraded, %d gray-stretched, lane clock %.3f s",
-		n, outages, retried, degraded, gray, e.Now())
-	if outages == 0 || retried == 0 || degraded == 0 || gray == 0 {
-		t.Fatalf("vacuous: %d outages, %d retried, %d degraded, %d gray-stretched requests",
-			outages, retried, degraded, gray)
+	t.Logf("%d requests: %d outages, %d retried, %d degraded, %d gray-stretched, %d/%d hedges won/lost, lane clock %.3f s",
+		n, outages, retried, degraded, gray, won, lost, e.Now())
+	if outages == 0 || retried == 0 || degraded == 0 || gray == 0 || won == 0 || lost == 0 {
+		t.Fatalf("vacuous: %d outages, %d retried, %d degraded, %d gray-stretched requests, %d/%d hedges won/lost",
+			outages, retried, degraded, gray, won, lost)
+	}
+
+	// The record's phases are the critical path, so they add up to the
+	// charged latency too: a won hedge is the remote leg up to the hedge
+	// point plus the local leg, a lost one the remote leg alone.
+	recs, err := trace.ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hedgeLegs := 0
+	for i, rec := range recs {
+		p := rec.Phases
+		if p[obs.PhaseHedge] > 0 {
+			hedgeLegs++
+		}
+		if sum := p[obs.PhaseExecute] + p[obs.PhaseRetry] + p[obs.PhaseHedge]; math.Abs(sum-rec.LatencyS) > 1e-9 {
+			t.Fatalf("record %d: phases sum to %.12f but latency is %.12f (phases %v)", i, sum, rec.LatencyS, p)
+		}
+	}
+	if len(recs) != n || hedgeLegs != won {
+		t.Fatalf("%d records with %d hedge legs, want %d with %d", len(recs), hedgeLegs, n, won)
 	}
 }

@@ -692,7 +692,7 @@ func TestHedgeOutcomes(t *testing.T) {
 		d := core.Decision{Target: cloud,
 			Measurement: sim.Measurement{Target: cloud, LatencyS: 10, EnergyJ: 1}, QoSTargetS: 0.05}
 		p := &pending{req: Request{Model: m, Conditions: conds()}, resp: make(chan Response, 1)}
-		hedged, won := g.hedge(w, p, &d)
+		hedged, won, _ := g.hedge(w, p, &d, e.Now())
 		if !hedged || !won {
 			t.Fatalf("hedged=%v won=%v, want the local leg to beat a 10 s remote", hedged, won)
 		}
@@ -715,7 +715,7 @@ func TestHedgeOutcomes(t *testing.T) {
 			Measurement: sim.Measurement{Target: cloud, LatencyS: 0.0011, EnergyJ: 0.01}, QoSTargetS: 0.05}
 		before := d.Measurement.EnergyJ
 		p := &pending{req: Request{Model: m, Conditions: conds()}, resp: make(chan Response, 1)}
-		hedged, won := g.hedge(w, p, &d)
+		hedged, won, _ := g.hedge(w, p, &d, e.Now())
 		if !hedged || won {
 			t.Fatalf("hedged=%v won=%v, want a lost hedge against a 1.1 ms remote", hedged, won)
 		}
