@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"context"
 	"testing"
-
-	"autoscale/internal/fault"
 )
 
 func TestNewWorldDevices(t *testing.T) {
@@ -278,40 +276,4 @@ func TestProvisionGatewayAPI(t *testing.T) {
 	if _, err := fleet.ProvisionGateway([]string{"iPhone"}, cfg, GatewayConfig{}, 1); err == nil {
 		t.Error("unknown device should fail")
 	}
-}
-
-// TestProvisionRouterSharesRecorder: the shards of a provisioned router note
-// their breaker transitions in the router's flight recorder, as
-// RouterConfig.Recorder promises, so `autoscale-serve -shards 2 -resilient
-// -flight-recorder DIR` captures them.
-func TestProvisionRouterSharesRecorder(t *testing.T) {
-	cfg := DefaultEngineConfig()
-	cfg.RL.Epsilon = 0.5 // keep offloads, and so breaker trips, flowing
-	storm := CompileFaultSchedule(&FaultSchedule{Name: "down", Faults: []fault.Spec{
-		{Kind: fault.KindOutage, Site: fault.SiteCloud, StartS: 0, EndS: 1e9},
-		{Kind: fault.KindOutage, Site: fault.SiteConnected, StartS: 0, EndS: 1e9},
-	}}, 1)
-	gcfg := GatewayConfig{Faults: storm, Resilience: ResilienceConfig{Enabled: true, FailureThreshold: 1}}
-	rec := NewFlightRecorder(NewTracer(TracerConfig{}), "", 0, 0)
-	fleet := &Fleet{}
-	rt, err := fleet.ProvisionRouter([]string{Mi8Pro, GalaxyS10e}, 2, cfg, gcfg, RouterConfig{Recorder: rec}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown(context.Background()) //nolint:errcheck
-	m, _ := Model("MobileNet v3")
-	for i := 0; i < 400; i++ {
-		if _, err := rt.Do(Request{Model: m, Conditions: Conditions{RSSIWLAN: -55, RSSIP2P: -55}}); err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-	if rt.Snapshot().BreakerOpens == 0 {
-		t.Fatal("the outage tripped no breaker; the test is vacuous")
-	}
-	for _, ev := range rec.Events() {
-		if ev.Kind == "breaker" {
-			return
-		}
-	}
-	t.Fatalf("no breaker event among %d recorded events", len(rec.Events()))
 }

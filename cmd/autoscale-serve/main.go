@@ -54,7 +54,7 @@ func main() {
 		faults    = flag.String("faults", "", "JSON fault schedule to inject (see examples/faults/)")
 		chaos     = flag.Bool("chaos", false, "seeded chaos storm over the routing tier: generated faults, self-healing supervisor, invariant audit")
 		chaosInt  = flag.Float64("chaos-intensity", 0.7, "chaos storm intensity in (0,1]: scales fault density, severity and window width")
-		resilient = flag.Bool("resilient", false, "enable circuit breakers and deadline-budgeted offload retries")
+		resilient = flag.Bool("resilient", false, "enable deadline-budgeted offload retries")
 		hedge     = flag.Bool("hedge", false, "hedge slow offloads with a local run (needs -resilient)")
 		admin     = flag.String("admin", "", "serve the observability endpoint on this address (e.g. :9090)")
 		linger    = flag.Duration("linger", 0, "keep the admin endpoint up this long after the load finishes")
@@ -221,7 +221,7 @@ func run(c config, out *os.File) error {
 		return fmt.Errorf("-sync needs -snapshots (the checkpoint store)")
 	}
 	if c.hedge && !c.resilient {
-		return fmt.Errorf("-hedge needs -resilient (the retry/breaker path)")
+		return fmt.Errorf("-hedge needs -resilient (the retry path)")
 	}
 	if c.resilient {
 		gcfg.Resilience = autoscale.ResilienceConfig{Enabled: true, Hedge: c.hedge}
@@ -350,7 +350,6 @@ func run(c config, out *os.File) error {
 		srv = rt
 	} else {
 		gcfg.Tracer = tracer
-		gcfg.Recorder = recorder
 		if srv, err = fleet.ProvisionGateway(c.devices, ecfg, gcfg, c.seed); err != nil {
 			return err
 		}
@@ -439,7 +438,7 @@ func run(c config, out *os.File) error {
 	if gcfg.Faults != nil {
 		resil := "resilience off"
 		if c.resilient {
-			resil = "breakers+retries on"
+			resil = "retries on"
 			if c.hedge {
 				resil += ", hedging"
 			}
@@ -749,19 +748,8 @@ func printSnapshot(out *os.File, s autoscale.GatewayMetrics, wall time.Duration)
 		fmt.Fprintf(out, "%-14s %8d   (%d won, %d lost)\n",
 			"hedges", s.Hedges, s.HedgesWon, s.HedgesLost)
 	}
-	if s.BreakerOpens > 0 {
-		fmt.Fprintf(out, "%-14s %8d   (%d half-open, %d closed, %.1fs degraded)\n",
-			"breaker trips", s.BreakerOpens, s.BreakerHalfOpens, s.BreakerCloses, s.DegradedSeconds)
-	}
 	if s.WorkerCrashes > 0 || s.CorruptDrills > 0 {
 		fmt.Fprintf(out, "%-14s %8d   (%d corrupt drills)\n", "crashes", s.WorkerCrashes, s.CorruptDrills)
-	}
-	if len(s.ByBreaker) > 0 {
-		fmt.Fprintf(out, "breakers:")
-		for _, label := range slices.Sorted(maps.Keys(s.ByBreaker)) {
-			fmt.Fprintf(out, "  %s=%s", label, s.ByBreaker[label])
-		}
-		fmt.Fprintln(out)
 	}
 	if s.Served > 0 {
 		fmt.Fprintf(out, "\nlatency  mean %6.1f ms   p50 %s   p99 %s\n",

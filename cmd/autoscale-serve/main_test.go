@@ -465,7 +465,7 @@ func TestEveryFlagIsObservable(t *testing.T) {
 		{flag: "chaos-intensity", base: func(c *config) { c.chaos, c.shards, c.replicas = true, 2, 2 },
 			set: func(c *config) { c.chaosIntensity = 0.5 }, want: shows("intensity 0.50")},
 		{flag: "resilient", base: func(c *config) { c.faults = "../../examples/faults/storm.json" },
-			set: func(c *config) { c.resilient = true }, want: shows("(breakers+retries on)")},
+			set: func(c *config) { c.resilient = true }, want: shows("(retries on)")},
 		{flag: "hedge", set: func(c *config) { c.hedge = true }, want: fails("-hedge needs -resilient")},
 		{flag: "admin", test: "TestRunAdminEndpoint"},
 		{flag: "linger", test: "TestRunAdminEndpoint"},

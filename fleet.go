@@ -151,9 +151,8 @@ func (f *Fleet) ProvisionGateway(devices []string, cfg EngineConfig, gcfg Gatewa
 // fault injector and policy-sync settings when rcfg leaves them unset, so
 // the cross-shard learning plane and shard-crash drills ride the same
 // plumbing the gateways already use; every shard, booted or revived, takes
-// rcfg's checkpoint store, fault injector and flight recorder wherever gcfg
-// leaves them unset, so its breakers note their transitions in the router's
-// recorder.
+// rcfg's checkpoint store and fault injector wherever gcfg leaves them
+// unset.
 //
 // Each devices entry is either a hardware name ("Mi8Pro") or a
 // "lane=hardware" spec ("Mi8Pro-1=Mi8Pro"), so one physical device model can
@@ -235,9 +234,6 @@ func (f *Fleet) ProvisionRouter(devices []string, shards int, cfg EngineConfig, 
 		}
 		if shardCfg.Faults == nil {
 			shardCfg.Faults = rcfg.Faults
-		}
-		if shardCfg.Recorder == nil {
-			shardCfg.Recorder = rcfg.Recorder
 		}
 		return serve.New(backends, shardCfg)
 	}

@@ -117,11 +117,12 @@ func (a *ActionSpace) Mask(m *dnn.Model) []bool {
 }
 
 // MaskWithBuf returns the feasibility mask of model m intersected with an
-// additional allow predicate over targets — the hook circuit breakers use
-// to mask unhealthy remote sites out of the action space. The per-model
-// cache is never mutated: the filtered mask is written into a caller-owned
-// scratch buffer (grown through *buf as needed), so steady-state filtered
-// masks allocate nothing. The returned slice aliases *buf when allow is
+// additional allow predicate over targets. Nothing in the module passes a
+// non-nil allow any more; the method is kept, with its signature, because
+// the benchmark ladder's core.mask_ns rung calls it (bench/ladder.go:235).
+// The per-model cache is never mutated: the filtered mask is written into a
+// caller-owned scratch buffer (grown through *buf as needed), so
+// steady-state filtered masks allocate nothing. The returned slice aliases *buf when allow is
 // non-nil and must be consumed before the next call with the same buffer.
 // If the intersection would disable every action, the unfiltered mask is
 // returned instead: degrading to a full action space beats bricking

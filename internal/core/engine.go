@@ -133,11 +133,6 @@ type Engine struct {
 	// path.
 	pending    rl.Staged
 	hasPending bool
-	// maskBuf is the step's scratch feasibility mask: the filtered mask is
-	// consumed within the step (selection + the deferred update completed
-	// at the next step's head both use the mask computed then), so one
-	// buffer per engine, guarded by mu, makes MaskWithBuf allocation-free.
-	maskBuf []bool
 	// root and steps derive a per-step execution context for steps called
 	// with a nil ctx; stepCtx is the reused scratch those steps are keyed
 	// into (guarded by mu, never retained past the step).
@@ -264,7 +259,7 @@ func (e *Engine) Predict(m *dnn.Model, c sim.Conditions) (sim.Target, error) {
 // than the engine's call history. A nil ctx makes them a pure function of
 // the engine seed and the step index.
 func (e *Engine) RunInferenceCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditions) (Decision, error) {
-	return e.Step(ctx, m, c, nil, nil)
+	return e.Step(ctx, m, c, nil)
 }
 
 // Step performs one full engine step: observe the state (completing the
@@ -272,19 +267,17 @@ func (e *Engine) RunInferenceCtx(ctx *exec.Context, m *dnn.Model, c sim.Conditio
 // action epsilon-greedily, execute the inference on the simulated world,
 // estimate Renergy, compute the reward and stage the update.
 //
-// The three optional arguments may each be nil. A nil ctx derives a per-step
-// execution context from the engine's root and step counter. allow is a
-// predicate over targets: actions it rejects are masked out of selection for
-// this step only (falling back to the unfiltered mask if it would reject
-// everything) — how circuit breakers steer requests away from unhealthy
-// remote sites. prov receives the step's decision provenance: the agent's
-// selection fields, then the state index and the mask actually applied
-// (breakers and lane filters included) once the step succeeds; a failed
-// step leaves it zeroed. Capture draws nothing, so traced and untraced runs
+// The two optional arguments may each be nil. A nil ctx derives a per-step
+// execution context from the engine's root and step counter. The action
+// mask is the model's feasibility mask (ActionSpace.Mask), the paper's only
+// masking: actions that break the accuracy constraint. prov receives the
+// step's decision provenance: the agent's selection fields, then the state
+// index and the mask applied once the step succeeds; a failed step leaves
+// it zeroed. Capture draws nothing, so traced and untraced runs
 // of the same seed take identical decisions. The observed Q-state uses the
 // conditions as the world actually degrades them (scripted RSSI ramps
 // applied), so the agent learns against what execution will see.
-func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow func(sim.Target) bool, prov *obs.Provenance) (Decision, error) {
+func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, prov *obs.Provenance) (Decision, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if ctx == nil {
@@ -293,7 +286,7 @@ func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, allow f
 		ctx = &e.stepCtx
 	}
 	ag := e.agent.Load()
-	mask := e.Actions.MaskWithBuf(m, allow, &e.maskBuf)
+	mask := e.Actions.Mask(m)
 	sIdx := e.States.Index(ObservationOf(m, e.World.ObservedConditions(ctx, c)))
 	e.seedIfUnseenIdx(ag, sIdx)
 

@@ -73,9 +73,11 @@ func (e *Engine) Health() Health {
 		h.Coverage = float64(h.States) / float64(h.StateSpaceSize)
 	}
 
-	counts := make([]int, 0, h.States)
-	for i := 0; i < h.StateSpaceSize; i++ {
-		if n := agent.VisitsIdx(int32(i)); n > 0 {
+	// Index order is the order the entropy sum has always taken.
+	visited := agent.VisitedIdx()
+	counts := make([]int, 0, len(visited))
+	for _, i := range visited {
+		if n := agent.VisitsIdx(i); n > 0 {
 			h.TotalVisits += n
 			counts = append(counts, n)
 		}

@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"autoscale/internal/dnn"
+	"autoscale/internal/interfere"
+	"autoscale/internal/obs"
+	"autoscale/internal/rl"
 	"autoscale/internal/sim"
 	"autoscale/internal/soc"
 )
@@ -144,4 +147,127 @@ func TestHealthSarsaAlgorithmName(t *testing.T) {
 	if h := e.Health(); h.Algorithm != "SARSA" {
 		t.Fatalf("algorithm = %q", h.Algorithm)
 	}
+}
+
+// gridScanHealth is Health as it was computed before visits were summed
+// over the agent's visited rows: a walk over every index of the Table I
+// grid. It is the reference TestHealthMatchesGridScan compares with.
+func gridScanHealth(e *Engine) Health {
+	agent := e.agent.Load()
+	e.mu.Lock()
+	rewards := make([]float64, 0, e.rewardN)
+	for i := 0; i < e.rewardN; i++ {
+		rewards = append(rewards, e.rewards[i])
+	}
+	e.mu.Unlock()
+	h := Health{
+		Algorithm:      e.cfg.Algorithm.String(),
+		Frozen:         agent.Frozen(),
+		Epsilon:        agent.Epsilon(),
+		States:         agent.NumStates(),
+		StateSpaceSize: e.States.Size(),
+		RewardSamples:  len(rewards),
+		VirtualS:       e.Now(),
+	}
+	if h.StateSpaceSize > 0 {
+		h.Coverage = float64(h.States) / float64(h.StateSpaceSize)
+	}
+	counts := make([]int, 0, h.States)
+	for i := 0; i < h.StateSpaceSize; i++ {
+		if n := agent.VisitsIdx(int32(i)); n > 0 {
+			h.TotalVisits += n
+			counts = append(counts, n)
+		}
+	}
+	h.MaxVisits = obs.MaxCount(counts)
+	h.VisitEntropy = obs.Entropy(counts)
+	explores, selections := agent.ExplorationStats()
+	h.Selections = selections
+	if selections > 0 {
+		h.ExplorationRatio = float64(explores) / float64(selections)
+	}
+	h.TDErrorEMA, h.TDSamples = agent.TDErrorEMA()
+	for _, r := range rewards {
+		h.MeanReward += r
+	}
+	if len(rewards) > 0 {
+		h.MeanReward /= float64(len(rewards))
+	}
+	return h
+}
+
+// TestHealthMatchesGridScan checks that walking the visited rows reads
+// exactly what the grid scan read, every field compared with ==: on a
+// trained engine, on a fork of it, after restoring its table, and after
+// restoring a table that gives visits to a state without a Q row.
+func TestHealthMatchesGridScan(t *testing.T) {
+	e := newTestEngine(t)
+	for i, m := range dnn.Zoo() {
+		for j := 0; j < 40; j++ {
+			c := sim.Conditions{Load: interfere.Load{CPUUtil: float64(j%4) / 4, MemUtil: float64(i%3) / 3},
+				RSSIWLAN: -55 - float64((i*7+j)%40), RSSIP2P: -60 - float64(j%3)*15}
+			if _, err := e.RunInferenceCtx(nil, m, c); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(name string, e *Engine) {
+		t.Helper()
+		got, want := e.Health(), gridScanHealth(e)
+		if got != want {
+			t.Fatalf("%s: Health\n %+v\nwant the grid scan's\n %+v", name, got, want)
+		}
+		if got.TotalVisits != e.Agent().TotalVisits() {
+			t.Fatalf("%s: Health counts %d visits, the agent %d", name, got.TotalVisits, e.Agent().TotalVisits())
+		}
+	}
+	check("trained", e)
+	if h := e.Health(); h.States < 10 || h.TotalVisits != 40*len(dnn.Zoo()) {
+		t.Fatalf("vacuous: %d states, %d visits", h.States, h.TotalVisits)
+	}
+
+	f, err := e.Fork(sim.NewWorld(soc.Mi8Pro(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fork", f)
+	if _, err := f.RunInferenceCtx(nil, dnn.MustByName("MobileBERT"), strongCond()); err != nil {
+		t.Fatal(err)
+	}
+	check("fork after a step", f)
+
+	snap, err := e.SnapshotQTable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := newTestEngine(t)
+	if err := r.RestoreQTable(snap); err != nil {
+		t.Fatal(err)
+	}
+	check("restored", r)
+
+	// A hand-written table may give visits to a state it has no row for.
+	tbl, err := rl.DecodeTable(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := int32(0); ; i++ {
+		if key := r.States.KeyOf(i); tbl.Q[key] == nil {
+			tbl.Visits[key] = 7
+			break
+		}
+	}
+	stray, err := tbl.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.RestoreQTable(stray); err != nil {
+		t.Fatal(err)
+	}
+	check("restored with a row-less visit", r)
+	rf, err := r.Fork(sim.NewWorld(soc.Mi8Pro(), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("fork of that", rf)
 }

@@ -68,7 +68,7 @@ func (r *seedReferee) drive(e *Engine, models []*dnn.Model, steps int) {
 		m := models[r.rng.Intn(len(models))]
 		c := r.cond()
 		r.check(e, e.States.Index(ObservationOf(m, c)))
-		if _, err := e.Step(nil, m, c, nil, nil); err != nil {
+		if _, err := e.Step(nil, m, c, nil); err != nil {
 			r.t.Fatalf("step %d: %v", r.step, err)
 		}
 	}

@@ -3,7 +3,6 @@ package exp
 import (
 	"context"
 	"fmt"
-	"math"
 	"slices"
 
 	"autoscale/internal/core"
@@ -27,9 +26,8 @@ type resilienceArm struct {
 // reference the others are paired against.
 var resilienceArms = []resilienceArm{
 	{"none", serve.ResilienceConfig{}},
-	{"retries", serve.ResilienceConfig{Enabled: true, FailureThreshold: 1 << 30}},
-	{"breakers+retries", serve.ResilienceConfig{Enabled: true}},
-	{"retries+hedge", serve.ResilienceConfig{Enabled: true, FailureThreshold: 1 << 30, Hedge: true}},
+	{"retries", serve.ResilienceConfig{Enabled: true}},
+	{"retries+hedge", serve.ResilienceConfig{Enabled: true, Hedge: true}},
 }
 
 // ExtensionResilience measures the serving gateway's resilient offload path
@@ -72,15 +70,15 @@ func ExtensionResilience(opts Options) (*Table, error) {
 	type cellOut struct{ miss, mj, ppw []float64 }
 	out, err := runCells(opts, len(storms)*len(phones)*seeds, func(i int) (cellOut, error) {
 		si, pi, seed := i/(len(phones)*seeds), i/seeds%len(phones), opts.Seed+int64(i%seeds)
+		// Every world gets a device of its own.
 		sc := storms[si].schedule(seed)
-		dev := func() *soc.Device { return soc.Phones()[pi] }
-		optMJ, err := resilienceOpt(dev(), sc, seed, reqs)
+		optMJ, err := resilienceOpt(soc.Phones()[pi], sc, seed, reqs)
 		if err != nil {
 			return cellOut{}, err
 		}
 		var c cellOut
 		for _, arm := range resilienceArms {
-			miss, mj, err := resilienceRun(dev(), sc, seed, arm.rc, reqs)
+			miss, mj, err := resilienceRun(soc.Phones()[pi], sc, seed, arm.rc, reqs)
 			if err != nil {
 				return cellOut{}, err
 			}
@@ -93,8 +91,6 @@ func ExtensionResilience(opts Options) (*Table, error) {
 	}
 
 	ref := slices.IndexFunc(resilienceArms, func(a resilienceArm) bool { return a.label == "retries" })
-	need := int(math.Ceil(0.75 * float64(seeds)))
-	breakerCells := 0
 	for si, st := range storms {
 		for pi, dev := range phones {
 			runs := out[(si*len(phones)+pi)*seeds : (si*len(phones)+pi+1)*seeds]
@@ -119,27 +115,16 @@ func ExtensionResilience(opts Options) (*Table, error) {
 				mj := func(c cellOut) []float64 { return c.mj }
 				beats := "-"
 				if a != ref {
-					wm, wq := wins(mj), wins(miss)
-					beats = fmt.Sprintf("%d/%d, %d/%d", wm, seeds, wq, seeds)
-					if arm.label == "breakers+retries" && (wm >= need || wq >= need) {
-						breakerCells++
-					}
+					beats = fmt.Sprintf("%d/%d, %d/%d", wins(mj), seeds, wins(miss), seeds)
 				}
 				t.AddRow(st.label, dev.Name, arm.label, spread(col(miss)), spread(col(mj)),
 					spread(col(func(c cellOut) []float64 { return c.ppw })), beats)
 			}
 		}
 	}
-	verdict := "delete"
-	if breakerCells >= 5 {
-		verdict = "keep"
-	}
 	t.Notes = append(t.Notes,
 		"values are median [min-max] over the seeds; a seed's arms share its engine, world, fault "+
-			"injector and storm, and PPW is the fault-aware Opt's mJ/inf over the arm's on the same storm",
-		fmt.Sprintf("decision rule (fixed in advance): breakers stay only if breakers+retries beat retries "+
-			"on mJ/inf or on QoS misses in >= %d of %d seeds in at least 5 of the %d cells; "+
-			"they do in %d: %s", need, seeds, len(storms)*len(phones), breakerCells, verdict))
+			"injector and storm, and PPW is the fault-aware Opt's mJ/inf over the arm's on the same storm")
 	return t, nil
 }
 

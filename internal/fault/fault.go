@@ -13,7 +13,7 @@
 // reboots and stays down for seconds, a signal fades over a walk down a
 // corridor, a server queue spikes and drains. This package scripts those
 // dynamics so experiments and the serving gateway's resilience layer
-// (circuit breakers, retries, hedging) can be driven — and replayed
+// (retries, hedging) can be driven — and replayed
 // byte-identically — from one (schedule, root seed) pair.
 //
 // Determinism: every stochastic choice (the Markov window durations) is
@@ -67,9 +67,8 @@ const (
 	KindLoadSurge Kind = "load_surge"
 	// KindGrayDegrade is a gray failure: the named serving worker stays
 	// alive and keeps answering, but every inference it executes takes
-	// Factor times longer while the window holds. Nothing crashes, no
-	// breaker sees an error — only latency-sensitive health scoring can
-	// catch it.
+	// Factor times longer while the window holds. Nothing crashes and no
+	// offload errors — only latency-sensitive health scoring can catch it.
 	KindGrayDegrade Kind = "gray_degrade"
 	// KindCheckpointIO degrades the checkpoint store's I/O path for the
 	// named device (or the whole store when Device is empty) while the

@@ -102,6 +102,10 @@ type table struct {
 	states  []entry
 	order   []int32
 	n       atomic.Int32 // rows materialized
+	// stray lists the states a restored table gave visits but no row.
+	// Selection materializes the row of every state it counts, so these are
+	// the only visits off the rows; written before the agent is shared.
+	stray []int32
 }
 
 func newTable(actions, states int) *table {
@@ -626,11 +630,26 @@ func (a *Agent) VisitsIdx(i int32) int {
 // the fleet syncer treats as "new device, warm-start me".
 func (a *Agent) TotalVisits() int {
 	total := 0
-	for i := range a.tab.states {
-		n, _ := a.tab.visitsOf(int32(i))
+	for _, i := range a.VisitedIdx() {
+		n, _ := a.tab.visitsOf(i)
 		total += int(n)
 	}
 	return total
+}
+
+// VisitedIdx returns, in ascending index order, every state that can hold
+// visits: the materialized rows, plus any state a restored table gave
+// visits without a row. Walking it instead of the whole grid costs what
+// the agent has seen, not the state space.
+func (a *Agent) VisitedIdx() []int32 {
+	idx := slices.Clone(a.Rows())
+	for _, i := range a.tab.stray {
+		if !a.HasStateIdx(i) {
+			idx = append(idx, i)
+		}
+	}
+	slices.Sort(idx)
+	return idx
 }
 
 // MemoryBytes reports the heap the Q-table holds: the per-state entry and
@@ -725,6 +744,9 @@ func Restore(data []byte, grid Interner) (*Agent, error) {
 			return nil, err
 		}
 		t.states[i].visits.Store(int64(n) + 1)
+		if _, ok := tbl.Q[s]; n > 0 && !ok {
+			t.stray = append(t.stray, i)
+		}
 	}
 	return ag, nil
 }
@@ -748,6 +770,7 @@ func (a *Agent) Clone() *Agent {
 	for i := range src.states {
 		c.tab.states[i].visits.Store(src.states[i].visits.Load())
 	}
+	c.tab.stray = src.stray
 	for _, i := range src.order[:src.n.Load()] {
 		row := src.row(i)
 		c.tab.writeRowLocked(i, func(j int) uint64 { return row[j].Load() })

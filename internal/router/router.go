@@ -110,9 +110,9 @@ type Config struct {
 	// should NOT also set a Tracer — requests arrive at the gateway already
 	// carrying their handle, and the gateway only annotates it.
 	Tracer *tracez.Tracer
-	// Recorder, when non-nil, is the incident flight recorder shared with the
-	// shards (breaker transitions) and the tiers above (supervisor ladder
-	// edges, planner actuations).
+	// Recorder, when non-nil, is the incident flight recorder the tiers
+	// above note their events into (supervisor ladder edges, planner
+	// actuations).
 	Recorder *tracez.FlightRecorder
 }
 
@@ -942,8 +942,7 @@ func (rt *Router) RouterMetrics() RouterSnapshot { return rt.met.snapshot() }
 func (rt *Router) Tracer() *tracez.Tracer { return rt.cfg.Tracer }
 
 // Recorder exposes the incident flight recorder (nil when not configured),
-// so the supervision and planning tiers note their events into the same ring
-// the shards' breakers feed.
+// so the supervision and planning tiers note their events into one ring.
 func (rt *Router) Recorder() *tracez.FlightRecorder { return rt.cfg.Recorder }
 
 // Snapshot merges every shard's metrics registry into one fleet-wide view
@@ -1109,8 +1108,7 @@ func (rt *Router) shardClock(name string) ShardClock {
 // ShardSignal is one shard's raw health inputs, gathered in a single locked
 // pass for the supervisor: lifecycle and clock, the shard's metrics snapshot
 // (the same serve.Gateway.Snapshot the admin endpoint serves; the supervisor
-// scores its latency histogram, breaker trips, worker crashes and queue
-// depth), per-device learning health, and the in-flight gauge.
+// scores its latency histogram, worker crashes and queue depth), per-device learning health, and the in-flight gauge.
 type ShardSignal struct {
 	ShardClock
 	Inflight int64

@@ -52,7 +52,7 @@ const HealthzSyncFailThreshold = 3
 // Admin is the serving layer's opt-in observability endpoint: a small HTTP
 // server exposing the source's metrics as Prometheus text (/metrics), the
 // full snapshot plus per-device learning health as JSON (/snapshot.json), a
-// liveness probe (/healthz), breaker states (/breakers), kept traces
+// liveness probe (/healthz), kept traces
 // (/traces), one document per listed view (/shards, /plan, /supervisor when
 // those tiers are attached; 404 otherwise) and the standard net/http/pprof
 // handlers (/debug/pprof/). Everything it serves is read-side
@@ -81,7 +81,6 @@ func ServeAdmin(src Source, addr string, views ...View) (*Admin, error) {
 	mux.HandleFunc("/metrics", a.handleMetrics)
 	mux.HandleFunc("/snapshot.json", a.handleSnapshot)
 	mux.HandleFunc("/healthz", a.handleHealthz)
-	mux.HandleFunc("/breakers", a.handleBreakers)
 	mux.HandleFunc("/traces", a.handleTraces)
 	mux.HandleFunc("/traces/", a.handleTrace)
 	for _, v := range views {
@@ -228,25 +227,6 @@ func (a *Admin) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("ok\n")) //nolint:errcheck
 }
 
-func (a *Admin) handleBreakers(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(a.src.Snapshot().ByBreaker) //nolint:errcheck
-}
-
-// breakerStateValue encodes a breaker state for the gauge: closed is healthy
-// (0), half-open probing (1), open tripped (2).
-func breakerStateValue(state string) float64 {
-	switch state {
-	case "half-open":
-		return 1
-	case "open":
-		return 2
-	}
-	return 0
-}
-
 // AppendProm appends a metrics snapshot and per-device learning health to a
 // Prometheus text-exposition body. The output is deterministic for a given
 // input: map-keyed series are emitted in sorted key order, phase histograms
@@ -270,12 +250,8 @@ func AppendProm(p *obs.Prom, s metrics.Snapshot, health map[string]core.Health) 
 	p.Counter("autoscale_hedges_total", "Hedged offloads launched against slow remotes.", float64(s.Hedges))
 	p.Counter("autoscale_hedges_won_total", "Hedges whose local leg answered first.", float64(s.HedgesWon))
 	p.Counter("autoscale_hedges_lost_total", "Hedges whose remote leg answered first.", float64(s.HedgesLost))
-	p.Counter("autoscale_breaker_transitions_total", "Circuit-breaker transitions by destination state.", float64(s.BreakerOpens), "to", "open")
-	p.Counter("autoscale_breaker_transitions_total", "Circuit-breaker transitions by destination state.", float64(s.BreakerHalfOpens), "to", "half-open")
-	p.Counter("autoscale_breaker_transitions_total", "Circuit-breaker transitions by destination state.", float64(s.BreakerCloses), "to", "closed")
 	p.Counter("autoscale_worker_crashes_total", "Scripted worker-crash drills fired.", float64(s.WorkerCrashes))
 	p.Counter("autoscale_checkpoint_corruptions_total", "Scripted checkpoint-corruption drills fired.", float64(s.CorruptDrills))
-	p.Counter("autoscale_degraded_seconds_total", "Seconds served with at least one breaker open.", s.DegradedSeconds)
 	p.Counter("autoscale_wasted_joules_total", "Energy burned on failed or superseded offload attempts.", s.OutageWastedJ)
 
 	// Policy-sync plane.
@@ -283,10 +259,6 @@ func AppendProm(p *obs.Prom, s metrics.Snapshot, health map[string]core.Health) 
 	p.Counter("autoscale_policy_sync_failures_total", "Policy-sync passes reporting errors.", float64(s.SyncFailures))
 	p.Gauge("autoscale_policy_sync_consecutive_failures", "Failed sync passes since the last clean one.", float64(s.SyncConsecutiveFailures))
 
-	for _, label := range slices.Sorted(maps.Keys(s.ByBreaker)) {
-		p.Gauge("autoscale_breaker_state", "Breaker state: 0 closed, 1 half-open, 2 open.",
-			breakerStateValue(s.ByBreaker[label]), "breaker", label)
-	}
 	for _, loc := range slices.Sorted(maps.Keys(s.ByTarget)) {
 		p.Counter("autoscale_executions_total", "Executions by location.", float64(s.ByTarget[loc]), "location", loc)
 	}

@@ -116,16 +116,6 @@ func TestAdminEndpoints(t *testing.T) {
 		t.Fatalf("snapshot health: %+v", snap.Health)
 	}
 
-	// /breakers decodes as a JSON object.
-	code, _, body = adminGet(t, a, "/breakers")
-	if code != http.StatusOK {
-		t.Fatalf("/breakers = %d", code)
-	}
-	var breakers map[string]string
-	if err := json.Unmarshal([]byte(body), &breakers); err != nil {
-		t.Fatalf("/breakers decode: %v", err)
-	}
-
 	// pprof is mounted.
 	code, _, _ = adminGet(t, a, "/debug/pprof/cmdline")
 	if code != http.StatusOK {

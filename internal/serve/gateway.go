@@ -79,7 +79,6 @@ type worker struct {
 	// worker executed; it owns every field below.
 	lane sync.Mutex
 
-	breakers  map[sim.Location]*breaker
 	events    []fault.Event // scripted crash/corruption drills, time-ordered
 	nextEvent int
 	seq       uint64 // per-lane request sequence (trace + retry streams)
@@ -94,25 +93,6 @@ type worker struct {
 // traceBatch bounds a worker's trace buffer: under sustained load records
 // drain to the shared writer in batches of this size.
 const traceBatch = 64
-
-// breakerFor returns the worker's breaker for a remote site (nil when the
-// resilience layer is off or the location is local).
-func (w *worker) breakerFor(loc sim.Location) *breaker {
-	if w.breakers == nil {
-		return nil
-	}
-	return w.breakers[loc]
-}
-
-// anyBreakerNotClosed reports whether the worker is in degraded mode.
-func (w *worker) anyBreakerNotClosed() bool {
-	for _, b := range w.breakers {
-		if b.state != breakerClosed {
-			return true
-		}
-	}
-	return false
-}
 
 // Sink takes a request's one terminal response in place of a channel. The
 // gateway calls Deliver exactly once, on whichever goroutine terminates the
@@ -212,7 +192,7 @@ func newGateway(backends []Backend, cfg Config) (*Gateway, error) {
 }
 
 // newWorker validates one backend and builds its serving lane (queue,
-// fallback target, fault drills, breakers). Callers hold g.mu or run before
+// fallback target, fault drills). Callers hold g.mu or run before
 // any worker goroutine exists.
 func (g *Gateway) newWorker(b Backend) (*worker, error) {
 	if b.Engine == nil {
@@ -244,12 +224,6 @@ func (g *Gateway) newWorker(b Backend) (*worker, error) {
 			b.Engine.World.Faults = g.cfg.Faults
 		}
 		w.events = g.cfg.Faults.Events(b.Device)
-	}
-	if g.cfg.Resilience.Enabled {
-		w.breakers = map[sim.Location]*breaker{
-			sim.Connected: newBreaker(b.Device, sim.Connected, g.cfg.Resilience, w.met, g.cfg.Recorder),
-			sim.Cloud:     newBreaker(b.Device, sim.Cloud, g.cfg.Resilience, w.met, g.cfg.Recorder),
-		}
 	}
 	return w, nil
 }
@@ -706,9 +680,8 @@ func (g *Gateway) flushTrace(w *worker) {
 }
 
 // serveOne executes one admitted request: scripted fault drills, deadline
-// fast-fail, the engine step (with open breakers masked out of the action
-// space), the resilient offload path (retries, hedging, breaker feedback),
-// metrics, trace, response. The caller holds w.lane.
+// fast-fail, the engine step, the resilient offload path (retries,
+// hedging), metrics, trace, response. The caller holds w.lane.
 //
 // Phase accounting: the execution legs (execute, retry, hedge) are
 // stamped on the worker engine's virtual clock, so they are a pure function
@@ -763,29 +736,6 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		return
 	}
 
-	// Open breakers mask their remote sites out of the action space:
-	// graceful degradation to local execution. Half-open breakers let the
-	// policy probe the recovering site.
-	var allow func(sim.Target) bool
-	degraded := false
-	if w.breakers != nil {
-		vnow := w.engine.Now()
-		cloudOK := w.breakers[sim.Cloud].allow(vnow)
-		connOK := w.breakers[sim.Connected].allow(vnow)
-		degraded = w.anyBreakerNotClosed()
-		if !cloudOK || !connOK {
-			allow = func(t sim.Target) bool {
-				switch t.Location {
-				case sim.Cloud:
-					return cloudOK
-				case sim.Connected:
-					return connOK
-				}
-				return true
-			}
-		}
-	}
-
 	// The engine call advances the virtual clock by exactly the executed
 	// inference (execute phase); its wall duration is the scheduling
 	// overhead — observe, Q-lookup, bookkeeping — the paper reports as the
@@ -797,7 +747,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	// selection. Capture draws nothing, so enabling tracing never changes
 	// what the policy chooses.
 	pr := act.Prov()
-	d, err := w.engine.Step(nil, p.req.Model, p.req.Conditions, allow, pr)
+	d, err := w.engine.Step(nil, p.req.Model, p.req.Conditions, pr)
 	execS := w.engine.Now() - execStart
 	decideWallS := time.Since(decideStart).Seconds()
 	w.met.ObservePhase(obs.PhaseDecide, decideWallS)
@@ -820,8 +770,8 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	// Gray degradation: the lane is scripted slow-but-alive, so the executed
 	// inference stretches by the injected factor — the lane's clock advances
 	// by the extra time, latency and QoS are re-judged — while nothing
-	// errors and no breaker sees a failure. The factor is a pure function of
-	// the virtual execution start, so replays stay byte-identical.
+	// errors. The factor is a pure function of the virtual execution start,
+	// so replays stay byte-identical.
 	if f := g.cfg.Faults.GrayFactor(w.device, execStart); f > 1 {
 		extra := d.Measurement.LatencyS * (f - 1)
 		w.engine.AdvanceTo(w.engine.Now() + extra)
@@ -838,13 +788,6 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	}
 	if wastedJ := d.Measurement.WastedJ; wastedJ > 0 {
 		w.met.AddOutageWastedJ(wastedJ)
-	}
-	if br := w.breakerFor(d.Target.Location); br != nil && d.Target.Location != sim.Local {
-		if outage {
-			br.recordFailure(w.engine.Now())
-		} else {
-			br.recordSuccess(w.engine.Now())
-		}
 	}
 
 	retries, recovered := 0, false
@@ -878,9 +821,6 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	if v := pt.Total(obs.PhaseHedgeIdx); v > 0 {
 		act.Span("hedge", v, "")
 	}
-	if degraded {
-		act.Flag(tracez.FlagDegraded)
-	}
 	if hedged {
 		act.Flag(tracez.FlagHedged)
 	}
@@ -904,7 +844,6 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		rec.Outage = outage
 		rec.Retries = retries
 		rec.Hedged = hedged
-		rec.Degraded = degraded
 		rec.VWaitS = vwait
 		rec.Phases = pt.Durations()
 		rec.TraceID = act.ID()
@@ -921,7 +860,6 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		StatusServed, d, outage, g.now()
 	base.OffloadRetries, base.RetryRecovered = retries, recovered
 	base.Hedged, base.HedgeWon = hedged, hedgeWon
-	base.Degraded = degraded
 	act.Finish("served")
 	w.answer(p, base)
 }
@@ -975,12 +913,10 @@ func (g *Gateway) fitsDeadline(w *worker, p *pending, t sim.Target, overheadS fl
 // request's deadline budget. Each attempt supersedes the previous answer:
 // its latency and energy are charged to the episode as waste. On recovery
 // the remote result replaces the outage fallback; on exhaustion the last
-// fallback answer stands (graceful degradation). Every attempt feeds the
-// site's circuit breaker.
+// fallback answer stands (graceful degradation).
 func (g *Gateway) retryOffload(w *worker, p *pending, d *core.Decision) (retries int, recovered bool) {
 	rc := g.cfg.Resilience
 	world := w.engine.World
-	br := w.breakerFor(d.Target.Location)
 	cur := d.Measurement // current best answer (outage fallback)
 	var wasteS, wasteJ float64
 
@@ -1013,13 +949,7 @@ func (g *Gateway) retryOffload(w *worker, p *pending, d *core.Decision) (retries
 		}
 		if rmeas.Target.Location == sim.Local {
 			// Failed again (outage fallback ran); keep backing off.
-			if br != nil {
-				br.recordFailure(w.engine.Now())
-			}
 			continue
-		}
-		if br != nil {
-			br.recordSuccess(w.engine.Now())
 		}
 		recovered = true
 		w.met.IncRetryRecovered()
@@ -1121,14 +1051,6 @@ func (g *Gateway) Shutdown(ctx context.Context) error {
 	case <-done:
 	case <-ctx.Done():
 		return fmt.Errorf("serve: drain interrupted: %w", ctx.Err())
-	}
-
-	// Workers have exited: flush any degraded episode still open so the
-	// degraded-seconds metric accounts shutdowns mid-storm.
-	for _, w := range workers {
-		for _, b := range w.breakers {
-			b.closeOut(w.engine.Now())
-		}
 	}
 
 	var errs []error

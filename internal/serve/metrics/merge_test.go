@@ -12,11 +12,9 @@ import (
 // seededSnapshot drives a fresh registry through the mutators the gateway
 // calls — a seed-derived mix of counter bumps, batched admission and served
 // samples (histograms, per-phase/per-tenant observations, target and device
-// counts) and breaker states — and returns its snapshot, with a seeded
-// policy-sync pass sequence in the Sync* fields.
-// The tag keeps label spaces (devices, breakers, sync errors) disjoint
-// between operands so last-writer-wins breaker state cannot masquerade as a
-// commutativity failure.
+// counts) — and returns its snapshot, with a seeded policy-sync pass
+// sequence in the Sync* fields. The tag keeps label spaces (devices, sync
+// errors) disjoint between operands.
 func seededSnapshot(seed uint64, tag string) Snapshot {
 	rng := exec.NewRand(seed)
 	r := New()
@@ -24,7 +22,7 @@ func seededSnapshot(seed uint64, tag string) Snapshot {
 	lastErr := ""
 	bump := []func(){
 		r.IncSubmitted, r.IncShed, r.IncExpired, r.IncFailed,
-		r.IncOutage, r.IncOffloadRetry, r.IncHedge, r.IncBreakerOpen, r.IncWorkerCrash,
+		r.IncOutage, r.IncOffloadRetry, r.IncHedge, r.IncWorkerCrash,
 	}
 	for i, n := 0, 20+rng.Intn(60); i < n; i++ {
 		bump[rng.Intn(len(bump))]()
@@ -66,8 +64,7 @@ func seededSnapshot(seed uint64, tag string) Snapshot {
 			}
 		}
 	}
-	r.AddDegradedSeconds(rng.Float64())
-	r.SetBreakerState(tag+"-breaker", "closed")
+	r.AddOutageWastedJ(rng.Float64())
 	s := r.Snapshot()
 	s.SyncPasses, s.SyncFailures, s.SyncConsecutiveFailures, s.SyncLastError = passes, failures, consec, lastErr
 	return s

@@ -57,15 +57,14 @@ func newHist() obs.HistogramSnapshot {
 // counts.
 func empty() Snapshot {
 	return Snapshot{
-		Latency:   newHist(),
-		Wait:      newHist(),
-		Energy:    newHist(),
-		VWait:     newHist(),
-		Phases:    make(map[string]obs.HistogramSnapshot),
-		ByTarget:  make(map[string]int64),
-		ByDevice:  make(map[string]int64),
-		ByBreaker: make(map[string]string),
-		ByTenant:  make(map[string]obs.HistogramSnapshot),
+		Latency:  newHist(),
+		Wait:     newHist(),
+		Energy:   newHist(),
+		VWait:    newHist(),
+		Phases:   make(map[string]obs.HistogramSnapshot),
+		ByTarget: make(map[string]int64),
+		ByDevice: make(map[string]int64),
+		ByTenant: make(map[string]obs.HistogramSnapshot),
 	}
 }
 
@@ -118,35 +117,14 @@ func (r *Registry) IncHedgeWon() { r.count(&r.s.HedgesWon, 1) }
 // IncHedgeLost counts one hedge whose remote leg answered first.
 func (r *Registry) IncHedgeLost() { r.count(&r.s.HedgesLost, 1) }
 
-// IncBreakerOpen counts one circuit breaker tripping closed->open.
-func (r *Registry) IncBreakerOpen() { r.count(&r.s.BreakerOpens, 1) }
-
-// IncBreakerHalfOpen counts one breaker admitting a recovery probe.
-func (r *Registry) IncBreakerHalfOpen() { r.count(&r.s.BreakerHalfOpens, 1) }
-
-// IncBreakerClose counts one breaker closing after successful probes.
-func (r *Registry) IncBreakerClose() { r.count(&r.s.BreakerCloses, 1) }
-
 // IncWorkerCrash counts one scripted worker-crash drill.
 func (r *Registry) IncWorkerCrash() { r.count(&r.s.WorkerCrashes, 1) }
 
 // IncCorruptDrill counts one scripted checkpoint-corruption drill.
 func (r *Registry) IncCorruptDrill() { r.count(&r.s.CorruptDrills, 1) }
 
-// AddDegradedSeconds accumulates wall time a worker spent with at least one
-// breaker open (serving degraded, remote targets masked).
-func (r *Registry) AddDegradedSeconds(s float64) { r.accrue(&r.s.DegradedSeconds, s) }
-
 // AddOutageWastedJ accumulates energy burned on failed offload attempts.
 func (r *Registry) AddOutageWastedJ(j float64) { r.accrue(&r.s.OutageWastedJ, j) }
-
-// SetBreakerState records a breaker's current state under its label
-// (e.g. "phone-0/cloud" -> "open").
-func (r *Registry) SetBreakerState(label, state string) {
-	r.mu.Lock()
-	r.s.ByBreaker[label] = state
-	r.mu.Unlock()
-}
 
 // QueueEnter bumps the queue-depth gauge and its high watermark.
 func (r *Registry) QueueEnter() {
@@ -245,20 +223,23 @@ type Snapshot struct {
 	QoSViolations int64
 	Outages       int64
 
-	// Resilience counters: the retry/hedge/breaker machinery.
+	// Resilience counters: the retry/hedge machinery and the scripted
+	// drills.
 	OffloadRetries   int64
 	RetriesRecovered int64
 	RetriesAbandoned int64
 	Hedges           int64
 	HedgesWon        int64
 	HedgesLost       int64
-	BreakerOpens     int64
-	BreakerHalfOpens int64
-	BreakerCloses    int64
 	WorkerCrashes    int64
 	CorruptDrills    int64
-	DegradedSeconds  float64
 	OutageWastedJ    float64
+
+	// BreakerOpens and DegradedSeconds are always zero: nothing records or
+	// folds them. They are kept, unchanged, because the benchmark reads them
+	// (bench/chaos.go:318, bench/workloads.go:209-210).
+	BreakerOpens    int64
+	DegradedSeconds float64
 
 	// QueueDepth is the queued requests summed over registries; in a merge,
 	// QueueMaxDepth sums each registry's high watermark, which upper-bounds
@@ -286,10 +267,9 @@ type Snapshot struct {
 	Phases map[string]obs.HistogramSnapshot
 
 	// ByTarget counts executions per execution-location label; ByDevice per
-	// gateway worker; ByBreaker holds each breaker's last recorded state.
-	ByTarget  map[string]int64
-	ByDevice  map[string]int64
-	ByBreaker map[string]string
+	// gateway worker.
+	ByTarget map[string]int64
+	ByDevice map[string]int64
 	// ByTenant holds one virtual response-time histogram per tenant that
 	// served at least one request.
 	ByTenant map[string]obs.HistogramSnapshot
@@ -333,8 +313,7 @@ func Merge(snaps ...Snapshot) Snapshot {
 // snapshot therefore changes nothing in any operand position, and adds are
 // commutative. QueueMaxDepth sums the watermarks, which upper-bounds the
 // (unknowable) watermark of the summed depth. Label maps union with summed
-// counts; breaker labels are device-scoped and devices are unique across
-// shards, so states never collide.
+// counts.
 func (s *Snapshot) add(o *Snapshot) {
 	if s.Phases == nil {
 		*s = empty()
@@ -352,12 +331,8 @@ func (s *Snapshot) add(o *Snapshot) {
 	s.Hedges += o.Hedges
 	s.HedgesWon += o.HedgesWon
 	s.HedgesLost += o.HedgesLost
-	s.BreakerOpens += o.BreakerOpens
-	s.BreakerHalfOpens += o.BreakerHalfOpens
-	s.BreakerCloses += o.BreakerCloses
 	s.WorkerCrashes += o.WorkerCrashes
 	s.CorruptDrills += o.CorruptDrills
-	s.DegradedSeconds += o.DegradedSeconds
 	s.OutageWastedJ += o.OutageWastedJ
 	s.QueueDepth += o.QueueDepth
 	s.QueueMaxDepth += o.QueueMaxDepth
@@ -386,9 +361,6 @@ func (s *Snapshot) add(o *Snapshot) {
 	}
 	for k, v := range o.ByDevice {
 		s.ByDevice[k] += v
-	}
-	for k, v := range o.ByBreaker {
-		s.ByBreaker[k] = v
 	}
 	addHists(s.ByTenant, o.ByTenant)
 }

@@ -6,7 +6,7 @@
 // many services against a heterogeneous fleet, and needs the plumbing the
 // paper never had to build — admission control instead of unbounded
 // blocking, deadline-aware dispatch that fails stale work fast, resilient
-// offloading (breakers, retries, hedges), runtime metrics, and a graceful
+// offloading (retries, hedges), runtime metrics, and a graceful
 // shutdown that drains queues and persists what each engine learned.
 //
 // The gateway deliberately preserves the paper's per-decision semantics:
@@ -133,9 +133,6 @@ type Response struct {
 	// HedgeWon marks that the hedge leg finished first.
 	Hedged   bool
 	HedgeWon bool
-	// Degraded marks that the request was served while at least one of its
-	// worker's circuit breakers was open (remote targets masked).
-	Degraded bool
 	// Err carries the rejection or execution error (nil for clean serves).
 	Err error
 	// SubmittedAt / DoneAt bracket the request's life in the gateway.
@@ -195,9 +192,8 @@ type Config struct {
 	PolicySync policy.SyncConfig
 	// Clock overrides the gateway's time source (tests; default time.Now).
 	Clock func() time.Time
-	// Resilience tunes the resilient offload path: circuit breakers over
-	// remote sites, deadline-budgeted offload retries and hedged offloads.
-	// The zero value disables it.
+	// Resilience tunes the resilient offload path: deadline-budgeted
+	// offload retries and hedged offloads. The zero value disables it.
 	Resilience ResilienceConfig
 	// Faults, when non-nil, is the scripted fault injector: New installs it
 	// on every backend world that has none, and each worker drills the
@@ -214,9 +210,10 @@ type Config struct {
 	// RNG root, so enabling it never perturbs the engines' deterministic
 	// streams.
 	Tracer *tracez.Tracer
-	// Recorder, when non-nil, is the incident flight recorder: circuit
-	// breaker transitions are noted into its event ring (the supervision and
-	// planning tiers add their own events at higher layers).
+	// Recorder is read by nothing in the gateway; it is kept, unchanged,
+	// because the benchmark's chaos fleet (bench/chaos.go:112) sets it. The
+	// incident flight recorder is wired on router.Config, where the
+	// supervision and planning tiers note their events.
 	Recorder *tracez.FlightRecorder
 }
 

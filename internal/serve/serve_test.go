@@ -559,9 +559,25 @@ func resilientWorker(t testing.TB, e *core.Engine, cfg Config) (*Gateway, *worke
 	return g, g.workers[0]
 }
 
-// cloudOnly masks the action space down to cloud targets, forcing the engine
-// to offload so the resilient path is exercised deterministically.
-func cloudOnly(tg sim.Target) bool { return tg.Location == sim.Cloud }
+// offloadCloud executes m on the engine's first feasible cloud action, on
+// the engine's lane clock, and returns the decision an engine step that
+// chose it would hand the resilient path: the cloud target with whatever
+// the execution produced (the local fallback when the site is down).
+func offloadCloud(t *testing.T, e *core.Engine, m *dnn.Model) core.Decision {
+	t.Helper()
+	mask := e.Actions.Mask(m)
+	for i := 0; i < e.Actions.Len(); i++ {
+		if tg := e.Actions.Target(i); tg.Location == sim.Cloud && mask[i] {
+			meas, err := e.Actions.ExecuteCtx(e.StepContext("test.offload"), m, i, conds())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return core.Decision{ActionIndex: i, Target: tg, Measurement: meas, QoSTargetS: sim.QoSNonStreamingS}
+		}
+	}
+	t.Fatalf("no feasible cloud action for %s", m.Name)
+	return core.Decision{}
+}
 
 // scheduleWorld installs a compiled fault schedule on a fresh engine.
 func faultEngine(t testing.TB, seed int64, s *fault.Schedule) *core.Engine {
@@ -584,10 +600,7 @@ func TestRetryRecoversWhenOutageClears(t *testing.T) {
 	m := dnn.MustByName("MobileNet v3")
 
 	w.seq = 1
-	d, err := e.Step(nil, m, conds(), cloudOnly, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := offloadCloud(t, e, m)
 	if d.Target.Location != sim.Cloud || d.Measurement.Target.Location != sim.Local {
 		t.Fatalf("premise broken: decision %v executed on %v, want cloud decision falling back local",
 			d.Target, d.Measurement.Target)
@@ -619,14 +632,11 @@ func TestRetryExhaustsGracefully(t *testing.T) {
 	e := faultEngine(t, 22, &fault.Schedule{Faults: []fault.Spec{
 		{Kind: fault.KindOutage, Site: fault.SiteCloud, StartS: 0, EndS: 1e6},
 	}})
-	g, w := resilientWorker(t, e, Config{Resilience: ResilienceConfig{Enabled: true, MaxRetries: 2, FailureThreshold: 100}})
+	g, w := resilientWorker(t, e, Config{Resilience: ResilienceConfig{Enabled: true, MaxRetries: 2}})
 	m := dnn.MustByName("MobileNet v3")
 
 	w.seq = 1
-	d, err := e.Step(nil, m, conds(), cloudOnly, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := offloadCloud(t, e, m)
 	p := &pending{req: Request{Model: m, Conditions: conds()}, resp: make(chan Response, 1)}
 	retries, recovered := g.retryOffload(w, p, &d)
 	if retries != 2 || recovered {
@@ -659,10 +669,7 @@ func TestRetryAbandonedOnTightDeadline(t *testing.T) {
 	m := dnn.MustByName("MobileNet v3")
 
 	w.seq = 1
-	d, err := e.Step(nil, m, conds(), cloudOnly, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := offloadCloud(t, e, m)
 	p := &pending{req: Request{Model: m, Conditions: conds(), Deadline: now.Add(time.Microsecond)},
 		resp: make(chan Response, 1)}
 	retries, recovered := g.retryOffload(w, p, &d)
@@ -730,92 +737,6 @@ func TestHedgeOutcomes(t *testing.T) {
 			t.Errorf("metrics: %+v", snap)
 		}
 	})
-}
-
-// TestBreakerLifecycle walks one breaker through closed -> open (masking the
-// site mid-drain) -> half-open -> closed, checking the action-space mask and
-// the metrics at each step.
-func TestBreakerLifecycle(t *testing.T) {
-	e := testEngine(t, soc.Mi8Pro(), 26, core.DefaultConfig())
-	g, w := resilientWorker(t, e, Config{Resilience: ResilienceConfig{
-		Enabled: true, FailureThreshold: 2, OpenForS: 1, HalfOpenProbes: 1}})
-	br := w.breakers[sim.Cloud]
-
-	br.recordFailure(0)
-	if br.state != breakerClosed || !br.allow(0.1) {
-		t.Fatal("one failure below threshold must not trip the breaker")
-	}
-	br.recordFailure(0.2)
-	if br.state != breakerOpen || br.allow(0.3) {
-		t.Fatal("threshold failures must trip the breaker open and mask the site")
-	}
-	if snap := g.Snapshot(); snap.BreakerOpens != 1 || snap.ByBreaker["Mi8Pro/cloud"] != "open" {
-		t.Fatalf("metrics after trip: %+v", snap.ByBreaker)
-	}
-	// Cool-off elapses: the next allow flips to half-open (probe traffic).
-	if !br.allow(1.5) || br.state != breakerHalfOpen {
-		t.Fatal("cool-off must admit half-open probes")
-	}
-	// A failed probe reopens without closing the degraded episode.
-	br.recordFailure(1.6)
-	if br.state != breakerOpen || br.degradedSince != 0.2 {
-		t.Fatalf("failed probe: state %v, degradedSince %v (want open, 0.2)", br.state, br.degradedSince)
-	}
-	if !br.allow(2.7) || br.state != breakerHalfOpen {
-		t.Fatal("second cool-off must admit probes again")
-	}
-	br.recordSuccess(3.0)
-	if br.state != breakerClosed {
-		t.Fatal("successful probe quota must close the breaker")
-	}
-	snap := g.Snapshot()
-	if snap.BreakerOpens != 2 || snap.BreakerHalfOpens != 2 || snap.BreakerCloses != 1 {
-		t.Errorf("transition counters: %d opens, %d half-opens, %d closes, want 2/2/1",
-			snap.BreakerOpens, snap.BreakerHalfOpens, snap.BreakerCloses)
-	}
-	// Degraded from the first trip (0.2) to the final close (3.0).
-	if got, want := snap.DegradedSeconds, 2.8; got < want-1e-9 || got > want+1e-9 {
-		t.Errorf("degraded seconds = %v, want %v (episode survives the reopen)", got, want)
-	}
-}
-
-// TestShutdownFlushesOpenBreakers covers Shutdown while breakers are open:
-// the unfinished degraded episode must land in the degraded-seconds metric.
-func TestShutdownFlushesOpenBreakers(t *testing.T) {
-	e := testEngine(t, soc.Mi8Pro(), 27, core.DefaultConfig())
-	e.World.OutageProb = 1
-	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}},
-		Config{Resilience: ResilienceConfig{Enabled: true, FailureThreshold: 1, OpenForS: 1e9, MaxRetries: -1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := dnn.MustByName("MobileNet v3")
-	sawDegraded := false
-	for i := 0; i < 2000; i++ {
-		r, derr := g.Do(Request{Model: m, Conditions: conds()})
-		if derr != nil {
-			t.Fatal(derr)
-		}
-		if r.Degraded {
-			sawDegraded = true
-			if i > 1900 {
-				break
-			}
-		}
-	}
-	if !sawDegraded {
-		t.Fatal("no degraded response in 2000 requests with OutageProb=1")
-	}
-	if err := g.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	snap := g.Snapshot()
-	if snap.BreakerOpens == 0 {
-		t.Fatal("no breaker tripped despite every offload failing")
-	}
-	if snap.DegradedSeconds <= 0 {
-		t.Error("shutdown with open breakers must flush the degraded episode into the metric")
-	}
 }
 
 // TestScriptedDrills fires the one-shot fault events: a checkpoint-corruption

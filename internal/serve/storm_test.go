@@ -9,17 +9,14 @@ import (
 	"autoscale/internal/dnn"
 	"autoscale/internal/exec"
 	"autoscale/internal/fault"
-	"autoscale/internal/serve/metrics"
-	"autoscale/internal/sim"
 	"autoscale/internal/soc"
 	"autoscale/internal/trace"
 )
 
 // stormSchedule is the acceptance storm: phase 1 takes both remote sites
-// solid-down (all offloads fail, breakers trip, the gateway degrades to
-// local execution), phase 2 restores connectivity under a deep WLAN fade
-// (offloads work but cost more), phase 3 is full recovery — where the
-// half-open probes close the breakers again.
+// solid-down (every offload fails, its retries burn out and the local
+// fallback answers), phase 2 restores connectivity under a deep WLAN fade
+// (offloads work but cost more), phase 3 is full recovery.
 func stormSchedule() *fault.Schedule {
 	return &fault.Schedule{Name: "acceptance-storm", Faults: []fault.Spec{
 		{Kind: fault.KindOutage, Site: fault.SiteCloud, StartS: 0.2, EndS: 3.2},
@@ -29,14 +26,13 @@ func stormSchedule() *fault.Schedule {
 }
 
 // runStorm serves one full pass of the acceptance storm on a fresh gateway
-// and returns the final metrics, the serialized decision trace, and every
-// response in order.
-func runStorm(t *testing.T, seed int64) (metrics.Snapshot, []byte, []Response) {
+// and returns the serialized decision trace and every response in order.
+func runStorm(t *testing.T, seed int64) ([]byte, []Response) {
 	t.Helper()
 	cfg := core.DefaultConfig()
 	cfg.Seed = seed // the engine's decision/noise streams must track the storm seed
 	// A cold policy rarely offloads; high exploration keeps remote attempts
-	// flowing through every storm phase so the breakers see traffic.
+	// flowing through every storm phase.
 	cfg.RL.Epsilon = 0.5
 	e := testEngine(t, soc.Mi8Pro(), seed, cfg)
 	e.World.Faults = fault.New(stormSchedule(), exec.NewRoot(seed).Child("faults"))
@@ -44,13 +40,8 @@ func runStorm(t *testing.T, seed int64) (metrics.Snapshot, []byte, []Response) {
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
 	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
-		Trace: tw,
-		Resilience: ResilienceConfig{
-			Enabled:          true,
-			FailureThreshold: 1,
-			OpenForS:         4, // probes start only after phase 1 has ended
-			HalfOpenProbes:   1,
-		},
+		Trace:      tw,
+		Resilience: ResilienceConfig{Enabled: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -73,57 +64,32 @@ func runStorm(t *testing.T, seed int64) (metrics.Snapshot, []byte, []Response) {
 	if err := tw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	return g.Snapshot(), buf.Bytes(), responses
+	return buf.Bytes(), responses
 }
 
 // TestStormAcceptance replays the scripted three-phase outage storm end to
-// end: the gateway must keep serving throughout (graceful local
-// degradation), the breaker must walk closed -> open -> half-open -> closed,
-// degraded-mode requests must stay within the paper's 50 ms QoS budget plus
-// 50 ms, and replaying the same schedule and seed must yield a byte-identical
-// decision trace.
+// end: the gateway must keep serving throughout, answering offloads that hit
+// the dual-site outage from the local fallback, and replaying the same
+// schedule and seed must yield a byte-identical decision trace.
 func TestStormAcceptance(t *testing.T) {
 	const seed = 31
-	snap, traceBytes, responses := runStorm(t, seed)
+	traceBytes, responses := runStorm(t, seed)
 
-	// The breaker lifecycle must complete within the storm.
-	if snap.BreakerOpens == 0 {
-		t.Error("no breaker tripped during the dual-site outage phase")
-	}
-	if snap.BreakerHalfOpens == 0 {
-		t.Error("no breaker reached half-open after the cool-off")
-	}
-	if snap.BreakerCloses == 0 {
-		t.Error("no breaker closed after recovery probes")
-	}
-	if snap.DegradedSeconds <= 0 {
-		t.Error("closed-out breakers must account their degraded episode")
-	}
-
-	// The gateway degraded gracefully: masked requests ran locally, and no
-	// degraded local answer blew the QoS target by more than the paper's
-	// 50 ms budget.
-	degradedLocal := 0
-	for i, r := range responses {
-		if !r.Degraded {
-			continue
-		}
-		if r.Decision.Target.Location != sim.Local {
-			continue // half-open probe: the policy is allowed to test the site
-		}
-		degradedLocal++
-		if lat := r.Decision.Measurement.LatencyS; lat > sim.QoSNonStreamingS+0.050 {
-			t.Errorf("degraded request %d: latency %.1f ms blows the 50 ms QoS target plus 50 ms budget",
-				i, lat*1e3)
+	// runStorm fails on any request not served; the outage phase must have
+	// been exercised for that to mean anything.
+	outages := 0
+	for _, r := range responses {
+		if r.Outage {
+			outages++
 		}
 	}
-	if degradedLocal == 0 {
-		t.Error("no request was served in degraded local mode while breakers were open")
+	if outages == 0 {
+		t.Error("no offload hit the dual-site outage phase")
 	}
 
 	// Deterministic replay: an identical fresh run produces a byte-identical
 	// per-request decision log.
-	_, traceBytes2, _ := runStorm(t, seed)
+	traceBytes2, _ := runStorm(t, seed)
 	if !bytes.Equal(traceBytes, traceBytes2) {
 		t.Fatalf("replay diverged: trace sizes %d vs %d bytes", len(traceBytes), len(traceBytes2))
 	}
@@ -135,21 +101,21 @@ func TestStormAcceptance(t *testing.T) {
 	if len(records) != len(responses) {
 		t.Fatalf("trace carries %d records for %d requests", len(records), len(responses))
 	}
-	sawDegraded := false
+	sawOutage := false
 	for _, rec := range records {
-		if rec.Degraded {
-			sawDegraded = true
+		if rec.Outage {
+			sawOutage = true
 			break
 		}
 	}
-	if !sawDegraded {
-		t.Error("trace did not record the degraded phase")
+	if !sawOutage {
+		t.Error("trace did not record the outage phase")
 	}
 
 	// A different seed must give a different storm (the Markov-free windows
 	// are fixed, but decisions and noise differ) — guarding against the
 	// trace accidentally ignoring the RNG.
-	_, traceOther, _ := runStorm(t, seed+1)
+	traceOther, _ := runStorm(t, seed+1)
 	if bytes.Equal(traceBytes, traceOther) {
 		t.Error("different seeds produced identical traces")
 	}

@@ -1,6 +1,6 @@
 // Package super is the fleet's self-healing tier: a supervision loop above
 // internal/router that turns signals the system already emits — windowed
-// latency histograms, breaker open-counts, crash counters, queue gauges and
+// latency histograms, crash counters, queue gauges and
 // RL learning health — into one health score per shard, and autonomously
 // remediates with hysteresis: probe → cordon (stop placing unpinned work) →
 // drain + re-home over the checkpoint-warm-start path → restart with
@@ -139,7 +139,6 @@ type record struct {
 	// Windowed-delta baselines, reset on incarnation change (a revived
 	// gateway's counters restart at zero).
 	prevLat     obs.HistogramSnapshot
-	prevOpens   int64
 	prevCrashes int64
 }
 
@@ -225,7 +224,7 @@ func (s *Supervisor) tickLocked(now float64) {
 			// A fresh gateway: counters restarted, windows are meaningless.
 			rec.incarnation = sig.Incarnation
 			rec.prevLat = obs.HistogramSnapshot{}
-			rec.prevOpens, rec.prevCrashes = 0, 0
+			rec.prevCrashes = 0
 		}
 		s.superviseShard(now, rec, sig)
 	}
@@ -288,7 +287,7 @@ func (s *Supervisor) superviseShard(now float64, rec *record, sig router.ShardSi
 		if !rec.lastSampled {
 			// No probe traffic reached it this window: no evidence either
 			// way, so the cordon neither lifts nor escalates. Pinned probes
-			// (or breaker/crash deltas) are what move a cordoned shard.
+			// (or crash deltas) are what move a cordoned shard.
 			return
 		}
 		if rec.lastScore >= healthyAbove {
@@ -354,8 +353,8 @@ func (s *Supervisor) condemn(now float64, rec *record) {
 
 // score computes one shard's health in [0, 1] from the signals the system
 // already emits, over the window since the last tick. Components:
-// windowed-p95 latency vs target (weight 0.45), breaker opens (0.2), worker
-// crashes (0.2), queue depth (0.1) and RL TD-error health (0.05). A window
+// windowed-p95 latency vs target (weight 0.45), worker crashes (0.2), queue
+// depth (0.1) and RL TD-error health (0.05). A window
 // with no served requests scores its latency component neutral — absence of
 // traffic is not evidence of sickness — and reports sampled=false so the
 // cordon logic can tell a probed-healthy window from an idle one. It also
@@ -384,12 +383,6 @@ func (s *Supervisor) score(rec *record, sig router.ShardSignal) (float64, string
 		}
 	}
 
-	opens := sig.BreakerOpens - rec.prevOpens
-	if opens < 0 {
-		opens = 0
-	}
-	brk := 1.0 / float64(1+opens)
-
 	crashes := sig.WorkerCrashes - rec.prevCrashes
 	if crashes < 0 {
 		crashes = 0
@@ -410,25 +403,24 @@ func (s *Supervisor) score(rec *record, sig router.ShardSignal) (float64, string
 
 	// Advance the window baselines.
 	rec.prevLat = cur
-	rec.prevOpens = sig.BreakerOpens
 	rec.prevCrashes = sig.WorkerCrashes
 
 	// Weighted geometric mean: unlike an additive mix, one catastrophic
 	// component (a 30x gray latency multiplier, say) drags the whole score
 	// below the sick threshold even while every other signal looks clean.
-	score := math.Pow(lat, 0.45) * math.Pow(brk, 0.2) * math.Pow(crash, 0.2) *
+	score := math.Pow(lat, 0.45) * math.Pow(crash, 0.2) *
 		math.Pow(queue, 0.1) * math.Pow(rl, 0.05)
 	reason := "latency"
 	worst := lat
 	for _, c := range []struct {
 		name string
 		v    float64
-	}{{"breakers", brk}, {"crashes", crash}, {"queue", queue}, {"rl", rl}} {
+	}{{"crashes", crash}, {"queue", queue}, {"rl", rl}} {
 		if c.v < worst {
 			worst, reason = c.v, c.name
 		}
 	}
-	if opens > 0 || crashes > 0 {
+	if crashes > 0 {
 		sampled = true
 	}
 	if score >= healthyAbove {

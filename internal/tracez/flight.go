@@ -8,9 +8,8 @@ import (
 	"sync"
 )
 
-// Event is one structured entry in the flight recorder's ring: breaker
-// transitions, supervisor ladder edges, planner actuations, checkpoint I/O
-// verdicts. Times are virtual seconds.
+// Event is one structured entry in the flight recorder's ring: supervisor
+// ladder edges, planner actuations, checkpoint I/O verdicts. Times are virtual seconds.
 type Event struct {
 	AtS     float64 `json:"at_s"`
 	Kind    string  `json:"kind"`

@@ -3,12 +3,12 @@
 // dispatch → gateway queue → decide → execute/offload → retries/hedges
 // (a router failover re-dispatch stays on the same trace). The decide span
 // carries decision provenance — the dense state index, per-action Q-values
-// from the RCU snapshot, the breaker/lane mask applied, and whether the
+// from the RCU snapshot, the feasibility mask applied, and whether the
 // epsilon draw explored.
 //
 // Sampling is decided at Finish, after the request's fate is known:
 // tail-based keep-all for interesting requests (deadline miss, shed,
-// failover, hedge, failure, degraded mask), head sampling for the rest.
+// failover, hedge, failure), head sampling for the rest.
 // The head draw comes from a named exec.Context stream keyed by the trace's
 // sequence number, so a fixed-seed run — including the chaos soak and the
 // storm/surge acceptance replays — keeps exactly the same traces on every
@@ -43,13 +43,10 @@ const (
 	FlagFailover
 	// FlagHedged marks a hedged request (local hedge raced a slow remote).
 	FlagHedged
-	// FlagDegraded marks a breaker-degraded decision (the action mask was
-	// narrowed by open breakers).
-	FlagDegraded
 )
 
 // flagNames maps bit order to a stable name, for exports.
-var flagNames = []string{"expired", "shed", "failed", "failover", "hedged", "degraded"}
+var flagNames = []string{"expired", "shed", "failed", "failover", "hedged"}
 
 // FlagNames renders a flag set as names in bit order.
 func FlagNames(flags uint8) []string {

@@ -31,7 +31,7 @@ type (
 	// histograms.
 	GatewayMetrics = metrics.Snapshot
 	// GatewayAdmin is the opt-in observability HTTP server: /metrics
-	// (Prometheus text), /snapshot.json, /healthz, /breakers, /traces,
+	// (Prometheus text), /snapshot.json, /healthz, /traces,
 	// net/http/pprof and one document per attached AdminView.
 	GatewayAdmin = serve.Admin
 	// AdminSource is what the admin server observes; a Gateway and a Router
@@ -41,9 +41,9 @@ type (
 	// /metrics series — as returned by Router.AdminView (/shards),
 	// Planner.AdminView (/plan) and Supervisor.AdminView (/supervisor).
 	AdminView = serve.View
-	// ResilienceConfig tunes the gateway's fault-handling path: per-remote
-	// circuit breakers with half-open recovery probes, deadline-budgeted
-	// retries with exponential backoff, and optional hedged offloads.
+	// ResilienceConfig tunes the gateway's fault-handling path:
+	// deadline-budgeted retries with exponential backoff, and optional
+	// hedged offloads.
 	ResilienceConfig = serve.ResilienceConfig
 )
 

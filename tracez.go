@@ -10,8 +10,8 @@ import "autoscale/internal/tracez"
 // sampling keeps every trace that sheds, expires, fails over or hedges;
 // the rest head-sample on the tracer's own deterministic stream, so a
 // fixed-seed replay keeps an identical trace set. The flight recorder
-// rides alongside: a structured event ring (breaker transitions,
-// supervisor ladder edges, planner actuations, checkpoint I/O verdicts)
+// rides alongside: a structured event ring (supervisor ladder edges,
+// planner actuations, checkpoint I/O verdicts)
 // snapshotted to disk as an incident bundle whenever the supervisor
 // remediates. See internal/tracez for full documentation.
 type (

@@ -78,19 +78,19 @@ func TestTracedDecideAllocBudget(t *testing.T) {
 	e.Agent().Freeze()
 	var prov obs.Provenance
 	// Warm both paths so every row and scratch buffer is materialized.
-	if _, err := e.Step(nil, m, c, nil, nil); err != nil {
+	if _, err := e.Step(nil, m, c, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Step(nil, m, c, nil, &prov); err != nil {
+	if _, err := e.Step(nil, m, c, &prov); err != nil {
 		t.Fatal(err)
 	}
 	plain := testing.AllocsPerRun(500, func() {
-		if _, err := e.Step(nil, m, c, nil, nil); err != nil {
+		if _, err := e.Step(nil, m, c, nil); err != nil {
 			t.Fatal(err)
 		}
 	})
 	traced := testing.AllocsPerRun(500, func() {
-		if _, err := e.Step(nil, m, c, nil, &prov); err != nil {
+		if _, err := e.Step(nil, m, c, &prov); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -213,7 +213,7 @@ func TestTrainStepZeroAlloc(t *testing.T) {
 	step := func() {
 		r := &ring[i%zooRingSize]
 		i++
-		if _, err := e.Step(nil, r.Model, r.Conditions, nil, nil); err != nil {
+		if _, err := e.Step(nil, r.Model, r.Conditions, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
