@@ -22,11 +22,15 @@ type resilienceArm struct {
 	rc    serve.ResilienceConfig
 }
 
-// resilienceArms are the compared configurations; "retries" is the
-// reference the others are paired against.
+// resilienceArms are the compared configurations; "none" is the reference
+// the others are paired against. The decision rule, fixed before the run,
+// keeps retries only if they win on mJ/inf or on QoS misses in at least 15
+// of 20 seeds in at least five of the nine (storm, phone) cells, in both
+// comparisons: retries against none and retries+hedge against hedge.
 var resilienceArms = []resilienceArm{
 	{"none", serve.ResilienceConfig{}},
 	{"retries", serve.ResilienceConfig{Enabled: true}},
+	{"hedge", serve.ResilienceConfig{Enabled: true, MaxRetries: -1, Hedge: true}},
 	{"retries+hedge", serve.ResilienceConfig{Enabled: true, Hedge: true}},
 }
 
@@ -38,7 +42,8 @@ var resilienceArms = []resilienceArm{
 // seed, so the arms are compared seed by seed. Each cell reports the
 // QoS-miss ratio, mJ per inference and PPW against the fault-aware Opt on
 // the same storm, as median [min–max] over the seeds, and how many seeds
-// the arm beats retries alone on each of the first two.
+// the arm beats none on each of the first two; retries+hedge is also paired
+// against hedge.
 func ExtensionResilience(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	storm := opts.Faults
@@ -63,7 +68,8 @@ func ExtensionResilience(opts Options) (*Table, error) {
 		Title: fmt.Sprintf("Extension: gateway resilience under fault storms (1 client, MobileNet v3, %d requests, %d paired seeds)",
 			reqs, seeds),
 		Columns: []string{"Storm", "Device", "Resilience", "QoS miss ratio", "mJ/inf", "PPW (vs Opt)",
-			"Beats retries (mJ, misses)"},
+			"Beats hedge (mJ, misses)",
+			"Beats none (mJ, misses)"},
 	}
 
 	// One cell per (storm, phone, seed) runs every arm and the oracle.
@@ -90,7 +96,10 @@ func ExtensionResilience(opts Options) (*Table, error) {
 		return nil, err
 	}
 
-	ref := slices.IndexFunc(resilienceArms, func(a resilienceArm) bool { return a.label == "retries" })
+	arm := func(label string) int {
+		return slices.IndexFunc(resilienceArms, func(a resilienceArm) bool { return a.label == label })
+	}
+	none, hedge, retriesHedge := arm("none"), arm("hedge"), arm("retries+hedge")
 	for si, st := range storms {
 		for pi, dev := range phones {
 			runs := out[(si*len(phones)+pi)*seeds : (si*len(phones)+pi+1)*seeds]
@@ -102,23 +111,29 @@ func ExtensionResilience(opts Options) (*Table, error) {
 					}
 					return v
 				}
-				wins := func(pick func(cellOut) []float64) int {
-					n := 0
-					for _, r := range runs {
-						if pick(r)[a] < pick(r)[ref] {
-							n++
-						}
-					}
-					return n
-				}
 				miss := func(c cellOut) []float64 { return c.miss }
 				mj := func(c cellOut) []float64 { return c.mj }
-				beats := "-"
-				if a != ref {
-					beats = fmt.Sprintf("%d/%d, %d/%d", wins(mj), seeds, wins(miss), seeds)
+				beats := func(ref int) string {
+					if ref == a {
+						return "-"
+					}
+					wins := func(pick func(cellOut) []float64) int {
+						n := 0
+						for _, r := range runs {
+							if pick(r)[a] < pick(r)[ref] {
+								n++
+							}
+						}
+						return n
+					}
+					return fmt.Sprintf("%d/%d, %d/%d", wins(mj), seeds, wins(miss), seeds)
+				}
+				vsHedge := "-"
+				if a == retriesHedge {
+					vsHedge = beats(hedge)
 				}
 				t.AddRow(st.label, dev.Name, arm.label, spread(col(miss)), spread(col(mj)),
-					spread(col(func(c cellOut) []float64 { return c.ppw })), beats)
+					spread(col(func(c cellOut) []float64 { return c.ppw })), vsHedge, beats(none))
 			}
 		}
 	}
