@@ -358,9 +358,9 @@ func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, prov *o
 }
 
 // StepContext derives an auxiliary execution context from the engine's
-// root, sharing its virtual clock — the serving layer uses it for retry and
-// hedge executions so their draws key on (engine seed, purpose, ids) and
-// their simulated time lands on the same timeline the fault schedules are
+// root, sharing its virtual clock — the serving layer uses it for hedge
+// executions so their draws key on (engine seed, purpose, ids) and their
+// simulated time lands on the same timeline the fault schedules are
 // scripted against.
 func (e *Engine) StepContext(purpose string, ids ...uint64) *exec.Context {
 	return e.root.Child(purpose, ids...)

@@ -15,35 +15,26 @@ import (
 	"autoscale/internal/soc"
 )
 
-// resilienceArm is one configuration of the gateway's resilient offload
-// path under test.
-type resilienceArm struct {
+// resilienceArms are the compared configurations, keyed by whether the
+// gateway hedges; "none", the first, is the reference the other is paired
+// against.
+var resilienceArms = []struct {
 	label string
-	rc    serve.ResilienceConfig
+	hedge bool
+}{
+	{"none", false},
+	{"hedge", true},
 }
 
-// resilienceArms are the compared configurations; "none" is the reference
-// the others are paired against. The decision rule, fixed before the run,
-// keeps retries only if they win on mJ/inf or on QoS misses in at least 15
-// of 20 seeds in at least five of the nine (storm, phone) cells, in both
-// comparisons: retries against none and retries+hedge against hedge.
-var resilienceArms = []resilienceArm{
-	{"none", serve.ResilienceConfig{}},
-	{"retries", serve.ResilienceConfig{Enabled: true}},
-	{"hedge", serve.ResilienceConfig{Enabled: true, MaxRetries: -1, Hedge: true}},
-	{"retries+hedge", serve.ResilienceConfig{Enabled: true, Hedge: true}},
-}
-
-// ExtensionResilience measures the serving gateway's resilient offload path
-// under fault storms: one client serves MobileNet v3 on a cold engine
+// ExtensionResilience measures the serving gateway's hedged offloads under
+// fault storms: one client serves MobileNet v3 on a cold engine
 // behind a one-lane gateway, under each arm, on each phone, under the
 // scripted storm (opts.Faults, default DefaultStorm) and fault.Randomize at
 // intensities 0.5 and 0.9. With one client a run is a pure function of its
 // seed, so the arms are compared seed by seed. Each cell reports the
 // QoS-miss ratio, mJ per inference and PPW against the fault-aware Opt on
 // the same storm, as median [min–max] over the seeds, and how many seeds
-// the arm beats none on each of the first two; retries+hedge is also paired
-// against hedge.
+// the arm beats none on each of the first two.
 func ExtensionResilience(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	storm := opts.Faults
@@ -68,7 +59,6 @@ func ExtensionResilience(opts Options) (*Table, error) {
 		Title: fmt.Sprintf("Extension: gateway resilience under fault storms (1 client, MobileNet v3, %d requests, %d paired seeds)",
 			reqs, seeds),
 		Columns: []string{"Storm", "Device", "Resilience", "QoS miss ratio", "mJ/inf", "PPW (vs Opt)",
-			"Beats hedge (mJ, misses)",
 			"Beats none (mJ, misses)"},
 	}
 
@@ -84,7 +74,7 @@ func ExtensionResilience(opts Options) (*Table, error) {
 		}
 		var c cellOut
 		for _, arm := range resilienceArms {
-			miss, mj, err := resilienceRun(soc.Phones()[pi], sc, seed, arm.rc, reqs)
+			miss, mj, err := resilienceRun(soc.Phones()[pi], sc, seed, arm.hedge, reqs)
 			if err != nil {
 				return cellOut{}, err
 			}
@@ -96,10 +86,6 @@ func ExtensionResilience(opts Options) (*Table, error) {
 		return nil, err
 	}
 
-	arm := func(label string) int {
-		return slices.IndexFunc(resilienceArms, func(a resilienceArm) bool { return a.label == label })
-	}
-	none, hedge, retriesHedge := arm("none"), arm("hedge"), arm("retries+hedge")
 	for si, st := range storms {
 		for pi, dev := range phones {
 			runs := out[(si*len(phones)+pi)*seeds : (si*len(phones)+pi+1)*seeds]
@@ -113,27 +99,21 @@ func ExtensionResilience(opts Options) (*Table, error) {
 				}
 				miss := func(c cellOut) []float64 { return c.miss }
 				mj := func(c cellOut) []float64 { return c.mj }
-				beats := func(ref int) string {
-					if ref == a {
-						return "-"
-					}
-					wins := func(pick func(cellOut) []float64) int {
-						n := 0
-						for _, r := range runs {
-							if pick(r)[a] < pick(r)[ref] {
-								n++
-							}
+				wins := func(pick func(cellOut) []float64) int {
+					n := 0
+					for _, r := range runs {
+						if pick(r)[a] < pick(r)[0] {
+							n++
 						}
-						return n
 					}
-					return fmt.Sprintf("%d/%d, %d/%d", wins(mj), seeds, wins(miss), seeds)
+					return n
 				}
-				vsHedge := "-"
-				if a == retriesHedge {
-					vsHedge = beats(hedge)
+				beats := "-"
+				if a != 0 {
+					beats = fmt.Sprintf("%d/%d, %d/%d", wins(mj), seeds, wins(miss), seeds)
 				}
 				t.AddRow(st.label, dev.Name, arm.label, spread(col(miss)), spread(col(mj)),
-					spread(col(func(c cellOut) []float64 { return c.ppw })), vsHedge, beats(none))
+					spread(col(func(c cellOut) []float64 { return c.ppw })), beats)
 			}
 		}
 	}
@@ -150,7 +130,7 @@ var resilienceConditions = sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
 // resilienceRun serves reqs MobileNet v3 requests through a one-lane gateway
 // on a cold engine under the storm, and returns the QoS-miss ratio (requests
 // not served count as misses) and the mean mJ per request.
-func resilienceRun(dev *soc.Device, sc *fault.Schedule, seed int64, rc serve.ResilienceConfig, reqs int) (miss, mj float64, err error) {
+func resilienceRun(dev *soc.Device, sc *fault.Schedule, seed int64, hedge bool, reqs int) (miss, mj float64, err error) {
 	cfg := core.DefaultConfig()
 	cfg.Seed, cfg.RL.Seed = seed, seed
 	eng, err := core.NewEngine(sim.NewWorld(dev, seed), cfg)
@@ -158,7 +138,7 @@ func resilienceRun(dev *soc.Device, sc *fault.Schedule, seed int64, rc serve.Res
 		return 0, 0, err
 	}
 	gw, err := serve.New([]serve.Backend{{Device: dev.Name, Engine: eng}}, serve.Config{
-		Name: "ext-resilience", Faults: fault.New(sc, exec.NewRoot(seed).Child("faults")), Resilience: rc,
+		Name: "ext-resilience", Faults: fault.New(sc, exec.NewRoot(seed).Child("faults")), Hedge: hedge,
 	})
 	if err != nil {
 		return 0, 0, err

@@ -2,7 +2,7 @@ package obs
 
 // Canonical request phases of the serving pipeline, in pipeline order:
 // admission wait, queue wait, the engine's decision overhead, the executed
-// inference, and the optional resilience legs.
+// inference, and the optional hedge leg.
 const (
 	// PhaseQueue is the wait between admission and worker pickup, measured
 	// on the gateway clock.
@@ -15,9 +15,6 @@ const (
 	// PhaseExecute is the executed inference (including any in-sim outage
 	// timeout), measured on the virtual clock.
 	PhaseExecute = "execute"
-	// PhaseRetry covers the deadline-budgeted offload retry legs (backoffs
-	// plus re-executions), measured on the virtual clock.
-	PhaseRetry = "retry"
 	// PhaseHedge is the local hedge leg raced against a slow remote,
 	// measured on the virtual clock.
 	PhaseHedge = "hedge"
@@ -28,14 +25,13 @@ const (
 	PhaseQueueIdx = iota
 	PhaseDecideIdx
 	PhaseExecuteIdx
-	PhaseRetryIdx
 	PhaseHedgeIdx
 	// NumPhases is the number of canonical phases.
 	NumPhases
 )
 
 // phaseNames maps phase index -> canonical name.
-var phaseNames = [NumPhases]string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseRetry, PhaseHedge}
+var phaseNames = [NumPhases]string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseHedge}
 
 // Phases returns a fresh copy of the canonical phase names in pipeline order.
 func Phases() []string { return append([]string(nil), phaseNames[:]...) }
@@ -64,7 +60,7 @@ func (p PhaseTotals) ForEach(fn func(phase string, durS float64)) {
 }
 
 // Durations materializes the non-zero totals as a map, nil when every
-// phase is zero — a request that never retried carries no retry key,
+// phase is zero — a request that was never hedged carries no hedge key,
 // keeping the trace's phases field compact.
 func (p PhaseTotals) Durations() map[string]float64 {
 	n := 0

@@ -12,10 +12,10 @@ func TestPhaseTotalsDropsZeroPhases(t *testing.T) {
 		t.Fatalf("empty totals reported %v", durs)
 	}
 	p.Add(PhaseExecuteIdx, 0.25)
-	p.Add(PhaseRetryIdx, 0.15)
-	p.Add(PhaseRetryIdx, 0.15)
-	p.Add(PhaseHedgeIdx, 0) // a zero-width leg must not leak into the map
-	want := map[string]float64{PhaseExecute: 0.25, PhaseRetry: 0.30}
+	p.Add(PhaseHedgeIdx, 0.15)
+	p.Add(PhaseHedgeIdx, 0.15)
+	p.Add(PhaseDecideIdx, 0) // a zero-width leg must not leak into the map
+	want := map[string]float64{PhaseExecute: 0.25, PhaseHedge: 0.30}
 	durs := p.Durations()
 	if len(durs) != len(want) {
 		t.Fatalf("durations = %v, want %v", durs, want)
@@ -27,14 +27,14 @@ func TestPhaseTotalsDropsZeroPhases(t *testing.T) {
 	}
 	var seen []string
 	p.ForEach(func(phase string, _ float64) { seen = append(seen, phase) })
-	if len(seen) != 2 || seen[0] != PhaseExecute || seen[1] != PhaseRetry {
-		t.Fatalf("ForEach visited %v, want [execute retry] in pipeline order", seen)
+	if len(seen) != 2 || seen[0] != PhaseExecute || seen[1] != PhaseHedge {
+		t.Fatalf("ForEach visited %v, want [execute hedge] in pipeline order", seen)
 	}
 }
 
 func TestPhasesCanonicalOrder(t *testing.T) {
 	got := Phases()
-	want := []string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseRetry, PhaseHedge}
+	want := []string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseHedge}
 	if len(got) != len(want) {
 		t.Fatalf("Phases() = %v", got)
 	}

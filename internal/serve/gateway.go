@@ -81,7 +81,7 @@ type worker struct {
 
 	events    []fault.Event // scripted crash/corruption drills, time-ordered
 	nextEvent int
-	seq       uint64 // per-lane request sequence (trace + retry streams)
+	seq       uint64 // per-lane request sequence (trace + hedge streams)
 
 	// tbuf buffers this lane's trace records between batch flushes. It drains
 	// to the shared writer when it fills, when the lane's queue runs empty
@@ -150,7 +150,6 @@ func newGateway(backends []Backend, cfg Config) (*Gateway, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	cfg.Resilience = cfg.Resilience.withDefaults()
 	g := &Gateway{
 		cfg:      cfg,
 		unrouted: metrics.New(),
@@ -680,10 +679,10 @@ func (g *Gateway) flushTrace(w *worker) {
 }
 
 // serveOne executes one admitted request: scripted fault drills, deadline
-// fast-fail, the engine step, the resilient offload path (retries,
-// hedging), metrics, trace, response. The caller holds w.lane.
+// fast-fail, the engine step, hedging, metrics, trace, response. The caller
+// holds w.lane.
 //
-// Phase accounting: the execution legs (execute, retry, hedge) are
+// Phase accounting: the execution legs (execute, hedge) are
 // stamped on the worker engine's virtual clock, so they are a pure function
 // of the deterministic execution and flow into the trace; the queue and
 // decide phases are wall-clock (scheduling reality, not simulation) and feed
@@ -693,8 +692,8 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	wait := start.Sub(p.submittedAt).Seconds()
 	act := p.req.Trace // nil-safe handle; nil when tracing is off
 	act.SetShard(g.cfg.Name)
-	// pt accumulates the deterministic virtual-clock legs (execute, retry,
-	// hedge) without allocating; the wall-clock queue and decide phases feed
+	// pt accumulates the deterministic virtual-clock legs (execute, hedge)
+	// without allocating; the wall-clock queue and decide phases feed
 	// the registry's histograms directly and stay out of the trace.
 	var pt obs.PhaseTotals
 	w.seq++
@@ -790,22 +789,15 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		w.met.AddOutageWastedJ(wastedJ)
 	}
 
-	retries, recovered := 0, false
-	if outage && g.cfg.Resilience.Enabled && g.cfg.Resilience.MaxRetries > 0 {
-		retryStart := w.engine.Now()
-		retries, recovered = g.retryOffload(w, p, &d)
-		pt.Add(obs.PhaseRetryIdx, w.engine.Now()-retryStart)
-	}
-
 	hedged, hedgeWon := false, false
-	if g.cfg.Resilience.Enabled && g.cfg.Resilience.Hedge && !outage &&
+	if g.cfg.Hedge && !outage &&
 		d.Measurement.Target.Location != sim.Local && w.hasFallback {
 		var localS float64
 		hedged, hedgeWon, localS = g.hedge(w, p, &d, execStart)
 		if hedgeWon {
 			// The phases follow the critical path: the remote leg up to
 			// the hedge point, then the local leg that answered.
-			execS = g.cfg.Resilience.HedgeAfterS
+			execS = hedgeAfterS
 			pt.Add(obs.PhaseHedgeIdx, localS)
 		}
 	}
@@ -815,9 +807,6 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	// phase totals the trace record carries so span durations and the
 	// record's phases field reconcile exactly for every serve.
 	act.Span("execute", pt.Total(obs.PhaseExecuteIdx), d.Measurement.Target.Location.String())
-	if v := pt.Total(obs.PhaseRetryIdx); v > 0 {
-		act.Span("retry", v, "")
-	}
 	if v := pt.Total(obs.PhaseHedgeIdx); v > 0 {
 		act.Span("hedge", v, "")
 	}
@@ -842,7 +831,6 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		rec.Shard = g.cfg.Name
 		rec.Tenant = p.req.Tenant
 		rec.Outage = outage
-		rec.Retries = retries
 		rec.Hedged = hedged
 		rec.VWaitS = vwait
 		rec.Phases = pt.Durations()
@@ -858,7 +846,6 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 
 	base.Status, base.Decision, base.Outage, base.DoneAt =
 		StatusServed, d, outage, g.now()
-	base.OffloadRetries, base.RetryRecovered = retries, recovered
 	base.Hedged, base.HedgeWon = hedged, hedgeWon
 	act.Finish("served")
 	w.answer(p, base)
@@ -890,10 +877,14 @@ func (g *Gateway) applyFaultEvents(w *worker) {
 	}
 }
 
-// fitsDeadline reports whether the remaining wall budget fits overheadS
-// plus the expected clean latency of executing the request on target t. A
-// request without a deadline always fits.
-func (g *Gateway) fitsDeadline(w *worker, p *pending, t sim.Target, overheadS float64) bool {
+// hedgeAfterS is the remote latency beyond which the local hedge leg fires:
+// 25 ms, half the paper's 50 ms QoS budget.
+const hedgeAfterS = 0.025
+
+// hedgeFits reports whether the remaining wall budget fits the hedge point
+// plus the expected clean latency of the request's local leg. A request
+// without a deadline always fits.
+func (g *Gateway) hedgeFits(w *worker, p *pending) bool {
 	if p.req.Deadline.IsZero() {
 		return true
 	}
@@ -901,71 +892,15 @@ func (g *Gateway) fitsDeadline(w *worker, p *pending, t sim.Target, overheadS fl
 	if remaining <= 0 {
 		return false
 	}
-	exp, err := w.engine.World.Expected(p.req.Model, t, p.req.Conditions)
+	exp, err := w.engine.World.Expected(p.req.Model, w.fallback, p.req.Conditions)
 	if err != nil {
 		return false
 	}
-	return remaining >= overheadS+exp.LatencyS
-}
-
-// retryOffload re-drives a failed offload with exponential backoff and
-// deterministic jitter from the request's named RNG stream, inside the
-// request's deadline budget. Each attempt supersedes the previous answer:
-// its latency and energy are charged to the episode as waste. On recovery
-// the remote result replaces the outage fallback; on exhaustion the last
-// fallback answer stands (graceful degradation).
-func (g *Gateway) retryOffload(w *worker, p *pending, d *core.Decision) (retries int, recovered bool) {
-	rc := g.cfg.Resilience
-	world := w.engine.World
-	cur := d.Measurement // current best answer (outage fallback)
-	var wasteS, wasteJ float64
-
-	for attempt := 1; attempt <= rc.MaxRetries; attempt++ {
-		rctx := w.engine.StepContext("serve.retry", w.seq, uint64(attempt))
-		backoff := retryBackoffS * math.Pow(2, float64(attempt-1))
-		backoff += 0.5 * backoff * rctx.Stream("serve.retry.jitter").Float64()
-
-		// Budget: the backoff plus a clean execution must fit in the
-		// remaining deadline, or the retry is abandoned immediately
-		// instead of burning another outage timeout.
-		if !g.fitsDeadline(w, p, d.Target, backoff) {
-			w.met.IncRetryAbandoned()
-			break
-		}
-
-		rctx.Advance(backoff)
-		retries++
-		w.met.IncOffloadRetry()
-		rmeas, err := world.ExecuteCtx(rctx, p.req.Model, d.Target, p.req.Conditions)
-		if err != nil {
-			break
-		}
-		// The previous answer is superseded: its cost becomes waste.
-		wasteJ += cur.EnergyJ
-		wasteS += cur.LatencyS + backoff
-		cur = rmeas
-		if rmeas.WastedJ > 0 {
-			w.met.AddOutageWastedJ(rmeas.WastedJ)
-		}
-		if rmeas.Target.Location == sim.Local {
-			// Failed again (outage fallback ran); keep backing off.
-			continue
-		}
-		recovered = true
-		w.met.IncRetryRecovered()
-		break
-	}
-
-	cur.LatencyS += wasteS
-	cur.EnergyJ += wasteJ
-	cur.WastedJ += wasteJ
-	d.Measurement = cur
-	d.QoSViolated = cur.LatencyS > d.QoSTargetS
-	return retries, recovered
+	return remaining >= hedgeAfterS+exp.LatencyS
 }
 
 // hedge races a local leg against a slow remote answer: when the measured
-// remote latency exceeds HedgeAfterS and the deadline budget fits the local
+// remote latency exceeds hedgeAfterS and the deadline budget fits the local
 // leg, the gateway simulates having fired the fallback at the hedge point
 // and takes whichever answer lands first, charging the loser's in-flight
 // energy as waste. The local leg runs beside the remote one, on a clock of
@@ -973,22 +908,21 @@ func (g *Gateway) retryOffload(w *worker, p *pending, d *core.Decision) (retries
 // remote leg already advanced, ends at the winner's finish. localS is the
 // local leg's latency when it won.
 func (g *Gateway) hedge(w *worker, p *pending, d *core.Decision, execStart float64) (hedged, won bool, localS float64) {
-	rc := g.cfg.Resilience
 	remote := d.Measurement
-	if remote.LatencyS <= rc.HedgeAfterS {
+	if remote.LatencyS <= hedgeAfterS {
 		return false, false, 0
 	}
-	if !g.fitsDeadline(w, p, w.fallback, rc.HedgeAfterS) {
+	if !g.hedgeFits(w, p) {
 		return false, false, 0
 	}
 	lane := w.engine.StepContext("serve.hedge", w.seq)
-	hctx := lane.Detach(execStart + rc.HedgeAfterS)
+	hctx := lane.Detach(execStart + hedgeAfterS)
 	local, err := w.engine.World.ExecuteCtx(hctx, p.req.Model, w.fallback, p.req.Conditions)
 	if err != nil {
 		return false, false, 0
 	}
 	w.met.IncHedge()
-	hedgedLat := rc.HedgeAfterS + local.LatencyS
+	hedgedLat := hedgeAfterS + local.LatencyS
 	if hedgedLat < remote.LatencyS {
 		// Local leg wins: the remote answer is superseded; charge the
 		// remote energy spent up to the hedged completion as waste.
@@ -1005,7 +939,7 @@ func (g *Gateway) hedge(w *worker, p *pending, d *core.Decision, execStart float
 	}
 	// Remote answered first: the local leg ran (remote - hedge point) long
 	// before cancellation; charge that fraction as waste.
-	frac := (remote.LatencyS - rc.HedgeAfterS) / local.LatencyS
+	frac := (remote.LatencyS - hedgeAfterS) / local.LatencyS
 	if frac > 1 {
 		frac = 1
 	}

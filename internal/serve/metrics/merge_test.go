@@ -22,7 +22,7 @@ func seededSnapshot(seed uint64, tag string) Snapshot {
 	lastErr := ""
 	bump := []func(){
 		r.IncSubmitted, r.IncShed, r.IncExpired, r.IncFailed,
-		r.IncOutage, r.IncOffloadRetry, r.IncHedge, r.IncWorkerCrash,
+		r.IncOutage, r.IncHedge, r.IncHedgeWon, r.IncWorkerCrash,
 	}
 	for i, n := 0, 20+rng.Intn(60); i < n; i++ {
 		bump[rng.Intn(len(bump))]()

@@ -98,16 +98,6 @@ func (r *Registry) IncFailed() { r.count(&r.s.Failed, 1) }
 // fallback.
 func (r *Registry) IncOutage() { r.count(&r.s.Outages, 1) }
 
-// IncOffloadRetry counts one deadline-budgeted re-offload after an outage.
-func (r *Registry) IncOffloadRetry() { r.count(&r.s.OffloadRetries, 1) }
-
-// IncRetryRecovered counts one offload retry that came back clean.
-func (r *Registry) IncRetryRecovered() { r.count(&r.s.RetriesRecovered, 1) }
-
-// IncRetryAbandoned counts one retry skipped because the remaining deadline
-// could not fit the backoff plus the expected execution.
-func (r *Registry) IncRetryAbandoned() { r.count(&r.s.RetriesAbandoned, 1) }
-
 // IncHedge counts one hedged offload launched against a slow remote.
 func (r *Registry) IncHedge() { r.count(&r.s.Hedges, 1) }
 
@@ -223,21 +213,19 @@ type Snapshot struct {
 	QoSViolations int64
 	Outages       int64
 
-	// Resilience counters: the retry/hedge machinery and the scripted
-	// drills.
-	OffloadRetries   int64
-	RetriesRecovered int64
-	RetriesAbandoned int64
-	Hedges           int64
-	HedgesWon        int64
-	HedgesLost       int64
-	WorkerCrashes    int64
-	CorruptDrills    int64
-	OutageWastedJ    float64
+	// Resilience counters: the hedging machinery and the scripted drills.
+	Hedges        int64
+	HedgesWon     int64
+	HedgesLost    int64
+	WorkerCrashes int64
+	CorruptDrills int64
+	OutageWastedJ float64
 
-	// BreakerOpens and DegradedSeconds are always zero: nothing records or
-	// folds them. They are kept, unchanged, because the benchmark reads them
-	// (bench/chaos.go:318, bench/workloads.go:209-210).
+	// OffloadRetries, BreakerOpens and DegradedSeconds are always zero:
+	// nothing records or folds them. They are kept, unchanged, because the
+	// benchmark reads them (bench/chaos.go:317-318,
+	// bench/workloads.go:207-210).
+	OffloadRetries  int64
 	BreakerOpens    int64
 	DegradedSeconds float64
 
@@ -325,9 +313,6 @@ func (s *Snapshot) add(o *Snapshot) {
 	s.Failed += o.Failed
 	s.QoSViolations += o.QoSViolations
 	s.Outages += o.Outages
-	s.OffloadRetries += o.OffloadRetries
-	s.RetriesRecovered += o.RetriesRecovered
-	s.RetriesAbandoned += o.RetriesAbandoned
 	s.Hedges += o.Hedges
 	s.HedgesWon += o.HedgesWon
 	s.HedgesLost += o.HedgesLost

@@ -83,7 +83,7 @@ func TestObservePhase(t *testing.T) {
 	r := New()
 	r.ObservePhase(obs.PhaseExecute, 0.010)
 	r.ObservePhase(obs.PhaseExecute, 0.030)
-	r.ObservePhase(obs.PhaseRetry, 0.005)
+	r.ObservePhase(obs.PhaseDecide, 0.005)
 	r.ObservePhase("no-such-phase", 1.0) // dropped, not panicking
 	s := r.Snapshot()
 	if len(s.Phases) != 2 {
@@ -93,8 +93,8 @@ func TestObservePhase(t *testing.T) {
 	if ex.Count != 2 || math.Abs(ex.Sum-0.040) > 1e-12 {
 		t.Fatalf("execute phase: %+v", ex)
 	}
-	if s.Phases[obs.PhaseRetry].Count != 1 {
-		t.Fatalf("retry phase: %+v", s.Phases[obs.PhaseRetry])
+	if s.Phases[obs.PhaseDecide].Count != 1 {
+		t.Fatalf("decide phase: %+v", s.Phases[obs.PhaseDecide])
 	}
 	if _, ok := s.Phases["no-such-phase"]; ok {
 		t.Fatal("unknown phase recorded")

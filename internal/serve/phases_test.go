@@ -19,8 +19,8 @@ import (
 )
 
 // TestPhaseSumInvariant pins the phase-span accounting contract: for every
-// served request without hedging, the virtual-clock legs in the trace
-// (execute + retry) reconstruct the recorded end-to-end latency exactly,
+// served request without hedging, the execute leg in the trace — outage
+// timeouts included — reconstructs the recorded end-to-end latency exactly,
 // and the wall-clock legs (queue, decide) never leak into the trace — they
 // would break byte-identical replay.
 func TestPhaseSumInvariant(t *testing.T) {
@@ -38,10 +38,9 @@ func TestPhaseSumInvariant(t *testing.T) {
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
 	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
+		// Hedging off: every served request must then decompose
+		// exactly into its execute leg on the virtual clock.
 		Trace: tw,
-		// Retries on, hedge off: every served request must then
-		// decompose exactly into execute + retry on the virtual clock.
-		Resilience: ResilienceConfig{Enabled: true, MaxRetries: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -64,7 +63,7 @@ func TestPhaseSumInvariant(t *testing.T) {
 		t.Fatalf("trace has %d records", len(recs))
 	}
 
-	withRetry := 0
+	withOutage := 0
 	for i, rec := range recs {
 		p := rec.Phases
 		if p == nil {
@@ -81,20 +80,16 @@ func TestPhaseSumInvariant(t *testing.T) {
 		if p[obs.PhaseExecute] <= 0 {
 			t.Fatalf("record %d: execute leg %v", i, p[obs.PhaseExecute])
 		}
-		if p[obs.PhaseRetry] > 0 {
-			withRetry++
-			if rec.Retries == 0 {
-				t.Fatalf("record %d has a retry leg but zero retries", i)
-			}
+		if rec.Outage {
+			withOutage++
 		}
-		sum := p[obs.PhaseExecute] + p[obs.PhaseRetry]
-		if math.Abs(sum-rec.LatencyS) > 1e-9 {
+		if sum := p[obs.PhaseExecute]; math.Abs(sum-rec.LatencyS) > 1e-9 {
 			t.Fatalf("record %d: phases sum to %.12f but latency is %.12f (phases %v)",
 				i, sum, rec.LatencyS, p)
 		}
 	}
-	if withRetry == 0 {
-		t.Fatal("storm produced no retry legs; the invariant was tested vacuously")
+	if withOutage == 0 {
+		t.Fatal("storm produced no outages; the invariant was tested vacuously")
 	}
 
 	// The registry sees every phase, including the wall-clock-only ones.
@@ -105,14 +100,14 @@ func TestPhaseSumInvariant(t *testing.T) {
 			t.Fatalf("registry phase %q: ok=%v count=%d, want 400", phase, ok, hs.Count)
 		}
 	}
-	if hs, ok := snap.Phases[obs.PhaseRetry]; !ok || hs.Count != int64(withRetry) {
-		t.Fatalf("registry retry phase: ok=%v count=%d, want %d", ok, hs.Count, withRetry)
+	if hs, ok := snap.Phases[obs.PhaseHedge]; ok {
+		t.Fatalf("registry has %d hedge legs with hedging disabled", hs.Count)
 	}
 }
 
 // TestSpansReconcileWithPhases pins the causal-trace accounting contract:
-// for non-hedged serves, the execution-leg spans in a kept causal trace
-// (execute, retry) carry exactly the durations the request-trace record's
+// the execution-leg spans in a kept causal trace (execute, and hedge when
+// the local leg won) carry exactly the durations the request-trace record's
 // Phases map reports — both are emitted from the same PhaseTotals,
 // so any drift means the span tree and the audit trail disagree about the
 // same request. Decide spans must carry full provenance.
@@ -132,9 +127,9 @@ func TestSpansReconcileWithPhases(t *testing.T) {
 	tw := trace.NewWriter(&buf)
 	tr := tracez.New(tracez.Config{SampleRate: 1, Ring: 512, Seed: seed})
 	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
-		Trace:      tw,
-		Tracer:     tr,
-		Resilience: ResilienceConfig{Enabled: true, MaxRetries: 2},
+		Trace:  tw,
+		Tracer: tr,
+		Hedge:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +163,7 @@ func TestSpansReconcileWithPhases(t *testing.T) {
 	if len(kept) == 0 {
 		t.Fatal("tracer kept no traces at sample rate 1")
 	}
-	reconciled, withRetry := 0, 0
+	reconciled, withHedge := 0, 0
 	for _, ct := range kept {
 		rec, ok := byID[ct.ID]
 		if !ok {
@@ -178,7 +173,7 @@ func TestSpansReconcileWithPhases(t *testing.T) {
 		for _, sp := range ct.Spans {
 			spans[sp.Name] += sp.DurS
 		}
-		for _, leg := range []string{obs.PhaseExecute, obs.PhaseRetry} {
+		for _, leg := range []string{obs.PhaseExecute, obs.PhaseHedge} {
 			if math.Abs(spans[leg]-rec.Phases[leg]) > 1e-12 {
 				t.Fatalf("trace %d: span %q = %.12f but phases say %.12f",
 					ct.ID, leg, spans[leg], rec.Phases[leg])
@@ -193,13 +188,13 @@ func TestSpansReconcileWithPhases(t *testing.T) {
 		if len(ct.Prov.Q) == 0 || len(ct.Prov.Mask) == 0 || ct.Prov.Action == "" {
 			t.Fatalf("trace %d provenance incomplete: %+v", ct.ID, ct.Prov)
 		}
-		if spans[obs.PhaseRetry] > 0 {
-			withRetry++
+		if spans[obs.PhaseHedge] > 0 {
+			withHedge++
 		}
 		reconciled++
 	}
-	if withRetry == 0 {
-		t.Fatalf("none of the %d reconciled traces had a retry leg; invariant tested vacuously", reconciled)
+	if withHedge == 0 {
+		t.Fatalf("none of the %d reconciled traces had a hedge leg; invariant tested vacuously", reconciled)
 	}
 }
 
@@ -314,9 +309,9 @@ func (s *failingSink) Write(p []byte) (int, error) { return 0, s.err }
 
 // TestLaneClockMatchesCharge pins lane-clock conservation. Fault windows and
 // gray factors key on the lane's virtual clock, so every served request must
-// advance it by exactly the latency it is charged: through outages, offload
-// retries, gray stretching and hedges alike, won or lost. A hedge's local leg runs on a clock of its
-// own, and the lane ends at the winner's finish.
+// advance it by exactly the latency it is charged: through outages, gray
+// stretching and hedges alike, won or lost. A hedge's local leg runs on a
+// clock of its own, and the lane ends at the winner's finish.
 func TestLaneClockMatchesCharge(t *testing.T) {
 	const seed, n = 3, 2000
 	cfg := core.DefaultConfig()
@@ -332,15 +327,15 @@ func TestLaneClockMatchesCharge(t *testing.T) {
 	}}, exec.NewRoot(seed).Child("faults"))
 	var buf bytes.Buffer
 	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
-		Trace:      trace.NewWriter(&buf),
-		Faults:     inj,
-		Resilience: ResilienceConfig{Enabled: true, MaxRetries: 2, Hedge: true},
+		Trace:  trace.NewWriter(&buf),
+		Faults: inj,
+		Hedge:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := dnn.MustByName("MobileNet v3")
-	outages, retried, gray, won, lost := 0, 0, 0, 0, 0
+	outages, gray, won, lost := 0, 0, 0, 0
 	for i := 0; i < n; i++ {
 		before := e.Now()
 		resp, err := g.Do(Request{Model: m, Conditions: conds()})
@@ -355,9 +350,6 @@ func TestLaneClockMatchesCharge(t *testing.T) {
 		if resp.Outage {
 			outages++
 		}
-		if resp.OffloadRetries > 0 {
-			retried++
-		}
 		if inj.GrayFactor("Mi8Pro", before) > 1 {
 			gray++
 		}
@@ -371,11 +363,11 @@ func TestLaneClockMatchesCharge(t *testing.T) {
 	if err := g.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d requests: %d outages, %d retried, %d gray-stretched, %d/%d hedges won/lost, lane clock %.3f s",
-		n, outages, retried, gray, won, lost, e.Now())
-	if outages == 0 || retried == 0 || gray == 0 || won == 0 || lost == 0 {
-		t.Fatalf("vacuous: %d outages, %d retried, %d gray-stretched requests, %d/%d hedges won/lost",
-			outages, retried, gray, won, lost)
+	t.Logf("%d requests: %d outages, %d gray-stretched, %d/%d hedges won/lost, lane clock %.3f s",
+		n, outages, gray, won, lost, e.Now())
+	if outages == 0 || gray == 0 || won == 0 || lost == 0 {
+		t.Fatalf("vacuous: %d outages, %d gray-stretched requests, %d/%d hedges won/lost",
+			outages, gray, won, lost)
 	}
 
 	// The record's phases are the critical path, so they add up to the
@@ -391,7 +383,7 @@ func TestLaneClockMatchesCharge(t *testing.T) {
 		if p[obs.PhaseHedge] > 0 {
 			hedgeLegs++
 		}
-		if sum := p[obs.PhaseExecute] + p[obs.PhaseRetry] + p[obs.PhaseHedge]; math.Abs(sum-rec.LatencyS) > 1e-9 {
+		if sum := p[obs.PhaseExecute] + p[obs.PhaseHedge]; math.Abs(sum-rec.LatencyS) > 1e-9 {
 			t.Fatalf("record %d: phases sum to %.12f but latency is %.12f (phases %v)", i, sum, rec.LatencyS, p)
 		}
 	}

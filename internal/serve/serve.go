@@ -5,9 +5,9 @@
 // on one device; a production deployment faces a stream of requests from
 // many services against a heterogeneous fleet, and needs the plumbing the
 // paper never had to build — admission control instead of unbounded
-// blocking, deadline-aware dispatch that fails stale work fast, resilient
-// offloading (retries, hedges), runtime metrics, and a graceful
-// shutdown that drains queues and persists what each engine learned.
+// blocking, deadline-aware dispatch that fails stale work fast, hedged
+// offloading, runtime metrics, and a graceful shutdown that drains queues
+// and persists what each engine learned.
 //
 // The gateway deliberately preserves the paper's per-decision semantics:
 // every executed request goes through Engine.Step — observe, select
@@ -53,7 +53,7 @@ type Status int
 
 // Request outcomes.
 const (
-	// StatusServed: the request executed (possibly after offload retries).
+	// StatusServed: the request executed (possibly on a hedge's local leg).
 	StatusServed Status = iota
 	// StatusShed: admission control rejected the request on a full queue.
 	StatusShed
@@ -124,11 +124,6 @@ type Response struct {
 	// Outage marks a simulated radio outage absorbed by the sim's local
 	// fallback during execution.
 	Outage bool
-	// OffloadRetries counts the deadline-budgeted offload retries this
-	// request ran after an outage; RetryRecovered marks that one of them
-	// reached the remote target cleanly.
-	OffloadRetries int
-	RetryRecovered bool
 	// Hedged marks that a local hedge leg raced the remote answer;
 	// HedgeWon marks that the hedge leg finished first.
 	Hedged   bool
@@ -192,9 +187,11 @@ type Config struct {
 	PolicySync policy.SyncConfig
 	// Clock overrides the gateway's time source (tests; default time.Now).
 	Clock func() time.Time
-	// Resilience tunes the resilient offload path: deadline-budgeted
-	// offload retries and hedged offloads. The zero value disables it.
-	Resilience ResilienceConfig
+	// Hedge enables hedged offloads: when a remote answer is slower than
+	// 25 ms (hedgeAfterS) and the deadline budget allows, a local leg races
+	// it and the earlier answer wins. An outage is not retried: the sim's local
+	// fallback answers it, and the engine learns from its cost.
+	Hedge bool
 	// Faults, when non-nil, is the scripted fault injector: New installs it
 	// on every backend world that has none, and each worker drills the
 	// injector's crash/corruption events for its device. The injector's
@@ -206,7 +203,7 @@ type Config struct {
 	// Tracer, when non-nil, switches on the causal tracing plane: requests
 	// not already carrying a trace handle get one at submit, and served
 	// requests accumulate a span tree (queue, decide with decision
-	// provenance, execute, retry, hedge). The tracer owns its own
+	// provenance, execute, hedge). The tracer owns its own
 	// RNG root, so enabling it never perturbs the engines' deterministic
 	// streams.
 	Tracer *tracez.Tracer

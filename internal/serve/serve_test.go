@@ -547,158 +547,53 @@ func TestSubmitNilModel(t *testing.T) {
 	}
 }
 
-// resilientWorker builds a single-device gateway without starting the worker
-// goroutine, so tests can drive serveOne and the retry/hedge helpers
-// directly with fully controlled decisions.
-func resilientWorker(t testing.TB, e *core.Engine, cfg Config) (*Gateway, *worker) {
+// hedgeWorker builds a single-device hedging gateway without starting the
+// worker goroutine, so tests can drive the hedge helper directly with fully
+// controlled decisions.
+func hedgeWorker(t testing.TB, e *core.Engine) (*Gateway, *worker) {
 	t.Helper()
-	g, err := newGateway([]Backend{{Device: "Mi8Pro", Engine: e}}, cfg)
+	g, err := newGateway([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{Hedge: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, g.workers[0]
-}
-
-// offloadCloud executes m on the engine's first feasible cloud action, on
-// the engine's lane clock, and returns the decision an engine step that
-// chose it would hand the resilient path: the cloud target with whatever
-// the execution produced (the local fallback when the site is down).
-func offloadCloud(t *testing.T, e *core.Engine, m *dnn.Model) core.Decision {
-	t.Helper()
-	mask := e.Actions.Mask(m)
-	for i := 0; i < e.Actions.Len(); i++ {
-		if tg := e.Actions.Target(i); tg.Location == sim.Cloud && mask[i] {
-			meas, err := e.Actions.ExecuteCtx(e.StepContext("test.offload"), m, i, conds())
-			if err != nil {
-				t.Fatal(err)
-			}
-			return core.Decision{ActionIndex: i, Target: tg, Measurement: meas, QoSTargetS: sim.QoSNonStreamingS}
-		}
-	}
-	t.Fatalf("no feasible cloud action for %s", m.Name)
-	return core.Decision{}
-}
-
-// scheduleWorld installs a compiled fault schedule on a fresh engine.
-func faultEngine(t testing.TB, seed int64, s *fault.Schedule) *core.Engine {
-	t.Helper()
-	e := testEngine(t, soc.Mi8Pro(), seed, core.DefaultConfig())
-	e.World.Faults = fault.New(s, exec.NewRoot(seed).Child("faults"))
-	return e
-}
-
-// TestRetryRecoversWhenOutageClears covers the compound path "outage during
-// retry": the first attempt lands inside a scripted outage window, the
-// retry's backoff advances the virtual clock past the window's end, and the
-// re-driven offload succeeds — superseding the fallback answer and charging
-// it as waste.
-func TestRetryRecoversWhenOutageClears(t *testing.T) {
-	e := faultEngine(t, 21, &fault.Schedule{Faults: []fault.Spec{
-		{Kind: fault.KindOutage, Site: fault.SiteCloud, StartS: 0, EndS: 0.0005},
-	}})
-	g, w := resilientWorker(t, e, Config{Resilience: ResilienceConfig{Enabled: true, MaxRetries: 2}})
-	m := dnn.MustByName("MobileNet v3")
-
+	w := g.workers[0]
 	w.seq = 1
-	d := offloadCloud(t, e, m)
-	if d.Target.Location != sim.Cloud || d.Measurement.Target.Location != sim.Local {
-		t.Fatalf("premise broken: decision %v executed on %v, want cloud decision falling back local",
-			d.Target, d.Measurement.Target)
-	}
-	fallbackJ := d.Measurement.EnergyJ
-
-	p := &pending{req: Request{Model: m, Conditions: conds()}, resp: make(chan Response, 1)}
-	retries, recovered := g.retryOffload(w, p, &d)
-	if retries != 1 || !recovered {
-		t.Fatalf("retries=%d recovered=%v, want 1 recovered retry (clock passed the window at %v)",
-			retries, recovered, e.Now())
-	}
-	if d.Measurement.Target.Location != sim.Cloud {
-		t.Fatalf("recovered measurement ran on %v, want cloud", d.Measurement.Target)
-	}
-	if d.Measurement.WastedJ < fallbackJ {
-		t.Errorf("WastedJ = %v, must charge at least the superseded fallback's %v J",
-			d.Measurement.WastedJ, fallbackJ)
-	}
-	snap := g.Snapshot()
-	if snap.OffloadRetries != 1 || snap.RetriesRecovered != 1 {
-		t.Errorf("metrics: %d retries / %d recovered, want 1/1", snap.OffloadRetries, snap.RetriesRecovered)
-	}
+	return g, w
 }
 
-// TestRetryExhaustsGracefully keeps the outage window solid through every
-// backoff: the retries burn out and the last local fallback answer stands.
-func TestRetryExhaustsGracefully(t *testing.T) {
-	e := faultEngine(t, 22, &fault.Schedule{Faults: []fault.Spec{
-		{Kind: fault.KindOutage, Site: fault.SiteCloud, StartS: 0, EndS: 1e6},
-	}})
-	g, w := resilientWorker(t, e, Config{Resilience: ResilienceConfig{Enabled: true, MaxRetries: 2}})
-	m := dnn.MustByName("MobileNet v3")
-
-	w.seq = 1
-	d := offloadCloud(t, e, m)
-	p := &pending{req: Request{Model: m, Conditions: conds()}, resp: make(chan Response, 1)}
-	retries, recovered := g.retryOffload(w, p, &d)
-	if retries != 2 || recovered {
-		t.Fatalf("retries=%d recovered=%v, want 2 exhausted retries", retries, recovered)
-	}
-	if d.Measurement.Target.Location != sim.Local {
-		t.Fatalf("degraded answer ran on %v, want the local fallback", d.Measurement.Target)
-	}
-	if d.Measurement.WastedJ <= 0 {
-		t.Error("exhausted retries must charge the superseded attempts as waste")
-	}
-	snap := g.Snapshot()
-	if snap.OffloadRetries != 2 || snap.RetriesRecovered != 0 {
-		t.Errorf("metrics: %d retries / %d recovered, want 2/0", snap.OffloadRetries, snap.RetriesRecovered)
-	}
-}
-
-// TestRetryAbandonedOnTightDeadline covers the deadline budget: a retry whose
-// backoff plus clean execution cannot finish before the request's deadline is
-// abandoned immediately, without burning another outage timeout.
-func TestRetryAbandonedOnTightDeadline(t *testing.T) {
-	e := faultEngine(t, 23, &fault.Schedule{Faults: []fault.Spec{
-		{Kind: fault.KindOutage, Site: fault.SiteCloud, StartS: 0, EndS: 1e6},
-	}})
-	now := time.Unix(5000, 0)
-	g, w := resilientWorker(t, e, Config{
-		Clock:      func() time.Time { return now },
-		Resilience: ResilienceConfig{Enabled: true, MaxRetries: 3},
-	})
-	m := dnn.MustByName("MobileNet v3")
-
-	w.seq = 1
-	d := offloadCloud(t, e, m)
-	p := &pending{req: Request{Model: m, Conditions: conds(), Deadline: now.Add(time.Microsecond)},
-		resp: make(chan Response, 1)}
-	retries, recovered := g.retryOffload(w, p, &d)
-	if retries != 0 || recovered {
-		t.Fatalf("retries=%d recovered=%v, want immediate abandonment", retries, recovered)
-	}
-	snap := g.Snapshot()
-	if snap.RetriesAbandoned != 1 || snap.OffloadRetries != 0 {
-		t.Errorf("metrics: %d abandoned / %d attempted, want 1/0", snap.RetriesAbandoned, snap.OffloadRetries)
-	}
-	if d.Measurement.Target.Location != sim.Local {
-		t.Error("abandoned retry must keep the graceful local fallback answer")
-	}
-}
-
-// TestHedgeOutcomes drives the hedged-offload race both ways against a
-// recovering backend: a slow remote answer loses to the local leg, a fast
-// one wins but still pays the cancelled leg's in-flight energy.
+// TestHedgeOutcomes drives the hedged-offload race with remote latencies on
+// either side of the 25 ms hedge point: a remote answer under it is never
+// hedged, a slow one loses to the local leg, and one just over it wins but
+// still pays the cancelled leg's in-flight energy.
 func TestHedgeOutcomes(t *testing.T) {
 	cloud := sim.Target{Location: sim.Cloud, Kind: soc.GPU, Prec: dnn.FP32}
 	m := dnn.MustByName("MobileNet v3")
+	p := &pending{req: Request{Model: m, Conditions: conds()}, resp: make(chan Response, 1)}
+	remote := func(latencyS, energyJ float64) core.Decision {
+		return core.Decision{Target: cloud,
+			Measurement: sim.Measurement{Target: cloud, LatencyS: latencyS, EnergyJ: energyJ}, QoSTargetS: 0.05}
+	}
+
+	t.Run("fast remote is not hedged", func(t *testing.T) {
+		e := testEngine(t, soc.Mi8Pro(), 26, core.DefaultConfig())
+		g, w := hedgeWorker(t, e)
+		d := remote(0.024, 0.01)
+		want := d
+		if hedged, won, _ := g.hedge(w, p, &d, e.Now()); hedged || won {
+			t.Fatalf("hedged=%v won=%v, want no hedge under a 24 ms remote", hedged, won)
+		}
+		if d != want {
+			t.Errorf("an unhedged decision changed: %+v", d)
+		}
+		if snap := g.Snapshot(); snap.Hedges != 0 {
+			t.Errorf("metrics: %+v", snap)
+		}
+	})
 
 	t.Run("local leg wins", func(t *testing.T) {
 		e := testEngine(t, soc.Mi8Pro(), 24, core.DefaultConfig())
-		g, w := resilientWorker(t, e, Config{Resilience: ResilienceConfig{Enabled: true, Hedge: true, HedgeAfterS: 0.001}})
-		w.seq = 1
-		d := core.Decision{Target: cloud,
-			Measurement: sim.Measurement{Target: cloud, LatencyS: 10, EnergyJ: 1}, QoSTargetS: 0.05}
-		p := &pending{req: Request{Model: m, Conditions: conds()}, resp: make(chan Response, 1)}
+		g, w := hedgeWorker(t, e)
+		d := remote(10, 1)
 		hedged, won, _ := g.hedge(w, p, &d, e.Now())
 		if !hedged || !won {
 			t.Fatalf("hedged=%v won=%v, want the local leg to beat a 10 s remote", hedged, won)
@@ -716,15 +611,12 @@ func TestHedgeOutcomes(t *testing.T) {
 
 	t.Run("remote answers first", func(t *testing.T) {
 		e := testEngine(t, soc.Mi8Pro(), 25, core.DefaultConfig())
-		g, w := resilientWorker(t, e, Config{Resilience: ResilienceConfig{Enabled: true, Hedge: true, HedgeAfterS: 0.001}})
-		w.seq = 1
-		d := core.Decision{Target: cloud,
-			Measurement: sim.Measurement{Target: cloud, LatencyS: 0.0011, EnergyJ: 0.01}, QoSTargetS: 0.05}
+		g, w := hedgeWorker(t, e)
+		d := remote(0.026, 0.01)
 		before := d.Measurement.EnergyJ
-		p := &pending{req: Request{Model: m, Conditions: conds()}, resp: make(chan Response, 1)}
 		hedged, won, _ := g.hedge(w, p, &d, e.Now())
 		if !hedged || won {
-			t.Fatalf("hedged=%v won=%v, want a lost hedge against a 1.1 ms remote", hedged, won)
+			t.Fatalf("hedged=%v won=%v, want a lost hedge against a 26 ms remote", hedged, won)
 		}
 		if d.Measurement.Target != cloud {
 			t.Errorf("losing hedge replaced the remote answer: %v", d.Measurement.Target)

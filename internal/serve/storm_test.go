@@ -14,8 +14,7 @@ import (
 )
 
 // stormSchedule is the acceptance storm: phase 1 takes both remote sites
-// solid-down (every offload fails, its retries burn out and the local
-// fallback answers), phase 2 restores connectivity under a deep WLAN fade
+// solid-down (every offload fails and the local fallback answers), phase 2 restores connectivity under a deep WLAN fade
 // (offloads work but cost more), phase 3 is full recovery.
 func stormSchedule() *fault.Schedule {
 	return &fault.Schedule{Name: "acceptance-storm", Faults: []fault.Spec{
@@ -40,8 +39,8 @@ func runStorm(t *testing.T, seed int64) ([]byte, []Response) {
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
 	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
-		Trace:      tw,
-		Resilience: ResilienceConfig{Enabled: true},
+		Trace: tw,
+		Hedge: true,
 	})
 	if err != nil {
 		t.Fatal(err)

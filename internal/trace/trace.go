@@ -59,14 +59,13 @@ type Record struct {
 	// was admitted under. Both are schema v2 fields.
 	Shard  string `json:"shard,omitempty"`
 	Tenant string `json:"tenant,omitempty"`
-	// Outage / Retries / Hedged describe the resilience path a gateway
-	// request took: a simulated offload outage, the offload retries it
-	// triggered, and whether a local hedge leg raced the remote. Records
-	// written before circuit breakers were removed may also carry
-	// "degraded"; readers ignore it.
-	Outage  bool `json:"outage,omitempty"`
-	Retries int  `json:"retries,omitempty"`
-	Hedged  bool `json:"hedged,omitempty"`
+	// Outage / Hedged describe the resilience path a gateway request took:
+	// a simulated offload outage, and whether a local hedge leg raced the
+	// remote. Records written before circuit breakers and offload retries
+	// were removed may also carry "degraded" and "retries"; readers ignore
+	// both.
+	Outage bool `json:"outage,omitempty"`
+	Hedged bool `json:"hedged,omitempty"`
 	// WastedJ is the energy burned on failed or superseded offload
 	// attempts, already included in EnergyJ.
 	WastedJ float64 `json:"wasted_j,omitempty"`

@@ -272,9 +272,9 @@ func TestSchemaV1Compat(t *testing.T) {
 // fixtures are records as earlier writers wrote them: one per schema
 // version v1-v3, a v4 record whose phases carry a "failover" leg, as the
 // gateway's local failover recorded it before that path was removed, and a
-// v4 record flagged "degraded", as the gateway marked requests served with
-// a circuit breaker open before breakers were removed. Readers must keep
-// accepting every one of them.
+// v4 record carrying the retired "degraded" and "retries" keys, as the
+// gateway wrote them before circuit breakers and offload retries were
+// removed. Readers must keep accepting every one of them.
 var fixtures = []struct {
 	name, raw string
 	wantV     int
@@ -283,34 +283,42 @@ var fixtures = []struct {
 	{"v2", `{"v":2,"seq":1,"model":"ResNet50 v1","state":"1|0|0|0|0|0|1|1","target":"edge/GPU/FP16","location":"edge","latency_s":0.04,"energy_j":0.03,"reward":-25,"qos_violated":false,"device":"lane-0","shard":"shard-1","tenant":"gold"}`, 2},
 	{"v3", `{"v":3,"seq":2,"model":"Inception v4","state":"2|0|0|0|0|0|1|1","target":"cloud/GPU/FP32","location":"cloud","latency_s":0.08,"energy_j":0.02,"reward":-18,"qos_violated":true,"vwait_s":0.005,"phases":{"execute":0.08}}`, 3},
 	{"v4_failover", `{"v":4,"seq":3,"model":"MobileNet v3","state":"0|1|0|0|0|0|1|1","target":"cloud/CPU/FP32","location":"local","latency_s":0.0811111111111111,"energy_j":0.09,"reward":-30,"qos_violated":true,"wasted_j":0.04,"phases":{"execute":0.0612345678901234,"failover":0.0198765432109877}}`, 4},
-	{"v4_degraded", degradedLine, 4},
+	{"v4_retired", retiredLine, 4},
 }
 
-// degradedLine is a v4 record as the gateway wrote it while circuit
-// breakers existed: served with a breaker open, so it carries "degraded".
-const degradedLine = `{"v":4,"seq":4,"model":"MobileNet v3","state":"0|0|0|0|0|0|1|1","target":"local/CPU@22/FP32","location":"local","latency_s":0.031,"energy_j":0.05,"reward":-12,"qos_violated":false,"device":"Mi8Pro","outage":true,"retries":1,"degraded":true,"wasted_j":0.01,"phases":{"execute":0.025,"retry":0.006}}`
+// retiredLine is a v4 record as the gateway wrote it while circuit breakers
+// and offload retries existed: served with a breaker open after one retry,
+// so it carries "degraded" and "retries".
+const retiredLine = `{"v":4,"seq":4,"model":"MobileNet v3","state":"0|0|0|0|0|0|1|1","target":"local/CPU@22/FP32","location":"local","latency_s":0.031,"energy_j":0.05,"reward":-12,"qos_violated":false,"device":"Mi8Pro","outage":true,"retries":1,"degraded":true,"wasted_j":0.01,"phases":{"execute":0.025,"retry":0.006}}`
 
-// TestDegradedKeyIsIgnored: a v4 line carrying the retired "degraded" key
-// still reads, and reads and summarizes exactly like the same line without
-// the key.
+// TestDegradedKeyIsIgnored: a v4 line carrying a retired key — "degraded"
+// from circuit breakers, "retries" from offload retries — still reads, and
+// reads and summarizes exactly like the same line without that key.
 func TestDegradedKeyIsIgnored(t *testing.T) {
-	without := strings.Replace(degradedLine, `"degraded":true,`, "", 1)
-	if without == degradedLine {
-		t.Fatal("fixture lost its degraded key")
-	}
-	got, err := ReadAll(strings.NewReader(degradedLine + "\n"))
-	if err != nil {
-		t.Fatalf("degraded line no longer reads: %v", err)
-	}
-	want, err := ReadAll(strings.NewReader(without + "\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("degraded key changed the record:\n %+v\nvs %+v", got, want)
-	}
-	if gs, ws := Summarize(got), Summarize(want); !reflect.DeepEqual(gs, ws) {
-		t.Fatalf("degraded key changed the summary:\n %+v\nvs %+v", gs, ws)
+	for _, tc := range []struct{ key, field string }{
+		{"degraded", `"degraded":true,`},
+		{"retries", `"retries":1,`},
+	} {
+		t.Run(tc.key, func(t *testing.T) {
+			without := strings.Replace(retiredLine, tc.field, "", 1)
+			if without == retiredLine {
+				t.Fatalf("fixture lost its %s key", tc.key)
+			}
+			got, err := ReadAll(strings.NewReader(retiredLine + "\n"))
+			if err != nil {
+				t.Fatalf("line with %s no longer reads: %v", tc.key, err)
+			}
+			want, err := ReadAll(strings.NewReader(without + "\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s key changed the record:\n %+v\nvs %+v", tc.key, got, want)
+			}
+			if gs, ws := Summarize(got), Summarize(want); !reflect.DeepEqual(gs, ws) {
+				t.Fatalf("%s key changed the summary:\n %+v\nvs %+v", tc.key, gs, ws)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package tracez is the causal tracing plane: every traced request carries
 // a trace ID and accumulates a span tree across router admission → DRR
-// dispatch → gateway queue → decide → execute/offload → retries/hedges
+// dispatch → gateway queue → decide → execute/offload → hedges
 // (a router failover re-dispatch stays on the same trace). The decide span
 // carries decision provenance — the dense state index, per-action Q-values
 // from the RCU snapshot, the feasibility mask applied, and whether the
@@ -60,7 +60,7 @@ func FlagNames(flags uint8) []string {
 }
 
 // Span is one leg of a traced request's lifecycle. Durations are seconds;
-// legs measured on the virtual clock (execute, retry, hedge) use
+// legs measured on the virtual clock (execute, hedge) use
 // virtual seconds and replay byte-identically, wall legs (admit, dispatch,
 // queue, decide) use wall seconds.
 type Span struct {

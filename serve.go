@@ -7,12 +7,12 @@ import (
 
 // Fleet serving: a concurrent gateway that accepts inference requests
 // through bounded per-device queues and serves them from warm-started
-// engines, with admission control, deadline-aware dispatch, resilient
+// engines, with admission control, deadline-aware dispatch, hedged
 // offloading and runtime metrics (see internal/serve for full documentation).
 type (
 	// Gateway serves inference requests against a fleet of engines.
 	Gateway = serve.Gateway
-	// GatewayConfig tunes queue depth, shed policy, resilience and the policy
+	// GatewayConfig tunes queue depth, shed policy, hedging and the policy
 	// checkpoint store (warm-start at boot, flush at shutdown, sync passes
 	// on the virtual clock).
 	GatewayConfig = serve.Config
@@ -41,10 +41,6 @@ type (
 	// /metrics series — as returned by Router.AdminView (/shards),
 	// Planner.AdminView (/plan) and Supervisor.AdminView (/supervisor).
 	AdminView = serve.View
-	// ResilienceConfig tunes the gateway's fault-handling path:
-	// deadline-budgeted retries with exponential backoff, and optional
-	// hedged offloads.
-	ResilienceConfig = serve.ResilienceConfig
 )
 
 // Request outcomes.
