@@ -58,13 +58,16 @@ chaos:
 # served inline on a frozen gateway; provenance capture and the sampled
 # trace lifecycle each get a 2 allocs/op budget, Router.Do on a warmed
 # router 1, and Gateway.Snapshot allocates as much on four busy lanes as on
-# one. The heap guards hold an agent's Q-table to
+# one. A served request's metrics-registry updates allocate nothing, and a
+# registry's construction at most 15 times. The heap guards hold an agent's
+# Q-table to
 # what it has seen: MemoryBytes within 10% of the live-heap delta at 0, 20,
 # 640 and 3,072 rows, and the paper's 640-state table at 0.4 MB +-25%. Runs
 # un-instrumented (the race detector's shadow memory allocates).
 alloc-guard:
 	$(GO) test -run '^(TestDecideZeroAlloc|TestTrainStepZeroAlloc|TestExecuteLoadedZeroAlloc|TestTracedDecideAllocBudget|TestTraceLifecycleAllocBudget|TestRouterDoAllocBudget|TestGatewayDoZeroAlloc)$$' .
 	$(GO) test -run '^TestGatewaySnapshotAllocsFlat$$' ./internal/serve/
+	$(GO) test -run '^(TestRegistryObserveZeroAlloc|TestRegistryNewAllocBudget)$$' ./internal/serve/metrics/
 	$(GO) test -run '^(TestMemoryBytesMatchesHeap|TestFullTableFootprintNearPaper)$$' ./internal/rl/
 
 # Fuzz smoke over the decoders, 5 s each: a fault schedule that parses must

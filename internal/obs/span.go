@@ -7,10 +7,11 @@ const (
 	// PhaseQueue is the wait between admission and worker pickup, measured
 	// on the gateway clock.
 	PhaseQueue = "queue"
-	// PhaseDecide is the engine step's scheduling overhead — observe,
-	// Q-lookup, bookkeeping — measured in wall time (the simulated inference
-	// itself costs no wall time, so the engine call's wall duration IS the
-	// decision overhead the paper reports in Section VI-C).
+	// PhaseDecide is the scheduling overhead from serve start to the end of
+	// the engine step — admission bookkeeping, drills, the deadline check,
+	// observe, Q-lookup — measured on the gateway clock (the simulated
+	// inference itself costs no wall time, so this is the decision overhead
+	// the paper reports in Section VI-C).
 	PhaseDecide = "decide"
 	// PhaseExecute is the executed inference (including any in-sim outage
 	// timeout), measured on the virtual clock.
@@ -48,16 +49,6 @@ func (p *PhaseTotals) Add(idx int, durS float64) { p.totals[idx] += durS }
 
 // Total returns the accumulated seconds of the indexed phase.
 func (p PhaseTotals) Total(idx int) float64 { return p.totals[idx] }
-
-// ForEach calls fn for every phase with a non-zero total, in pipeline
-// order — the same phase set Durations exposes, without building a map.
-func (p PhaseTotals) ForEach(fn func(phase string, durS float64)) {
-	for i, d := range p.totals {
-		if d != 0 {
-			fn(phaseNames[i], d)
-		}
-	}
-}
 
 // Durations materializes the non-zero totals as a map, nil when every
 // phase is zero — a request that was never hedged carries no hedge key,

@@ -52,6 +52,10 @@ type Gateway struct {
 	wg       sync.WaitGroup    // worker goroutines
 
 	syncer *policy.Syncer // nil without cfg.Checkpoints; set once in New
+
+	// epoch is the one wall-clock reading, taken at construction; now()
+	// offsets it by the monotonic time elapsed since.
+	epoch time.Time
 }
 
 // worker is one device's serving lane: a warm engine, a bounded queue and
@@ -152,9 +156,10 @@ func newGateway(backends []Backend, cfg Config) (*Gateway, error) {
 	}
 	g := &Gateway{
 		cfg:      cfg,
-		unrouted: metrics.New(),
+		unrouted: metrics.New(""),
 		byName:   make(map[string]*worker, len(backends)),
 		warm:     make(map[string]uint64),
+		epoch:    time.Now(),
 	}
 	for _, b := range backends {
 		w, err := g.newWorker(b)
@@ -206,7 +211,7 @@ func (g *Gateway) newWorker(b Backend) (*worker, error) {
 	w := &worker{
 		device: b.Device,
 		engine: b.Engine,
-		met:    metrics.New(),
+		met:    metrics.New(b.Device),
 		queue:  make(chan *pending, g.cfg.queueDepth()),
 	}
 	// The hedge's local leg mirrors the sim's outage fallback: local CPU
@@ -331,11 +336,15 @@ func (g *Gateway) Closed() bool {
 	return g.closed
 }
 
+// now reads the gateway clock: cfg.Clock when set, otherwise the
+// construction-time reading plus the monotonic time elapsed since, which
+// costs a monotonic read instead of a wall-clock one. A served request reads
+// it three times: at admission, at serve start and at decide end.
 func (g *Gateway) now() time.Time {
 	if g.cfg.Clock != nil {
 		return g.cfg.Clock()
 	}
-	return time.Now()
+	return g.epoch.Add(time.Since(g.epoch))
 }
 
 // Submit runs admission control on one request and, when admitted, enqueues
@@ -685,8 +694,11 @@ func (g *Gateway) flushTrace(w *worker) {
 // Phase accounting: the execution legs (execute, hedge) are
 // stamped on the worker engine's virtual clock, so they are a pure function
 // of the deterministic execution and flow into the trace; the queue and
-// decide phases are wall-clock (scheduling reality, not simulation) and feed
-// the registry's phase histograms only.
+// decide phases are on the gateway clock (scheduling reality, not
+// simulation) and feed the registry's phase histograms and the causal
+// trace's spans only. The queue phase runs from admission to serve start;
+// the decide phase from serve start to decide end, the reading taken right
+// after the engine step, which is also the response's DoneAt.
 func (g *Gateway) serveOne(w *worker, p *pending) {
 	start := g.now()
 	wait := start.Sub(p.submittedAt).Seconds()
@@ -736,10 +748,10 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	}
 
 	// The engine call advances the virtual clock by exactly the executed
-	// inference (execute phase); its wall duration is the scheduling
-	// overhead — observe, Q-lookup, bookkeeping — the paper reports as the
-	// decision cost (the simulated inference itself costs no wall time).
-	decideStart := time.Now()
+	// inference (execute phase); the decide phase, serve start to decide
+	// end, is the scheduling overhead — admission bookkeeping, drills, the
+	// deadline check, observe, Q-lookup — the paper reports as the decision
+	// cost (the simulated inference itself costs no wall time).
 	execStart := w.engine.Now()
 	// Traced decide: the engine fills the trace's reusable provenance slot
 	// with the exact Q-row, mask and exploration verdict behind this
@@ -748,12 +760,13 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	pr := act.Prov()
 	d, err := w.engine.Step(nil, p.req.Model, p.req.Conditions, pr)
 	execS := w.engine.Now() - execStart
-	decideWallS := time.Since(decideStart).Seconds()
-	w.met.ObservePhase(obs.PhaseDecide, decideWallS)
+	done := g.now()
+	decideS := done.Sub(start).Seconds()
 	if err != nil {
+		w.met.ObservePhase(obs.PhaseDecideIdx, decideS)
 		w.met.IncFailed()
-		base.Status, base.Err, base.DoneAt = StatusFailed, err, g.now()
-		act.Span("decide", decideWallS, "")
+		base.Status, base.Err, base.DoneAt = StatusFailed, err, done
+		act.Span("decide", decideS, "")
 		act.Flag(tracez.FlagFailed)
 		act.Finish("failed")
 		w.answer(p, base)
@@ -764,7 +777,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		pr.Action = d.Target.String()
 		pr.ActionIdx = d.ActionIndex
 	}
-	act.Span("decide", decideWallS, d.Target.Location.String())
+	act.Span("decide", decideS, d.Target.Location.String())
 
 	// Gray degradation: the lane is scripted slow-but-alive, so the executed
 	// inference stretches by the injected factor — the lane's clock advances
@@ -793,7 +806,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	if g.cfg.Hedge && !outage &&
 		d.Measurement.Target.Location != sim.Local && w.hasFallback {
 		var localS float64
-		hedged, hedgeWon, localS = g.hedge(w, p, &d, execStart)
+		hedged, hedgeWon, localS = g.hedge(w, p, &d, execStart, done)
 		if hedgeWon {
 			// The phases follow the critical path: the remote leg up to
 			// the hedge point, then the local leg that answered.
@@ -818,10 +831,10 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		QoSViolated: d.QoSViolated,
 		LatencyS:    d.Measurement.LatencyS,
 		EnergyJ:     d.Measurement.EnergyJ,
+		DecideS:     decideS,
 		Tenant:      p.req.Tenant,
 		TenantRespS: vwait + d.Measurement.LatencyS,
-		Target:      d.Measurement.Target.Location.String(),
-		Device:      w.device,
+		Target:      d.Measurement.Target.Location,
 		Phases:      pt,
 	})
 
@@ -845,7 +858,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	}
 
 	base.Status, base.Decision, base.Outage, base.DoneAt =
-		StatusServed, d, outage, g.now()
+		StatusServed, d, outage, done
 	base.Hedged, base.HedgeWon = hedged, hedgeWon
 	act.Finish("served")
 	w.answer(p, base)
@@ -881,14 +894,14 @@ func (g *Gateway) applyFaultEvents(w *worker) {
 // 25 ms, half the paper's 50 ms QoS budget.
 const hedgeAfterS = 0.025
 
-// hedgeFits reports whether the remaining wall budget fits the hedge point
-// plus the expected clean latency of the request's local leg. A request
-// without a deadline always fits.
-func (g *Gateway) hedgeFits(w *worker, p *pending) bool {
+// hedgeFits reports whether the budget left at now, the decide-end reading,
+// fits the hedge point plus the expected clean latency of the request's
+// local leg. A request without a deadline always fits.
+func (g *Gateway) hedgeFits(w *worker, p *pending, now time.Time) bool {
 	if p.req.Deadline.IsZero() {
 		return true
 	}
-	remaining := p.req.Deadline.Sub(g.now()).Seconds()
+	remaining := p.req.Deadline.Sub(now).Seconds()
 	if remaining <= 0 {
 		return false
 	}
@@ -906,13 +919,13 @@ func (g *Gateway) hedgeFits(w *worker, p *pending) bool {
 // energy as waste. The local leg runs beside the remote one, on a clock of
 // its own that starts at the hedge point; the lane's clock, which the
 // remote leg already advanced, ends at the winner's finish. localS is the
-// local leg's latency when it won.
-func (g *Gateway) hedge(w *worker, p *pending, d *core.Decision, execStart float64) (hedged, won bool, localS float64) {
+// local leg's latency when it won; now is the decide-end reading.
+func (g *Gateway) hedge(w *worker, p *pending, d *core.Decision, execStart float64, now time.Time) (hedged, won bool, localS float64) {
 	remote := d.Measurement
 	if remote.LatencyS <= hedgeAfterS {
 		return false, false, 0
 	}
-	if !g.hedgeFits(w, p) {
+	if !g.hedgeFits(w, p, now) {
 		return false, false, 0
 	}
 	lane := w.engine.StepContext("serve.hedge", w.seq)

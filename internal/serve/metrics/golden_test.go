@@ -12,6 +12,7 @@ import (
 	"autoscale/internal/obs"
 	"autoscale/internal/serve"
 	"autoscale/internal/serve/metrics"
+	"autoscale/internal/sim"
 )
 
 var update = flag.Bool("update", false, "rewrite the registry fold goldens in testdata/")
@@ -24,11 +25,10 @@ var update = flag.Bool("update", false, "rewrite the registry fold goldens in te
 // Gateway.Snapshot does: unrouted first, then each lane.
 func goldenFold() metrics.Snapshot {
 	rng := exec.NewRand(48)
-	devices := []string{"Mi8Pro", "GalaxyS10e"}
-	targets := []string{"local", "connected", "cloud"}
+	targets := []sim.Location{sim.Local, sim.Connected, sim.Cloud}
 	tenants := []string{"", "gold", "silver", "bronze"}
-	unrouted := metrics.New()
-	lanes := []*metrics.Registry{metrics.New(), metrics.New()}
+	unrouted := metrics.New("")
+	lanes := []*metrics.Registry{metrics.New("Mi8Pro"), metrics.New("GalaxyS10e")}
 	for i := 0; i < 600; i++ {
 		if rng.Intn(12) == 0 {
 			unrouted.IncSubmitted()
@@ -64,7 +64,7 @@ func goldenFold() metrics.Snapshot {
 			r.IncExpired()
 			continue
 		case 1:
-			r.ObservePhase(obs.PhaseDecide, rng.ExpFloat64()*0.0005)
+			r.ObservePhase(obs.PhaseDecideIdx, rng.ExpFloat64()*0.0005)
 			r.IncFailed()
 			continue
 		}
@@ -90,15 +90,14 @@ func goldenFold() metrics.Snapshot {
 			}
 		}
 		pt.Add(obs.PhaseExecuteIdx, execS)
-		r.ObservePhase(obs.PhaseDecide, decideS)
 		r.ObserveServed(metrics.ServedSample{
 			QoSViolated: latS > 0.05,
 			LatencyS:    latS,
 			EnergyJ:     rng.ExpFloat64() * 0.2,
+			DecideS:     decideS,
 			Tenant:      tenants[rng.Intn(len(tenants))],
 			TenantRespS: latS + rng.ExpFloat64()*0.01,
 			Target:      targets[target],
-			Device:      devices[lane],
 			Phases:      pt,
 		})
 	}

@@ -7,6 +7,7 @@ import (
 
 	"autoscale/internal/exec"
 	"autoscale/internal/obs"
+	"autoscale/internal/sim"
 )
 
 // seededSnapshot drives a fresh registry through the mutators the gateway
@@ -17,7 +18,7 @@ import (
 // errors) disjoint between operands.
 func seededSnapshot(seed uint64, tag string) Snapshot {
 	rng := exec.NewRand(seed)
-	r := New()
+	r := New(tag + "-device")
 	var passes, failures, consec int64
 	lastErr := ""
 	bump := []func(){
@@ -34,14 +35,13 @@ func seededSnapshot(seed uint64, tag string) Snapshot {
 				QoSViolated: rng.Intn(4) == 0,
 				LatencyS:    rng.ExpFloat64() * 0.05,
 				EnergyJ:     rng.ExpFloat64(),
-				Target:      "edge",
-				Device:      tag + "-device",
+				Target:      sim.Connected,
 				Phases:      phases,
 			})
 		case 1:
 			r.ObserveAdmission(rng.ExpFloat64()*0.01, rng.ExpFloat64()*0.2, rng.Intn(2) == 0)
 		case 2:
-			r.ObservePhase(obs.PhaseDecide, rng.ExpFloat64()*0.001)
+			r.ObservePhase(obs.PhaseDecideIdx, rng.ExpFloat64()*0.001)
 		case 3:
 			lat := rng.ExpFloat64() * 0.05
 			r.ObserveServed(ServedSample{
@@ -49,8 +49,7 @@ func seededSnapshot(seed uint64, tag string) Snapshot {
 				EnergyJ:     rng.ExpFloat64(),
 				Tenant:      "tenant-" + string(rune('a'+rng.Intn(3))),
 				TenantRespS: lat + rng.ExpFloat64()*0.1,
-				Target:      "local",
-				Device:      tag + "-device",
+				Target:      sim.Local,
 			})
 		}
 		if rng.Intn(5) == 0 {
@@ -76,7 +75,7 @@ func seededSnapshot(seed uint64, tag string) Snapshot {
 // allocates nothing: its histograms hold no observations, so they are the
 // identity of the histogram add, buckets or not.
 func TestMergeEmptyIdentity(t *testing.T) {
-	untouched := New()
+	untouched := New("")
 	empties := map[string]Snapshot{
 		"zero struct":        {},
 		"untouched registry": untouched.Snapshot(),

@@ -3,15 +3,19 @@
 // serving lane updates on the hot path, read as a Snapshot by the admin
 // endpoint, the fleet supervisor, tests, the CLI and operators.
 //
-// A registry is a Snapshot behind one mutex. Every mutator locks, updates
-// plain fields and unlocks, so every read is a consistent cut by
-// construction: cross-field invariants (Accounted <= Submitted, Served ==
+// A registry is its counters and histograms behind one mutex. Every mutator
+// locks, updates plain fields and unlocks, so every read is a consistent cut
+// by construction: cross-field invariants (Accounted <= Submitted, Served ==
 // Latency.Count, bucket sums matching counts) hold in every cut, not just at
-// quiescence.
+// quiescence. The labelled views are arrays on the hot path — phases by
+// obs.Phase*Idx, targets by sim.Location — plus one pointer per tenant, so
+// a served request writes no map; a read builds the Snapshot's label maps.
 //
 // One fold rule, Snapshot.add, sums a snapshot into another field by field.
-// Registry.Snapshot is an add into a zero value, Registry.AddTo is an add
-// under the registry's lock, and Merge adds snapshots one after another.
+// Registry.AddTo applies it to the registry's counters and fixed histograms
+// and adds the labelled arrays into the Snapshot's maps, under the
+// registry's lock; Registry.Snapshot is an AddTo into a zero value, and
+// Merge adds snapshots one after another.
 //
 // A gateway keeps one registry per lane, so two lanes serving at once never
 // take the same lock, and one more for the outcomes that never reach a lane
@@ -26,22 +30,46 @@ import (
 	"sync"
 
 	"autoscale/internal/obs"
+	"autoscale/internal/sim"
 )
+
+// numTargets is the size of the closed execution-location label set
+// (local, connected, cloud).
+const numTargets = int(sim.Cloud) + 1
+
+// phaseNames maps a phase index to its canonical name, read once.
+var phaseNames = obs.Phases()
 
 // Registry accumulates gateway counters. The zero value is not usable; call
 // New.
 type Registry struct {
 	mu sync.Mutex
-	s  Snapshot
+	// s holds the counters, gauges and the four fixed histograms; its label
+	// maps stay nil, the arrays below stand in for them.
+	s Snapshot
+	// device labels the served count in ByDevice: a lane serves one device.
+	device   string
+	phases   [obs.NumPhases]obs.HistogramSnapshot
+	byTarget [numTargets]int64
+	// byTenant is made on the first tenant; observing a tenant seen before
+	// is a lookup, not a map write.
+	byTenant map[string]*obs.HistogramSnapshot
 }
 
-// New builds a registry whose histograms all use obs.DefaultScheme, one
-// ladder for seconds and joules, so every snapshot adds to every other; it
-// has one phase histogram per canonical request phase.
-func New() *Registry {
-	r := &Registry{s: empty()}
-	for _, p := range obs.Phases() {
-		r.s.Phases[p] = newHist()
+// New builds a registry for one serving device; its served requests count
+// under that device in ByDevice. The gateway's registry for requests that
+// never reach a lane passes "". Every histogram uses obs.DefaultScheme, one
+// ladder for seconds and joules, so every snapshot adds to every other;
+// there is one phase histogram per canonical request phase.
+func New(device string) *Registry {
+	r := &Registry{device: device, s: Snapshot{
+		Latency: newHist(),
+		Wait:    newHist(),
+		Energy:  newHist(),
+		VWait:   newHist(),
+	}}
+	for i := range r.phases {
+		r.phases[i] = newHist()
 	}
 	return r
 }
@@ -127,12 +155,15 @@ func (r *Registry) QueueEnter() {
 // QueueExit drops the queue-depth gauge.
 func (r *Registry) QueueExit() { r.count(&r.s.QueueDepth, -1) }
 
-// ObservePhase records one phase duration (seconds) into that phase's
-// histogram. Unknown phases are dropped — the phase set is the obs package's
-// canonical list, fixed at New.
-func (r *Registry) ObservePhase(phase string, s float64) {
+// ObservePhase records one duration (seconds) into the histogram of the
+// phase with index idx (obs.Phase*Idx). An index outside the canonical
+// phase set is dropped.
+func (r *Registry) ObservePhase(idx int, s float64) {
+	if uint(idx) >= obs.NumPhases {
+		return
+	}
 	r.mu.Lock()
-	observe(r.s.Phases, phase, s)
+	r.phases[idx].Observe(s)
 	r.mu.Unlock()
 }
 
@@ -141,20 +172,12 @@ func (r *Registry) ObservePhase(phase string, s float64) {
 // when the request carried an arrival stamp — under one lock.
 func (r *Registry) ObserveAdmission(waitS, vwaitS float64, hasVWait bool) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
 	r.s.Wait.Observe(waitS)
-	observe(r.s.Phases, obs.PhaseQueue, waitS)
+	r.phases[obs.PhaseQueueIdx].Observe(waitS)
 	if hasVWait {
 		r.s.VWait.Observe(vwaitS)
 	}
-}
-
-// observe records v into m's histogram under key, if m has one.
-func observe(m map[string]obs.HistogramSnapshot, key string, v float64) {
-	if h, ok := m[key]; ok {
-		h.Observe(v)
-		m[key] = h
-	}
+	r.mu.Unlock()
 }
 
 // ServedSample batches every observation the gateway records when a request
@@ -164,21 +187,23 @@ type ServedSample struct {
 	QoSViolated bool
 	LatencyS    float64
 	EnergyJ     float64
+	// DecideS is the request's decide phase, recorded for every served
+	// request, zero included.
+	DecideS float64
 	// Tenant, when non-empty, records TenantRespS (virtual wait plus
 	// execution latency) into the tenant's response-time histogram.
 	Tenant      string
 	TenantRespS float64
-	// Target and Device label the execution for the per-target and
-	// per-device counters.
-	Target string
-	Device string
-	// Phases feeds each non-zero phase total into its phase histogram.
+	// Target is the execution location, counted per target.
+	Target sim.Location
+	// Phases feeds each non-zero phase total into its phase histogram: the
+	// execution legs, since DecideS carries the decide phase.
 	Phases obs.PhaseTotals
 }
 
 // ObserveServed records one served request as a single locked update: the
 // served and QoS-violation counters, the latency, energy, tenant and phase
-// histograms, and the per-target and per-device counts.
+// histograms (the decide phase among them), and the per-target count.
 func (r *Registry) ObserveServed(s ServedSample) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -189,21 +214,29 @@ func (r *Registry) ObserveServed(s ServedSample) {
 	r.s.Latency.Observe(s.LatencyS)
 	r.s.Energy.Observe(s.EnergyJ)
 	if s.Tenant != "" {
-		h, ok := r.s.ByTenant[s.Tenant]
-		if !ok {
-			h = newHist()
+		h := r.byTenant[s.Tenant]
+		if h == nil {
+			if r.byTenant == nil {
+				r.byTenant = make(map[string]*obs.HistogramSnapshot)
+			}
+			h = new(obs.HistogramSnapshot)
+			*h = newHist()
+			r.byTenant[s.Tenant] = h
 		}
 		h.Observe(s.TenantRespS)
-		r.s.ByTenant[s.Tenant] = h
 	}
-	r.s.ByTarget[s.Target]++
-	r.s.ByDevice[s.Device]++
-	s.Phases.ForEach(func(phase string, durS float64) { observe(r.s.Phases, phase, durS) })
+	r.byTarget[s.Target]++
+	r.phases[obs.PhaseDecideIdx].Observe(s.DecideS)
+	for i := range r.phases {
+		if v := s.Phases.Total(i); v != 0 {
+			r.phases[i].Observe(v)
+		}
+	}
 }
 
-// Snapshot is a registry's state: a registry holds one behind its lock, and
-// a read is a copy of it taken as one consistent cut, or a fold of several
-// registries' cuts (see the package comment).
+// Snapshot is a read of a registry's state, taken as one consistent cut, or
+// a fold of several registries' cuts (see the package comment). Its label
+// maps are built when a registry is folded into it.
 type Snapshot struct {
 	Submitted     int64
 	Served        int64
@@ -254,8 +287,8 @@ type Snapshot struct {
 	// one observation (obs.Phases names the full set).
 	Phases map[string]obs.HistogramSnapshot
 
-	// ByTarget counts executions per execution-location label; ByDevice per
-	// gateway worker.
+	// ByTarget counts executions per execution-location label
+	// (sim.Location's names); ByDevice per gateway worker.
 	ByTarget map[string]int64
 	ByDevice map[string]int64
 	// ByTenant holds one virtual response-time histogram per tenant that
@@ -275,11 +308,27 @@ func (r *Registry) Snapshot() Snapshot {
 
 // AddTo folds the registry into s as one consistent cut: it holds the
 // registry's lock for the add. s is the zero Snapshot or the result of
-// earlier folds.
+// earlier folds. The counters and fixed histograms fold by Snapshot.add;
+// the labelled arrays fold into s's maps by the same rule, a histogram-keyed
+// or count-keyed entry appearing only once it holds an observation.
 func (r *Registry) AddTo(s *Snapshot) {
 	r.mu.Lock()
+	defer r.mu.Unlock()
 	s.add(&r.s)
-	r.mu.Unlock()
+	for i := range r.phases {
+		addHist(s.Phases, phaseNames[i], r.phases[i])
+	}
+	for loc, n := range r.byTarget {
+		if n != 0 {
+			s.ByTarget[sim.Location(loc).String()] += n
+		}
+	}
+	if r.s.Served != 0 {
+		s.ByDevice[r.device] += r.s.Served
+	}
+	for k, h := range r.byTenant {
+		addHist(s.ByTenant, k, *h)
+	}
 }
 
 // Merge folds any number of snapshots into one fleet-wide view — the
@@ -350,15 +399,19 @@ func (s *Snapshot) add(o *Snapshot) {
 	addHists(s.ByTenant, o.ByTenant)
 }
 
-// addHists adds each histogram of src with an observation into dst's entry
-// under the same key.
+// addHists adds each histogram of src into dst's entry under the same key.
 func addHists(dst, src map[string]obs.HistogramSnapshot) {
 	for k, h := range src {
-		if h.Count == 0 {
-			continue
-		}
-		acc := dst[k]
-		acc.Add(h)
-		dst[k] = acc
+		addHist(dst, k, h)
 	}
+}
+
+// addHist adds h into dst's entry under k, if h holds an observation.
+func addHist(dst map[string]obs.HistogramSnapshot, k string, h obs.HistogramSnapshot) {
+	if h.Count == 0 {
+		return
+	}
+	acc := dst[k]
+	acc.Add(h)
+	dst[k] = acc
 }

@@ -130,10 +130,14 @@ type Response struct {
 	HedgeWon bool
 	// Err carries the rejection or execution error (nil for clean serves).
 	Err error
-	// SubmittedAt / DoneAt bracket the request's life in the gateway.
+	// SubmittedAt / DoneAt bracket the request's life in the gateway, on
+	// the gateway clock. SubmittedAt is the admission reading; for a served
+	// or failed request DoneAt is the decide-end reading, taken right after
+	// the engine step, and for a rejected one the reading at rejection.
 	SubmittedAt time.Time
 	DoneAt      time.Time
-	// WaitS is the queue wait in gateway wall-clock seconds.
+	// WaitS is the queue wait, admission to serve start, in gateway-clock
+	// seconds.
 	WaitS float64
 	// VWaitS is the virtual queue wait — the serving lane's clock minus the
 	// request's ArrivalS at execution start, floored at zero. Always zero
@@ -185,7 +189,9 @@ type Config struct {
 	// MaybeSyncPolicies interval in virtual seconds (zero values mean
 	// policy defaults).
 	PolicySync policy.SyncConfig
-	// Clock overrides the gateway's time source (tests; default time.Now).
+	// Clock overrides the gateway's time source (tests). By default the
+	// gateway reads the wall clock once at construction and offsets that
+	// reading by the monotonic time elapsed since.
 	Clock func() time.Time
 	// Hedge enables hedged offloads: when a remote answer is slower than
 	// 25 ms (hedgeAfterS) and the deadline budget allows, a local leg races

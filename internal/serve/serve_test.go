@@ -274,6 +274,68 @@ func TestDeadlineExpiredInQueue(t *testing.T) {
 	}
 }
 
+// TestServedRequestReadsClockThrice pins the gateway clock's readings per
+// served request: admission, serve start (also the decide start) and decide
+// end (also DoneAt), every one through cfg.Clock. A fake clock that ticks
+// 1 ms per call therefore makes the queue and decide phases exactly 1 ms
+// each, for an inline Do and a queued Submit alike.
+func TestServedRequestReadsClockThrice(t *testing.T) {
+	serves := map[string]func(*Gateway, Request) (Response, error){
+		"inline Do": (*Gateway).Do,
+		"queued Submit": func(g *Gateway, req Request) (Response, error) {
+			ch, err := g.Submit(req)
+			if err != nil {
+				return Response{}, err
+			}
+			return <-ch, nil
+		},
+	}
+	for name, serve := range serves {
+		t.Run(name, func(t *testing.T) {
+			var mu sync.Mutex
+			now, calls := time.Unix(1000, 0), 0
+			clock := func() time.Time {
+				mu.Lock()
+				defer mu.Unlock()
+				calls++
+				now = now.Add(time.Millisecond)
+				return now
+			}
+			g, err := New([]Backend{{Device: "Mi8Pro", Engine: testEngine(t, soc.Mi8Pro(), 1, core.DefaultConfig())}},
+				Config{Clock: clock})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer g.Shutdown(context.Background())
+			mu.Lock()
+			before := calls
+			mu.Unlock()
+			r, err := serve(g, Request{Model: dnn.MustByName("MobileNet v1"), Conditions: conds()})
+			if err != nil || r.Status != StatusServed {
+				t.Fatalf("response %+v, err %v", r, err)
+			}
+			mu.Lock()
+			n := calls - before
+			mu.Unlock()
+			if n != 3 {
+				t.Errorf("%d clock readings for one served request, want 3", n)
+			}
+			if r.WaitS != 0.001 {
+				t.Errorf("queue phase %v s, want 0.001", r.WaitS)
+			}
+			if d := r.DoneAt.Sub(r.SubmittedAt); d != 2*time.Millisecond {
+				t.Errorf("DoneAt - SubmittedAt = %v, want 2ms", d)
+			}
+			snap := g.Snapshot()
+			for _, phase := range []string{obs.PhaseQueue, obs.PhaseDecide} {
+				if h := snap.Phases[phase]; h.Count != 1 || h.Sum != 0.001 {
+					t.Errorf("%s phase: %d observations summing to %v s, want 1 of 0.001", phase, h.Count, h.Sum)
+				}
+			}
+		})
+	}
+}
+
 // TestOutageCounting turns every offload into a simulated radio outage and
 // checks the gateway records the sim's local fallback.
 func TestOutageCounting(t *testing.T) {
@@ -579,7 +641,7 @@ func TestHedgeOutcomes(t *testing.T) {
 		g, w := hedgeWorker(t, e)
 		d := remote(0.024, 0.01)
 		want := d
-		if hedged, won, _ := g.hedge(w, p, &d, e.Now()); hedged || won {
+		if hedged, won, _ := g.hedge(w, p, &d, e.Now(), g.now()); hedged || won {
 			t.Fatalf("hedged=%v won=%v, want no hedge under a 24 ms remote", hedged, won)
 		}
 		if d != want {
@@ -594,7 +656,7 @@ func TestHedgeOutcomes(t *testing.T) {
 		e := testEngine(t, soc.Mi8Pro(), 24, core.DefaultConfig())
 		g, w := hedgeWorker(t, e)
 		d := remote(10, 1)
-		hedged, won, _ := g.hedge(w, p, &d, e.Now())
+		hedged, won, _ := g.hedge(w, p, &d, e.Now(), g.now())
 		if !hedged || !won {
 			t.Fatalf("hedged=%v won=%v, want the local leg to beat a 10 s remote", hedged, won)
 		}
@@ -614,7 +676,7 @@ func TestHedgeOutcomes(t *testing.T) {
 		g, w := hedgeWorker(t, e)
 		d := remote(0.026, 0.01)
 		before := d.Measurement.EnergyJ
-		hedged, won, _ := g.hedge(w, p, &d, e.Now())
+		hedged, won, _ := g.hedge(w, p, &d, e.Now(), g.now())
 		if !hedged || won {
 			t.Fatalf("hedged=%v won=%v, want a lost hedge against a 26 ms remote", hedged, won)
 		}
