@@ -104,11 +104,14 @@ smoke-admin:
 	wait $$pid; echo "smoke-admin: ok"
 
 # End-to-end planner scrape check: boot a planned load, then curl /plan and
-# the autoscale_plan_* series like a capacity dashboard would.
+# the autoscale_plan_* series like a capacity dashboard would. The run also
+# federates on the router's syncer (-sync 100ms; 200 requests cross several
+# intervals of virtual time), and the report must count a pass.
 smoke-plan:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf $$tmp' EXIT; \
 	$(GO) build -o $$tmp/autoscale-serve ./cmd/autoscale-serve; \
 	$$tmp/autoscale-serve -n 200 -clients 2 -replicas 2 -shards 2 -plan \
+		-snapshots $$tmp/ck -sync 100ms \
 		-admin 127.0.0.1:0 -linger 8s > $$tmp/out 2>&1 & pid=$$!; \
 	addr=; for i in $$(seq 1 100); do \
 		addr=$$(sed -n 's#^admin listening on http://##p' $$tmp/out); \
@@ -120,7 +123,9 @@ smoke-plan:
 	curl -fsS "http://$$addr/metrics" > $$tmp/metrics; \
 	grep '^autoscale_plan_active_lanes' $$tmp/metrics > /dev/null; \
 	grep '^autoscale_plan_class_attained' $$tmp/metrics > /dev/null; \
-	wait $$pid; echo "smoke-plan: ok"
+	wait $$pid; \
+	if ! grep 'policy sync: [1-9]' $$tmp/out > /dev/null; then echo "smoke-plan: no policy sync pass"; cat $$tmp/out; exit 1; fi; \
+	echo "smoke-plan: ok"
 
 # End-to-end chaos check: a seeded storm over a supervised sharded fleet via
 # the CLI, scraping /supervisor and the autoscale_super_* series, and

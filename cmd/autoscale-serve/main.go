@@ -50,14 +50,14 @@ func main() {
 		deadline  = flag.Duration("deadline", 0, "per-request deadline (0 = none)")
 		shed      = flag.String("shed", "newest", "shed policy on full queue: newest, oldest")
 		snapdir   = flag.String("snapshots", "", "policy checkpoint store directory: warm-start at boot, flush at shutdown")
-		sync      = flag.Duration("sync", 0, "policy sync interval in virtual time (0 = off; needs -snapshots)")
+		sync      = flag.Duration("sync", 0, "policy sync interval in virtual time (0 = off; needs -snapshots; implies the routing tier)")
 		faults    = flag.String("faults", "", "JSON fault schedule to inject (see examples/faults/)")
 		chaos     = flag.Bool("chaos", false, "seeded chaos storm over the routing tier: generated faults, self-healing supervisor, invariant audit")
 		chaosInt  = flag.Float64("chaos-intensity", 0.7, "chaos storm intensity in (0,1]: scales fault density, severity and window width")
 		hedge     = flag.Bool("hedge", false, "hedge slow offloads with a local run")
 		admin     = flag.String("admin", "", "serve the observability endpoint on this address (e.g. :9090)")
 		linger    = flag.Duration("linger", 0, "keep the admin endpoint up this long after the load finishes")
-		shards    = flag.Int("shards", 1, "gateway shards behind the routing tier (1 = single gateway, no router)")
+		shards    = flag.Int("shards", 1, "gateway shards behind the routing tier (1 = a single gateway, routed only by -tenants, -plan or -sync)")
 		replicas  = flag.Int("replicas", 1, "serving lanes per device (lane names device-0, device-1, ...)")
 		tenants   = flag.String("tenants", "", "weighted fairness classes, e.g. gold:4,silver:2,best:1 (implies the routing tier)")
 		plan      = flag.Bool("plan", false, "run the model-driven capacity planner over the routing tier")
@@ -189,7 +189,6 @@ type server interface {
 	Closed() bool
 	Tracer() *autoscale.Tracer
 	VirtualNow() float64
-	MaybeSyncPolicies(now float64) bool
 	Shutdown(context.Context) error
 }
 
@@ -268,9 +267,11 @@ func run(c config, out *os.File) error {
 	if c.replicas < 1 {
 		return fmt.Errorf("need at least one replica, got %d", c.replicas)
 	}
-	routed := c.shards > 1 || len(tenantCfg) > 0
+	// Federation is the routing tier's: -sync runs the router's syncer, over
+	// one shard unless -shards says more.
+	routed := c.shards > 1 || len(tenantCfg) > 0 || c.sync > 0
 	if c.replicas > 1 && !routed {
-		return fmt.Errorf("-replicas lays lanes over the routing tier; set -shards >= 2, -tenants or -plan")
+		return fmt.Errorf("-replicas lays lanes over the routing tier; set -shards >= 2, -tenants, -plan or -sync")
 	}
 
 	// Causal tracing: a tracer exists when head sampling is requested or a
@@ -298,7 +299,7 @@ func run(c config, out *os.File) error {
 		if c.chaosIntensity <= 0 || c.chaosIntensity > 1 {
 			return fmt.Errorf("-chaos-intensity must be in (0,1], got %g", c.chaosIntensity)
 		}
-		if !routed {
+		if c.shards < 2 && len(tenantCfg) == 0 {
 			return fmt.Errorf("-chaos supervises the routing tier; set -shards >= 2 or -tenants")
 		}
 		_, lanes := laneSpecs(c.devices, c.replicas)
@@ -447,8 +448,19 @@ func run(c config, out *os.File) error {
 		fmt.Fprintln(out, line)
 	}
 
+	// The control loops tick on the fleet's virtual clock after every
+	// response: the chaos rig first (it advances the clock the checkpoint
+	// fault sink reads), then federation.
+	observe := func() {
+		if rig != nil {
+			rig.observe()
+		}
+		if c.sync > 0 {
+			rt.MaybeSyncPolicies(rt.VirtualNow())
+		}
+	}
 	start := time.Now()
-	if err := flood(srv, m, c, tenantNames, pl, gcfg.Faults, rig); err != nil {
+	if err := flood(srv, m, c, tenantNames, pl, gcfg.Faults, observe); err != nil {
 		return err
 	}
 	if c.linger > 0 {
@@ -571,20 +583,10 @@ func laneSpecs(devices []string, replicas int) (specs, lanes []string) {
 // clock — exponential gaps at the -rate (or 100 req/s per client by
 // default), compressed by any scheduled load surge — and drives the
 // planner's tick from it, so capacity decisions replay under a fixed seed.
-func flood(srv server, m *autoscale.DNNModel, c config, tenantNames []string, pl *autoscale.Planner, inj *autoscale.FaultInjector, rig *chaosRig) error {
+// After every response it calls observe, which ticks the control loops.
+func flood(srv server, m *autoscale.DNNModel, c config, tenantNames []string, pl *autoscale.Planner, inj *autoscale.FaultInjector, observe func()) error {
 	per := c.n / c.clients
 	extra := c.n % c.clients
-	// The control loops tick on the fleet's virtual clock after every
-	// response: the chaos rig first (it advances the clock the checkpoint
-	// fault sink reads), then federation.
-	observe := func() {
-		if rig != nil {
-			rig.observe()
-		}
-		if c.sync > 0 {
-			srv.MaybeSyncPolicies(srv.VirtualNow())
-		}
-	}
 	errs := make(chan error, c.clients)
 	var wg sync.WaitGroup
 	for cl := 0; cl < c.clients; cl++ {
@@ -635,7 +637,7 @@ func flood(srv server, m *autoscale.DNNModel, c config, tenantNames []string, pl
 					pending = append(pending, ch)
 					continue
 				}
-				if _, err := srv.Do(req); err != nil && !expectedFailure(err, rig != nil) {
+				if _, err := srv.Do(req); err != nil && !expectedFailure(err, c.chaos) {
 					errs <- err
 					return
 				}

@@ -206,13 +206,6 @@ func New(rt *router.Router, cfg Config) (*Planner, error) {
 // callers submit requests through.
 func (p *Planner) Router() *router.Router { return p.rt }
 
-// Decision returns the latest plan decision (zero before the first tick).
-func (p *Planner) Decision() Decision {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.last
-}
-
 // MaybeTick recomputes the plan if a full interval has elapsed on the
 // virtual arrival clock since the last recompute. It returns the decision
 // and whether this call produced it. Drive it from the admission path

@@ -111,8 +111,8 @@ func TestMaybeTickInterval(t *testing.T) {
 	if d, ticked := p.MaybeTick(1.0); !ticked || d.Generation != 2 {
 		t.Fatalf("interval-boundary tick: ticked=%v gen=%d, want true/2", ticked, d.Generation)
 	}
-	if d := p.Decision(); d.Generation != 2 {
-		t.Fatalf("Decision() generation = %d, want 2", d.Generation)
+	if d := p.Status().Decision; d.Generation != 2 {
+		t.Fatalf("Status().Decision generation = %d, want 2", d.Generation)
 	}
 }
 

@@ -3,12 +3,17 @@ package router
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"autoscale/internal/dnn"
+	"autoscale/internal/exec"
+	"autoscale/internal/fault"
+	"autoscale/internal/policy"
 	"autoscale/internal/serve"
 )
 
@@ -133,5 +138,105 @@ func TestAdminShardsNotSharded(t *testing.T) {
 	defer adm.Close() //nolint:errcheck
 	if code, _ := adminGet(t, "http://"+adm.Addr()+"/shards"); code != http.StatusNotFound {
 		t.Errorf("/shards on a plain gateway: status %d, want 404", code)
+	}
+}
+
+// TestHealthzFlipsOnSyncFailure pins the control-plane health surface and
+// the router's scripted partition hook: a sync_partition window in
+// Config.Faults cuts a serving lane off the cross-shard syncer, so /healthz
+// reports 503 once serve.HealthzSyncFailThreshold consecutive passes have
+// failed (with the last error in the body), and recovers to 200 after the
+// fleet's virtual clock leaves the window and one clean pass resets the
+// counter.
+func TestHealthzFlipsOnSyncFailure(t *testing.T) {
+	store, err := policy.Open(t.TempDir(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const healS = 0.5 // virtual seconds
+	inj := fault.New(&fault.Schedule{Name: "partition", Faults: []fault.Spec{
+		{Kind: fault.KindSyncPartition, Device: "lane-a", StartS: 0, EndS: healS},
+	}}, exec.NewRoot(1).Child("faults"))
+	gw := testShard(t, "shard-a", []string{"lane-a"}, 1, serve.Config{Checkpoints: store})
+	rt, err := New([]ShardGateway{{"shard-a", gw}}, Config{
+		Checkpoints: store, Faults: inj,
+		PolicySync: policy.SyncConfig{Sleep: func(time.Duration) {}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown(context.Background()) //nolint:errcheck
+	adm, err := serve.ServeAdmin(rt, "127.0.0.1:0", rt.AdminView())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer adm.Close() //nolint:errcheck
+	base := "http://" + adm.Addr()
+
+	m := dnn.MustByName("MobileNet v3")
+	do := func() {
+		t.Helper()
+		if _, err := rt.Do(serve.Request{Model: m, Conditions: conds()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	do()
+	if now := rt.VirtualNow(); now >= healS {
+		t.Fatalf("one request took the clock to %gs, past the partition window", now)
+	}
+
+	// Healthy before any sync has run; /supervisor stays 404 on an
+	// unsupervised router.
+	if code, body := adminGet(t, base+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz before failures = %d %q", code, body)
+	}
+	if code, _ := adminGet(t, base+"/supervisor"); code != http.StatusNotFound {
+		t.Fatalf("/supervisor on an unsupervised router = %d, want 404", code)
+	}
+
+	// Failures below the threshold keep the endpoint green.
+	for i := 0; i < serve.HealthzSyncFailThreshold; i++ {
+		if i == serve.HealthzSyncFailThreshold-1 {
+			if code, _ := adminGet(t, base+"/healthz"); code != http.StatusOK {
+				t.Fatalf("/healthz flipped after only %d failures", i)
+			}
+		}
+		rep, err := rt.SyncPolicies()
+		if err != nil {
+			t.Fatalf("sync pass %d: %v", i, err)
+		}
+		if !errors.Is(rep.Err(), policy.ErrPartitioned) {
+			t.Fatalf("sync pass %d inside the partition window: %v", i, rep.Err())
+		}
+	}
+
+	code, body := adminGet(t, base+"/healthz")
+	if code != http.StatusServiceUnavailable || !strings.Contains(string(body), "policy sync failing") {
+		t.Fatalf("/healthz after %d failures = %d %q", serve.HealthzSyncFailThreshold, code, body)
+	}
+	s := rt.Snapshot()
+	if s.SyncConsecutiveFailures != serve.HealthzSyncFailThreshold || !strings.Contains(s.SyncLastError, "partitioned") {
+		t.Fatalf("snapshot sync health: %d consecutive, last error %q",
+			s.SyncConsecutiveFailures, s.SyncLastError)
+	}
+
+	// The window closes once the lane's clock passes it: one clean pass
+	// resets the counter and the endpoint goes green again.
+	for i := 0; rt.VirtualNow() < healS; i++ {
+		if i == 1000 {
+			t.Fatalf("1000 requests left the clock at %gs", rt.VirtualNow())
+		}
+		do()
+	}
+	rep, err := rt.SyncPolicies()
+	if err != nil || rep.Err() != nil {
+		t.Fatalf("healed sync pass: %v / %v", err, rep.Err())
+	}
+	if code, body := adminGet(t, base+"/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz after heal = %d %q", code, body)
+	}
+	if s := rt.Snapshot(); s.SyncConsecutiveFailures != 0 || s.SyncLastError != "" {
+		t.Fatalf("snapshot after heal: %d consecutive, last error %q",
+			s.SyncConsecutiveFailures, s.SyncLastError)
 	}
 }

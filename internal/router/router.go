@@ -92,9 +92,10 @@ type Config struct {
 	// device lanes, warm-started from the checkpoint store by its own
 	// policy plane. Without it, downed shards stay down.
 	ShardFactory func(name string, devices []string) (*serve.Gateway, error)
-	// Checkpoints, when non-nil, is the cross-shard learning plane: the
+	// Checkpoints, when non-nil, is the fleet's one learning plane: the
 	// router's policy syncer federates every shard's workers against it, so
-	// experience merges fleet-wide rather than per shard.
+	// experience merges fleet-wide. Shard gateways only warm-start from
+	// the store and flush to it at shutdown; they run no syncer.
 	Checkpoints policy.Sink
 	// PolicySync tunes the cross-shard syncer.
 	PolicySync policy.SyncConfig
@@ -947,26 +948,24 @@ func (rt *Router) Recorder() *tracez.FlightRecorder { return rt.cfg.Recorder }
 
 // Snapshot merges every shard's metrics registry into one fleet-wide view
 // (dead shards included — their counters froze at the kill but their served
-// history still counts). The cross-shard syncer is the router's own — shard
-// registries never see it — so its health joins the merge as one more
-// snapshot, under the same alarm rule as the shards' sync planes.
+// history still counts). The cross-shard syncer is the fleet's one
+// federation plane, so its health fills the Sync* fields after the merge.
 func (rt *Router) Snapshot() metrics.Snapshot {
 	rt.mu.RLock()
-	snaps := make([]metrics.Snapshot, 0, len(rt.order)+1)
+	snaps := make([]metrics.Snapshot, 0, len(rt.order))
 	for _, name := range rt.order {
 		snaps = append(snaps, rt.shards[name].gw.Snapshot())
 	}
 	rt.mu.RUnlock()
+	s := metrics.Merge(snaps...)
 	if rt.syncer != nil {
 		h := rt.syncer.Health()
-		snaps = append(snaps, metrics.Snapshot{
-			SyncPasses:              int64(h.Passes),
-			SyncFailures:            int64(h.Failures),
-			SyncConsecutiveFailures: int64(h.ConsecutiveFailures),
-			SyncLastError:           h.LastError,
-		})
+		s.SyncPasses = int64(h.Passes)
+		s.SyncFailures = int64(h.Failures)
+		s.SyncConsecutiveFailures = int64(h.ConsecutiveFailures)
+		s.SyncLastError = h.LastError
 	}
-	return metrics.Merge(snaps...)
+	return s
 }
 
 // Health unions per-device learning health across live shards, filtered to
@@ -1062,16 +1061,6 @@ func (rt *Router) ShardStatuses() []ShardStatus {
 		})
 	}
 	return out
-}
-
-// ShardState reports one shard's lifecycle state name ("" when unknown).
-func (rt *Router) ShardState(name string) string {
-	rt.mu.RLock()
-	defer rt.mu.RUnlock()
-	if sh, ok := rt.shards[name]; ok {
-		return sh.state.String()
-	}
-	return ""
 }
 
 // ShardClock is one shard's lifecycle and virtual clock: all the fleet

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -651,53 +652,78 @@ func TestRouterFairness(t *testing.T) {
 	}
 }
 
-// errSink fails every save with its own numbered error, so each sync pass
-// leaves a distinct last error behind.
+// errSink fails every save with its own numbered error while failing is
+// set, so each failed sync pass leaves a distinct last error behind; it
+// accepts (and drops) saves otherwise.
 type errSink struct {
-	prefix string
-	n      atomic.Int32
+	failing atomic.Bool
+	n       atomic.Int32
 }
 
 func (s *errSink) SaveNext(*policy.Checkpoint) (uint64, error) {
-	return 0, fmt.Errorf("%s %d", s.prefix, s.n.Add(1))
+	if !s.failing.Load() {
+		return 1, nil
+	}
+	return 0, fmt.Errorf("disk gone %d", s.n.Add(1))
 }
 
 func (s *errSink) Latest(string) (*policy.Checkpoint, error) { return nil, policy.ErrNoCheckpoint }
 
-// TestSnapshotSyncAlarmFromOnePlane: the router's syncer joins the merged
-// snapshot under metrics.Merge's rule, so the consecutive-failure count and
-// the last error shown together always come from the same sync plane —
-// here the router's syncer (two failed passes) over a shard's (one).
-func TestSnapshotSyncAlarmFromOnePlane(t *testing.T) {
+// TestSnapshotSyncFromRouterSyncer: the router's syncer is the fleet's one
+// federation plane. After failing passes and after a clean one, the merged
+// snapshot's Sync* fields equal the syncer's health, and every shard's own
+// snapshot reads zero in them, store or not.
+func TestSnapshotSyncFromRouterSyncer(t *testing.T) {
+	sink := &errSink{}
 	noSleep := policy.SyncConfig{MaxAttempts: 1, Sleep: func(time.Duration) {}}
-	gwA := testShard(t, "shard-a", []string{"lane-a0"}, 1,
-		serve.Config{Checkpoints: &errSink{prefix: "shard disk gone"}, PolicySync: noSleep})
+	gwA := testShard(t, "shard-a", []string{"lane-a0"}, 1, serve.Config{Checkpoints: sink, PolicySync: noSleep})
 	gwB := testShard(t, "shard-b", []string{"lane-b0"}, 2, serve.Config{})
 	rt, err := New([]ShardGateway{{"shard-a", gwA}, {"shard-b", gwB}}, Config{
-		Checkpoints: &errSink{prefix: "router disk gone"}, PolicySync: noSleep,
+		Checkpoints: sink, PolicySync: noSleep,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Shutdown(context.Background()) //nolint:errcheck
 
-	if rep, err := gwA.SyncPolicies(); err != nil || rep.Err() == nil {
-		t.Fatalf("shard sync pass: %v / %v, want a failed pass", err, rep.Err())
-	}
-	for i := 0; i < 2; i++ {
-		if rep, err := rt.SyncPolicies(); err != nil || rep.Err() == nil {
-			t.Fatalf("router sync pass %d: %v / %v, want a failed pass", i, err, rep.Err())
+	check := func(phase string, want policy.SyncHealth) {
+		t.Helper()
+		h := rt.syncer.Health()
+		if h != want {
+			t.Fatalf("%s: syncer health %+v, want %+v", phase, h, want)
+		}
+		s := rt.Snapshot()
+		if s.SyncPasses != int64(h.Passes) || s.SyncFailures != int64(h.Failures) ||
+			s.SyncConsecutiveFailures != int64(h.ConsecutiveFailures) || s.SyncLastError != h.LastError {
+			t.Fatalf("%s: merged sync fields %d/%d/%d %q, want the syncer's %+v", phase,
+				s.SyncPasses, s.SyncFailures, s.SyncConsecutiveFailures, s.SyncLastError, h)
+		}
+		for _, gw := range []*serve.Gateway{gwA, gwB} {
+			if s := gw.Snapshot(); s.SyncPasses != 0 || s.SyncFailures != 0 ||
+				s.SyncConsecutiveFailures != 0 || s.SyncLastError != "" {
+				t.Fatalf("%s: shard snapshot carries sync fields %d/%d/%d %q", phase,
+					s.SyncPasses, s.SyncFailures, s.SyncConsecutiveFailures, s.SyncLastError)
+			}
 		}
 	}
-	h := rt.syncer.Health()
-	s := rt.Snapshot()
-	if s.SyncConsecutiveFailures != 2 || s.SyncLastError != h.LastError {
-		t.Fatalf("merged sync alarm: %d consecutive, last error %q; want 2 and the router syncer's %q",
-			s.SyncConsecutiveFailures, s.SyncLastError, h.LastError)
+
+	sink.failing.Store(true)
+	for i := 0; i < 2; i++ {
+		if rep, err := rt.SyncPolicies(); err != nil || rep.Err() == nil {
+			t.Fatalf("sync pass %d: %v / %v, want a failed pass", i, err, rep.Err())
+		}
 	}
-	if s.SyncPasses != 3 || s.SyncFailures != 3 {
-		t.Fatalf("merged sync counters: %d passes, %d failures; want 3 and 3", s.SyncPasses, s.SyncFailures)
+	lastErr := rt.syncer.Health().LastError
+	if !strings.Contains(lastErr, "disk gone") {
+		t.Fatalf("last sync error %q does not come from the sink", lastErr)
 	}
+	check("after failed passes", policy.SyncHealth{Passes: 2, Failures: 2, ConsecutiveFailures: 2, LastError: lastErr})
+
+	sink.failing.Store(false)
+	if rep, err := rt.SyncPolicies(); err != nil || rep.Err() != nil {
+		t.Fatalf("clean sync pass: %v / %v", err, rep.Err())
+	}
+	check("after a clean pass", policy.SyncHealth{Passes: 3, Failures: 2})
 }
 
 // Home returns the shard currently serving a device ("" when unknown).

@@ -3,96 +3,12 @@ package serve
 import (
 	"context"
 	"errors"
-	"net/http"
-	"strings"
 	"testing"
 	"time"
 
 	"autoscale/internal/dnn"
 	"autoscale/internal/policy"
 )
-
-// TestHealthzFlipsOnSyncFailure pins the control-plane health surface:
-// /healthz reports 503 once the policy sync has failed
-// HealthzSyncFailThreshold consecutive passes (with the last error in the
-// body), and recovers to 200 after one clean pass resets the counter.
-func TestHealthzFlipsOnSyncFailure(t *testing.T) {
-	store, err := policy.Open(t.TempDir(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	partitioned := true
-	g := testGateway(t, Config{
-		Checkpoints: store,
-		PolicySync: policy.SyncConfig{
-			Sleep:       func(time.Duration) {},
-			Unreachable: func(string) bool { return partitioned },
-		},
-	})
-	defer g.Shutdown(context.Background()) //nolint:errcheck
-	a, err := ServeAdmin(g, "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-
-	m := dnn.MustByName("MobileNet v3")
-	for i := 0; i < 10; i++ {
-		if _, err := g.Do(Request{Model: m, Conditions: conds()}); err != nil {
-			t.Fatalf("request %d: %v", i, err)
-		}
-	}
-
-	// Healthy before any sync has run; /supervisor stays 404 on an
-	// unsupervised source.
-	if code, _, body := adminGet(t, a, "/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz before failures = %d %q", code, body)
-	}
-	if code, _, _ := adminGet(t, a, "/supervisor"); code != http.StatusNotFound {
-		t.Fatalf("/supervisor on a plain gateway = %d, want 404", code)
-	}
-
-	// Failures below the threshold keep the endpoint green.
-	for i := 0; i < HealthzSyncFailThreshold; i++ {
-		if i == HealthzSyncFailThreshold-1 {
-			if code, _, _ := adminGet(t, a, "/healthz"); code != http.StatusOK {
-				t.Fatalf("/healthz flipped after only %d failures", i)
-			}
-		}
-		rep, err := g.SyncPolicies()
-		if err != nil {
-			t.Fatalf("sync pass %d: %v", i, err)
-		}
-		if !errors.Is(rep.Err(), policy.ErrPartitioned) {
-			t.Fatalf("sync pass %d under partition: %v", i, rep.Err())
-		}
-	}
-
-	code, _, body := adminGet(t, a, "/healthz")
-	if code != http.StatusServiceUnavailable || !strings.Contains(body, "policy sync failing") {
-		t.Fatalf("/healthz after %d failures = %d %q", HealthzSyncFailThreshold, code, body)
-	}
-	s := g.Snapshot()
-	if s.SyncConsecutiveFailures != HealthzSyncFailThreshold || s.SyncLastError == "" {
-		t.Fatalf("snapshot sync health: %d consecutive, last error %q",
-			s.SyncConsecutiveFailures, s.SyncLastError)
-	}
-
-	// The partition heals: one clean pass resets the counter and the
-	// endpoint goes green again.
-	partitioned = false
-	rep, err := g.SyncPolicies()
-	if err != nil || rep.Err() != nil {
-		t.Fatalf("healed sync pass: %v / %v", err, rep.Err())
-	}
-	if code, _, body := adminGet(t, a, "/healthz"); code != http.StatusOK {
-		t.Fatalf("/healthz after heal = %d %q", code, body)
-	}
-	if s := g.Snapshot(); s.SyncConsecutiveFailures != 0 || s.SyncLastError != "" {
-		t.Fatalf("snapshot after heal: %d consecutive, last error %q",
-			s.SyncConsecutiveFailures, s.SyncLastError)
-	}
-}
 
 // TestShutdownFlushSurvivesCheckpointIOFaults pins the durability story for
 // the final checkpoint flush: when the store's disk fails mid-shutdown
@@ -131,8 +47,8 @@ func TestShutdownFlushSurvivesCheckpointIOFaults(t *testing.T) {
 			}
 			// One clean federation pass lands a generation for every device
 			// while the disk is still healthy.
-			if rep, err := g.SyncPolicies(); err != nil || rep.Err() != nil {
-				t.Fatalf("healthy sync: %v / %v", err, rep.Err())
+			if rep := syncOnce(t, fsink, g, sync); rep.Err() != nil {
+				t.Fatalf("healthy sync: %v", rep.Err())
 			}
 			gens := map[string]uint64{}
 			for _, dev := range g.Devices() {
@@ -170,8 +86,8 @@ func TestShutdownFlushSurvivesCheckpointIOFaults(t *testing.T) {
 			}
 			// ...and the generation guard is intact: the next save resumes
 			// the sequence with no gap and no stale-generation trip.
-			if rep, err := g2.SyncPolicies(); err != nil || rep.Err() != nil {
-				t.Fatalf("post-recovery sync: %v / %v", err, rep.Err())
+			if rep := syncOnce(t, fsink, g2, sync); rep.Err() != nil {
+				t.Fatalf("post-recovery sync: %v", rep.Err())
 			}
 			for dev, gen := range gens {
 				ck, err := store.Latest(dev)

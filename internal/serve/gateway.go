@@ -51,8 +51,6 @@ type Gateway struct {
 	inflight sync.WaitGroup    // submissions between admission and enqueue (or inline serve)
 	wg       sync.WaitGroup    // worker goroutines
 
-	syncer *policy.Syncer // nil without cfg.Checkpoints; set once in New
-
 	// epoch is the one wall-clock reading, taken at construction; now()
 	// offsets it by the monotonic time elapsed since.
 	epoch time.Time
@@ -146,7 +144,7 @@ func New(backends []Backend, cfg Config) (*Gateway, error) {
 }
 
 // newGateway is New without the worker goroutines: it validates the config,
-// builds every lane and warm-starts it, and wires the policy syncer.
+// builds every lane and warm-starts it from the checkpoint store.
 func newGateway(backends []Backend, cfg Config) (*Gateway, error) {
 	if len(backends) == 0 {
 		return nil, errors.New("serve: no backends")
@@ -178,19 +176,6 @@ func newGateway(backends []Backend, cfg Config) (*Gateway, error) {
 				g.warm[w.device] = gen
 			}
 		}
-		scfg := cfg.PolicySync
-		if scfg.Unreachable == nil && cfg.Faults != nil {
-			// Scripted sync partitions: the device serves traffic but the
-			// syncer cannot reach it while its window holds.
-			scfg.Unreachable = func(dev string) bool {
-				return cfg.Faults.Partitioned(dev, g.VirtualNow())
-			}
-		}
-		s, err := policy.NewSyncer(cfg.Checkpoints, g.PolicyNodes, scfg)
-		if err != nil {
-			return nil, fmt.Errorf("serve: policy sync: %w", err)
-		}
-		g.syncer = s
 	}
 	return g, nil
 }
@@ -277,8 +262,7 @@ func (g *Gateway) Devices() []string {
 func (g *Gateway) Tracer() *tracez.Tracer { return g.cfg.Tracer }
 
 // Snapshot folds the unrouted registry and then each lane's into one
-// snapshot, each under its own lock, with the federation syncer's health in
-// the Sync* fields.
+// snapshot, each under its own lock.
 func (g *Gateway) Snapshot() metrics.Snapshot {
 	var s metrics.Snapshot
 	g.unrouted.AddTo(&s)
@@ -287,13 +271,6 @@ func (g *Gateway) Snapshot() metrics.Snapshot {
 		w.met.AddTo(&s)
 	}
 	g.mu.RUnlock()
-	if g.syncer != nil {
-		h := g.syncer.Health()
-		s.SyncPasses = int64(h.Passes)
-		s.SyncFailures = int64(h.Failures)
-		s.SyncConsecutiveFailures = int64(h.ConsecutiveFailures)
-		s.SyncLastError = h.LastError
-	}
 	return s
 }
 

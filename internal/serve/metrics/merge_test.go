@@ -13,14 +13,11 @@ import (
 // seededSnapshot drives a fresh registry through the mutators the gateway
 // calls — a seed-derived mix of counter bumps, batched admission and served
 // samples (histograms, per-phase/per-tenant observations, target and device
-// counts) — and returns its snapshot, with a seeded policy-sync pass
-// sequence in the Sync* fields. The tag keeps label spaces (devices, sync
-// errors) disjoint between operands.
+// counts) — and returns its snapshot. The tag keeps device labels disjoint
+// between operands.
 func seededSnapshot(seed uint64, tag string) Snapshot {
 	rng := exec.NewRand(seed)
 	r := New(tag + "-device")
-	var passes, failures, consec int64
-	lastErr := ""
 	bump := []func(){
 		r.IncSubmitted, r.IncShed, r.IncExpired, r.IncFailed,
 		r.IncOutage, r.IncHedge, r.IncHedgeWon, r.IncWorkerCrash,
@@ -52,21 +49,9 @@ func seededSnapshot(seed uint64, tag string) Snapshot {
 				Target:      sim.Local,
 			})
 		}
-		if rng.Intn(5) == 0 {
-			passes++
-			if rng.Intn(4) != 0 {
-				failures++
-				consec++
-				lastErr = tag + "-sync-error"
-			} else {
-				consec, lastErr = 0, ""
-			}
-		}
 	}
 	r.AddOutageWastedJ(rng.Float64())
-	s := r.Snapshot()
-	s.SyncPasses, s.SyncFailures, s.SyncConsecutiveFailures, s.SyncLastError = passes, failures, consec, lastErr
-	return s
+	return r.Snapshot()
 }
 
 // TestMergeEmptyIdentity checks merging a zero-valued snapshot — from an
@@ -120,17 +105,6 @@ func TestMergeCommutative(t *testing.T) {
 		if ab.VWait.Count != a.VWait.Count+b.VWait.Count {
 			t.Fatalf("seed %d: merged vwait count %d, want %d",
 				seed, ab.VWait.Count, a.VWait.Count+b.VWait.Count)
-		}
-		// The sync alarm's count and message come from the same operand.
-		if ab.SyncLastError != "" {
-			from := a
-			if ab.SyncLastError == b.SyncLastError {
-				from = b
-			}
-			if ab.SyncLastError != from.SyncLastError || ab.SyncConsecutiveFailures != from.SyncConsecutiveFailures {
-				t.Fatalf("seed %d: merged sync error %q with %d failures matches neither operand",
-					seed, ab.SyncLastError, ab.SyncConsecutiveFailures)
-			}
 		}
 	}
 }

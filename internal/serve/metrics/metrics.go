@@ -270,8 +270,9 @@ type Snapshot struct {
 
 	// Policy-sync failure state: total passes, failed passes, failed passes
 	// since the last clean one (the health-endpoint alarm signal), and the
-	// most recent failure message. The registry never records these: the
-	// owning front copies them from its federation syncer's health.
+	// most recent failure message. Registries never record these and the
+	// fold never carries them: there is one federation syncer, the routing
+	// tier's, and Router.Snapshot copies its health in after the merge.
 	SyncPasses              int64
 	SyncFailures            int64
 	SyncConsecutiveFailures int64
@@ -350,7 +351,7 @@ func Merge(snaps ...Snapshot) Snapshot {
 // snapshot therefore changes nothing in any operand position, and adds are
 // commutative. QueueMaxDepth sums the watermarks, which upper-bounds the
 // (unknowable) watermark of the summed depth. Label maps union with summed
-// counts.
+// counts. The Sync* fields are not folded (see Snapshot).
 func (s *Snapshot) add(o *Snapshot) {
 	if s.Phases == nil {
 		*s = empty()
@@ -370,21 +371,6 @@ func (s *Snapshot) add(o *Snapshot) {
 	s.OutageWastedJ += o.OutageWastedJ
 	s.QueueDepth += o.QueueDepth
 	s.QueueMaxDepth += o.QueueMaxDepth
-	s.SyncPasses += o.SyncPasses
-	s.SyncFailures += o.SyncFailures
-	// Consecutive failures fold by max: the sickest sync plane in the fleet
-	// decides the alarm, and its error message rides along. Ties take the
-	// lexicographically smallest non-empty error, so the failure count and
-	// the message always come from the same shard and the fold is
-	// order-independent.
-	switch {
-	case o.SyncConsecutiveFailures > s.SyncConsecutiveFailures:
-		s.SyncConsecutiveFailures = o.SyncConsecutiveFailures
-		s.SyncLastError = o.SyncLastError
-	case o.SyncConsecutiveFailures == s.SyncConsecutiveFailures && o.SyncLastError != "" &&
-		(s.SyncLastError == "" || o.SyncLastError < s.SyncLastError):
-		s.SyncLastError = o.SyncLastError
-	}
 	s.Latency.Add(o.Latency)
 	s.Wait.Add(o.Wait)
 	s.Energy.Add(o.Energy)

@@ -7,8 +7,8 @@ import (
 )
 
 // Policy-plane glue: warm-starting workers from the checkpoint store,
-// flushing final tables at shutdown, and federation passes on the virtual
-// clock.
+// flushing final tables at shutdown, and exposing the workers to the routing
+// tier's federation syncer.
 
 // warmStart restores a worker's engine from the newest compatible
 // checkpoint: the device's own latest generation when its config hash still
@@ -72,31 +72,4 @@ func (g *Gateway) PolicyNodes() []policy.Node {
 		nodes = append(nodes, policy.Node{Device: w.device, Engine: w.engine})
 	}
 	return nodes
-}
-
-// SyncPolicies runs one federation pass synchronously: checkpoint every
-// worker's table, merge each compatibility group into the fleet policy, and
-// warm-start workers that have not learned anything yet. It fails on a
-// closed gateway (shutdown already persisted the final tables).
-func (g *Gateway) SyncPolicies() (policy.Report, error) {
-	if g.Closed() {
-		return policy.Report{}, ErrClosed
-	}
-	if g.syncer == nil {
-		return policy.Report{}, errors.New("serve: no checkpoint store configured")
-	}
-	return g.syncer.SyncOnce(), nil
-}
-
-// MaybeSyncPolicies runs one federation pass when cfg.PolicySync.Interval of
-// virtual time has passed since the last one — the load loop calls it with
-// VirtualNow, as it ticks the planner and the supervisor. It reports whether
-// a pass ran; a closed gateway or one without a checkpoint store never runs
-// one.
-func (g *Gateway) MaybeSyncPolicies(now float64) bool {
-	if g.syncer == nil || g.Closed() {
-		return false
-	}
-	_, ran := g.syncer.MaybeTick(now)
-	return ran
 }

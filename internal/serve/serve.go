@@ -182,12 +182,13 @@ type Config struct {
 	// every worker from its device's latest valid checkpoint — falling back
 	// to the fleet's merged policy for the engine's config hash — and
 	// Shutdown persists each worker's final table exactly once after the
-	// queues drain. MaybeSyncPolicies adds periodic checkpoint/merge passes
-	// on the virtual clock.
+	// queues drain. Federation passes (checkpoint and merge on the virtual
+	// clock) belong to the routing tier's syncer, which reaches the
+	// workers through PolicyNodes.
 	Checkpoints policy.Sink
-	// PolicySync tunes the policy plane's retry/backoff and the
-	// MaybeSyncPolicies interval in virtual seconds (zero values mean
-	// policy defaults).
+	// PolicySync tunes the retry/backoff of the shutdown flush's saves
+	// (zero values mean policy defaults); a gateway runs no sync passes,
+	// so its Interval and Unreachable are unused.
 	PolicySync policy.SyncConfig
 	// Clock overrides the gateway's time source (tests). By default the
 	// gateway reads the wall clock once at construction and offsets that

@@ -459,9 +459,18 @@ func TestShutdownDrainsAndCheckpoints(t *testing.T) {
 			t.Errorf("%s checkpoint generation = %d, want 1", dev, ck.Generation)
 		}
 	}
-	if _, err := g.SyncPolicies(); err != ErrClosed {
-		t.Errorf("sync after shutdown: %v, want ErrClosed", err)
+}
+
+// syncOnce runs one federation pass over g's lanes through a syncer wired
+// the way the routing tier wires its own: the gateway's PolicyNodes against
+// the checkpoint sink.
+func syncOnce(t *testing.T, sink policy.Sink, g *Gateway, cfg policy.SyncConfig) policy.Report {
+	t.Helper()
+	s, err := policy.NewSyncer(sink, g.PolicyNodes, cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return s.SyncOnce()
 }
 
 // TestWarmStartFromStore checks that a new gateway resumes each device from
@@ -479,8 +488,8 @@ func TestWarmStartFromStore(t *testing.T) {
 	if len(g.WarmStarts()) != 0 {
 		t.Fatalf("fresh store produced warm-starts: %v", g.WarmStarts())
 	}
-	if _, err := g.SyncPolicies(); err != nil {
-		t.Fatal(err)
+	if rep := syncOnce(t, st, g, policy.SyncConfig{}); rep.Err() != nil {
+		t.Fatal(rep.Err())
 	}
 	if err := g.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
@@ -532,15 +541,16 @@ func TestFrozenGatewayStaysFrozenAcrossSync(t *testing.T) {
 	}
 	trained.Freeze()
 	cold.Freeze()
+	st := testStore(t)
 	g, err := New([]Backend{{Device: "trained", Engine: trained}, {Device: "cold", Engine: cold}},
-		Config{Checkpoints: testStore(t)})
+		Config{Checkpoints: st})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer g.Shutdown(context.Background()) //nolint:errcheck
-	rep, err := g.SyncPolicies()
-	if err != nil || rep.Err() != nil {
-		t.Fatalf("sync: %v / %v", err, rep.Err())
+	rep := syncOnce(t, st, g, policy.SyncConfig{})
+	if rep.Err() != nil {
+		t.Fatalf("sync: %v", rep.Err())
 	}
 	if len(rep.WarmStarted) != 1 || rep.WarmStarted[0] != "cold" {
 		t.Fatalf("warm-started %v, want [cold]", rep.WarmStarted)

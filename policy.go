@@ -17,8 +17,10 @@ type (
 	PolicyMeta = policy.Meta
 	// PolicySink is the store surface the gateway and syncer depend on.
 	PolicySink = policy.Sink
-	// PolicySyncConfig tunes the sync interval in virtual seconds and save
-	// retry/backoff (GatewayConfig.PolicySync).
+	// PolicySyncConfig tunes the router's federation syncer: its interval
+	// in virtual seconds and save retry/backoff (RouterConfig.PolicySync).
+	// On GatewayConfig.PolicySync only the shutdown flush's retry/backoff
+	// applies, and Fleet.ProvisionRouter falls back to it for the router.
 	PolicySyncConfig = policy.SyncConfig
 	// PolicyFaultSink wraps a sink with scripted I/O faults (write failure,
 	// slow fsync, disk-full) for chaos drills; wire its Verdict from a fault

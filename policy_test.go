@@ -31,7 +31,9 @@ func edgeBackends(t testing.TB, n int, seed int64) []GatewayBackend {
 
 func deviceName(i int) string { return "edge-" + string(rune('0'+i)) }
 
-func floodGateway(t testing.TB, gw *Gateway, n int) {
+func floodGateway(t testing.TB, gw interface {
+	Do(Request) (Response, error)
+}, n int) {
 	t.Helper()
 	m, err := Model("MobileNet v3")
 	if err != nil {
@@ -49,7 +51,7 @@ func floodGateway(t testing.TB, gw *Gateway, n int) {
 	}
 }
 
-func shutdown(t testing.TB, gw *Gateway) {
+func shutdown(t testing.TB, gw interface{ Shutdown(context.Context) error }) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
@@ -59,10 +61,11 @@ func shutdown(t testing.TB, gw *Gateway) {
 }
 
 // TestPolicyPlaneEndToEnd is the acceptance path for the policy plane: a
-// three-device fleet learns under load, a sync pass checkpoints every worker
-// and publishes a merged fleet policy, a restarted fleet resumes from the
-// latest generations, and a corrupted latest checkpoint falls back to the
-// previous one without taking the gateway down.
+// three-device fleet learns under load behind a one-shard router, the
+// router's sync pass checkpoints every worker and publishes a merged fleet
+// policy, a restarted fleet resumes from the latest generations, and a
+// corrupted latest checkpoint falls back to the previous one without taking
+// the gateway down.
 func TestPolicyPlaneEndToEnd(t *testing.T) {
 	dir := t.TempDir()
 	store, err := OpenPolicyStore(dir, 0)
@@ -71,12 +74,17 @@ func TestPolicyPlaneEndToEnd(t *testing.T) {
 	}
 
 	// Generation 1: learn under load, sync, shut down (which flushes gen 2).
+	// Federation belongs to the routing tier, so the fleet is one shard.
 	gw, err := NewGateway(edgeBackends(t, 3, 1), GatewayConfig{Checkpoints: store})
 	if err != nil {
 		t.Fatal(err)
 	}
-	floodGateway(t, gw, 60)
-	rep, err := gw.SyncPolicies()
+	rt, err := NewRouter([]RouterShard{{Name: "shard-0", Gateway: gw}}, RouterConfig{Checkpoints: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	floodGateway(t, rt, 60)
+	rep, err := rt.SyncPolicies()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +98,7 @@ func TestPolicyPlaneEndToEnd(t *testing.T) {
 	if rep.MergedGroups != 1 {
 		t.Fatalf("merged groups = %d, want 1 (same config hash)", rep.MergedGroups)
 	}
-	shutdown(t, gw)
+	shutdown(t, rt)
 
 	devices, err := store.Devices()
 	if err != nil {
@@ -207,8 +215,8 @@ func TestFleetProvisionFromStore(t *testing.T) {
 
 // TestProvisionRouterInheritsPolicySync: a router provisioned from a fleet
 // runs its cross-shard syncer on gcfg.PolicySync when rcfg sets none, so
-// -sync reaches a routed fleet as it reaches a single gateway. Under the
-// uninherited 30 s default no tick below would run a pass.
+// the interval set on the gateway config reaches the fleet's one syncer.
+// Under the uninherited 30 s default no tick below would run a pass.
 func TestProvisionRouterInheritsPolicySync(t *testing.T) {
 	// A donor with a handful of rows keeps each sync pass cheap, even
 	// under the race detector.
