@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test vet fmt race digests alloc-guard fuzz smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-check bench-all profile profile-figs profile-engine loc
+.PHONY: build test vet fmt race digests alloc-guard fuzz smoke-admin smoke-plan smoke-chaos smoke-traces chaos chaos-short verify bench bench-check bench-all profile profile-figs profile-engine profile-router loc
 
 build:
 	$(GO) build ./...
@@ -218,6 +218,13 @@ profile-figs:
 profile-engine:
 	$(GO) test -run '^$$' -bench '^BenchmarkEngineTrainStepZoo$$' -benchtime=3s -cpuprofile engine.cpu.pprof .
 	@echo "profile written: engine.cpu.pprof (go tool pprof <file>)"
+
+# CPU profile of the routing tier: BenchmarkRouterThroughput over four
+# shards with four closed-loop clients — admission, DRR, dispatch, and the
+# serve and completion a Do runs on its own goroutine when its lane is idle.
+profile-router:
+	$(GO) test -run '^$$' -bench '^BenchmarkRouterThroughput/shards=4/clients=4$$' -benchtime=3s -cpuprofile router.cpu.pprof .
+	@echo "profile written: router.cpu.pprof (go tool pprof <file>)"
 
 # The two line counts simplicity PRs quote: non-test Go outside bench/, and
 # the same restricted to the serving stack plus the paper's core.

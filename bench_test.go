@@ -529,15 +529,19 @@ func BenchmarkGatewaySubmit(b *testing.B) {
 
 // --- Routing-tier benches ---------------------------------------------------
 
-// benchRouter builds a four-shard router, one lightly warmed lane per shard,
-// with three weighted tenants — the multi-shard counterpart of benchGateway.
-func benchRouter(b testing.TB) *Router {
+// benchRouter builds a router over n shards, one lightly warmed lane per
+// shard (Mi8Pro and GalaxyS10e alternating), with three weighted tenants —
+// the multi-shard counterpart of benchGateway.
+func benchRouter(b testing.TB, n int) *Router {
 	b.Helper()
 	m := dnn.MustByName("MobileNet v3")
 	c := sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
-	hardware := []*soc.Device{soc.Mi8Pro(), soc.GalaxyS10e(), soc.Mi8Pro(), soc.GalaxyS10e()}
-	shards := make([]RouterShard, 0, len(hardware))
-	for i, dev := range hardware {
+	shards := make([]RouterShard, 0, n)
+	for i := 0; i < n; i++ {
+		dev := soc.Mi8Pro()
+		if i%2 == 1 {
+			dev = soc.GalaxyS10e()
+		}
 		e, err := core.NewEngine(sim.NewWorld(dev, int64(i+1)), core.DefaultConfig())
 		if err != nil {
 			b.Fatal(err)
@@ -567,21 +571,23 @@ func benchRouter(b testing.TB) *Router {
 
 // BenchmarkRouterThroughput measures closed-loop requests/sec through the
 // full routing tier — tenant admission, DRR, least-loaded shard dispatch on
-// the submitting goroutine and the completion on the shard's worker — over
-// four gateway shards; the delta against BenchmarkGatewayThroughput at the
-// same client count is the routing tier's per-request overhead.
+// the submitting goroutine, and on an idle lane the serve and the
+// completion there too — over one and four gateway shards. The delta
+// against BenchmarkGatewayThroughput at the same client count is the
+// routing tier's per-request overhead; shards=1, a one-lane router, is the
+// row to hold against Gateway.Do.
 func BenchmarkRouterThroughput(b *testing.B) {
 	tenants := []string{"gold", "silver", "best"}
-	for _, clients := range []int{4, 16} {
-		b.Run("shards=4/clients="+strconv.Itoa(clients), func(b *testing.B) {
-			rt := benchRouter(b)
+	for _, sc := range []struct{ shards, clients int }{{1, 1}, {1, 2}, {4, 4}, {4, 16}} {
+		b.Run("shards="+strconv.Itoa(sc.shards)+"/clients="+strconv.Itoa(sc.clients), func(b *testing.B) {
+			rt := benchRouter(b, sc.shards)
 			m := dnn.MustByName("MobileNet v3")
 			c := sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
 			var remaining atomic.Int64
 			remaining.Store(int64(b.N))
 			b.ResetTimer()
 			var wg sync.WaitGroup
-			for cl := 0; cl < clients; cl++ {
+			for cl := 0; cl < sc.clients; cl++ {
 				wg.Add(1)
 				go func(cl int) {
 					defer wg.Done()

@@ -213,7 +213,6 @@ func run(c config, out *os.File) error {
 			return err
 		}
 		gcfg.Checkpoints = store
-		gcfg.PolicySync.Interval = c.sync
 	} else if c.sync > 0 {
 		return fmt.Errorf("-sync needs -snapshots (the checkpoint store)")
 	}
@@ -338,6 +337,7 @@ func run(c config, out *os.File) error {
 		// also carry a tracer, or requests would double-start.
 		specs, _ := laneSpecs(c.devices, c.replicas)
 		rcfg := autoscale.RouterConfig{Tenants: tenantCfg, Shed: gcfg.Shed, Tracer: tracer, Recorder: recorder}
+		rcfg.PolicySync.Interval = c.sync
 		if rt, err = fleet.ProvisionRouter(specs, c.shards, ecfg, gcfg, rcfg, c.seed); err != nil {
 			return err
 		}

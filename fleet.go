@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -147,12 +146,12 @@ func (f *Fleet) ProvisionGateway(devices []string, cfg EngineConfig, gcfg Gatewa
 // engine (seeded seed, seed+1, ... in input order), each shard gets a copy
 // of gcfg with its Name stamped, and the router is wired with an engine
 // factory that rebuilds any lane's engine — same seed — when a dead shard's
-// lanes re-home onto survivors. The router inherits gcfg's checkpoint store,
-// fault injector and policy-sync settings when rcfg leaves them unset, so
-// the cross-shard learning plane and shard-crash drills ride the same
-// plumbing the gateways already use; every shard, booted or revived, takes
-// rcfg's checkpoint store and fault injector wherever gcfg leaves them
-// unset.
+// lanes re-home onto survivors. The router inherits gcfg's checkpoint store
+// and fault injector when rcfg leaves them unset, so the cross-shard
+// learning plane and shard-crash drills ride the same plumbing the gateways
+// already use; every shard, booted or revived, takes rcfg's checkpoint store
+// and fault injector wherever gcfg leaves them unset. The sync interval is
+// the router's own: rcfg.PolicySync.
 //
 // Each devices entry is either a hardware name ("Mi8Pro") or a
 // "lane=hardware" spec ("Mi8Pro-1=Mi8Pro"), so one physical device model can
@@ -205,9 +204,6 @@ func (f *Fleet) ProvisionRouter(devices []string, shards int, cfg EngineConfig, 
 	}
 	if rcfg.Faults == nil {
 		rcfg.Faults = gcfg.Faults
-	}
-	if reflect.ValueOf(rcfg.PolicySync).IsZero() {
-		rcfg.PolicySync = gcfg.PolicySync
 	}
 	// shard builds one shard's gateway, at boot and, as the ShardFactory,
 	// when ReviveShard rebuilds a drained or dead one: each lane gets its

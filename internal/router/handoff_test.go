@@ -18,8 +18,9 @@ import (
 
 // The dispatch and completion handoffs: a submitter dispatches its own
 // request when it can take the dispatch mutex, a shard's worker runs the
-// completion, and the dispatcher goroutine is only the fallback for both.
-// Run these with -race -count=10.
+// completion of a queued request (a Do serving its claimed lane runs its
+// own, claim_test.go), and the dispatcher goroutine is only the fallback
+// for both. Run these with -race -count=10.
 
 func rehomeFactory(lane string) (*core.Engine, error) {
 	return core.NewEngine(sim.NewWorld(soc.Mi8Pro(), 9), core.DefaultConfig())
@@ -175,7 +176,7 @@ func TestSinkExactlyOnceUnderLifecycle(t *testing.T) {
 // blockingSink holds a lane's worker inside Deliver until released.
 type blockingSink struct{ entered, release chan struct{} }
 
-func (s *blockingSink) Deliver(serve.Response) {
+func (s *blockingSink) Deliver(*serve.Response) {
 	close(s.entered)
 	<-s.release
 }

@@ -205,21 +205,34 @@ type shard struct {
 type rreq struct {
 	rt          *Router
 	req         serve.Request
-	resp        chan serve.Response
+	ch          chan serve.Response // Submit's result channel; nil for Do
+	out         serve.Response      // a Do's terminal response, written in place
+	done        chan struct{}       // wakes the Do caller once out is written
 	submittedAt time.Time
 	attempts    int    // failover re-dispatches consumed
 	sh          *shard // where the current dispatch went
 }
 
 // Deliver runs the router's completion on whichever goroutine terminated the
-// request inside the shard — a lane worker, or the dispatching goroutine for
-// a shard-admission rejection.
-func (r *rreq) Deliver(resp serve.Response) { r.rt.complete(r, resp) }
+// request inside the shard — a lane worker, the Do caller serving its own
+// claim, or the dispatching goroutine for a shard-admission rejection.
+func (r *rreq) Deliver(resp *serve.Response) { r.rt.complete(r, resp) }
 
-// rreqPool recycles envelopes (and their one-shot response channels) for the
-// synchronous Do path, where the caller never sees the channel.
+// reply hands the caller its one terminal response: onto Submit's channel,
+// or into a Do's envelope. Afterwards r belongs to the caller.
+func (r *rreq) reply(resp *serve.Response) {
+	if r.ch != nil {
+		r.ch <- *resp
+		return
+	}
+	r.out = *resp
+	r.done <- struct{}{}
+}
+
+// rreqPool recycles envelopes (and their one-shot wake-up channels) for the
+// synchronous Do path.
 var rreqPool = sync.Pool{
-	New: func() any { return &rreq{resp: make(chan serve.Response, 1)} },
+	New: func() any { return &rreq{done: make(chan struct{}, 1)} },
 }
 
 // Router fronts a fleet of gateway shards. It is safe for concurrent use.
@@ -245,8 +258,10 @@ type Router struct {
 
 	// dmu is the dispatch mutex: whoever holds it is the one goroutine
 	// pumping the scheduler, so DRR order is exactly dispatch order. A
-	// submitter that can take it dispatches its own request; everyone else
-	// leaves a wake token for the dispatcher goroutine.
+	// submitter that can take it dispatches; everyone else leaves a wake
+	// token for the dispatcher goroutine. Nothing executes under it: a Do
+	// whose own request its pump sends to an idle lane claims that lane and
+	// serves the request, completion included, only after releasing dmu.
 	dmu sync.Mutex
 
 	inflight atomic.Int64 // global in-flight dispatches
@@ -259,6 +274,10 @@ type Router struct {
 	dispWG sync.WaitGroup // dispatcher goroutine
 
 	syncer *policy.Syncer // nil without cfg.Checkpoints; set once in New
+
+	// epoch is the one wall-clock reading, taken at construction; now()
+	// offsets it by the monotonic time elapsed since.
+	epoch time.Time
 }
 
 // New builds a router over the given shards and starts its dispatcher.
@@ -293,6 +312,7 @@ func New(shards []ShardGateway, cfg Config) (*Router, error) {
 		drr:         newDRR(tenants),
 		wake:        make(chan struct{}, 1),
 		stopc:       make(chan struct{}),
+		epoch:       time.Now(),
 	}
 	rt.budget.Store(int64(cfg.globalBudget()))
 	for _, sg := range shards {
@@ -341,11 +361,14 @@ func New(shards []ShardGateway, cfg Config) (*Router, error) {
 	return rt, nil
 }
 
+// now reads the router clock: cfg.Clock when set, otherwise the
+// construction-time reading plus the monotonic time elapsed since, which
+// costs a monotonic read instead of a wall-clock one.
 func (rt *Router) now() time.Time {
 	if rt.cfg.Clock != nil {
 		return rt.cfg.Clock()
 	}
-	return time.Now()
+	return rt.epoch.Add(time.Since(rt.epoch))
 }
 
 // wakeUp nudges the dispatcher (non-blocking; coalesces).
@@ -362,21 +385,24 @@ func (rt *Router) wakeUp() {
 // carries the terminal Response. The error return is reserved for misuse
 // (nil model) and a closed router.
 func (rt *Router) Submit(req serve.Request) (<-chan serve.Response, error) {
-	r := &rreq{rt: rt, req: req, resp: make(chan serve.Response, 1)}
-	if err := rt.submit(r); err != nil {
+	r := &rreq{rt: rt, req: req, ch: make(chan serve.Response, 1)}
+	if _, err := rt.submit(r, false); err != nil {
 		return nil, err
 	}
-	return r.resp, nil
+	return r.ch, nil
 }
 
-// submit admits one envelope. On a nil error r.resp is guaranteed exactly one
-// delivery; on an error nothing was queued and nothing will be delivered.
-func (rt *Router) submit(r *rreq) error {
+// submit admits one envelope. On a nil error r is guaranteed exactly one
+// reply; on an error nothing was queued and nothing will be delivered. With
+// claim set, a pump on this goroutine that sends r to an idle lane claims
+// the lane instead of queueing r there, and the caller must serve the
+// returned Claim.
+func (rt *Router) submit(r *rreq, claim bool) (serve.Claim, error) {
 	if r.req.Model == nil {
-		return errors.New("router: request needs a model")
+		return serve.Claim{}, errors.New("router: request needs a model")
 	}
 	if rt.closed.Load() {
-		return serve.ErrClosed
+		return serve.Claim{}, serve.ErrClosed
 	}
 	// Scripted crash drills fire here and nowhere else: on the submitter's
 	// goroutine, before its request is queued, so a sequential driver never
@@ -413,7 +439,7 @@ func (rt *Router) submit(r *rreq) error {
 	if tq == nil {
 		rt.qmu.Unlock()
 		rt.fail(r, fmt.Errorf("%w: %q", ErrUnknownTenant, name))
-		return nil
+		return serve.Claim{}, nil
 	}
 	// Per-class admission gate: shed while the estimated backlog exceeds the
 	// tenant's virtual-wait bound. Bounds ordered by class make overload
@@ -422,8 +448,8 @@ func (rt *Router) submit(r *rreq) error {
 		tq.shed++
 		rt.met.shed.Add(1)
 		rt.qmu.Unlock()
-		r.resp <- rt.shedResponse(r)
-		return nil
+		rt.shed(r)
+		return serve.Claim{}, nil
 	}
 	if tq.size() >= rt.queueDepthLocked(tq) {
 		if rt.cfg.Shed == serve.ShedOldest && tq.size() > 0 {
@@ -431,20 +457,23 @@ func (rt *Router) submit(r *rreq) error {
 			rt.drr.queued.Add(-1)
 			tq.shed++
 			rt.met.shed.Add(1)
-			old.resp <- rt.shedResponse(old)
+			rt.shed(old)
 		} else {
 			tq.shed++
 			rt.met.shed.Add(1)
 			rt.qmu.Unlock()
-			r.resp <- rt.shedResponse(r)
-			return nil
+			rt.shed(r)
+			return serve.Claim{}, nil
 		}
 	}
 	tq.admitted++
 	rt.drr.push(tq, r)
 	rt.qmu.Unlock()
-	rt.dispatch()
-	return nil
+	var own *rreq
+	if claim {
+		own = r
+	}
+	return rt.dispatch(own), nil
 }
 
 // queueDepthLocked returns a tenant queue's effective bound: its own depth
@@ -456,39 +485,40 @@ func (rt *Router) queueDepthLocked(tq *tenantQueue) int {
 	return rt.tenantDepth
 }
 
-// shedResponse builds the terminal shed response for one request and closes
-// its trace — every router-level shed path (admission gate, full tenant
-// queue, planner queue-depth evictions) terminates through here.
-func (rt *Router) shedResponse(r *rreq) serve.Response {
+// shed answers one request with the terminal shed response and closes its
+// trace — every router-level shed path (admission gate, full tenant queue,
+// planner queue-depth evictions) terminates through here.
+func (rt *Router) shed(r *rreq) {
 	r.req.Trace.Flag(tracez.FlagShed)
 	r.req.Trace.Finish("shed")
-	return serve.Response{
+	r.reply(&serve.Response{
 		Status: serve.StatusShed, Err: serve.ErrQueueFull,
 		SubmittedAt: r.submittedAt, DoneAt: rt.now(),
-	}
+	})
 }
 
 // Do submits one request and waits for its response — the synchronous
-// convenience mirroring Gateway.Do, envelope recycling included.
-func (rt *Router) Do(req serve.Request) (serve.Response, error) {
+// convenience mirroring Gateway.Do, envelope recycling included. When this
+// goroutine's own pump sends the request to an idle lane, Do serves it here,
+// after the dispatch mutex is released, and the completion runs here too:
+// no lane worker is woken and no response is handed across goroutines.
+func (rt *Router) Do(req serve.Request) (resp serve.Response, err error) {
 	r := rreqPool.Get().(*rreq)
 	r.rt, r.req = rt, req
-	err := rt.submit(r)
-	var resp serve.Response
+	c, err := rt.submit(r, true)
 	if err == nil {
-		resp = <-r.resp
+		c.Serve()
+		<-r.done
+		resp = r.out
+		if resp.Status != serve.StatusServed {
+			err = resp.Err
+		}
 	}
 	// Everything but the drained channel is cleared, the router included: a
 	// second delivery to a pooled envelope has nothing to complete on.
-	*r = rreq{resp: r.resp}
+	*r = rreq{done: r.done}
 	rreqPool.Put(r)
-	if err != nil {
-		return serve.Response{}, err
-	}
-	if resp.Status != serve.StatusServed {
-		return resp, resp.Err
-	}
-	return resp, nil
+	return resp, err
 }
 
 // run is the dispatcher goroutine: it pumps for every submitter that found
@@ -504,7 +534,7 @@ func (rt *Router) run() {
 		case <-rt.wake:
 		}
 		rt.dmu.Lock()
-		rt.pump()
+		rt.pump(nil)
 		rt.dmu.Unlock()
 	}
 }
@@ -512,28 +542,39 @@ func (rt *Router) run() {
 // dispatch pumps on the calling goroutine when the dispatch mutex is free.
 // When it is not, the holder may already be past its last pick, so the
 // request is left to the dispatcher goroutine: the wake token outlives the
-// holder's critical section.
-func (rt *Router) dispatch() {
+// holder's critical section. own is the caller's request when the caller
+// will serve a claim on it (Do), nil otherwise; the claim, if the pump made
+// one, is returned for serving after dmu is released.
+func (rt *Router) dispatch(own *rreq) serve.Claim {
 	if !rt.dmu.TryLock() {
 		rt.wakeUp()
-		return
+		return serve.Claim{}
 	}
-	rt.pump()
+	c := rt.pump(own)
 	rt.dmu.Unlock()
+	return c
 }
 
 // pump drains the scheduler until the global budget is saturated or the
-// queues are empty. Caller holds dmu.
-func (rt *Router) pump() {
-	for rt.inflight.Load() < rt.budget.Load() {
+// queues are empty. Every picked request is queued on its shard, except own,
+// which claims its lane when the lane is idle. Caller holds dmu.
+func (rt *Router) pump(own *rreq) (c serve.Claim) {
+	// An empty scheduler is read without qmu: a request pushed after the
+	// read belongs to a submitter that finds dmu taken and leaves a token.
+	for rt.inflight.Load() < rt.budget.Load() && rt.drr.queued.Load() > 0 {
 		rt.qmu.Lock()
 		r := rt.drr.pick()
 		rt.qmu.Unlock()
 		if r == nil {
-			return
+			return c
 		}
-		rt.dispatchOne(r)
+		if r == own {
+			c = rt.dispatchOne(r, true)
+		} else {
+			rt.dispatchOne(r, false)
+		}
 	}
+	return c
 }
 
 // fireDrills kills any healthy shard whose next scripted shard_crash event
@@ -577,8 +618,10 @@ func (rt *Router) fireDrills() {
 // dispatchOne routes a picked request to its shard, with the request itself
 // as the sink for the shard's response. Pinned requests go to the device's
 // home shard; unpinned requests go to the least-loaded healthy shard (fewest
-// router-dispatched requests in flight, shard-name tiebreak).
-func (rt *Router) dispatchOne(r *rreq) {
+// router-dispatched requests in flight, shard-name tiebreak). With claim set
+// the shard claims an idle lane for it rather than queueing it, and the
+// claim is returned.
+func (rt *Router) dispatchOne(r *rreq, claim bool) serve.Claim {
 	rt.mu.RLock()
 	var sh *shard
 	var err error
@@ -611,7 +654,7 @@ func (rt *Router) dispatchOne(r *rreq) {
 	rt.mu.RUnlock()
 	if sh == nil {
 		rt.fail(r, err)
-		return
+		return serve.Claim{}
 	}
 	sh.inflight.Add(1)
 	rt.inflight.Add(1)
@@ -624,13 +667,20 @@ func (rt *Router) dispatchOne(r *rreq) {
 	if r.req.Trace != nil {
 		r.req.Trace.Span("dispatch", rt.now().Sub(r.submittedAt).Seconds(), sh.name)
 	}
-	if err := sh.gw.SubmitTo(r.req, r); err != nil {
+	var c serve.Claim
+	if claim {
+		c, err = sh.gw.ClaimTo(r.req, r)
+	} else {
+		err = sh.gw.SubmitTo(r.req, r)
+	}
+	if err != nil {
 		// Admission refused: the shard closed between routing and submit.
-		rt.complete(r, serve.Response{
+		rt.complete(r, &serve.Response{
 			Status: serve.StatusFailed, Err: err,
 			SubmittedAt: r.submittedAt, DoneAt: rt.now(),
 		})
 	}
+	return c
 }
 
 // fail terminates one request at the router.
@@ -638,10 +688,10 @@ func (rt *Router) fail(r *rreq, err error) {
 	rt.met.failed.Add(1)
 	r.req.Trace.Flag(tracez.FlagFailed)
 	r.req.Trace.Finish("failed")
-	r.resp <- serve.Response{
+	r.reply(&serve.Response{
 		Status: serve.StatusFailed, Err: err,
 		SubmittedAt: r.submittedAt, DoneAt: rt.now(),
-	}
+	})
 }
 
 // complete takes the shard's terminal response for one dispatched request
@@ -651,13 +701,16 @@ func (rt *Router) fail(r *rreq, err error) {
 // check (queues empty AND nothing in flight) can never miss a failover in
 // motion.
 //
-// It runs on the goroutine that produced the response, usually a lane worker
-// of the shard, so it may not dispatch (it would serve other shards' traffic
-// from this lane, or block on dmu under the goroutine that holds it) and may
-// not take a shard down (Kill and Shutdown wait for the very worker it runs
-// on). It leaves both to a wake token. Once the response is sent or the
-// request requeued, r belongs to someone else.
-func (rt *Router) complete(r *rreq, resp serve.Response) {
+// It runs on the goroutine that produced the response: one holding the
+// shard's lane — a lane worker, or a Do caller serving its own claim after
+// releasing dmu — or, for a rejection at shard admission, the pumping
+// goroutine under dmu. So it may not dispatch (it would serve other shards'
+// traffic from this lane, or block on dmu under the goroutine that holds it)
+// and may not take a shard down (Kill and Shutdown wait for the very worker
+// or claim it runs in). It leaves both to a wake token. resp lives in the
+// shard's pooled envelope and is valid only until complete returns. Once the
+// response is replied or the request requeued, r belongs to someone else.
+func (rt *Router) complete(r *rreq, resp *serve.Response) {
 	sh := r.sh
 	bounced := resp.Status == serve.StatusFailed &&
 		(errors.Is(resp.Err, serve.ErrShardDown) || errors.Is(resp.Err, serve.ErrClosed))
@@ -697,7 +750,7 @@ func (rt *Router) complete(r *rreq, resp serve.Response) {
 	}
 	sh.inflight.Add(-1)
 	rt.inflight.Add(-1)
-	r.resp <- resp
+	r.reply(resp)
 	// The freed budget matters only to a request already queued behind it; a
 	// later one reads the lowered gauge itself.
 	if rt.drr.queued.Load() > 0 {
@@ -1224,7 +1277,7 @@ func (rt *Router) SetTenantQueueDepth(tenant string, depth int) (int, error) {
 	}
 	rt.qmu.Unlock()
 	for _, v := range evicted {
-		v.resp <- rt.shedResponse(v)
+		rt.shed(v)
 	}
 	return len(evicted), nil
 }

@@ -153,7 +153,7 @@ func TestPlaceDevicesBounded(t *testing.T) {
 // --- DRR fairness ----------------------------------------------------------
 
 func drrReq(tenant string) *rreq {
-	return &rreq{req: serve.Request{Tenant: tenant}, resp: make(chan serve.Response, 1)}
+	return &rreq{req: serve.Request{Tenant: tenant}, ch: make(chan serve.Response, 1)}
 }
 
 // TestDRRProportions checks the scheduler's core contract: under backlog,

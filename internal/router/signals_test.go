@@ -20,7 +20,7 @@ type heldSink struct {
 	once          sync.Once
 }
 
-func (s *heldSink) Deliver(serve.Response) {
+func (s *heldSink) Deliver(*serve.Response) {
 	s.once.Do(func() { close(s.held) })
 	<-s.release
 }

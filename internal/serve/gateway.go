@@ -48,7 +48,7 @@ type Gateway struct {
 	byName   map[string]*worker
 	warm     map[string]uint64 // device -> checkpoint generation warm-started from
 	killed   atomic.Bool       // crash semantics: workers reject instead of serve
-	inflight sync.WaitGroup    // submissions between admission and enqueue (or inline serve)
+	inflight sync.WaitGroup    // submissions between admission and enqueue, and unserved claims
 	wg       sync.WaitGroup    // worker goroutines
 
 	// epoch is the one wall-clock reading, taken at construction; now()
@@ -58,10 +58,12 @@ type Gateway struct {
 
 // worker is one device's serving lane: a warm engine, a bounded queue and
 // the goroutine that drains it. A request executes on whichever goroutine
-// holds lane: the worker for queued requests, or a Do caller that found the
-// lane idle (busy == 0) and serves its request on its own goroutine, with no
-// handoff. Requests on one lane execute one at a time, queued ones in FIFO
-// order, and an inline request never overtakes one admitted before it.
+// holds lane: the worker for queued requests, or the holder of a Claim — a
+// Do caller, or a router pump's own caller — that found the lane idle
+// (busy == 0) and serves the request on its own goroutine, with no handoff.
+// Requests on one lane execute one at a time, queued ones in FIFO order; a
+// claimed request never overtakes one admitted before it, and none admitted
+// after it overtakes it.
 type worker struct {
 	device      string
 	engine      *core.Engine
@@ -71,14 +73,15 @@ type worker struct {
 	hasFallback bool
 
 	// busy counts the requests admitted to this lane and not yet answered:
-	// enqueue raises it before the send, an inline Do claims it from 0, and
-	// it drops before the response is delivered — so a sequential client
+	// enqueue raises it before the send, a claim takes it from 0, and it
+	// drops before the response is delivered — so a sequential client
 	// always finds its lane idle again — or when ShedOldest evicts a queued
 	// request.
 	busy atomic.Int64
 	// lane is held while a request executes and across its delivery, so a
 	// lane's responses leave in execution order, as they did when only the
-	// worker executed; it owns every field below.
+	// worker executed; a claim holds it from admission on. It owns every
+	// field below.
 	lane sync.Mutex
 
 	events    []fault.Event // scripted crash/corruption drills, time-ordered
@@ -98,36 +101,47 @@ const traceBatch = 64
 
 // Sink takes a request's one terminal response in place of a channel. The
 // gateway calls Deliver exactly once, on whichever goroutine terminates the
-// request: the submitter for admission rejections, a worker otherwise. A
-// Deliver on a worker holds up that lane, and must not wait for the gateway
-// to stop (Shutdown and Kill wait for the workers). SubmitTo always
-// enqueues, so a sink is never called on an inline serve.
+// request: the submitter for admission rejections, the lane's worker for a
+// queued request, and the claim's holder, inside Claim.Serve, for a claimed
+// one. The response is built in place in the gateway's pooled envelope and
+// recycled when Deliver returns, so a sink copies what it keeps. A Deliver
+// from a lane holds up that lane, and must not wait for the gateway to stop
+// (Shutdown and Kill wait for the workers and for every claim).
 type Sink interface {
-	Deliver(Response)
+	Deliver(*Response)
 }
 
-// pending is one admitted request awaiting execution. Its terminal response
-// goes to sink when one was supplied and onto resp otherwise.
+// pending is one admitted request awaiting execution. Whoever terminates it
+// builds its response in resp, in place, and hands it over once: to sink
+// when one was supplied, otherwise to the Do caller waiting on done.
 type pending struct {
 	req         Request
-	resp        chan Response
+	resp        Response
 	sink        Sink
+	done        chan struct{} // wakes a Do whose request did not run inline
+	inline      bool          // a Do serving its own claim: nobody waits on done
 	submittedAt time.Time
 }
 
-// deliver hands over the request's one terminal response. A sink-bound
-// envelope belongs to the gateway alone, so it goes back to the pool here;
-// no caller may touch p afterwards.
-func (p *pending) deliver(r Response) {
-	s := p.sink
-	if s == nil {
-		p.resp <- r
+// deliver hands over the request's one terminal response, now in p.resp. A
+// sink-bound envelope belongs to the gateway alone, so it goes back to the
+// pool here; no caller may touch p afterwards.
+func (p *pending) deliver() {
+	if s := p.sink; s != nil {
+		s.Deliver(&p.resp)
+		p.req, p.sink = Request{}, nil
+		pendingPool.Put(p)
 		return
 	}
-	p.req, p.sink = Request{}, nil
-	pendingPool.Put(p)
-	s.Deliver(r)
+	if !p.inline {
+		p.done <- struct{}{}
+	}
 }
+
+// chanSink is Submit's sink: the response leaves on a buffered channel.
+type chanSink chan Response
+
+func (c chanSink) Deliver(r *Response) { c <- *r }
 
 // New builds a gateway over the given backends and starts one worker per
 // device. Backends need distinct device names and non-nil engines.
@@ -331,43 +345,48 @@ func (g *Gateway) now() time.Time {
 // execution. The error return is reserved for misuse (nil model) and a
 // closed gateway.
 func (g *Gateway) Submit(req Request) (<-chan Response, error) {
-	p := &pending{req: req, resp: make(chan Response, 1)}
-	if err := g.submit(p, false); err != nil {
+	ch := make(chan Response, 1)
+	if err := g.SubmitTo(req, chanSink(ch)); err != nil {
 		return nil, err
 	}
-	return p.resp, nil
+	return ch, nil
 }
 
 // submit runs admission control on one pending request. On a nil error the
 // request is guaranteed exactly one deliver — possibly before submit returns,
 // so a sink-bound p is no longer the caller's; on an error (misuse, closed
 // gateway) nothing was enqueued and nothing will be delivered, so a pooled
-// pending can be recycled immediately. With inline set, a request whose lane
-// is idle executes on the caller's goroutine before submit returns.
-func (g *Gateway) submit(p *pending, inline bool) error {
+// pending can be recycled immediately. With claim set, a request whose lane
+// is idle is claimed instead of queued: it is delivered only when the
+// returned Claim is served.
+func (g *Gateway) submit(p *pending, claim bool) (c Claim, err error) {
 	if p.req.Model == nil {
-		return errors.New("serve: request needs a model")
+		return Claim{}, errors.New("serve: request needs a model")
 	}
 	now := g.now()
 	// A dead-on-arrival request is never routed, so it does not advance the
 	// unpinned rotation.
 	doa := !p.req.Deadline.IsZero() && now.After(p.req.Deadline)
 	var w *worker
-	var err error
+	var pickErr error
 	g.mu.RLock()
 	if g.closed {
 		g.mu.RUnlock()
-		return ErrClosed
+		return Claim{}, ErrClosed
 	}
 	// inflight is raised before the closed check releases so Shutdown
 	// cannot close the queues while this request is between admission and
-	// enqueue, and Shutdown and Kill wait out an inline serve.
+	// enqueue, and Shutdown and Kill wait out a claim until it is served.
 	g.inflight.Add(1)
 	if !doa {
-		w, err = g.pickLocked(p.req.Device, inline)
+		w, pickErr = g.pickLocked(p.req.Device, claim)
 	}
 	g.mu.RUnlock()
-	defer g.inflight.Done()
+	defer func() {
+		if c.w == nil {
+			g.inflight.Done()
+		}
+	}()
 
 	// The submission is counted where its outcome will be: on its lane, or
 	// in the unrouted registry when it never gets one.
@@ -390,29 +409,28 @@ func (g *Gateway) submit(p *pending, inline bool) error {
 		met.IncExpired()
 		p.req.Trace.Flag(tracez.FlagExpired)
 		p.req.Trace.Finish("expired")
-		p.deliver(Response{
+		p.resp = Response{
 			Status: StatusExpired, Err: ErrDeadlineExpired,
 			SubmittedAt: now, DoneAt: now,
-		})
-		return nil
+		}
+		p.deliver()
+		return Claim{}, nil
 	}
 
-	if err != nil {
+	if pickErr != nil {
 		met.IncFailed()
 		p.req.Trace.Flag(tracez.FlagFailed)
 		p.req.Trace.Finish("failed")
-		p.deliver(Response{Status: StatusFailed, Err: err, SubmittedAt: now, DoneAt: now})
-		return nil
+		p.resp = Response{Status: StatusFailed, Err: pickErr, SubmittedAt: now, DoneAt: now}
+		p.deliver()
+		return Claim{}, nil
 	}
 
-	// Nothing queued and nothing running: no earlier request can be
-	// overtaken, so the caller serves its own request.
-	if inline && w.busy.CompareAndSwap(0, 1) {
-		g.run(w, p)
-		return nil
+	if claim && w.claim() {
+		return Claim{g: g, w: w, p: p}, nil
 	}
 	if g.enqueue(w, p) {
-		return nil
+		return Claim{}, nil
 	}
 	if g.cfg.Shed == ShedOldest {
 		// Evict the oldest queued request to make room; if a worker drained
@@ -426,11 +444,50 @@ func (g *Gateway) submit(p *pending, inline bool) error {
 		default:
 		}
 		if g.enqueue(w, p) {
-			return nil
+			return Claim{}, nil
 		}
 	}
 	g.reject(w, p)
-	return nil
+	return Claim{}, nil
+}
+
+// claim takes an idle lane for a request its caller will serve: busy from 0
+// to 1 (nothing queued, nothing running) and then the lane mutex, held from
+// here until the request is answered, so no request admitted to the lane
+// later can run first. With busy at 0 the mutex is held only while a
+// delivery finishes; a claim that meets one gives busy back, and the
+// request queues.
+func (w *worker) claim() bool {
+	if !w.busy.CompareAndSwap(0, 1) {
+		return false
+	}
+	if w.lane.TryLock() {
+		return true
+	}
+	w.busy.Add(-1)
+	return false
+}
+
+// Claim is a request admitted to an idle lane and not yet served: the lane's
+// busy count and mutex and the gateway's in-flight count are held for it, so
+// no request admitted to the lane after it runs first, and Shutdown and Kill
+// wait until it is served. Its holder must Serve it exactly once, and soon:
+// the lane serves nothing else meanwhile. The zero Claim holds nothing.
+type Claim struct {
+	g *Gateway
+	w *worker
+	p *pending
+}
+
+// Serve executes the claimed request on the calling goroutine and delivers
+// its response before returning. Serving the zero Claim does nothing.
+func (c Claim) Serve() {
+	if c.w == nil {
+		return
+	}
+	c.g.runLocked(c.w, c.p)
+	c.w.lane.Unlock()
+	c.g.inflight.Done()
 }
 
 // enqueue admits p to w's queue without blocking. The lane's busy count is
@@ -454,15 +511,16 @@ func (g *Gateway) reject(w *worker, p *pending) {
 	w.met.IncShed()
 	p.req.Trace.Flag(tracez.FlagShed)
 	p.req.Trace.Finish("shed")
-	p.deliver(Response{
+	p.resp = Response{
 		Status: StatusShed, Device: w.device, Err: ErrQueueFull,
 		SubmittedAt: p.submittedAt, DoneAt: g.now(),
-	})
+	}
+	p.deliver()
 }
 
 // pickLocked routes a request: a named device directly, otherwise the
-// least-loaded queue with a rotating tiebreak. With preferIdle (the inline
-// Do path) an unpinned request first takes the first lane in rotating order
+// least-loaded queue with a rotating tiebreak. With preferIdle (a claim) an
+// unpinned request first takes the first lane in rotating order
 // with nothing queued or running, so concurrent closed-loop clients spread
 // over idle lanes instead of queueing behind each other. Caller holds g.mu,
 // so concurrent AddBackend calls cannot tear the worker set under it.
@@ -536,6 +594,18 @@ func (g *Gateway) ActiveLanes() int {
 	return n
 }
 
+// Busy returns the requests admitted to the gateway's lanes and not yet
+// answered: queued, executing or claimed. A quiet gateway reads 0.
+func (g *Gateway) Busy() int64 {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	var n int64
+	for _, w := range g.workers {
+		n += w.busy.Load()
+	}
+	return n
+}
+
 // LaneCount returns the total number of worker lanes (active or not).
 func (g *Gateway) LaneCount() int {
 	g.mu.RLock()
@@ -565,47 +635,67 @@ func (g *Gateway) MinLaneClock() float64 {
 
 // SubmitTo is Submit with the terminal response handed to sink instead of a
 // channel: no per-request channel, no goroutine parked on one, and the
-// envelope is recycled. On an error sink is never called.
+// envelope is recycled. An admitted request always queues, even on an idle
+// lane. On an error sink is never called.
 func (g *Gateway) SubmitTo(req Request, sink Sink) error {
-	p := pendingPool.Get().(*pending)
-	p.req, p.sink = req, sink
-	if err := g.submit(p, false); err != nil {
-		p.req, p.sink = Request{}, nil
-		pendingPool.Put(p)
-		return err
-	}
-	return nil
+	_, err := g.submitTo(req, sink, false)
+	return err
 }
 
-// pendingPool recycles pending envelopes (and their one-shot response
+// ClaimTo is SubmitTo for a caller that serves the request itself when its
+// lane is idle: there the request is claimed instead of queued, and the
+// caller must Serve the returned Claim — from any goroutine, once it holds
+// nothing a Deliver may wait for. Otherwise the Claim is zero and the
+// request queues or is rejected exactly as by SubmitTo. On an error sink is
+// never called.
+func (g *Gateway) ClaimTo(req Request, sink Sink) (Claim, error) {
+	return g.submitTo(req, sink, true)
+}
+
+func (g *Gateway) submitTo(req Request, sink Sink, claim bool) (Claim, error) {
+	p := pendingPool.Get().(*pending)
+	p.req, p.sink = req, sink
+	c, err := g.submit(p, claim)
+	if err != nil {
+		p.req, p.sink = Request{}, nil
+		pendingPool.Put(p)
+	}
+	return c, err
+}
+
+// pendingPool recycles pending envelopes (and their one-shot wake-up
 // channels) for the Do and SubmitTo paths. A pending receives exactly one
-// deliver: after Do drains resp the channel is empty, and a sink-bound
+// deliver: after Do drains done the channel is empty, and a sink-bound
 // envelope never uses it, so either way the envelope is safe to reuse.
 var pendingPool = sync.Pool{
-	New: func() any { return &pending{resp: make(chan Response, 1)} },
+	New: func() any { return &pending{done: make(chan struct{}, 1)} },
 }
 
 // Do submits one request and waits for its response — the synchronous
 // convenience for closed-loop clients. When the request's lane has nothing
-// queued and nothing running, Do executes it on the caller's goroutine; the
-// lane's worker is neither woken nor handed a response. Otherwise the
-// request queues like a Submit. The response's Err is also returned for
-// non-served outcomes.
-func (g *Gateway) Do(req Request) (Response, error) {
+// queued and nothing running, Do claims it and executes the request on the
+// caller's goroutine; the lane's worker is neither woken nor handed a
+// response. Otherwise the request queues like a Submit. The response's Err
+// is also returned for non-served outcomes.
+func (g *Gateway) Do(req Request) (resp Response, err error) {
 	p := pendingPool.Get().(*pending)
 	p.req = req
-	if err := g.submit(p, true); err != nil {
-		p.req = Request{}
-		pendingPool.Put(p)
-		return Response{}, err
+	c, err := g.submit(p, true)
+	if err == nil {
+		if c.w != nil {
+			p.inline = true
+			c.Serve()
+		} else {
+			<-p.done
+		}
+		resp = p.resp
+		if resp.Status != StatusServed {
+			err = resp.Err
+		}
 	}
-	r := <-p.resp
-	p.req = Request{} // drop model/conditions references before pooling
+	p.req, p.inline = Request{}, false // drop model/conditions references before pooling
 	pendingPool.Put(p)
-	if r.Status != StatusServed {
-		return r, r.Err
-	}
-	return r, nil
+	return resp, err
 }
 
 // runWorker drains one device queue until Shutdown closes it. On a killed
@@ -616,7 +706,9 @@ func (g *Gateway) runWorker(w *worker) {
 	defer g.wg.Done()
 	for p := range w.queue {
 		w.met.QueueExit()
-		g.run(w, p)
+		w.lane.Lock()
+		g.runLocked(w, p)
+		w.lane.Unlock()
 	}
 	// Queue closed: drain any trace records still buffered so Shutdown's
 	// final writer flush covers the complete lane.
@@ -625,32 +717,31 @@ func (g *Gateway) runWorker(w *worker) {
 	w.lane.Unlock()
 }
 
-// run executes one admitted request under the lane lock, on the worker or
-// an inline Do caller.
-func (g *Gateway) run(w *worker, p *pending) {
-	w.lane.Lock()
-	defer w.lane.Unlock()
+// runLocked executes one admitted request, on the worker or a claim's
+// holder. The caller holds w.lane.
+func (g *Gateway) runLocked(w *worker, p *pending) {
 	if g.killed.Load() {
 		w.met.IncFailed()
 		// The trace handle is deliberately left open: an ErrShardDown
 		// rejection bounces back to the routing tier, which either fails
 		// the request over (the same trace keeps accumulating spans on the
 		// surviving shard) or terminates it with a final status.
-		w.answer(p, Response{
+		p.resp = Response{
 			Status: StatusFailed, Device: w.device, Err: ErrShardDown,
 			SubmittedAt: p.submittedAt, DoneAt: g.now(),
-		})
+		}
+		w.answer(p)
 		return
 	}
 	g.serveOne(w, p)
 }
 
-// answer delivers the terminal response of a request this lane admitted.
-// The busy count drops first, so by the time a client holds its response
-// the lane reads idle again.
-func (w *worker) answer(p *pending, r Response) {
+// answer delivers the terminal response, now in p.resp, of a request this
+// lane admitted. The busy count drops first, so by the time a client holds
+// its response the lane reads idle again.
+func (w *worker) answer(p *pending) {
 	w.busy.Add(-1)
-	p.deliver(r)
+	p.deliver()
 }
 
 // flushTrace drains the worker's buffered trace records into the shared
@@ -706,7 +797,8 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	w.met.ObserveAdmission(wait, vwait, hasVWait)
 	act.Span("queue", wait, w.device)
 
-	base := Response{Device: w.device, SubmittedAt: p.submittedAt, WaitS: wait, VWaitS: vwait}
+	out := &p.resp
+	*out = Response{Device: w.device, SubmittedAt: p.submittedAt, WaitS: wait, VWaitS: vwait}
 
 	// Fire any scripted crash/corruption drills whose virtual time has come
 	// before this request observes the engine.
@@ -717,10 +809,10 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	// device energy on a dead answer.
 	if !p.req.Deadline.IsZero() && start.After(p.req.Deadline) {
 		w.met.IncExpired()
-		base.Status, base.Err, base.DoneAt = StatusExpired, ErrDeadlineExpired, start
+		out.Status, out.Err, out.DoneAt = StatusExpired, ErrDeadlineExpired, start
 		act.Flag(tracez.FlagExpired)
 		act.Finish("expired")
-		w.answer(p, base)
+		w.answer(p)
 		return
 	}
 
@@ -734,19 +826,22 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	// with the exact Q-row, mask and exploration verdict behind this
 	// selection. Capture draws nothing, so enabling tracing never changes
 	// what the policy chooses.
+	// The decision lands in the response in place.
 	pr := act.Prov()
-	d, err := w.engine.Step(nil, p.req.Model, p.req.Conditions, pr)
+	var err error
+	out.Decision, err = w.engine.Step(nil, p.req.Model, p.req.Conditions, pr)
+	d := &out.Decision
 	execS := w.engine.Now() - execStart
 	done := g.now()
 	decideS := done.Sub(start).Seconds()
 	if err != nil {
 		w.met.ObservePhase(obs.PhaseDecideIdx, decideS)
 		w.met.IncFailed()
-		base.Status, base.Err, base.DoneAt = StatusFailed, err, done
+		out.Status, out.Err, out.DoneAt = StatusFailed, err, done
 		act.Span("decide", decideS, "")
 		act.Flag(tracez.FlagFailed)
 		act.Finish("failed")
-		w.answer(p, base)
+		w.answer(p)
 		return
 	}
 	if pr != nil {
@@ -783,7 +878,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	if g.cfg.Hedge && !outage &&
 		d.Measurement.Target.Location != sim.Local && w.hasFallback {
 		var localS float64
-		hedged, hedgeWon, localS = g.hedge(w, p, &d, execStart, done)
+		hedged, hedgeWon, localS = g.hedge(w, p, d, execStart, done)
 		if hedgeWon {
 			// The phases follow the critical path: the remote leg up to
 			// the hedge point, then the local leg that answered.
@@ -816,7 +911,7 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	})
 
 	if g.cfg.Trace != nil {
-		rec := trace.FromDecision(int(w.seq), p.req.Model.Name, d)
+		rec := trace.FromDecision(int(w.seq), p.req.Model.Name, *d)
 		rec.Device = w.device
 		rec.Shard = g.cfg.Name
 		rec.Tenant = p.req.Tenant
@@ -834,11 +929,10 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		}
 	}
 
-	base.Status, base.Decision, base.Outage, base.DoneAt =
-		StatusServed, d, outage, done
-	base.Hedged, base.HedgeWon = hedged, hedgeWon
+	out.Status, out.Outage, out.DoneAt = StatusServed, outage, done
+	out.Hedged, out.HedgeWon = hedged, hedgeWon
 	act.Finish("served")
-	w.answer(p, base)
+	w.answer(p)
 }
 
 // applyFaultEvents fires the worker's scripted one-shot drills whose

@@ -285,3 +285,51 @@ func TestEntryPointsStress(t *testing.T) {
 		})
 	}
 }
+
+// TestClaimHoldsLaneOrder: a claim holds its lane from admission until it is
+// served. A request admitted to the lane after the claim queues, and the
+// worker must not run it before the claim is served, however long its
+// holder takes; until then the lane counts both as busy, and the gateway
+// cannot stop.
+func TestClaimHoldsLaneOrder(t *testing.T) {
+	g := testGateway(t, Config{})
+	m := dnn.MustByName("MobileNet v3")
+	var delivered sync.WaitGroup
+	first, second := &onceSink{wg: &delivered}, &onceSink{wg: &delivered}
+	delivered.Add(2)
+	c, err := g.ClaimTo(Request{Model: m, Conditions: conds(), Device: "Mi8Pro"}, first)
+	if err != nil || c.w == nil {
+		t.Fatalf("idle lane not claimed: %v", err)
+	}
+	if err := g.SubmitTo(Request{Model: m, Conditions: conds(), Device: "Mi8Pro"}, second); err != nil {
+		t.Fatal(err)
+	}
+	stopped := make(chan error, 1)
+	go func() { stopped <- g.Shutdown(context.Background()) }()
+	time.Sleep(20 * time.Millisecond)
+	if second.n.Load() != 0 {
+		t.Fatal("a request admitted after a claim ran before the claim was served")
+	}
+	if b := g.Busy(); b != 2 {
+		t.Fatalf("busy %d with a claim and a queued request outstanding", b)
+	}
+	select {
+	case err := <-stopped:
+		t.Fatalf("Shutdown returned before the claim was served: %v", err)
+	default:
+	}
+	c.Serve()
+	delivered.Wait()
+	if err := <-stopped; err != nil {
+		t.Fatal(err)
+	}
+	if first.resp.Status != StatusServed || second.resp.Status != StatusServed {
+		t.Fatalf("statuses %v, %v", first.resp.Status, second.resp.Status)
+	}
+	if !first.resp.DoneAt.Before(second.resp.DoneAt) {
+		t.Fatal("the claimed request finished after the one admitted behind it")
+	}
+	if b := g.Busy(); b != 0 {
+		t.Fatalf("busy %d on a stopped gateway", b)
+	}
+}

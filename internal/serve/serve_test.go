@@ -640,7 +640,7 @@ func hedgeWorker(t testing.TB, e *core.Engine) (*Gateway, *worker) {
 func TestHedgeOutcomes(t *testing.T) {
 	cloud := sim.Target{Location: sim.Cloud, Kind: soc.GPU, Prec: dnn.FP32}
 	m := dnn.MustByName("MobileNet v3")
-	p := &pending{req: Request{Model: m, Conditions: conds()}, resp: make(chan Response, 1)}
+	p := &pending{req: Request{Model: m, Conditions: conds()}}
 	remote := func(latencyS, energyJ float64) core.Decision {
 		return core.Decision{Target: cloud,
 			Measurement: sim.Measurement{Target: cloud, LatencyS: latencyS, EnergyJ: energyJ}, QoSTargetS: 0.05}

@@ -18,9 +18,9 @@ type onceSink struct {
 	wg   *sync.WaitGroup
 }
 
-func (s *onceSink) Deliver(r Response) {
+func (s *onceSink) Deliver(r *Response) {
 	if s.n.Add(1) == 1 {
-		s.resp = r
+		s.resp = *r
 	}
 	s.wg.Done()
 }

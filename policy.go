@@ -20,7 +20,7 @@ type (
 	// PolicySyncConfig tunes the router's federation syncer: its interval
 	// in virtual seconds and save retry/backoff (RouterConfig.PolicySync).
 	// On GatewayConfig.PolicySync only the shutdown flush's retry/backoff
-	// applies, and Fleet.ProvisionRouter falls back to it for the router.
+	// applies.
 	PolicySyncConfig = policy.SyncConfig
 	// PolicyFaultSink wraps a sink with scripted I/O faults (write failure,
 	// slow fsync, disk-full) for chaos drills; wire its Verdict from a fault

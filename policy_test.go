@@ -213,11 +213,11 @@ func TestFleetProvisionFromStore(t *testing.T) {
 	}
 }
 
-// TestProvisionRouterInheritsPolicySync: a router provisioned from a fleet
-// runs its cross-shard syncer on gcfg.PolicySync when rcfg sets none, so
-// the interval set on the gateway config reaches the fleet's one syncer.
-// Under the uninherited 30 s default no tick below would run a pass.
-func TestProvisionRouterInheritsPolicySync(t *testing.T) {
+// TestProvisionRouterPolicySync: a router provisioned from a fleet runs its
+// cross-shard syncer on rcfg.PolicySync, the fleet's one syncer, and not on
+// the interval of the gateway config, which only the shutdown flush reads.
+// Under the 30 s default no tick below would run a pass.
+func TestProvisionRouterPolicySync(t *testing.T) {
 	// A donor with a handful of rows keeps each sync pass cheap, even
 	// under the race detector.
 	cfg := DefaultEngineConfig()
@@ -234,8 +234,10 @@ func TestProvisionRouterInheritsPolicySync(t *testing.T) {
 		t.Fatal(err)
 	}
 	gcfg := GatewayConfig{Checkpoints: memSink{}}
-	gcfg.PolicySync.Interval = time.Second
-	rt, err := fleet.ProvisionRouter([]string{Mi8Pro, GalaxyS10e}, 2, cfg, gcfg, RouterConfig{}, 1)
+	gcfg.PolicySync.Interval = time.Hour
+	var rcfg RouterConfig
+	rcfg.PolicySync.Interval = time.Second
+	rt, err := fleet.ProvisionRouter([]string{Mi8Pro, GalaxyS10e}, 2, cfg, gcfg, rcfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

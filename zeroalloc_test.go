@@ -133,14 +133,15 @@ func TestTraceLifecycleAllocBudget(t *testing.T) {
 
 // TestRouterDoAllocBudget bounds the routing tier's per-request allocations
 // on a warmed four-shard router: Router.Do recycles its envelope and the
-// shard's, dispatches on the caller and completes on the lane's worker, so
-// nothing on the path allocates per request. The budget of 1 leaves room for
-// a pool refill after a garbage collection, not for a per-request object.
+// shard's, dispatches on the caller and, its lane being idle, serves and
+// completes there too, so nothing on the path allocates per request. The
+// budget of 1 leaves room for a pool refill after a garbage collection, not
+// for a per-request object.
 func TestRouterDoAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector instrumentation allocates on otherwise alloc-free paths")
 	}
-	rt := benchRouter(t)
+	rt := benchRouter(t, 4)
 	req := Request{Model: dnn.MustByName("MobileNet v3"), Conditions: sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}, Tenant: "gold"}
 	do := func() {
 		if _, err := rt.Do(req); err != nil {
