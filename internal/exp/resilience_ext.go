@@ -16,14 +16,15 @@ import (
 )
 
 // resilienceArms are the compared configurations, keyed by whether the
-// gateway hedges; "none", the first, is the reference the other is paired
-// against.
+// gateway hedges and whether an expected-reward gate screens each hedge;
+// "none", the first, is the reference the others are paired against.
 var resilienceArms = []struct {
-	label string
-	hedge bool
+	label       string
+	hedge, gate bool
 }{
-	{"none", false},
-	{"hedge", true},
+	{"none", false, false},
+	{"hedge", true, false},
+	{"gated", true, true},
 }
 
 // ExtensionResilience measures the serving gateway's hedged offloads under
@@ -34,7 +35,8 @@ var resilienceArms = []struct {
 // seed, so the arms are compared seed by seed. Each cell reports the
 // QoS-miss ratio, mJ per inference and PPW against the fault-aware Opt on
 // the same storm, as median [min–max] over the seeds, and how many seeds
-// the arm beats none on each of the first two.
+// the arm beats none on each of the first two, and the hedges it fired and
+// won summed over the seeds.
 func ExtensionResilience(opts Options) (*Table, error) {
 	opts = opts.withDefaults()
 	storm := opts.Faults
@@ -59,11 +61,14 @@ func ExtensionResilience(opts Options) (*Table, error) {
 		Title: fmt.Sprintf("Extension: gateway resilience under fault storms (1 client, MobileNet v3, %d requests, %d paired seeds)",
 			reqs, seeds),
 		Columns: []string{"Storm", "Device", "Resilience", "QoS miss ratio", "mJ/inf", "PPW (vs Opt)",
-			"Beats none (mJ, misses)"},
+			"Beats none (mJ, misses)", "Hedges (fired, won)"},
 	}
 
 	// One cell per (storm, phone, seed) runs every arm and the oracle.
-	type cellOut struct{ miss, mj, ppw []float64 }
+	type cellOut struct {
+		miss, mj, ppw []float64
+		fired, won    []int64
+	}
 	out, err := runCells(opts, len(storms)*len(phones)*seeds, func(i int) (cellOut, error) {
 		si, pi, seed := i/(len(phones)*seeds), i/seeds%len(phones), opts.Seed+int64(i%seeds)
 		// Every world gets a device of its own.
@@ -74,11 +79,12 @@ func ExtensionResilience(opts Options) (*Table, error) {
 		}
 		var c cellOut
 		for _, arm := range resilienceArms {
-			miss, mj, err := resilienceRun(soc.Phones()[pi], sc, seed, arm.hedge, reqs)
+			r, err := resilienceRun(soc.Phones()[pi], sc, seed, arm.hedge, arm.gate, reqs)
 			if err != nil {
 				return cellOut{}, err
 			}
-			c.miss, c.mj, c.ppw = append(c.miss, miss), append(c.mj, mj), append(c.ppw, optMJ/mj)
+			c.miss, c.mj, c.ppw = append(c.miss, r.miss), append(c.mj, r.mj), append(c.ppw, optMJ/r.mj)
+			c.fired, c.won = append(c.fired, r.fired), append(c.won, r.won)
 		}
 		return c, nil
 	})
@@ -108,12 +114,17 @@ func ExtensionResilience(opts Options) (*Table, error) {
 					}
 					return n
 				}
-				beats := "-"
+				beats, hedges := "-", "-"
 				if a != 0 {
 					beats = fmt.Sprintf("%d/%d, %d/%d", wins(mj), seeds, wins(miss), seeds)
+					var fired, won int64
+					for _, r := range runs {
+						fired, won = fired+r.fired[a], won+r.won[a]
+					}
+					hedges = fmt.Sprintf("%d, %d", fired, won)
 				}
 				t.AddRow(st.label, dev.Name, arm.label, spread(col(miss)), spread(col(mj)),
-					spread(col(func(c cellOut) []float64 { return c.ppw })), beats)
+					spread(col(func(c cellOut) []float64 { return c.ppw })), beats, hedges)
 			}
 		}
 	}
@@ -127,21 +138,28 @@ func ExtensionResilience(opts Options) (*Table, error) {
 // and P2P links, no co-runners); the storms supply every variation.
 var resilienceConditions = sim.Conditions{RSSIWLAN: -55, RSSIP2P: -55}
 
+// resilienceOut is one arm's run: the QoS-miss ratio (requests not served
+// count as misses), the mean mJ per request, and the hedges fired and won.
+type resilienceOut struct {
+	miss, mj   float64
+	fired, won int64
+}
+
 // resilienceRun serves reqs MobileNet v3 requests through a one-lane gateway
-// on a cold engine under the storm, and returns the QoS-miss ratio (requests
-// not served count as misses) and the mean mJ per request.
-func resilienceRun(dev *soc.Device, sc *fault.Schedule, seed int64, hedge bool, reqs int) (miss, mj float64, err error) {
+// on a cold engine under the storm.
+func resilienceRun(dev *soc.Device, sc *fault.Schedule, seed int64, hedge, gate bool, reqs int) (resilienceOut, error) {
 	cfg := core.DefaultConfig()
 	cfg.Seed, cfg.RL.Seed = seed, seed
 	eng, err := core.NewEngine(sim.NewWorld(dev, seed), cfg)
 	if err != nil {
-		return 0, 0, err
+		return resilienceOut{}, err
 	}
 	gw, err := serve.New([]serve.Backend{{Device: dev.Name, Engine: eng}}, serve.Config{
-		Name: "ext-resilience", Faults: fault.New(sc, exec.NewRoot(seed).Child("faults")), Hedge: hedge,
+		Name: "ext-resilience", Faults: fault.New(sc, exec.NewRoot(seed).Child("faults")),
+		Hedge: hedge, HedgeGate: gate,
 	})
 	if err != nil {
-		return 0, 0, err
+		return resilienceOut{}, err
 	}
 	defer gw.Shutdown(context.Background())
 	m := dnn.MustByName("MobileNet v3")
@@ -158,7 +176,11 @@ func resilienceRun(dev *soc.Device, sc *fault.Schedule, seed int64, hedge bool, 
 			misses++
 		}
 	}
-	return float64(misses) / float64(reqs), 1e3 * joules / float64(reqs), nil
+	s := gw.Snapshot()
+	return resilienceOut{
+		miss: float64(misses) / float64(reqs), mj: 1e3 * joules / float64(reqs),
+		fired: s.Hedges, won: s.HedgesWon,
+	}, nil
 }
 
 // resilienceOpt runs the fault-aware oracle over the same request stream on

@@ -983,6 +983,30 @@ func (g *Gateway) hedgeFits(w *worker, p *pending, now time.Time) bool {
 	return remaining >= hedgeAfterS+exp.LatencyS
 }
 
+// hedgePays is the expected-reward gate: with R and L the noise-free
+// outcomes of the chosen remote target and the local fallback, a hedge that
+// fires at the hedge point finishes at h = hedgeAfterS + L, and pays only if
+// h beats R and the hedged outcome's eq (5) reward (the local leg's energy
+// plus the remote energy spent up to h) beats the unhedged one's.
+func (g *Gateway) hedgePays(w *worker, p *pending, d *core.Decision) bool {
+	world := w.engine.World
+	r, err := world.Expected(p.req.Model, d.Target, p.req.Conditions)
+	if err != nil || r.LatencyS <= 0 {
+		return false
+	}
+	l, err := world.Expected(p.req.Model, w.fallback, p.req.Conditions)
+	if err != nil {
+		return false
+	}
+	h := hedgeAfterS + l.LatencyS
+	if h >= r.LatencyS {
+		return false
+	}
+	rc := w.engine.Config().Reward
+	rc.QoSTargetS = d.QoSTargetS
+	return rc.Reward(l.EnergyJ+r.EnergyJ*h/r.LatencyS, h, l.Accuracy) > rc.Reward(r.EnergyJ, r.LatencyS, r.Accuracy)
+}
+
 // hedge races a local leg against a slow remote answer: when the measured
 // remote latency exceeds hedgeAfterS and the deadline budget fits the local
 // leg, the gateway simulates having fired the fallback at the hedge point
@@ -997,6 +1021,9 @@ func (g *Gateway) hedge(w *worker, p *pending, d *core.Decision, execStart float
 		return false, false, 0
 	}
 	if !g.hedgeFits(w, p, now) {
+		return false, false, 0
+	}
+	if g.cfg.HedgeGate && !g.hedgePays(w, p, d) {
 		return false, false, 0
 	}
 	lane := w.engine.StepContext("serve.hedge", w.seq)

@@ -199,6 +199,9 @@ type Config struct {
 	// it and the earlier answer wins. An outage is not retried: the sim's local
 	// fallback answers it, and the engine learns from its cost.
 	Hedge bool
+	// HedgeGate, with Hedge, fires a hedge only when the expected local
+	// leg beats the expected remote one on both latency and eq (5) reward.
+	HedgeGate bool
 	// Faults, when non-nil, is the scripted fault injector: New installs it
 	// on every backend world that has none, and each worker drills the
 	// injector's crash/corruption events for its device. The injector's
