@@ -175,7 +175,7 @@ smoke-traces:
 # The full gate: tier-1 build plus formatting, vet, one race-detector pass
 # over every package (it covers the policy, exec, fault, telemetry, routing,
 # planning, hot-path, supervision and tracing planes — each used to be re-run
-# by a race-* target of its own), the 26 quick table digests, the short
+# by a race-* target of its own), the 25 quick table digests, the short
 # chaos soak, the allocation guards, the decoder fuzz smoke, the benchmark
 # harness's own vet and tests, and the admin, planner, chaos and tracing
 # scrape smokes.

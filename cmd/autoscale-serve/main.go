@@ -10,7 +10,7 @@
 //	autoscale-serve -devices Mi8Pro,GalaxyS10e -clients 16 -n 2000
 //	autoscale-serve -devices MotoXForce -rate 200 -deadline 50ms -shed oldest
 //	autoscale-serve -donor Mi8Pro -train 60 -devices GalaxyS10e,MotoXForce
-//	autoscale-serve -faults examples/faults/storm.json -hedge
+//	autoscale-serve -faults examples/faults/storm.json
 //	autoscale-serve -admin :9090 -linger 30s   # scrape /metrics while it runs
 //	autoscale-serve -shards 4 -replicas 4 -tenants gold:4,silver:2,best:1
 //	autoscale-serve -shards 2 -replicas 4 -plan -slo-classes "gold:250ms:4,best:1s:1:100ms"
@@ -54,7 +54,6 @@ func main() {
 		faults    = flag.String("faults", "", "JSON fault schedule to inject (see examples/faults/)")
 		chaos     = flag.Bool("chaos", false, "seeded chaos storm over the routing tier: generated faults, self-healing supervisor, invariant audit")
 		chaosInt  = flag.Float64("chaos-intensity", 0.7, "chaos storm intensity in (0,1]: scales fault density, severity and window width")
-		hedge     = flag.Bool("hedge", false, "hedge slow offloads with a local run")
 		admin     = flag.String("admin", "", "serve the observability endpoint on this address (e.g. :9090)")
 		linger    = flag.Duration("linger", 0, "keep the admin endpoint up this long after the load finishes")
 		shards    = flag.Int("shards", 1, "gateway shards behind the routing tier (1 = a single gateway, routed only by -tenants, -plan or -sync)")
@@ -73,8 +72,7 @@ func main() {
 		model: *model, envID: *envID, n: *n, clients: *clients, rate: *rate,
 		queue: *queue, deadline: *deadline, shed: *shed,
 		snapdir: *snapdir, sync: *sync, faults: *faults, chaos: *chaos,
-		chaosIntensity: *chaosInt, hedge: *hedge,
-		admin: *admin, linger: *linger, shards: *shards,
+		chaosIntensity: *chaosInt, admin: *admin, linger: *linger, shards: *shards,
 		replicas: *replicas, tenants: *tenants, plan: *plan, sloClasses: *sloSpec,
 		traceSample: *traceRate, flightDir: *flightDir,
 		seed: *seed,
@@ -99,7 +97,6 @@ type config struct {
 	faults         string
 	chaos          bool
 	chaosIntensity float64
-	hedge          bool
 	admin          string
 	linger         time.Duration
 	shards         int
@@ -216,7 +213,6 @@ func run(c config, out *os.File) error {
 	} else if c.sync > 0 {
 		return fmt.Errorf("-sync needs -snapshots (the checkpoint store)")
 	}
-	gcfg.Hedge = c.hedge
 	if c.faults != "" {
 		sched, err := autoscale.LoadFaultSchedule(c.faults)
 		if err != nil {
@@ -430,18 +426,14 @@ func run(c config, out *os.File) error {
 			c.donor, c.train)
 	}
 	if gcfg.Faults != nil {
-		hedging := "off"
-		if c.hedge {
-			hedging = "on"
-		}
-		fmt.Fprintf(out, "injecting fault schedule %q (hedging %s)\n", gcfg.Faults.Name(), hedging)
+		fmt.Fprintf(out, "injecting fault schedule %q\n", gcfg.Faults.Name())
 	}
 	if rig != nil {
 		fmt.Fprintf(out, "chaos storm: %d faults, intensity %.2f, horizon %.0fs — supervised, invariants audited\n",
 			len(sched.Faults), c.chaosIntensity, chaosHorizonS)
 	}
 	if tracer != nil {
-		line := fmt.Sprintf("causal tracing: sample rate %.2f, tail-keep on shed/miss/failover/hedge", c.traceSample)
+		line := fmt.Sprintf("causal tracing: sample rate %.2f, tail-keep on shed/miss/failover", c.traceSample)
 		if c.flightDir != "" {
 			line += fmt.Sprintf("; flight recorder bundles -> %s", c.flightDir)
 		}
@@ -731,10 +723,6 @@ func printSnapshot(out *os.File, s autoscale.GatewayMetrics, wall time.Duration)
 	fmt.Fprintf(out, "%-14s %8d\n", "queue max", s.QueueMaxDepth)
 	if s.OutageWastedJ > 0 {
 		fmt.Fprintf(out, "%-14s %8.2f J\n", "outage waste", s.OutageWastedJ)
-	}
-	if s.Hedges > 0 {
-		fmt.Fprintf(out, "%-14s %8d   (%d won, %d lost)\n",
-			"hedges", s.Hedges, s.HedgesWon, s.HedgesLost)
 	}
 	if s.WorkerCrashes > 0 || s.CorruptDrills > 0 {
 		fmt.Fprintf(out, "%-14s %8d   (%d corrupt drills)\n", "crashes", s.WorkerCrashes, s.CorruptDrills)

@@ -464,8 +464,6 @@ func TestEveryFlagIsObservable(t *testing.T) {
 		{flag: "chaos", set: func(c *config) { c.chaos = true }, want: fails("-chaos supervises the routing tier")},
 		{flag: "chaos-intensity", base: func(c *config) { c.chaos, c.shards, c.replicas = true, 2, 2 },
 			set: func(c *config) { c.chaosIntensity = 0.5 }, want: shows("intensity 0.50")},
-		{flag: "hedge", base: func(c *config) { c.faults = "../../examples/faults/storm.json" },
-			set: func(c *config) { c.hedge = true }, want: shows("(hedging on)")},
 		{flag: "admin", test: "TestRunAdminEndpoint"},
 		{flag: "linger", test: "TestRunAdminEndpoint"},
 		{flag: "shards", set: func(c *config) { c.shards = 2 }, want: shows("over 2 shards")},

@@ -357,19 +357,10 @@ func (e *Engine) Step(ctx *exec.Context, m *dnn.Model, c sim.Conditions, prov *o
 	}, nil
 }
 
-// StepContext derives an auxiliary execution context from the engine's
-// root, sharing its virtual clock — the serving layer uses it for hedge
-// executions so their draws key on (engine seed, purpose, ids) and their
-// simulated time lands on the same timeline the fault schedules are
-// scripted against.
-func (e *Engine) StepContext(purpose string, ids ...uint64) *exec.Context {
-	return e.root.Child(purpose, ids...)
-}
-
 // Now returns the engine's virtual time: the simulated seconds accumulated
 // by every inference executed through it (nil-ctx and explicit-context
 // steps share the root clock). Fault schedules and the serving layer's
-// resilience logic key on this time base.
+// gray windows and drills key on this time base.
 func (e *Engine) Now() float64 { return e.root.Now() }
 
 // AdvanceTo fast-forwards the engine's virtual clock to t if it lags behind

@@ -89,15 +89,6 @@ func (c *Clock) Advance(d float64) float64 {
 	return c.now
 }
 
-// Set moves the clock to t, backwards included: the one move Advance cannot
-// make. Two legs that raced on one clock use it to end the clock at the
-// winner's finish once the slower leg has already advanced it.
-func (c *Clock) Set(t float64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.now = t
-}
-
 // Context is a request-scoped execution context: a derivation point for
 // deterministic RNG streams and a shared virtual clock. Contexts are
 // immutable; Child returns a new value (Rekey is the explicit exception
@@ -120,13 +111,6 @@ func NewRoot(seed int64) *Context {
 // purpose, and ids.
 func (c *Context) Child(purpose string, ids ...uint64) *Context {
 	return &Context{seed: deriveSeed(c.seed, purpose, ids...), clock: c.clock}
-}
-
-// Detach returns a context with c's seed on a clock of its own, standing at
-// start: for a leg that runs beside the one that owns c's clock, and so must
-// not advance it.
-func (c *Context) Detach(start float64) *Context {
-	return &Context{seed: c.seed, clock: NewClock(start)}
 }
 
 // Rekey repositions dst in place as the named child of c, reusing dst's

@@ -170,24 +170,6 @@ func TestClock(t *testing.T) {
 	if got := root.Now(); got != 1.5 {
 		t.Fatalf("clock = %v, want 1.5 (shared with child)", got)
 	}
-	root.Clock().Set(0.5)
-	if got := child.Now(); got != 0.5 {
-		t.Fatalf("clock = %v after Set(0.5)", got)
-	}
-}
-
-// TestDetach: a detached context draws its parent's streams but runs on a
-// clock of its own.
-func TestDetach(t *testing.T) {
-	ctx := NewRoot(1).Child("req", 1)
-	d := ctx.Detach(10)
-	if a, b := ctx.Stream("s").Uint64(), d.Stream("s").Uint64(); a != b {
-		t.Fatalf("detached stream %d, parent %d", b, a)
-	}
-	d.Advance(2)
-	if d.Now() != 12 || ctx.Now() != 0 {
-		t.Fatalf("detached clock %v, parent clock %v; want 12 and 0", d.Now(), ctx.Now())
-	}
 }
 
 func TestSeedPurposeSeparation(t *testing.T) {

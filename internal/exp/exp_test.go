@@ -98,8 +98,8 @@ func TestFig3Shape(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	ids := IDs()
-	if len(ids) != 26 {
-		t.Errorf("registry has %d experiments, want 26", len(ids))
+	if len(ids) != 25 {
+		t.Errorf("registry has %d experiments, want 25", len(ids))
 	}
 	// Tables come first, figures in numeric order.
 	if !strings.HasPrefix(ids[0], "table") {

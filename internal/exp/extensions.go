@@ -153,7 +153,7 @@ func ExtensionPartition(opts Options) (*Table, error) {
 // ExtensionOutage evaluates robustness to offload failures: with a per-
 // request outage probability on the radio links, blind cloud offloading pays
 // the timeout-plus-fallback penalty while AutoScale learns from its realized
-// rewards to hedge toward on-device execution — stochastic runtime variance
+// rewards to retreat toward on-device execution — stochastic runtime variance
 // beyond what the paper's state space captures.
 func ExtensionOutage(opts Options) (*Table, error) {
 	opts = opts.withDefaults()

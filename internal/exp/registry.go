@@ -10,32 +10,31 @@ type Runner func(Options) (*Table, error)
 
 // registry maps experiment IDs to their runners, in the paper's numbering.
 var registry = map[string]Runner{
-	"tableI":         func(Options) (*Table, error) { return TableI(), nil },
-	"tableII":        func(Options) (*Table, error) { return TableII(), nil },
-	"tableIII":       func(Options) (*Table, error) { return TableIII(), nil },
-	"tableIV":        func(Options) (*Table, error) { return TableIV(), nil },
-	"fig2":           Fig2,
-	"fig3":           Fig3,
-	"fig4":           Fig4,
-	"fig5":           Fig5,
-	"fig6":           Fig6,
-	"fig7":           Fig7,
-	"fig9":           Fig9,
-	"fig10":          Fig10,
-	"fig11":          Fig11,
-	"fig12":          Fig12,
-	"fig13":          Fig13,
-	"fig14":          Fig14,
-	"ablation":       StateAblation,
-	"ext-actions":    ExtensionActions,
-	"ext-faults":     ExtensionFaults,
-	"ext-links":      ExtensionLinks,
-	"ext-npu":        ExtensionNPU,
-	"ext-outage":     ExtensionOutage,
-	"ext-partition":  ExtensionPartition,
-	"ext-plan":       ExtensionPlan,
-	"ext-resilience": ExtensionResilience,
-	"ext-sarsa":      ExtensionSARSA,
+	"tableI":        func(Options) (*Table, error) { return TableI(), nil },
+	"tableII":       func(Options) (*Table, error) { return TableII(), nil },
+	"tableIII":      func(Options) (*Table, error) { return TableIII(), nil },
+	"tableIV":       func(Options) (*Table, error) { return TableIV(), nil },
+	"fig2":          Fig2,
+	"fig3":          Fig3,
+	"fig4":          Fig4,
+	"fig5":          Fig5,
+	"fig6":          Fig6,
+	"fig7":          Fig7,
+	"fig9":          Fig9,
+	"fig10":         Fig10,
+	"fig11":         Fig11,
+	"fig12":         Fig12,
+	"fig13":         Fig13,
+	"fig14":         Fig14,
+	"ablation":      StateAblation,
+	"ext-actions":   ExtensionActions,
+	"ext-faults":    ExtensionFaults,
+	"ext-links":     ExtensionLinks,
+	"ext-npu":       ExtensionNPU,
+	"ext-outage":    ExtensionOutage,
+	"ext-partition": ExtensionPartition,
+	"ext-plan":      ExtensionPlan,
+	"ext-sarsa":     ExtensionSARSA,
 }
 
 // IDs returns the registered experiment IDs in a stable order: tables first,

@@ -12,9 +12,8 @@
 // (sim.World.OutageProb). Real outages are time-correlated: an access point
 // reboots and stays down for seconds, a signal fades over a walk down a
 // corridor, a server queue spikes and drains. This package scripts those
-// dynamics so experiments and the serving gateway's hedged offloads can be
-// driven — and replayed byte-identically — from one (schedule, root seed)
-// pair.
+// dynamics so experiments and the serving gateway can be driven — and
+// replayed byte-identically — from one (schedule, root seed) pair.
 //
 // Determinism: every stochastic choice (the Markov window durations) is
 // drawn at compile time from named streams of the constructor's

@@ -2,7 +2,7 @@ package obs
 
 // Canonical request phases of the serving pipeline, in pipeline order:
 // admission wait, queue wait, the engine's decision overhead, the executed
-// inference, and the optional hedge leg.
+// inference.
 const (
 	// PhaseQueue is the wait between admission and worker pickup, measured
 	// on the gateway clock.
@@ -16,9 +16,6 @@ const (
 	// PhaseExecute is the executed inference (including any in-sim outage
 	// timeout), measured on the virtual clock.
 	PhaseExecute = "execute"
-	// PhaseHedge is the local hedge leg raced against a slow remote,
-	// measured on the virtual clock.
-	PhaseHedge = "hedge"
 )
 
 // Phase indices for PhaseTotals, in the same pipeline order as Phases().
@@ -26,13 +23,12 @@ const (
 	PhaseQueueIdx = iota
 	PhaseDecideIdx
 	PhaseExecuteIdx
-	PhaseHedgeIdx
 	// NumPhases is the number of canonical phases.
 	NumPhases
 )
 
 // phaseNames maps phase index -> canonical name.
-var phaseNames = [NumPhases]string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseHedge}
+var phaseNames = [NumPhases]string{PhaseQueue, PhaseDecide, PhaseExecute}
 
 // Phases returns a fresh copy of the canonical phase names in pipeline order.
 func Phases() []string { return append([]string(nil), phaseNames[:]...) }
@@ -51,8 +47,8 @@ func (p *PhaseTotals) Add(idx int, durS float64) { p.totals[idx] += durS }
 func (p PhaseTotals) Total(idx int) float64 { return p.totals[idx] }
 
 // Durations materializes the non-zero totals as a map, nil when every
-// phase is zero — a request that was never hedged carries no hedge key,
-// keeping the trace's phases field compact.
+// phase is zero; a zero phase carries no key, keeping the trace's phases
+// field compact.
 func (p PhaseTotals) Durations() map[string]float64 {
 	n := 0
 	for _, d := range p.totals {

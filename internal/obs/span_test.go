@@ -12,10 +12,10 @@ func TestPhaseTotalsDropsZeroPhases(t *testing.T) {
 		t.Fatalf("empty totals reported %v", durs)
 	}
 	p.Add(PhaseExecuteIdx, 0.25)
-	p.Add(PhaseHedgeIdx, 0.15)
-	p.Add(PhaseHedgeIdx, 0.15)
-	p.Add(PhaseDecideIdx, 0) // a zero-width leg must not leak into the map
-	want := map[string]float64{PhaseExecute: 0.25, PhaseHedge: 0.30}
+	p.Add(PhaseDecideIdx, 0.15)
+	p.Add(PhaseDecideIdx, 0.15)
+	p.Add(PhaseQueueIdx, 0) // a zero-width leg must not leak into the map
+	want := map[string]float64{PhaseExecute: 0.25, PhaseDecide: 0.30}
 	durs := p.Durations()
 	if len(durs) != len(want) {
 		t.Fatalf("durations = %v, want %v", durs, want)
@@ -29,7 +29,7 @@ func TestPhaseTotalsDropsZeroPhases(t *testing.T) {
 
 func TestPhasesCanonicalOrder(t *testing.T) {
 	got := Phases()
-	want := []string{PhaseQueue, PhaseDecide, PhaseExecute, PhaseHedge}
+	want := []string{PhaseQueue, PhaseDecide, PhaseExecute}
 	if len(got) != len(want) {
 		t.Fatalf("Phases() = %v", got)
 	}

@@ -132,11 +132,11 @@ func TestSinkExactlyOnceUnderLifecycle(t *testing.T) {
 	// The kill finds lane-b0's clients queued behind a parked worker, so
 	// their requests bounce off the dying shard's worker while the other five
 	// clients keep dispatching.
-	park := &blockingSink{entered: make(chan struct{}), release: make(chan struct{})}
+	park := newBlockingSink()
 	if err := gwB.SubmitTo(serve.Request{Model: m, Conditions: conds(), Device: "lane-b0"}, park); err != nil {
 		t.Fatal(err)
 	}
-	<-park.entered
+	park.parked(t)
 	for gwB.Snapshot().QueueDepth < 3 && !t.Failed() {
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -173,12 +173,37 @@ func TestSinkExactlyOnceUnderLifecycle(t *testing.T) {
 	}
 }
 
-// blockingSink holds a lane's worker inside Deliver until released.
-type blockingSink struct{ entered, release chan struct{} }
+// blockingSink holds a lane's worker inside Deliver until released, for a
+// served response only: a response with any other status (shed at
+// admission, say, on the submitter's own goroutine) returns at once and is
+// handed to the test on other. A sink takes one request.
+type blockingSink struct {
+	entered, release chan struct{}
+	other            chan serve.Status
+}
 
-func (s *blockingSink) Deliver(*serve.Response) {
+func newBlockingSink() *blockingSink {
+	return &blockingSink{entered: make(chan struct{}), release: make(chan struct{}), other: make(chan serve.Status, 1)}
+}
+
+func (s *blockingSink) Deliver(r *serve.Response) {
+	if r.Status != serve.StatusServed {
+		s.other <- r.Status
+		return
+	}
 	close(s.entered)
 	<-s.release
+}
+
+// parked waits until the sink holds a served response's lane, and fails the
+// test if the response came back with another status instead.
+func (s *blockingSink) parked(t *testing.T) {
+	t.Helper()
+	select {
+	case <-s.entered:
+	case st := <-s.other:
+		t.Fatalf("the parking request was not served: status %v", st)
+	}
 }
 
 // TestWorkerBounceFailsOver strands a known backlog in a shard's queue — its
@@ -194,11 +219,11 @@ func TestWorkerBounceFailsOver(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := dnn.MustByName("MobileNet v3")
-	park := &blockingSink{entered: make(chan struct{}), release: make(chan struct{})}
+	park := newBlockingSink()
 	if err := gwB.SubmitTo(serve.Request{Model: m, Conditions: conds()}, park); err != nil {
 		t.Fatal(err)
 	}
-	<-park.entered
+	park.parked(t)
 
 	const backlog = 20
 	var chans []<-chan serve.Response

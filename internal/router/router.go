@@ -6,7 +6,7 @@
 // tenant queues), and shard lifecycle: crash drills on the virtual clock,
 // graceful draining, and re-homing a lost shard's device lanes onto
 // survivors with checkpoint warm-start. Within a shard, the gateway's own
-// admission, deadline and resilience machinery applies unchanged; the router
+// admission and deadline machinery applies unchanged; the router
 // deliberately adds no second opinion on any per-request decision a shard
 // already makes.
 //

@@ -9,23 +9,33 @@ import (
 
 	"autoscale/internal/core"
 	"autoscale/internal/dnn"
+	"autoscale/internal/exec"
+	"autoscale/internal/fault"
 	"autoscale/internal/serve"
 	"autoscale/internal/sim"
 	"autoscale/internal/soc"
 )
 
-// The serving tiers must be transparent: with no faults, deadlines or
-// resilience and one sequential client, each device's engine behind a
+// The serving tiers must be transparent: with no faults or deadlines and
+// one sequential client, each device's engine behind a
 // gateway, or behind a router over 1–3 shards, takes exactly the steps a
 // bare Algorithm 1 loop (AdvanceTo the arrival, then RunInferenceCtx with a
-// nil ctx) takes on a twin engine fed that device's requests in order.
+// nil ctx) takes on a twin engine fed that device's requests in order. The
+// same holds under a fault storm installed on the tier's worlds and the
+// twins' worlds alike: the sim's windowed faults act inside the engine step.
 
 const transparentLanes = 3
 
-// transparentEngine builds lane i's engine; twins share config and seed.
-func transparentEngine(t *testing.T, i int) *core.Engine {
+// transparentEngine builds lane i's engine; twins share config and seed,
+// and, when sc is non-nil, a fault injector compiled from sc on that seed.
+func transparentEngine(t *testing.T, i int, sc *fault.Schedule) *core.Engine {
 	t.Helper()
-	return testEngine(t, soc.Phones()[i%len(soc.Phones())], 40+int64(i), core.DefaultConfig())
+	seed := 40 + int64(i)
+	e := testEngine(t, soc.Phones()[i%len(soc.Phones())], seed, core.DefaultConfig())
+	if sc != nil {
+		e.World.Faults = fault.New(sc, exec.NewRoot(seed).Child("faults"))
+	}
+	return e
 }
 
 func laneName(i int) string { return fmt.Sprintf("lane-%d", i) }
@@ -67,12 +77,12 @@ type transparentTier struct {
 
 // gatewayTier puts lanes on shards gateways, lane i on shard i%shards; with
 // routed false a single standalone gateway serves every lane.
-func gatewayTier(t *testing.T, shards int, routed bool) transparentTier {
+func gatewayTier(t *testing.T, shards int, routed bool, sc *fault.Schedule) transparentTier {
 	t.Helper()
 	tier := transparentTier{engines: make([]*core.Engine, transparentLanes)}
 	backends := make([][]serve.Backend, shards)
 	for i := range tier.engines {
-		tier.engines[i] = transparentEngine(t, i)
+		tier.engines[i] = transparentEngine(t, i, sc)
 		backends[i%shards] = append(backends[i%shards], serve.Backend{Device: laneName(i), Engine: tier.engines[i]})
 	}
 	var sgs []ShardGateway
@@ -103,7 +113,28 @@ func measBits(m sim.Measurement) string {
 		b(m.TTXSeconds), b(m.TRXSeconds), b(m.WastedJ))
 }
 
-func TestTiersAreTransparent(t *testing.T) {
+func TestTiersAreTransparent(t *testing.T) { checkTransparent(t, nil) }
+
+// TestFaultedTiersAreTransparent runs the same comparison under the example
+// storm (outages, an RSSI ramp, a queue spike and a thermal throttle). Gray
+// windows and one-shot drills act in the gateway by design, so the schedule
+// carries none and the gateway gets no injector of its own.
+func TestFaultedTiersAreTransparent(t *testing.T) {
+	sc, err := fault.Load("../../examples/faults/storm.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range sc.Faults {
+		if sp.Kind == fault.KindGrayDegrade || sp.Kind == fault.KindWorkerCrash || sp.Kind == fault.KindCheckpointCorrupt {
+			t.Fatalf("the storm carries a gateway-side %s fault", sp.Kind)
+		}
+	}
+	checkTransparent(t, sc)
+}
+
+// checkTransparent serves transparentRequests through every tier, under sc
+// when it is non-nil, and compares each decision with the bare loop's.
+func checkTransparent(t *testing.T, sc *fault.Schedule) {
 	reqs := transparentRequests(t)
 	tiers := []struct {
 		name   string
@@ -112,12 +143,12 @@ func TestTiersAreTransparent(t *testing.T) {
 	}{{"gateway", 1, false}, {"router/1", 1, true}, {"router/2", 2, true}, {"router/3", 3, true}}
 	for _, tc := range tiers {
 		t.Run(tc.name, func(t *testing.T) {
-			tier := gatewayTier(t, tc.shards, tc.routed)
+			tier := gatewayTier(t, tc.shards, tc.routed, sc)
 			twins := make([]*core.Engine, transparentLanes)
 			for i := range twins {
-				twins[i] = transparentEngine(t, i)
+				twins[i] = transparentEngine(t, i, sc)
 			}
-			diffs, waited := 0, 0
+			diffs, waited, stormed := 0, 0, 0
 			for k, req := range reqs {
 				resp, err := tier.do(req)
 				if err != nil {
@@ -131,6 +162,10 @@ func TestTiersAreTransparent(t *testing.T) {
 				}
 				twin := twins[k%transparentLanes]
 				twin.AdvanceTo(req.ArrivalS)
+				if f, now := twin.World.Faults, twin.Now(); f.Down(fault.SiteCloud, now) ||
+					f.RSSIDeltaDBm(fault.LinkWLAN, now) != 0 || f.ThrottleFactor(now) > 1 {
+					stormed++
+				}
 				want, err := twin.RunInferenceCtx(nil, req.Model, req.Conditions)
 				if err != nil {
 					t.Fatal(err)
@@ -151,6 +186,9 @@ func TestTiersAreTransparent(t *testing.T) {
 			}
 			if waited == 0 || waited == len(reqs) {
 				t.Errorf("%d of %d requests waited: the arrivals exercise only one AdvanceTo branch", waited, len(reqs))
+			}
+			if sc != nil && stormed == 0 {
+				t.Errorf("no request ran inside a storm window: the storm was compared vacuously")
 			}
 			if err := tier.stop(context.Background()); err != nil {
 				t.Fatal(err)

@@ -244,12 +244,9 @@ func AppendProm(p *obs.Prom, s metrics.Snapshot, health map[string]core.Health) 
 
 	// Resilience machinery.
 	p.Counter("autoscale_outages_total", "Simulated radio outages absorbed by the local fallback.", float64(s.Outages))
-	p.Counter("autoscale_hedges_total", "Hedged offloads launched against slow remotes.", float64(s.Hedges))
-	p.Counter("autoscale_hedges_won_total", "Hedges whose local leg answered first.", float64(s.HedgesWon))
-	p.Counter("autoscale_hedges_lost_total", "Hedges whose remote leg answered first.", float64(s.HedgesLost))
 	p.Counter("autoscale_worker_crashes_total", "Scripted worker-crash drills fired.", float64(s.WorkerCrashes))
 	p.Counter("autoscale_checkpoint_corruptions_total", "Scripted checkpoint-corruption drills fired.", float64(s.CorruptDrills))
-	p.Counter("autoscale_wasted_joules_total", "Energy burned on failed or superseded offload attempts.", s.OutageWastedJ)
+	p.Counter("autoscale_wasted_joules_total", "Energy burned on failed offload attempts.", s.OutageWastedJ)
 
 	// Policy-sync plane.
 	p.Counter("autoscale_policy_sync_passes_total", "Completed policy-sync passes.", float64(s.SyncPasses))

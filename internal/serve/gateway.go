@@ -11,13 +11,11 @@ import (
 	"time"
 
 	"autoscale/internal/core"
-	"autoscale/internal/dnn"
 	"autoscale/internal/fault"
 	"autoscale/internal/obs"
 	"autoscale/internal/policy"
 	"autoscale/internal/serve/metrics"
 	"autoscale/internal/sim"
-	"autoscale/internal/soc"
 	"autoscale/internal/trace"
 	"autoscale/internal/tracez"
 )
@@ -65,12 +63,10 @@ type Gateway struct {
 // claimed request never overtakes one admitted before it, and none admitted
 // after it overtakes it.
 type worker struct {
-	device      string
-	engine      *core.Engine
-	met         *metrics.Registry // this lane's own registry; see the metrics package
-	queue       chan *pending
-	fallback    sim.Target
-	hasFallback bool
+	device string
+	engine *core.Engine
+	met    *metrics.Registry // this lane's own registry; see the metrics package
+	queue  chan *pending
 
 	// busy counts the requests admitted to this lane and not yet answered:
 	// enqueue raises it before the send, a claim takes it from 0, and it
@@ -86,7 +82,7 @@ type worker struct {
 
 	events    []fault.Event // scripted crash/corruption drills, time-ordered
 	nextEvent int
-	seq       uint64 // per-lane request sequence (trace + hedge streams)
+	seq       uint64 // per-lane request sequence (trace records)
 
 	// tbuf buffers this lane's trace records between batch flushes. It drains
 	// to the shared writer when it fills, when the lane's queue runs empty
@@ -194,9 +190,8 @@ func newGateway(backends []Backend, cfg Config) (*Gateway, error) {
 	return g, nil
 }
 
-// newWorker validates one backend and builds its serving lane (queue,
-// fallback target, fault drills). Callers hold g.mu or run before
-// any worker goroutine exists.
+// newWorker validates one backend and builds its serving lane (queue, fault
+// drills). Callers hold g.mu or run before any worker goroutine exists.
 func (g *Gateway) newWorker(b Backend) (*worker, error) {
 	if b.Engine == nil {
 		return nil, fmt.Errorf("serve: backend %q has nil engine", b.Device)
@@ -212,12 +207,6 @@ func (g *Gateway) newWorker(b Backend) (*worker, error) {
 		engine: b.Engine,
 		met:    metrics.New(b.Device),
 		queue:  make(chan *pending, g.cfg.queueDepth()),
-	}
-	// The hedge's local leg mirrors the sim's outage fallback: local CPU
-	// at top frequency, FP32.
-	if cpu := b.Engine.World.Device.Processor(soc.CPU); cpu != nil {
-		w.fallback = sim.Target{Location: sim.Local, Kind: soc.CPU, Step: cpu.Steps - 1, Prec: dnn.FP32}
-		w.hasFallback = true
 	}
 	// Scripted faults: install the injector on the backend world (unless
 	// the caller already wired one) and stage this device's one-shot
@@ -756,23 +745,23 @@ func (g *Gateway) flushTrace(w *worker) {
 }
 
 // serveOne executes one admitted request: scripted fault drills, deadline
-// fast-fail, the engine step, hedging, metrics, trace, response. The caller
-// holds w.lane.
+// fast-fail, the engine step, metrics, trace, response. The caller holds
+// w.lane.
 //
-// Phase accounting: the execution legs (execute, hedge) are
-// stamped on the worker engine's virtual clock, so they are a pure function
-// of the deterministic execution and flow into the trace; the queue and
-// decide phases are on the gateway clock (scheduling reality, not
-// simulation) and feed the registry's phase histograms and the causal
-// trace's spans only. The queue phase runs from admission to serve start;
-// the decide phase from serve start to decide end, the reading taken right
-// after the engine step, which is also the response's DoneAt.
+// Phase accounting: the execute phase is stamped on the worker engine's
+// virtual clock, so it is a pure function of the deterministic execution
+// and flows into the trace; the queue and decide phases are on the gateway
+// clock (scheduling reality, not simulation) and feed the registry's phase
+// histograms and the causal trace's spans only. The queue phase runs from
+// admission to serve start; the decide phase from serve start to decide
+// end, the reading taken right after the engine step, which is also the
+// response's DoneAt.
 func (g *Gateway) serveOne(w *worker, p *pending) {
 	start := g.now()
 	wait := start.Sub(p.submittedAt).Seconds()
 	act := p.req.Trace // nil-safe handle; nil when tracing is off
 	act.SetShard(g.cfg.Name)
-	// pt accumulates the deterministic virtual-clock legs (execute, hedge)
+	// pt accumulates the deterministic virtual-clock execute phase
 	// without allocating; the wall-clock queue and decide phases feed
 	// the registry's histograms directly and stay out of the trace.
 	var pt obs.PhaseTotals
@@ -873,31 +862,12 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	if wastedJ := d.Measurement.WastedJ; wastedJ > 0 {
 		w.met.AddOutageWastedJ(wastedJ)
 	}
-
-	hedged, hedgeWon := false, false
-	if g.cfg.Hedge && !outage &&
-		d.Measurement.Target.Location != sim.Local && w.hasFallback {
-		var localS float64
-		hedged, hedgeWon, localS = g.hedge(w, p, d, execStart, done)
-		if hedgeWon {
-			// The phases follow the critical path: the remote leg up to
-			// the hedge point, then the local leg that answered.
-			execS = hedgeAfterS
-			pt.Add(obs.PhaseHedgeIdx, localS)
-		}
-	}
 	pt.Add(obs.PhaseExecuteIdx, execS)
 
-	// Span tree tail: the deterministic execution legs, emitted from the same
+	// Span tree tail: the deterministic execute leg, emitted from the same
 	// phase totals the trace record carries so span durations and the
 	// record's phases field reconcile exactly for every serve.
 	act.Span("execute", pt.Total(obs.PhaseExecuteIdx), d.Measurement.Target.Location.String())
-	if v := pt.Total(obs.PhaseHedgeIdx); v > 0 {
-		act.Span("hedge", v, "")
-	}
-	if hedged {
-		act.Flag(tracez.FlagHedged)
-	}
 
 	w.met.ObserveServed(metrics.ServedSample{
 		QoSViolated: d.QoSViolated,
@@ -916,7 +886,6 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 		rec.Shard = g.cfg.Name
 		rec.Tenant = p.req.Tenant
 		rec.Outage = outage
-		rec.Hedged = hedged
 		rec.VWaitS = vwait
 		rec.Phases = pt.Durations()
 		rec.TraceID = act.ID()
@@ -930,7 +899,6 @@ func (g *Gateway) serveOne(w *worker, p *pending) {
 	}
 
 	out.Status, out.Outage, out.DoneAt = StatusServed, outage, done
-	out.Hedged, out.HedgeWon = hedged, hedgeWon
 	act.Finish("served")
 	w.answer(p)
 }
@@ -959,106 +927,6 @@ func (g *Gateway) applyFaultEvents(w *worker) {
 			}
 		}
 	}
-}
-
-// hedgeAfterS is the remote latency beyond which the local hedge leg fires:
-// 25 ms, half the paper's 50 ms QoS budget.
-const hedgeAfterS = 0.025
-
-// hedgeFits reports whether the budget left at now, the decide-end reading,
-// fits the hedge point plus the expected clean latency of the request's
-// local leg. A request without a deadline always fits.
-func (g *Gateway) hedgeFits(w *worker, p *pending, now time.Time) bool {
-	if p.req.Deadline.IsZero() {
-		return true
-	}
-	remaining := p.req.Deadline.Sub(now).Seconds()
-	if remaining <= 0 {
-		return false
-	}
-	exp, err := w.engine.World.Expected(p.req.Model, w.fallback, p.req.Conditions)
-	if err != nil {
-		return false
-	}
-	return remaining >= hedgeAfterS+exp.LatencyS
-}
-
-// hedgePays is the expected-reward gate: with R and L the noise-free
-// outcomes of the chosen remote target and the local fallback, a hedge that
-// fires at the hedge point finishes at h = hedgeAfterS + L, and pays only if
-// h beats R and the hedged outcome's eq (5) reward (the local leg's energy
-// plus the remote energy spent up to h) beats the unhedged one's.
-func (g *Gateway) hedgePays(w *worker, p *pending, d *core.Decision) bool {
-	world := w.engine.World
-	r, err := world.Expected(p.req.Model, d.Target, p.req.Conditions)
-	if err != nil || r.LatencyS <= 0 {
-		return false
-	}
-	l, err := world.Expected(p.req.Model, w.fallback, p.req.Conditions)
-	if err != nil {
-		return false
-	}
-	h := hedgeAfterS + l.LatencyS
-	if h >= r.LatencyS {
-		return false
-	}
-	rc := w.engine.Config().Reward
-	rc.QoSTargetS = d.QoSTargetS
-	return rc.Reward(l.EnergyJ+r.EnergyJ*h/r.LatencyS, h, l.Accuracy) > rc.Reward(r.EnergyJ, r.LatencyS, r.Accuracy)
-}
-
-// hedge races a local leg against a slow remote answer: when the measured
-// remote latency exceeds hedgeAfterS and the deadline budget fits the local
-// leg, the gateway simulates having fired the fallback at the hedge point
-// and takes whichever answer lands first, charging the loser's in-flight
-// energy as waste. The local leg runs beside the remote one, on a clock of
-// its own that starts at the hedge point; the lane's clock, which the
-// remote leg already advanced, ends at the winner's finish. localS is the
-// local leg's latency when it won; now is the decide-end reading.
-func (g *Gateway) hedge(w *worker, p *pending, d *core.Decision, execStart float64, now time.Time) (hedged, won bool, localS float64) {
-	remote := d.Measurement
-	if remote.LatencyS <= hedgeAfterS {
-		return false, false, 0
-	}
-	if !g.hedgeFits(w, p, now) {
-		return false, false, 0
-	}
-	if g.cfg.HedgeGate && !g.hedgePays(w, p, d) {
-		return false, false, 0
-	}
-	lane := w.engine.StepContext("serve.hedge", w.seq)
-	hctx := lane.Detach(execStart + hedgeAfterS)
-	local, err := w.engine.World.ExecuteCtx(hctx, p.req.Model, w.fallback, p.req.Conditions)
-	if err != nil {
-		return false, false, 0
-	}
-	w.met.IncHedge()
-	hedgedLat := hedgeAfterS + local.LatencyS
-	if hedgedLat < remote.LatencyS {
-		// Local leg wins: the remote answer is superseded; charge the
-		// remote energy spent up to the hedged completion as waste.
-		localS = local.LatencyS
-		waste := remote.EnergyJ * (hedgedLat / remote.LatencyS)
-		local.LatencyS = hedgedLat
-		local.EnergyJ += waste
-		local.WastedJ += waste
-		d.Measurement = local
-		d.QoSViolated = local.LatencyS > d.QoSTargetS
-		lane.Clock().Set(hctx.Now())
-		w.met.IncHedgeWon()
-		return true, true, localS
-	}
-	// Remote answered first: the local leg ran (remote - hedge point) long
-	// before cancellation; charge that fraction as waste.
-	frac := (remote.LatencyS - hedgeAfterS) / local.LatencyS
-	if frac > 1 {
-		frac = 1
-	}
-	waste := frac * local.EnergyJ
-	d.Measurement.EnergyJ += waste
-	d.Measurement.WastedJ += waste
-	w.met.IncHedgeLost()
-	return true, false, 0
 }
 
 // Shutdown stops admission, drains every queue (queued requests still

@@ -20,7 +20,7 @@ import (
 )
 
 // twinStorm darkens both remote sites through the middle of the twins'
-// stream, then fades the WLAN link, so outages and hedges both run.
+// stream, then fades the WLAN link, so outages and a faded link both run.
 var twinStorm = &fault.Schedule{Name: "twin-storm", Faults: []fault.Spec{
 	{Kind: fault.KindOutage, Site: fault.SiteCloud, StartS: 5, EndS: 20},
 	{Kind: fault.KindOutage, Site: fault.SiteConnected, StartS: 5, EndS: 20},
@@ -28,7 +28,7 @@ var twinStorm = &fault.Schedule{Name: "twin-storm", Faults: []fault.Spec{
 }}
 
 // twinGateway builds one of a set of identical two-lane gateways: same
-// engines, seeds, fault storm and hedging, with the decision
+// engines, seeds and fault storm, with the decision
 // trace written to the returned buffer.
 func twinGateway(t *testing.T) (*Gateway, *trace.Writer, *bytes.Buffer) {
 	t.Helper()
@@ -37,8 +37,8 @@ func twinGateway(t *testing.T) (*Gateway, *trace.Writer, *bytes.Buffer) {
 		seed := int64(31 + i)
 		cfg := core.DefaultConfig()
 		cfg.Seed = seed
-		// Exploration keeps offloads, and with them outages and hedges,
-		// flowing through the storm.
+		// Exploration keeps offloads, and with them outages, flowing
+		// through the storm.
 		cfg.RL.Epsilon = 0.5
 		e := testEngine(t, dev, seed, cfg)
 		e.World.Faults = fault.New(twinStorm, exec.NewRoot(seed).Child("faults"))
@@ -46,10 +46,7 @@ func twinGateway(t *testing.T) (*Gateway, *trace.Writer, *bytes.Buffer) {
 	}
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
-	g, err := New(backends, Config{
-		Trace: tw,
-		Hedge: true,
-	})
+	g, err := New(backends, Config{Trace: tw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,17 +133,17 @@ func TestDoInlineMatchesWorker(t *testing.T) {
 			}
 		}
 	}
-	var served, hedged int
+	var served, outages int
 	for _, r := range want {
 		if r.Status == StatusServed {
 			served++
 		}
-		if r.Hedged {
-			hedged++
+		if r.Outage {
+			outages++
 		}
 	}
-	if served != n || hedged == 0 {
-		t.Fatalf("degenerate stream: %d served, %d hedged", served, hedged)
+	if served != n || outages == 0 {
+		t.Fatalf("degenerate stream: %d served, %d outages", served, outages)
 	}
 }
 

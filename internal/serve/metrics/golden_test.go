@@ -20,8 +20,8 @@ var update = flag.Bool("update", false, "rewrite the registry fold goldens in te
 // goldenFold drives an unrouted registry and two lane registries through a
 // seeded sequence of every mutator, in the shapes the gateway calls them —
 // admission with and without a virtual wait, shed, expired and failed
-// outcomes, outages, hedges won and lost, drills, served samples on all
-// three targets with and without a tenant — and folds them the way
+// outcomes, outages, drills, served samples on all three targets with and
+// without a tenant — and folds them the way
 // Gateway.Snapshot does: unrouted first, then each lane.
 func goldenFold() metrics.Snapshot {
 	rng := exec.NewRand(48)
@@ -78,16 +78,11 @@ func goldenFold() metrics.Snapshot {
 		var pt obs.PhaseTotals
 		execS := rng.ExpFloat64() * 0.03
 		latS := execS
-		if target != 0 && rng.Intn(3) == 0 {
-			r.IncHedge()
-			if rng.Intn(2) == 0 {
-				r.IncHedgeWon()
-				localS := rng.ExpFloat64() * 0.01
-				execS, latS = 0.025, 0.025+localS
-				pt.Add(obs.PhaseHedgeIdx, localS)
-			} else {
-				r.IncHedgeLost()
-			}
+		// One remote serve in six answers later than its execute phase
+		// says. These are the draws of the retired hedge branch, kept so
+		// that its removal moved no other line of the goldens.
+		if target != 0 && rng.Intn(3) == 0 && rng.Intn(2) == 0 {
+			execS, latS = 0.025, 0.025+rng.ExpFloat64()*0.01
 		}
 		pt.Add(obs.PhaseExecuteIdx, execS)
 		r.ObserveServed(metrics.ServedSample{
@@ -118,8 +113,8 @@ func goldenFold() metrics.Snapshot {
 // meant to change.
 func TestRegistryFoldGolden(t *testing.T) {
 	s := goldenFold()
-	if s.Served == 0 || s.Shed == 0 || s.Expired == 0 || s.Failed == 0 || s.HedgesWon == 0 ||
-		s.HedgesLost == 0 || s.Outages == 0 || len(s.ByTarget) != 3 || len(s.ByDevice) != 2 ||
+	if s.Served == 0 || s.Shed == 0 || s.Expired == 0 || s.Failed == 0 ||
+		s.Outages == 0 || len(s.ByTarget) != 3 || len(s.ByDevice) != 2 ||
 		len(s.ByTenant) != 3 || len(s.Phases) != obs.NumPhases || s.VWait.Count == 0 ||
 		s.VWait.Count == s.Wait.Count {
 		t.Fatalf("the seeded sequence misses a view it is meant to cover: %+v", s)

@@ -20,7 +20,7 @@ func seededSnapshot(seed uint64, tag string) Snapshot {
 	r := New(tag + "-device")
 	bump := []func(){
 		r.IncSubmitted, r.IncShed, r.IncExpired, r.IncFailed,
-		r.IncOutage, r.IncHedge, r.IncHedgeWon, r.IncWorkerCrash,
+		r.IncOutage, r.IncWorkerCrash,
 	}
 	for i, n := 0, 20+rng.Intn(60); i < n; i++ {
 		bump[rng.Intn(len(bump))]()

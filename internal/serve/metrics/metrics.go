@@ -126,15 +126,6 @@ func (r *Registry) IncFailed() { r.count(&r.s.Failed, 1) }
 // fallback.
 func (r *Registry) IncOutage() { r.count(&r.s.Outages, 1) }
 
-// IncHedge counts one hedged offload launched against a slow remote.
-func (r *Registry) IncHedge() { r.count(&r.s.Hedges, 1) }
-
-// IncHedgeWon counts one hedge whose local leg beat the remote.
-func (r *Registry) IncHedgeWon() { r.count(&r.s.HedgesWon, 1) }
-
-// IncHedgeLost counts one hedge whose remote leg answered first.
-func (r *Registry) IncHedgeLost() { r.count(&r.s.HedgesLost, 1) }
-
 // IncWorkerCrash counts one scripted worker-crash drill.
 func (r *Registry) IncWorkerCrash() { r.count(&r.s.WorkerCrashes, 1) }
 
@@ -246,18 +237,16 @@ type Snapshot struct {
 	QoSViolations int64
 	Outages       int64
 
-	// Resilience counters: the hedging machinery and the scripted drills.
-	Hedges        int64
-	HedgesWon     int64
-	HedgesLost    int64
+	// Resilience counters: the scripted drills and the outage waste.
 	WorkerCrashes int64
 	CorruptDrills int64
 	OutageWastedJ float64
 
-	// OffloadRetries, BreakerOpens and DegradedSeconds are always zero:
-	// nothing records or folds them. They are kept, unchanged, because the
-	// benchmark reads them (bench/chaos.go:317-318,
+	// Hedges, OffloadRetries, BreakerOpens and DegradedSeconds are always
+	// zero: nothing records or folds them. They are kept, unchanged,
+	// because the benchmark reads them (bench/chaos.go:317-318,
 	// bench/workloads.go:207-210).
+	Hedges          int64
 	OffloadRetries  int64
 	BreakerOpens    int64
 	DegradedSeconds float64
@@ -363,9 +352,6 @@ func (s *Snapshot) add(o *Snapshot) {
 	s.Failed += o.Failed
 	s.QoSViolations += o.QoSViolations
 	s.Outages += o.Outages
-	s.Hedges += o.Hedges
-	s.HedgesWon += o.HedgesWon
-	s.HedgesLost += o.HedgesLost
 	s.WorkerCrashes += o.WorkerCrashes
 	s.CorruptDrills += o.CorruptDrills
 	s.OutageWastedJ += o.OutageWastedJ

@@ -99,7 +99,7 @@ func TestObservePhase(t *testing.T) {
 		t.Fatalf("decide phase: %+v", s.Phases[obs.PhaseDecide])
 	}
 	// Phases that never observed stay out of the snapshot.
-	if _, ok := s.Phases[obs.PhaseHedge]; ok {
+	if _, ok := s.Phases[obs.PhaseQueue]; ok {
 		t.Fatal("empty phase present in snapshot")
 	}
 }

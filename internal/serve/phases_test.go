@@ -19,7 +19,7 @@ import (
 )
 
 // TestPhaseSumInvariant pins the phase-span accounting contract: for every
-// served request without hedging, the execute leg in the trace — outage
+// served request, the execute leg in the trace — outage
 // timeouts included — reconstructs the recorded end-to-end latency exactly,
 // and the wall-clock legs (queue, decide) never leak into the trace — they
 // would break byte-identical replay.
@@ -37,11 +37,7 @@ func TestPhaseSumInvariant(t *testing.T) {
 
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
-	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
-		// Hedging off: every served request must then decompose
-		// exactly into its execute leg on the virtual clock.
-		Trace: tw,
-	})
+	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{Trace: tw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,9 +70,6 @@ func TestPhaseSumInvariant(t *testing.T) {
 				t.Fatalf("record %d leaked wall-clock phase %q into the trace", i, wallOnly)
 			}
 		}
-		if _, ok := p[obs.PhaseHedge]; ok {
-			t.Fatalf("record %d has a hedge leg with hedging disabled", i)
-		}
 		if p[obs.PhaseExecute] <= 0 {
 			t.Fatalf("record %d: execute leg %v", i, p[obs.PhaseExecute])
 		}
@@ -100,15 +93,11 @@ func TestPhaseSumInvariant(t *testing.T) {
 			t.Fatalf("registry phase %q: ok=%v count=%d, want 400", phase, ok, hs.Count)
 		}
 	}
-	if hs, ok := snap.Phases[obs.PhaseHedge]; ok {
-		t.Fatalf("registry has %d hedge legs with hedging disabled", hs.Count)
-	}
 }
 
 // TestSpansReconcileWithPhases pins the causal-trace accounting contract:
-// the execution-leg spans in a kept causal trace (execute, and hedge when
-// the local leg won) carry exactly the durations the request-trace record's
-// Phases map reports — both are emitted from the same PhaseTotals,
+// the execute span in a kept causal trace, outage timeouts included, carries
+// exactly the duration the request-trace record's Phases map reports — both are emitted from the same PhaseTotals,
 // so any drift means the span tree and the audit trail disagree about the
 // same request. Decide spans must carry full provenance.
 func TestSpansReconcileWithPhases(t *testing.T) {
@@ -129,7 +118,6 @@ func TestSpansReconcileWithPhases(t *testing.T) {
 	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
 		Trace:  tw,
 		Tracer: tr,
-		Hedge:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +151,7 @@ func TestSpansReconcileWithPhases(t *testing.T) {
 	if len(kept) == 0 {
 		t.Fatal("tracer kept no traces at sample rate 1")
 	}
-	reconciled, withHedge := 0, 0
+	reconciled, withOutage := 0, 0
 	for _, ct := range kept {
 		rec, ok := byID[ct.ID]
 		if !ok {
@@ -173,11 +161,9 @@ func TestSpansReconcileWithPhases(t *testing.T) {
 		for _, sp := range ct.Spans {
 			spans[sp.Name] += sp.DurS
 		}
-		for _, leg := range []string{obs.PhaseExecute, obs.PhaseHedge} {
-			if math.Abs(spans[leg]-rec.Phases[leg]) > 1e-12 {
-				t.Fatalf("trace %d: span %q = %.12f but phases say %.12f",
-					ct.ID, leg, spans[leg], rec.Phases[leg])
-			}
+		if leg := obs.PhaseExecute; math.Abs(spans[leg]-rec.Phases[leg]) > 1e-12 {
+			t.Fatalf("trace %d: span %q = %.12f but phases say %.12f",
+				ct.ID, leg, spans[leg], rec.Phases[leg])
 		}
 		if spans[obs.PhaseQueue] <= 0 || spans[obs.PhaseDecide] <= 0 {
 			t.Fatalf("trace %d missing queue/decide spans: %v", ct.ID, spans)
@@ -188,13 +174,13 @@ func TestSpansReconcileWithPhases(t *testing.T) {
 		if len(ct.Prov.Q) == 0 || len(ct.Prov.Mask) == 0 || ct.Prov.Action == "" {
 			t.Fatalf("trace %d provenance incomplete: %+v", ct.ID, ct.Prov)
 		}
-		if spans[obs.PhaseHedge] > 0 {
-			withHedge++
+		if rec.Outage {
+			withOutage++
 		}
 		reconciled++
 	}
-	if withHedge == 0 {
-		t.Fatalf("none of the %d reconciled traces had a hedge leg; invariant tested vacuously", reconciled)
+	if withOutage == 0 {
+		t.Fatalf("none of the %d reconciled traces had an outage; invariant tested vacuously", reconciled)
 	}
 }
 
@@ -309,9 +295,8 @@ func (s *failingSink) Write(p []byte) (int, error) { return 0, s.err }
 
 // TestLaneClockMatchesCharge pins lane-clock conservation. Fault windows and
 // gray factors key on the lane's virtual clock, so every served request must
-// advance it by exactly the latency it is charged: through outages, gray
-// stretching and hedges alike, won or lost. A hedge's local leg runs on a
-// clock of its own, and the lane ends at the winner's finish.
+// advance it by exactly the latency it is charged, through outages and gray
+// stretching alike.
 func TestLaneClockMatchesCharge(t *testing.T) {
 	const seed, n = 3, 2000
 	cfg := core.DefaultConfig()
@@ -329,13 +314,12 @@ func TestLaneClockMatchesCharge(t *testing.T) {
 	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
 		Trace:  trace.NewWriter(&buf),
 		Faults: inj,
-		Hedge:  true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m := dnn.MustByName("MobileNet v3")
-	outages, gray, won, lost := 0, 0, 0, 0
+	outages, gray := 0, 0
 	for i := 0; i < n; i++ {
 		before := e.Now()
 		resp, err := g.Do(Request{Model: m, Conditions: conds()})
@@ -353,41 +337,27 @@ func TestLaneClockMatchesCharge(t *testing.T) {
 		if inj.GrayFactor("Mi8Pro", before) > 1 {
 			gray++
 		}
-		switch {
-		case resp.HedgeWon:
-			won++
-		case resp.Hedged:
-			lost++
-		}
 	}
 	if err := g.Shutdown(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("%d requests: %d outages, %d gray-stretched, %d/%d hedges won/lost, lane clock %.3f s",
-		n, outages, gray, won, lost, e.Now())
-	if outages == 0 || gray == 0 || won == 0 || lost == 0 {
-		t.Fatalf("vacuous: %d outages, %d gray-stretched requests, %d/%d hedges won/lost",
-			outages, gray, won, lost)
+	t.Logf("%d requests: %d outages, %d gray-stretched, lane clock %.3f s",
+		n, outages, gray, e.Now())
+	if outages == 0 || gray == 0 {
+		t.Fatalf("vacuous: %d outages, %d gray-stretched requests", outages, gray)
 	}
 
-	// The record's phases are the critical path, so they add up to the
-	// charged latency too: a won hedge is the remote leg up to the hedge
-	// point plus the local leg, a lost one the remote leg alone.
+	// The record's execute phase is the charged latency too.
 	recs, err := trace.ReadAll(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hedgeLegs := 0
 	for i, rec := range recs {
-		p := rec.Phases
-		if p[obs.PhaseHedge] > 0 {
-			hedgeLegs++
-		}
-		if sum := p[obs.PhaseExecute] + p[obs.PhaseHedge]; math.Abs(sum-rec.LatencyS) > 1e-9 {
-			t.Fatalf("record %d: phases sum to %.12f but latency is %.12f (phases %v)", i, sum, rec.LatencyS, p)
+		if ex := rec.Phases[obs.PhaseExecute]; math.Abs(ex-rec.LatencyS) > 1e-9 {
+			t.Fatalf("record %d: execute phase %.12f but latency is %.12f", i, ex, rec.LatencyS)
 		}
 	}
-	if len(recs) != n || hedgeLegs != won {
-		t.Fatalf("%d records with %d hedge legs, want %d with %d", len(recs), hedgeLegs, n, won)
+	if len(recs) != n {
+		t.Fatalf("%d records, want %d", len(recs), n)
 	}
 }

@@ -5,8 +5,8 @@
 // on one device; a production deployment faces a stream of requests from
 // many services against a heterogeneous fleet, and needs the plumbing the
 // paper never had to build — admission control instead of unbounded
-// blocking, deadline-aware dispatch that fails stale work fast, hedged
-// offloading, runtime metrics, and a graceful shutdown that drains queues
+// blocking, deadline-aware dispatch that fails stale work fast, runtime
+// metrics, and a graceful shutdown that drains queues
 // and persists what each engine learned.
 //
 // The gateway deliberately preserves the paper's per-decision semantics:
@@ -53,7 +53,7 @@ type Status int
 
 // Request outcomes.
 const (
-	// StatusServed: the request executed (possibly on a hedge's local leg).
+	// StatusServed: the request executed.
 	StatusServed Status = iota
 	// StatusShed: admission control rejected the request on a full queue.
 	StatusShed
@@ -124,10 +124,6 @@ type Response struct {
 	// Outage marks a simulated radio outage absorbed by the sim's local
 	// fallback during execution.
 	Outage bool
-	// Hedged marks that a local hedge leg raced the remote answer;
-	// HedgeWon marks that the hedge leg finished first.
-	Hedged   bool
-	HedgeWon bool
 	// Err carries the rejection or execution error (nil for clean serves).
 	Err error
 	// SubmittedAt / DoneAt bracket the request's life in the gateway, on
@@ -194,14 +190,6 @@ type Config struct {
 	// gateway reads the wall clock once at construction and offsets that
 	// reading by the monotonic time elapsed since.
 	Clock func() time.Time
-	// Hedge enables hedged offloads: when a remote answer is slower than
-	// 25 ms (hedgeAfterS) and the deadline budget allows, a local leg races
-	// it and the earlier answer wins. An outage is not retried: the sim's local
-	// fallback answers it, and the engine learns from its cost.
-	Hedge bool
-	// HedgeGate, with Hedge, fires a hedge only when the expected local
-	// leg beats the expected remote one on both latency and eq (5) reward.
-	HedgeGate bool
 	// Faults, when non-nil, is the scripted fault injector: New installs it
 	// on every backend world that has none, and each worker drills the
 	// injector's crash/corruption events for its device. The injector's
@@ -213,7 +201,7 @@ type Config struct {
 	// Tracer, when non-nil, switches on the causal tracing plane: requests
 	// not already carrying a trace handle get one at submit, and served
 	// requests accumulate a span tree (queue, decide with decision
-	// provenance, execute, hedge). The tracer owns its own
+	// provenance, execute). The tracer owns its own
 	// RNG root, so enabling it never perturbs the engines' deterministic
 	// streams.
 	Tracer *tracez.Tracer

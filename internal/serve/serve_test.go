@@ -619,90 +619,6 @@ func TestSubmitNilModel(t *testing.T) {
 	}
 }
 
-// hedgeWorker builds a single-device hedging gateway without starting the
-// worker goroutine, so tests can drive the hedge helper directly with fully
-// controlled decisions.
-func hedgeWorker(t testing.TB, e *core.Engine) (*Gateway, *worker) {
-	t.Helper()
-	g, err := newGateway([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{Hedge: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	w := g.workers[0]
-	w.seq = 1
-	return g, w
-}
-
-// TestHedgeOutcomes drives the hedged-offload race with remote latencies on
-// either side of the 25 ms hedge point: a remote answer under it is never
-// hedged, a slow one loses to the local leg, and one just over it wins but
-// still pays the cancelled leg's in-flight energy.
-func TestHedgeOutcomes(t *testing.T) {
-	cloud := sim.Target{Location: sim.Cloud, Kind: soc.GPU, Prec: dnn.FP32}
-	m := dnn.MustByName("MobileNet v3")
-	p := &pending{req: Request{Model: m, Conditions: conds()}}
-	remote := func(latencyS, energyJ float64) core.Decision {
-		return core.Decision{Target: cloud,
-			Measurement: sim.Measurement{Target: cloud, LatencyS: latencyS, EnergyJ: energyJ}, QoSTargetS: 0.05}
-	}
-
-	t.Run("fast remote is not hedged", func(t *testing.T) {
-		e := testEngine(t, soc.Mi8Pro(), 26, core.DefaultConfig())
-		g, w := hedgeWorker(t, e)
-		d := remote(0.024, 0.01)
-		want := d
-		if hedged, won, _ := g.hedge(w, p, &d, e.Now(), g.now()); hedged || won {
-			t.Fatalf("hedged=%v won=%v, want no hedge under a 24 ms remote", hedged, won)
-		}
-		if d != want {
-			t.Errorf("an unhedged decision changed: %+v", d)
-		}
-		if snap := g.Snapshot(); snap.Hedges != 0 {
-			t.Errorf("metrics: %+v", snap)
-		}
-	})
-
-	t.Run("local leg wins", func(t *testing.T) {
-		e := testEngine(t, soc.Mi8Pro(), 24, core.DefaultConfig())
-		g, w := hedgeWorker(t, e)
-		d := remote(10, 1)
-		hedged, won, _ := g.hedge(w, p, &d, e.Now(), g.now())
-		if !hedged || !won {
-			t.Fatalf("hedged=%v won=%v, want the local leg to beat a 10 s remote", hedged, won)
-		}
-		if d.Measurement.Target.Location != sim.Local {
-			t.Errorf("winning measurement ran on %v, want local", d.Measurement.Target)
-		}
-		if d.Measurement.WastedJ <= 0 {
-			t.Error("the superseded remote leg's in-flight energy must be charged as waste")
-		}
-		if snap := g.Snapshot(); snap.Hedges != 1 || snap.HedgesWon != 1 {
-			t.Errorf("metrics: %+v", snap)
-		}
-	})
-
-	t.Run("remote answers first", func(t *testing.T) {
-		e := testEngine(t, soc.Mi8Pro(), 25, core.DefaultConfig())
-		g, w := hedgeWorker(t, e)
-		d := remote(0.026, 0.01)
-		before := d.Measurement.EnergyJ
-		hedged, won, _ := g.hedge(w, p, &d, e.Now(), g.now())
-		if !hedged || won {
-			t.Fatalf("hedged=%v won=%v, want a lost hedge against a 26 ms remote", hedged, won)
-		}
-		if d.Measurement.Target != cloud {
-			t.Errorf("losing hedge replaced the remote answer: %v", d.Measurement.Target)
-		}
-		if d.Measurement.EnergyJ <= before || d.Measurement.WastedJ <= 0 {
-			t.Errorf("cancelled local leg not charged: energy %v (was %v), wasted %v",
-				d.Measurement.EnergyJ, before, d.Measurement.WastedJ)
-		}
-		if snap := g.Snapshot(); snap.Hedges != 1 || snap.HedgesLost != 1 {
-			t.Errorf("metrics: %+v", snap)
-		}
-	})
-}
-
 // TestScriptedDrills fires the one-shot fault events: a checkpoint-corruption
 // drill followed by a worker crash, after which the worker must keep serving
 // from a fresh (re-warm-started) agent.

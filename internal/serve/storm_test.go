@@ -38,10 +38,7 @@ func runStorm(t *testing.T, seed int64) ([]byte, []Response) {
 
 	var buf bytes.Buffer
 	tw := trace.NewWriter(&buf)
-	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
-		Trace: tw,
-		Hedge: true,
-	})
+	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{Trace: tw})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,5 +114,62 @@ func TestStormAcceptance(t *testing.T) {
 	traceOther, _ := runStorm(t, seed+1)
 	if bytes.Equal(traceBytes, traceOther) {
 		t.Error("different seeds produced identical traces")
+	}
+}
+
+// TestWastedJoulesLedger: the joules an outage wastes are booked once and
+// read the same everywhere. One sequential client drives a one-lane gateway
+// through the example storm, and the registry's OutageWastedJ, the sum of
+// the trace records' WastedJ and the sum of the responses' WastedJ must be
+// equal to the bit.
+func TestWastedJoulesLedger(t *testing.T) {
+	const seed, n = 11, 1500
+	sched, err := fault.Load("../../examples/faults/storm.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	cfg.Seed = seed
+	cfg.RL.Epsilon = 0.5 // keep offloads flowing into the outage windows
+	e := testEngine(t, soc.Mi8Pro(), seed, cfg)
+	var buf bytes.Buffer
+	tw := trace.NewWriter(&buf)
+	g, err := New([]Backend{{Device: "Mi8Pro", Engine: e}}, Config{
+		Trace:  tw,
+		Faults: fault.New(sched, exec.NewRoot(seed).Child("faults")),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := dnn.MustByName("MobileNet v3")
+	var fromResponses float64
+	for i := 0; i < n; i++ {
+		r, err := g.Do(Request{Model: m, Conditions: conds()})
+		if err != nil || r.Status != StatusServed {
+			t.Fatalf("request %d: %v %v", i, r.Status, err)
+		}
+		fromResponses += r.Decision.Measurement.WastedJ
+	}
+	fromRegistry := g.Snapshot().OutageWastedJ
+	if err := g.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := trace.ReadAll(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != n {
+		t.Fatalf("trace carries %d records for %d requests", len(recs), n)
+	}
+	var fromRecords float64
+	for _, rec := range recs {
+		fromRecords += rec.WastedJ
+	}
+	if fromRegistry <= 0 {
+		t.Fatalf("the storm wasted no joules (lane clock %.2f s): the ledger was checked vacuously", e.Now())
+	}
+	if fromRegistry != fromRecords || fromRegistry != fromResponses {
+		t.Fatalf("wasted joules: registry %v, trace records %v, responses %v",
+			fromRegistry, fromRecords, fromResponses)
 	}
 }

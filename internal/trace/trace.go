@@ -59,15 +59,13 @@ type Record struct {
 	// was admitted under. Both are schema v2 fields.
 	Shard  string `json:"shard,omitempty"`
 	Tenant string `json:"tenant,omitempty"`
-	// Outage / Hedged describe the resilience path a gateway request took:
-	// a simulated offload outage, and whether a local hedge leg raced the
-	// remote. Records written before circuit breakers and offload retries
-	// were removed may also carry "degraded" and "retries"; readers ignore
-	// both.
+	// Outage marks a simulated offload outage absorbed by the sim's local
+	// fallback. Records written before circuit breakers, offload retries
+	// and hedged offloads were removed may also carry "degraded", "retries"
+	// and "hedged"; readers ignore all three.
 	Outage bool `json:"outage,omitempty"`
-	Hedged bool `json:"hedged,omitempty"`
-	// WastedJ is the energy burned on failed or superseded offload
-	// attempts, already included in EnergyJ.
+	// WastedJ is the energy burned on failed offload attempts, already
+	// included in EnergyJ.
 	WastedJ float64 `json:"wasted_j,omitempty"`
 	// VWaitS is the request's virtual queue wait (lane clock minus arrival
 	// stamp at execution start) — deterministic, so it stays in the

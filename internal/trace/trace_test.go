@@ -274,7 +274,9 @@ func TestSchemaV1Compat(t *testing.T) {
 // gateway's local failover recorded it before that path was removed, and a
 // v4 record carrying the retired "degraded" and "retries" keys, as the
 // gateway wrote them before circuit breakers and offload retries were
-// removed. Readers must keep accepting every one of them.
+// removed, and a v4 record carrying the retired "hedged" key and "hedge"
+// phase, as it wrote them before hedged offloads were removed. Readers must
+// keep accepting every one of them.
 var fixtures = []struct {
 	name, raw string
 	wantV     int
@@ -284,6 +286,7 @@ var fixtures = []struct {
 	{"v3", `{"v":3,"seq":2,"model":"Inception v4","state":"2|0|0|0|0|0|1|1","target":"cloud/GPU/FP32","location":"cloud","latency_s":0.08,"energy_j":0.02,"reward":-18,"qos_violated":true,"vwait_s":0.005,"phases":{"execute":0.08}}`, 3},
 	{"v4_failover", `{"v":4,"seq":3,"model":"MobileNet v3","state":"0|1|0|0|0|0|1|1","target":"cloud/CPU/FP32","location":"local","latency_s":0.0811111111111111,"energy_j":0.09,"reward":-30,"qos_violated":true,"wasted_j":0.04,"phases":{"execute":0.0612345678901234,"failover":0.0198765432109877}}`, 4},
 	{"v4_retired", retiredLine, 4},
+	{"v4_hedged", hedgedLine, 4},
 }
 
 // retiredLine is a v4 record as the gateway wrote it while circuit breakers
@@ -291,20 +294,27 @@ var fixtures = []struct {
 // so it carries "degraded" and "retries".
 const retiredLine = `{"v":4,"seq":4,"model":"MobileNet v3","state":"0|0|0|0|0|0|1|1","target":"local/CPU@22/FP32","location":"local","latency_s":0.031,"energy_j":0.05,"reward":-12,"qos_violated":false,"device":"Mi8Pro","outage":true,"retries":1,"degraded":true,"wasted_j":0.01,"phases":{"execute":0.025,"retry":0.006}}`
 
+// hedgedLine is a v4 record as the gateway wrote it while hedged offloads
+// existed: a remote answer raced by a local hedge leg that won, so it
+// carries "hedged" and a "hedge" phase.
+const hedgedLine = `{"v":4,"seq":5,"model":"MobileNet v3","state":"0|0|0|0|0|0|1|1","target":"local/CPU@22/FP32","location":"edge","latency_s":0.043,"energy_j":0.061,"reward":-48,"qos_violated":false,"device":"Mi8Pro","shard":"shard-0","tenant":"gold","hedged":true,"wasted_j":0.012,"vwait_s":0.002,"phases":{"execute":0.025,"hedge":0.018}}`
+
 // TestDegradedKeyIsIgnored: a v4 line carrying a retired key — "degraded"
-// from circuit breakers, "retries" from offload retries — still reads, and
-// reads and summarizes exactly like the same line without that key.
+// from circuit breakers, "retries" from offload retries, "hedged" from
+// hedged offloads — still reads, and reads and summarizes exactly like the
+// same line without that key.
 func TestDegradedKeyIsIgnored(t *testing.T) {
-	for _, tc := range []struct{ key, field string }{
-		{"degraded", `"degraded":true,`},
-		{"retries", `"retries":1,`},
+	for _, tc := range []struct{ key, line, field string }{
+		{"degraded", retiredLine, `"degraded":true,`},
+		{"retries", retiredLine, `"retries":1,`},
+		{"hedged", hedgedLine, `"hedged":true,`},
 	} {
 		t.Run(tc.key, func(t *testing.T) {
-			without := strings.Replace(retiredLine, tc.field, "", 1)
-			if without == retiredLine {
+			without := strings.Replace(tc.line, tc.field, "", 1)
+			if without == tc.line {
 				t.Fatalf("fixture lost its %s key", tc.key)
 			}
-			got, err := ReadAll(strings.NewReader(retiredLine + "\n"))
+			got, err := ReadAll(strings.NewReader(tc.line + "\n"))
 			if err != nil {
 				t.Fatalf("line with %s no longer reads: %v", tc.key, err)
 			}
@@ -319,6 +329,38 @@ func TestDegradedKeyIsIgnored(t *testing.T) {
 				t.Fatalf("%s key changed the summary:\n %+v\nvs %+v", tc.key, gs, ws)
 			}
 		})
+	}
+}
+
+// TestHedgedRecordRoundTrips: a v4 record carrying the retired "hedged"
+// key reads with every other field intact, its retired "hedge" phase
+// included, and writes back to a record that reads the same.
+func TestHedgedRecordRoundTrips(t *testing.T) {
+	want := Record{V: 4, Seq: 5, Model: "MobileNet v3", State: "0|0|0|0|0|0|1|1",
+		Target: "local/CPU@22/FP32", Location: "edge", LatencyS: 0.043, EnergyJ: 0.061,
+		Reward: -48, Device: "Mi8Pro", Shard: "shard-0", Tenant: "gold", WastedJ: 0.012,
+		VWaitS: 0.002, Phases: map[string]float64{"execute": 0.025, "hedge": 0.018}}
+	got, err := ReadAll(strings.NewReader(hedgedLine + "\n"))
+	if err != nil || len(got) != 1 {
+		t.Fatalf("hedged line: %d records, %v", len(got), err)
+	}
+	if !reflect.DeepEqual(got[0], want) {
+		t.Fatalf("read:\n %+v\nwant %+v", got[0], want)
+	}
+	var buf bytes.Buffer
+	w := NewWriter(&buf)
+	if err := w.AppendBatch(got); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "hedged") {
+		t.Fatalf("write kept the retired key: %s", buf.String())
+	}
+	again, err := ReadAll(&buf)
+	if err != nil || len(again) != 1 || !reflect.DeepEqual(again[0], want) {
+		t.Fatalf("write-read: %+v, %v", again, err)
 	}
 }
 

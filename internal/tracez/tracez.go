@@ -1,6 +1,6 @@
 // Package tracez is the causal tracing plane: every traced request carries
 // a trace ID and accumulates a span tree across router admission → DRR
-// dispatch → gateway queue → decide → execute/offload → hedges
+// dispatch → gateway queue → decide → execute/offload
 // (a router failover re-dispatch stays on the same trace). The decide span
 // carries decision provenance — the dense state index, per-action Q-values
 // from the RCU snapshot, the feasibility mask applied, and whether the
@@ -8,7 +8,7 @@
 //
 // Sampling is decided at Finish, after the request's fate is known:
 // tail-based keep-all for interesting requests (deadline miss, shed,
-// failover, hedge, failure), head sampling for the rest.
+// failover, failure), head sampling for the rest.
 // The head draw comes from a named exec.Context stream keyed by the trace's
 // sequence number, so a fixed-seed run — including the chaos soak and the
 // storm/surge acceptance replays — keeps exactly the same traces on every
@@ -41,12 +41,10 @@ const (
 	// FlagFailover marks a cross-shard failover re-dispatch: the router
 	// re-queued the request after its shard bounced it.
 	FlagFailover
-	// FlagHedged marks a hedged request (local hedge raced a slow remote).
-	FlagHedged
 )
 
 // flagNames maps bit order to a stable name, for exports.
-var flagNames = []string{"expired", "shed", "failed", "failover", "hedged"}
+var flagNames = []string{"expired", "shed", "failed", "failover"}
 
 // FlagNames renders a flag set as names in bit order.
 func FlagNames(flags uint8) []string {
@@ -60,7 +58,7 @@ func FlagNames(flags uint8) []string {
 }
 
 // Span is one leg of a traced request's lifecycle. Durations are seconds;
-// legs measured on the virtual clock (execute, hedge) use
+// the leg measured on the virtual clock (execute) uses
 // virtual seconds and replay byte-identically, wall legs (admit, dispatch,
 // queue, decide) use wall seconds.
 type Span struct {

@@ -7,14 +7,14 @@ import (
 
 // Fleet serving: a concurrent gateway that accepts inference requests
 // through bounded per-device queues and serves them from warm-started
-// engines, with admission control, deadline-aware dispatch, hedged
-// offloading and runtime metrics (see internal/serve for full documentation).
+// engines, with admission control, deadline-aware dispatch and runtime
+// metrics (see internal/serve for full documentation).
 type (
 	// Gateway serves inference requests against a fleet of engines.
 	Gateway = serve.Gateway
-	// GatewayConfig tunes queue depth, shed policy, hedging and the policy
-	// checkpoint store (warm-start at boot, flush at shutdown, sync passes
-	// on the virtual clock).
+	// GatewayConfig tunes queue depth, shed policy, fault injection and the
+	// policy checkpoint store (warm-start at boot, flush at shutdown, sync
+	// passes on the virtual clock).
 	GatewayConfig = serve.Config
 	// GatewayBackend pairs a device name with its engine.
 	GatewayBackend = serve.Backend

@@ -7,7 +7,7 @@ import "autoscale/internal/tracez"
 // the execution legs, accumulating a span tree whose decide span records
 // full decision provenance (dense state index, per-action Q-values, the
 // applied feasibility mask, the epsilon-draw exploration flag). Tail-based
-// sampling keeps every trace that sheds, expires, fails over or hedges;
+// sampling keeps every trace that sheds, expires, fails or fails over;
 // the rest head-sample on the tracer's own deterministic stream, so a
 // fixed-seed replay keeps an identical trace set. The flight recorder
 // rides alongside: a structured event ring (supervisor ladder edges,
